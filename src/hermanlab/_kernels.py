@@ -1,42 +1,15 @@
-"""Hot numerical kernels with a numba backend and a pure-numpy fallback.
+"""Hot numerical kernels: the orbit loops behind tuning, tracing and rendering.
 
-The backend is chosen once at import time:
-
-* ``HERMANLAB_NUMBA=0`` (or ``false``/``no``) forces the numpy/python path;
-  anything else (including unset) uses numba ``@njit`` compilation.
-* ``HERMANLAB_THREADS=<n>`` caps the numba thread pool used by the
-  parallel grid-classification kernel.
-
-All kernels operate on rational maps given as ascending complex
-coefficient vectors (numerator, denominator).  Results are identical
-between backends up to the usual non-associativity of parallel
-reductions, which none of these kernels rely on.
+Each kernel has one pure python/numpy implementation, which is the
+reference any faster backend is compared against.  All kernels operate
+on rational maps given as ascending complex coefficient vectors
+(numerator, denominator).
 """
-
-import os
 
 import numpy as np
 
-_env = os.environ.get("HERMANLAB_NUMBA", "1").strip().lower()
-USE_NUMBA = _env not in ("0", "false", "no", "off")
+BACKEND = "numpy"
 
-if USE_NUMBA:
-    try:
-        import numba
-        from numba import njit, prange
-
-        _threads = os.environ.get("HERMANLAB_THREADS")
-        if _threads:
-            numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        USE_NUMBA = False
-
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# scalar building blocks (python/numpy reference implementations)
-# ---------------------------------------------------------------------------
 
 def _horner(coeffs, z):
     acc = 0.0 + 0.0j
@@ -45,7 +18,7 @@ def _horner(coeffs, z):
     return acc
 
 
-def _orbit(num, den, z0, n, r0, rinf):
+def orbit(num, den, z0, n, r0, rinf):
     """Iterate z -> N(z)/D(z) for n steps, storing every iterate.
 
     Returns (orbit, n_ok) where n_ok is the number of valid entries before
@@ -62,7 +35,7 @@ def _orbit(num, den, z0, n, r0, rinf):
     return out, n
 
 
-def _orbit_samples(num, den, z0, ks, r0, rinf):
+def orbit_samples(num, den, z0, ks, r0, rinf):
     """Iterate z -> N(z)/D(z), sampling the iterates listed in ks (sorted)."""
     out = np.empty(len(ks), dtype=np.complex128)
     z = z0
@@ -81,7 +54,7 @@ def _orbit_samples(num, den, z0, ks, r0, rinf):
     return out, j
 
 
-def _tune_residual(num0, den, c, qm, r0, rinf):
+def tune_residual(num0, den, c, qm, r0, rinf):
     """Residual G_m(c) = f_c^{q_m}(1) - 1 and dG/dc for the family f_c = c*N0/D.
 
     The parameter multiplies the map, so df/dc = f/c and the derivative
@@ -107,35 +80,12 @@ def _tune_residual(num0, den, c, qm, r0, rinf):
     return z - 1.0, w
 
 
-def _classify_kernel(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
-    labels = np.empty((h, w), dtype=np.uint8)
-    iters = np.zeros((h, w), dtype=np.uint32)
-    for iy in range(h):
-        y = y0 + (iy + 0.5) * dy
-        for ix in range(w):
-            z = complex(x0 + (ix + 0.5) * dx, y)
-            lab = np.uint8(2)  # UNDECIDED
-            it = 0
-            for k in range(maxiter):
-                a = abs(z)
-                if a < r0:
-                    lab = np.uint8(0)
-                    it = k
-                    break
-                if a > rinf:
-                    lab = np.uint8(1)
-                    it = k
-                    break
-                z = _horner(num, z) / _horner(den, z)
-            else:
-                it = maxiter
-            labels[iy, ix] = lab
-            iters[iy, ix] = it
-    return labels, iters
+def classify_kernel(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
+    """Escape-time labels (0 inner, 1 outer, 2 undecided) and iteration counts.
 
-
-def _classify_rows_numpy(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
-    """Vectorized fallback: iterate all pixels at once with an active mask."""
+    Iterates all pixel centres of the w x h grid at once with an active
+    mask; a pixel is labelled at the first iterate inside a trap.
+    """
     xs = x0 + (np.arange(w) + 0.5) * dx
     ys = y0 + (np.arange(h) + 0.5) * dy
     z = (xs[None, :] + 1j * ys[:, None]).astype(np.complex128).ravel()
@@ -168,94 +118,6 @@ def _classify_rows_numpy(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
             zz = nv / dv
         zz[~np.isfinite(zz)] = 2.0 * rinf
     return labels.reshape(h, w), iters.reshape(h, w)
-
-
-if USE_NUMBA:
-    horner = njit(cache=True)(_horner)
-
-    # the scalar helpers call each other, so rebuild them around the jitted horner
-    @njit(cache=True)
-    def orbit(num, den, z0, n, r0, rinf):
-        out = np.empty(n, dtype=np.complex128)
-        z = z0
-        for k in range(n):
-            z = horner(num, z) / horner(den, z)
-            out[k] = z
-            a = abs(z)
-            if a < r0 or a > rinf:
-                return out, k + 1
-        return out, n
-
-    @njit(cache=True)
-    def orbit_samples(num, den, z0, ks, r0, rinf):
-        out = np.empty(len(ks), dtype=np.complex128)
-        z = z0
-        j = 0
-        kmax = ks[-1]
-        for k in range(1, kmax + 1):
-            z = horner(num, z) / horner(den, z)
-            a = abs(z)
-            if a < r0 or a > rinf:
-                for i in range(j, len(ks)):
-                    out[i] = complex(np.nan, np.nan)
-                return out, j
-            while j < len(ks) and k == ks[j]:
-                out[j] = z
-                j += 1
-        return out, j
-
-    @njit(cache=True)
-    def tune_residual(num0, den, c, qm, r0, rinf):
-        z = 1.0 + 0.0j
-        w = 0.0 + 0.0j
-        for _ in range(qm):
-            nv = horner(num0, z)
-            dv = horner(den, z)
-            ndv = 0.0 + 0.0j
-            for j in range(len(num0) - 1, 0, -1):
-                ndv = ndv * z + j * num0[j]
-            ddv = 0.0 + 0.0j
-            for j in range(len(den) - 1, 0, -1):
-                ddv = ddv * z + j * den[j]
-            dfdz = c * (ndv * dv - nv * ddv) / (dv * dv)
-            w = dfdz * w + nv / dv
-            z = c * nv / dv
-            a = abs(z)
-            if a < r0 or a > rinf:
-                return complex(np.nan, np.nan), w
-        return z - 1.0, w
-
-    @njit(cache=True, parallel=True)
-    def classify_kernel(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
-        labels = np.empty((h, w), dtype=np.uint8)
-        iters = np.zeros((h, w), dtype=np.uint32)
-        for iy in prange(h):
-            y = y0 + (iy + 0.5) * dy
-            for ix in range(w):
-                z = complex(x0 + (ix + 0.5) * dx, y)
-                lab = np.uint8(2)
-                it = maxiter
-                for k in range(maxiter):
-                    a = abs(z)
-                    if a < r0:
-                        lab = np.uint8(0)
-                        it = k
-                        break
-                    if a > rinf:
-                        lab = np.uint8(1)
-                        it = k
-                        break
-                    z = horner(num, z) / horner(den, z)
-                labels[iy, ix] = lab
-                iters[iy, ix] = it
-        return labels, iters
-
-else:
-    horner = _horner
-    orbit = _orbit
-    orbit_samples = _orbit_samples
-    tune_residual = _tune_residual
-    classify_kernel = _classify_rows_numpy
 
 
 def orbit_samples_extended(num, den, z0, ks, r0=1e-12, rinf=1e12):

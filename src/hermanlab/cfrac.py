@@ -10,7 +10,6 @@ symbolically by (preperiod, period) so quotients at arbitrary depth are
 exact; float inputs are expanded only as far as round-off allows.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import mpmath
@@ -122,12 +121,6 @@ class ContinuedFraction:
         """Number of exactly-known quotients (None = unbounded, periodic form)."""
         return None if self.period is not None else len(self._quotients)
 
-    def is_bounded_type(self, n=40):
-        try:
-            return max(self.quotients(n)) < math.inf
-        except IndexError:
-            return max(self._quotients) < math.inf
-
     def bound(self, n=40):
         """Max partial quotient over the first n (the bounded-type constant)."""
         if self.period is not None:
@@ -190,6 +183,23 @@ SILVER = ContinuedFraction.from_periodic([], [2])        # sqrt2-1
 BRONZE_ALT = ContinuedFraction.from_periodic([], [1, 2])  # [0;1,2,1,2,...]
 
 NAMED_THETAS = {"golden": GOLDEN, "silver": SILVER, "bronze-alt": BRONZE_ALT}
+
+
+def resolve_theta(theta):
+    """theta as a ContinuedFraction.
+
+    Accepts a ContinuedFraction, a name in NAMED_THETAS, a float or
+    decimal string in (0,1) (expanded to 30 quotients), or the partial
+    quotients as a string "a,b,c".
+    """
+    if isinstance(theta, ContinuedFraction):
+        return theta
+    if isinstance(theta, str):
+        if theta in NAMED_THETAS:
+            return NAMED_THETAS[theta]
+        if "," in theta:
+            return ContinuedFraction.from_quotients([int(a) for a in theta.split(",")])
+    return ContinuedFraction.from_value(float(theta), 30)
 
 
 def cf_expand(theta, n):
@@ -314,7 +324,14 @@ def tiling_is_partition(cf, n, dps=_DPS):
 
 
 def tiling_refines(cf, n):
-    """P_{n+1} refines P_n: vertex index sets are nested (exact integers)."""
-    v_n, _ = tiling_indices(cf, n)
-    v_n1, _ = tiling_indices(cf, n + 1)
-    return set(v_n) <= set(v_n1)
+    """P_{n+1} refines P_n: the vertices of P_n are vertices of P_{n+1}.
+
+    The vertex sets are the orbit index ranges range(q_n + q_{n+1}) and
+    range(q_{n+1} + q_{n+2}) (see tiling_indices), so their nesting is the
+    exact integer comparison below.  Both tilings are partitions of the
+    circle into arcs between consecutive vertices (tiling_is_partition,
+    checked at n and n+1), so vertex inclusion puts every tile of P_{n+1}
+    inside a tile of P_n, which is refinement.
+    """
+    q = convergents(cf, n + 2).q
+    return q[n] + q[n + 1] <= q[n + 1] + q[n + 2]

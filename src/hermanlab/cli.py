@@ -5,7 +5,6 @@ All outputs (CSV/JSON/PPM) are byte-deterministic for a fixed config.
 """
 
 import argparse
-import cmath
 import hashlib
 import json
 import math
@@ -29,16 +28,10 @@ class ConfigError(ValueError):
 
 
 def _parse_theta(spec):
-    """Named preset, decimal in (0,1), or comma-separated CF quotients."""
-    if spec in cfrac.NAMED_THETAS:
-        return cfrac.NAMED_THETAS[spec]
+    """cfrac.resolve_theta, with a bad spec reported as a ConfigError."""
     try:
-        if "," in spec:
-            return cfrac.ContinuedFraction.from_quotients(
-                [int(a) for a in spec.split(",")])
-        val = float(spec)
-        return cfrac.ContinuedFraction.from_value(val, 25)
-    except (ValueError, cfrac.RationalInputError) as e:
+        return cfrac.resolve_theta(spec)
+    except ValueError as e:
         raise ConfigError("bad theta spec %r: %s" % (spec, e))
 
 
@@ -128,14 +121,20 @@ def cmd_maps(args):
     return 0
 
 
+def _tune(d0, dinf, theta, seed=None, m=None, tol=None):
+    """Blaschke bisection if d0 == dinf and no seed is given, else the Newton
+    ladder (seed None: the shipped preset); tol None keeps the tuner's default."""
+    kw = {} if tol is None else {"tol": tol}
+    if d0 == dinf and seed is None:
+        return rotation.tune_blaschke(d0, theta, **kw)
+    return rotation.tune_asymmetric(d0, dinf, theta, "preset" if seed is None else seed,
+                                    m=m, **kw)
+
+
 def cmd_tune(args):
     theta = _parse_theta(args.theta)
-    if args.d0 == args.dinf and args.seed is None:
-        res = rotation.tune_blaschke(args.d0, theta, tol=args.tol)
-    else:
-        seed = "preset" if args.seed in (None, "preset") else _parse_complex(args.seed)
-        res = rotation.tune_asymmetric(args.d0, args.dinf, theta, seed,
-                                       m=args.depth, tol=args.tol)
+    seed = args.seed if args.seed in (None, "preset") else _parse_complex(args.seed)
+    res = _tune(args.d0, args.dinf, theta, seed, m=args.depth, tol=args.tol)
     out = {
         "family": [args.d0, args.dinf],
         "parameter": [res.parameter.real, res.parameter.imag],
@@ -151,16 +150,13 @@ def cmd_tune(args):
 def _tuned_map(args, theta):
     if args.param is not None:
         return maps.herman_family(args.d0, args.dinf, _parse_complex(args.param))
-    if args.d0 == args.dinf:
-        res = rotation.tune_blaschke(args.d0, theta)
-    else:
-        # ladder at least to the default depth; deeper when the requested
-        # working depth needs it (tuning shallower than the use depth
-        # leaves the deep combinatorics unresolved)
-        m = None
-        if getattr(args, "depth", None):
-            m = min(max(args.depth + 2, 16), 31)
-        res = rotation.tune_asymmetric(args.d0, args.dinf, theta, "preset", m=m)
+    # ladder at least to the default depth; deeper when the requested
+    # working depth needs it (tuning shallower than the use depth
+    # leaves the deep combinatorics unresolved)
+    m = None
+    if getattr(args, "depth", None):
+        m = min(max(args.depth + 2, 16), 31)
+    res = _tune(args.d0, args.dinf, theta, m=m)
     return maps.herman_family(args.d0, args.dinf, res.parameter)
 
 
@@ -337,14 +333,10 @@ def cmd_pipeline(args):
 
     try:
         def do_tune():
-            if d0 == dinf:
-                return rotation.tune_blaschke(d0, theta, tol=cfg.get("tol", 1e-10))
-            seed = cfg.get("seed", "preset")
+            seed = cfg.get("seed")
             if isinstance(seed, list):
                 seed = complex(*seed)
-            return rotation.tune_asymmetric(d0, dinf, theta, seed,
-                                            m=cfg.get("tune_depth"),
-                                            tol=cfg.get("tol", 1e-12))
+            return _tune(d0, dinf, theta, seed, m=cfg.get("tune_depth"), tol=cfg.get("tol"))
         tuned = stage("tune", do_tune)
         report["parameter"] = [tuned.parameter.real, tuned.parameter.imag]
         m = maps.herman_family(d0, dinf, tuned.parameter)

@@ -12,12 +12,10 @@ import math
 import os
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from . import _kernels
-from .cfrac import ContinuedFraction, convergents
-from .rotation import _resolve_theta
+from .cfrac import ContinuedFraction, convergents, resolve_theta
 
 
 @dataclass
@@ -81,7 +79,7 @@ def trace(map_, theta, n, critical_point=1.0, check=True, sort_by_arg=False):
     argument instead, which stays exact at depths beyond the parameter's
     tuning level.
     """
-    theta = _resolve_theta(theta)
+    theta = resolve_theta(theta)
     conv = convergents(theta, n)
     qn = conv.q[n]
     prec = os.environ.get("HERMANLAB_PRECISION", "double")

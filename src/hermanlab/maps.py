@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import _horner
+
 # evaluation switches to the w = 1/z chart past this radius
 _INF_CHART = 1e8
 _POLE_TOL = 1e-14
@@ -118,13 +120,6 @@ def _trim(c, rel=1e-14):
     while keep > 1 and abs(c[keep - 1]) < rel * scale:
         keep -= 1
     return np.ascontiguousarray(c[:keep])
-
-
-def _horner(coeffs, z):
-    acc = 0.0 + 0.0j
-    for a in coeffs[::-1]:
-        acc = acc * z + a
-    return acc
 
 
 def _poly_scale(coeffs, r):

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .cfrac import convergents, gauss
-from .rotation import _resolve_theta
+from .cfrac import convergents, gauss, resolve_theta
+from .curve import _aitken
 
 
 class BranchAmbiguityError(RuntimeError):
@@ -125,7 +125,7 @@ class LogLift:
 
 
 def log_lift(map_, theta):
-    theta = _resolve_theta(theta)
+    theta = resolve_theta(theta)
     return LogLift(map=map_, theta_float=theta.value_float())
 
 
@@ -172,7 +172,7 @@ def _in_open_segment(z, a, b, perp_tol=0.35):
 
 def commuting_pair(map_, theta, n, lift=None):
     """The n-th pre-renormalization of the tuned map as a CommutingPair."""
-    theta = _resolve_theta(theta)
+    theta = resolve_theta(theta)
     if n < 2:
         raise ValueError("need n >= 2")
     conv = convergents(theta, n + 2)
@@ -302,7 +302,7 @@ def closest_return_displacements(f, theta, N, x0=None):
     f may be a RationalMap (critical point z=1) or a circle-map lift with
     a .critical_point attribute (real displacements F^{q_n}(x_c)-x_c-p_n).
     """
-    theta = _resolve_theta(theta)
+    theta = resolve_theta(theta)
     conv = convergents(theta, N + 1)
     if hasattr(f, "num"):
         ks = np.array([conv.q[n] for n in range(1, N + 1)], dtype=np.int64)
@@ -351,24 +351,13 @@ def scaling_ratios(f, theta, N, period=2):
     return rep
 
 
-def _aitken_c(seq):
-    out = []
-    for i in range(len(seq) - 2):
-        d2 = seq[i + 2] - 2 * seq[i + 1] + seq[i]
-        if d2 == 0:
-            out.append(seq[i + 2])
-        else:
-            out.append(seq[i + 2] - (seq[i + 2] - seq[i + 1]) ** 2 / d2)
-    return out
-
-
 def self_similarity(f, theta, period=2, N=None):
     """Self-similarity factor mu = lim c_{q_{n+s}}/c_{q_n}, Aitken-accelerated.
 
     theta must be of eventually-periodic type with even period s; the
     error bar is the magnitude of the last two accelerated differences.
     """
-    theta = _resolve_theta(theta)
+    theta = resolve_theta(theta)
     if theta.period is None:
         raise ValueError("theta must be eventually periodic (quadratic irrational)")
     if period % 2:
@@ -380,7 +369,7 @@ def self_similarity(f, theta, period=2, N=None):
     seq = [rep.ratios[n] for n in ns]
     if len(seq) < 5:
         raise ValueError("insufficient depth for 3 Cauchy differences")
-    acc = _aitken_c(seq)
+    acc = _aitken(seq)
     mu = acc[-1]
     err = abs(acc[-1] - acc[-2]) + abs(acc[-2] - acc[-3]) if len(acc) >= 3 else math.nan
     rep.mu = mu

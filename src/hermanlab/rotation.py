@@ -28,8 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .cfrac import ContinuedFraction, NAMED_THETAS, convergents
-from .maps import RationalMap, blaschke, family_core, herman_family
+from .cfrac import ContinuedFraction, NAMED_THETAS, convergents, resolve_theta
+from .maps import blaschke, family_core, herman_family
 
 _QCAP_DEFAULT = 30000
 
@@ -157,18 +157,10 @@ def sign_rho_vs_theta(lift, theta_cf, qcap=_QCAP_DEFAULT, x0=0.0):
     return 0
 
 
-def _resolve_theta(theta):
-    if isinstance(theta, ContinuedFraction):
-        return theta
-    if isinstance(theta, str):
-        return NAMED_THETAS[theta]
-    return ContinuedFraction.from_value(float(theta), 30)
-
-
 def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT,
                      bracket=(0.0, 1.0), max_iter=80):
     """Bisection in alpha for any monotone one-parameter lift family."""
-    theta = _resolve_theta(theta)
+    theta = resolve_theta(theta)
     if theta.depth is not None and theta.depth < 8:
         raise ValueError("theta must be irrational (deep CF); rational input rejected")
     lo, hi = bracket
@@ -285,7 +277,7 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12, verify_depth=None)
     truncations of theta; the result at depth m realizes the closest-
     return combinatorics of theta through time q_m.
     """
-    theta = _resolve_theta(theta)
+    theta = resolve_theta(theta)
     conv = convergents(theta, 48)
     from_preset = isinstance(seed, str)
     if from_preset:
@@ -337,7 +329,10 @@ def resolve_seed(d0, dinf, theta, name="preset"):
                 and (cf.preperiod or []) == (theta.preperiod or []):
             tname = key
             break
-    key = "%d,%d,%s" % (d0, dinf, tname or "golden")
+    if tname is None:
+        raise KeyError("no preset seed for theta %r: presets exist only for %s"
+                       % (theta, sorted(NAMED_THETAS)))
+    key = "%d,%d,%s" % (d0, dinf, tname)
     try:
         re, im = presets["seeds"][key]
     except KeyError:
@@ -354,7 +349,7 @@ def verify_herman(map_, theta, n):
     sides of the critical point (plane-chart phases cluster into two
     nearly-opposite directions, alternating with k).
     """
-    theta = _resolve_theta(theta)
+    theta = resolve_theta(theta)
     conv = convergents(theta, max(n + 1, 3))
     qn = conv.q[n]
     orb, nok = _kernels.orbit(map_.num, map_.den, 1.0 + 0.0j, qn, 1e-3, 1e3)

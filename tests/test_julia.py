@@ -72,19 +72,13 @@ def test_dimension_requires_points_and_scales():
 # --- classification --------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def grid32(golden32_module):
-    _, m = golden32_module
+def grid32(golden32):
+    _, m = golden32
     return classify(m, (-2.0, -2.0, 2.0, 2.0), 256, maxiter=300)
 
 
-@pytest.fixture(scope="module")
-def golden32_module():
-    res = hl.tune_asymmetric(3, 2, "golden", "preset", m=31)
-    return res, hl.herman_family(3, 2, res.parameter)
-
-
-def test_classify_labels_and_traps(grid32, golden32_module):
-    _, m = golden32_module
+def test_classify_labels_and_traps(grid32, golden32):
+    _, m = golden32
     assert set(np.unique(grid32.labels)) <= {BASIN0, BASIN_INF, UNDECIDED}
     # all three classes occur in the standard window
     for lab in (BASIN0, BASIN_INF, UNDECIDED):
@@ -101,8 +95,8 @@ def test_classify_labels_and_traps(grid32, golden32_module):
     assert abs(z) < grid32.r0
 
 
-def test_curve_pixels_are_undecided(grid32, golden32_module):
-    _, m = golden32_module
+def test_curve_pixels_are_undecided(grid32, golden32):
+    _, m = golden32
     c = hl.trace(m, "golden", 14)
     hits = 0
     for z in c.points[:500]:
@@ -119,8 +113,8 @@ def test_pixel_of_outside_window_raises(grid32):
         grid32.pixel_of(5.0 + 0.0j)
 
 
-def test_preimage_layers_sizes(golden32_module):
-    _, m = golden32_module
+def test_preimage_layers_sizes(golden32):
+    _, m = golden32
     c = hl.trace(m, "golden", 9)
     layers = preimage_layers(m, c.points, 2, max_points=5000)
     assert len(layers) == 2
@@ -171,8 +165,8 @@ def test_load_grid_rejects_bad_magic(tmp_path):
         load_grid(p)
 
 
-def test_render_is_deterministic(tmp_path, grid32, golden32_module):
-    _, m = golden32_module
+def test_render_is_deterministic(tmp_path, grid32, golden32):
+    _, m = golden32
     c = hl.trace(m, "golden", 12)
     p1, p2 = tmp_path / "a.ppm", tmp_path / "b.ppm"
     render(grid32, p1, curve_overlay=c.points)

@@ -1,8 +1,5 @@
-"""Agreement between the compiled kernels and the numpy/python fallbacks."""
-
-import os
-import subprocess
-import sys
+"""The orbit kernels against independent oracles: RationalMap.eval loops,
+numpy.polyval and finite differences."""
 
 import numpy as np
 import pytest
@@ -18,44 +15,82 @@ def map32():
     return hl.herman_family(3, 2, B_FIG)
 
 
+def eval_orbit(m, z, n):
+    """The first n iterates of z under RationalMap.eval."""
+    out = []
+    for _ in range(n):
+        z = m.eval(z)
+        out.append(z)
+    return np.array(out, dtype=np.complex128)
+
+
 def test_horner_agrees(map32):
+    """_horner against numpy.polyval."""
     rng = np.random.default_rng(11)
     for z in rng.standard_normal(30) + 1j * rng.standard_normal(30):
-        assert K.horner(map32.num, z) == pytest.approx(
-            K._horner(map32.num, z), rel=1e-14)
+        for coeffs in (map32.num, map32.den):
+            assert K._horner(coeffs, z) == pytest.approx(
+                np.polyval(coeffs[::-1], z), rel=1e-14)
 
 
 def test_orbit_agrees(map32):
+    """orbit is bit-equal to iterating RationalMap.eval, up to the trap."""
     a, na = K.orbit(map32.num, map32.den, 1.0 + 0.0j, 200, 1e-8, 1e8)
-    b, nb = K._orbit(map32.num, map32.den, 1.0 + 0.0j, 200, 1e-8, 1e8)
-    assert na == nb
-    np.testing.assert_allclose(a[:na], b[:nb], rtol=1e-9)
+    assert na == 200
+    assert np.array_equal(a, eval_orbit(map32, 1.0 + 0.0j, 200))
+    # 0.1 falls into the superattracting basin of 0 within a few steps
+    a, na = K.orbit(map32.num, map32.den, 0.1 + 0.0j, 50, 1e-8, 1e8)
+    assert na < 50 and abs(a[na - 1]) < 1e-8
+    assert np.array_equal(a[:na], eval_orbit(map32, 0.1 + 0.0j, na))
 
 
 def test_orbit_samples_agrees(map32):
+    """orbit_samples equals orbit at the sampled indices."""
     ks = np.array([1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144], dtype=np.int64)
     a, na = K.orbit_samples(map32.num, map32.den, 1.0 + 0.0j, ks, 1e-8, 1e8)
-    b, nb = K._orbit_samples(map32.num, map32.den, 1.0 + 0.0j, ks, 1e-8, 1e8)
-    assert na == nb == len(ks)
-    np.testing.assert_allclose(a, b, rtol=1e-9)
+    full, nfull = K.orbit(map32.num, map32.den, 1.0 + 0.0j, ks[-1], 1e-8, 1e8)
+    assert na == len(ks) and nfull == ks[-1]
+    assert np.array_equal(a, full[ks - 1])
+
+
+def residual(qm, c):
+    num0, den = hl.maps.family_core(3, 2)
+    return K.tune_residual(num0, den, c, qm, 1e-8, 1e8)
 
 
 def test_tune_residual_agrees(map32):
-    num0 = map32.num / map32.parameter   # parameter-free numerator
+    """The residual against the RationalMap.eval orbit, dG/dc against a
+    central difference."""
+    h = 1e-6 * abs(B_FIG)
     for qm in (5, 13, 89):
-        ra, wa = K.tune_residual(num0, map32.den, map32.parameter, qm, 1e-8, 1e8)
-        rb, wb = K._tune_residual(num0, map32.den, map32.parameter, qm, 1e-8, 1e8)
-        assert ra == pytest.approx(rb, rel=1e-9, abs=1e-12)
-        assert wa == pytest.approx(wb, rel=1e-9, abs=1e-12)
+        r, dr = residual(qm, B_FIG)
+        ref = eval_orbit(map32, 1.0 + 0.0j, qm)[-1] - 1.0
+        assert abs(r - ref) <= 1e-12 * abs(ref)
+        fd = (residual(qm, B_FIG + h)[0] - residual(qm, B_FIG - h)[0]) / (2 * h)
+        assert abs(dr - fd) <= 1e-6 * abs(dr)
 
 
 def test_classify_agrees(map32):
-    args = (map32.num, map32.den, -2.0, -2.0, 4.0 / 64, 4.0 / 64, 64, 64,
-            120, 1e-6, 1e6)
-    la, ia = K.classify_kernel(*args)
-    lb, ib = K._classify_rows_numpy(*args)
-    assert np.array_equal(la, lb)
-    assert np.array_equal(ia, ib)
+    """classify_kernel against a scalar RationalMap.eval escape loop."""
+    w = h = 48
+    maxiter, r0, rinf = 120, 1e-6, 1e6
+    x0, y0, dx, dy = -2.0, -2.0, 4.0 / w, 4.0 / h
+    labels, iters = K.classify_kernel(map32.num, map32.den, x0, y0, dx, dy, w, h,
+                                      maxiter, r0, rinf)
+    ref_labels = np.full((h, w), 2, dtype=np.uint8)
+    ref_iters = np.full((h, w), maxiter, dtype=np.uint32)
+    for iy in range(h):
+        for ix in range(w):
+            z = complex(x0 + (ix + 0.5) * dx, y0 + (iy + 0.5) * dy)
+            for k in range(maxiter):
+                if abs(z) < r0 or abs(z) > rinf:
+                    ref_labels[iy, ix] = 0 if abs(z) < r0 else 1
+                    ref_iters[iy, ix] = k
+                    break
+                z = map32.eval(z)
+    assert set(np.unique(labels)) == {0, 1, 2}
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(iters, ref_iters)
 
 
 def test_extended_precision_orbit_consistent(map32):
@@ -64,11 +99,3 @@ def test_extended_precision_orbit_consistent(map32):
     b, nb = K.orbit_samples_extended(map32.num, map32.den, 1.0 + 0.0j, ks)
     assert na == nb
     np.testing.assert_allclose(a, b, rtol=1e-10)
-
-
-def test_numba_env_flag_selects_fallback():
-    code = ("import hermanlab._kernels as K; "
-            "assert not K.USE_NUMBA; "
-            "assert K.classify_kernel is K._classify_rows_numpy")
-    env = dict(os.environ, HERMANLAB_NUMBA="0")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -79,3 +79,10 @@ def test_preset_seed_roundtrip():
     assert abs(seed - complex(-1.144208, -0.964454)) < 1e-3
     with pytest.raises(KeyError):
         hl.rotation.resolve_seed(9, 9, GOLDEN, "preset")
+
+
+def test_preset_seed_refuses_unnamed_theta():
+    # [0; 2, 1, 1, ...] shares golden's period but is a different number
+    theta = hl.ContinuedFraction.from_periodic([2], [1])
+    with pytest.raises(KeyError):
+        hl.rotation.resolve_seed(3, 2, theta, "preset")
