@@ -36,7 +36,11 @@ def orbit(num, den, z0, n, r0, rinf):
 
 
 def orbit_samples(num, den, z0, ks, r0, rinf):
-    """Iterate z -> N(z)/D(z), sampling the iterates listed in ks (sorted)."""
+    """Iterate z -> N(z)/D(z), sampling the iterates listed in ks (sorted).
+
+    Iterates in the precision of the coefficient arrays (complex128 or
+    clongdouble) and stores complex128 samples.
+    """
     out = np.empty(len(ks), dtype=np.complex128)
     z = z0
     j = 0
@@ -119,32 +123,3 @@ def classify_kernel(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
         zz[~np.isfinite(zz)] = 2.0 * rinf
     return labels.reshape(h, w), iters.reshape(h, w)
 
-
-def orbit_samples_extended(num, den, z0, ks, r0=1e-12, rinf=1e12):
-    """80-bit extended-precision variant of orbit_samples (numpy clongdouble).
-
-    Used when HERMANLAB_PRECISION=extended; pure python loop, so only
-    suitable for moderate depths.
-    """
-    num = np.asarray(num, dtype=np.clongdouble)
-    den = np.asarray(den, dtype=np.clongdouble)
-    out = np.empty(len(ks), dtype=np.complex128)
-    z = np.clongdouble(z0)
-    j = 0
-    kmax = int(ks[-1])
-    for k in range(1, kmax + 1):
-        nv = np.clongdouble(0)
-        for c in num[::-1]:
-            nv = nv * z + c
-        dv = np.clongdouble(0)
-        for c in den[::-1]:
-            dv = dv * z + c
-        z = nv / dv
-        a = abs(complex(z))
-        if a < r0 or a > rinf:
-            out[j:] = complex(np.nan, np.nan)
-            return out, j
-        while j < len(ks) and k == ks[j]:
-            out[j] = complex(z)
-            j += 1
-    return out, j

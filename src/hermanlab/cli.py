@@ -35,6 +35,16 @@ def _parse_theta(spec):
         raise ConfigError("bad theta spec %r: %s" % (spec, e))
 
 
+def _precision(value=None):
+    """The orbit precision of one command: the config value if given, else
+    HERMANLAB_PRECISION, else "double"."""
+    prec = os.environ.get("HERMANLAB_PRECISION", "double") if value is None else value
+    if not isinstance(prec, str) or prec not in curve_mod._PRECISIONS:
+        raise ConfigError("precision must be one of %s, not %r"
+                          % (sorted(curve_mod._PRECISIONS), prec))
+    return prec
+
+
 def _parse_complex(spec):
     try:
         re, im = (float(t) for t in spec.split(","))
@@ -161,10 +171,10 @@ def _tuned_map(args, theta):
 
 
 def cmd_trace(args):
+    prec = _precision()
     theta = _parse_theta(args.theta)
     m = _tuned_map(args, theta)
-    c = curve_mod.trace(m, theta, args.depth,
-                        sort_by_arg=(args.d0 == args.dinf))
+    c = curve_mod.trace(m, theta, args.depth, precision=prec)
     _write_curve_csv(c, args.out)
     return 0
 
@@ -198,10 +208,11 @@ def cmd_geometry(args):
 
 
 def cmd_renorm(args):
+    prec = _precision()
     theta = _parse_theta(args.theta)
     m = _tuned_map(args, theta)
     if args.what == "ratios":
-        rep = renorm.scaling_ratios(m, theta, args.depth)
+        rep = renorm.scaling_ratios(m, theta, args.depth, precision=prec)
         lines = ["n,re_s,im_s,abs_s,ratio_product_re,ratio_product_im"]
         for n in sorted(rep.s):
             s = rep.s[n]
@@ -217,7 +228,8 @@ def cmd_renorm(args):
             sys.stdout.write(text)
         return 0
     if args.what == "mu":
-        rep = renorm.self_similarity(m, theta, period=args.period, N=args.depth)
+        rep = renorm.self_similarity(m, theta, period=args.period, N=args.depth,
+                                     precision=prec)
         _emit_json({
             "mu": [rep.mu.real, rep.mu.imag],
             "mu_abs": abs(rep.mu),
@@ -307,8 +319,7 @@ def _load_config(path):
 
 def cmd_pipeline(args):
     cfg = _load_config(args.config)
-    if cfg.get("precision"):
-        os.environ["HERMANLAB_PRECISION"] = cfg["precision"]
+    prec = _precision(cfg.get("precision"))
     d0, dinf = cfg["family"]
     theta = _parse_theta(cfg["theta"])
     outdir = cfg["outdir"]
@@ -341,23 +352,27 @@ def cmd_pipeline(args):
         report["parameter"] = [tuned.parameter.real, tuned.parameter.imag]
         m = maps.herman_family(d0, dinf, tuned.parameter)
 
-        ver = stage("verify", lambda: rotation.verify_herman(m, theta, min(12, cfg.get("trace_depth", 12))))
-        report["verify"] = ver
+        def do_verify():
+            ver = report["verify"] = rotation.verify_herman(
+                m, theta, min(12, cfg.get("trace_depth", 12)))
+            if not ver["all"]:
+                raise RuntimeError("Herman curve checks failed: %s" % ver)
+        stage("verify", do_verify)
 
         depth = cfg.get("trace_depth", 16)
-        c = stage("trace", lambda: curve_mod.trace(m, theta, depth, sort_by_arg=(d0 == dinf)))
+        c = stage("trace", lambda: curve_mod.trace(m, theta, depth, precision=prec))
         _write_curve_csv(c, os.path.join(outdir, "curve.csv"))
 
         def do_scaling():
             N = cfg.get("renorm_depth", min(depth - 2, 14))
-            rep = renorm.scaling_ratios(m, theta, N)
+            rep = renorm.scaling_ratios(m, theta, N, precision=prec)
             with open(os.path.join(outdir, "ratios.csv"), "w") as fh:
                 fh.write("n,re_s,im_s,abs_s\n")
                 for n in sorted(rep.s):
                     s = rep.s[n]
                     fh.write("%d,%s,%s,%s\n" % (n, _fmt(s.real), _fmt(s.imag), _fmt(abs(s))))
             if theta.period is not None and N >= 7:
-                mu_rep = renorm.self_similarity(m, theta, N=N)
+                mu_rep = renorm.self_similarity(m, theta, N=N, precision=prec)
                 report["mu"] = [mu_rep.mu.real, mu_rep.mu.imag]
                 report["mu_err"] = mu_rep.mu_err
             return rep
@@ -491,10 +506,7 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print("config error: %s" % e, file=sys.stderr)
-        return 2
-    except (cfrac.RationalInputError, KeyError) as e:
+    except (ConfigError, cfrac.RationalInputError, rotation.PresetError) as e:
         print("config error: %s" % e, file=sys.stderr)
         return 2
     except Exception as e:

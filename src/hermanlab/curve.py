@@ -9,7 +9,6 @@ sample-based.
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,33 +70,41 @@ class OrbitEscapeError(RuntimeError):
     pass
 
 
-def trace(map_, theta, n, critical_point=1.0, check=True, sort_by_arg=False):
+# coefficient dtype of each orbit precision: the only list of valid values
+_PRECISIONS = {"double": np.complex128, "extended": np.clongdouble}
+
+
+def _critical_orbit(map_, ks, z0, precision):
+    """Samples f^k(z0) for sorted ks, iterated in a _PRECISIONS precision."""
+    if not isinstance(precision, str) or precision not in _PRECISIONS:
+        raise ValueError("precision must be one of %s, not %r"
+                         % (sorted(_PRECISIONS), precision))
+    num, den = (np.asarray(a, dtype=_PRECISIONS[precision]) for a in (map_.num, map_.den))
+    pts, nok = _kernels.orbit_samples(num, den, complex(z0), ks, 1e-8, 1e8)
+    if nok != len(ks):
+        raise OrbitEscapeError("orbit escaped after %d of %d samples" % (nok, len(ks)))
+    return pts
+
+
+def trace(map_, theta, n, critical_point=1.0, check=True, precision="double"):
     """Trace the Herman curve to depth n: the q_n first orbit points of c.
 
-    Vertices are sorted by conjugacy angle {k*theta}; for Blaschke members
-    (curve = unit circle) sort_by_arg=True orders by the actual circle
-    argument instead, which stays exact at depths beyond the parameter's
-    tuning level.
+    Vertices are sorted by conjugacy angle {k*theta}; for maps with
+    d0 == dinf (Blaschke members, whose curve is the unit circle) they are
+    sorted by the actual circle argument instead, which stays exact at
+    depths beyond the parameter's tuning level.  precision: "double" or
+    "extended".
     """
     theta = resolve_theta(theta)
     conv = convergents(theta, n)
     qn = conv.q[n]
-    prec = os.environ.get("HERMANLAB_PRECISION", "double")
     ks = np.arange(1, qn, dtype=np.int64)
-    if prec == "extended":
-        pts, nok = _kernels.orbit_samples_extended(map_.num, map_.den,
-                                                  complex(critical_point), ks)
-    else:
-        pts, nok = _kernels.orbit_samples(map_.num, map_.den, complex(critical_point),
-                                          ks, 1e-8, 1e8)
-    if nok != len(ks):
-        raise OrbitEscapeError("orbit escaped after %d iterates (depth q_%d = %d)"
-                               % (nok, n, qn))
+    pts = _critical_orbit(map_, ks, critical_point, precision)
     ks = np.concatenate([[0], ks])
     pts = np.concatenate([[complex(critical_point)], pts])
     th = theta.value_float()
     angles = (ks * th) % 1.0
-    if sort_by_arg:
+    if map_.d0 is not None and map_.d0 == map_.dinf:
         order = np.argsort(np.angle(pts / complex(critical_point)) % (2 * math.pi),
                            kind="stable")
     else:
@@ -210,8 +217,6 @@ def bounded_turning(curve, pair_samples=4000, rng_seed=7):
     best_pair = (0, 0)
     for i, j in zip(ii, jj):
         i, j = int(i), int(j)
-        if i == j:
-            continue
         a, b = pts[i], pts[j]
         chord = abs(a - b)
         if chord == 0:
@@ -235,20 +240,11 @@ def bounded_turning(curve, pair_samples=4000, rng_seed=7):
 
 
 def _diameter(pts):
-    if len(pts) > 2048:
-        pts = pts[:: len(pts) // 2048]
-    xs = pts.real
-    ys = pts.imag
-    # cheap convex-hull-free bound refined by pairwise max over extremes
-    cand = np.concatenate([pts[np.argsort(xs)[:8]], pts[np.argsort(xs)[-8:]],
-                           pts[np.argsort(ys)[:8]], pts[np.argsort(ys)[-8:]]])
-    d = 0.0
-    for i in range(len(cand)):
-        d = max(d, float(np.max(np.abs(cand - cand[i]))))
-    # also test all points against the two extremal candidates
-    for c in cand:
-        d = max(d, float(np.max(np.abs(pts - c))))
-    return d
+    """Max distance from any point to the 8 lowest and 8 highest points of
+    each axis: between max(x-range, y-range) and the true diameter."""
+    ox, oy = np.argsort(pts.real), np.argsort(pts.imag)
+    cand = pts[np.concatenate([ox[:8], ox[-8:], oy[:8], oy[-8:]])]
+    return float(np.max(np.abs(pts[:, None] - cand[None, :])))
 
 
 def beta_number(curve, x, r, refine_steps=41):

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .cfrac import convergents, gauss, resolve_theta
-from .curve import _aitken
+from .curve import _aitken, _critical_orbit
 
 
 class BranchAmbiguityError(RuntimeError):
@@ -59,11 +58,7 @@ class LogLift:
         K = max(K, 1500)   # coarse polygons break the arg continuation
         if getattr(self, "_table", None) is not None and len(self._table) >= K:
             return
-        ks = np.arange(1, K, dtype=np.int64)
-        pts, nok = _kernels.orbit_samples(self.map.num, self.map.den, 1.0 + 0.0j,
-                                          ks, 1e-8, 1e8)
-        if nok != len(ks):
-            raise BranchAmbiguityError("critical orbit escaped before index %d" % K)
+        pts = _critical_orbit(self.map, np.arange(1, K, dtype=np.int64), 1.0, "double")
         pts = np.concatenate([[1.0 + 0.0j], pts])
         pos = (np.arange(K) * self.theta_float) % 1.0
         order = np.argsort(pos, kind="stable")
@@ -296,23 +291,18 @@ class ScalingReport:
     cauchy_factors: list = field(default_factory=list)
 
 
-def closest_return_displacements(f, theta, N, x0=None):
+def closest_return_displacements(f, theta, N, x0=None, precision="double"):
     """c_{q_n} = f^{q_n}(c) - c for n <= N, in the plane chart.
 
-    f may be a RationalMap (critical point z=1) or a circle-map lift with
-    a .critical_point attribute (real displacements F^{q_n}(x_c)-x_c-p_n).
+    f may be a RationalMap (critical point z=1, orbit in precision "double"
+    or "extended") or a circle-map lift with a .critical_point attribute
+    (real displacements F^{q_n}(x_c)-x_c-p_n).
     """
     theta = resolve_theta(theta)
     conv = convergents(theta, N + 1)
     if hasattr(f, "num"):
         ks = np.array([conv.q[n] for n in range(1, N + 1)], dtype=np.int64)
-        import os
-        if os.environ.get("HERMANLAB_PRECISION") == "extended":
-            vals, nok = _kernels.orbit_samples_extended(f.num, f.den, 1.0 + 0.0j, ks)
-        else:
-            vals, nok = _kernels.orbit_samples(f.num, f.den, 1.0 + 0.0j, ks, 1e-8, 1e8)
-        if nok != len(ks):
-            raise RuntimeError("orbit escaped before depth q_%d" % N)
+        vals = _critical_orbit(f, ks, 1.0, precision)
         return {n: complex(vals[n - 1]) - 1.0 for n in range(1, N + 1)}
     # circle-map lift path
     xc = x0 if x0 is not None else getattr(f, "critical_point", 0.0)
@@ -327,9 +317,9 @@ def closest_return_displacements(f, theta, N, x0=None):
     return out
 
 
-def scaling_ratios(f, theta, N, period=2):
+def scaling_ratios(f, theta, N, period=2, precision="double"):
     """Scaling ratios s_n and self-similarity ratios c_{q_{n+s}}/c_{q_n}."""
-    cq = closest_return_displacements(f, theta, N + period)
+    cq = closest_return_displacements(f, theta, N + period, precision=precision)
     eps = 1e3 * np.finfo(float).eps
     s = {}
     for n in range(1, N + period):
@@ -351,7 +341,7 @@ def scaling_ratios(f, theta, N, period=2):
     return rep
 
 
-def self_similarity(f, theta, period=2, N=None):
+def self_similarity(f, theta, period=2, N=None, precision="double"):
     """Self-similarity factor mu = lim c_{q_{n+s}}/c_{q_n}, Aitken-accelerated.
 
     theta must be of eventually-periodic type with even period s; the
@@ -364,7 +354,7 @@ def self_similarity(f, theta, period=2, N=None):
         raise ValueError("period must be even")
     if N is None:
         N = 20
-    rep = scaling_ratios(f, theta, N, period=period)
+    rep = scaling_ratios(f, theta, N, period=period, precision=precision)
     ns = sorted(rep.ratios)
     seq = [rep.ratios[n] for n in ns]
     if len(seq) < 5:

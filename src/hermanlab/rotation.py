@@ -42,6 +42,10 @@ class NonMonotoneLiftError(ValueError):
     pass
 
 
+class PresetError(KeyError):
+    """No shipped preset seed for the requested family and theta."""
+
+
 class TuningError(RuntimeError):
     def __init__(self, msg, last=None):
         super().__init__(msg)
@@ -179,8 +183,8 @@ def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT,
         if hi - lo < tol:
             break
     alpha = 0.5 * (lo + hi)
-    depth_checked = max(n for n in range(1, 48)
-                        if convergents(theta, 48).q[n] <= qcap)
+    q = convergents(theta, 48).q
+    depth_checked = max(n for n in range(1, 48) if q[n] <= qcap)
     return alpha, hi - lo, it, depth_checked, undecided
 
 
@@ -330,13 +334,13 @@ def resolve_seed(d0, dinf, theta, name="preset"):
             tname = key
             break
     if tname is None:
-        raise KeyError("no preset seed for theta %r: presets exist only for %s"
-                       % (theta, sorted(NAMED_THETAS)))
+        raise PresetError("no preset seed for theta %r: presets exist only for %s"
+                          % (theta, sorted(NAMED_THETAS)))
     key = "%d,%d,%s" % (d0, dinf, tname)
     try:
         re, im = presets["seeds"][key]
     except KeyError:
-        raise KeyError("no preset seed for (d0,dinf,theta)=%s" % key)
+        raise PresetError("no preset seed for (d0,dinf,theta)=%s" % key)
     return complex(re, im)
 
 

@@ -47,6 +47,6 @@ def trace32_deep(golden32):
 
 @pytest.fixture(scope="session")
 def trace22_deep(blaschke22_golden):
-    """Depth-29 trace of the (2,2) golden curve, ordered by circle argument."""
+    """Depth-29 trace of the (2,2) golden curve, ordered by circle argument (d0 == dinf)."""
     _, m = blaschke22_golden
-    return hl.trace(m, "golden", 29, check=False, sort_by_arg=True)
+    return hl.trace(m, "golden", 29, check=False)

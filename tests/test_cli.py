@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from hermanlab import curve, rotation
 from hermanlab.cfrac import GOLDEN, convergents
 from hermanlab.cli import main
+from hermanlab.maps import herman_family
 
 B_FIG = "-1.144208,-0.964454"
 
@@ -119,6 +122,11 @@ def test_pipeline_config_validation(capsys, tmp_path):
                                     "outdir": str(tmp_path)}))
     assert main(["pipeline", "--config", str(noschema)]) == 2
 
+    quad = tmp_path / "quad.json"
+    quad.write_text(json.dumps({"schema": 1, "family": [3, 2], "theta": "golden",
+                                "outdir": str(tmp_path), "precision": "quad"}))
+    assert main(["pipeline", "--config", str(quad)]) == 2
+
 
 def test_pipeline_numeric_failure_exit_code(capsys, tmp_path):
     # a hopeless explicit seed: the tune stage fails, exit code 1,
@@ -155,3 +163,53 @@ def test_pipeline_small_run_deterministic(capsys, tmp_path):
     ra.pop("config_hash"), rb.pop("config_hash")   # outdir differs
     assert ra == rb
     assert all(st["ok"] for st in ra["stages"].values())
+
+
+def small_config(tmp_path, name, **extra):
+    """The config of test_pipeline_small_run_deterministic, run into tmp_path/name."""
+    cfg = tmp_path / ("%s.json" % name)
+    cfg.write_text(json.dumps(dict({
+        "schema": 1, "family": [3, 2], "theta": "golden",
+        "seed": "preset", "tune_depth": 16, "trace_depth": 12,
+        "renorm_depth": 8, "resolution": 96, "maxiter": 150,
+        "outdir": str(tmp_path / name)}, **extra)))
+    return cfg
+
+
+def test_tune_without_preset_is_config_error(capsys):
+    code, _, err = run(capsys, "tune", "--d0", "4", "--dinf", "3")
+    assert code == 2
+    assert "no preset seed" in err
+
+
+def test_numeric_keyerror_is_numeric_failure(capsys, tmp_path, monkeypatch):
+    def broken_trace(*args, **kwargs):
+        raise KeyError("orbit index 7 not in trace")
+    monkeypatch.setattr(curve, "trace", broken_trace)
+    code, _, err = run(capsys, "trace", "--d0", "3", "--dinf", "2", "--param=" + B_FIG,
+                       "--depth", "8", "--out", str(tmp_path / "c.csv"))
+    assert code == 1
+    assert "numeric failure" in err
+
+
+def test_pipeline_fails_verify_stage(capsys, tmp_path, monkeypatch):
+    checks = {"annulus": False, "cyclic_order": False, "alternation": False, "all": False}
+    monkeypatch.setattr(rotation, "verify_herman", lambda *args: dict(checks))
+    code, _, _ = run(capsys, "pipeline", "--config", str(small_config(tmp_path, "v")))
+    assert code == 1
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    assert report["stages"]["verify"]["ok"] is False
+    assert "trace" not in report["stages"]
+
+
+def test_extended_pipeline_leaves_no_process_state(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("HERMANLAB_PRECISION", raising=False)
+    m = herman_family(3, 2, complex(*[float(t) for t in B_FIG.split(",")]))
+    before = curve.trace(m, "golden", 12)
+    cfg = small_config(tmp_path, "x", precision="extended")
+    code, _, _ = run(capsys, "pipeline", "--config", str(cfg))
+    assert code == 0
+    assert "HERMANLAB_PRECISION" not in os.environ
+    after = curve.trace(m, "golden", 12)
+    assert np.array_equal(before.ks, after.ks)
+    assert np.array_equal(before.points, after.points)

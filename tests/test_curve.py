@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hermanlab as hl
 from hermanlab.cfrac import GOLDEN, convergents
-from hermanlab.curve import OrbitEscapeError, _aitken
+from hermanlab.curve import OrbitEscapeError, _aitken, _diameter
 
 
 def test_trace_vertex_dynamics_check(golden32):
@@ -22,6 +24,12 @@ def test_trace_rejects_untuned_map():
     m = hl.herman_family(3, 2, -0.5 + 0.5j)
     with pytest.raises(OrbitEscapeError):
         hl.trace(m, "golden", 14)
+
+
+def test_trace_rejects_unknown_precision():
+    m = hl.herman_family(3, 2, -1.144208 - 0.964454j)
+    with pytest.raises(ValueError):
+        hl.trace(m, "golden", 8, precision="quad")
 
 
 def test_closest_returns_shrink_and_alternate(golden32):
@@ -61,7 +69,7 @@ def test_critical_angle_needs_depth(golden32):
 
 def test_bounded_turning_on_circle(blaschke22_golden):
     _, m = blaschke22_golden
-    c = hl.trace(m, "golden", 16, sort_by_arg=True)
+    c = hl.trace(m, "golden", 16)
     const, pair = hl.bounded_turning(c)
     # arc diameter over chord for a round circle is at most pi/2 / sqrt(2)...
     # exact bound: diam(arc)/chord <= pi/2 for a half circle; sampled value
@@ -71,8 +79,19 @@ def test_bounded_turning_on_circle(blaschke22_golden):
 
 def test_beta_number_flat_for_smooth_arc(blaschke22_golden):
     _, m = blaschke22_golden
-    c = hl.trace(m, "golden", 18, sort_by_arg=True)
+    c = hl.trace(m, "golden", 18)
     # unit-circle arc spanning a disk of radius r: sagitta (2r)^2/8, so
     # beta ~ r/4 at most; well below 1 and strictly positive (curvature)
     b = hl.beta_number(c, 1.0 + 0.0j, 0.4)
     assert 1e-3 < b < 0.15
+
+
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                min_size=2, max_size=80))
+@settings(max_examples=200, deadline=None)
+def test_diameter_between_axis_range_and_pairwise_max(xy):
+    pts = np.array([complex(x, y) for x, y in xy])
+    d = _diameter(pts)
+    spread = max(np.ptp(pts.real), np.ptp(pts.imag))
+    brute = float(np.max(np.abs(pts[:, None] - pts[None, :])))
+    assert spread <= d <= brute

@@ -1,11 +1,13 @@
 """The orbit kernels against independent oracles: RationalMap.eval loops,
-numpy.polyval and finite differences."""
+numpy.polyval, finite differences and 50-digit mpmath orbits."""
 
+import mpmath
 import numpy as np
 import pytest
 
 import hermanlab as hl
 from hermanlab import _kernels as K
+from hermanlab.curve import _critical_orbit
 
 B_FIG = complex(-1.144208, -0.964454)
 
@@ -93,9 +95,20 @@ def test_classify_agrees(map32):
     assert np.array_equal(iters, ref_iters)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+                    reason="longdouble is double on this platform")
 def test_extended_precision_orbit_consistent(map32):
-    ks = np.array([1, 2, 3, 5, 8, 13, 21], dtype=np.int64)
-    a, na = K.orbit_samples(map32.num, map32.den, 1.0 + 0.0j, ks, 1e-8, 1e8)
-    b, nb = K.orbit_samples_extended(map32.num, map32.den, 1.0 + 0.0j, ks)
-    assert na == nb
-    np.testing.assert_allclose(a, b, rtol=1e-10)
+    """Extended critical orbit against a 50-digit mpmath orbit of the same
+    coefficients, up to q_14 = 610 (double precision drifts to ~4e-13)."""
+    q = hl.convergents(hl.GOLDEN, 14).q[14]
+    ks = np.arange(1, q + 1, dtype=np.int64)
+    ext = _critical_orbit(map32, ks, 1.0, "extended")
+    with mpmath.workdps(50):
+        num = [mpmath.mpc(c.real, c.imag) for c in map32.num[::-1]]
+        den = [mpmath.mpc(c.real, c.imag) for c in map32.den[::-1]]
+        z = mpmath.mpc(1)
+        ref = []
+        for _ in range(q):
+            z = mpmath.polyval(num, z) / mpmath.polyval(den, z)
+            ref.append(complex(z))
+    assert np.max(np.abs(ext - np.array(ref))) <= 1e-15
