@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, cfrac, curve as curve_mod, julia, maps, renorm, rotation
+from . import __version__, _kernels, cfrac, curve as curve_mod, julia, maps, renorm, rotation
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -39,9 +39,10 @@ def _precision(value=None):
     """The orbit precision of one command: the config value if given, else
     HERMANLAB_PRECISION, else "double"."""
     prec = os.environ.get("HERMANLAB_PRECISION", "double") if value is None else value
-    if not isinstance(prec, str) or prec not in curve_mod._PRECISIONS:
-        raise ConfigError("precision must be one of %s, not %r"
-                          % (sorted(curve_mod._PRECISIONS), prec))
+    try:
+        curve_mod._check_precision(prec)
+    except ValueError as e:
+        raise ConfigError(str(e))
     return prec
 
 
@@ -328,6 +329,8 @@ def cmd_pipeline(args):
     report = {
         "config_hash": hashlib.sha256(canonical).hexdigest(),
         "version": __version__,
+        "backend": _kernels.BACKEND,
+        "precision": prec,
         "stages": {},
     }
 
@@ -339,6 +342,8 @@ def cmd_pipeline(args):
         except Exception as e:
             report["stages"][name] = {"ok": False, "error": "%s: %s" % (type(e).__name__, e)}
             _emit_json(report, os.path.join(outdir, "report.json"))
+            if isinstance(e, rotation.PresetError):
+                raise  # a configuration error: exit 2
             print("pipeline failed at stage %r: %s" % (name, e), file=sys.stderr)
             raise _StageFailure()
 

@@ -74,11 +74,15 @@ class OrbitEscapeError(RuntimeError):
 _PRECISIONS = {"double": np.complex128, "extended": np.clongdouble}
 
 
-def _critical_orbit(map_, ks, z0, precision):
-    """Samples f^k(z0) for sorted ks, iterated in a _PRECISIONS precision."""
+def _check_precision(precision):
     if not isinstance(precision, str) or precision not in _PRECISIONS:
         raise ValueError("precision must be one of %s, not %r"
                          % (sorted(_PRECISIONS), precision))
+
+
+def _critical_orbit(map_, ks, z0, precision):
+    """Samples f^k(z0) for sorted ks, iterated in a _PRECISIONS precision."""
+    _check_precision(precision)
     num, den = (np.asarray(a, dtype=_PRECISIONS[precision]) for a in (map_.num, map_.den))
     pts, nok = _kernels.orbit_samples(num, den, complex(z0), ks, 1e-8, 1e8)
     if nok != len(ks):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cfrac import convergents, gauss, resolve_theta
-from .curve import _aitken, _critical_orbit
+from .curve import _aitken, _check_precision, _critical_orbit
 
 
 class BranchAmbiguityError(RuntimeError):
@@ -296,7 +296,7 @@ def closest_return_displacements(f, theta, N, x0=None, precision="double"):
 
     f may be a RationalMap (critical point z=1, orbit in precision "double"
     or "extended") or a circle-map lift with a .critical_point attribute
-    (real displacements F^{q_n}(x_c)-x_c-p_n).
+    (real displacements F^{q_n}(x_c)-x_c-p_n, precision "double" only).
     """
     theta = resolve_theta(theta)
     conv = convergents(theta, N + 1)
@@ -305,6 +305,10 @@ def closest_return_displacements(f, theta, N, x0=None, precision="double"):
         vals = _critical_orbit(f, ks, 1.0, precision)
         return {n: complex(vals[n - 1]) - 1.0 for n in range(1, N + 1)}
     # circle-map lift path
+    _check_precision(precision)
+    if precision != "double":
+        raise ValueError("circle-map lifts iterate in python floats: precision %r "
+                         "is available only for rational maps" % precision)
     xc = x0 if x0 is not None else getattr(f, "critical_point", 0.0)
     out = {}
     x = xc

@@ -275,7 +275,8 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12, verify_depth=None)
     """Newton-tune the (d0, dinf) family parameter to rotation number theta.
 
     seed: a complex starting parameter, or the string "preset" to use the
-    shipped preset for (d0, dinf, theta-name).  m is the final ladder
+    shipped preset for (d0, dinf, theta-name); any other string raises
+    PresetError.  m is the final ladder
     depth (default: smallest n with q_n >= 1000).  The ladder polishes
     G_k(c) = 0 for k = m0..m, which is continuation along the CF
     truncations of theta; the result at depth m realizes the closest-
@@ -321,8 +322,12 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12, verify_depth=None)
 
 
 def resolve_seed(d0, dinf, theta, name="preset"):
-    """Look up a tuning seed from the shipped presets file."""
+    """Look up a tuning seed from the shipped presets file; "preset" is the
+    only seed name."""
     import json
+
+    if name != "preset":
+        raise PresetError("unknown seed name %r: the only named seed is 'preset'" % (name,))
 
     path = os.path.join(os.path.dirname(__file__), "presets.json")
     with open(path) as fh:

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from hermanlab import curve, rotation
+from hermanlab import _kernels, curve, rotation
 from hermanlab.cfrac import GOLDEN, convergents
 from hermanlab.cli import main
 from hermanlab.maps import herman_family
@@ -213,3 +213,21 @@ def test_extended_pipeline_leaves_no_process_state(capsys, tmp_path, monkeypatch
     after = curve.trace(m, "golden", 12)
     assert np.array_equal(before.ks, after.ks)
     assert np.array_equal(before.points, after.points)
+
+
+def test_pipeline_unknown_seed_name_is_config_error(capsys, tmp_path):
+    code, _, err = run(capsys, "pipeline", "--config",
+                       str(small_config(tmp_path, "s", seed="bogus")))
+    assert code == 2
+    assert "config error" in err and "bogus" in err
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert report["stages"]["tune"]["ok"] is False
+
+
+def test_pipeline_report_names_backend_and_precision(capsys, tmp_path):
+    code, _, _ = run(capsys, "pipeline", "--config",
+                     str(small_config(tmp_path, "r", precision="extended")))
+    assert code == 0
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert report["backend"] == _kernels.BACKEND
+    assert report["precision"] == "extended"

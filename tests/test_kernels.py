@@ -1,9 +1,17 @@
 """The orbit kernels against independent oracles: RationalMap.eval loops,
-numpy.polyval, finite differences and 50-digit mpmath orbits."""
+numpy.polyval, finite differences and 50-digit mpmath orbits; the C
+kernels against the python references, bit for bit."""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hermanlab as hl
 from hermanlab import _kernels as K
@@ -112,3 +120,170 @@ def test_extended_precision_orbit_consistent(map32):
             z = mpmath.polyval(num, z) / mpmath.polyval(den, z)
             ref.append(complex(z))
     assert np.max(np.abs(ext - np.array(ref))) <= 1e-15
+
+
+# -- the C kernels against the python references ---------------------------------
+
+needs_c = pytest.mark.skipif(K.BACKEND != "c", reason="C kernels not built (no cc)")
+
+
+def bits(x):
+    """The bit patterns of complex values, every NaN mapped to one pattern."""
+    a = np.array(x, dtype=np.complex128).view(np.float64)
+    b = a.view(np.uint64).copy()
+    b[np.isnan(a)] = 0x7FF8000000000000
+    return b.tolist()
+
+
+def test_backend_is_c_when_cc_exists():
+    """A missing C backend must not silently turn the tests below into skips."""
+    assert K.BACKEND == ("c" if shutil.which("cc") else "numpy")
+
+
+coeff = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+coeffs = st.lists(coeff, min_size=1, max_size=5)
+
+
+@st.composite
+def orbit_case(draw, z0=None):
+    """(num, den, z0, n, r0, rinf): random coefficients and start; for kind
+    "pole" D(z0) is within 1e-12 of 0, for kind "trap" r0 or rinf equals the
+    modulus of one iterate or is one ulp either side of it."""
+    num, den = draw(coeffs), draw(coeffs)
+    z0 = draw(coeff) if z0 is None else z0
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["free", "pole", "trap"]))
+    if kind == "pole":
+        den[0] -= complex(K._horner(den, z0)) - draw(st.floats(-1e-12, 1e-12))
+    num, den = np.array(num, dtype=np.complex128), np.array(den, dtype=np.complex128)
+    r0, rinf = 1e-8, 1e8
+    if kind == "trap":
+        with np.errstate(all="ignore"):
+            ref, _ = K._orbit(num, den, z0, n, 0.0, np.inf)
+        a = abs(ref[draw(st.integers(0, n - 1))])
+        a = draw(st.sampled_from([a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)]))
+        r0, rinf = draw(st.sampled_from([(a, np.inf), (0.0, a)]))
+    return num, den, z0, n, r0, rinf
+
+
+@needs_c
+@settings(max_examples=300, deadline=None)
+@given(orbit_case())
+def test_c_orbit_bit_equal(case):
+    num, den, z0, n, r0, rinf = case
+    with np.errstate(all="ignore"):
+        ref, nref = K._orbit(num, den, z0, n, r0, rinf)
+    out, nout = K.orbit(num, den, z0, n, r0, rinf)
+    assert nout == nref
+    assert bits(out[:nout]) == bits(ref[:nref])
+
+
+@needs_c
+@settings(max_examples=300, deadline=None)
+@given(orbit_case(), st.lists(st.integers(1, 60), min_size=1, max_size=12))
+def test_c_orbit_samples_bit_equal(case, ks):
+    num, den, z0, n, r0, rinf = case
+    ks = np.array(sorted(ks), dtype=np.int64)
+    with np.errstate(all="ignore"):
+        ref, nref = K._orbit_samples(num, den, z0, ks, r0, rinf)
+    out, nout = K.orbit_samples(num, den, z0, ks, r0, rinf)
+    assert nout == nref
+    assert bits(out) == bits(ref)
+
+
+@needs_c
+@settings(max_examples=300, deadline=None)
+@given(orbit_case(z0=1.0 + 0.0j), coeff)
+def test_c_tune_residual_bit_equal(case, c):
+    """The residual orbit starts at 1, so kind "pole" puts 1 near a pole."""
+    num0, den, _, qm, r0, rinf = case
+    with np.errstate(all="ignore"):
+        ref = K._tune_residual(num0, den, c, qm, r0, rinf)
+    out = K.tune_residual(num0, den, c, qm, r0, rinf)
+    assert bits(out) == bits(ref)
+
+
+@needs_c
+def test_c_kernels_bit_equal_on_deep_orbits(map32):
+    """The tuned (3,2) golden map at orbit lengths of the tuning ladder."""
+    num0, den = hl.maps.family_core(3, 2)
+    c = complex(-1.144208397941167, -0.9644541484142908)
+    for qm in (89, 1597, 17711):
+        assert bits(K.tune_residual(num0, den, c, qm, 1e-8, 1e8)) == bits(
+            K._tune_residual(num0, den, c, qm, 1e-8, 1e8))
+    m = hl.herman_family(3, 2, c)
+    out, n = K.orbit(m.num, m.den, 1.0 + 0.0j, 20000, 1e-8, 1e8)
+    ref, nref = K._orbit(m.num, m.den, 1.0 + 0.0j, 20000, 1e-8, 1e8)
+    assert n == nref == 20000 and bits(out) == bits(ref)
+
+
+# -- backend selection in a fresh interpreter --------------------------------------
+
+SELECT = r"""
+import hashlib, json, logging
+records = []
+class Keep(logging.Handler):
+    def emit(self, record):
+        records.append([record.levelname, record.getMessage()])
+log = logging.getLogger("hermanlab")
+log.addHandler(Keep())
+log.setLevel(logging.DEBUG)
+import numpy as np
+from hermanlab import _kernels as K, maps
+num0, den = maps.family_core(3, 2)
+m = maps.herman_family(3, 2, complex(-1.144208, -0.964454))
+r, dr = K.tune_residual(num0, den, complex(-1.144208, -0.964454), 89, 1e-8, 1e8)
+orb, n = K.orbit(m.num, m.den, 1.0 + 0.0j, 500, 1e-8, 1e8)
+ks = np.array([1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144], dtype=np.int64)
+smp, ns = K.orbit_samples(m.num, m.den, 1.0 + 0.0j, ks, 1e-8, 1e8)
+print(json.dumps({"backend": K.BACKEND, "records": records, "results": [
+    [x.hex() for x in (r.real, r.imag, dr.real, dr.imag)],
+    n, hashlib.sha256(orb[:n].tobytes()).hexdigest(),
+    ns, hashlib.sha256(smp.tobytes()).hexdigest()]}))
+"""
+
+
+def select_backend(tmp_path, path=None):
+    """Start a fresh interpreter that imports the kernels with an empty
+    XDG_CACHE_HOME under tmp_path (and PATH replaced if given)."""
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if path is not None:
+        env["PATH"] = path
+    return subprocess.Popen([sys.executable, "-c", SELECT], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def finish(proc):
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_no_compiler_falls_back_with_one_warning(tmp_path):
+    nocc = tmp_path / "bin"
+    nocc.mkdir()
+    doc = finish(select_backend(tmp_path, path=str(nocc)))
+    assert doc["backend"] == "numpy"
+    warnings = [msg for level, msg in doc["records"] if level == "WARNING"]
+    assert len(warnings) == 1 and "cc" in warnings[0]
+    if K.BACKEND == "c":
+        assert doc["results"] == finish(select_backend(tmp_path / "c"))["results"]
+
+
+@needs_c
+def test_concurrent_builds_then_cache_hit(tmp_path):
+    """Two interpreters building into one empty cache both load the library;
+    the cache then holds exactly one library, which a third one reuses."""
+    docs = [finish(p) for p in [select_backend(tmp_path) for _ in range(2)]]
+    libs = os.listdir(tmp_path / "cache" / "hermanlab")
+    assert len(libs) == 1 and libs[0].endswith(".so")
+    path = str(tmp_path / "cache" / "hermanlab" / libs[0])
+    for doc in docs:
+        assert doc["backend"] == "c"
+        assert not [r for r in doc["records"] if r[0] != "DEBUG"]
+        assert doc["records"][0][1].endswith(path)
+    again = finish(select_backend(tmp_path))
+    assert again["records"] == [["DEBUG", "kernel backend c: cache hit " + path]]
+    assert again["results"] == docs[0]["results"] == docs[1]["results"]

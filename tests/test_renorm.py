@@ -139,3 +139,17 @@ def test_translation_heights_follow_cf(a):
     assert T.height(max_steps=a + 5) == a
     R = renormalize(T)
     assert complex(R.f_minus(0j)).real == pytest.approx(cf.value_float(), abs=1e-9)
+
+
+def test_closest_returns_check_precision():
+    """An unknown precision is refused on both paths; circle-map lifts run
+    in python floats only, so they refuse "extended" too."""
+    m = hl.herman_family(3, 2, -1.144208 - 0.964454j)
+    lift = hl.arnold_lift(0.6)
+    for f in (m, lift):
+        with pytest.raises(ValueError, match="precision must be one of"):
+            closest_return_displacements(f, "golden", 5, precision="quad")
+    with pytest.raises(ValueError, match="python floats"):
+        closest_return_displacements(lift, "golden", 5, precision="extended")
+    assert closest_return_displacements(lift, "golden", 5) == \
+        closest_return_displacements(lift, "golden", 5, precision="double")

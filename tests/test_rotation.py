@@ -86,3 +86,10 @@ def test_preset_seed_refuses_unnamed_theta():
     theta = hl.ContinuedFraction.from_periodic([2], [1])
     with pytest.raises(KeyError):
         hl.rotation.resolve_seed(3, 2, theta, "preset")
+
+
+def test_preset_seed_refuses_unknown_name():
+    with pytest.raises(hl.rotation.PresetError, match="bogus"):
+        hl.rotation.resolve_seed(3, 2, GOLDEN, "bogus")
+    with pytest.raises(hl.rotation.PresetError, match="bogus"):
+        hl.tune_asymmetric(3, 2, "golden", "bogus", m=12)
