@@ -1,4 +1,4 @@
-/* C translations of the orbit loops in _kernels.py (orbit, orbit_samples,
+/* C translations of the orbit loops in _kernels.py (orbit_samples,
  * tune_residual).
  *
  * Every complex operation is spelled out in real arithmetic exactly as
@@ -70,24 +70,6 @@ static inline cplx horner(const double *c, int64_t n, cplx z)
         acc = cadd(cmul(acc, z), cj);
     }
     return acc;
-}
-
-/* Iterate z -> N(z)/D(z) n times into out; returns the number of valid
- * iterates (the first one inside a trap is the last). */
-int64_t orbit(const double *num, int64_t nnum, const double *den, int64_t nden,
-              double z0re, double z0im, int64_t n, double r0, double rinf,
-              double *out)
-{
-    cplx z = {z0re, z0im};
-    for (int64_t k = 0; k < n; k++) {
-        z = cdiv(horner(num, nnum, z), horner(den, nden, z));
-        out[2 * k] = z.re;
-        out[2 * k + 1] = z.im;
-        double a = hypot(z.re, z.im);
-        if (a < r0 || a > rinf)
-            return k + 1;
-    }
-    return n;
 }
 
 /* Iterate z -> N(z)/D(z), storing the iterates numbered ks[0..nks) (sorted,

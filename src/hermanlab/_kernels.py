@@ -2,18 +2,20 @@
 
 All kernels operate on rational maps given as ascending complex
 coefficient vectors (numerator, denominator).  Each kernel has one pure
-python/numpy reference: the private ``_orbit``, ``_orbit_samples`` and
-``_tune_residual``, and ``classify_kernel``.
+python/numpy reference: the private ``_orbit_samples`` and
+``_tune_residual``, and ``classify_kernel``.  ``orbit`` is
+``orbit_samples`` at every iterate.
 
-``orbit``, ``orbit_samples`` and ``tune_residual`` run a C translation of
-their reference (``_kernels.c``) when their coefficients are complex128.
+``orbit_samples`` and ``tune_residual`` run a C translation of their
+reference (``_kernels.c``) when their coefficients are complex128.
 The C code spells out numpy's complex128 scalar arithmetic in real
 operations, in the reference's order, so its results are bit-identical.
 It is compiled with the system C compiler ``cc`` on first import and
 cached in ``$XDG_CACHE_HOME/hermanlab/`` (default ``~/.cache/hermanlab/``)
 under a hash of the source, the flags and the machine type.  Without a
 compiler, or if the build fails, the ``hermanlab`` logger records one
-warning and every kernel runs its reference.  ``BACKEND`` names the
+warning and every kernel runs its reference; a cached library that
+cannot be loaded is rebuilt once.  ``BACKEND`` names the
 outcome: ``"c"`` or ``"numpy"``.  ``classify_kernel`` is numpy only.
 """
 
@@ -26,6 +28,10 @@ import platform
 import numpy as np
 
 _log = logging.getLogger("hermanlab")
+
+# the traps (r0, rinf) of tuning, tracing and log-lift orbits: an orbit that
+# reaches |z| < 1e-8 or |z| > 1e8 has left every annulus around the curve
+TRAPS = (1e-8, 1e8)
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 # no -ffast-math and no -march: the C code must round exactly like numpy
@@ -70,18 +76,21 @@ def _load():
             key = hashlib.sha256(fh.read())
         key.update(" ".join(_CFLAGS + [platform.machine()]).encode())
         path = os.path.join(_cache_dir(), "_kernels-%s.so" % key.hexdigest()[:16])
+        lib = None
         if os.path.exists(path):
-            _log.debug("kernel backend c: cache hit %s", path)
-        else:
+            try:
+                lib = ctypes.CDLL(path)
+                _log.debug("kernel backend c: cache hit %s", path)
+            except OSError as e:
+                _log.warning("rebuilding the cached C kernels, which fail to load: %s", e)
+        if lib is None:
             _build(path)
             _log.debug("kernel backend c: built %s", path)
-        lib = ctypes.CDLL(path)
+            lib = ctypes.CDLL(path)
     except OSError as e:
         _log.warning("C kernels unavailable, using the python reference kernels: %s", e)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.orbit.argtypes = [ptr, i64, ptr, i64, f64, f64, i64, f64, f64, ptr]
-    lib.orbit.restype = i64
     lib.orbit_samples.argtypes = [ptr, i64, ptr, i64, f64, f64, ptr, i64, f64, f64, ptr]
     lib.orbit_samples.restype = i64
     lib.tune_residual.argtypes = [ptr, i64, ptr, i64, ptr, ptr, f64, f64, i64, f64, f64, ptr]
@@ -102,20 +111,10 @@ def _c_arrays(*arrays):
 
 
 def orbit(num, den, z0, n, r0, rinf):
-    """Iterate z -> N(z)/D(z) for n steps, storing every iterate.
-
-    Returns (orbit, n_ok) where n_ok is the number of valid entries before
-    the orbit fell into one of the traps |z| < r0 or |z| > rinf.
-    """
-    arrays = _c_arrays(num, den)
-    if arrays is None:
-        return _orbit(num, den, z0, n, r0, rinf)
-    num, den = arrays
-    out = np.empty(n, dtype=np.complex128)
-    z0 = complex(z0)
-    n_ok = _lib.orbit(num.ctypes.data, len(num), den.ctypes.data, len(den),
-                      z0.real, z0.imag, int(n), r0, rinf, out.ctypes.data)
-    return out, n_ok
+    """orbit_samples at ks = 1..n (n >= 1): (orbit, n_ok), where n_ok counts
+    the iterates before the orbit fell into one of the traps |z| < r0 or
+    |z| > rinf, and the entries from the trapped one on are NaN."""
+    return orbit_samples(num, den, z0, np.arange(1, n + 1, dtype=np.int64), r0, rinf)
 
 
 def orbit_samples(num, den, z0, ks, r0, rinf):
@@ -170,19 +169,6 @@ def _horner(coeffs, z):
     for j in range(len(coeffs) - 1, -1, -1):
         acc = acc * z + coeffs[j]
     return acc
-
-
-def _orbit(num, den, z0, n, r0, rinf):
-    """Reference of orbit."""
-    out = np.empty(n, dtype=np.complex128)
-    z = z0
-    for k in range(n):
-        z = _horner(num, z) / _horner(den, z)
-        out[k] = z
-        a = abs(z)
-        if a < r0 or a > rinf:
-            return out, k + 1
-    return out, n
 
 
 def _orbit_samples(num, den, z0, ks, r0, rinf):

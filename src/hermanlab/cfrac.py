@@ -16,10 +16,18 @@ import mpmath
 
 # working precision for theta-dependent quantities (l_n, tilings, orderings)
 _DPS = 60
+# fewer exactly known partial quotients than this and theta counts as rational
+MIN_IRRATIONAL_DEPTH = 8
 
 
 class RationalInputError(ValueError):
-    """Raised when a continued-fraction expansion terminates (rational input)."""
+    """Raised when a continued-fraction expansion terminates (rational input);
+    .quotients holds the partial quotients certified before it did."""
+
+    def __init__(self, quotients):
+        super().__init__("rational input: expansion terminated after %d quotients %r"
+                         % (len(quotients), quotients))
+        self.quotients = quotients
 
 
 @dataclass
@@ -76,10 +84,7 @@ class ContinuedFraction:
             qm1, qm2 = 1, 0
             for _ in range(n):
                 if x == 0 or x < 64 * eps * qm1 * qm1:
-                    raise RationalInputError(
-                        "rational input: expansion terminated after %d quotients %r"
-                        % (len(quotients), quotients)
-                    )
+                    raise RationalInputError(quotients)
                 inv = 1 / x
                 a = int(mpmath.floor(inv))
                 x = inv - a
@@ -189,8 +194,9 @@ def resolve_theta(theta):
     """theta as a ContinuedFraction.
 
     Accepts a ContinuedFraction, a name in NAMED_THETAS, a float or
-    decimal string in (0,1) (expanded to 30 quotients), or the partial
-    quotients as a string "a,b,c".
+    decimal string in (0,1) with every quotient from_value certifies (a
+    double certifies fewer than 64; fewer than MIN_IRRATIONAL_DEPTH raise
+    RationalInputError), or the partial quotients as a string "a,b,c".
     """
     if isinstance(theta, ContinuedFraction):
         return theta
@@ -199,7 +205,12 @@ def resolve_theta(theta):
             return NAMED_THETAS[theta]
         if "," in theta:
             return ContinuedFraction.from_quotients([int(a) for a in theta.split(",")])
-    return ContinuedFraction.from_value(float(theta), 30)
+    try:
+        return ContinuedFraction.from_value(float(theta), 64)
+    except RationalInputError as e:
+        if len(e.quotients) < MIN_IRRATIONAL_DEPTH:
+            raise
+        return ContinuedFraction(e.quotients, value=float(theta))
 
 
 def cf_expand(theta, n):

@@ -441,9 +441,7 @@ def build_parser():
     p.set_defaults(fn=cmd_maps)
 
     p = sub.add_parser("tune", help="tune parameter to a rotation number")
-    p.add_argument("--d0", type=int, required=True)
-    p.add_argument("--dinf", type=int, required=True)
-    p.add_argument("--theta", default="golden")
+    add_family(p, param=False)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", default=None, help="re,im or 'preset'")
     p.add_argument("--depth", type=int, default=None)

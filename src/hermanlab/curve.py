@@ -84,7 +84,7 @@ def _critical_orbit(map_, ks, z0, precision):
     """Samples f^k(z0) for sorted ks, iterated in a _PRECISIONS precision."""
     _check_precision(precision)
     num, den = (np.asarray(a, dtype=_PRECISIONS[precision]) for a in (map_.num, map_.den))
-    pts, nok = _kernels.orbit_samples(num, den, complex(z0), ks, 1e-8, 1e8)
+    pts, nok = _kernels.orbit_samples(num, den, complex(z0), ks, *_kernels.TRAPS)
     if nok != len(ks):
         raise OrbitEscapeError("orbit escaped after %d of %d samples" % (nok, len(ks)))
     return pts

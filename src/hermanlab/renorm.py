@@ -41,9 +41,6 @@ class LogLift:
     map: object
     theta_float: float
 
-    def __call__(self, z):
-        return self.power(z, 1, 0)
-
     def ensure_table(self, K):
         """Lift table x_k = h({k theta}) for the first K critical-orbit points.
 
@@ -91,17 +88,13 @@ class LogLift:
         from the lift identity F^q(x_k + floor(k theta)) =
         x_{k+q} + floor((k+q) theta); otherwise the branch nearest to
         z + q theta - p is used, valid while the distortion over the
-        interval stays below 1/2.
+        interval stays below 1/2.  Raises OrbitEscapeError when the plane
+        orbit (q >= 1 steps) leaves the annulus of _kernels.TRAPS.
         """
-        w = cmath.exp(2j * math.pi * z)
-        for _ in range(q):
-            w = self.map.eval(w)
-            if not (1e-8 < abs(w) < 1e8):
-                raise BranchAmbiguityError("orbit left the annulus at z=%r" % z)
+        w = _critical_orbit(self.map, [q], cmath.exp(2j * math.pi * z), "double")[0]
         base = cmath.log(w) / (2j * math.pi)
         k0, m = self._match(z)
-        if k0 is not None and getattr(self, "_table", None) is not None \
-                and k0 + q < len(self._table):
+        if k0 is not None and k0 + q < len(self._table):
             th = self.theta_float
             target = (self._table[k0 + q].real
                       + math.floor((k0 + q) * th) - math.floor(k0 * th) - m - p)
@@ -112,11 +105,6 @@ class LogLift:
         if abs(res.real - target) > 0.45:
             raise BranchAmbiguityError("ambiguous log branch at z=%r" % z)
         return res
-
-    def iterate(self, z, n):
-        for _ in range(n):
-            z = self(z)
-        return z
 
 
 def log_lift(map_, theta):

@@ -28,10 +28,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .cfrac import ContinuedFraction, NAMED_THETAS, convergents, resolve_theta
-from .maps import blaschke, family_core, herman_family
+from .cfrac import (MIN_IRRATIONAL_DEPTH, ContinuedFraction, NAMED_THETAS, convergents,
+                    resolve_theta)
+from .maps import arnold_lift, blaschke, family_core, herman_family
 
 _QCAP_DEFAULT = 30000
+
+
+def _convergents(theta):
+    """Convergents of theta to depth 48, or to the depth of its known quotients."""
+    return convergents(theta, 48 if theta.depth is None else min(48, theta.depth))
 
 
 class CircleNotInvariantError(ValueError):
@@ -143,7 +149,7 @@ def sign_rho_vs_theta(lift, theta_cf, qcap=_QCAP_DEFAULT, x0=0.0):
     Returns +1, -1, or 0 when undecided at depth (rho within the deepest
     checked combinatorial length of theta).
     """
-    conv = convergents(theta_cf, 48)
+    conv = _convergents(theta_cf)
     x = x0
     k = 0
     for n in range(1, len(conv.q)):
@@ -165,7 +171,7 @@ def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT,
                      bracket=(0.0, 1.0), max_iter=80):
     """Bisection in alpha for any monotone one-parameter lift family."""
     theta = resolve_theta(theta)
-    if theta.depth is not None and theta.depth < 8:
+    if theta.depth is not None and theta.depth < MIN_IRRATIONAL_DEPTH:
         raise ValueError("theta must be irrational (deep CF); rational input rejected")
     lo, hi = bracket
     it = 0
@@ -183,43 +189,28 @@ def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT,
         if hi - lo < tol:
             break
     alpha = 0.5 * (lo + hi)
-    q = convergents(theta, 48).q
-    depth_checked = max(n for n in range(1, 48) if q[n] <= qcap)
+    q = _convergents(theta).q
+    depth_checked = max(n for n in range(1, len(q)) if q[n] <= qcap)
     return alpha, hi - lo, it, depth_checked, undecided
+
+
+def _tune_circle(make_lift, parameter, family, theta, tol, qcap):
+    """tune_lift_family as a TuneResult; parameter maps alpha to the map parameter."""
+    alpha, width, it, depth, undecided = tune_lift_family(make_lift, theta, tol, qcap)
+    return TuneResult(parameter=parameter(alpha), alpha=alpha, residual=width,
+                      iterations=it, verified_depth=depth,
+                      report={"undecided_at_depth": undecided, "family": family})
 
 
 def tune_blaschke(d, theta, tol=1e-10, qcap=_QCAP_DEFAULT):
     """Tune alpha so that B_{d,alpha} has rotation number theta on the circle."""
-    def make_lift(a):
-        return circle_lift(blaschke(d, a))
-
-    alpha, width, it, depth, undecided = tune_lift_family(make_lift, theta, tol, qcap)
-    return TuneResult(
-        parameter=cmath.exp(2j * math.pi * alpha),
-        alpha=alpha,
-        residual=width,
-        iterations=it,
-        verified_depth=depth,
-        report={"undecided_at_depth": undecided, "family": (d, d)},
-    )
+    return _tune_circle(lambda a: circle_lift(blaschke(d, a)),
+                        lambda a: cmath.exp(2j * math.pi * a), (d, d), theta, tol, qcap)
 
 
 def tune_arnold(theta, tol=1e-12, qcap=_QCAP_DEFAULT):
     """Tune the Arnold-family lift x + alpha + sin(2 pi x)/(2 pi) to theta."""
-    from .maps import arnold_lift
-
-    def make_lift(a):
-        return arnold_lift(a)
-
-    alpha, width, it, depth, undecided = tune_lift_family(make_lift, theta, tol, qcap)
-    return TuneResult(
-        parameter=complex(alpha),
-        alpha=alpha,
-        residual=width,
-        iterations=it,
-        verified_depth=depth,
-        report={"undecided_at_depth": undecided, "family": "arnold"},
-    )
+    return _tune_circle(arnold_lift, complex, "arnold", theta, tol, qcap)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +233,7 @@ def _newton_polish(num0, den, c, qm, tol=1e-14, max_iter=40, max_halvings=20):
     a depth-dependent noise floor from orbit round-off, so deep levels
     converge in parameter long before the raw residual is small).
     """
-    r, dr = _kernels.tune_residual(num0, den, c, qm, 1e-8, 1e8)
+    r, dr = _kernels.tune_residual(num0, den, c, qm, *_kernels.TRAPS)
     if r != r:
         raise TuningError("orbit escaped during residual evaluation", last=c)
     steps = 0
@@ -258,7 +249,7 @@ def _newton_polish(num0, den, c, qm, tol=1e-14, max_iter=40, max_halvings=20):
         moved = False
         for _ in range(max_halvings):
             cn = c + lam * step
-            rn, drn = _kernels.tune_residual(num0, den, cn, qm, 1e-8, 1e8)
+            rn, drn = _kernels.tune_residual(num0, den, cn, qm, *_kernels.TRAPS)
             if rn == rn and abs(rn) < abs(r):
                 c, r, dr = cn, rn, drn
                 last_step = lam * abs(step)
@@ -283,7 +274,7 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12, verify_depth=None)
     return combinatorics of theta through time q_m.
     """
     theta = resolve_theta(theta)
-    conv = convergents(theta, 48)
+    conv = _convergents(theta)
     from_preset = isinstance(seed, str)
     if from_preset:
         seed = resolve_seed(d0, dinf, theta, seed)
@@ -295,6 +286,8 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12, verify_depth=None)
         m0 = next(n for n in range(1, len(conv.q)) if conv.q[n] >= 10)
     if m is None:
         m = m0
+    if m >= len(conv.q):
+        raise ValueError("ladder depth %d > the %d known quotients of theta" % (m, len(conv.q) - 1))
     num0, den = family_core(d0, dinf)
     total_steps = 0
     residual = math.inf

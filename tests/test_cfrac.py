@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hermanlab.cfrac import (BRONZE_ALT, GOLDEN, SILVER, ContinuedFraction,
                              RationalInputError, cf_expand, comb_length,
-                             convergents, gauss, return_ordering,
+                             convergents, gauss, resolve_theta, return_ordering,
                              tiling_indices, tiling_is_partition, tiling_refines)
 
 
@@ -68,6 +68,16 @@ def test_expand_irrational_matches_known():
     assert cf.quotients(10) == [2] * 10
     cf = cf_expand(math.pi - 3, 4)
     assert cf.quotients(4) == [7, 15, 1, 292]
+
+
+def test_resolve_decimal_keeps_certified_quotients():
+    """A decimal keeps all the quotients double precision certifies; fewer than
+    MIN_IRRATIONAL_DEPTH of them make it rational."""
+    silver = resolve_theta("0.41421356237309515")
+    assert silver.depth == 18 and silver.quotients(18) == [2] * 18
+    with pytest.raises(RationalInputError) as e:
+        resolve_theta("0.25")
+    assert e.value.quotients == [4]
 
 
 def test_gauss_shift_symbolic_and_float():

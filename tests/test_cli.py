@@ -65,6 +65,18 @@ def test_tune_blaschke_json(capsys, tmp_path):
     assert 0 < doc["alpha"] < 1
 
 
+def test_tune_decimal_theta_matches_named(capsys):
+    """A decimal theta tunes to the same JSON as its name; a rational one is a
+    configuration error."""
+    argv = ["tune", "--d0", "2", "--dinf", "2", "--theta"]
+    code, named, _ = run(capsys, *argv, "golden")
+    assert code == 0
+    code, decimal, _ = run(capsys, *argv, "0.6180339887498949")
+    assert code == 0 and decimal == named
+    code, _, err = run(capsys, *argv, "0.25")
+    assert code == 2 and "config error" in err
+
+
 def test_trace_geometry_roundtrip(capsys, tmp_path):
     csv = tmp_path / "curve.csv"
     code, _, _ = run(capsys, "trace", "--d0", "3", "--dinf", "2",

@@ -44,23 +44,25 @@ def test_horner_agrees(map32):
 
 
 def test_orbit_agrees(map32):
-    """orbit is bit-equal to iterating RationalMap.eval, up to the trap."""
+    """orbit is bit-equal to iterating RationalMap.eval before the trap; n_ok
+    counts those iterates and the rest, from the trapped one on, are NaN."""
     a, na = K.orbit(map32.num, map32.den, 1.0 + 0.0j, 200, 1e-8, 1e8)
     assert na == 200
     assert np.array_equal(a, eval_orbit(map32, 1.0 + 0.0j, 200))
     # 0.1 falls into the superattracting basin of 0 within a few steps
     a, na = K.orbit(map32.num, map32.den, 0.1 + 0.0j, 50, 1e-8, 1e8)
-    assert na < 50 and abs(a[na - 1]) < 1e-8
-    assert np.array_equal(a[:na], eval_orbit(map32, 0.1 + 0.0j, na))
+    ref = eval_orbit(map32, 0.1 + 0.0j, na + 1)
+    assert 0 < na < 50 and np.all(np.abs(ref[:na]) >= 1e-8) and abs(ref[na]) < 1e-8
+    assert np.array_equal(a[:na], ref[:na])
+    assert np.all(np.isnan(a[na:]))
 
 
 def test_orbit_samples_agrees(map32):
-    """orbit_samples equals orbit at the sampled indices."""
+    """orbit_samples equals the RationalMap.eval orbit at the sampled indices."""
     ks = np.array([1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144], dtype=np.int64)
     a, na = K.orbit_samples(map32.num, map32.den, 1.0 + 0.0j, ks, 1e-8, 1e8)
-    full, nfull = K.orbit(map32.num, map32.den, 1.0 + 0.0j, ks[-1], 1e-8, 1e8)
-    assert na == len(ks) and nfull == ks[-1]
-    assert np.array_equal(a, full[ks - 1])
+    assert na == len(ks)
+    assert np.array_equal(a, eval_orbit(map32, 1.0 + 0.0j, ks[-1])[ks - 1])
 
 
 def residual(qm, c):
@@ -140,6 +142,14 @@ def test_backend_is_c_when_cc_exists():
     assert K.BACKEND == ("c" if shutil.which("cc") else "numpy")
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc'")
+def test_c_source_compiles_without_warnings(tmp_path):
+    res = subprocess.run(["cc", *K._CFLAGS, "-Wall", "-Wextra", "-Werror",
+                          "-o", str(tmp_path / "k.so"), K._SOURCE, "-lm"],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 coeff = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
 coeffs = st.lists(coeff, min_size=1, max_size=5)
 
@@ -159,7 +169,7 @@ def orbit_case(draw, z0=None):
     r0, rinf = 1e-8, 1e8
     if kind == "trap":
         with np.errstate(all="ignore"):
-            ref, _ = K._orbit(num, den, z0, n, 0.0, np.inf)
+            ref, _ = K._orbit_samples(num, den, z0, np.arange(1, n + 1), 0.0, np.inf)
         a = abs(ref[draw(st.integers(0, n - 1))])
         a = draw(st.sampled_from([a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)]))
         r0, rinf = draw(st.sampled_from([(a, np.inf), (0.0, a)]))
@@ -170,12 +180,13 @@ def orbit_case(draw, z0=None):
 @settings(max_examples=300, deadline=None)
 @given(orbit_case())
 def test_c_orbit_bit_equal(case):
+    """orbit is bit-equal to the reference _orbit_samples at ks = 1..n, NaNs included."""
     num, den, z0, n, r0, rinf = case
     with np.errstate(all="ignore"):
-        ref, nref = K._orbit(num, den, z0, n, r0, rinf)
+        ref, nref = K._orbit_samples(num, den, z0, np.arange(1, n + 1), r0, rinf)
     out, nout = K.orbit(num, den, z0, n, r0, rinf)
     assert nout == nref
-    assert bits(out[:nout]) == bits(ref[:nref])
+    assert bits(out) == bits(ref)
 
 
 @needs_c
@@ -213,7 +224,7 @@ def test_c_kernels_bit_equal_on_deep_orbits(map32):
             K._tune_residual(num0, den, c, qm, 1e-8, 1e8))
     m = hl.herman_family(3, 2, c)
     out, n = K.orbit(m.num, m.den, 1.0 + 0.0j, 20000, 1e-8, 1e8)
-    ref, nref = K._orbit(m.num, m.den, 1.0 + 0.0j, 20000, 1e-8, 1e8)
+    ref, nref = K._orbit_samples(m.num, m.den, 1.0 + 0.0j, np.arange(1, 20001), 1e-8, 1e8)
     assert n == nref == 20000 and bits(out) == bits(ref)
 
 
@@ -287,3 +298,20 @@ def test_concurrent_builds_then_cache_hit(tmp_path):
     again = finish(select_backend(tmp_path))
     assert again["records"] == [["DEBUG", "kernel backend c: cache hit " + path]]
     assert again["results"] == docs[0]["results"] == docs[1]["results"]
+
+
+@needs_c
+def test_truncated_cached_library_is_rebuilt(tmp_path):
+    """A cached library that cannot be loaded is rebuilt once, with one warning."""
+    first = finish(select_backend(tmp_path))
+    cache = tmp_path / "cache" / "hermanlab"
+    (name,) = os.listdir(cache)
+    lib = cache / name
+    lib.write_bytes(lib.read_bytes()[:100])
+    doc = finish(select_backend(tmp_path))
+    assert doc["backend"] == "c"
+    warnings = [msg for level, msg in doc["records"] if level == "WARNING"]
+    assert len(warnings) == 1 and "rebuilding" in warnings[0]
+    assert doc["results"] == first["results"]
+    again = finish(select_backend(tmp_path))
+    assert again["records"] == [["DEBUG", "kernel backend c: cache hit %s" % lib]]

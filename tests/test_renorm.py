@@ -1,5 +1,6 @@
 """Commuting pairs, renormalization, and scaling diagnostics."""
 
+import cmath
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import hermanlab as hl
 from hermanlab.cfrac import BRONZE_ALT, GOLDEN, SILVER, gauss
+from hermanlab.curve import OrbitEscapeError
 from hermanlab.renorm import (closest_return_displacements, commuting_pair,
                               renormalize, scaling_ratios, self_similarity,
                               translation_pair)
@@ -44,6 +46,32 @@ def test_commuting_pair_endpoints_are_closest_returns(golden32):
         assert p.endpoint_plus == p.f_plus(0j)
         assert p.endpoint_minus.real * p.endpoint_plus.real < 0
         assert abs(p.endpoint_minus) < abs(p.endpoint_plus)
+
+
+def test_log_lift_power_matches_eval_loop(golden32):
+    """power's plane orbit is bit-equal to a RationalMap.eval loop: the result
+    is the oracle's principal log branch plus an integer, exactly."""
+    _, m = golden32
+    lift = hl.log_lift(m, "golden")
+    lift.ensure_table(100)
+    x7 = complex(lift._table[7])
+    for z in (0j, x7, x7 + 0.002 + 0.001j):
+        for q, p in ((1, 1), (2, 1), (3, 2), (8, 5), (13, 8)):
+            w = cmath.exp(2j * math.pi * z)
+            for _ in range(q):
+                w = m.eval(w)
+            base = cmath.log(w) / (2j * math.pi)
+            res = lift.power(z, q, p)
+            assert res == base + round(res.real - base.real)
+
+
+def test_log_lift_power_escape(golden32):
+    """Points far inside or outside the curve fall into a trap."""
+    _, m = golden32
+    lift = hl.log_lift(m, "golden")
+    for z in (0.3 + 5j, 0.3 - 5j):
+        with pytest.raises(OrbitEscapeError):
+            lift.power(z, 1, 0)
 
 
 def test_chi_golden_all_one(golden32):
