@@ -21,13 +21,15 @@ MIN_IRRATIONAL_DEPTH = 8
 
 
 class RationalInputError(ValueError):
-    """Raised when a continued-fraction expansion terminates (rational input);
-    .quotients holds the partial quotients certified before it did."""
+    """Raised when a continued-fraction expansion terminates (rational input).
+    .quotients: the quotients found; .certified: those less a last one snapped
+    up from a round-off remainder, which is exact only for a rational value."""
 
-    def __init__(self, quotients):
+    def __init__(self, quotients, snapped=False):
         super().__init__("rational input: expansion terminated after %d quotients %r"
                          % (len(quotients), quotients))
         self.quotients = quotients
+        self.certified = quotients[:-1] if snapped else quotients
 
 
 @dataclass
@@ -82,16 +84,17 @@ class ContinuedFraction:
             eps = mpmath.mpf(2) ** (-mpmath.mp.prec) if high_prec else mpmath.mpf(2) ** -52
             quotients = []
             qm1, qm2 = 1, 0
+            snapped = False
             for _ in range(n):
                 if x == 0 or x < 64 * eps * qm1 * qm1:
-                    raise RationalInputError(quotients)
+                    raise RationalInputError(quotients, snapped)
                 inv = 1 / x
                 a = int(mpmath.floor(inv))
                 x = inv - a
                 # snap to the integer above when the remainder is round-off
                 if 1 - x < 64 * eps * qm1 * qm1:
                     a += 1
-                    x = mpmath.mpf(0)
+                    x, snapped = mpmath.mpf(0), True
                 quotients.append(a)
                 qm1, qm2 = a * qm1 + qm2, qm1
         return cls(quotients, value=theta)
@@ -193,11 +196,10 @@ NAMED_THETAS = {"golden": GOLDEN, "silver": SILVER, "bronze-alt": BRONZE_ALT}
 def resolve_theta(theta):
     """theta as a ContinuedFraction.
 
-    Accepts a ContinuedFraction, a name in NAMED_THETAS, a float or
-    decimal string in (0,1) with every quotient from_value certifies (a
-    double certifies fewer than 64; fewer than MIN_IRRATIONAL_DEPTH raise
-    RationalInputError), or the partial quotients as a string "a,b,c".
-    """
+    Accepts a ContinuedFraction, a name in NAMED_THETAS, the partial quotients
+    as a string "a,b,c", or a float or decimal string in (0,1), which keeps the
+    quotients from_value certifies (a double has fewer than 64; fewer than
+    MIN_IRRATIONAL_DEPTH raise RationalInputError)."""
     if isinstance(theta, ContinuedFraction):
         return theta
     if isinstance(theta, str):
@@ -208,9 +210,9 @@ def resolve_theta(theta):
     try:
         return ContinuedFraction.from_value(float(theta), 64)
     except RationalInputError as e:
-        if len(e.quotients) < MIN_IRRATIONAL_DEPTH:
+        if len(e.certified) < MIN_IRRATIONAL_DEPTH:
             raise
-        return ContinuedFraction(e.quotients, value=float(theta))
+        return ContinuedFraction(e.certified, value=float(theta))
 
 
 def cf_expand(theta, n):

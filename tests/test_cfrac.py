@@ -75,6 +75,10 @@ def test_resolve_decimal_keeps_certified_quotients():
     MIN_IRRATIONAL_DEPTH of them make it rational."""
     silver = resolve_theta("0.41421356237309515")
     assert silver.depth == 18 and silver.quotients(18) == [2] * 18
+    # the 34th quotient of this double is 1 but is snapped up to 2 from a
+    # round-off remainder; it is not certified (the double has 37 ones)
+    golden = resolve_theta("0.6180339887498949")
+    assert golden.depth == 33 and golden.quotients(33) == [1] * 33
     with pytest.raises(RationalInputError) as e:
         resolve_theta("0.25")
     assert e.value.quotients == [4]
