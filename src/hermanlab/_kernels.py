@@ -166,9 +166,23 @@ def tune_residual(num0, den, c, qm, r0, rinf):
 
 def _horner(coeffs, z):
     acc = 0.0 + 0.0j
-    for j in range(len(coeffs) - 1, -1, -1):
-        acc = acc * z + coeffs[j]
+    for c in reversed(coeffs):
+        acc = acc * z + c
     return acc
+
+
+def _cdiv(a, b):
+    """a / b for python complex a and b != 0, rounded as numpy's complex128
+    scalar division rounds it (Smith's formula, ``cdiv`` in _kernels.c).
+    CPython's own complex division rounds differently."""
+    br, bi = b.real, b.imag
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
 
 
 def _orbit_samples(num, den, z0, ks, r0, rinf):

@@ -153,8 +153,14 @@ def cmd_tune(args):
         "residual": res.residual,
         "iterations": res.iterations,
         "verified_depth": res.verified_depth,
+        # the Newton ladder's Herman curve checks; the bisection tuners run none
+        "verify": res.report.get("verify"),
     }
     _emit_json(out, args.out)
+    if out["verify"] is not None and not out["verify"]["all"]:
+        failed = sorted(k for k, ok in out["verify"].items() if k != "all" and not ok)
+        print("tune: Herman curve checks failed: %s" % ", ".join(failed), file=sys.stderr)
+        return 1
     return 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _horner
+from ._kernels import _cdiv, _horner
 
 # evaluation switches to the w = 1/z chart past this radius
 _INF_CHART = 1e8
@@ -34,7 +34,12 @@ class PoleResult(complex):
 
 @dataclass
 class RationalMap:
-    """Rational function N(z)/D(z) with ascending complex coefficient vectors."""
+    """Rational function N(z)/D(z) with ascending complex coefficient vectors.
+
+    The map keeps read-only copies of the coefficients: ``num`` and ``den``
+    can be neither written into nor reassigned, so the evaluation data that
+    ``eval`` caches at construction never goes stale.
+    """
 
     num: np.ndarray
     den: np.ndarray
@@ -43,14 +48,40 @@ class RationalMap:
     parameter: complex | None = None
     kind: str = "generic"
     _deriv_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _plane: tuple = field(init=False, repr=False, compare=False)
+    _chart: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.num = _trim(np.asarray(self.num, dtype=np.complex128))
-        self.den = _trim(np.asarray(self.den, dtype=np.complex128))
-        if len(self.den) == 0:
+        num = _trim(np.asarray(self.num, dtype=np.complex128))
+        den = _trim(np.asarray(self.den, dtype=np.complex128))
+        if len(den) == 0:
             raise ValueError("zero denominator")
-        if len(self.num) == 0:
-            self.num = np.zeros(1, dtype=np.complex128)
+        if len(num) == 0:
+            num = np.zeros(1, dtype=np.complex128)
+        self.num, self.den = _frozen_copy(num), _frozen_copy(den)
+        # the infinity chart: N(z)/D(z) = revN(w)/revD(w) with w = 1/z, both
+        # padded to the common length L
+        L = max(len(num), len(den))
+        rn = np.zeros(L, dtype=np.complex128)
+        rd = np.zeros(L, dtype=np.complex128)
+        rn[: len(num)] = num
+        rd[: len(den)] = den
+        rn = rn[::-1]
+        rd = rd[::-1]
+        # the Horner coefficients as python complex, whose arithmetic rounds
+        # like numpy's complex128 scalars; and cheap upper bounds, with a 2x
+        # rounding margin, on the pole scales max(1, _poly_scale(den, r)) and
+        # that of the infinity chart, so that eval only forms the exact scale
+        # near a pole: max(1, 2 sum |d_j|) max(r, 1)^deg D in the plane
+        self._plane = (tuple(num.tolist()), tuple(den.tolist()),
+                       max(1.0, 2.0 * float(np.sum(np.abs(den)))), len(den) - 1)
+        self._chart = (tuple(rn.tolist()), tuple(rd.tolist()), rd,
+                       2.0 * float(np.sum(np.abs(rd))))
+
+    def __setattr__(self, name, value):
+        if name in ("num", "den") and "_plane" in self.__dict__:
+            raise AttributeError("the coefficients of a RationalMap are fixed")
+        super().__setattr__(name, value)
 
     @property
     def total_degree(self):
@@ -62,32 +93,43 @@ class RationalMap:
         return self.eval(z)
 
     def eval(self, z):
+        """N(z)/D(z) as numpy complex128, bit-identical to numpy scalar
+        arithmetic; PoleResult at a pole, ZeroDivisionError at a 0/0."""
         z = complex(z)
-        if cmath.isinf(z) or abs(z) > _INF_CHART:
+        r = abs(z)  # inf if z is
+        if r > _INF_CHART:
             return self._eval_inf_chart(z)
-        nv = _horner(self.num, z)
-        dv = _horner(self.den, z)
-        if abs(dv) <= _POLE_TOL * max(1.0, _poly_scale(self.den, abs(z))):
-            if abs(nv) <= _POLE_TOL * max(1.0, _poly_scale(self.num, abs(z))):
+        num, den, den_bound, den_deg = self._plane
+        nv = _horner(num, z)
+        dv = _horner(den, z)
+        try:
+            far = abs(dv) > _POLE_TOL * den_bound * (r ** den_deg if r > 1.0 else 1.0)
+        except OverflowError:  # |D(z)| or the bound beyond the float range
+            far = False
+        if far:
+            return np.complex128(_cdiv(nv, dv))
+        nv, dv = np.complex128(nv), np.complex128(dv)
+        if abs(dv) <= _POLE_TOL * max(1.0, _poly_scale(self.den, r)):
+            if abs(nv) <= _POLE_TOL * max(1.0, _poly_scale(self.num, r)):
                 raise ZeroDivisionError("0/0 at z=%r (common root?)" % z)
             return PoleResult()
         return nv / dv
 
     def _eval_inf_chart(self, z):
-        # pad to equal length L; N(z)/D(z) = revN(w)/revD(w) with w = 1/z
-        L = max(len(self.num), len(self.den))
-        rn = np.zeros(L, dtype=np.complex128)
-        rd = np.zeros(L, dtype=np.complex128)
-        rn[: len(self.num)] = self.num
-        rd[: len(self.den)] = self.den
-        rn = rn[::-1]
-        rd = rd[::-1]
+        rn, rd, rd_arr, rd_bound = self._chart
         w = 0.0 if cmath.isinf(z) else 1.0 / z
         nv = _horner(rn, w)
         dv = _horner(rd, w)
+        try:
+            far = abs(dv) > _POLE_TOL * rd_bound
+        except OverflowError:
+            far = False
+        if far:
+            return np.complex128(_cdiv(nv, dv))
+        nv, dv = np.complex128(nv), np.complex128(dv)
         # the denominator legitimately shrinks like w^(L-1-deg D); a pole
         # is only declared relative to the coefficient scale at |w|
-        scale = float(np.sum(np.abs(rd) * (abs(w) ** np.arange(L))))
+        scale = float(np.sum(np.abs(rd_arr) * (abs(w) ** np.arange(len(rd_arr)))))
         if abs(dv) <= _POLE_TOL * scale:
             return PoleResult()
         return nv / dv
@@ -120,6 +162,12 @@ def _trim(c, rel=1e-14):
     while keep > 1 and abs(c[keep - 1]) < rel * scale:
         keep -= 1
     return np.ascontiguousarray(c[:keep])
+
+
+def _frozen_copy(c):
+    c = np.array(c)
+    c.flags.writeable = False
+    return c
 
 
 def _poly_scale(coeffs, r):

@@ -28,8 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .cfrac import (MIN_IRRATIONAL_DEPTH, ContinuedFraction, NAMED_THETAS, convergents,
-                    resolve_theta)
+from .cfrac import (MIN_IRRATIONAL_DEPTH, ContinuedFraction, Convergents, NAMED_THETAS,
+                    convergents, resolve_theta)
 from .maps import arnold_lift, blaschke, family_core, herman_family
 
 _QCAP_DEFAULT = 30000
@@ -146,10 +146,12 @@ def rotation_number(lift, depth=40, x0=0.0, qcap=200000, rational_tol=1e-13):
 def sign_rho_vs_theta(lift, theta_cf, qcap=_QCAP_DEFAULT, x0=0.0):
     """Sign of rho(lift) - theta via alternating closest-return tests.
 
-    Returns +1, -1, or 0 when undecided at depth (rho within the deepest
-    checked combinatorial length of theta).
+    theta_cf is theta as a ContinuedFraction, or the Convergents that
+    ``_convergents`` built from it, so that a bisection tests every lift
+    against convergents built once.  Returns +1, -1, or 0 when undecided
+    at depth (rho within the deepest checked combinatorial length of theta).
     """
-    conv = _convergents(theta_cf)
+    conv = theta_cf if isinstance(theta_cf, Convergents) else _convergents(theta_cf)
     x = x0
     k = 0
     for n in range(1, len(conv.q)):
@@ -173,12 +175,13 @@ def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT,
     theta = resolve_theta(theta)
     if theta.depth is not None and theta.depth < MIN_IRRATIONAL_DEPTH:
         raise ValueError("theta must be irrational (deep CF); rational input rejected")
+    conv = _convergents(theta)
     lo, hi = bracket
     it = 0
     undecided = False
     for it in range(1, max_iter + 1):
         mid = 0.5 * (lo + hi)
-        s = sign_rho_vs_theta(make_lift(mid), theta, qcap=qcap)
+        s = sign_rho_vs_theta(make_lift(mid), conv, qcap=qcap)
         if s > 0:
             hi = mid
         elif s < 0:
@@ -189,8 +192,7 @@ def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT,
         if hi - lo < tol:
             break
     alpha = 0.5 * (lo + hi)
-    q = _convergents(theta).q
-    depth_checked = max(n for n in range(1, len(q)) if q[n] <= qcap)
+    depth_checked = max(n for n in range(1, len(conv.q)) if conv.q[n] <= qcap)
     return alpha, hi - lo, it, depth_checked, undecided
 
 

@@ -65,6 +65,23 @@ def test_tune_blaschke_json(capsys, tmp_path):
     assert 0 < doc["alpha"] < 1
 
 
+def test_tune_reports_verify(capsys):
+    """The Newton ladder's checks are in tune's JSON and decide its exit code;
+    the bisection tuners run none."""
+    code, out, err = run(capsys, "tune", "--d0", "3", "--dinf", "2")
+    assert code == 0 and json.loads(out)["verify"]["all"] is True
+    code, out, _ = run(capsys, "tune", "--d0", "2", "--dinf", "2", "--theta", "golden")
+    assert code == 0 and json.loads(out)["verify"] is None
+
+
+def test_tune_fails_when_verify_fails(capsys):
+    # the shipped (2,3) preset tunes to a map whose curve checks fail
+    code, out, err = run(capsys, "tune", "--d0", "2", "--dinf", "3")
+    assert code == 1
+    assert json.loads(out)["verify"]["all"] is False
+    assert "cyclic_order" in err
+
+
 def test_tune_decimal_theta_matches_named(capsys):
     """A decimal theta tunes to the same JSON as its name; a rational one is a
     configuration error."""

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermanlab.maps import (INF, arnold_lift, blaschke, critical_points,
-                            herman_family, preimages)
+from hermanlab.maps import (INF, PoleResult, RationalMap, arnold_lift, blaschke,
+                            critical_points, herman_family, preimages)
 
 B_FIG = complex(-1.144208, -0.964454)
 C_FIG = complex(-0.755700, -0.654917)
@@ -124,3 +124,95 @@ def test_family_defining_properties(d0, dinf, c):
     # numerator valuation d0 at 0, denominator degree d0-1
     assert all(abs(x) < 1e-14 for x in m.num[:d0])
     assert len(m.den) == d0
+
+
+# -- RationalMap.eval against numpy complex128 scalar arithmetic -------------
+
+def _np_horner(c, z):
+    acc = 0.0 + 0.0j
+    for j in range(len(c) - 1, -1, -1):
+        acc = acc * z + c[j]  # c[j] is a numpy complex128 scalar
+    return acc
+
+
+def _np_scale(c, r):
+    return float(np.sum(np.abs(c) * (max(r, 1.0) ** np.arange(len(c)))))
+
+
+def _oracle_plane(num, den, z):
+    nv, dv = _np_horner(num, z), _np_horner(den, z)
+    if abs(dv) <= 1e-14 * max(1.0, _np_scale(den, abs(z))):
+        if abs(nv) <= 1e-14 * max(1.0, _np_scale(num, abs(z))):
+            raise ZeroDivisionError
+        return PoleResult()
+    return nv / dv
+
+
+def _oracle_inf(num, den, z):
+    L = max(len(num), len(den))
+    rn = np.zeros(L, dtype=np.complex128)
+    rd = np.zeros(L, dtype=np.complex128)
+    rn[: len(num)] = num
+    rd[: len(den)] = den
+    rn, rd = rn[::-1], rd[::-1]
+    w = 0.0 if cmath.isinf(z) else 1.0 / z
+    nv, dv = _np_horner(rn, w), _np_horner(rd, w)
+    if abs(dv) <= 1e-14 * float(np.sum(np.abs(rd) * (abs(w) ** np.arange(L)))):
+        return PoleResult()
+    return nv / dv
+
+
+def _outcome(f, *args):
+    """f's result as comparable bits: "0/0", "pole", "nan" or the float bytes."""
+    try:
+        v = f(*args)
+    except ZeroDivisionError:
+        return "0/0"
+    if isinstance(v, PoleResult):
+        return "pole"
+    assert type(v) is np.complex128
+    return "nan" if np.isnan(v) else v.real.tobytes() + v.imag.tobytes()
+
+
+_coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _map_and_point(draw):
+    num = np.array(draw(st.lists(_coeff, min_size=1, max_size=6)), dtype=np.complex128)
+    den = np.array(draw(st.lists(_coeff, min_size=1, max_size=6)), dtype=np.complex128)
+    if draw(st.booleans()):
+        num = np.convolve(num, den)  # N shares every root of D: a 0/0 there
+    m = RationalMap(num, den)
+    where = draw(st.sampled_from(["plane", "near_pole", "inf_chart"]))
+    direction = cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    if where == "near_pole" and len(m.den) > 1:
+        root = draw(st.sampled_from(list(np.roots(m.den[::-1]))))
+        z = root + draw(st.sampled_from([0.0, 1.0])) * 10.0 ** draw(st.floats(-15, -6)) * direction
+    elif where == "inf_chart":
+        z = 10.0 ** draw(st.floats(8.0, 12.0)) * direction
+    else:
+        z = 10.0 ** draw(st.floats(-10.0, 8.0)) * direction
+    return m, complex(z)
+
+
+@given(_map_and_point())
+@settings(max_examples=400, deadline=None)
+def test_eval_bit_equal_to_numpy_scalar_formula(case):
+    m, z = case
+    oracle = _oracle_inf if abs(z) > 1e8 else _oracle_plane
+    with np.errstate(all="ignore"):
+        assert _outcome(m.eval, z) == _outcome(oracle, m.num, m.den, z)
+
+
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=5),
+       st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0, allow_nan=False,
+                          allow_infinity=False),
+       st.floats(-12.0, -4.0), st.sampled_from([-1.0, 1.0]), st.floats(0.0, 2 * math.pi))
+@settings(max_examples=100, deadline=None)
+def test_plane_and_infinity_charts_agree_near_switch(d0, dinf, c, log_gap, side, angle):
+    m = herman_family(d0, dinf, c)
+    z = 1e8 * (1.0 + side * 10.0 ** log_gap) * cmath.exp(1j * angle)
+    # eval picks one chart by |z|; the oracle evaluates the other one
+    other = _oracle_inf if abs(z) <= 1e8 else _oracle_plane
+    assert complex(m.eval(z)) == pytest.approx(complex(other(m.num, m.den, z)), rel=1e-9)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import hermanlab as hl
@@ -93,3 +94,51 @@ def test_preset_seed_refuses_unknown_name():
         hl.rotation.resolve_seed(3, 2, GOLDEN, "bogus")
     with pytest.raises(hl.rotation.PresetError, match="bogus"):
         hl.tune_asymmetric(3, 2, "golden", "bogus", m=12)
+
+
+def test_sign_rho_vs_theta_accepts_convergents():
+    th = GOLDEN.value_float()
+    conv = hl.rotation._convergents(GOLDEN)
+    for x in (th + 1e-6, th - 1e-6, th):
+        assert sign_rho_vs_theta(rigid(x), conv) == sign_rho_vs_theta(rigid(x), GOLDEN)
+
+
+def test_bisection_builds_convergents_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hl.cfrac.convergents(*args, **kwargs)
+
+    monkeypatch.setattr(hl.rotation, "convergents", counted)
+    res = tune_arnold("golden", qcap=2000)
+    assert res.iterations > 1 and len(calls) == 1
+
+
+def test_tune_blaschke_pinned():
+    """The (2,2) golden bisection that the tune-circle benchmark runs, pinned
+    bit for bit to the result of numpy scalar evaluation."""
+    res = tune_blaschke(2, "golden", tol=1e-15, qcap=50000)
+    assert res.parameter == -0.7556990644648718 - 0.6549190209231349j
+    assert res.iterations == 32
+
+
+def test_rational_map_coefficients_are_frozen():
+    m = hl.blaschke(2, 0.3)
+    with pytest.raises(ValueError):
+        m.num[0] = 1.0
+    with pytest.raises(ValueError):
+        m.den[-1] = 1.0
+    with pytest.raises(AttributeError):
+        m.num = np.ones(2, dtype=np.complex128)
+
+
+def test_rational_map_copies_its_input():
+    src = hl.herman_family(3, 2, -1.144208 - 0.964454j)
+    num, den = np.array(src.num), np.array(src.den)
+    m = hl.RationalMap(num, den)
+    z = 0.3 + 0.7j
+    before = m.eval(z)
+    num[:] = 0.0
+    den[0] = 5.0
+    assert m.eval(z) == before == src.eval(z)
