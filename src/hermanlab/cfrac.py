@@ -220,7 +220,7 @@ def cf_expand(theta, n):
     return ContinuedFraction.from_value(theta, n)
 
 
-def convergents(cf, n, dps=_DPS):
+def convergents(cf, n):
     """Convergents (p_k, q_k) for k <= n plus combinatorial lengths l_k."""
     if cf.depth is not None and cf.depth < n:
         raise ValueError("cf has only %d quotients, need %d" % (cf.depth, n))
@@ -232,8 +232,8 @@ def convergents(cf, n, dps=_DPS):
         p.append(a * p[-1] + pm1)
         q.append(a * q[-1] + qm1)
         pm1, qm1 = p[-2], q[-2]
-    with mpmath.workdps(dps):
-        th = cf.value_mp(dps)
+    with mpmath.workdps(_DPS):
+        th = cf.value_mp()
         lengths = [abs(p[k] - q[k] * th) for k in range(n + 1)]
     return Convergents(p=p, q=q, lengths=lengths)
 
@@ -247,9 +247,9 @@ def gauss(theta):
     return (1.0 / theta) % 1.0
 
 
-def comb_length(cf, n, dps=_DPS):
+def comb_length(cf, n):
     """l_n = |p_n - q_n*theta| with a bounded-type bracketing sanity check."""
-    conv = convergents(cf, n + 1, dps=dps)
+    conv = convergents(cf, n + 1)
     ln, lnp1 = conv.lengths[n], conv.lengths[n + 1]
     assert lnp1 < ln, "combinatorial lengths must strictly decrease"
     # l_{n-1} = a_{n+1} l_n + l_{n+1} gives l_n/l_{n+1} <= bound + 2
@@ -258,24 +258,24 @@ def comb_length(cf, n, dps=_DPS):
     return float(ln)
 
 
-def return_ordering(cf, n, x=0.0, dps=_DPS):
-    """Closest returns R^{q_k}(x) of the rigid rotation, with alternation check.
+def return_ordering(cf, n):
+    """Closest returns R^{q_k}(0) of the rigid rotation, with alternation check.
 
-    Returns the list of angles (x + q_k*theta mod 1) for k = 1..n and
-    asserts the alternating-side pattern R^{q_1} < R^{q_3} < ... < x <
+    Returns the list of angles (q_k*theta mod 1) for k = 1..n and
+    asserts the alternating-side pattern R^{q_1} < R^{q_3} < ... < 0 <
     ... < R^{q_4} < R^{q_2} via the exact signed distances (-1)^k l_k.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    conv = convergents(cf, n, dps=dps)
-    with mpmath.workdps(dps):
-        th = cf.value_mp(dps)
-        angles = [float(mpmath.frac(x + conv.q[k] * th)) for k in range(1, n + 1)]
-        # signed displacement of R^{q_k}(x) from x is q_k*theta - p_k = -(-1)^k l_k
+    conv = convergents(cf, n)
+    with mpmath.workdps(_DPS):
+        th = cf.value_mp()
+        angles = [float(mpmath.frac(conv.q[k] * th)) for k in range(1, n + 1)]
+        # signed displacement of R^{q_k}(0) from 0 is q_k*theta - p_k = -(-1)^k l_k
         for k in range(1, n + 1):
             s = conv.q[k] * th - conv.p[k]
             assert (s > 0) == (k % 2 == 0), "closest returns must alternate sides"
-            assert abs(abs(s) - conv.lengths[k]) < mpmath.mpf(10) ** (5 - dps)
+            assert abs(abs(s) - conv.lengths[k]) < mpmath.mpf(10) ** (5 - _DPS)
     return angles
 
 
@@ -295,7 +295,7 @@ def tiling_indices(cf, n):
     return list(range(qn + qn1)), intervals
 
 
-def tiling_is_partition(cf, n, dps=_DPS):
+def tiling_is_partition(cf, n):
     """Check exactly (in angle coordinates) that P_n tiles the circle.
 
     A valid tiling means: when the q_n + q_{n+1} vertex angles {k*theta}
@@ -305,13 +305,13 @@ def tiling_is_partition(cf, n, dps=_DPS):
     """
     import numpy as np
 
-    conv = convergents(cf, n + 1, dps=dps)
+    conv = convergents(cf, n + 1)
     vertex_ks, intervals = tiling_indices(cf, n)
     m = len(vertex_ks)
     ln, ln1 = float(conv.lengths[n]), float(conv.lengths[n + 1])
     # float64 positions are exact for this purpose as long as the
     # accumulated round-off m*eps stays far below the smallest gap
-    th = float(cf.value_mp(dps))
+    th = float(cf.value_mp())
     err = m * th * 2.0 ** -52
     if err > 2e-2 * ln1:
         raise ValueError("depth too large for float64 angle separation")

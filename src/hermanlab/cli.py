@@ -164,15 +164,18 @@ def cmd_tune(args):
     return 0
 
 
+def _tune_depth(depth):
+    """Newton ladder depth for a working depth: at least the default 16, at most 31;
+    tuning shallower than the use depth leaves the deep combinatorics unresolved."""
+    return min(max(depth + 2, 16), 31)
+
+
 def _tuned_map(args, theta):
     if args.param is not None:
         return maps.herman_family(args.d0, args.dinf, _parse_complex(args.param))
-    # ladder at least to the default depth; deeper when the requested
-    # working depth needs it (tuning shallower than the use depth
-    # leaves the deep combinatorics unresolved)
     m = None
     if getattr(args, "depth", None):
-        m = min(max(args.depth + 2, 16), 31)
+        m = _tune_depth(args.depth)
     res = _tune(args.d0, args.dinf, theta, m=m)
     return maps.herman_family(args.d0, args.dinf, res.parameter)
 
@@ -193,8 +196,7 @@ def cmd_geometry(args):
     conv = cfrac.convergents(theta, 40)
     depth = max(n for n in range(1, 40) if conv.q[n] <= len(ks) + 1)
     c = curve_mod.HermanCurve(ks=ks, angles=angles, points=pts, theta=theta,
-                              critical_point=complex(args.critical_point),
-                              d0=None, dinf=None, depth=depth)
+                              critical_point=complex(args.critical_point), depth=depth)
     angle, disp = curve_mod.critical_angle(c)
     bt, pair = curve_mod.bounded_turning(c)
     report = {
@@ -353,29 +355,30 @@ def cmd_pipeline(args):
             print("pipeline failed at stage %r: %s" % (name, e), file=sys.stderr)
             raise _StageFailure()
 
+    depth = cfg.get("trace_depth", 16)
+    N = cfg.get("renorm_depth", min(depth - 2, 14))
+
     try:
         def do_tune():
             seed = cfg.get("seed")
             if isinstance(seed, list):
                 seed = complex(*seed)
-            return _tune(d0, dinf, theta, seed, m=cfg.get("tune_depth"), tol=cfg.get("tol"))
+            return _tune(d0, dinf, theta, seed, tol=cfg.get("tol"),
+                         m=cfg.get("tune_depth", _tune_depth(max(depth, N))))
         tuned = stage("tune", do_tune)
         report["parameter"] = [tuned.parameter.real, tuned.parameter.imag]
         m = maps.herman_family(d0, dinf, tuned.parameter)
 
         def do_verify():
-            ver = report["verify"] = rotation.verify_herman(
-                m, theta, min(12, cfg.get("trace_depth", 12)))
+            ver = report["verify"] = rotation.verify_herman(m, theta, min(12, depth))
             if not ver["all"]:
                 raise RuntimeError("Herman curve checks failed: %s" % ver)
         stage("verify", do_verify)
 
-        depth = cfg.get("trace_depth", 16)
         c = stage("trace", lambda: curve_mod.trace(m, theta, depth, precision=prec))
         _write_curve_csv(c, os.path.join(outdir, "curve.csv"))
 
         def do_scaling():
-            N = cfg.get("renorm_depth", min(depth - 2, 14))
             rep = renorm.scaling_ratios(m, theta, N, precision=prec)
             with open(os.path.join(outdir, "ratios.csv"), "w") as fh:
                 fh.write("n,re_s,im_s,abs_s\n")

@@ -26,10 +26,7 @@ class HermanCurve:
     points: np.ndarray      # f^k(critical_point)
     theta: ContinuedFraction
     critical_point: complex
-    d0: int | None
-    dinf: int | None
     depth: int              # trace depth n (q_n vertices)
-    map: object = None
 
     def __len__(self):
         return len(self.ks)
@@ -90,8 +87,9 @@ def _critical_orbit(map_, ks, z0, precision):
     return pts
 
 
-def trace(map_, theta, n, critical_point=1.0, check=True, precision="double"):
-    """Trace the Herman curve to depth n: the q_n first orbit points of c.
+def trace(map_, theta, n, check=True, precision="double"):
+    """Trace the Herman curve to depth n: the q_n first orbit points of the
+    critical point 1.
 
     Vertices are sorted by conjugacy angle {k*theta}; for maps with
     d0 == dinf (Blaschke members, whose curve is the unit circle) they are
@@ -103,19 +101,19 @@ def trace(map_, theta, n, critical_point=1.0, check=True, precision="double"):
     conv = convergents(theta, n)
     qn = conv.q[n]
     ks = np.arange(1, qn, dtype=np.int64)
-    pts = _critical_orbit(map_, ks, critical_point, precision)
+    pts = _critical_orbit(map_, ks, 1.0, precision)
     ks = np.concatenate([[0], ks])
-    pts = np.concatenate([[complex(critical_point)], pts])
+    pts = np.concatenate([[1.0 + 0.0j], pts])
     th = theta.value_float()
     angles = (ks * th) % 1.0
     if map_.d0 is not None and map_.d0 == map_.dinf:
-        order = np.argsort(np.angle(pts / complex(critical_point)) % (2 * math.pi),
-                           kind="stable")
+        # dividing by the critical point 1+0j can change the sign of a zero
+        # imaginary part, and with it the argument and the order
+        order = np.argsort(np.angle(pts / (1.0 + 0.0j)) % (2 * math.pi), kind="stable")
     else:
         order = np.argsort(angles, kind="stable")
     curve = HermanCurve(ks=ks[order], angles=angles[order], points=pts[order],
-                        theta=theta, critical_point=complex(critical_point),
-                        d0=map_.d0, dinf=map_.dinf, depth=n, map=map_)
+                        theta=theta, critical_point=1.0 + 0.0j, depth=n)
     if check:
         scale = float(np.max(np.abs(curve.points - np.mean(curve.points))))
         # vertex-dynamics spot check on a subsample
@@ -170,7 +168,7 @@ def _accelerate(phis):
     return out if out else phis
 
 
-def critical_angle(curve, inward_direction=None):
+def critical_angle(curve):
     """Interior angle of the curve at the critical point, in radians.
 
     The closest returns c_{q_k} approach the critical point along two
@@ -197,16 +195,14 @@ def critical_angle(curve, inward_direction=None):
     disp = abs(ae[-1] - ae[-2]) + abs(ao[-1] - ao[-2]) if len(ae) > 1 and len(ao) > 1 \
         else float("nan")
     # two complementary sectors; pick the one containing the inward direction
-    if inward_direction is None:
-        inward_direction = cmath.phase(-curve.critical_point)  # towards 0
     width = (phi_e - phi_o) % (2 * math.pi)
-    inw = (inward_direction - phi_o) % (2 * math.pi)
+    inw = (cmath.phase(-curve.critical_point) - phi_o) % (2 * math.pi)  # towards 0
     angle = width if inw <= width else 2 * math.pi - width
     return angle, disp
 
 
-def bounded_turning(curve, pair_samples=4000, rng_seed=7):
-    """Max over sampled vertex pairs of diam(shorter arc) / |a - b|.
+def bounded_turning(curve):
+    """Max over 4000 sampled vertex pairs of diam(shorter arc) / |a - b|.
 
     The bounded-turning (Ahlfors) constant of the traced curve; finite
     for quasicircles.  Returns (constant, (i, j)) with the maximizing
@@ -214,9 +210,9 @@ def bounded_turning(curve, pair_samples=4000, rng_seed=7):
     """
     pts = curve.points
     m = len(pts)
-    rng = np.random.default_rng(rng_seed)
-    ii = rng.integers(0, m, size=pair_samples)
-    jj = rng.integers(0, m, size=pair_samples)
+    rng = np.random.default_rng(7)
+    ii = rng.integers(0, m, size=4000)
+    jj = rng.integers(0, m, size=4000)
     best = 0.0
     best_pair = (0, 0)
     for i, j in zip(ii, jj):
@@ -251,12 +247,12 @@ def _diameter(pts):
     return float(np.max(np.abs(pts[:, None] - cand[None, :])))
 
 
-def beta_number(curve, x, r, refine_steps=41):
+def beta_number(curve, x, r):
     """Jones beta number: (1/r) * min over lines of max sample distance.
 
     Samples are the curve vertices inside D(x, r); the line search uses
     the principal axis through the centroid plus a 1-D sweep over
-    parallel offsets and small angle perturbations.
+    parallel offsets and 41 small angle perturbations.
     """
     x = complex(x)
     pts = curve.points[np.abs(curve.points - x) <= r]
@@ -268,7 +264,7 @@ def beta_number(curve, x, r, refine_steps=41):
     axis = vt[0]
     theta0 = math.atan2(axis[1], axis[0])
     best = math.inf
-    for dth in np.linspace(-0.2, 0.2, refine_steps):
+    for dth in np.linspace(-0.2, 0.2, 41):
         th = theta0 + dth
         nvec = np.array([-math.sin(th), math.cos(th)])
         proj = (xy - ctr) @ nvec

@@ -19,6 +19,7 @@ from . import _kernels
 BASIN0, BASIN_INF, UNDECIDED = 0, 1, 2
 
 GRID_MAGIC = b"HLGRID1"
+_R0, _RINF = 1e-6, 1e6  # classify's escape radii at 0 and infinity
 
 
 @dataclass
@@ -50,10 +51,10 @@ class GridClassification:
         return (x1 - x0) / w
 
 
-def classify(map_, window, resolution, maxiter=1000, r0=1e-6, rinf=1e6):
+def classify(map_, window, resolution, maxiter=1000):
     """Classify each pixel center by escape to the traps at 0 / infinity.
 
-    Labels: BASIN0 (|orbit| < r0), BASIN_INF (|orbit| > rinf), UNDECIDED
+    Labels: BASIN0 (|orbit| < 1e-6), BASIN_INF (|orbit| > 1e6), UNDECIDED
     (still wandering at maxiter) -- an outer approximation of J(f).
     """
     x0, y0, x1, y1 = window
@@ -65,9 +66,9 @@ def classify(map_, window, resolution, maxiter=1000, r0=1e-6, rinf=1e6):
     dy = (y1 - y0) / h
     labels, iters = _kernels.classify_kernel(
         map_.num, map_.den, float(x0), float(y0), dx, dy, w, h,
-        int(maxiter), float(r0), float(rinf))
+        int(maxiter), _R0, _RINF)
     return GridClassification(window=(x0, y0, x1, y1), labels=labels,
-                              escape_iters=iters, maxiter=maxiter, r0=r0, rinf=rinf)
+                              escape_iters=iters, maxiter=maxiter, r0=_R0, rinf=_RINF)
 
 
 def preimage_layers(map_, curve_points, depth, max_points=200000):
@@ -113,7 +114,7 @@ class InsufficientScalesError(ValueError):
     pass
 
 
-def _adjacent_spacing(points, quantile=0.95):
+def _adjacent_spacing(points):
     """Resolution floor of an ordered sample: a high quantile of adjacent gaps.
 
     The invariant measure on a Herman curve is singular, so the max gap
@@ -123,7 +124,7 @@ def _adjacent_spacing(points, quantile=0.95):
     gaps = np.abs(np.diff(points))
     wrap = abs(points[0] - points[-1])
     gaps = np.append(gaps, wrap)
-    return float(np.quantile(gaps, quantile))
+    return float(np.quantile(gaps, 0.95))
 
 
 def _dyadic_counts(points, levels, origin, diam, connect):
@@ -169,11 +170,10 @@ def _dyadic_counts(points, levels, origin, diam, connect):
     return out
 
 
-def box_dimension(points, eps_range=None, connect=False, spacing_quantile=0.95,
-                  min_levels=4):
+def box_dimension(points, eps_range=None, connect=False):
     """Box-counting dimension of a point set by least squares over dyadic scales.
 
-    The scale range spans the dyadic levels inside
+    The scale range spans the dyadic levels, at least 4 of them, inside
     [8 * point-spacing, diameter / 8] (point-spacing: 95th-percentile
     adjacent gap of the ordered samples), with a fixed grid origin at the
     lower-left corner of the bounding box.  connect=True counts boxes
@@ -187,7 +187,7 @@ def box_dimension(points, eps_range=None, connect=False, spacing_quantile=0.95,
     y = points.imag
     origin = (float(x.min()) - 1e-12, float(y.min()) - 1e-12)
     diam = max(float(x.max()) - origin[0], float(y.max()) - origin[1])
-    spacing = _adjacent_spacing(points, spacing_quantile)
+    spacing = _adjacent_spacing(points)
     if eps_range is None:
         # with connected counting the polyline interpolates through the
         # sampling gaps, so the floor can sit below the spacing scale
@@ -197,7 +197,7 @@ def box_dimension(points, eps_range=None, connect=False, spacing_quantile=0.95,
         lo_eps, hi_eps = min(eps_range), max(eps_range)
     levels = [lev for lev in range(1, 40)
               if lo_eps <= diam / 2 ** lev <= hi_eps]
-    if len(levels) < min_levels:
+    if len(levels) < 4:
         raise InsufficientScalesError(
             "only %d usable dyadic scales in [%.3g, %.3g]" % (len(levels), lo_eps, hi_eps))
     counts = _dyadic_counts(points, levels, origin, diam, connect)
@@ -314,26 +314,21 @@ _CURVE_RGB = (220, 30, 30)
 _PREIMAGE_RGB = (40, 170, 60)
 
 
-def render(grid, path, curve_overlay=None, preimage_overlays=(), palette=None,
-           shade_iters=True):
+def render(grid, path, curve_overlay=None, preimage_overlays=()):
     """Write a deterministic 8-bit P6 PPM image of the classification.
 
     Basins are shaded by escape iteration count; the traced curve is
     overlaid in red and preimage layers in green.
     """
-    pal = dict(_PALETTE)
-    if palette:
-        pal.update(palette)
     h, w = grid.labels.shape
     img = np.zeros((h, w, 3), dtype=np.uint8)
-    for lab, rgb in pal.items():
+    for lab, rgb in _PALETTE.items():
         img[grid.labels == lab] = rgb
-    if shade_iters:
-        it = grid.escape_iters.astype(np.float64)
-        shade = 0.55 + 0.45 * np.cos(0.35 * it)
-        for lab in (BASIN0, BASIN_INF):
-            m = grid.labels == lab
-            img[m] = np.clip(img[m] * shade[m][:, None], 0, 255).astype(np.uint8)
+    it = grid.escape_iters.astype(np.float64)
+    shade = 0.55 + 0.45 * np.cos(0.35 * it)
+    for lab in (BASIN0, BASIN_INF):
+        m = grid.labels == lab
+        img[m] = np.clip(img[m] * shade[m][:, None], 0, 255).astype(np.uint8)
 
     def put_points(pts, rgb):
         x0, y0, x1, y1 = grid.window

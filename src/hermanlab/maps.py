@@ -46,7 +46,6 @@ class RationalMap:
     d0: int | None = None
     dinf: int | None = None
     parameter: complex | None = None
-    kind: str = "generic"
     _deriv_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _plane: tuple = field(init=False, repr=False, compare=False)
     _chart: tuple = field(init=False, repr=False, compare=False)
@@ -78,6 +77,12 @@ class RationalMap:
         self._chart = (tuple(rn.tolist()), tuple(rd.tolist()), rd,
                        2.0 * float(np.sum(np.abs(rd))))
 
+    def __eq__(self, other):
+        if not isinstance(other, RationalMap):
+            return NotImplemented
+        return (np.array_equal(self.num, other.num) and np.array_equal(self.den, other.den)
+                and (self.d0, self.dinf, self.parameter) == (other.d0, other.dinf, other.parameter))
+
     def __setattr__(self, name, value):
         if name in ("num", "den") and "_plane" in self.__dict__:
             raise AttributeError("the coefficients of a RationalMap are fixed")
@@ -96,7 +101,10 @@ class RationalMap:
         """N(z)/D(z) as numpy complex128, bit-identical to numpy scalar
         arithmetic; PoleResult at a pole, ZeroDivisionError at a 0/0."""
         z = complex(z)
-        r = abs(z)  # inf if z is
+        try:
+            r = abs(z)  # inf if z is
+        except OverflowError:  # a finite |z| beyond the float range
+            return self._eval_inf_chart(z)
         if r > _INF_CHART:
             return self._eval_inf_chart(z)
         num, den, den_bound, den_deg = self._plane
@@ -215,8 +223,7 @@ def herman_family(d0, dinf, c):
     den = np.zeros(d0, dtype=np.complex128)
     for j in range(d0):
         den[j] = math.comb(m, j) * (-1) ** j
-    return RationalMap(num, den, d0=d0, dinf=dinf, parameter=complex(c),
-                       kind="herman_family")
+    return RationalMap(num, den, d0=d0, dinf=dinf, parameter=complex(c))
 
 
 def family_core(d0, dinf):
@@ -232,21 +239,18 @@ def blaschke(d, alpha):
     """Blaschke member B_{d,alpha} = F_{d,d} with parameter e^{2 pi i alpha}."""
     if d < 2:
         raise ValueError("need d >= 2")
-    c = cmath.exp(2j * math.pi * (alpha % 1.0))
-    f = herman_family(d, d, c)
-    f.kind = "blaschke"
-    return f
+    return herman_family(d, d, cmath.exp(2j * math.pi * (alpha % 1.0)))
 
 
 INF = complex(math.inf, 0.0)
 
 
-def critical_points(map_, cluster_tol=1e-3):
+def critical_points(map_):
     """Critical points with multiplicities, as a list of (point, mult).
 
-    Finite critical points are the roots of W = N'D - ND' (clustered to
-    recover multiplicities); the multiplicity at infinity is the
-    remainder of the 2*deg - 2 budget.
+    Finite critical points are the roots of W = N'D - ND' (clustered within
+    relative distance 1e-3 to recover multiplicities); the multiplicity at
+    infinity is the remainder of the 2*deg - 2 budget.
     """
     n, d = map_.num, map_.den
     w = _poly_sub(_poly_mul(_poly_deriv(n), d), _poly_mul(n, _poly_deriv(d)))
@@ -259,7 +263,7 @@ def critical_points(map_, cluster_tol=1e-3):
         for i in range(len(roots)):
             if used[i]:
                 continue
-            close = ~used & (np.abs(roots - roots[i]) < cluster_tol * max(1.0, abs(roots[i])))
+            close = ~used & (np.abs(roots - roots[i]) < 1e-3 * max(1.0, abs(roots[i])))
             cluster = roots[close]
             used |= close
             center = complex(cluster.mean())
@@ -298,24 +302,20 @@ def preimages(map_, w):
         except ZeroDivisionError:
             pass
         polished.append(complex(r))
-    residuals = []
     good = []
     for r in polished:
         fr = map_.eval(r)
         res = abs(fr - w) if np.isfinite(fr.real) else math.inf
-        residuals.append(res)
         if res < 1e-8 * (1.0 + abs(w)):
             good.append(r)
     result = PreimageList(good)
-    result.residuals = residuals
     result.missing = deg - len(good)
     return result
 
 
 class PreimageList(list):
-    """List of preimages with residual/missing-count metadata attached."""
+    """List of preimages with the count of missing ones attached."""
 
-    residuals: list = ()
     missing: int = 0
 
 

@@ -68,8 +68,9 @@ class LogLift:
         x[order] = psi / (2 * math.pi)
         self._table = x - 1j * np.log(np.abs(pts)) / (2 * math.pi)
 
-    def _match(self, z, tol=1e-6):
-        """Index k and integer shift m with z = x_k - m, or (None, None)."""
+    def _match(self, z):
+        """Index k and integer shift m with z = x_k - m to within 1e-6, or
+        (None, None)."""
         tab = getattr(self, "_table", None)
         if tab is None:
             return None, None
@@ -77,7 +78,7 @@ class LogLift:
         for cand in (zr, zr - 1.0, zr + 1.0):
             d = np.abs(tab - (cand + 1j * z.imag))
             k = int(np.argmin(d))
-            if d[k] < tol:
+            if d[k] < 1e-6:
                 return k, round(tab[k].real - z.real)
         return None, None
 
@@ -141,16 +142,16 @@ class CommutingPair:
         raise RuntimeError("height not found within %d steps" % max_steps)
 
 
-def _in_open_segment(z, a, b, perp_tol=0.35):
-    """Is z strictly inside segment (a, b)?  Tolerant transverse deviation
-
-    (the pair orbits live on a quasi-arc, not the straight chord)."""
+def _in_open_segment(z, a, b):
+    """Is z strictly inside segment (a, b), up to a transverse deviation
+    below 0.35 |b - a|?  (The pair orbits live on a quasi-arc, not the
+    straight chord.)"""
     d = b - a
     if d == 0:
         return False
     t = ((z - a) / d).real
     perp = abs(((z - a) / d).imag)
-    return 0.0 < t < 1.0 and perp < perp_tol
+    return 0.0 < t < 1.0 and perp < 0.35
 
 
 def commuting_pair(map_, theta, n, lift=None):
@@ -279,7 +280,7 @@ class ScalingReport:
     cauchy_factors: list = field(default_factory=list)
 
 
-def closest_return_displacements(f, theta, N, x0=None, precision="double"):
+def closest_return_displacements(f, theta, N, precision="double"):
     """c_{q_n} = f^{q_n}(c) - c for n <= N, in the plane chart.
 
     f may be a RationalMap (critical point z=1, orbit in precision "double"
@@ -297,7 +298,7 @@ def closest_return_displacements(f, theta, N, x0=None, precision="double"):
     if precision != "double":
         raise ValueError("circle-map lifts iterate in python floats: precision %r "
                          "is available only for rational maps" % precision)
-    xc = x0 if x0 is not None else getattr(f, "critical_point", 0.0)
+    xc = getattr(f, "critical_point", 0.0)
     out = {}
     x = xc
     k = 0

@@ -63,7 +63,6 @@ class CircleLift:
     """Degree-one lift F of a circle homeomorphism, as a real evaluator."""
 
     evaluator: object
-    source: object = None
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -109,32 +108,32 @@ def circle_lift(map_):
         d = (cmath.phase(w) / (2 * math.pi) - x) % 1.0
         return x + d
 
-    return CircleLift(F, source=map_)
+    return CircleLift(F)
 
 
-def rotation_number(lift, depth=40, x0=0.0, qcap=200000, rational_tol=1e-13):
-    """Bracket rho by Stern-Brocot bisection with exact sign tests.
+def rotation_number(lift, depth=40):
+    """Bracket rho by Stern-Brocot bisection with exact sign tests from x = 0.
 
     Returns (lo, hi) as Fractions with rho in [lo, hi]; if a periodic
     orbit is detected the two coincide.  depth counts mediant steps.
     """
     def signed(p, q):
-        # sign of F^q(x0) - x0 - p
-        x = x0
+        # sign of F^q(0) - p
+        x = 0.0
         for _ in range(q):
             xn = lift(x)
             if xn < x - 1e-12:
                 raise NonMonotoneLiftError("lift decreased along orbit")
             x = xn
-        return x - x0 - p
+        return x - p
 
     lo, hi = Fraction(0, 1), Fraction(1, 1)
     for _ in range(depth):
         med = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
-        if med.denominator > qcap:
+        if med.denominator > 200000:
             break
         s = signed(med.numerator, med.denominator)
-        if abs(s) < rational_tol:
+        if abs(s) < 1e-13:
             return med, med
         if s > 0:
             lo = med
@@ -143,8 +142,8 @@ def rotation_number(lift, depth=40, x0=0.0, qcap=200000, rational_tol=1e-13):
     return lo, hi
 
 
-def sign_rho_vs_theta(lift, theta_cf, qcap=_QCAP_DEFAULT, x0=0.0):
-    """Sign of rho(lift) - theta via alternating closest-return tests.
+def sign_rho_vs_theta(lift, theta_cf, qcap=_QCAP_DEFAULT):
+    """Sign of rho(lift) - theta via alternating closest-return tests from x = 0.
 
     theta_cf is theta as a ContinuedFraction, or the Convergents that
     ``_convergents`` built from it, so that a bisection tests every lift
@@ -152,7 +151,7 @@ def sign_rho_vs_theta(lift, theta_cf, qcap=_QCAP_DEFAULT, x0=0.0):
     at depth (rho within the deepest checked combinatorial length of theta).
     """
     conv = theta_cf if isinstance(theta_cf, Convergents) else _convergents(theta_cf)
-    x = x0
+    x = 0.0
     k = 0
     for n in range(1, len(conv.q)):
         if conv.q[n] > qcap:
@@ -160,7 +159,7 @@ def sign_rho_vs_theta(lift, theta_cf, qcap=_QCAP_DEFAULT, x0=0.0):
         while k < conv.q[n]:
             x = lift(x)
             k += 1
-        s = x - x0 - conv.p[n]
+        s = x - conv.p[n]
         # for odd n, q_n*theta - p_n < 0; rho > theta iff the return overshoots
         if n % 2 == 1 and s > 0:
             return 1
@@ -169,17 +168,16 @@ def sign_rho_vs_theta(lift, theta_cf, qcap=_QCAP_DEFAULT, x0=0.0):
     return 0
 
 
-def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT,
-                     bracket=(0.0, 1.0), max_iter=80):
-    """Bisection in alpha for any monotone one-parameter lift family."""
+def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT):
+    """Bisection in alpha over [0, 1] for any monotone one-parameter lift family."""
     theta = resolve_theta(theta)
     if theta.depth is not None and theta.depth < MIN_IRRATIONAL_DEPTH:
         raise ValueError("theta must be irrational (deep CF); rational input rejected")
     conv = _convergents(theta)
-    lo, hi = bracket
+    lo, hi = 0.0, 1.0
     it = 0
     undecided = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, 81):
         mid = 0.5 * (lo + hi)
         s = sign_rho_vs_theta(make_lift(mid), conv, qcap=qcap)
         if s > 0:
@@ -227,8 +225,8 @@ def _default_depth(conv):
     return len(conv.q) - 1
 
 
-def _newton_polish(num0, den, c, qm, tol=1e-14, max_iter=40, max_halvings=20):
-    """Damped Newton on G_m(c) = f_c^{q_m}(1) - 1.
+def _newton_polish(num0, den, c, qm, tol=1e-14):
+    """Damped Newton on G_m(c) = f_c^{q_m}(1) - 1 (40 steps of 20 halvings at most).
 
     Returns (c, |G|, steps, last_step): converged when either |G| < tol
     or the Newton step falls below parameter round-off (the residual has
@@ -240,7 +238,7 @@ def _newton_polish(num0, den, c, qm, tol=1e-14, max_iter=40, max_halvings=20):
         raise TuningError("orbit escaped during residual evaluation", last=c)
     steps = 0
     last_step = math.inf
-    for _ in range(max_iter):
+    for _ in range(40):
         if abs(r) < tol:
             break
         step = -r / dr
@@ -249,7 +247,7 @@ def _newton_polish(num0, den, c, qm, tol=1e-14, max_iter=40, max_halvings=20):
             break
         lam = 1.0
         moved = False
-        for _ in range(max_halvings):
+        for _ in range(20):
             cn = c + lam * step
             rn, drn = _kernels.tune_residual(num0, den, cn, qm, *_kernels.TRAPS)
             if rn == rn and abs(rn) < abs(r):
@@ -264,7 +262,7 @@ def _newton_polish(num0, den, c, qm, tol=1e-14, max_iter=40, max_halvings=20):
     return c, abs(r), steps, last_step
 
 
-def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12, verify_depth=None):
+def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
     """Newton-tune the (d0, dinf) family parameter to rotation number theta.
 
     seed: a complex starting parameter, or the string "preset" to use the
@@ -273,7 +271,7 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12, verify_depth=None)
     depth (default: smallest n with q_n >= 1000).  The ladder polishes
     G_k(c) = 0 for k = m0..m, which is continuation along the CF
     truncations of theta; the result at depth m realizes the closest-
-    return combinatorics of theta through time q_m.
+    return combinatorics of theta through time q_m, verified at depth min(m, 14).
     """
     theta = resolve_theta(theta)
     conv = _convergents(theta)
@@ -304,14 +302,14 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12, verify_depth=None)
         if prev is not None and abs(c - prev) > 0.05:
             raise TuningError("ladder jumped between roots at depth %d" % k, last=c)
         prev = c
-    map_ = herman_family(d0, dinf, c)
-    vrep = verify_herman(map_, theta, verify_depth or min(m, 14))
+    verify_depth = min(m, 14)
+    vrep = verify_herman(herman_family(d0, dinf, c), theta, verify_depth)
     return TuneResult(
         parameter=c,
         alpha=None,
         residual=residual,
         iterations=total_steps,
-        verified_depth=verify_depth or min(m, 14),
+        verified_depth=verify_depth,
         report={"family": (d0, dinf), "ladder_top": m, "verify": vrep},
     )
 
@@ -350,8 +348,8 @@ def verify_herman(map_, theta, n):
     (i) the orbit of the critical point 1 stays in 1e-3 < |z| < 1e3 for
     q_n iterates; (ii) the cyclic order of orbit arguments matches the
     cyclic order of {k theta}; (iii) closest returns f^{q_k}(1) alternate
-    sides of the critical point (plane-chart phases cluster into two
-    nearly-opposite directions, alternating with k).
+    sides of the critical point: each plane-chart phase lies nearer the
+    phase two levels on than the next one, whatever the critical angle.
     """
     theta = resolve_theta(theta)
     conv = convergents(theta, max(n + 1, 3))
@@ -379,7 +377,7 @@ def verify_herman(map_, theta, n):
     for i in range(len(phases) - 2):
         same = abs((phases[i] - phases[i + 2] + math.pi) % (2 * math.pi) - math.pi)
         opp = abs((phases[i] - phases[i + 1] + math.pi) % (2 * math.pi) - math.pi)
-        if same > math.pi / 2 or opp < math.pi / 2:
+        if not same < opp:
             ok = False
     checks["alternation"] = bool(ok and len(phases) >= 3)
     checks["all"] = checks["annulus"] and checks["cyclic_order"] and checks["alternation"]

@@ -84,6 +84,26 @@ def test_resolve_decimal_keeps_certified_quotients():
     assert e.value.quotients == [4]
 
 
+def exact_quotients(x, n):
+    """Independent oracle: the first n quotients of the exact rational value of x."""
+    out, x = [], Fraction(x)
+    while x and len(out) < n:
+        x = 1 / x
+        out.append(math.floor(x))
+        x -= out[-1]
+    return out
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=300, deadline=None)
+def test_resolve_decimal_keeps_only_exact_quotients(x):
+    try:
+        kept = resolve_theta(repr(x))
+    except RationalInputError as e:
+        kept = ContinuedFraction.from_quotients(e.certified)
+    assert kept.quotients(kept.depth) == exact_quotients(x, kept.depth)
+
+
 def test_gauss_shift_symbolic_and_float():
     assert gauss(GOLDEN).quotients(5) == [1] * 5
     g = gauss(BRONZE_ALT)

@@ -68,15 +68,17 @@ def test_tune_blaschke_json(capsys, tmp_path):
 def test_tune_reports_verify(capsys):
     """The Newton ladder's checks are in tune's JSON and decide its exit code;
     the bisection tuners run none."""
-    code, out, err = run(capsys, "tune", "--d0", "3", "--dinf", "2")
-    assert code == 0 and json.loads(out)["verify"]["all"] is True
+    for family in (["3", "2"], ["2", "3"]):
+        code, out, err = run(capsys, "tune", "--d0", family[0], "--dinf", family[1])
+        assert code == 0 and json.loads(out)["verify"]["all"] is True
     code, out, _ = run(capsys, "tune", "--d0", "2", "--dinf", "2", "--theta", "golden")
     assert code == 0 and json.loads(out)["verify"] is None
 
 
-def test_tune_fails_when_verify_fails(capsys):
-    # the shipped (2,3) preset tunes to a map whose curve checks fail
-    code, out, err = run(capsys, "tune", "--d0", "2", "--dinf", "3")
+def test_tune_fails_when_verify_fails(capsys, monkeypatch):
+    checks = {"annulus": False, "cyclic_order": False, "alternation": False, "all": False}
+    monkeypatch.setattr(rotation, "verify_herman", lambda *args: dict(checks))
+    code, out, err = run(capsys, "tune", "--d0", "3", "--dinf", "2")
     assert code == 1
     assert json.loads(out)["verify"]["all"] is False
     assert "cyclic_order" in err
@@ -203,6 +205,28 @@ def small_config(tmp_path, name, **extra):
         "renorm_depth": 8, "resolution": 96, "maxiter": 150,
         "outdir": str(tmp_path / name)}, **extra)))
     return cfg
+
+
+def test_pipeline_23_golden_passes_verify(capsys, tmp_path):
+    code, _, _ = run(capsys, "pipeline", "--config",
+                     str(small_config(tmp_path, "f", family=[2, 3])))
+    assert code == 0
+    report = json.loads((tmp_path / "f" / "report.json").read_text())
+    assert report["verify"]["all"] is True
+
+
+def test_pipeline_tunes_to_its_deepest_use(capsys, tmp_path):
+    """Without tune_depth the ladder reaches the depth trace and renorm use
+    (here m = 22), not the default 16, at which mu at N = 16 is noise."""
+    cfg = tmp_path / "d.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "family": [3, 2], "theta": "golden", "seed": "preset",
+        "trace_depth": 20, "renorm_depth": 16, "resolution": 32, "maxiter": 50,
+        "outdir": str(tmp_path / "d")}))
+    code, _, _ = run(capsys, "pipeline", "--config", str(cfg))
+    assert code == 0
+    report = json.loads((tmp_path / "d" / "report.json").read_text())
+    assert 0.65 < abs(complex(*report["mu"])) < 0.68 and report["mu_err"] < 0.01
 
 
 def test_tune_without_preset_is_config_error(capsys):

@@ -60,6 +60,15 @@ def test_critical_angle_symmetric(trace22_deep):
     assert angle == pytest.approx(math.pi, abs=0.0175)
 
 
+def test_critical_angle_23_golden():
+    """(2,3) is (3,2) seen from infinity: its angle is pi(2*2-1)/(2+3-1) = 3pi/4,
+    within criterion 4's tolerance for (3,2)."""
+    res = hl.tune_asymmetric(2, 3, "golden", "preset", m=31)
+    c = hl.trace(hl.herman_family(2, 3, res.parameter), "golden", 24, check=False)
+    angle, _ = hl.critical_angle(c)
+    assert abs(angle - 3 * math.pi / 4) < 0.0524
+
+
 def test_critical_angle_needs_depth(golden32):
     _, m = golden32
     c = hl.trace(m, "golden", 8)

@@ -82,6 +82,11 @@ def test_inversion_symmetry_23_is_conjugate_32():
         assert m23.eval(1 / z) == pytest.approx(1 / m32.eval(z), rel=1e-10)
 
 
+def test_maps_compare_by_coefficients_and_parameter():
+    assert herman_family(3, 2, -1 - 1j) == herman_family(3, 2, -1 - 1j)
+    assert herman_family(3, 2, -1 - 1j) != herman_family(3, 2, -1 - 1.5j)
+
+
 def test_blaschke_preserves_circle():
     m = blaschke(2, 0.6136486381292343)
     for t in np.linspace(0, 1, 37, endpoint=False):
@@ -94,6 +99,9 @@ def test_infinity_chart_agrees_with_plane_chart():
     for z in [1e9, 1e9 + 1e9j, -5e8j]:
         direct = B_FIG * z ** 3 * (4 - z) / (1 - 4 * z + 6 * z ** 2)
         assert m.eval(z) == pytest.approx(direct, rel=1e-6)
+    # |z| overflows a double but z does not: infinity is a pole, as at z = inf
+    assert isinstance(m.eval(1.5e308 + 1.5e308j), PoleResult)
+    assert isinstance(m.eval(complex(math.inf, 0.0)), PoleResult)
 
 
 def test_preimages_full_fiber():

@@ -123,6 +123,16 @@ def test_tune_blaschke_pinned():
     assert res.iterations == 32
 
 
+@pytest.mark.parametrize("d0,dinf", [(3, 2), (2, 2), (2, 3)])
+def test_conjugated_preset_seed_fails_cyclic_order(d0, dinf):
+    """z -> conj(z) conjugates F_c to F_conj(c) and reverses the curve's
+    orientation, so the conjugate seed tunes to rotation number 1 - theta."""
+    seed = hl.rotation.resolve_seed(d0, dinf, GOLDEN)
+    assert hl.tune_asymmetric(d0, dinf, GOLDEN, "preset", m=16).report["verify"]["all"]
+    res = hl.tune_asymmetric(d0, dinf, GOLDEN, seed.conjugate(), m=16)
+    assert res.report["verify"]["cyclic_order"] is False
+
+
 def test_rational_map_coefficients_are_frozen():
     m = hl.blaschke(2, 0.3)
     with pytest.raises(ValueError):
