@@ -1,12 +1,14 @@
 /* C translations of the orbit loops in _kernels.py (orbit_samples,
- * tune_residual).
+ * tune_residual) and of the escape-time classifier (classify_rows).
  *
  * Every complex operation is spelled out in real arithmetic exactly as
  * numpy evaluates it on complex128 scalars, in the reference's order, so
- * the results are bit-identical to the python loops:
+ * the results are bit-identical to the python references:
  *   product   (ar*br - ai*bi, ar*bi + ai*br)
  *   quotient  Smith's formula on the larger of |br|, |bi| (cdiv below)
- *   modulus   hypot
+ *   modulus   hypot (the orbit loops); the classifier compares
+ *             re*re + im*im with r*r instead, as its float-array
+ *             reference does
  * Build without -ffast-math and with -ffp-contract=off, so that no
  * product is fused into an add.
  *
@@ -135,4 +137,41 @@ int tune_residual(const double *num0, int64_t nnum, const double *den, int64_t n
     out[2] = w.re;
     out[3] = w.im;
     return 0;
+}
+
+/* Escape-time labels (0 inner, 1 outer, 2 undecided) and iteration counts
+ * of the pixel rows row0, row0 + stride, ... of the w x h grid whose pixel
+ * (ix, iy) is centred at (x0 + (ix + 0.5) dx, y0 + (iy + 0.5) dy), into the
+ * row-major labels and iters.  A pixel is labelled at the first iterate k
+ * with |z|^2 < r0^2 or |z|^2 > rinf^2, and a non-finite iterate is
+ * replaced by 2 rinf.  Rows are independent, so any split of the rows
+ * gives the same arrays. */
+void classify_rows(const double *num, int64_t nnum, const double *den, int64_t nden,
+                   double x0, double y0, double dx, double dy, int64_t w, int64_t h,
+                   int64_t maxiter, double r0, double rinf, int64_t row0, int64_t stride,
+                   uint8_t *labels, uint32_t *iters)
+{
+    double r02 = r0 * r0, rinf2 = rinf * rinf;
+    for (int64_t iy = row0; iy < h; iy += stride) {
+        double y = y0 + ((double)iy + 0.5) * dy;
+        for (int64_t ix = 0; ix < w; ix++) {
+            cplx z = {x0 + ((double)ix + 0.5) * dx, y};
+            uint8_t label = 2;
+            int64_t k;
+            for (k = 0; k < maxiter; k++) {
+                double m2 = z.re * z.re + z.im * z.im;
+                if (m2 < r02 || m2 > rinf2) {
+                    label = m2 < r02 ? 0 : 1;
+                    break;
+                }
+                z = cdiv(horner(num, nnum, z), horner(den, nden, z));
+                if (!isfinite(z.re) || !isfinite(z.im)) {
+                    z.re = 2.0 * rinf;
+                    z.im = 0.0;
+                }
+            }
+            labels[iy * w + ix] = label;
+            iters[iy * w + ix] = (uint32_t)k;
+        }
+    }
 }

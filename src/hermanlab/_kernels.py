@@ -2,21 +2,30 @@
 
 All kernels operate on rational maps given as ascending complex
 coefficient vectors (numerator, denominator).  Each kernel has one pure
-python/numpy reference: the private ``_orbit_samples`` and
-``_tune_residual``, and ``classify_kernel``.  ``orbit`` is
-``orbit_samples`` at every iterate.
+python/numpy reference: the private ``_orbit_samples``,
+``_tune_residual`` and ``_classify``.  ``orbit`` is ``orbit_samples`` at
+every iterate.
 
-``orbit_samples`` and ``tune_residual`` run a C translation of their
-reference (``_kernels.c``) when their coefficients are complex128.
-The C code spells out numpy's complex128 scalar arithmetic in real
-operations, in the reference's order, so its results are bit-identical.
-It is compiled with the system C compiler ``cc`` on first import and
-cached in ``$XDG_CACHE_HOME/hermanlab/`` (default ``~/.cache/hermanlab/``)
-under a hash of the source, the flags and the machine type.  Without a
-compiler, or if the build fails, the ``hermanlab`` logger records one
-warning and every kernel runs its reference; a cached library that
-cannot be loaded is rebuilt once.  ``BACKEND`` names the
-outcome: ``"c"`` or ``"numpy"``.  ``classify_kernel`` is numpy only.
+``orbit_samples``, ``tune_residual`` and ``classify_kernel`` run a C
+translation of their reference (``_kernels.c``) when their coefficients
+are complex128.  The C code spells out numpy's complex128 scalar
+arithmetic in real operations, in the reference's order, so its results
+are bit-identical.  ``_classify`` works on float64 real and imaginary
+arrays, one ufunc per real operation, because numpy's complex *array*
+multiply and modulus may round differently from the scalar formulas
+(fused multiply-adds, SIMD ``abs``); its labels compare
+|z|^2 = re*re + im*im with r0^2 and rinf^2, so they are the same on every
+host.  The C classifier splits the pixel rows over one thread per CPU in
+the process's affinity mask (row i to thread i mod n); ctypes releases
+the GIL during each call, and the arrays do not depend on n.
+
+The library is compiled with the system C compiler ``cc`` on first
+import and cached in ``$XDG_CACHE_HOME/hermanlab/`` (default
+``~/.cache/hermanlab/``) under a hash of the source, the flags and the
+machine type.  Without a compiler, or if the build fails, the
+``hermanlab`` logger records one warning and every kernel runs its
+reference; a cached library that cannot be loaded is rebuilt once.
+``BACKEND`` names the outcome: ``"c"`` or ``"numpy"``.
 """
 
 import ctypes
@@ -24,6 +33,7 @@ import hashlib
 import logging
 import os
 import platform
+import threading
 
 import numpy as np
 
@@ -95,6 +105,9 @@ def _load():
     lib.orbit_samples.restype = i64
     lib.tune_residual.argtypes = [ptr, i64, ptr, i64, ptr, ptr, f64, f64, i64, f64, f64, ptr]
     lib.tune_residual.restype = ctypes.c_int
+    lib.classify_rows.argtypes = [ptr, i64, ptr, i64, f64, f64, f64, f64, i64, i64, i64,
+                                  f64, f64, i64, i64, ptr, ptr]
+    lib.classify_rows.restype = None
     return lib
 
 
@@ -230,39 +243,99 @@ def _tune_residual(num0, den, c, qm, r0, rinf):
 def classify_kernel(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
     """Escape-time labels (0 inner, 1 outer, 2 undecided) and iteration counts.
 
-    Iterates all pixel centres of the w x h grid at once with an active
-    mask; a pixel is labelled at the first iterate inside a trap.
+    Pixel (ix, iy) of the w x h grid starts at its centre
+    (x0 + (ix + 0.5) dx, y0 + (iy + 0.5) dy).  It is labelled at the first
+    iterate k with |z|^2 < r0^2 or |z|^2 > rinf^2, which it counts, else it
+    stays undecided with count maxiter; a non-finite iterate (at a pole)
+    becomes 2 rinf.  The C loop splits the rows over one thread per CPU
+    this process may run on; the arrays do not depend on the split.
     """
-    xs = x0 + (np.arange(w) + 0.5) * dx
-    ys = y0 + (np.arange(h) + 0.5) * dy
-    z = (xs[None, :] + 1j * ys[:, None]).astype(np.complex128).ravel()
-    labels = np.full(z.shape, 2, dtype=np.uint8)
-    iters = np.full(z.shape, maxiter, dtype=np.uint32)
-    active = np.arange(z.size)
-    zz = z.copy()
-    for k in range(maxiter):
-        a = np.abs(zz)
-        inner = a < r0
-        outer = a > rinf
-        done = inner | outer
-        if done.any():
-            idx = active[done]
-            labels[idx[inner[done]]] = 0
-            labels[idx[outer[done]]] = 1
-            iters[idx] = k
-            keep = ~done
-            active = active[keep]
-            zz = zz[keep]
-            if active.size == 0:
-                break
-        nv = np.zeros_like(zz)
-        for j in range(len(num) - 1, -1, -1):
-            nv = nv * zz + num[j]
-        dv = np.zeros_like(zz)
-        for j in range(len(den) - 1, -1, -1):
-            dv = dv * zz + den[j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            zz = nv / dv
-        zz[~np.isfinite(zz)] = 2.0 * rinf
-    return labels.reshape(h, w), iters.reshape(h, w)
+    arrays = _c_arrays(num, den)
+    if arrays is None:
+        return _classify(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf)
+    return _classify_c(*arrays, x0, y0, dx, dy, w, h, maxiter, r0, rinf, _cpus())
 
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _classify_c(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf, workers):
+    """classify_kernel in C, row i computed by worker i mod workers: the
+    calling thread and workers - 1 others (ctypes releases the GIL)."""
+    labels = np.empty((h, w), dtype=np.uint8)
+    iters = np.empty((h, w), dtype=np.uint32)
+    stride = max(1, min(workers, h))
+    grid = (num.ctypes.data, len(num), den.ctypes.data, len(den), float(x0), float(y0),
+            float(dx), float(dy), int(w), int(h), int(maxiter), float(r0), float(rinf))
+    out = (labels.ctypes.data, iters.ctypes.data)
+    threads = [threading.Thread(target=_lib.classify_rows, args=(*grid, i, stride, *out))
+               for i in range(1, stride)]
+    for t in threads:
+        t.start()
+    _lib.classify_rows(*grid, 0, stride, *out)
+    for t in threads:
+        t.join()
+    return labels, iters
+
+
+def _horner_arrays(coeffs, re, im):
+    """Horner on float64 real and imaginary arrays, one ufunc per real
+    operation in the order of ``horner`` in _kernels.c."""
+    ar = np.zeros_like(re)
+    ai = np.zeros_like(re)
+    for c in reversed(coeffs):
+        ar, ai = ar * re - ai * im + c.real, ar * im + ai * re + c.imag
+    return ar, ai
+
+
+def _cdiv_arrays(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) elementwise by Smith's formula, as ``cdiv``
+    in _kernels.c; a zero divisor gives NaN where cdiv gives inf or NaN."""
+    big_re = np.abs(br) >= np.abs(bi)
+    rat = np.where(big_re, bi / br, br / bi)
+    scl = 1.0 / np.where(big_re, br + bi * rat, bi + br * rat)
+    re = np.where(big_re, ar + ai * rat, ar * rat + ai) * scl
+    im = np.where(big_re, ai - ar * rat, ai * rat - ar) * scl
+    return re, im
+
+
+def _classify(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
+    """Reference of classify_kernel: every undecided pixel at once, on float64
+    real and imaginary arrays.  Separate multiply and add ufuncs cannot fuse,
+    unlike numpy's complex array arithmetic, so this rounds as _kernels.c
+    does on every host."""
+    num = [complex(c) for c in num]
+    den = [complex(c) for c in den]
+    re = np.tile(x0 + (np.arange(w) + 0.5) * dx, h)
+    im = np.repeat(y0 + (np.arange(h) + 0.5) * dy, w)
+    labels = np.full(w * h, 2, dtype=np.uint8)
+    iters = np.full(w * h, maxiter, dtype=np.uint32)
+    active = np.arange(w * h)
+    r02, rinf2 = r0 * r0, rinf * rinf
+    # overflow and 0/0 are expected: a non-finite iterate becomes 2 rinf
+    with np.errstate(all="ignore"):
+        for k in range(maxiter):
+            m2 = re * re + im * im
+            inner = m2 < r02
+            outer = m2 > rinf2
+            done = inner | outer
+            if done.any():
+                labels[active[inner]] = 0
+                labels[active[outer]] = 1
+                iters[active[done]] = k
+                keep = ~done
+                active, re, im = active[keep], re[keep], im[keep]
+                if active.size == 0:
+                    break
+            nr, ni = _horner_arrays(num, re, im)
+            dr, di = _horner_arrays(den, re, im)
+            re, im = _cdiv_arrays(nr, ni, dr, di)
+            bad = ~(np.isfinite(re) & np.isfinite(im))
+            re[bad] = 2.0 * rinf
+            im[bad] = 0.0
+    return labels.reshape(h, w), iters.reshape(h, w)

@@ -339,6 +339,7 @@ def self_similarity(f, theta, period=2, N=None, precision="double"):
 
     theta must be of eventually-periodic type with even period s; the
     error bar is the magnitude of the last two accelerated differences.
+    Raises RuntimeError unless 0 < |mu| < 1 and the error bar is below |mu|.
     """
     theta = resolve_theta(theta)
     if theta.period is None:
@@ -359,6 +360,9 @@ def self_similarity(f, theta, period=2, N=None, precision="double"):
     rep.mu_err = err
     if not (0 < abs(mu) < 1):
         raise RuntimeError("self-similarity factor |mu|=%.4f outside (0,1)" % abs(mu))
+    if not err < abs(mu):
+        raise RuntimeError("self-similarity factor unresolved: mu_err=%.3g >= |mu|=%.3g"
+                           % (err, abs(mu)))
     return rep
 
 

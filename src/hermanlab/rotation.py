@@ -271,7 +271,9 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
     depth (default: smallest n with q_n >= 1000).  The ladder polishes
     G_k(c) = 0 for k = m0..m, which is continuation along the CF
     truncations of theta; the result at depth m realizes the closest-
-    return combinatorics of theta through time q_m, verified at depth min(m, 14).
+    return combinatorics of theta through time q_m, verified at depth
+    min(m - 1, 14): the return at time q_m is the one the ladder has just
+    driven onto the critical point, so its phase is round-off.
     """
     theta = resolve_theta(theta)
     conv = _convergents(theta)
@@ -302,7 +304,7 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
         if prev is not None and abs(c - prev) > 0.05:
             raise TuningError("ladder jumped between roots at depth %d" % k, last=c)
         prev = c
-    verify_depth = min(m, 14)
+    verify_depth = min(m - 1, 14)
     vrep = verify_herman(herman_family(d0, dinf, c), theta, verify_depth)
     return TuneResult(
         parameter=c,

@@ -84,6 +84,21 @@ def test_tune_fails_when_verify_fails(capsys, monkeypatch):
     assert "cyclic_order" in err
 
 
+def test_tune_shallow_ladder_verifies_below_its_top(capsys):
+    """An explicit seed climbs to m = 6 (q_6 = 13); verify stops at depth 5,
+    before the return the ladder has just put on the critical point."""
+    code, out, _ = run(capsys, "tune", "--d0", "3", "--dinf", "2", "--seed=" + B_FIG)
+    doc = json.loads(out)
+    assert code == 0 and doc["verified_depth"] == 5 and doc["verify"]["all"] is True
+
+
+def test_renorm_mu_refuses_unresolved_factor(capsys):
+    """Tuned only to m = 16, the map's mu at N = 16 is noise: mu_err > |mu|."""
+    code, out, err = run(capsys, "renorm", "mu", "--d0", "3", "--dinf", "2",
+                         "--param=-1.1442085964061983,-0.9644538043068728", "--depth", "16")
+    assert code == 1 and out == "" and "mu_err" in err
+
+
 def test_tune_decimal_theta_matches_named(capsys):
     """A decimal theta tunes to the same JSON as its name; a rational one is a
     configuration error."""

@@ -83,7 +83,8 @@ def test_tune_residual_agrees(map32):
 
 
 def test_classify_agrees(map32):
-    """classify_kernel against a scalar RationalMap.eval escape loop."""
+    """classify_kernel against a scalar RationalMap.eval escape loop that
+    compares |z|^2 with r0^2 and rinf^2."""
     w = h = 48
     maxiter, r0, rinf = 120, 1e-6, 1e6
     x0, y0, dx, dy = -2.0, -2.0, 4.0 / w, 4.0 / h
@@ -95,8 +96,9 @@ def test_classify_agrees(map32):
         for ix in range(w):
             z = complex(x0 + (ix + 0.5) * dx, y0 + (iy + 0.5) * dy)
             for k in range(maxiter):
-                if abs(z) < r0 or abs(z) > rinf:
-                    ref_labels[iy, ix] = 0 if abs(z) < r0 else 1
+                m2 = z.real ** 2 + z.imag ** 2
+                if m2 < r0 ** 2 or m2 > rinf ** 2:
+                    ref_labels[iy, ix] = 0 if m2 < r0 ** 2 else 1
                     ref_iters[iy, ix] = k
                     break
                 z = map32.eval(z)
@@ -214,6 +216,78 @@ def test_c_tune_residual_bit_equal(case, c):
     assert bits(out) == bits(ref)
 
 
+def pole_window(m, n=9, step=2.0 ** -10):
+    """(x0, y0, dx, dy, w, h) of an n x n window whose centre pixel starts
+    exactly on a real root of the map's denominator (it must have one)."""
+    roots = np.roots(m.den[::-1])
+    p = float(roots[np.argmin(np.abs(roots.imag))].real)
+    assert K._horner(m.den, complex(p)) == 0
+    x0, y0 = p - (n // 2 + 0.5) * step, -(n // 2 + 0.5) * step
+    assert x0 + (n // 2 + 0.5) * step == p and y0 + (n // 2 + 0.5) * step == 0.0
+    return x0, y0, step, step, n, n
+
+
+def family(d0, dinf):
+    return hl.herman_family(d0, dinf, B_FIG)
+
+
+def classify_checked(*args):
+    """classify_kernel's arrays, asserted equal to the reference's."""
+    out, ref = K.classify_kernel(*args), K._classify(*args)
+    assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
+    return out
+
+
+@needs_c
+def test_c_classify_bit_equal():
+    """The C classifier equals the float-array reference on the (3,2), (2,2)
+    and (3,3) maps, on the standard window and on a zoom around the (3,2)
+    pole (1 - i/sqrt(2))/3; on the (2,2) map's pole at 1/3 the quotient is
+    not finite, becomes 2 rinf and escapes at the next iterate."""
+    for d0, dinf in ((3, 2), (2, 2), (3, 3)):
+        m = family(d0, dinf)
+        for win in ((-2.0, -2.0, 4.0 / 96, 4.0 / 80, 96, 80, 150),
+                    (0.1, -0.6, 0.4 / 64, 0.4 / 64, 64, 64, 300)):
+            classify_checked(m.num, m.den, *win, 1e-6, 1e6)
+    m = family(2, 2)
+    labels, iters = classify_checked(m.num, m.den, *pole_window(m), 50, 1e-6, 1e6)
+    assert (labels[4, 4], iters[4, 4]) == (1, 1)
+
+
+@needs_c
+def test_c_classify_rows_split_independent(map32):
+    """One worker and three (h not a multiple of 3) give identical arrays."""
+    win = (map32.num, map32.den, -2.0, -2.0, 4.0 / 50, 4.0 / 47, 50, 47, 200, 1e-6, 1e6)
+    one, three = K._classify_c(*win, 1), K._classify_c(*win, 3)
+    assert one[0].dtype == np.uint8 and one[1].dtype == np.uint32
+    assert np.array_equal(one[0], three[0]) and np.array_equal(one[1], three[1])
+
+
+@st.composite
+def classify_case(draw):
+    """A small window of one of the three maps; for kind "edge" r0 or rinf is
+    the modulus of one pixel's centre or one ulp either side of it."""
+    m = family(*draw(st.sampled_from([(3, 2), (2, 2), (3, 3)])))
+    x0, y0 = draw(st.floats(-2.5, 2.0)), draw(st.floats(-2.5, 2.0))
+    dx, dy = draw(st.floats(1e-3, 0.5)), draw(st.floats(1e-3, 0.5))
+    w, h, maxiter = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(0, 80))
+    r0, rinf = 1e-6, 1e6
+    if draw(st.sampled_from(["free", "edge"])) == "edge":
+        x = x0 + (draw(st.integers(0, w - 1)) + 0.5) * dx
+        y = y0 + (draw(st.integers(0, h - 1)) + 0.5) * dy
+        a = float(np.sqrt(x * x + y * y))
+        a = draw(st.sampled_from([a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)]))
+        r0, rinf = draw(st.sampled_from([(a, np.inf), (0.0, a)]))
+    return m.num, m.den, x0, y0, dx, dy, w, h, maxiter, r0, rinf
+
+
+@needs_c
+@settings(max_examples=200, deadline=None)
+@given(classify_case())
+def test_c_classify_bit_equal_random_windows(case):
+    classify_checked(*case)
+
+
 @needs_c
 def test_c_kernels_bit_equal_on_deep_orbits(map32):
     """The tuned (3,2) golden map at orbit lengths of the tuning ladder."""
@@ -247,10 +321,13 @@ r, dr = K.tune_residual(num0, den, complex(-1.144208, -0.964454), 89, 1e-8, 1e8)
 orb, n = K.orbit(m.num, m.den, 1.0 + 0.0j, 500, 1e-8, 1e8)
 ks = np.array([1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144], dtype=np.int64)
 smp, ns = K.orbit_samples(m.num, m.den, 1.0 + 0.0j, ks, 1e-8, 1e8)
+lab, its = K.classify_kernel(m.num, m.den, -2.0, -2.0, 4.0 / 48, 4.0 / 40, 48, 40, 150,
+                             1e-6, 1e6)
 print(json.dumps({"backend": K.BACKEND, "records": records, "results": [
     [x.hex() for x in (r.real, r.imag, dr.real, dr.imag)],
     n, hashlib.sha256(orb[:n].tobytes()).hexdigest(),
-    ns, hashlib.sha256(smp.tobytes()).hexdigest()]}))
+    ns, hashlib.sha256(smp.tobytes()).hexdigest(),
+    hashlib.sha256(lab.tobytes() + its.tobytes()).hexdigest()]}))
 """
 
 

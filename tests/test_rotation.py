@@ -96,6 +96,15 @@ def test_preset_seed_refuses_unknown_name():
         hl.tune_asymmetric(3, 2, "golden", "bogus", m=12)
 
 
+@pytest.mark.parametrize("m", [6, 8, 11, 14, 15, 16])
+def test_shallow_ladder_verifies_below_its_top(m):
+    """The ladder top's return sits on the critical point, so verify stops one
+    level short of it, and at 14 for deep ladders."""
+    res = hl.tune_asymmetric(3, 2, "golden", complex(-1.144208, -0.964454), m=m)
+    assert res.verified_depth == min(m - 1, 14)
+    assert res.report["verify"]["all"] is True
+
+
 def test_sign_rho_vs_theta_accepts_convergents():
     th = GOLDEN.value_float()
     conv = hl.rotation._convergents(GOLDEN)
