@@ -1,5 +1,7 @@
 /* C translations of the orbit loops in _kernels.py (orbit_samples,
- * tune_residual) and of the escape-time classifier (classify_rows).
+ * tune_residual), of the escape-time classifier (classify_rows), of the
+ * arc diameters behind the bounded-turning constant (arc_ratios) and of
+ * the exact Euclidean distance transform (distance_transform).
  *
  * Every complex operation is spelled out in real arithmetic exactly as
  * numpy evaluates it on complex128 scalars, in the reference's order, so
@@ -172,6 +174,189 @@ void classify_rows(const double *num, int64_t nnum, const double *den, int64_t n
             }
             labels[iy * w + ix] = label;
             iters[iy * w + ix] = (uint32_t)k;
+        }
+    }
+}
+
+/* Insert arc point t with coordinate x into the lowest (keep_lowest) or
+ * highest (keep_highest) 8 points seen so far, n of them filled, the most
+ * extreme first.  Points arrive in increasing t and the keys are (x, t),
+ * so ties go by position as a stable sort orders them: among equal x the
+ * lowest 8 keep the earliest points and the highest 8 the latest. */
+static inline void keep_lowest(int64_t *idx, double *key, int64_t *n, double x, int64_t t)
+{
+    int64_t k = *n;
+    if (k == 8) {
+        if (!(x < key[7]))
+            return;
+        k = 7;
+    } else {
+        (*n)++;
+    }
+    while (k > 0 && x < key[k - 1]) {
+        key[k] = key[k - 1];
+        idx[k] = idx[k - 1];
+        k--;
+    }
+    key[k] = x;
+    idx[k] = t;
+}
+
+static inline void keep_highest(int64_t *idx, double *key, int64_t *n, double x, int64_t t)
+{
+    int64_t k = *n;
+    if (k == 8) {
+        if (x < key[7])
+            return;
+        k = 7;
+    } else {
+        (*n)++;
+    }
+    while (k > 0 && !(x < key[k - 1])) {
+        key[k] = key[k - 1];
+        idx[k] = idx[k - 1];
+        k--;
+    }
+    key[k] = x;
+    idx[k] = t;
+}
+
+/* Diameter estimate of the arc whose point t is pts[(start + t*step) % m],
+ * t = 0..len-1: the largest distance from any arc point to the 8 lowest
+ * and 8 highest points of each axis.  Squared distances are summed in a
+ * frame scaled by the power of two 2^k that brings the larger axis range
+ * into [0.5, 1) (k clamped to [-1022, 1023]), so that neither narrow nor
+ * wide arcs underflow or overflow; the root of the largest one is scaled
+ * back. */
+static double arc_diameter(const double *pts, int64_t m, int64_t start, int64_t step,
+                           int64_t len)
+{
+    int64_t idx[4][8], n[4] = {0, 0, 0, 0};
+    double key[4][8];
+    for (int64_t t = 0; t < len; t++) {
+        const double *p = pts + 2 * ((start + t * step) % m);
+        keep_lowest(idx[0], key[0], &n[0], p[0], t);
+        keep_highest(idx[1], key[1], &n[1], p[0], t);
+        keep_lowest(idx[2], key[2], &n[2], p[1], t);
+        keep_highest(idx[3], key[3], &n[3], p[1], t);
+    }
+    double spread = fmax(key[1][0] - key[0][0], key[3][0] - key[2][0]);
+    int e;
+    frexp(spread, &e);
+    int k = -e < -1022 ? -1022 : (-e > 1023 ? 1023 : -e);
+    double scale = ldexp(1.0, k);
+    double cand[32][2];
+    int64_t nc = 0;
+    for (int a = 0; a < 4; a++) {
+        for (int64_t c = 0; c < n[a]; c++) {
+            const double *p = pts + 2 * ((start + idx[a][c] * step) % m);
+            cand[nc][0] = p[0];
+            cand[nc][1] = p[1];
+            nc++;
+        }
+    }
+    double best = 0.0;
+    for (int64_t t = 0; t < len; t++) {
+        const double *p = pts + 2 * ((start + t * step) % m);
+        for (int64_t c = 0; c < nc; c++) {
+            double sx = (p[0] - cand[c][0]) * scale;
+            double sy = (p[1] - cand[c][1]) * scale;
+            double sq = sx * sx + sy * sy;
+            if (sq > best)
+                best = sq;
+        }
+    }
+    return sqrt(best) / scale;
+}
+
+/* For the vertex pairs p = p0, p0 + stride, ... below npairs, the ratio of
+ * the diameter of the shorter arc of the closed polygon pts[0..m) between
+ * ii[p] and jj[p] to their chord |pts[ii[p]] - pts[jj[p]]| (hypot), or 0
+ * for a zero chord.  The inner arc lo..hi is taken when hi - lo <= m -
+ * (hi - lo), else the outer one hi..m-1, 0..lo; an arc of more than 512
+ * points keeps every (len / 512)-th.  Pairs are independent, so any split
+ * gives the same ratios. */
+void arc_ratios(const double *pts, int64_t m, const int64_t *ii, const int64_t *jj,
+                int64_t npairs, int64_t p0, int64_t stride, double *out)
+{
+    for (int64_t p = p0; p < npairs; p += stride) {
+        int64_t i = ii[p], j = jj[p];
+        double chord = hypot(pts[2 * i] - pts[2 * j], pts[2 * i + 1] - pts[2 * j + 1]);
+        if (chord == 0) {
+            out[p] = 0.0;
+            continue;
+        }
+        int64_t lo = i < j ? i : j, hi = i < j ? j : i;
+        int64_t inner = hi - lo, start, len;
+        if (inner <= m - inner) {
+            start = lo;
+            len = inner + 1;
+        } else {
+            start = hi;
+            len = m - inner + 1;
+        }
+        int64_t step = len > 512 ? len / 512 : 1;
+        out[p] = arc_diameter(pts, m, start, step, (len + step - 1) / step) / chord;
+    }
+}
+
+/* Exact Euclidean distance transform of the h x w row-major mask: out[y, x]
+ * is the distance from pixel (x, y) to the nearest pixel whose mask is 0,
+ * or +inf if there is none.  Meijster, Roerdink and Hesselink's two
+ * passes in integer arithmetic: g holds each pixel's distance to the
+ * nearest 0 in its column (w + h or more if the column has none), then a
+ * lower envelope of parabolas per row gives the squared distance, whose
+ * root is correctly rounded.  g is h*w scratch, s and t 2*w scratch. */
+void distance_transform(const uint8_t *mask, int64_t w, int64_t h, int64_t *g, int64_t *st,
+                        double *out)
+{
+    const int64_t inf = w + h;
+    if (w == 0 || h == 0)
+        return;
+    for (int64_t x = 0; x < w; x++)
+        g[x] = mask[x] ? inf : 0;
+    for (int64_t y = 1; y < h; y++)
+        for (int64_t x = 0; x < w; x++)
+            g[y * w + x] = mask[y * w + x] ? g[(y - 1) * w + x] + 1 : 0;
+    for (int64_t y = h - 2; y >= 0; y--)
+        for (int64_t x = 0; x < w; x++)
+            if (g[(y + 1) * w + x] < g[y * w + x])
+                g[y * w + x] = g[(y + 1) * w + x] + 1;
+    int64_t *s = st, *t = st + w;
+    for (int64_t y = 0; y < h; y++) {
+        const int64_t *gr = g + y * w;
+        int64_t q = 0;
+        s[0] = 0;
+        t[0] = 0;
+        for (int64_t u = 1; u < w; u++) {
+            /* pop the parabolas that u undercuts at the start of their segment */
+            while (q >= 0) {
+                int64_t a = t[q] - s[q], b = t[q] - u;
+                if (a * a + gr[s[q]] * gr[s[q]] <= b * b + gr[u] * gr[u])
+                    break;
+                q--;
+            }
+            if (q < 0) {
+                q = 0;
+                s[0] = u;
+            } else {
+                /* the first x at which u is strictly below s[q]: 1 + floor(sep),
+                 * where sep >= t[q] >= 0 since s[q] is no higher at t[q] */
+                int64_t v = s[q];
+                int64_t sep = (u * u - v * v + gr[u] * gr[u] - gr[v] * gr[v]) / (2 * (u - v));
+                if (sep + 1 < w) {
+                    q++;
+                    s[q] = u;
+                    t[q] = sep + 1;
+                }
+            }
+        }
+        for (int64_t u = w - 1; u >= 0; u--) {
+            int64_t a = u - s[q];
+            int64_t d2 = a * a + gr[s[q]] * gr[s[q]];
+            out[y * w + u] = d2 < inf * inf ? sqrt((double)d2) : INFINITY;
+            if (u == t[q])
+                q--;
         }
     }
 }

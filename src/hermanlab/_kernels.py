@@ -1,10 +1,12 @@
-"""Hot numerical kernels: the orbit loops behind tuning, tracing and rendering.
+"""Hot numerical kernels: the orbit loops behind tuning, tracing and
+rendering, and the geometry loops behind the curve and porosity measures.
 
-All kernels operate on rational maps given as ascending complex
+The orbit kernels operate on rational maps given as ascending complex
 coefficient vectors (numerator, denominator).  Each kernel has one pure
 python/numpy reference: the private ``_orbit_samples``,
-``_tune_residual`` and ``_classify``.  ``orbit`` is ``orbit_samples`` at
-every iterate.
+``_tune_residual``, ``_classify``, ``_arc_ratios`` and
+``_distance_transform``.  ``orbit`` is ``orbit_samples`` at every
+iterate.
 
 ``orbit_samples``, ``tune_residual`` and ``classify_kernel`` run a C
 translation of their reference (``_kernels.c``) when their coefficients
@@ -15,9 +17,20 @@ arrays, one ufunc per real operation, because numpy's complex *array*
 multiply and modulus may round differently from the scalar formulas
 (fused multiply-adds, SIMD ``abs``); its labels compare
 |z|^2 = re*re + im*im with r0^2 and rinf^2, so they are the same on every
-host.  The C classifier splits the pixel rows over one thread per CPU in
-the process's affinity mask (row i to thread i mod n); ctypes releases
-the GIL during each call, and the arrays do not depend on n.
+host.
+
+``arc_ratios`` (the bounded-turning constant's arc diameters over
+chords) and ``distance_transform`` (the exact Euclidean distance
+transform behind porosity) run C translations too.  An arc diameter is
+the square root of the largest squared distance, the squares summed in a
+frame scaled by a power of two, which no narrow arc underflows and no
+SIMD code rounds differently.  The distance transform works in integer
+squared distances and takes one correctly rounded square root of each.
+
+The C classifier splits the pixel rows, and ``arc_ratios`` the vertex
+pairs, over one thread per CPU in the process's affinity mask (item i to
+thread i mod n, ``_split``); ctypes releases the GIL during each call,
+and the results do not depend on n.
 
 The library is compiled with the system C compiler ``cc`` on first
 import and cached in ``$XDG_CACHE_HOME/hermanlab/`` (default
@@ -31,6 +44,7 @@ reference; a cached library that cannot be loaded is rebuilt once.
 import ctypes
 import hashlib
 import logging
+import math
 import os
 import platform
 import threading
@@ -108,6 +122,10 @@ def _load():
     lib.classify_rows.argtypes = [ptr, i64, ptr, i64, f64, f64, f64, f64, i64, i64, i64,
                                   f64, f64, i64, i64, ptr, ptr]
     lib.classify_rows.restype = None
+    lib.arc_ratios.argtypes = [ptr, i64, ptr, ptr, i64, i64, i64, ptr]
+    lib.arc_ratios.restype = None
+    lib.distance_transform.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
+    lib.distance_transform.restype = None
     return lib
 
 
@@ -264,51 +282,101 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _classify_c(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf, workers):
-    """classify_kernel in C, row i computed by worker i mod workers: the
-    calling thread and workers - 1 others (ctypes releases the GIL)."""
-    labels = np.empty((h, w), dtype=np.uint8)
-    iters = np.empty((h, w), dtype=np.uint32)
-    stride = max(1, min(workers, h))
-    grid = (num.ctypes.data, len(num), den.ctypes.data, len(den), float(x0), float(y0),
-            float(dx), float(dy), int(w), int(h), int(maxiter), float(r0), float(rinf))
-    out = (labels.ctypes.data, iters.ctypes.data)
-    threads = [threading.Thread(target=_lib.classify_rows, args=(*grid, i, stride, *out))
+def _split(fn, head, tail, n, workers):
+    """Run fn(*head, i, stride, *tail) for i < stride = min(workers, n), at
+    least 1, so that item k of n goes to call k mod stride: call 0 on the
+    calling thread, the others on threads of their own (ctypes releases
+    the GIL)."""
+    stride = max(1, min(workers, n))
+    threads = [threading.Thread(target=fn, args=(*head, i, stride, *tail))
                for i in range(1, stride)]
     for t in threads:
         t.start()
-    _lib.classify_rows(*grid, 0, stride, *out)
+    fn(*head, 0, stride, *tail)
     for t in threads:
         t.join()
+
+
+def _classify_c(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf, workers):
+    """classify_kernel in C, row i computed by worker i mod workers."""
+    labels = np.empty((h, w), dtype=np.uint8)
+    iters = np.empty((h, w), dtype=np.uint32)
+    grid = (num.ctypes.data, len(num), den.ctypes.data, len(den), float(x0), float(y0),
+            float(dx), float(dy), int(w), int(h), int(maxiter), float(r0), float(rinf))
+    _split(_lib.classify_rows, grid, (labels.ctypes.data, iters.ctypes.data), h, workers)
     return labels, iters
 
 
-def _horner_arrays(coeffs, re, im):
-    """Horner on float64 real and imaginary arrays, one ufunc per real
-    operation in the order of ``horner`` in _kernels.c."""
-    ar = np.zeros_like(re)
-    ai = np.zeros_like(re)
+def _horner_arrays(coeffs, re, im, ar, ai, t1, t2):
+    """Horner on float64 real and imaginary arrays into ar, ai (t1, t2 are
+    scratch of the same length), one ufunc per real operation in the order
+    of ``horner`` in _kernels.c."""
+    top = coeffs[-1]
+    if not any(x == 0 and math.copysign(1.0, x) < 0 for x in (top.real, top.imag)):
+        # on finite re, im the first step, (0*re - 0*im) + top.real and
+        # (0*im + 0*re) + top.imag, gives exactly top unless a part of it is -0.0
+        ar.fill(top.real)
+        ai.fill(top.imag)
+        coeffs = coeffs[:-1]
+    else:
+        ar.fill(0.0)
+        ai.fill(0.0)
     for c in reversed(coeffs):
-        ar, ai = ar * re - ai * im + c.real, ar * im + ai * re + c.imag
-    return ar, ai
+        # (ar*re - ai*im) + c.real, (ar*im + ai*re) + c.imag
+        np.multiply(ar, re, out=t1)
+        np.multiply(ai, im, out=t2)
+        np.subtract(t1, t2, out=t1)
+        np.multiply(ar, im, out=t2)
+        np.add(t1, c.real, out=ar)
+        np.multiply(ai, re, out=t1)
+        np.add(t2, t1, out=t2)
+        np.add(t2, c.imag, out=ai)
 
 
-def _cdiv_arrays(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi) elementwise by Smith's formula, as ``cdiv``
-    in _kernels.c; a zero divisor gives NaN where cdiv gives inf or NaN."""
-    big_re = np.abs(br) >= np.abs(bi)
-    rat = np.where(big_re, bi / br, br / bi)
-    scl = 1.0 / np.where(big_re, br + bi * rat, bi + br * rat)
-    re = np.where(big_re, ar + ai * rat, ar * rat + ai) * scl
-    im = np.where(big_re, ai - ar * rat, ai * rat - ar) * scl
-    return re, im
+def _cdiv_arrays(ar, ai, br, bi, re, im, small, rat, scl, t):
+    """(ar + i ai) / (br + i bi) elementwise by Smith's formula into re, im
+    (small, rat, scl and t are scratch), as ``cdiv`` in _kernels.c.  A zero
+    divisor gives NaN where cdiv gives inf or NaN."""
+    np.greater_equal(np.abs(br, out=rat), np.abs(bi, out=scl), out=small)
+    np.logical_not(small, out=small)   # |br| < |bi| or NaN, as cdiv branches
+    # rat = bi / br or br / bi
+    np.divide(bi, br, out=rat)
+    np.divide(br, bi, out=t)
+    np.copyto(rat, t, where=small)
+    # scl = 1 / (br + bi*rat) or 1 / (bi + br*rat)
+    np.multiply(bi, rat, out=scl)
+    np.add(br, scl, out=scl)
+    np.multiply(br, rat, out=t)
+    np.add(bi, t, out=t)
+    np.copyto(scl, t, where=small)
+    np.divide(1.0, scl, out=scl)
+    # re = (ar + ai*rat) * scl or (ar*rat + ai) * scl
+    np.multiply(ai, rat, out=re)
+    np.add(ar, re, out=re)
+    np.multiply(ar, rat, out=t)
+    np.add(t, ai, out=t)
+    np.copyto(re, t, where=small)
+    np.multiply(re, scl, out=re)
+    # im = (ai - ar*rat) * scl or (ai*rat - ar) * scl
+    np.multiply(ar, rat, out=im)
+    np.subtract(ai, im, out=im)
+    np.multiply(ai, rat, out=t)
+    np.subtract(t, ar, out=t)
+    np.copyto(im, t, where=small)
+    np.multiply(im, scl, out=im)
+
+
+# pixels per block of _classify's arithmetic: its seven 64 KB work arrays
+# stay in a core's L2 cache
+_BLOCK = 8192
 
 
 def _classify(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
     """Reference of classify_kernel: every undecided pixel at once, on float64
-    real and imaginary arrays.  Separate multiply and add ufuncs cannot fuse,
-    unlike numpy's complex array arithmetic, so this rounds as _kernels.c
-    does on every host."""
+    real and imaginary arrays, in blocks of _BLOCK pixels into preallocated
+    arrays.  Separate multiply and add ufuncs cannot fuse, unlike numpy's
+    complex array arithmetic, so this rounds as _kernels.c does on every
+    host."""
     num = [complex(c) for c in num]
     den = [complex(c) for c in den]
     re = np.tile(x0 + (np.arange(w) + 0.5) * dx, h)
@@ -317,6 +385,9 @@ def _classify(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
     iters = np.full(w * h, maxiter, dtype=np.uint32)
     active = np.arange(w * h)
     r02, rinf2 = r0 * r0, rinf * rinf
+    z = np.empty((2, w * h))
+    work = np.empty((7, min(_BLOCK, w * h)))
+    small = np.empty(work.shape[1], dtype=bool)
     # overflow and 0/0 are expected: a non-finite iterate becomes 2 rinf
     with np.errstate(all="ignore"):
         for k in range(maxiter):
@@ -332,10 +403,134 @@ def _classify(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
                 active, re, im = active[keep], re[keep], im[keep]
                 if active.size == 0:
                     break
-            nr, ni = _horner_arrays(num, re, im)
-            dr, di = _horner_arrays(den, re, im)
-            re, im = _cdiv_arrays(nr, ni, dr, di)
+            n = active.size
+            zr, zi = z[0, :n], z[1, :n]
+            # block a's quotient overwrites only its own pixels of re, im
+            for a in range(0, n, _BLOCK):
+                b = min(a + _BLOCK, n)
+                nr, ni, dr, di, t1, t2, t3 = work[:, :b - a]
+                _horner_arrays(num, re[a:b], im[a:b], nr, ni, t1, t2)
+                _horner_arrays(den, re[a:b], im[a:b], dr, di, t1, t2)
+                _cdiv_arrays(nr, ni, dr, di, zr[a:b], zi[a:b], small[:b - a], t1, t2, t3)
+            re, im = zr, zi
             bad = ~(np.isfinite(re) & np.isfinite(im))
             re[bad] = 2.0 * rinf
             im[bad] = 0.0
     return labels.reshape(h, w), iters.reshape(h, w)
+
+
+def arc_ratios(pts, ii, jj):
+    """diam(arc) / chord for each vertex pair (ii[p], jj[p]) of the closed
+    polygon pts, or 0 where the chord |pts[i] - pts[j]| (hypot) is 0.
+
+    The arc is the shorter of the two between the vertices, the inner
+    pts[lo..hi] on a tie, and an arc of more than 512 points keeps every
+    (len // 512)-th one.  Its diameter is estimated by _arc_diameter.
+    The C loop splits the pairs over one thread per CPU this process may
+    run on; the ratios do not depend on the split.
+    """
+    pts = np.ascontiguousarray(pts, dtype=np.complex128)
+    ii = np.ascontiguousarray(ii, dtype=np.int64)
+    jj = np.ascontiguousarray(jj, dtype=np.int64)
+    if ii.shape != jj.shape or ii.ndim != 1:
+        raise ValueError("ii and jj must be index vectors of one length")
+    if ii.size and not (min(ii.min(), jj.min()) >= 0 and max(ii.max(), jj.max()) < len(pts)):
+        raise IndexError("vertex index out of range")
+    if _lib is None:
+        return _arc_ratios(pts, ii, jj)
+    return _arc_ratios_c(pts, ii, jj, _cpus())
+
+
+def _arc_ratios_c(pts, ii, jj, workers):
+    """arc_ratios in C, pair p computed by worker p mod workers."""
+    out = np.empty(len(ii))
+    _split(_lib.arc_ratios, (pts.ctypes.data, len(pts), ii.ctypes.data, jj.ctypes.data, len(ii)),
+           (out.ctypes.data,), len(ii), workers)
+    return out
+
+
+def _arc_ratios(pts, ii, jj):
+    """Reference of arc_ratios."""
+    m = len(pts)
+    out = np.zeros(len(ii))
+    for p, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+        chord = np.hypot(pts[i].real - pts[j].real, pts[i].imag - pts[j].imag)
+        if chord == 0:
+            continue
+        lo, hi = min(i, j), max(i, j)
+        if hi - lo <= m - (hi - lo):
+            arc = pts[lo:hi + 1]
+        else:
+            arc = np.concatenate([pts[hi:], pts[:lo + 1]])
+        if len(arc) > 512:
+            arc = arc[:: len(arc) // 512]
+        out[p] = _arc_diameter(arc) / chord
+    return out
+
+
+def _arc_diameter(arc):
+    """Largest distance from a point of arc to its 8 lowest and 8 highest
+    points on each axis (ties by position, as a stable sort orders them):
+    between max(x-range, y-range) and the true diameter.
+
+    Squared distances are summed in a frame scaled by the power of two
+    2^k that brings the larger axis range into [0.5, 1), k clamped to
+    [-1022, 1023], so that no squared distance of a narrow or wide arc
+    underflows or overflows; one square root of the largest is scaled
+    back, as ``arc_diameter`` in _kernels.c does.
+    """
+    x, y = arc.real, arc.imag
+    ox, oy = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
+    cand = arc[np.concatenate([ox[:8], ox[-8:], oy[:8], oy[-8:]])]
+    _, e = math.frexp(max(x[ox[-1]] - x[ox[0]], y[oy[-1]] - y[oy[0]]))
+    scale = math.ldexp(1.0, min(max(-e, -1022), 1023))
+    sx = (x[:, None] - cand.real[None, :]) * scale
+    sy = (y[:, None] - cand.imag[None, :]) * scale
+    return float(np.sqrt(np.max(sx * sx + sy * sy))) / scale
+
+
+def distance_transform(mask):
+    """Exact Euclidean distance from each pixel of the 2-D mask to the
+    nearest pixel where the mask is false (0 there), or inf if it is true
+    everywhere.
+
+    Each distance is the correctly rounded square root of an integer
+    squared distance, so it equals scipy.ndimage.distance_transform_edt's
+    wherever the mask has a false pixel.
+    """
+    mask = np.ascontiguousarray(mask, dtype=bool)
+    if _lib is None:
+        return _distance_transform(mask)
+    h, w = mask.shape
+    out = np.empty((h, w))
+    scratch = np.empty((h, w), dtype=np.int64), np.empty(2 * w, dtype=np.int64)
+    _lib.distance_transform(mask.ctypes.data, w, h, *(a.ctypes.data for a in scratch),
+                            out.ctypes.data)
+    return out
+
+
+# "no false pixel" in _distance_transform's integer squared distances
+_FAR = 1 << 62
+
+
+def _distance_transform(mask):
+    """Reference of distance_transform: the squared distance to the nearest
+    false pixel of each column, then of each row (_parabola_min)."""
+    d2 = _parabola_min(_parabola_min(np.where(mask, _FAR, 0), 0), 1)
+    out = np.sqrt(d2.astype(np.float64))
+    out[d2 >= _FAR] = np.inf
+    return out
+
+
+def _parabola_min(f, axis):
+    """min over integer offsets d of d*d + f[i + d] along axis, for int64 f
+    >= 0; offsets stop once d*d reaches the largest minimum so far, which
+    no larger offset can lower."""
+    f = np.moveaxis(np.asarray(f, dtype=np.int64), axis, 0)
+    out = f.copy()
+    d = 1
+    while d < len(f) and d * d < out.max(initial=0):
+        np.minimum(out[d:], f[:-d] + d * d, out=out[d:])
+        np.minimum(out[:-d], f[d:] + d * d, out=out[:-d])
+        d += 1
+    return np.moveaxis(out, 0, axis)

@@ -88,16 +88,23 @@ def _write_curve_csv(c, path):
 
 def _read_curve_csv(path):
     ks, angles, res, ims = [], [], [], []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as e:
+        raise ConfigError("cannot read curve file: %s" % e)
+    with fh:
         header = fh.readline()
         if not header.startswith("k,angle"):
             raise ConfigError("not a curve CSV: %s" % path)
-        for line in fh:
-            k, a, re, im = line.strip().split(",")
-            ks.append(int(k))
-            angles.append(float(a))
-            res.append(float(re))
-            ims.append(float(im))
+        for n, line in enumerate(fh, 2):
+            try:
+                k, a, re, im = line.strip().split(",")
+                ks.append(int(k))
+                angles.append(float(a))
+                res.append(float(re))
+                ims.append(float(im))
+            except ValueError:
+                raise ConfigError("bad line %d of curve CSV %s: %r" % (n, path, line))
     pts = np.array(res) + 1j * np.array(ims)
     return np.array(ks), np.array(angles), pts
 
@@ -292,9 +299,20 @@ def cmd_dims(args):
 
 
 def cmd_porosity(args):
-    grid = julia.load_grid(args.grid)
-    radii = [float(t) for t in args.radii.split(",")]
-    prof = julia.porosity_profile(grid, complex(args.center_re, args.center_im), radii)
+    try:
+        grid = julia.load_grid(args.grid)
+    except (OSError, ValueError) as e:
+        raise ConfigError("cannot read grid file %s: %s" % (args.grid, e))
+    try:
+        radii = [float(t) for t in args.radii.split(",")]
+    except ValueError:
+        raise ConfigError("bad --radii %r (expected numbers separated by commas)" % args.radii)
+    center = complex(args.center_re, args.center_im)
+    try:
+        grid.pixel_of(center)
+    except ValueError as e:
+        raise ConfigError("centre %r: %s" % (center, e))
+    prof = julia.porosity_profile(grid, center, radii)
     _emit_json({
         "center": [prof.center.real, prof.center.imag],
         "radii": prof.radii,

@@ -208,43 +208,15 @@ def bounded_turning(curve):
     for quasicircles.  Returns (constant, (i, j)) with the maximizing
     sorted-order index pair.
     """
-    pts = curve.points
-    m = len(pts)
+    m = len(curve.points)
     rng = np.random.default_rng(7)
     ii = rng.integers(0, m, size=4000)
     jj = rng.integers(0, m, size=4000)
-    best = 0.0
-    best_pair = (0, 0)
-    for i, j in zip(ii, jj):
-        i, j = int(i), int(j)
-        a, b = pts[i], pts[j]
-        chord = abs(a - b)
-        if chord == 0:
-            continue
-        lo, hi = min(i, j), max(i, j)
-        inner = hi - lo
-        outer = m - inner
-        if inner <= outer:
-            arc = pts[lo:hi + 1]
-        else:
-            arc = np.concatenate([pts[hi:], pts[:lo + 1]])
-        # diameter of the arc, coarsened for long arcs
-        if len(arc) > 512:
-            arc = arc[:: len(arc) // 512]
-        d = _diameter(arc)
-        r = d / chord
-        if r > best:
-            best = r
-            best_pair = (i, j)
-    return best, best_pair
-
-
-def _diameter(pts):
-    """Max distance from any point to the 8 lowest and 8 highest points of
-    each axis: between max(x-range, y-range) and the true diameter."""
-    ox, oy = np.argsort(pts.real), np.argsort(pts.imag)
-    cand = pts[np.concatenate([ox[:8], ox[-8:], oy[:8], oy[-8:]])]
-    return float(np.max(np.abs(pts[:, None] - cand[None, :])))
+    ratios = _kernels.arc_ratios(curve.points, ii, jj)
+    k = int(np.argmax(ratios))   # the first maximum
+    if not ratios[k] > 0:        # no pair with a nonzero chord
+        return 0.0, (0, 0)
+    return float(ratios[k]), (int(ii[k]), int(jj[k]))
 
 
 def beta_number(curve, x, r):

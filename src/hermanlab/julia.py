@@ -234,17 +234,25 @@ def porosity_profile(grid, center, radii):
 
     For each radius r, finds the largest disk inside D(center, r)
     containing no UNDECIDED pixel, via an exact Euclidean distance
-    transform; at a deep point the ratios decay as r -> 0.
+    transform; at a deep point the ratios decay as r -> 0.  Without an
+    UNDECIDED pixel the whole disk is a hole and the ratio is 1.
     """
-    from scipy.ndimage import distance_transform_edt
-
     center = complex(center)
     px = grid.pixel_size()
     cx, cy = grid.pixel_of(center)
     h, w = grid.labels.shape
+    # The transform runs on the box of half-width half around the centre
+    # pixel.  It holds every pixel p within the largest radius R, and an
+    # UNDECIDED pixel outside it lies more than R + 1 from the centre, so
+    # more than r + 1 - |p - c| from p: min(dist, r - |p - c|) below is the
+    # same as on the whole grid.
+    rmax = max((r / px for r in radii if r / px >= 8), default=0.0)
+    half = int(min(rmax, h + w)) + 1
+    y0, y1 = max(cy - half, 0), min(cy + half + 1, h)
+    x0, x1 = max(cx - half, 0), min(cx + half + 1, w)
     # distance (in pixels) from each pixel to the nearest UNDECIDED pixel
-    dist = distance_transform_edt(grid.labels != UNDECIDED)
-    yy, xx = np.mgrid[0:h, 0:w]
+    dist = _kernels.distance_transform(grid.labels[y0:y1, x0:x1] != UNDECIDED)
+    yy, xx = np.mgrid[y0:y1, x0:x1]
     rad_to_center = np.hypot(xx - cx, yy - cy)
     ratios = []
     used = []
@@ -290,15 +298,21 @@ def save_grid(grid, path):
 
 
 def load_grid(path):
+    """A grid written by save_grid; ValueError if the file is not one."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(GRID_MAGIC))
-        if magic != GRID_MAGIC:
+        def read(n):
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError("truncated grid file")
+            return data
+
+        if fh.read(len(GRID_MAGIC)) != GRID_MAGIC:
             raise ValueError("not a grid file (bad magic)")
-        window = struct.unpack("<4d", fh.read(32))
-        w, h = struct.unpack("<2I", fh.read(8))
-        maxiter, r0, rinf = struct.unpack("<Idd", fh.read(20))
-        labels = np.frombuffer(fh.read(w * h), dtype="<u1").reshape(h, w).copy()
-        iters = np.frombuffer(fh.read(4 * w * h), dtype="<u4").reshape(h, w).copy()
+        window = struct.unpack("<4d", read(32))
+        w, h = struct.unpack("<2I", read(8))
+        maxiter, r0, rinf = struct.unpack("<Idd", read(20))
+        labels = np.frombuffer(read(w * h), dtype="<u1").reshape(h, w).copy()
+        iters = np.frombuffer(read(4 * w * h), dtype="<u4").reshape(h, w).copy()
     return GridClassification(window=window, labels=labels, escape_iters=iters,
                               maxiter=maxiter, r0=r0, rinf=rinf)
 

@@ -50,3 +50,10 @@ def trace22_deep(blaschke22_golden):
     """Depth-29 trace of the (2,2) golden curve, ordered by circle argument (d0 == dinf)."""
     _, m = blaschke22_golden
     return hl.trace(m, "golden", 29, check=False)
+
+
+@pytest.fixture(scope="session")
+def grid32_criterion10(golden32):
+    """Criterion 10's grid: the (3,2) golden map on [-2, 2]^2 at 2048^2, maxiter 400."""
+    _, m = golden32
+    return hl.classify(m, (-2.0, -2.0, 2.0, 2.0), 2048, maxiter=400)

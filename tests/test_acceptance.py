@@ -15,7 +15,7 @@ import pytest
 import hermanlab as hl
 from hermanlab.cfrac import GOLDEN, SILVER, convergents, tiling_is_partition, tiling_refines
 from hermanlab.cli import main as cli_main
-from hermanlab.julia import box_dimension, classify, porosity_profile
+from hermanlab.julia import box_dimension, porosity_profile
 from hermanlab.renorm import commuting_pair, log_lift, self_similarity
 
 C22_FIG = complex(-0.755700, -0.654917)
@@ -136,10 +136,8 @@ def test_criterion_09_tiling_and_ordering_invariants():
             "sides, n=2..16, golden and silver")
 
 
-def test_criterion_10_non_porosity_at_critical_point(golden32):
-    _, m = golden32
-    grid = classify(m, (-2.0, -2.0, 2.0, 2.0), 2048, maxiter=400)
-    prof = porosity_profile(grid, 1.0 + 0.0j, [0.8, 0.4, 0.2, 0.1])
+def test_criterion_10_non_porosity_at_critical_point(grid32_criterion10):
+    prof = porosity_profile(grid32_criterion10, 1.0 + 0.0j, [0.8, 0.4, 0.2, 0.1])
     ratios = prof.ratios
     violations = sum(b > a for a, b in zip(ratios, ratios[1:]))
     ok = len(ratios) == 4 and violations <= 1

@@ -299,3 +299,58 @@ def test_pipeline_report_names_backend_and_precision(capsys, tmp_path):
     report = json.loads((tmp_path / "r" / "report.json").read_text())
     assert report["backend"] == _kernels.BACKEND
     assert report["precision"] == "extended"
+
+
+def small_grid(tmp_path):
+    """A saved 32 x 32 grid on [-2, 2]^2, UNDECIDED on its middle row."""
+    from hermanlab.julia import BASIN0, UNDECIDED, GridClassification, save_grid
+
+    labels = np.full((32, 32), BASIN0, np.uint8)
+    labels[16] = UNDECIDED
+    path = tmp_path / "g.bin"
+    save_grid(GridClassification(window=(-2.0, -2.0, 2.0, 2.0), labels=labels,
+                                 escape_iters=np.zeros((32, 32), np.uint32),
+                                 maxiter=1, r0=1e-6, rinf=1e6), path)
+    return str(path)
+
+
+def test_porosity_centre_outside_window_is_config_error(capsys, tmp_path):
+    grid = small_grid(tmp_path)
+    code, _, _ = run(capsys, "porosity", "--grid", grid, "--center-re", "0",
+                     "--center-im", "0", "--radii", "1.5,1")
+    assert code == 0
+    code, out, err = run(capsys, "porosity", "--grid", grid, "--center-re", "3",
+                         "--center-im", "0", "--radii", "1.5,1")
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "outside window" in err
+
+
+def test_porosity_bad_radii_is_config_error(capsys, tmp_path):
+    code, _, err = run(capsys, "porosity", "--grid", small_grid(tmp_path), "--center-re", "0",
+                       "--center-im", "0", "--radii", "0.8,abc")
+    assert code == 2
+    assert err.startswith("config error:") and "0.8,abc" in err
+
+
+@pytest.mark.parametrize("argv", [["geometry", "--curve"], ["dims", "--points"],
+                                  ["porosity", "--center-re", "0", "--center-im", "0",
+                                   "--radii", "1", "--grid"]])
+def test_missing_input_file_is_config_error(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing")
+    code, out, err = run(capsys, *argv, missing)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and missing in err
+
+
+def test_unreadable_input_file_is_config_error(capsys, tmp_path):
+    """A grid with a bad magic or cut short, and a curve CSV with a bad line."""
+    grid = open(small_grid(tmp_path), "rb").read()
+    for name, data in (("magic.bin", b"NOTAGRID" + grid[8:]), ("head.bin", grid[:20]),
+                       ("data.bin", grid[:200])):
+        (tmp_path / name).write_bytes(data)
+        code, _, err = run(capsys, "porosity", "--grid", str(tmp_path / name),
+                           "--center-re", "0", "--center-im", "0", "--radii", "1")
+        assert code == 2 and err.startswith("config error:"), err
+    (tmp_path / "c.csv").write_text("k,angle,re,im\n0,0.1,1.0,0.0\n1,0.6,abc,0.0\n")
+    code, _, err = run(capsys, "dims", "--points", str(tmp_path / "c.csv"))
+    assert code == 2 and "line 3" in err

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import hermanlab as hl
 from hermanlab.cfrac import GOLDEN, convergents
-from hermanlab.curve import OrbitEscapeError, _aitken, _diameter
+from hermanlab._kernels import _arc_diameter
+from hermanlab.curve import OrbitEscapeError, _aitken
 
 
 def test_trace_vertex_dynamics_check(golden32):
@@ -100,7 +101,12 @@ def test_beta_number_flat_for_smooth_arc(blaschke22_golden):
 @settings(max_examples=200, deadline=None)
 def test_diameter_between_axis_range_and_pairwise_max(xy):
     pts = np.array([complex(x, y) for x, y in xy])
-    d = _diameter(pts)
+    d = _arc_diameter(pts)
     spread = max(np.ptp(pts.real), np.ptp(pts.imag))
-    brute = float(np.max(np.abs(pts[:, None] - pts[None, :])))
+    # the largest distance over all pairs, in the estimate's arithmetic:
+    # squares summed in the frame scaled by 2^k with 2^k spread in [0.5, 1)
+    scale = math.ldexp(1.0, min(max(-math.frexp(spread)[1], -1022), 1023))
+    sx = (pts.real[:, None] - pts.real[None, :]) * scale
+    sy = (pts.imag[:, None] - pts.imag[None, :]) * scale
+    brute = float(np.sqrt(np.max(sx * sx + sy * sy))) / scale
     assert spread <= d <= brute

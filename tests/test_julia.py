@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hermanlab as hl
+from hermanlab import _kernels
 from hermanlab.julia import (BASIN0, BASIN_INF, UNDECIDED, GridClassification,
                              InsufficientScalesError, box_dimension, classify,
                              load_grid, porosity_profile, preimage_layers,
@@ -126,24 +127,73 @@ def test_preimage_layers_sizes(golden32):
 
 # --- porosity on a synthetic grid ------------------------------------------
 
-def test_porosity_synthetic_oracle():
-    # everything UNDECIDED except a round Fatou disk of radius `a` pixels
-    # offset `d` pixels from the probe center: ratio(r) = a / r exactly
+def synthetic_grid():
+    """512^2 on [-1, 1]^2, everything UNDECIDED except a round Fatou disk of
+    radius 20 pixels whose centre is 60 pixels right of the grid's centre."""
     h = w = 512
     labels = np.full((h, w), UNDECIDED, np.uint8)
     yy, xx = np.mgrid[0:h, 0:w]
-    cx = cy = 256
-    a, d = 20.0, 60.0
-    labels[np.hypot(xx - (cx + d), yy - cy) <= a] = BASIN0
-    grid = GridClassification(window=(-1.0, -1.0, 1.0, 1.0), labels=labels,
+    labels[np.hypot(xx - (256 + 60.0), yy - 256) <= 20.0] = BASIN0
+    return GridClassification(window=(-1.0, -1.0, 1.0, 1.0), labels=labels,
                               escape_iters=np.zeros((h, w), np.uint32),
                               maxiter=1, r0=1e-6, rinf=1e6)
+
+
+def test_porosity_synthetic_oracle():
+    # probed at the grid's centre: ratio(r) = a / r exactly
+    grid = synthetic_grid()
+    a, d = 20.0, 60.0
     px = grid.pixel_size()
     prof = porosity_profile(grid, 0j, [200 * px, 120 * px, 100 * px, 2 * px])
     assert prof.skipped == [2 * px]
     for r, q in zip(prof.radii, prof.ratios):
         rpix = r / px
         assert q == pytest.approx(min(a, rpix - d) / rpix, abs=2.0 / rpix)
+
+
+def full_grid_ratios(grid, center, radii):
+    """porosity_profile's ratios from a distance transform of the whole grid."""
+    px = grid.pixel_size()
+    cx, cy = grid.pixel_of(complex(center))
+    h, w = grid.labels.shape
+    dist = _kernels.distance_transform(grid.labels != UNDECIDED)
+    yy, xx = np.mgrid[0:h, 0:w]
+    rad = np.hypot(xx - cx, yy - cy)
+    ratios = []
+    for r in sorted(radii, reverse=True):
+        rpix = r / px
+        if rpix >= 8:
+            inside = rad <= rpix
+            hole = np.minimum(dist[inside], rpix - rad[inside])
+            ratios.append(max(0.0, float(hole.max())) / rpix)
+    return ratios
+
+
+def test_porosity_crop_equals_full_grid_synthetic():
+    """At the centre, near the Fatou disk and near a corner, where the box
+    is cut by the grid's edge."""
+    grid = synthetic_grid()
+    px = grid.pixel_size()
+    radii = [300 * px, 200 * px, 120 * px, 100 * px, 30 * px, 9 * px, 2 * px]
+    for center in (0j, 0.23 + 0.01j, -0.97 + 0.95j):
+        prof = porosity_profile(grid, center, radii)
+        assert prof.ratios == full_grid_ratios(grid, center, radii)
+
+
+def test_porosity_crop_equals_full_grid_criterion10(grid32_criterion10):
+    radii = [0.8, 0.4, 0.2, 0.1]
+    prof = porosity_profile(grid32_criterion10, 1.0 + 0.0j, radii)
+    assert prof.ratios == full_grid_ratios(grid32_criterion10, 1.0 + 0.0j, radii)
+    assert [round(q, 4) for q in prof.ratios] == [0.1057, 0.0313, 0.0195, 0.0]
+
+
+def test_porosity_without_undecided_pixels_is_one():
+    """No UNDECIDED pixel: every disk is a hole and every ratio is 1."""
+    grid = synthetic_grid()
+    grid.labels[:] = BASIN_INF
+    px = grid.pixel_size()
+    prof = porosity_profile(grid, 0j, [200 * px, 50 * px])
+    assert prof.ratios == [1.0, 1.0]
 
 
 # --- IO ---------------------------------------------------------------------

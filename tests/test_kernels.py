@@ -241,12 +241,15 @@ def classify_checked(*args):
 @needs_c
 def test_c_classify_bit_equal():
     """The C classifier equals the float-array reference on the (3,2), (2,2)
-    and (3,3) maps, on the standard window and on a zoom around the (3,2)
+    and (3,3) maps, on the standard window at two sizes (128 x 72 pixels
+    span two of the reference's blocks) and on a zoom around the (3,2)
     pole (1 - i/sqrt(2))/3; on the (2,2) map's pole at 1/3 the quotient is
     not finite, becomes 2 rinf and escapes at the next iterate."""
+    assert 128 * 72 > K._BLOCK > 96 * 80
     for d0, dinf in ((3, 2), (2, 2), (3, 3)):
         m = family(d0, dinf)
         for win in ((-2.0, -2.0, 4.0 / 96, 4.0 / 80, 96, 80, 150),
+                    (-2.0, -2.0, 4.0 / 128, 4.0 / 72, 128, 72, 150),
                     (0.1, -0.6, 0.4 / 64, 0.4 / 64, 64, 64, 300)):
             classify_checked(m.num, m.den, *win, 1e-6, 1e6)
     m = family(2, 2)
@@ -302,6 +305,93 @@ def test_c_kernels_bit_equal_on_deep_orbits(map32):
     assert n == nref == 20000 and bits(out) == bits(ref)
 
 
+@st.composite
+def arc_case(draw):
+    """(pts, ii, jj): a closed polygon of m vertices and vertex pairs.
+
+    Coordinates are normal ("wide"), small integers with many ties
+    ("ties"), or integer multiples of 1e-160 or of the smallest subnormal,
+    whose squares underflow ("narrow").  The pairs include equal vertices
+    (zero chord), wrapping outer arcs, a tie of inner and outer arc, and
+    arcs of 512, 513 and up to 1023 points after coarsening."""
+    m = draw(st.sampled_from([2, 3, 9, 17, 200, 1100, 2100, 2200]))
+    kind = draw(st.sampled_from(["wide", "ties", "narrow"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "wide":
+        xy = rng.standard_normal((2, m)) * 10.0 ** rng.integers(-3, 4)
+    else:
+        xy = rng.integers(-3, 4, size=(2, m)).astype(np.float64)
+        if kind == "narrow":
+            xy *= draw(st.sampled_from([1e-160, 5e-324]))
+    pts = xy[0] + 1j * xy[1]
+    ii, jj = list(rng.integers(0, m, 40)), list(rng.integers(0, m, 40))
+    for i, j in [(0, 0), (0, m - 1), (m - 1, 1), (0, m // 2), (m // 3, m - 2),
+                 (0, 511), (0, 512), (5, 5 + 1022), (0, 1030), (m - 1, 600)]:
+        if max(i, j) < m:
+            ii.append(i)
+            jj.append(j)
+    return pts, np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64)
+
+
+@needs_c
+@settings(max_examples=150, deadline=None)
+@given(arc_case())
+def test_c_arc_ratios_bit_equal(case):
+    """The C arc ratios equal the reference's bit for bit, with 1 and 3 workers."""
+    pts, ii, jj = case
+    ref = K._arc_ratios(pts, ii, jj)
+    assert bits(K._arc_ratios_c(pts, ii, jj, 1)) == bits(ref)
+    assert bits(K._arc_ratios_c(pts, ii, jj, 3)) == bits(ref)
+    assert bits(K.arc_ratios(pts, ii, jj)) == bits(ref)
+
+
+def brute_distance(mask):
+    """Distance from each pixel to the nearest False pixel by comparing every
+    pair of pixels; inf without a False pixel."""
+    h, w = mask.shape
+    zy, zx = np.nonzero(~mask)
+    yy, xx = np.mgrid[0:h, 0:w]
+    if not len(zy):
+        return np.full((h, w), np.inf)
+    d2 = (yy[..., None] - zy) ** 2 + (xx[..., None] - zx) ** 2
+    return np.sqrt(d2.min(axis=-1).astype(np.float64))
+
+
+@st.composite
+def mask_case(draw):
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # from no False pixel (all Fatou) to all False
+    return rng.random((h, w)) >= draw(st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask_case())
+def test_distance_transform_against_brute_force(mask):
+    """The C kernel (if built) and the reference against the brute force."""
+    ref = brute_distance(mask)
+    assert np.array_equal(K._distance_transform(mask), ref)
+    assert np.array_equal(K.distance_transform(mask), ref)
+
+
+def test_distance_transform_all_fatou():
+    mask = np.ones((7, 300), dtype=bool)
+    assert np.array_equal(K.distance_transform(mask), np.full((7, 300), np.inf))
+    assert np.array_equal(K._distance_transform(mask), np.full((7, 300), np.inf))
+
+
+def test_distance_transform_equals_scipy():
+    """Bit-equal to scipy's exact transform wherever there is a False pixel."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(5)
+    for shape, p in (((300, 257), 0.001), ((64, 1), 0.1), ((1, 90), 0.1), ((120, 80), 0.4)):
+        mask = rng.random(shape) >= p
+        mask[rng.integers(shape[0]), rng.integers(shape[1])] = False
+        edt = ndimage.distance_transform_edt(mask)
+        assert np.array_equal(K.distance_transform(mask), edt)
+        assert np.array_equal(K._distance_transform(mask), edt)
+
+
 # -- backend selection in a fresh interpreter --------------------------------------
 
 SELECT = r"""
@@ -323,11 +413,16 @@ ks = np.array([1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144], dtype=np.int64)
 smp, ns = K.orbit_samples(m.num, m.den, 1.0 + 0.0j, ks, 1e-8, 1e8)
 lab, its = K.classify_kernel(m.num, m.den, -2.0, -2.0, 4.0 / 48, 4.0 / 40, 48, 40, 150,
                              1e-6, 1e6)
+rng = np.random.default_rng(3)
+ii, jj = rng.integers(0, 2000, 300), rng.integers(0, 2000, 300)
+arcs = K.arc_ratios(rng.standard_normal(2000) + 1j * rng.standard_normal(2000), ii, jj)
+dist = K.distance_transform(lab != 2)
 print(json.dumps({"backend": K.BACKEND, "records": records, "results": [
     [x.hex() for x in (r.real, r.imag, dr.real, dr.imag)],
     n, hashlib.sha256(orb[:n].tobytes()).hexdigest(),
     ns, hashlib.sha256(smp.tobytes()).hexdigest(),
-    hashlib.sha256(lab.tobytes() + its.tobytes()).hexdigest()]}))
+    hashlib.sha256(lab.tobytes() + its.tobytes()).hexdigest(),
+    hashlib.sha256(arcs.tobytes()).hexdigest(), hashlib.sha256(dist.tobytes()).hexdigest()]}))
 """
 
 
