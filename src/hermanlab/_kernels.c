@@ -14,10 +14,23 @@
  * Build without -ffast-math and with -ffp-contract=off, so that no
  * product is fused into an add.
  *
+ * The classifier iterates several pixels at once, one per lane of a
+ * GCC/clang vector of doubles (classify_rows_L).  Its one body is built
+ * at 2 lanes for the default target and, on x86, at 4 lanes for AVX2 and
+ * 8 for AVX-512F through target attributes; classify_lanes() asks the CPU
+ * at run time which of them it runs.  No -march flag is used: it would
+ * tie the cached library to the build machine's CPU, and the target
+ * attributes already give each width its instructions.  Vector lanes
+ * round each IEEE operation exactly as a scalar does, -ffp-contract=off
+ * holds in every target, and each lane performs cdiv's operations in
+ * cdiv's order, so every width gives the labels and counts of the
+ * reference on every host.
+ *
  * Complex arrays are interleaved (re, im) doubles; complex scalars are
  * passed and returned as separate doubles.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 
@@ -141,41 +154,162 @@ int tune_residual(const double *num0, int64_t nnum, const double *den, int64_t n
     return 0;
 }
 
+/* Vector helpers for the classifier, written as macros because static
+ * functions that take or return vectors draw -Wpsabi.  VI is the signed
+ * 64-bit integer vector a comparison of VD vectors returns, all ones in a
+ * lane where it holds. */
+#define VABS(VD, VI, x) ((VD)((VI)(x) & INT64_MAX))
+#define VSEL(VD, VI, m, a, b) ((VD)(((m) & (VI)(a)) | (~(m) & (VI)(b))))
+
 /* Escape-time labels (0 inner, 1 outer, 2 undecided) and iteration counts
  * of the pixel rows row0, row0 + stride, ... of the w x h grid whose pixel
  * (ix, iy) is centred at (x0 + (ix + 0.5) dx, y0 + (iy + 0.5) dy), into the
  * row-major labels and iters.  A pixel is labelled at the first iterate k
  * with |z|^2 < r0^2 or |z|^2 > rinf^2, and a non-finite iterate is
  * replaced by 2 rinf.  Rows are independent, so any split of the rows
- * gives the same arrays. */
+ * gives the same arrays.
+ *
+ * classify_rows_L iterates L pixels at once, one per lane of a vector of
+ * L doubles.  When a lane's pixel is labelled or reaches maxiter, the lane
+ * writes it out and takes the next pixel of the rows; lanes left without
+ * a pixel at the end idle until the others finish.  Each lane performs
+ * cdiv's IEEE operations in cdiv's order: Smith's two branches differ only
+ * in which of (br, bi) and (ar, ai) play which part, so a per-lane select
+ * on |br| >= |bi| (false for NaN, as in cdiv) swaps them and both branches
+ * share the two divisions.  A zero divisor gives NaN here and inf or NaN
+ * in cdiv; either is replaced by 2 rinf, so the labels and counts are
+ * those of a scalar cdiv loop, bit for bit. */
+#define CLASSIFY_ROWS(L, ATTR)                                                           \
+    ATTR static void classify_rows_##L(const double *num, int64_t nnum, const double *den, \
+                                       int64_t nden, double x0, double y0, double dx,      \
+                                       double dy, int64_t w, int64_t h, int64_t maxiter,    \
+                                       double r0, double rinf, int64_t row0, int64_t stride, \
+                                       uint8_t *labels, uint32_t *iters)                   \
+    {                                                                                      \
+        typedef double vd __attribute__((vector_size(8 * L)));                            \
+        typedef int64_t vi __attribute__((vector_size(8 * L)));                           \
+        double r02 = r0 * r0, rinf2 = rinf * rinf, fmaxk = (double)maxiter;                \
+        const vd zero = {0}, esc = zero + 2.0 * rinf;                                      \
+        vd zr = zero, zi = zero, k = zero;                                                 \
+        vi live = {0};                                                                     \
+        int64_t pix[L];                                                                    \
+        int64_t ix = 0, iy = row0, nlive = L;                                              \
+        if (w <= 0)                                                                        \
+            return;                                                                        \
+        /* every lane starts as a finished pixel that needs no writing */                  \
+        for (int l = 0; l < L; l++)                                                        \
+            pix[l] = -1;                                                                   \
+        vi done = ~live;                                                                   \
+        for (;;) {                                                                         \
+            int64_t any = 0;                                                               \
+            for (int l = 0; l < L; l++)                                                    \
+                any |= done[l];                                                            \
+            if (any) {                                                                     \
+                for (int l = 0; l < L; l++) {                                              \
+                    if (!done[l])                                                          \
+                        continue;                                                          \
+                    double re = zr[l], im = zi[l], kl = k[l];                              \
+                    for (;;) {                                                             \
+                        if (pix[l] >= 0) {                                                 \
+                            double m2 = re * re + im * im;                                 \
+                            labels[pix[l]] = kl >= fmaxk ? 2 : (m2 < r02 ? 0 : 1);         \
+                            iters[pix[l]] = (uint32_t)kl;                                  \
+                        }                                                                  \
+                        if (iy >= h) {                                                     \
+                            live[l] = 0;                                                   \
+                            nlive--;                                                       \
+                            break;                                                         \
+                        }                                                                  \
+                        pix[l] = iy * w + ix;                                              \
+                        re = x0 + ((double)ix + 0.5) * dx;                                 \
+                        im = y0 + ((double)iy + 0.5) * dy;                                 \
+                        kl = 0.0;                                                          \
+                        if (++ix == w) {                                                   \
+                            ix = 0;                                                        \
+                            iy += stride;                                                  \
+                        }                                                                  \
+                        double m2 = re * re + im * im;                                     \
+                        if (!(m2 < r02 || m2 > rinf2 || kl >= fmaxk)) {                    \
+                            live[l] = -1;                                                  \
+                            break;                                                         \
+                        }                                                                  \
+                    }                                                                      \
+                    zr[l] = re;                                                            \
+                    zi[l] = im;                                                            \
+                    k[l] = kl;                                                             \
+                }                                                                          \
+                if (nlive == 0)                                                            \
+                    return;                                                                \
+            }                                                                              \
+            /* z -> N(z) / D(z): horner, then cdiv */                                      \
+            vd nr = zero, ni = zero, br = zero, bi = zero;                                 \
+            for (int64_t j = nnum - 1; j >= 0; j--) {                                      \
+                vd t = nr * zr - ni * zi + num[2 * j];                                     \
+                ni = nr * zi + ni * zr + num[2 * j + 1];                                   \
+                nr = t;                                                                    \
+            }                                                                              \
+            for (int64_t j = nden - 1; j >= 0; j--) {                                      \
+                vd t = br * zr - bi * zi + den[2 * j];                                     \
+                bi = br * zi + bi * zr + den[2 * j + 1];                                   \
+                br = t;                                                                    \
+            }                                                                              \
+            vi big = VABS(vd, vi, br) >= VABS(vd, vi, bi);                                 \
+            vd p = VSEL(vd, vi, big, br, bi), q = VSEL(vd, vi, big, bi, br);               \
+            vd rat = q / p;                                                                \
+            vd scl = 1.0 / (p + q * rat);                                                  \
+            vd ar_rat = nr * rat, ai_rat = ni * rat;                                       \
+            zr = VSEL(vd, vi, big, nr + ai_rat, ar_rat + ni) * scl;                        \
+            zi = VSEL(vd, vi, big, ni - ar_rat, ai_rat - nr) * scl;                        \
+            vi fin = (VABS(vd, vi, zr) <= DBL_MAX) & (VABS(vd, vi, zi) <= DBL_MAX);        \
+            zr = VSEL(vd, vi, fin, zr, esc);                                               \
+            zi = VSEL(vd, vi, fin, zi, zero);                                              \
+            k += 1.0;                                                                      \
+            vd m2 = zr * zr + zi * zi;                                                     \
+            done = ((m2 < r02) | (m2 > rinf2) | (k >= fmaxk)) & live;                      \
+        }                                                                                  \
+    }
+
+CLASSIFY_ROWS(2, )
+#if defined(__x86_64__) || defined(__i386__)
+CLASSIFY_ROWS(4, __attribute__((target("avx2"))))
+CLASSIFY_ROWS(8, __attribute__((target("avx512f"))))
+#endif
+
+/* The widest lane count classify_rows can run on this CPU: 8 with
+ * AVX-512F (whose target also enables AVX2), 4 with AVX2, else 2.  The
+ * library is built without -march, so one build serves every x86 CPU. */
+int64_t classify_lanes(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        return __builtin_cpu_supports("avx512f") ? 8 : 4;
+#endif
+    return 2;
+}
+
+/* classify_rows_L for lanes = L, one of 2 and the wider counts up to
+ * classify_lanes(). */
 void classify_rows(const double *num, int64_t nnum, const double *den, int64_t nden,
                    double x0, double y0, double dx, double dy, int64_t w, int64_t h,
-                   int64_t maxiter, double r0, double rinf, int64_t row0, int64_t stride,
-                   uint8_t *labels, uint32_t *iters)
+                   int64_t maxiter, double r0, double rinf, int64_t lanes, int64_t row0,
+                   int64_t stride, uint8_t *labels, uint32_t *iters)
 {
-    double r02 = r0 * r0, rinf2 = rinf * rinf;
-    for (int64_t iy = row0; iy < h; iy += stride) {
-        double y = y0 + ((double)iy + 0.5) * dy;
-        for (int64_t ix = 0; ix < w; ix++) {
-            cplx z = {x0 + ((double)ix + 0.5) * dx, y};
-            uint8_t label = 2;
-            int64_t k;
-            for (k = 0; k < maxiter; k++) {
-                double m2 = z.re * z.re + z.im * z.im;
-                if (m2 < r02 || m2 > rinf2) {
-                    label = m2 < r02 ? 0 : 1;
-                    break;
-                }
-                z = cdiv(horner(num, nnum, z), horner(den, nden, z));
-                if (!isfinite(z.re) || !isfinite(z.im)) {
-                    z.re = 2.0 * rinf;
-                    z.im = 0.0;
-                }
-            }
-            labels[iy * w + ix] = label;
-            iters[iy * w + ix] = (uint32_t)k;
-        }
+#if defined(__x86_64__) || defined(__i386__)
+    if (lanes == 8) {
+        classify_rows_8(num, nnum, den, nden, x0, y0, dx, dy, w, h, maxiter, r0, rinf, row0,
+                        stride, labels, iters);
+        return;
     }
+    if (lanes == 4) {
+        classify_rows_4(num, nnum, den, nden, x0, y0, dx, dy, w, h, maxiter, r0, rinf, row0,
+                        stride, labels, iters);
+        return;
+    }
+#endif
+    (void)lanes;
+    classify_rows_2(num, nnum, den, nden, x0, y0, dx, dy, w, h, maxiter, r0, rinf, row0,
+                    stride, labels, iters);
 }
 
 /* Insert arc point t with coordinate x into the lowest (keep_lowest) or

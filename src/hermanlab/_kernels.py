@@ -27,6 +27,18 @@ frame scaled by a power of two, which no narrow arc underflows and no
 SIMD code rounds differently.  The distance transform works in integer
 squared distances and takes one correctly rounded square root of each.
 
+The C classifier iterates one pixel per lane of a vector of doubles,
+each lane taking the next pixel of its thread's rows when its own is
+labelled.  Its one loop body is built at 2 lanes for any target and, on
+x86, at 4 lanes with AVX2 and 8 with AVX-512F through per-function
+target attributes; ``classify_lanes()`` asks the CPU at run time, and
+``classify_kernel`` runs the widest width it has.  The library is built
+without ``-march``, so one cached build serves every CPU of the machine
+type.  Lanes round each operation as scalar code does, with no fused
+multiply-add in any target, and perform Smith's quotient in the
+reference's order (a per-lane select on |br| >= |bi| picks the branch),
+so every width gives the reference's arrays bit for bit.
+
 The C classifier splits the pixel rows, and ``arc_ratios`` the vertex
 pairs, over one thread per CPU in the process's affinity mask (item i to
 thread i mod n, ``_split``); ctypes releases the GIL during each call,
@@ -38,7 +50,9 @@ import and cached in ``$XDG_CACHE_HOME/hermanlab/`` (default
 machine type.  Without a compiler, or if the build fails, the
 ``hermanlab`` logger records one warning and every kernel runs its
 reference; a cached library that cannot be loaded is rebuilt once.
-``BACKEND`` names the outcome: ``"c"`` or ``"numpy"``.
+Otherwise it records one debug line: the classifier's lane count and
+whether the library was built or found in the cache.  ``BACKEND`` names
+the outcome: ``"c"`` or ``"numpy"``.
 """
 
 import ctypes
@@ -100,17 +114,15 @@ def _load():
             key = hashlib.sha256(fh.read())
         key.update(" ".join(_CFLAGS + [platform.machine()]).encode())
         path = os.path.join(_cache_dir(), "_kernels-%s.so" % key.hexdigest()[:16])
-        lib = None
+        lib, how = None, "cache hit"
         if os.path.exists(path):
             try:
                 lib = ctypes.CDLL(path)
-                _log.debug("kernel backend c: cache hit %s", path)
             except OSError as e:
                 _log.warning("rebuilding the cached C kernels, which fail to load: %s", e)
         if lib is None:
             _build(path)
-            _log.debug("kernel backend c: built %s", path)
-            lib = ctypes.CDLL(path)
+            lib, how = ctypes.CDLL(path), "built"
     except OSError as e:
         _log.warning("C kernels unavailable, using the python reference kernels: %s", e)
         return None
@@ -120,17 +132,22 @@ def _load():
     lib.tune_residual.argtypes = [ptr, i64, ptr, i64, ptr, ptr, f64, f64, i64, f64, f64, ptr]
     lib.tune_residual.restype = ctypes.c_int
     lib.classify_rows.argtypes = [ptr, i64, ptr, i64, f64, f64, f64, f64, i64, i64, i64,
-                                  f64, f64, i64, i64, ptr, ptr]
+                                  f64, f64, i64, i64, i64, ptr, ptr]
     lib.classify_rows.restype = None
+    lib.classify_lanes.argtypes = []
+    lib.classify_lanes.restype = i64
     lib.arc_ratios.argtypes = [ptr, i64, ptr, ptr, i64, i64, i64, ptr]
     lib.arc_ratios.restype = None
     lib.distance_transform.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
     lib.distance_transform.restype = None
+    _log.debug("kernel backend c (classifier %d lanes): %s %s", lib.classify_lanes(), how, path)
     return lib
 
 
 _lib = _load()
 BACKEND = "numpy" if _lib is None else "c"
+# the classifier's lane counts this CPU runs, widest last
+_WIDTHS = () if _lib is None else tuple(n for n in (2, 4, 8) if n <= _lib.classify_lanes())
 
 
 def _c_arrays(*arrays):
@@ -266,7 +283,8 @@ def classify_kernel(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
     iterate k with |z|^2 < r0^2 or |z|^2 > rinf^2, which it counts, else it
     stays undecided with count maxiter; a non-finite iterate (at a pole)
     becomes 2 rinf.  The C loop splits the rows over one thread per CPU
-    this process may run on; the arrays do not depend on the split.
+    this process may run on, at the widest lane count the CPU has; the
+    arrays depend on neither.
     """
     arrays = _c_arrays(num, den)
     if arrays is None:
@@ -297,12 +315,16 @@ def _split(fn, head, tail, n, workers):
         t.join()
 
 
-def _classify_c(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf, workers):
-    """classify_kernel in C, row i computed by worker i mod workers."""
+def _classify_c(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf, workers, lanes=None):
+    """classify_kernel in C, row i computed by worker i mod workers, with
+    lanes pixels per vector (one of _WIDTHS, default the widest)."""
+    lanes = _WIDTHS[-1] if lanes is None else lanes
+    if lanes not in _WIDTHS:
+        raise ValueError("this CPU runs the classifier at %s lanes, not %r" % (_WIDTHS, lanes))
     labels = np.empty((h, w), dtype=np.uint8)
     iters = np.empty((h, w), dtype=np.uint32)
     grid = (num.ctypes.data, len(num), den.ctypes.data, len(den), float(x0), float(y0),
-            float(dx), float(dy), int(w), int(h), int(maxiter), float(r0), float(rinf))
+            float(dx), float(dy), int(w), int(h), int(maxiter), float(r0), float(rinf), lanes)
     _split(_lib.classify_rows, grid, (labels.ctypes.data, iters.ctypes.data), h, workers)
     return labels, iters
 

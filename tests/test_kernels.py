@@ -231,9 +231,14 @@ def family(d0, dinf):
     return hl.herman_family(d0, dinf, B_FIG)
 
 
-def classify_checked(*args):
-    """classify_kernel's arrays, asserted equal to the reference's."""
-    out, ref = K.classify_kernel(*args), K._classify(*args)
+def classify_checked(*args, lanes=None):
+    """The C classifier's arrays at the given lane count (classify_kernel's
+    widest by default), asserted equal to the reference's."""
+    if lanes is None:
+        out = K.classify_kernel(*args)
+    else:
+        out = K._classify_c(*K._c_arrays(*args[:2]), *args[2:], K._cpus(), lanes)
+    ref = K._classify(*args)
     assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
     return out
 
@@ -259,11 +264,49 @@ def test_c_classify_bit_equal():
 
 @needs_c
 def test_c_classify_rows_split_independent(map32):
-    """One worker and three (h not a multiple of 3) give identical arrays."""
-    win = (map32.num, map32.den, -2.0, -2.0, 4.0 / 50, 4.0 / 47, 50, 47, 200, 1e-6, 1e6)
-    one, three = K._classify_c(*win, 1), K._classify_c(*win, 3)
-    assert one[0].dtype == np.uint8 and one[1].dtype == np.uint32
-    assert np.array_equal(one[0], three[0]) and np.array_equal(one[1], three[1])
+    """One worker and three (h not a multiple of 3) give identical arrays,
+    at every lane count."""
+    win = (*K._c_arrays(map32.num, map32.den), -2.0, -2.0, 4.0 / 50, 4.0 / 47, 50, 47, 200,
+           1e-6, 1e6)
+    for lanes in K._WIDTHS:
+        one, three = K._classify_c(*win, 1, lanes), K._classify_c(*win, 3, lanes)
+        assert one[0].dtype == np.uint8 and one[1].dtype == np.uint32
+        assert np.array_equal(one[0], three[0]) and np.array_equal(one[1], three[1])
+
+
+@needs_c
+def test_c_classify_widths_cover_the_cpu():
+    """2 lanes always, the wider counts only when the CPU has their
+    instructions; any other count is refused, not run."""
+    assert K._WIDTHS[0] == 2 and K._WIDTHS == (2, 4, 8)[:len(K._WIDTHS)]
+    m = family(3, 2)
+    for lanes in (0, 3, 16, *(n for n in (4, 8) if n not in K._WIDTHS)):
+        with pytest.raises(ValueError, match="lanes"):
+            K._classify_c(*K._c_arrays(m.num, m.den), -2.0, -2.0, 0.5, 0.5, 8, 8, 10,
+                          1e-6, 1e6, 1, lanes)
+
+
+@needs_c
+@pytest.mark.parametrize("lanes", [2, 4, 8])
+def test_c_classify_lanes_bit_equal(lanes):
+    """Each lane count equals the reference on windows of fewer pixels than
+    lanes and of pixel counts no multiple of it, at maxiter 0, 1 and 150,
+    and at the (2,2) map's pole; an empty grid gives empty arrays."""
+    if lanes not in K._WIDTHS:
+        pytest.skip("this CPU lacks the instructions of the %d-lane classifier" % lanes)
+    for d0, dinf in ((3, 2), (2, 2), (3, 3)):
+        m = family(d0, dinf)
+        for w, h in ((1, 1), (3, 3), (5, 7), (9, 1)):
+            for maxiter in (0, 1, 150):
+                classify_checked(m.num, m.den, -1.5, -1.2, 3.0 / w, 2.4 / h, w, h, maxiter,
+                                 1e-6, 1e6, lanes=lanes)
+    m = family(2, 2)
+    labels, iters = classify_checked(m.num, m.den, *pole_window(m), 50, 1e-6, 1e6, lanes=lanes)
+    assert (labels[4, 4], iters[4, 4]) == (1, 1)
+    for w, h in ((0, 4), (4, 0), (0, 0)):
+        labels, iters = classify_checked(m.num, m.den, -1.0, -1.0, 0.1, 0.1, w, h, 20,
+                                         1e-6, 1e6, lanes=lanes)
+        assert labels.shape == iters.shape == (h, w)
 
 
 @st.composite
@@ -286,9 +329,10 @@ def classify_case(draw):
 
 @needs_c
 @settings(max_examples=200, deadline=None)
-@given(classify_case())
-def test_c_classify_bit_equal_random_windows(case):
-    classify_checked(*case)
+@given(classify_case(), st.sampled_from(K._WIDTHS))
+def test_c_classify_bit_equal_random_windows(case, lanes):
+    """Every lane count this CPU runs."""
+    classify_checked(*case, lanes=lanes)
 
 
 @needs_c
@@ -426,6 +470,11 @@ print(json.dumps({"backend": K.BACKEND, "records": records, "results": [
 """
 
 
+def loaded(how, path):
+    """_load's debug line, which names the classifier's lane count."""
+    return "kernel backend c (classifier %d lanes): %s %s" % (K._WIDTHS[-1], how, path)
+
+
 def select_backend(tmp_path, path=None):
     """Start a fresh interpreter that imports the kernels with an empty
     XDG_CACHE_HOME under tmp_path (and PATH replaced if given)."""
@@ -466,9 +515,9 @@ def test_concurrent_builds_then_cache_hit(tmp_path):
     for doc in docs:
         assert doc["backend"] == "c"
         assert not [r for r in doc["records"] if r[0] != "DEBUG"]
-        assert doc["records"][0][1].endswith(path)
+        assert doc["records"][0][1] in (loaded("built", path), loaded("cache hit", path))
     again = finish(select_backend(tmp_path))
-    assert again["records"] == [["DEBUG", "kernel backend c: cache hit " + path]]
+    assert again["records"] == [["DEBUG", loaded("cache hit", path)]]
     assert again["results"] == docs[0]["results"] == docs[1]["results"]
 
 
@@ -486,4 +535,4 @@ def test_truncated_cached_library_is_rebuilt(tmp_path):
     assert len(warnings) == 1 and "rebuilding" in warnings[0]
     assert doc["results"] == first["results"]
     again = finish(select_backend(tmp_path))
-    assert again["records"] == [["DEBUG", "kernel backend c: cache hit %s" % lib]]
+    assert again["records"] == [["DEBUG", loaded("cache hit", lib)]]

@@ -113,6 +113,23 @@ def test_preimages_full_fiber():
         assert abs(m.eval(r) - w) < 1e-8 * (1 + abs(w))
 
 
+@given(st.sampled_from([(3, 2), (2, 2), (3, 3)]),
+       st.floats(math.log(0.01), math.log(100.0)), st.floats(-math.pi, math.pi))
+@settings(max_examples=150, deadline=None)
+def test_preimages_full_fiber_on_an_annulus(degrees, log_rho, phi):
+    """For w with 0.01 <= |w| <= 100 every preimage is found, each within
+    1e-8 (1 + |w|) of the fibre by numpy.polyval, which shares no code
+    with RationalMap.eval."""
+    m = herman_family(*degrees, B_FIG)
+    w = cmath.rect(math.exp(log_rho), phi)
+    pre = preimages(m, w)
+    assert len(pre) + pre.missing == m.total_degree
+    assert pre.missing == 0
+    for r in pre:
+        fr = np.polyval(m.num[::-1], r) / np.polyval(m.den[::-1], r)
+        assert abs(fr - w) <= 1e-8 * (1 + abs(w))
+
+
 def test_arnold_lift_critical_point():
     F = arnold_lift(0.61)
     assert F.deriv(0.5) == pytest.approx(0.0, abs=1e-15)
