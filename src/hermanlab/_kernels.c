@@ -15,16 +15,21 @@
  * product is fused into an add.
  *
  * The classifier iterates several pixels at once, one per lane of a
- * GCC/clang vector of doubles (classify_rows_L).  Its one body is built
- * at 2 lanes for the default target and, on x86, at 4 lanes for AVX2 and
- * 8 for AVX-512F through target attributes; classify_lanes() asks the CPU
- * at run time which of them it runs.  No -march flag is used: it would
- * tie the cached library to the build machine's CPU, and the target
- * attributes already give each width its instructions.  Vector lanes
- * round each IEEE operation exactly as a scalar does, -ffp-contract=off
- * holds in every target, and each lane performs cdiv's operations in
- * cdiv's order, so every width gives the labels and counts of the
- * reference on every host.
+ * GCC/clang vector of doubles (classify_rows_L), and the arc diameters
+ * take their largest squared distance over several arc points at once
+ * (arc_max_sq_L).  Each body is written once and built at 2 lanes for the
+ * default target and, on x86, at 4 lanes for AVX2 and 8 for AVX-512F
+ * through target attributes; simd_lanes() asks the CPU at run time which
+ * of them it runs, and the caller passes the width in.  No -march flag is
+ * used: it would tie the cached library to the build machine's CPU, and
+ * the target attributes already give each width its instructions.  Vector
+ * lanes round each IEEE operation exactly as a scalar does, and
+ * -ffp-contract=off holds in every target.  Each classifier lane performs
+ * cdiv's operations in cdiv's order, so every width gives the labels and
+ * counts of the reference on every host; each squared distance is rounded
+ * as the scalar one, and a maximum of exactly rounded values does not
+ * depend on the order it is taken in, so every width gives the same arc
+ * ratios.
  *
  * Complex arrays are interleaved (re, im) doubles; complex scalars are
  * passed and returned as separate doubles.
@@ -33,6 +38,7 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef struct {
     double re, im;
@@ -275,10 +281,11 @@ CLASSIFY_ROWS(4, __attribute__((target("avx2"))))
 CLASSIFY_ROWS(8, __attribute__((target("avx512f"))))
 #endif
 
-/* The widest lane count classify_rows can run on this CPU: 8 with
- * AVX-512F (whose target also enables AVX2), 4 with AVX2, else 2.  The
- * library is built without -march, so one build serves every x86 CPU. */
-int64_t classify_lanes(void)
+/* The widest lane count classify_rows and arc_ratios can run on this CPU:
+ * 8 with AVX-512F (whose target also enables AVX2), 4 with AVX2, else 2.
+ * The library is built without -march, so one build serves every x86
+ * CPU. */
+int64_t simd_lanes(void)
 {
 #if defined(__x86_64__) || defined(__i386__)
     __builtin_cpu_init();
@@ -289,7 +296,7 @@ int64_t classify_lanes(void)
 }
 
 /* classify_rows_L for lanes = L, one of 2 and the wider counts up to
- * classify_lanes(). */
+ * simd_lanes(). */
 void classify_rows(const double *num, int64_t nnum, const double *den, int64_t nden,
                    double x0, double y0, double dx, double dy, int64_t w, int64_t h,
                    int64_t maxiter, double r0, double rinf, int64_t lanes, int64_t row0,
@@ -312,95 +319,169 @@ void classify_rows(const double *num, int64_t nnum, const double *den, int64_t n
                     stride, labels, iters);
 }
 
-/* Insert arc point t with coordinate x into the lowest (keep_lowest) or
- * highest (keep_highest) 8 points seen so far, n of them filled, the most
- * extreme first.  Points arrive in increasing t and the keys are (x, t),
- * so ties go by position as a stable sort orders them: among equal x the
- * lowest 8 keep the earliest points and the highest 8 the latest. */
-static inline void keep_lowest(int64_t *idx, double *key, int64_t *n, double x, int64_t t)
+/* The lowest (keep_lowest) or highest (keep_highest) n <= 8 arc points
+ * seen so far, the most extreme first, in a ring: the point of rank r is
+ * slot (head + r) & 7.  Points arrive in increasing t and the keys are
+ * (x, t), so ties go by position as a stable sort orders them: among equal
+ * x the lowest 8 keep the earliest points and the highest 8 the latest.
+ * A point beyond the most extreme takes the slot before the head, which is
+ * free or holds the point it evicts, so a monotone run of an arc costs one
+ * comparison per point instead of a shift of the whole list. */
+typedef struct {
+    double key[8];
+    int64_t idx[8];
+    int head, n;
+} extremes;
+
+#define RANK(e, r) (((e)->head + (r)) & 7)
+
+static inline void keep_lowest(extremes *e, double x, int64_t t)
 {
-    int64_t k = *n;
+    int k = e->n;
     if (k == 8) {
-        if (!(x < key[7]))
+        if (!(x < e->key[RANK(e, 7)]))
             return;
         k = 7;
     } else {
-        (*n)++;
+        e->n++;
     }
-    while (k > 0 && x < key[k - 1]) {
-        key[k] = key[k - 1];
-        idx[k] = idx[k - 1];
-        k--;
+    if (k == 0 || x < e->key[e->head]) {
+        e->head = (e->head + 7) & 7;
+        k = 0;
+    } else {
+        while (k > 0 && x < e->key[RANK(e, k - 1)]) {
+            e->key[RANK(e, k)] = e->key[RANK(e, k - 1)];
+            e->idx[RANK(e, k)] = e->idx[RANK(e, k - 1)];
+            k--;
+        }
     }
-    key[k] = x;
-    idx[k] = t;
+    e->key[RANK(e, k)] = x;
+    e->idx[RANK(e, k)] = t;
 }
 
-static inline void keep_highest(int64_t *idx, double *key, int64_t *n, double x, int64_t t)
+static inline void keep_highest(extremes *e, double x, int64_t t)
 {
-    int64_t k = *n;
+    int k = e->n;
     if (k == 8) {
-        if (x < key[7])
+        if (x < e->key[RANK(e, 7)])
             return;
         k = 7;
     } else {
-        (*n)++;
+        e->n++;
     }
-    while (k > 0 && !(x < key[k - 1])) {
-        key[k] = key[k - 1];
-        idx[k] = idx[k - 1];
-        k--;
+    if (k == 0 || !(x < e->key[e->head])) {
+        e->head = (e->head + 7) & 7;
+        k = 0;
+    } else {
+        while (k > 0 && !(x < e->key[RANK(e, k - 1)])) {
+            e->key[RANK(e, k)] = e->key[RANK(e, k - 1)];
+            e->idx[RANK(e, k)] = e->idx[RANK(e, k - 1)];
+            k--;
+        }
     }
-    key[k] = x;
-    idx[k] = t;
+    e->key[RANK(e, k)] = x;
+    e->idx[RANK(e, k)] = t;
 }
+
+/* Points of an arc after coarsening: an arc of up to 1023 points keeps them
+ * all, and a longer one every (len / 512)-th, fewer than 1024 either way. */
+#define ARC_MAX 1024
+
+/* The largest squared distance ((xs[t] - cx[c]) s)^2 + ((ys[t] - cy[c]) s)^2
+ * over t < n and c < nc, or 0 if there is none (a NaN never wins), for n a
+ * multiple of L and nc of 4.  arc_max_sq_L computes L points at once, one
+ * per lane, each by the scalar operations in the scalar order, and keeps
+ * four running maxima, one per candidate of a block of four.  A maximum of
+ * exactly rounded squares does not depend on the order it is taken in, so
+ * every L gives the same value. */
+#define ARC_MAX_SQ(L, ATTR)                                                               \
+    ATTR static double arc_max_sq_##L(const double *xs, const double *ys, int64_t n,       \
+                                      const double *cx, const double *cy, int64_t nc,      \
+                                      double s)                                            \
+    {                                                                                      \
+        typedef double vd __attribute__((vector_size(8 * L)));                            \
+        typedef int64_t vi __attribute__((vector_size(8 * L)));                           \
+        vd best[4] = {{0}, {0}, {0}, {0}};                                                 \
+        for (int64_t c = 0; c < nc; c += 4) {                                              \
+            for (int64_t t = 0; t < n; t += L) {                                           \
+                vd x, y;                                                                   \
+                memcpy(&x, xs + t, sizeof x);                                              \
+                memcpy(&y, ys + t, sizeof y);                                              \
+                for (int b = 0; b < 4; b++) {                                              \
+                    vd sx = (x - cx[c + b]) * s, sy = (y - cy[c + b]) * s;                 \
+                    vd sq = sx * sx + sy * sy;                                             \
+                    best[b] = VSEL(vd, vi, sq > best[b], sq, best[b]);                     \
+                }                                                                          \
+            }                                                                              \
+        }                                                                                  \
+        double top = 0.0;                                                                  \
+        for (int b = 0; b < 4; b++)                                                        \
+            for (int l = 0; l < L; l++)                                                    \
+                if (best[b][l] > top)                                                      \
+                    top = best[b][l];                                                      \
+        return top;                                                                        \
+    }
+
+ARC_MAX_SQ(2, )
+#if defined(__x86_64__) || defined(__i386__)
+ARC_MAX_SQ(4, __attribute__((target("avx2"))))
+ARC_MAX_SQ(8, __attribute__((target("avx512f"))))
+#endif
+
+typedef double (*arc_max_sq_fn)(const double *, const double *, int64_t, const double *,
+                                const double *, int64_t, double);
 
 /* Diameter estimate of the arc whose point t is pts[(start + t*step) % m],
- * t = 0..len-1: the largest distance from any arc point to the 8 lowest
- * and 8 highest points of each axis.  Squared distances are summed in a
- * frame scaled by the power of two 2^k that brings the larger axis range
- * into [0.5, 1) (k clamped to [-1022, 1023]), so that neither narrow nor
- * wide arcs underflow or overflow; the root of the largest one is scaled
- * back. */
+ * t = 0..len-1 (len < ARC_MAX): the largest distance from any arc point to
+ * the 8 lowest and 8 highest points of each axis.  The arc is gathered
+ * once into xs, ys and padded to a multiple of 8, which every lane count
+ * divides, with copies of its first point, which leave the maximum as it
+ * is.  Squared distances are summed in a frame scaled by the power of two
+ * 2^k that brings the larger axis range into [0.5, 1) (k clamped to
+ * [-1022, 1023]), so that neither narrow nor wide arcs underflow or
+ * overflow; the root of the largest one is scaled back. */
 static double arc_diameter(const double *pts, int64_t m, int64_t start, int64_t step,
-                           int64_t len)
+                           int64_t len, arc_max_sq_fn max_sq)
 {
-    int64_t idx[4][8], n[4] = {0, 0, 0, 0};
-    double key[4][8];
-    for (int64_t t = 0; t < len; t++) {
-        const double *p = pts + 2 * ((start + t * step) % m);
-        keep_lowest(idx[0], key[0], &n[0], p[0], t);
-        keep_highest(idx[1], key[1], &n[1], p[0], t);
-        keep_lowest(idx[2], key[2], &n[2], p[1], t);
-        keep_highest(idx[3], key[3], &n[3], p[1], t);
+    double xs[ARC_MAX + 8] __attribute__((aligned(64)));
+    double ys[ARC_MAX + 8] __attribute__((aligned(64)));
+    extremes ex[4] = {{{0}, {0}, 0, 0}, {{0}, {0}, 0, 0}, {{0}, {0}, 0, 0}, {{0}, {0}, 0, 0}};
+    for (int64_t t = 0, q = start; t < len; t++) {
+        xs[t] = pts[2 * q];
+        ys[t] = pts[2 * q + 1];
+        keep_lowest(&ex[0], xs[t], t);
+        keep_highest(&ex[1], xs[t], t);
+        keep_lowest(&ex[2], ys[t], t);
+        keep_highest(&ex[3], ys[t], t);
+        /* step < m (the uncoarsened arc has at most m / 2 + 1 points), so
+         * one subtraction wraps q */
+        q += step;
+        if (q >= m)
+            q -= m;
     }
-    double spread = fmax(key[1][0] - key[0][0], key[3][0] - key[2][0]);
+    int64_t padded = len;
+    for (; padded % 8; padded++) {
+        xs[padded] = xs[0];
+        ys[padded] = ys[0];
+    }
+    double spread = fmax(ex[1].key[ex[1].head] - ex[0].key[ex[0].head],
+                         ex[3].key[ex[3].head] - ex[2].key[ex[2].head]);
     int e;
     frexp(spread, &e);
     int k = -e < -1022 ? -1022 : (-e > 1023 ? 1023 : -e);
     double scale = ldexp(1.0, k);
-    double cand[32][2];
+    /* each axis keeps min(8, len) points, so nc is a multiple of 4 */
+    double cx[32], cy[32];
     int64_t nc = 0;
     for (int a = 0; a < 4; a++) {
-        for (int64_t c = 0; c < n[a]; c++) {
-            const double *p = pts + 2 * ((start + idx[a][c] * step) % m);
-            cand[nc][0] = p[0];
-            cand[nc][1] = p[1];
+        for (int c = 0; c < ex[a].n; c++) {
+            int64_t t = ex[a].idx[RANK(&ex[a], c)];
+            cx[nc] = xs[t];
+            cy[nc] = ys[t];
             nc++;
         }
     }
-    double best = 0.0;
-    for (int64_t t = 0; t < len; t++) {
-        const double *p = pts + 2 * ((start + t * step) % m);
-        for (int64_t c = 0; c < nc; c++) {
-            double sx = (p[0] - cand[c][0]) * scale;
-            double sy = (p[1] - cand[c][1]) * scale;
-            double sq = sx * sx + sy * sy;
-            if (sq > best)
-                best = sq;
-        }
-    }
-    return sqrt(best) / scale;
+    return sqrt(max_sq(xs, ys, padded, cx, cy, nc, scale)) / scale;
 }
 
 /* For the vertex pairs p = p0, p0 + stride, ... below npairs, the ratio of
@@ -408,11 +489,20 @@ static double arc_diameter(const double *pts, int64_t m, int64_t start, int64_t 
  * ii[p] and jj[p] to their chord |pts[ii[p]] - pts[jj[p]]| (hypot), or 0
  * for a zero chord.  The inner arc lo..hi is taken when hi - lo <= m -
  * (hi - lo), else the outer one hi..m-1, 0..lo; an arc of more than 512
- * points keeps every (len / 512)-th.  Pairs are independent, so any split
- * gives the same ratios. */
+ * points keeps every (len / 512)-th.  The diameters are taken at lanes =
+ * 2 or a wider count up to simd_lanes(), all with the same result.  Pairs
+ * are independent, so any split gives the same ratios. */
 void arc_ratios(const double *pts, int64_t m, const int64_t *ii, const int64_t *jj,
-                int64_t npairs, int64_t p0, int64_t stride, double *out)
+                int64_t npairs, int64_t lanes, int64_t p0, int64_t stride, double *out)
 {
+    arc_max_sq_fn max_sq = arc_max_sq_2;
+#if defined(__x86_64__) || defined(__i386__)
+    if (lanes == 8)
+        max_sq = arc_max_sq_8;
+    else if (lanes == 4)
+        max_sq = arc_max_sq_4;
+#endif
+    (void)lanes;
     for (int64_t p = p0; p < npairs; p += stride) {
         int64_t i = ii[p], j = jj[p];
         double chord = hypot(pts[2 * i] - pts[2 * j], pts[2 * i + 1] - pts[2 * j + 1]);
@@ -430,7 +520,8 @@ void arc_ratios(const double *pts, int64_t m, const int64_t *ii, const int64_t *
             len = m - inner + 1;
         }
         int64_t step = len > 512 ? len / 512 : 1;
-        out[p] = arc_diameter(pts, m, start, step, (len + step - 1) / step) / chord;
+        out[p] = arc_diameter(pts, m, start, step, (len + step - 1) / step, max_sq) /
+                 chord;
     }
 }
 

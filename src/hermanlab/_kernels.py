@@ -29,15 +29,18 @@ squared distances and takes one correctly rounded square root of each.
 
 The C classifier iterates one pixel per lane of a vector of doubles,
 each lane taking the next pixel of its thread's rows when its own is
-labelled.  Its one loop body is built at 2 lanes for any target and, on
-x86, at 4 lanes with AVX2 and 8 with AVX-512F through per-function
-target attributes; ``classify_lanes()`` asks the CPU at run time, and
-``classify_kernel`` runs the widest width it has.  The library is built
-without ``-march``, so one cached build serves every CPU of the machine
-type.  Lanes round each operation as scalar code does, with no fused
-multiply-add in any target, and perform Smith's quotient in the
-reference's order (a per-lane select on |br| >= |bi| picks the branch),
-so every width gives the reference's arrays bit for bit.
+labelled, and ``arc_ratios`` takes each arc's largest squared distance
+over one arc point per lane.  Each loop body is built at 2 lanes for any
+target and, on x86, at 4 lanes with AVX2 and 8 with AVX-512F through
+per-function target attributes; ``simd_lanes()`` asks the CPU at run
+time, and both kernels run the widest width it has (``_WIDTHS``).  The
+library is built without ``-march``, so one cached build serves every
+CPU of the machine type.  Lanes round each operation as scalar code
+does, with no fused multiply-add in any target.  Classifier lanes perform
+Smith's quotient in the reference's order (a per-lane select on
+|br| >= |bi| picks the branch), and a maximum of exactly rounded squares
+does not depend on the order it is taken in, so every width gives the
+reference's arrays bit for bit.
 
 The C classifier splits the pixel rows, and ``arc_ratios`` the vertex
 pairs, over one thread per CPU in the process's affinity mask (item i to
@@ -134,20 +137,20 @@ def _load():
     lib.classify_rows.argtypes = [ptr, i64, ptr, i64, f64, f64, f64, f64, i64, i64, i64,
                                   f64, f64, i64, i64, i64, ptr, ptr]
     lib.classify_rows.restype = None
-    lib.classify_lanes.argtypes = []
-    lib.classify_lanes.restype = i64
-    lib.arc_ratios.argtypes = [ptr, i64, ptr, ptr, i64, i64, i64, ptr]
+    lib.simd_lanes.argtypes = []
+    lib.simd_lanes.restype = i64
+    lib.arc_ratios.argtypes = [ptr, i64, ptr, ptr, i64, i64, i64, i64, ptr]
     lib.arc_ratios.restype = None
     lib.distance_transform.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
     lib.distance_transform.restype = None
-    _log.debug("kernel backend c (classifier %d lanes): %s %s", lib.classify_lanes(), how, path)
+    _log.debug("kernel backend c (classifier %d lanes): %s %s", lib.simd_lanes(), how, path)
     return lib
 
 
 _lib = _load()
 BACKEND = "numpy" if _lib is None else "c"
-# the classifier's lane counts this CPU runs, widest last
-_WIDTHS = () if _lib is None else tuple(n for n in (2, 4, 8) if n <= _lib.classify_lanes())
+# the lane counts of the vector kernels that this CPU runs, widest last
+_WIDTHS = () if _lib is None else tuple(n for n in (2, 4, 8) if n <= _lib.simd_lanes())
 
 
 def _c_arrays(*arrays):
@@ -315,12 +318,20 @@ def _split(fn, head, tail, n, workers):
         t.join()
 
 
+def _lanes(lanes):
+    """lanes, one of _WIDTHS, or the widest of them for None."""
+    if lanes is None:
+        return _WIDTHS[-1]
+    if lanes not in _WIDTHS:
+        raise ValueError("this CPU runs the vector kernels at %s lanes, not %r"
+                         % (_WIDTHS, lanes))
+    return lanes
+
+
 def _classify_c(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf, workers, lanes=None):
     """classify_kernel in C, row i computed by worker i mod workers, with
     lanes pixels per vector (one of _WIDTHS, default the widest)."""
-    lanes = _WIDTHS[-1] if lanes is None else lanes
-    if lanes not in _WIDTHS:
-        raise ValueError("this CPU runs the classifier at %s lanes, not %r" % (_WIDTHS, lanes))
+    lanes = _lanes(lanes)
     labels = np.empty((h, w), dtype=np.uint8)
     iters = np.empty((h, w), dtype=np.uint32)
     grid = (num.ctypes.data, len(num), den.ctypes.data, len(den), float(x0), float(y0),
@@ -449,7 +460,8 @@ def arc_ratios(pts, ii, jj):
     pts[lo..hi] on a tie, and an arc of more than 512 points keeps every
     (len // 512)-th one.  Its diameter is estimated by _arc_diameter.
     The C loop splits the pairs over one thread per CPU this process may
-    run on; the ratios do not depend on the split.
+    run on, at the widest lane count the CPU has; the ratios depend on
+    neither.
     """
     pts = np.ascontiguousarray(pts, dtype=np.complex128)
     ii = np.ascontiguousarray(ii, dtype=np.int64)
@@ -463,10 +475,13 @@ def arc_ratios(pts, ii, jj):
     return _arc_ratios_c(pts, ii, jj, _cpus())
 
 
-def _arc_ratios_c(pts, ii, jj, workers):
-    """arc_ratios in C, pair p computed by worker p mod workers."""
+def _arc_ratios_c(pts, ii, jj, workers, lanes=None):
+    """arc_ratios in C, pair p computed by worker p mod workers, with lanes
+    arc points per vector (one of _WIDTHS, default the widest)."""
+    lanes = _lanes(lanes)
     out = np.empty(len(ii))
-    _split(_lib.arc_ratios, (pts.ctypes.data, len(pts), ii.ctypes.data, jj.ctypes.data, len(ii)),
+    _split(_lib.arc_ratios,
+           (pts.ctypes.data, len(pts), ii.ctypes.data, jj.ctypes.data, len(ii), lanes),
            (out.ctypes.data,), len(ii), workers)
     return out
 

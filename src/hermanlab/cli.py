@@ -6,6 +6,7 @@ All outputs (CSV/JSON/PPM) are byte-deterministic for a fixed config.
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -80,14 +81,24 @@ def _emit_json(obj, path=None):
 
 
 def _write_curve_csv(c, path):
+    """The curve's vertices as rows k,angle,re,im, each float in _fmt's
+    shortest round-trip form."""
+    cols = (np.asarray(c.ks).tolist(),
+            *(np.asarray(a, dtype=np.float64).tolist()
+              for a in (c.angles, c.points.real, c.points.imag)))
     with open(path, "w") as fh:
         fh.write("k,angle,re,im\n")
-        for k, a, p in zip(c.ks, c.angles, c.points):
-            fh.write("%d,%s,%s,%s\n" % (k, _fmt(a), _fmt(p.real), _fmt(p.imag)))
+        fh.writelines("%d,%r,%r,%r\n" % row for row in zip(*cols))
+
+
+# one row of a curve CSV
+_CURVE_ROW = np.dtype([("k", np.int64), ("angle", np.float64), ("re", np.float64),
+                       ("im", np.float64)])
 
 
 def _read_curve_csv(path):
-    ks, angles, res, ims = [], [], [], []
+    """(ks, angles, points) of a curve CSV; a ConfigError names the first bad
+    line, counting the header as line 1.  A blank line is a bad line."""
     try:
         fh = open(path)
     except OSError as e:
@@ -96,17 +107,38 @@ def _read_curve_csv(path):
         header = fh.readline()
         if not header.startswith("k,angle"):
             raise ConfigError("not a curve CSV: %s" % path)
-        for n, line in enumerate(fh, 2):
+        data = fh.read()
+    # loadtxt skips blank lines, and warns on input without rows
+    rows = np.empty(0, dtype=_CURVE_ROW)
+    if data.startswith("\n") or "\n\n" in data:
+        _bad_curve_line(path, data, None)
+    elif data:
+        try:
+            rows = np.loadtxt(io.StringIO(data), dtype=_CURVE_ROW, delimiter=",",
+                              comments=None, ndmin=1)
+        except ValueError as e:
+            _bad_curve_line(path, data, e)
+    pts = np.empty(len(rows), dtype=np.complex128)
+    pts.real, pts.imag = rows["re"], rows["im"]
+    return np.ascontiguousarray(rows["k"]), np.ascontiguousarray(rows["angle"]), pts
+
+
+def _bad_curve_line(path, data, err):
+    """Raise a ConfigError for the first line of the curve CSV body data that
+    is blank or that loadtxt rejects on its own (err: loadtxt's error on
+    the whole body, if any)."""
+    lines = data.split("\n")
+    if data.endswith("\n"):
+        lines.pop()
+    for n, line in enumerate(lines, 2):
+        if line:
             try:
-                k, a, re, im = line.strip().split(",")
-                ks.append(int(k))
-                angles.append(float(a))
-                res.append(float(re))
-                ims.append(float(im))
+                np.loadtxt([line], dtype=_CURVE_ROW, delimiter=",", comments=None)
+                continue
             except ValueError:
-                raise ConfigError("bad line %d of curve CSV %s: %r" % (n, path, line))
-    pts = np.array(res) + 1j * np.array(ims)
-    return np.array(ks), np.array(angles), pts
+                pass
+        raise ConfigError("bad line %d of curve CSV %s: %r" % (n, path, line))
+    raise ConfigError("bad curve CSV %s: %s" % (path, err))
 
 
 # ---------------------------------------------------------------------------

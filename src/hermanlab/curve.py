@@ -33,29 +33,27 @@ class HermanCurve:
 
     def point_at_orbit_index(self, k):
         """f^k(c) for an orbit index present in the trace."""
-        i = self._index().get(int(k))
-        if i is None:
+        found = self._orbit_points([k])
+        if not found:
             raise KeyError("orbit index %d not in trace" % k)
-        return complex(self.points[i])
+        return found[int(k)]
 
-    def _index(self):
-        if not hasattr(self, "_idx"):
-            self._idx = {int(k): i for i, k in enumerate(self.ks)}
-        return self._idx
+    def _orbit_points(self, ks):
+        """{k: f^k(c)} for the orbit indices of ks present in the trace, found
+        in one pass over the vertices; a repeated index gives its last
+        vertex."""
+        hits = np.flatnonzero(np.isin(self.ks, [int(k) for k in ks]))
+        return {int(self.ks[i]): complex(self.points[i]) for i in hits}
 
     def closest_returns(self, upto=None):
         """c_{q_k} = f^{q_k}(c) - c for all convergent indices in the trace."""
         conv = convergents(self.theta, self.depth)
-        out = {}
-        for k in range(1, self.depth):
-            if conv.q[k] < len(self.ks) + 1:
-                try:
-                    out[k] = self.point_at_orbit_index(conv.q[k]) - self.critical_point
-                except KeyError:
-                    pass
-            if upto is not None and k >= upto:
-                break
-        return out
+        levels = range(1, self.depth)
+        if upto is not None:
+            levels = levels[:max(upto, 1)]
+        qs = {k: conv.q[k] for k in levels if conv.q[k] < len(self.ks) + 1}
+        pts = self._orbit_points(qs.values())
+        return {k: pts[q] - self.critical_point for k, q in qs.items() if q in pts}
 
     def winding_number(self, z0=0.0):
         args = np.angle(self.points - z0)

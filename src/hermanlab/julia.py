@@ -328,6 +328,20 @@ _CURVE_RGB = (220, 30, 30)
 _PREIMAGE_RGB = (40, 170, 60)
 
 
+def _colours(labels, counts):
+    """The uint8 RGB colour of each pixel of the labels and escape counts
+    (arrays of one shape): the palette colour, shaded by the count in the
+    two basins, and black for a label without one."""
+    img = np.zeros(labels.shape + (3,), dtype=np.uint8)
+    for lab, rgb in _PALETTE.items():
+        img[labels == lab] = rgb
+    shade = 0.55 + 0.45 * np.cos(0.35 * counts.astype(np.float64))
+    for lab in (BASIN0, BASIN_INF):
+        m = labels == lab
+        img[m] = np.clip(img[m] * shade[m][:, None], 0, 255).astype(np.uint8)
+    return img
+
+
 def render(grid, path, curve_overlay=None, preimage_overlays=()):
     """Write a deterministic 8-bit P6 PPM image of the classification.
 
@@ -335,14 +349,14 @@ def render(grid, path, curve_overlay=None, preimage_overlays=()):
     overlaid in red and preimage layers in green.
     """
     h, w = grid.labels.shape
-    img = np.zeros((h, w, 3), dtype=np.uint8)
-    for lab, rgb in _PALETTE.items():
-        img[grid.labels == lab] = rgb
-    it = grid.escape_iters.astype(np.float64)
-    shade = 0.55 + 0.45 * np.cos(0.35 * it)
-    for lab in (BASIN0, BASIN_INF):
-        m = grid.labels == lab
-        img[m] = np.clip(img[m] * shade[m][:, None], 0, 255).astype(np.uint8)
+    n = int(grid.escape_iters.max(initial=0)) + 1
+    if 4 * n <= grid.labels.size:
+        # a table of each (label, count) pair's colour, no larger than the
+        # image; labels 3 and up share row 3, which no palette colour has
+        table = _colours(*np.broadcast_arrays(*np.ogrid[:4, :n]))
+        img = table[np.minimum(grid.labels, 3), grid.escape_iters]
+    else:
+        img = _colours(grid.labels, grid.escape_iters)
 
     def put_points(pts, rgb):
         x0, y0, x1, y1 = grid.window

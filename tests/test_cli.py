@@ -3,11 +3,15 @@
 import json
 import math
 import os
+import tempfile
+import types
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hermanlab import _kernels, curve, rotation
+from hermanlab import _kernels, cli, curve, rotation
 from hermanlab.cfrac import GOLDEN, convergents
 from hermanlab.cli import main
 from hermanlab.maps import herman_family
@@ -354,3 +358,63 @@ def test_unreadable_input_file_is_config_error(capsys, tmp_path):
     (tmp_path / "c.csv").write_text("k,angle,re,im\n0,0.1,1.0,0.0\n1,0.6,abc,0.0\n")
     code, _, err = run(capsys, "dims", "--points", str(tmp_path / "c.csv"))
     assert code == 2 and "line 3" in err
+
+
+HEADER = "k,angle,re,im\n"
+
+
+def test_header_only_curve_csv_is_empty(tmp_path):
+    """A curve CSV without rows gives empty arrays and no numpy warning."""
+    path = tmp_path / "c.csv"
+    path.write_text(HEADER)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ks, angles, pts = cli._read_curve_csv(str(path))
+    assert ks.shape == angles.shape == pts.shape == (0,)
+    assert (ks.dtype, angles.dtype, pts.dtype) == (np.int64, np.float64, np.complex128)
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0.5,0.1,1.0,0.0\n", 2),                          # k not an integer
+    ("0,0.1,1.0,0.0\n1,0.6,1.0\n", 3),                 # short row
+    ("0,0.1,1.0,0.0\n1,0.6,1.0,0.0,7\n", 3),           # long row
+    ("0,0.1,1.0,0.0\n\n1,0.6,1.0,0.0\n", 3),            # blank line
+    ("\n", 2),
+    ("0,0.1,1.0,0.0\n1,0.6,1.0,0.0\n\n", 4),            # trailing blank line
+    ("0,0.1,1.0,0.0\n   \n", 3),                      # blanks only
+    ("0,0.1,1.0,0.0\n# a comment\n1,0.6,1.0,0.0\n", 3),
+    ("0,0.1,1.0,0.0\n\n1,0.6,abc,0.0\n", 3),             # the first bad line
+])
+def test_bad_curve_csv_line_is_config_error(capsys, tmp_path, body, line):
+    """A bad line exits 2 with its number, the header counting as line 1."""
+    path = tmp_path / "c.csv"
+    path.write_text(HEADER + body)
+    code, out, err = run(capsys, "dims", "--points", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "bad line %d of" % line in err
+
+
+floats = st.one_of(st.floats(allow_nan=False),
+                   st.sampled_from([-0.0, 5e-324, -5e-324, 1e-300, 1e16, 1e22, -1e22]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2 ** 63, 2 ** 63 - 1), floats, floats, floats),
+                max_size=20))
+def test_curve_csv_round_trip(rows):
+    """_write_curve_csv writes each float as _fmt does, and _read_curve_csv
+    gives back the ks and the floats bit for bit."""
+    ks = np.array([r[0] for r in rows], dtype=np.int64)
+    angles, re, im = (np.array([r[i] for r in rows], dtype=np.float64) for i in (1, 2, 3))
+    pts = np.empty(len(rows), dtype=np.complex128)
+    pts.real, pts.imag = re, im
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "c.csv")
+        cli._write_curve_csv(types.SimpleNamespace(ks=ks, angles=angles, points=pts), path)
+        with open(path) as fh:
+            text = fh.read()
+        got_ks, got_angles, got_pts = cli._read_curve_csv(path)
+    assert text == HEADER + "".join("%d,%s,%s,%s\n" % (k, cli._fmt(a), cli._fmt(x), cli._fmt(y))
+                                    for k, a, x, y in rows)
+    assert got_ks.dtype == np.int64 and np.array_equal(got_ks, ks)
+    assert got_angles.tobytes() == angles.tobytes() and got_pts.tobytes() == pts.tobytes()

@@ -33,6 +33,29 @@ def test_trace_rejects_unknown_precision():
         hl.trace(m, "golden", 8, precision="quad")
 
 
+def test_orbit_index_lookup():
+    """point_at_orbit_index and closest_returns read the vertex of each orbit
+    index, wherever the angle order puts it: the last of a repeated index,
+    a KeyError for a missing one, and no return for a convergent q_k
+    missing from the trace."""
+    q = convergents(GOLDEN, 6).q          # 1, 1, 2, 3, 5, 8, 13
+    ks = np.array([5, 0, 3, 1, 8, 2, 3, 11], dtype=np.int64)
+    pts = np.arange(len(ks)) * (1 + 1j) + 0.5
+    c = hl.HermanCurve(ks=ks, angles=np.linspace(0, 1, len(ks), endpoint=False),
+                       points=pts, theta=GOLDEN, critical_point=0.5 + 0j, depth=6)
+    assert c.point_at_orbit_index(8) == pts[4]
+    assert c.point_at_orbit_index(np.int64(3)) == pts[6]
+    with pytest.raises(KeyError, match="orbit index 4 not in trace"):
+        c.point_at_orbit_index(4)
+    last = {int(k): i for i, k in enumerate(ks)}
+    want = {k: complex(pts[last[q[k]]]) - 0.5 for k in range(1, 6)}
+    assert c.closest_returns() == want and sorted(want) == [1, 2, 3, 4, 5]
+    assert c.closest_returns(upto=2) == {1: want[1], 2: want[2]}
+    assert c.closest_returns(upto=0) == {1: want[1]}
+    c.ks = np.array([5, 0, 3, 1, 7, 2, 3, 11], dtype=np.int64)
+    assert sorted(c.closest_returns()) == [1, 2, 3, 4]
+
+
 def test_closest_returns_shrink_and_alternate(golden32):
     _, m = golden32
     c = hl.trace(m, "golden", 16)

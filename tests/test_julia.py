@@ -9,7 +9,7 @@ import pytest
 import hermanlab as hl
 from hermanlab import _kernels
 from hermanlab.julia import (BASIN0, BASIN_INF, UNDECIDED, GridClassification,
-                             InsufficientScalesError, box_dimension, classify,
+                             InsufficientScalesError, _colours, box_dimension, classify,
                              load_grid, porosity_profile, preimage_layers,
                              render, save_grid)
 
@@ -226,3 +226,21 @@ def test_render_is_deterministic(tmp_path, grid32, golden32):
     w, hgt = grid32.resolution
     assert b1.startswith(b"P6\n%d %d\n255\n" % (w, hgt))
     assert len(b1) == len(b"P6\n%d %d\n255\n" % (w, hgt)) + 3 * w * hgt
+
+
+def test_render_table_equals_per_pixel_shading(tmp_path):
+    """The image render writes from its (label, count) colour table equals
+    the colours computed pixel by pixel, for labels outside the palette
+    (black) too, and so does a grid whose counts are too many for the
+    table."""
+    rng = np.random.default_rng(9)
+    for shape, top in (((40, 30), 60), ((3, 2), 10 ** 6)):
+        labels = rng.integers(0, 6, shape).astype(np.uint8)
+        iters = rng.integers(0, top + 1, shape).astype(np.uint32)
+        grid = GridClassification((-1.0, -1.0, 1.0, 1.0), labels, iters, top, 1e-6, 1e6)
+        path = tmp_path / "g.ppm"
+        render(grid, str(path))
+        h, w = shape
+        want = b"P6\n%d %d\n255\n" % (w, h) + _colours(labels, iters)[::-1].tobytes()
+        assert path.read_bytes() == want
+        assert (_colours(labels, iters)[labels > UNDECIDED] == 0).all()

@@ -277,13 +277,18 @@ def test_c_classify_rows_split_independent(map32):
 @needs_c
 def test_c_classify_widths_cover_the_cpu():
     """2 lanes always, the wider counts only when the CPU has their
-    instructions; any other count is refused, not run."""
+    instructions; any other count is refused, not run, by the classifier
+    and by the arc ratios."""
     assert K._WIDTHS[0] == 2 and K._WIDTHS == (2, 4, 8)[:len(K._WIDTHS)]
     m = family(3, 2)
+    pts = np.exp(2j * np.pi * np.arange(20) / 20)
+    ii, jj = np.array([0, 3], dtype=np.int64), np.array([7, 15], dtype=np.int64)
     for lanes in (0, 3, 16, *(n for n in (4, 8) if n not in K._WIDTHS)):
         with pytest.raises(ValueError, match="lanes"):
             K._classify_c(*K._c_arrays(m.num, m.den), -2.0, -2.0, 0.5, 0.5, 8, 8, 10,
                           1e-6, 1e6, 1, lanes)
+        with pytest.raises(ValueError, match="lanes"):
+            K._arc_ratios_c(pts, ii, jj, 1, lanes)
 
 
 @needs_c
@@ -354,15 +359,23 @@ def arc_case(draw):
     """(pts, ii, jj): a closed polygon of m vertices and vertex pairs.
 
     Coordinates are normal ("wide"), small integers with many ties
-    ("ties"), or integer multiples of 1e-160 or of the smallest subnormal,
-    whose squares underflow ("narrow").  The pairs include equal vertices
-    (zero chord), wrapping outer arcs, a tie of inner and outer arc, and
-    arcs of 512, 513 and up to 1023 points after coarsening."""
+    ("ties"), integer multiples of 1e-160 or of the smallest subnormal,
+    whose squares underflow ("narrow"), or a rotated ellipse traversed
+    twice ("round"): there many points lie near each axis extreme, and the
+    ends of the diameter are extremes of no axis, so the estimate depends
+    on which 8 points each axis keeps.  The pairs include equal vertices
+    (zero chord), wrapping outer arcs, a tie of inner and outer arc, arcs
+    of 2 to 10 points, and arcs of 512, 513 and up to 1023 points after
+    coarsening."""
     m = draw(st.sampled_from([2, 3, 9, 17, 200, 1100, 2100, 2200]))
-    kind = draw(st.sampled_from(["wide", "ties", "narrow"]))
+    kind = draw(st.sampled_from(["wide", "ties", "narrow", "round"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "wide":
         xy = rng.standard_normal((2, m)) * 10.0 ** rng.integers(-3, 4)
+    elif kind == "round":
+        t = 4.0 * np.pi * np.arange(m) / m
+        z = (np.cos(t) + 1j * rng.uniform(0.7, 1.0) * np.sin(t)) * np.exp(1j * rng.uniform(0, 7))
+        xy = np.array([z.real, z.imag])
     else:
         xy = rng.integers(-3, 4, size=(2, m)).astype(np.float64)
         if kind == "narrow":
@@ -370,7 +383,8 @@ def arc_case(draw):
     pts = xy[0] + 1j * xy[1]
     ii, jj = list(rng.integers(0, m, 40)), list(rng.integers(0, m, 40))
     for i, j in [(0, 0), (0, m - 1), (m - 1, 1), (0, m // 2), (m // 3, m - 2),
-                 (0, 511), (0, 512), (5, 5 + 1022), (0, 1030), (m - 1, 600)]:
+                 (0, 511), (0, 512), (5, 5 + 1022), (0, 1030), (m - 1, 600),
+                 *((1, 1 + n) for n in range(1, 10))]:
         if max(i, j) < m:
             ii.append(i)
             jj.append(j)
@@ -379,14 +393,38 @@ def arc_case(draw):
 
 @needs_c
 @settings(max_examples=150, deadline=None)
-@given(arc_case())
-def test_c_arc_ratios_bit_equal(case):
-    """The C arc ratios equal the reference's bit for bit, with 1 and 3 workers."""
+@given(arc_case(), st.sampled_from(K._WIDTHS))
+def test_c_arc_ratios_bit_equal(case, lanes):
+    """The C arc ratios equal the reference's bit for bit, at each lane count
+    and with 1 and 3 workers."""
     pts, ii, jj = case
     ref = K._arc_ratios(pts, ii, jj)
-    assert bits(K._arc_ratios_c(pts, ii, jj, 1)) == bits(ref)
-    assert bits(K._arc_ratios_c(pts, ii, jj, 3)) == bits(ref)
+    assert bits(K._arc_ratios_c(pts, ii, jj, 1, lanes)) == bits(ref)
+    assert bits(K._arc_ratios_c(pts, ii, jj, 3, lanes)) == bits(ref)
     assert bits(K.arc_ratios(pts, ii, jj)) == bits(ref)
+
+
+@needs_c
+@pytest.mark.parametrize("lanes", [2, 4, 8])
+def test_c_arc_ratios_lanes_bit_equal(lanes):
+    """Each lane count equals the reference on every vertex pair of polygons
+    of 1, 2 and 13 points (arcs of 1 to 7 points, fewer than the lanes or
+    no multiple of them; a 1-point arc has a zero chord and ratio 0) and
+    on arcs of 506 to 1031 points, 513 to 1023 of them kept uncoarsened."""
+    if lanes not in K._WIDTHS:
+        pytest.skip("this CPU lacks the instructions of the %d-lane arc kernel" % lanes)
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 13, 2100):
+        pts = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        if m <= 13:
+            ii, jj = np.indices((m, m)).reshape(2, -1)
+        else:
+            jj = np.arange(505, 1031)
+            ii = np.zeros_like(jj)
+        ref = K._arc_ratios(pts, ii, jj)
+        assert (ref[ii == jj] == 0).all() and (ref[ii != jj] > 0).all()
+        for workers in (1, 3):
+            assert bits(K._arc_ratios_c(pts, ii, jj, workers, lanes)) == bits(ref)
 
 
 def brute_distance(mask):
