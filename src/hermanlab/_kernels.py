@@ -461,7 +461,8 @@ def arc_ratios(pts, ii, jj):
     (len // 512)-th one.  Its diameter is estimated by _arc_diameter.
     The C loop splits the pairs over one thread per CPU this process may
     run on, at the widest lane count the CPU has; the ratios depend on
-    neither.
+    neither.  The vertices must be finite: the C loop skips a NaN squared
+    distance where the reference propagates it.
     """
     pts = np.ascontiguousarray(pts, dtype=np.complex128)
     ii = np.ascontiguousarray(ii, dtype=np.int64)

@@ -5,6 +5,7 @@ All outputs (CSV/JSON/PPM) are byte-deterministic for a fixed config.
 """
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -98,7 +99,8 @@ _CURVE_ROW = np.dtype([("k", np.int64), ("angle", np.float64), ("re", np.float64
 
 def _read_curve_csv(path):
     """(ks, angles, points) of a curve CSV; a ConfigError names the first bad
-    line, counting the header as line 1.  A blank line is a bad line."""
+    line, counting the header as line 1.  A blank line is a bad line, and so
+    is a line with a non-finite angle, re or im (an integer k is finite)."""
     try:
         fh = open(path)
     except OSError as e:
@@ -118,6 +120,11 @@ def _read_curve_csv(path):
                               comments=None, ndmin=1)
         except ValueError as e:
             _bad_curve_line(path, data, e)
+    finite = np.isfinite(rows["angle"]) & np.isfinite(rows["re"]) & np.isfinite(rows["im"])
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise ConfigError("bad line %d of curve CSV %s (non-finite value): %r"
+                          % (n + 2, path, data.split("\n")[n]))
     pts = np.empty(len(rows), dtype=np.complex128)
     pts.real, pts.imag = rows["re"], rows["im"]
     return np.ascontiguousarray(rows["k"]), np.ascontiguousarray(rows["angle"]), pts
@@ -475,7 +482,9 @@ class _StageFailure(Exception):
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it was."""
     ap = argparse.ArgumentParser(prog="hermanlab",
                                  description="critical quasicircle map numerics")
     sub = ap.add_subparsers(dest="command", required=True)

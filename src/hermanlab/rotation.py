@@ -13,15 +13,19 @@ Two tuners are provided:
 * tune_asymmetric: damped Newton on the closest-return residual
   G_m(c) = f_c^{q_m}(1) - 1 with a continuation ladder over the depth m,
   i.e. continuation along the continued-fraction truncations p_m/q_m of
-  theta.  The Jacobian is the derivative of the orbit with respect to
-  the parameter, propagated analytically along the orbit (the basin of a
-  finite-difference Jacobian collapses at deep levels where neighboring
-  roots are closer than any usable difference step).
+  theta, each level seeded by extrapolating the geometric convergence of
+  the previous levels' roots.  The Jacobian is the derivative of the
+  orbit with respect to the parameter, propagated analytically along the
+  orbit (the basin of a finite-difference Jacobian collapses at deep
+  levels where neighboring roots are closer than any usable difference
+  step).
 """
 
 import cmath
+import logging
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,6 +37,16 @@ from .cfrac import (MIN_IRRATIONAL_DEPTH, ContinuedFraction, Convergents, NAMED_
 from .maps import arnold_lift, blaschke, family_core, herman_family
 
 _QCAP_DEFAULT = 30000
+# a ladder level is seeded by extrapolation only while the two latest
+# ratios of root steps of one parity agree to this relative tolerance
+_EXTRAPOLATION_GUARD = 0.01
+# a preset ladder deeper than the default top starts this many levels
+# below it, so that the extrapolation guard holds before the default top
+_LOWER_START = 4
+
+_log = logging.getLogger("hermanlab")
+# residual evaluations made by this thread, for the ladder's ledger
+_evals = threading.local()
 
 
 def _convergents(theta):
@@ -225,6 +239,12 @@ def _default_depth(conv):
     return len(conv.q) - 1
 
 
+def _residual(num0, den, c, qm):
+    """(G_m(c), dG_m/dc) from the compiled kernel, counted per thread."""
+    _evals.n = getattr(_evals, "n", 0) + 1
+    return _kernels.tune_residual(num0, den, c, qm, *_kernels.TRAPS)
+
+
 def _newton_polish(num0, den, c, qm, tol=1e-14):
     """Damped Newton on G_m(c) = f_c^{q_m}(1) - 1 (40 steps of 20 halvings at most).
 
@@ -233,7 +253,7 @@ def _newton_polish(num0, den, c, qm, tol=1e-14):
     a depth-dependent noise floor from orbit round-off, so deep levels
     converge in parameter long before the raw residual is small).
     """
-    r, dr = _kernels.tune_residual(num0, den, c, qm, *_kernels.TRAPS)
+    r, dr = _residual(num0, den, c, qm)
     if r != r:
         raise TuningError("orbit escaped during residual evaluation", last=c)
     steps = 0
@@ -249,7 +269,7 @@ def _newton_polish(num0, den, c, qm, tol=1e-14):
         moved = False
         for _ in range(20):
             cn = c + lam * step
-            rn, drn = _kernels.tune_residual(num0, den, cn, qm, *_kernels.TRAPS)
+            rn, drn = _residual(num0, den, cn, qm)
             if rn == rn and abs(rn) < abs(r):
                 c, r, dr = cn, rn, drn
                 last_step = lam * abs(step)
@@ -262,18 +282,73 @@ def _newton_polish(num0, den, c, qm, tol=1e-14):
     return c, abs(r), steps, last_step
 
 
+def _steps(roots):
+    """The root steps d_j = c_{j+1} - c_j of consecutive ladder roots."""
+    return [b - a for a, b in zip(roots, roots[1:])]
+
+
+def _extrapolated_seed(roots):
+    """Seed for the level after c_k = roots[-1], or None unless the ladder
+    is geometric enough to extrapolate.
+
+    The ratio d_j / d_{j-1} alternates between two complex values from
+    level to level, so the next step is predicted from the ratio of its
+    own parity two levels back: c_k + d_{k-1} d_{k-2} / d_{k-3}.  The guard
+    asks that the latest two ratios of the other parity, d_{k-1} / d_{k-2}
+    and d_{k-3} / d_{k-4}, agree to _EXTRAPOLATION_GUARD.
+    """
+    if len(roots) < 5:
+        return None
+    d4, d3, d2, d1 = _steps(roots[-5:])
+    if not (d4 and d3 and d2):
+        return None
+    if not abs((d1 / d2) / (d3 / d4) - 1.0) < _EXTRAPOLATION_GUARD:
+        return None
+    return roots[-1] + d1 * (d2 / d3)
+
+
+def _limit(roots):
+    """c_k plus the sum of all the remaining extrapolated root steps,
+    c_k + d_{k-1} r (1 + r') / (1 - r r') with r = d_{k-2} / d_{k-3} and
+    r' = d_{k-1} / d_{k-2}; None for fewer than four roots or a zero step."""
+    if len(roots) < 4:
+        return None
+    d3, d2, d1 = _steps(roots[-4:])
+    if not (d3 and d2):
+        return None
+    r, r1 = d2 / d3, d1 / d2
+    return complex(roots[-1] + d1 * r * (1 + r1) / (1 - r * r1))
+
+
 def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
     """Newton-tune the (d0, dinf) family parameter to rotation number theta.
 
     seed: a complex starting parameter, or the string "preset" to use the
     shipped preset for (d0, dinf, theta-name); any other string raises
-    PresetError.  m is the final ladder
-    depth (default: smallest n with q_n >= 1000).  The ladder polishes
-    G_k(c) = 0 for k = m0..m, which is continuation along the CF
-    truncations of theta; the result at depth m realizes the closest-
-    return combinatorics of theta through time q_m, verified at depth
-    min(m - 1, 14): the return at time q_m is the one the ladder has just
-    driven onto the critical point, so its phase is round-off.
+    PresetError.  m is the final ladder depth (default: smallest n with
+    q_n >= 1000, the preset's level).  The ladder polishes G_k(c) = 0 for
+    k = m0..m, which is continuation along the CF truncations of theta;
+    the result at depth m realizes the closest-return combinatorics of
+    theta through time q_m, verified at depth min(m - 1, 14): the return
+    at time q_m is the one the ladder has just driven onto the critical
+    point, so its phase is round-off.
+
+    m0 is the default depth for a preset seed, or _LOWER_START levels
+    below it when m is deeper, and the first q_n >= 10 for an explicit
+    seed.  The level roots converge geometrically, with a step ratio
+    d_{k-1} / d_k that alternates between two values.  Once five roots
+    are known and the ratios of one parity agree, each level is seeded by
+    two-level extrapolation (_extrapolated_seed), which lands inside
+    Newton's quadratic basin; otherwise, or when the extrapolated seed's
+    orbit escapes, the level starts from the last root.  Every level
+    still makes at least one residual evaluation, and passes the
+    convergence test and the 0.05 jump test.
+
+    report holds the family, ladder_top, verify (verify_herman's checks),
+    ladder (per level: level, q, residual |G|, steps, evals, iterates =
+    evals * q, extrapolated), delta (level k -> |d_{k-2} / d_{k-1}|, the
+    parameter-side scaling of renormalization) and c_limit (_limit of the
+    roots, None for fewer than four levels).
     """
     theta = resolve_theta(theta)
     conv = _convergents(theta)
@@ -290,20 +365,41 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
         m = m0
     if m >= len(conv.q):
         raise ValueError("ladder depth %d > the %d known quotients of theta" % (m, len(conv.q) - 1))
+    if from_preset and m > m0:
+        m0 = max(1, m0 - _LOWER_START)
     num0, den = family_core(d0, dinf)
     total_steps = 0
     residual = math.inf
-    prev = None
-    for k in range(min(m0, m), m + 1):
-        c, residual, steps, last_step = _newton_polish(num0, den, c, conv.q[k], tol=tol)
+    roots, ladder = [], []
+    start = min(m0, m)
+    for k in range(start, m + 1):
+        before = getattr(_evals, "n", 0)
+        guess = _extrapolated_seed(roots)
+        if guess is not None:
+            try:
+                c_k, residual, steps, last_step = _newton_polish(num0, den, guess, conv.q[k], tol=tol)
+            except TuningError:
+                guess = None  # the orbit escaped: start from the last root
+        if guess is None:
+            c_k, residual, steps, last_step = _newton_polish(num0, den, c, conv.q[k], tol=tol)
         total_steps += steps
-        if residual > max(tol, 1e-10) and last_step > 1e-12 * max(1.0, abs(c)):
+        if residual > max(tol, 1e-10) and last_step > 1e-12 * max(1.0, abs(c_k)):
             raise TuningError(
                 "Newton did not converge at ladder depth %d (|G|=%.3e)" % (k, residual),
-                last=c)
-        if prev is not None and abs(c - prev) > 0.05:
-            raise TuningError("ladder jumped between roots at depth %d" % k, last=c)
-        prev = c
+                last=c_k)
+        if roots and abs(c_k - roots[-1]) > 0.05:
+            raise TuningError("ladder jumped between roots at depth %d" % k, last=c_k)
+        c = c_k
+        roots.append(c)
+        evals = _evals.n - before
+        ladder.append({"level": k, "q": conv.q[k], "residual": float(residual), "steps": steps,
+                       "evals": evals, "iterates": evals * conv.q[k],
+                       "extrapolated": guess is not None})
+        _log.debug("ladder level %d (q = %d): |G| = %.3e, %d steps, %d evaluations, %s seed",
+                   k, conv.q[k], residual, steps, evals,
+                   "extrapolated" if guess is not None else "last-root")
+    d = _steps(roots)
+    delta = {k: float(abs(a / b)) for k, a, b in zip(range(start + 2, m + 1), d, d[1:]) if b}
     verify_depth = min(m - 1, 14)
     vrep = verify_herman(herman_family(d0, dinf, c), theta, verify_depth)
     return TuneResult(
@@ -312,7 +408,8 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
         residual=residual,
         iterations=total_steps,
         verified_depth=verify_depth,
-        report={"family": (d0, dinf), "ladder_top": m, "verify": vrep},
+        report={"family": (d0, dinf), "ladder_top": m, "verify": vrep, "ladder": ladder,
+                "delta": delta, "c_limit": _limit(roots)},
     )
 
 

@@ -408,13 +408,53 @@ def test_curve_csv_round_trip(rows):
     angles, re, im = (np.array([r[i] for r in rows], dtype=np.float64) for i in (1, 2, 3))
     pts = np.empty(len(rows), dtype=np.complex128)
     pts.real, pts.imag = re, im
+    infinite = [n for n, r in enumerate(rows, 2) if not all(map(math.isfinite, r[1:]))]
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "c.csv")
         cli._write_curve_csv(types.SimpleNamespace(ks=ks, angles=angles, points=pts), path)
         with open(path) as fh:
             text = fh.read()
-        got_ks, got_angles, got_pts = cli._read_curve_csv(path)
+        if infinite:
+            with pytest.raises(cli.ConfigError, match="bad line %d of" % infinite[0]):
+                cli._read_curve_csv(path)
+        else:
+            got_ks, got_angles, got_pts = cli._read_curve_csv(path)
     assert text == HEADER + "".join("%d,%s,%s,%s\n" % (k, cli._fmt(a), cli._fmt(x), cli._fmt(y))
                                     for k, a, x, y in rows)
-    assert got_ks.dtype == np.int64 and np.array_equal(got_ks, ks)
-    assert got_angles.tobytes() == angles.tobytes() and got_pts.tobytes() == pts.tobytes()
+    if not infinite:
+        assert got_ks.dtype == np.int64 and np.array_equal(got_ks, ks)
+        assert got_angles.tobytes() == angles.tobytes() and got_pts.tobytes() == pts.tobytes()
+
+
+@pytest.mark.parametrize("field", [1, 2, 3])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [["geometry", "--curve"], ["dims", "--points"]])
+def test_non_finite_curve_csv_value_is_config_error(capsys, tmp_path, field, value, argv):
+    """A non-finite angle, re or im exits 2 and names the first such line;
+    before, geometry reported a bounded-turning constant of 0 for it."""
+    rows = [[str(k), repr(k / 16), repr(math.cos(k * math.pi / 8)), repr(math.sin(k * math.pi / 8))]
+            for k in range(16)]
+    rows[5][field] = rows[9][field] = value
+    path = tmp_path / "c.csv"
+    path.write_text(HEADER + "".join(",".join(r) + "\n" for r in rows))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "bad line 7 of" in err and "non-finite" in err
+
+
+def test_parser_is_built_once_without_leaking_options(capsys, tmp_path):
+    """main reuses one parser, and one call's options and defaults do not
+    reach the next call."""
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "cf.json"
+    assert run(capsys, "cfrac", "--theta", "silver", "--depth", "5", "--out", str(out))[0] == 0
+    assert json.loads(out.read_text())["quotients"] == [2] * 5
+    code, text, _ = run(capsys, "cfrac", "--theta", "golden")
+    assert code == 0 and json.loads(text)["quotients"] == [1] * 20
+    fresh = cli.build_parser.__wrapped__
+    first = ["tune", "--d0", "2", "--dinf", "2", "--theta", "silver", "--tol", "1e-3",
+             "--seed", "preset", "--depth", "9", "--out", "x"]
+    for second in (["tune", "--d0", "3", "--dinf", "2"], ["dims", "--points", "p"],
+                   ["render", "--d0", "3", "--dinf", "2", "--window", "0,0,1,1", "--out", "r"]):
+        cli.build_parser().parse_args(first)
+        assert vars(cli.build_parser().parse_args(second)) == vars(fresh().parse_args(second))

@@ -161,3 +161,104 @@ def test_rational_map_copies_its_input():
     num[:] = 0.0
     den[0] = 5.0
     assert m.eval(z) == before == src.eval(z)
+
+
+# the m = 20 ladder roots of the three golden presets, as the ladder seeded
+# from each level's previous root found them
+LADDER_M20 = {
+    (3, 2): -1.1442084006991486 - 0.9644541436327397j,
+    (2, 2): -0.7556990681277681 - 0.6549190166965858j,
+    (2, 3): -0.5109476819428045 - 0.4306781952729703j,
+}
+
+
+@pytest.mark.parametrize("d0,dinf", sorted(LADDER_M20))
+def test_extrapolated_ladder_pinned_at_m20(d0, dinf):
+    """Starting four levels below the preset's level and seeding by two-level
+    extrapolation reaches the same m = 20 roots bit for bit."""
+    res = hl.tune_asymmetric(d0, dinf, GOLDEN, "preset", m=20)
+    assert res.parameter == LADDER_M20[(d0, dinf)]
+    assert res.report["verify"]["all"]
+    levels = [e["level"] for e in res.report["ladder"]]
+    assert levels == list(range(12, 21))
+    assert any(e["extrapolated"] for e in res.report["ladder"])
+
+
+def _count_residual_iterates(monkeypatch):
+    """Make every tune_residual call add its qm to the returned list."""
+    seen = []
+    real = hl._kernels.tune_residual
+
+    def counted(num0, den, c, qm, *traps):
+        seen.append(qm)
+        return real(num0, den, c, qm, *traps)
+
+    monkeypatch.setattr(hl._kernels, "tune_residual", counted)
+    return seen
+
+
+def test_ladder_ledger_counts_every_residual(monkeypatch):
+    """The tune-deep benchmark's ladder: the ledger accounts for every kernel
+    call, and the extrapolated seeds keep it below a third of the 531,563
+    iterates that seeding from the previous root took."""
+    seen = _count_residual_iterates(monkeypatch)
+    res = hl.tune_asymmetric(3, 2, "golden", "preset", m=22)
+    ladder = res.report["ladder"]
+    assert sum(e["iterates"] for e in ladder) == sum(seen) <= 185_000
+    assert sum(e["evals"] for e in ladder) == len(seen)
+    assert sum(e["steps"] for e in ladder) == res.iterations
+    assert all(e["evals"] >= 1 and e["iterates"] == e["evals"] * e["q"] for e in ladder)
+    assert ladder[-1]["q"] == 28657 and ladder[-1]["residual"] == res.residual
+
+
+def test_ladder_delta_and_limit(golden32):
+    """The root steps shrink by the universal delta ~ 2.9126 per level, and the
+    extrapolated limit of the m = 22 roots lies within 1e-13 of the m = 31 root."""
+    res, _ = golden32
+    assert abs(res.parameter - (-1.144208397941167 - 0.9644541484142908j)) < 1e-12
+    for k in range(27, 32):
+        assert 2.905 <= res.report["delta"][k] <= 2.920
+    limit22 = hl.tune_asymmetric(3, 2, "golden", "preset", m=22).report["c_limit"]
+    assert abs(limit22 - res.parameter) < 1e-13
+
+
+def test_escaped_extrapolated_seed_falls_back_to_last_root(monkeypatch):
+    """An extrapolated seed whose orbit escapes is replaced by the last root,
+    and its one evaluation still shows in the ledger."""
+    real = hl.rotation._extrapolated_seed
+    hopeless = []
+
+    def escaping(roots):
+        guess = real(roots)
+        if guess is None:
+            return None
+        hopeless.append(10.0 + 10.0j)
+        return hopeless[-1]
+
+    monkeypatch.setattr(hl.rotation, "_extrapolated_seed", escaping)
+    seen = _count_residual_iterates(monkeypatch)
+    res = hl.tune_asymmetric(3, 2, GOLDEN, "preset", m=20)
+    assert hopeless and not any(e["extrapolated"] for e in res.report["ladder"])
+    assert sum(e["iterates"] for e in res.report["ladder"]) == sum(seen)
+    assert abs(res.parameter - LADDER_M20[(3, 2)]) < 1e-12
+    assert res.report["verify"]["all"]
+
+
+def test_extrapolated_seed_guard():
+    """The seed continues a two-parity geometric ladder exactly, and a ladder
+    whose step ratios wander (as a seed far from the root gives) is not
+    extrapolated."""
+    def ladder(ratios, c0=1.0 + 1.0j, d0=1e-3 + 2e-3j):
+        roots, d = [c0], d0
+        for r in ratios:
+            roots.append(roots[-1] + d)
+            d *= r
+        return roots, roots[-1] + d
+
+    a, b = -1 / (2.8666 + 0.5154j), -1 / (2.8666 - 0.5154j)
+    roots, nxt = ladder([a, b, a, b, a])
+    assert hl.rotation._extrapolated_seed(roots[:-1]) == pytest.approx(roots[-1], abs=1e-15)
+    assert hl.rotation._extrapolated_seed(roots) == pytest.approx(nxt, abs=1e-15)
+    assert hl.rotation._extrapolated_seed(roots[:4]) is None
+    roots, _ = ladder([-1 / 34, -1 / 53, -1 / 37, -1 / 27, -1 / 21])
+    assert hl.rotation._extrapolated_seed(roots) is None
