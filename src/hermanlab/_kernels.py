@@ -172,9 +172,8 @@ def orbit_samples(num, den, z0, ks, r0, rinf):
     """Iterate z -> N(z)/D(z), sampling the iterates listed in ks (sorted,
     each >= 1).
 
-    Iterates in the precision of the coefficient arrays (complex128 or
-    clongdouble) and stores complex128 samples; samples after a trap are
-    NaN.  Returns (samples, number of samples taken).
+    Samples after a trap are NaN.  Returns (samples, number of samples
+    taken).
     """
     arrays = _c_arrays(num, den)
     if arrays is None:
@@ -237,8 +236,7 @@ def _cdiv(a, b):
 
 
 def _orbit_samples(num, den, z0, ks, r0, rinf):
-    """Reference of orbit_samples, and its only implementation for
-    clongdouble coefficients."""
+    """Reference of orbit_samples."""
     out = np.empty(len(ks), dtype=np.complex128)
     z = z0
     j = 0

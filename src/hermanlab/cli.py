@@ -21,7 +21,7 @@ CONFIG_SCHEMA_VERSION = 1
 
 _CONFIG_FIELDS = {
     "schema", "family", "theta", "seed", "tol", "tune_depth", "trace_depth",
-    "renorm_depth", "window", "resolution", "maxiter", "outdir", "precision",
+    "renorm_depth", "window", "resolution", "maxiter", "outdir",
 }
 
 
@@ -37,23 +37,23 @@ def _parse_theta(spec):
         raise ConfigError("bad theta spec %r: %s" % (spec, e))
 
 
-def _precision(value=None):
-    """The orbit precision of one command: the config value if given, else
-    HERMANLAB_PRECISION, else "double"."""
-    prec = os.environ.get("HERMANLAB_PRECISION", "double") if value is None else value
-    try:
-        curve_mod._check_precision(prec)
-    except ValueError as e:
-        raise ConfigError(str(e))
-    return prec
-
-
 def _parse_complex(spec):
     try:
         re, im = (float(t) for t in spec.split(","))
         return complex(re, im)
     except ValueError:
         raise ConfigError("bad complex value %r (expected re,im)" % spec)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_window(window):
+    """A ConfigError unless window is four finite numbers x0, y0, x1, y1."""
+    if not (isinstance(window, (list, tuple)) and len(window) == 4
+            and all((_is_int(t) or isinstance(t, float)) and math.isfinite(t) for t in window)):
+        raise ConfigError("window must be four finite numbers x0,y0,x1,y1, not %r" % (window,))
 
 
 def _fmt(x):
@@ -227,10 +227,9 @@ def _tuned_map(args, theta):
 
 
 def cmd_trace(args):
-    prec = _precision()
     theta = _parse_theta(args.theta)
     m = _tuned_map(args, theta)
-    c = curve_mod.trace(m, theta, args.depth, precision=prec)
+    c = curve_mod.trace(m, theta, args.depth)
     _write_curve_csv(c, args.out)
     return 0
 
@@ -238,9 +237,14 @@ def cmd_trace(args):
 def cmd_geometry(args):
     ks, angles, pts = _read_curve_csv(args.curve)
     theta = _parse_theta(args.theta)
-    # rebuild the curve container; depth recovered from vertex count
-    conv = cfrac.convergents(theta, 40)
-    depth = max(n for n in range(1, 40) if conv.q[n] <= len(ks) + 1)
+    # rebuild the curve container; depth recovered from vertex count, within
+    # the quotients theta has
+    top = 40 if theta.depth is None else min(40, theta.depth)
+    conv = cfrac.convergents(theta, top)
+    depth = max((n for n in range(1, top) if conv.q[n] <= len(ks) + 1), default=0)
+    if not depth:
+        raise ConfigError("curve %s has %d vertices, fewer than q_1 - 1 = %d"
+                          % (args.curve, len(ks), conv.q[1] - 1))
     c = curve_mod.HermanCurve(ks=ks, angles=angles, points=pts, theta=theta,
                               critical_point=complex(args.critical_point), depth=depth)
     angle, disp = curve_mod.critical_angle(c)
@@ -263,11 +267,10 @@ def cmd_geometry(args):
 
 
 def cmd_renorm(args):
-    prec = _precision()
     theta = _parse_theta(args.theta)
     m = _tuned_map(args, theta)
     if args.what == "ratios":
-        rep = renorm.scaling_ratios(m, theta, args.depth, precision=prec)
+        rep = renorm.scaling_ratios(m, theta, args.depth)
         lines = ["n,re_s,im_s,abs_s,ratio_product_re,ratio_product_im"]
         for n in sorted(rep.s):
             s = rep.s[n]
@@ -283,8 +286,7 @@ def cmd_renorm(args):
             sys.stdout.write(text)
         return 0
     if args.what == "mu":
-        rep = renorm.self_similarity(m, theta, period=args.period, N=args.depth,
-                                     precision=prec)
+        rep = renorm.self_similarity(m, theta, period=args.period, N=args.depth)
         _emit_json({
             "mu": [rep.mu.real, rep.mu.imag],
             "mu_abs": abs(rep.mu),
@@ -308,11 +310,15 @@ def cmd_renorm(args):
 
 
 def cmd_render(args):
+    try:
+        window = tuple(float(t) for t in args.window.split(","))
+    except ValueError:
+        raise ConfigError("bad --window %r (expected x0,y0,x1,y1)" % args.window)
+    _check_window(window)
+    if args.res < 1:
+        raise ConfigError("--res must be positive, not %d" % args.res)
     theta = _parse_theta(args.theta)
     m = _tuned_map(args, theta)
-    window = tuple(float(t) for t in args.window.split(","))
-    if len(window) != 4:
-        raise ConfigError("window must be x0,y0,x1,y1")
     grid = julia.classify(m, window, args.res, maxiter=args.maxiter)
     overlay = None
     if args.overlay:
@@ -380,12 +386,19 @@ def _load_config(path):
     for req in ("family", "theta", "outdir"):
         if req not in cfg:
             raise ConfigError("config missing required field %r" % req)
+    family = cfg["family"]
+    if not (isinstance(family, list) and len(family) == 2 and all(map(_is_int, family))):
+        raise ConfigError("family must be two integers [d0, dinf], not %r" % (family,))
+    for key in ("tune_depth", "trace_depth", "renorm_depth", "resolution", "maxiter"):
+        if key in cfg and not (_is_int(cfg[key]) and cfg[key] > 0):
+            raise ConfigError("%s must be a positive integer, not %r" % (key, cfg[key]))
+    if cfg.get("window"):
+        _check_window(cfg["window"])
     return cfg
 
 
 def cmd_pipeline(args):
     cfg = _load_config(args.config)
-    prec = _precision(cfg.get("precision"))
     d0, dinf = cfg["family"]
     theta = _parse_theta(cfg["theta"])
     outdir = cfg["outdir"]
@@ -395,7 +408,6 @@ def cmd_pipeline(args):
         "config_hash": hashlib.sha256(canonical).hexdigest(),
         "version": __version__,
         "backend": _kernels.BACKEND,
-        "precision": prec,
         "stages": {},
     }
 
@@ -432,18 +444,18 @@ def cmd_pipeline(args):
                 raise RuntimeError("Herman curve checks failed: %s" % ver)
         stage("verify", do_verify)
 
-        c = stage("trace", lambda: curve_mod.trace(m, theta, depth, precision=prec))
+        c = stage("trace", lambda: curve_mod.trace(m, theta, depth))
         _write_curve_csv(c, os.path.join(outdir, "curve.csv"))
 
         def do_scaling():
-            rep = renorm.scaling_ratios(m, theta, N, precision=prec)
+            rep = renorm.scaling_ratios(m, theta, N)
             with open(os.path.join(outdir, "ratios.csv"), "w") as fh:
                 fh.write("n,re_s,im_s,abs_s\n")
                 for n in sorted(rep.s):
                     s = rep.s[n]
                     fh.write("%d,%s,%s,%s\n" % (n, _fmt(s.real), _fmt(s.imag), _fmt(abs(s))))
             if theta.period is not None and N >= 7:
-                mu_rep = renorm.self_similarity(m, theta, N=N, precision=prec)
+                mu_rep = renorm.self_similarity(m, theta, N=N)
                 report["mu"] = [mu_rep.mu.real, mu_rep.mu.imag]
                 report["mu_err"] = mu_rep.mu_err
             return rep

@@ -65,41 +65,28 @@ class OrbitEscapeError(RuntimeError):
     pass
 
 
-# coefficient dtype of each orbit precision: the only list of valid values
-_PRECISIONS = {"double": np.complex128, "extended": np.clongdouble}
-
-
-def _check_precision(precision):
-    if not isinstance(precision, str) or precision not in _PRECISIONS:
-        raise ValueError("precision must be one of %s, not %r"
-                         % (sorted(_PRECISIONS), precision))
-
-
-def _critical_orbit(map_, ks, z0, precision):
-    """Samples f^k(z0) for sorted ks, iterated in a _PRECISIONS precision."""
-    _check_precision(precision)
-    num, den = (np.asarray(a, dtype=_PRECISIONS[precision]) for a in (map_.num, map_.den))
-    pts, nok = _kernels.orbit_samples(num, den, complex(z0), ks, *_kernels.TRAPS)
+def _critical_orbit(map_, ks, z0):
+    """Samples f^k(z0) for sorted ks, iterated in complex128."""
+    pts, nok = _kernels.orbit_samples(map_.num, map_.den, complex(z0), ks, *_kernels.TRAPS)
     if nok != len(ks):
         raise OrbitEscapeError("orbit escaped after %d of %d samples" % (nok, len(ks)))
     return pts
 
 
-def trace(map_, theta, n, check=True, precision="double"):
+def trace(map_, theta, n, check=True):
     """Trace the Herman curve to depth n: the q_n first orbit points of the
     critical point 1.
 
     Vertices are sorted by conjugacy angle {k*theta}; for maps with
     d0 == dinf (Blaschke members, whose curve is the unit circle) they are
     sorted by the actual circle argument instead, which stays exact at
-    depths beyond the parameter's tuning level.  precision: "double" or
-    "extended".
+    depths beyond the parameter's tuning level.
     """
     theta = resolve_theta(theta)
     conv = convergents(theta, n)
     qn = conv.q[n]
     ks = np.arange(1, qn, dtype=np.int64)
-    pts = _critical_orbit(map_, ks, 1.0, precision)
+    pts = _critical_orbit(map_, ks, 1.0)
     ks = np.concatenate([[0], ks])
     pts = np.concatenate([[1.0 + 0.0j], pts])
     th = theta.value_float()

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cfrac import convergents, gauss, resolve_theta
-from .curve import _aitken, _check_precision, _critical_orbit
+from .curve import _aitken, _critical_orbit
 
 
 class BranchAmbiguityError(RuntimeError):
@@ -55,7 +55,7 @@ class LogLift:
         K = max(K, 1500)   # coarse polygons break the arg continuation
         if getattr(self, "_table", None) is not None and len(self._table) >= K:
             return
-        pts = _critical_orbit(self.map, np.arange(1, K, dtype=np.int64), 1.0, "double")
+        pts = _critical_orbit(self.map, np.arange(1, K, dtype=np.int64), 1.0)
         pts = np.concatenate([[1.0 + 0.0j], pts])
         pos = (np.arange(K) * self.theta_float) % 1.0
         order = np.argsort(pos, kind="stable")
@@ -92,7 +92,7 @@ class LogLift:
         interval stays below 1/2.  Raises OrbitEscapeError when the plane
         orbit (q >= 1 steps) leaves the annulus of _kernels.TRAPS.
         """
-        w = _critical_orbit(self.map, [q], cmath.exp(2j * math.pi * z), "double")[0]
+        w = _critical_orbit(self.map, [q], cmath.exp(2j * math.pi * z))[0]
         base = cmath.log(w) / (2j * math.pi)
         k0, m = self._match(z)
         if k0 is not None and k0 + q < len(self._table):
@@ -280,24 +280,19 @@ class ScalingReport:
     cauchy_factors: list = field(default_factory=list)
 
 
-def closest_return_displacements(f, theta, N, precision="double"):
+def closest_return_displacements(f, theta, N):
     """c_{q_n} = f^{q_n}(c) - c for n <= N, in the plane chart.
 
-    f may be a RationalMap (critical point z=1, orbit in precision "double"
-    or "extended") or a circle-map lift with a .critical_point attribute
-    (real displacements F^{q_n}(x_c)-x_c-p_n, precision "double" only).
+    f may be a RationalMap (critical point z=1) or a circle-map lift with a
+    .critical_point attribute (real displacements F^{q_n}(x_c)-x_c-p_n).
     """
     theta = resolve_theta(theta)
     conv = convergents(theta, N + 1)
     if hasattr(f, "num"):
         ks = np.array([conv.q[n] for n in range(1, N + 1)], dtype=np.int64)
-        vals = _critical_orbit(f, ks, 1.0, precision)
+        vals = _critical_orbit(f, ks, 1.0)
         return {n: complex(vals[n - 1]) - 1.0 for n in range(1, N + 1)}
     # circle-map lift path
-    _check_precision(precision)
-    if precision != "double":
-        raise ValueError("circle-map lifts iterate in python floats: precision %r "
-                         "is available only for rational maps" % precision)
     xc = getattr(f, "critical_point", 0.0)
     out = {}
     x = xc
@@ -310,9 +305,9 @@ def closest_return_displacements(f, theta, N, precision="double"):
     return out
 
 
-def scaling_ratios(f, theta, N, period=2, precision="double"):
+def scaling_ratios(f, theta, N, period=2):
     """Scaling ratios s_n and self-similarity ratios c_{q_{n+s}}/c_{q_n}."""
-    cq = closest_return_displacements(f, theta, N + period, precision=precision)
+    cq = closest_return_displacements(f, theta, N + period)
     eps = 1e3 * np.finfo(float).eps
     s = {}
     for n in range(1, N + period):
@@ -334,7 +329,7 @@ def scaling_ratios(f, theta, N, period=2, precision="double"):
     return rep
 
 
-def self_similarity(f, theta, period=2, N=None, precision="double"):
+def self_similarity(f, theta, period=2, N=None):
     """Self-similarity factor mu = lim c_{q_{n+s}}/c_{q_n}, Aitken-accelerated.
 
     theta must be of eventually-periodic type with even period s; the
@@ -348,7 +343,7 @@ def self_similarity(f, theta, period=2, N=None, precision="double"):
         raise ValueError("period must be even")
     if N is None:
         N = 20
-    rep = scaling_ratios(f, theta, N, period=period, precision=precision)
+    rep = scaling_ratios(f, theta, N, period=period)
     ns = sorted(rep.ratios)
     seq = [rep.ratios[n] for n in ns]
     if len(seq) < 5:

@@ -104,6 +104,23 @@ def test_resolve_decimal_keeps_only_exact_quotients(x):
     assert kept.quotients(kept.depth) == exact_quotients(x, kept.depth)
 
 
+small_quotients = st.integers(min_value=1, max_value=5)
+
+
+@given(st.lists(small_quotients, max_size=3), st.lists(small_quotients, min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_periodic_theta_decimal_keeps_a_prefix(preperiod, period):
+    """The decimal of an eventually periodic theta resolves to a prefix of its
+    quotients, with the same convergents.  (Every such theta with quotients
+    up to 5 resolves; larger ones can end the double's expansion early.)"""
+    theta = ContinuedFraction.from_periodic(preperiod, period)
+    kept = resolve_theta(repr(theta.value_float()))
+    n = kept.depth
+    assert kept.quotients(n) == theta.quotients(n)
+    a, b = convergents(kept, n), convergents(theta, n)
+    assert (a.p[:n + 1], a.q[:n + 1]) == (b.p[:n + 1], b.q[:n + 1])
+
+
 def test_gauss_shift_symbolic_and_float():
     assert gauss(GOLDEN).quotients(5) == [1] * 5
     g = gauss(BRONZE_ALT)

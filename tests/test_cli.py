@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from hermanlab import _kernels, cli, curve, rotation
 from hermanlab.cfrac import GOLDEN, convergents
 from hermanlab.cli import main
-from hermanlab.maps import herman_family
 
 B_FIG = "-1.144208,-0.964454"
 
@@ -134,6 +133,46 @@ def test_trace_geometry_roundtrip(capsys, tmp_path):
     assert doc["bounded_turning"] > 0
 
 
+def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
+    """The golden decimal resolves to 33 quotients: geometry recovers the
+    depth within them and reports what the name reports."""
+    csv = tmp_path / "curve.csv"
+    assert main(["trace", "--d0", "3", "--dinf", "2", "--param=" + B_FIG,
+                 "--depth", "12", "--out", str(csv)]) == 0
+    argv = ["geometry", "--curve", str(csv), "--theta"]
+    code, named, _ = run(capsys, *argv, "golden")
+    assert code == 0
+    code, decimal, err = run(capsys, *argv, "0.6180339887498949")
+    assert (code, err) == (0, "") and decimal == named
+    assert json.loads(decimal)["depth"] == 12
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["render", "--window", "a,b,c,d", "--res", "8"], None),
+    (["render", "--window=-2,-2,2,2", "--res", "0"], None),
+    (None, {"family": [3]}),
+    (None, {"window": [1, 2]}),
+    (None, {"trace_depth": "x"}),
+    (None, {"maxiter": -5}),
+    (["geometry", "--theta", "5,1,1,1,1,1,1,1,1,1", "--curve"], None),
+], ids=["window-text", "res-zero", "family-one-int", "window-two-numbers",
+        "depth-text", "maxiter-negative", "curve-shorter-than-q1"])
+def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
+    """A bad window, resolution, family, depth or curve is a configuration
+    error (exit 2), not a numeric failure."""
+    if argv is None:
+        argv = ["pipeline", "--config", str(small_config(tmp_path, "m", **config))]
+    elif argv[0] == "geometry":
+        csv = tmp_path / "one.csv"
+        csv.write_text("k,angle,re,im\n0,0.0,1.0,0.0\n")
+        argv = [*argv, str(csv)]
+    else:
+        argv = [*argv, "--d0", "3", "--dinf", "2", "--param=" + B_FIG,
+                "--out", str(tmp_path / "r.ppm")]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "config error" in err
+
+
 def test_dims_on_circle_csv(capsys, tmp_path):
     csv = tmp_path / "circle.csv"
     t = np.linspace(0.0, 1.0, 20001)[:-1]
@@ -172,10 +211,13 @@ def test_pipeline_config_validation(capsys, tmp_path):
                                     "outdir": str(tmp_path)}))
     assert main(["pipeline", "--config", str(noschema)]) == 2
 
-    quad = tmp_path / "quad.json"
-    quad.write_text(json.dumps({"schema": 1, "family": [3, 2], "theta": "golden",
-                                "outdir": str(tmp_path), "precision": "quad"}))
-    assert main(["pipeline", "--config", str(quad)]) == 2
+    # orbits run in complex128: the former precision field is unknown
+    prec = tmp_path / "prec.json"
+    prec.write_text(json.dumps({"schema": 1, "family": [3, 2], "theta": "golden",
+                                "outdir": str(tmp_path), "precision": "double"}))
+    code, _, err = run(capsys, "pipeline", "--config", str(prec))
+    assert code == 2
+    assert "unknown config fields: ['precision']" in err
 
 
 def test_pipeline_numeric_failure_exit_code(capsys, tmp_path):
@@ -274,19 +316,6 @@ def test_pipeline_fails_verify_stage(capsys, tmp_path, monkeypatch):
     assert "trace" not in report["stages"]
 
 
-def test_extended_pipeline_leaves_no_process_state(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("HERMANLAB_PRECISION", raising=False)
-    m = herman_family(3, 2, complex(*[float(t) for t in B_FIG.split(",")]))
-    before = curve.trace(m, "golden", 12)
-    cfg = small_config(tmp_path, "x", precision="extended")
-    code, _, _ = run(capsys, "pipeline", "--config", str(cfg))
-    assert code == 0
-    assert "HERMANLAB_PRECISION" not in os.environ
-    after = curve.trace(m, "golden", 12)
-    assert np.array_equal(before.ks, after.ks)
-    assert np.array_equal(before.points, after.points)
-
-
 def test_pipeline_unknown_seed_name_is_config_error(capsys, tmp_path):
     code, _, err = run(capsys, "pipeline", "--config",
                        str(small_config(tmp_path, "s", seed="bogus")))
@@ -297,12 +326,13 @@ def test_pipeline_unknown_seed_name_is_config_error(capsys, tmp_path):
 
 
 def test_pipeline_report_names_backend_and_precision(capsys, tmp_path):
-    code, _, _ = run(capsys, "pipeline", "--config",
-                     str(small_config(tmp_path, "r", precision="extended")))
+    """The report names the kernel backend; every orbit runs in complex128,
+    so it names no precision."""
+    code, _, _ = run(capsys, "pipeline", "--config", str(small_config(tmp_path, "r")))
     assert code == 0
     report = json.loads((tmp_path / "r" / "report.json").read_text())
     assert report["backend"] == _kernels.BACKEND
-    assert report["precision"] == "extended"
+    assert "precision" not in report
 
 
 def small_grid(tmp_path):

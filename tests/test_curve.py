@@ -27,12 +27,6 @@ def test_trace_rejects_untuned_map():
         hl.trace(m, "golden", 14)
 
 
-def test_trace_rejects_unknown_precision():
-    m = hl.herman_family(3, 2, -1.144208 - 0.964454j)
-    with pytest.raises(ValueError):
-        hl.trace(m, "golden", 8, precision="quad")
-
-
 def test_orbit_index_lookup():
     """point_at_orbit_index and closest_returns read the vertex of each orbit
     index, wherever the angle order puts it: the last of a repeated index,

@@ -170,14 +170,17 @@ def test_translation_heights_follow_cf(a):
 
 
 def test_closest_returns_check_precision():
-    """An unknown precision is refused on both paths; circle-map lifts run
-    in python floats only, so they refuse "extended" too."""
+    """On a rational map the closest returns are read off its complex128
+    critical orbit, and an orbit that escapes raises OrbitEscapeError; on a
+    circle-map lift they are real."""
     m = hl.herman_family(3, 2, -1.144208 - 0.964454j)
-    lift = hl.arnold_lift(0.6)
-    for f in (m, lift):
-        with pytest.raises(ValueError, match="precision must be one of"):
-            closest_return_displacements(f, "golden", 5, precision="quad")
-    with pytest.raises(ValueError, match="python floats"):
-        closest_return_displacements(lift, "golden", 5, precision="extended")
-    assert closest_return_displacements(lift, "golden", 5) == \
-        closest_return_displacements(lift, "golden", 5, precision="double")
+    cq = closest_return_displacements(m, "golden", 5)
+    q = hl.convergents(GOLDEN, 5).q
+    orbit = [m.eval(1.0)]
+    while len(orbit) < q[5]:
+        orbit.append(m.eval(orbit[-1]))
+    assert cq == {n: complex(orbit[q[n] - 1]) - 1.0 for n in range(1, 6)}
+    with pytest.raises(OrbitEscapeError):
+        closest_return_displacements(hl.herman_family(3, 2, -0.5 + 0.5j), "golden", 14)
+    assert all(c.imag == 0.0 for c in
+               closest_return_displacements(hl.arnold_lift(0.6), "golden", 5).values())
