@@ -15,8 +15,10 @@
  * product is fused into an add.
  *
  * The classifier iterates several pixels at once, one per lane of a
- * GCC/clang vector of doubles (classify_rows_L), and the arc diameters
- * take their largest squared distance over several arc points at once
+ * GCC/clang vector of doubles, and keeps two such vectors in flight per
+ * thread, interleaved in one loop body, so that one vector's divisions run
+ * while the other's wait (classify_rows_L); the arc diameters take their
+ * largest squared distance over several arc points at once
  * (arc_max_sq_L).  Each body is written once and built at 2 lanes for the
  * default target and, on x86, at 4 lanes for AVX2 and 8 for AVX-512F
  * through target attributes; simd_lanes() asks the CPU at run time which
@@ -167,6 +169,25 @@ int tune_residual(const double *num0, int64_t nnum, const double *den, int64_t n
 #define VABS(VD, VI, x) ((VD)((VI)(x) & INT64_MAX))
 #define VSEL(VD, VI, m, a, b) ((VD)(((m) & (VI)(a)) | (~(m) & (VI)(b))))
 
+/* Where Horner's loop over the ascending coefficients c[0..n) starts: at
+ * j = n - 2 from the top coefficient, whose step (0 re - 0 im) + c[n-1]
+ * gives c[n-1] exactly on a finite z, unless a part of it is -0.0; then
+ * at j = n - 1 from 0.  _horner_arrays starts the same way on every z. */
+static int64_t horner_start(const double *c, int64_t n, double *re, double *im)
+{
+    *re = *im = 0.0;
+    if (n == 0 || (c[2 * n - 2] == 0 && signbit(c[2 * n - 2])) ||
+        (c[2 * n - 1] == 0 && signbit(c[2 * n - 1])))
+        return n - 1;
+    *re = c[2 * n - 2];
+    *im = c[2 * n - 1];
+    return n - 2;
+}
+
+/* for v = 0, 1 over the classifier's two vectors, unrolled, so that each
+ * vector's state is a register of its own */
+#define EACH_VECTOR(v) _Pragma("GCC unroll 2") for (int v = 0; v < 2; v++)
+
 /* Escape-time labels (0 inner, 1 outer, 2 undecided) and iteration counts
  * of the pixel rows row0, row0 + stride, ... of the w x h grid whose pixel
  * (ix, iy) is centred at (x0 + (ix + 0.5) dx, y0 + (iy + 0.5) dy), into the
@@ -175,17 +196,23 @@ int tune_residual(const double *num0, int64_t nnum, const double *den, int64_t n
  * replaced by 2 rinf.  Rows are independent, so any split of the rows
  * gives the same arrays.
  *
- * classify_rows_L iterates L pixels at once, one per lane of a vector of
- * L doubles.  When a lane's pixel is labelled or reaches maxiter, the lane
- * writes it out and takes the next pixel of the rows; lanes left without
- * a pixel at the end idle until the others finish.  Each lane performs
- * cdiv's IEEE operations in cdiv's order: Smith's two branches differ only
- * in which of (br, bi) and (ar, ai) play which part, so a per-lane select
- * on |br| >= |bi| (false for NaN, as in cdiv) swaps them and both branches
- * share the two divisions.  A zero divisor gives NaN here and inf or NaN
- * in cdiv; either is replaced by 2 rinf, so the labels and counts are
- * those of a scalar cdiv loop, bit for bit. */
-#define CLASSIFY_ROWS(L, ATTR)                                                           \
+ * classify_rows_L keeps 2 vectors of L lanes in flight, one pixel per
+ * lane, and advances both in one loop body.  Each iterate of a vector is
+ * one dependent chain (Horner, two divisions, the trap test); the two
+ * chains are independent, so the core overlaps one vector's divisions with
+ * the other's work instead of waiting on their latency.  When a lane's
+ * pixel is labelled or reaches maxiter, the lane writes it out and takes
+ * the next pixel of the rows; one horizontal test of the two vectors' done
+ * masks, ORed, finds such lanes.  Lanes left without a pixel at the end
+ * idle until the others finish.  Each lane performs cdiv's IEEE operations
+ * in cdiv's order: Smith's two branches differ only in which of (br, bi)
+ * and (ar, ai) play which part, so a per-lane select on |br| >= |bi|
+ * (false for NaN, as in cdiv) swaps them and both branches share the two
+ * divisions.  A zero divisor gives NaN here and inf or NaN in cdiv; either
+ * is replaced by 2 rinf, so the labels and counts are those of a scalar
+ * cdiv loop, bit for bit.  Both Horner loops start where horner_start
+ * says, as the reference's do. */
+#define CLASSIFY_ROWS(L, ATTR)                                                             \
     ATTR static void classify_rows_##L(const double *num, int64_t nnum, const double *den, \
                                        int64_t nden, double x0, double y0, double dx,      \
                                        double dy, int64_t w, int64_t h, int64_t maxiter,    \
@@ -196,82 +223,108 @@ int tune_residual(const double *num0, int64_t nnum, const double *den, int64_t n
         typedef int64_t vi __attribute__((vector_size(8 * L)));                           \
         double r02 = r0 * r0, rinf2 = rinf * rinf, fmaxk = (double)maxiter;                \
         const vd zero = {0}, esc = zero + 2.0 * rinf;                                      \
-        vd zr = zero, zi = zero, k = zero;                                                 \
-        vi live = {0};                                                                     \
-        int64_t pix[L];                                                                    \
-        int64_t ix = 0, iy = row0, nlive = L;                                              \
+        const vi none = {0};                                                               \
+        double top[4];                                                                     \
+        int64_t jnum = horner_start(num, nnum, &top[0], &top[1]);                          \
+        int64_t jden = horner_start(den, nden, &top[2], &top[3]);                          \
+        const vd nr0 = zero + top[0], ni0 = zero + top[1];                                 \
+        const vd br0 = zero + top[2], bi0 = zero + top[3];                                 \
+        vd zr[2], zi[2], k[2];                                                             \
+        vi live[2], done[2];                                                               \
+        int64_t pix[2][L];                                                                 \
+        int64_t ix = 0, iy = row0, nlive = 2 * L;                                          \
         if (w <= 0)                                                                        \
             return;                                                                        \
         /* every lane starts as a finished pixel that needs no writing */                  \
-        for (int l = 0; l < L; l++)                                                        \
-            pix[l] = -1;                                                                   \
-        vi done = ~live;                                                                   \
+        EACH_VECTOR(v) {                                                                   \
+            zr[v] = zi[v] = k[v] = zero;                                                   \
+            live[v] = none;                                                                \
+            done[v] = ~none;                                                               \
+            for (int l = 0; l < L; l++)                                                    \
+                pix[v][l] = -1;                                                            \
+        }                                                                                  \
         for (;;) {                                                                         \
+            vi either = done[0] | done[1];                                                 \
             int64_t any = 0;                                                               \
             for (int l = 0; l < L; l++)                                                    \
-                any |= done[l];                                                            \
+                any |= either[l];                                                          \
             if (any) {                                                                     \
-                for (int l = 0; l < L; l++) {                                              \
-                    if (!done[l])                                                          \
-                        continue;                                                          \
-                    double re = zr[l], im = zi[l], kl = k[l];                              \
-                    for (;;) {                                                             \
-                        if (pix[l] >= 0) {                                                 \
+                EACH_VECTOR(v) {                                                           \
+                    for (int l = 0; l < L; l++) {                                          \
+                        if (!done[v][l])                                                   \
+                            continue;                                                      \
+                        double re = zr[v][l], im = zi[v][l], kl = k[v][l];                 \
+                        for (;;) {                                                         \
+                            if (pix[v][l] >= 0) {                                          \
+                                double m2 = re * re + im * im;                             \
+                                labels[pix[v][l]] = kl >= fmaxk ? 2 : (m2 < r02 ? 0 : 1);  \
+                                iters[pix[v][l]] = (uint32_t)kl;                           \
+                            }                                                              \
+                            if (iy >= h) {                                                 \
+                                live[v][l] = 0;                                            \
+                                nlive--;                                                   \
+                                break;                                                     \
+                            }                                                              \
+                            pix[v][l] = iy * w + ix;                                       \
+                            re = x0 + ((double)ix + 0.5) * dx;                             \
+                            im = y0 + ((double)iy + 0.5) * dy;                             \
+                            kl = 0.0;                                                      \
+                            if (++ix == w) {                                               \
+                                ix = 0;                                                    \
+                                iy += stride;                                              \
+                            }                                                              \
                             double m2 = re * re + im * im;                                 \
-                            labels[pix[l]] = kl >= fmaxk ? 2 : (m2 < r02 ? 0 : 1);         \
-                            iters[pix[l]] = (uint32_t)kl;                                  \
+                            if (!(m2 < r02 || m2 > rinf2 || kl >= fmaxk)) {                \
+                                live[v][l] = -1;                                           \
+                                break;                                                     \
+                            }                                                              \
                         }                                                                  \
-                        if (iy >= h) {                                                     \
-                            live[l] = 0;                                                   \
-                            nlive--;                                                       \
-                            break;                                                         \
-                        }                                                                  \
-                        pix[l] = iy * w + ix;                                              \
-                        re = x0 + ((double)ix + 0.5) * dx;                                 \
-                        im = y0 + ((double)iy + 0.5) * dy;                                 \
-                        kl = 0.0;                                                          \
-                        if (++ix == w) {                                                   \
-                            ix = 0;                                                        \
-                            iy += stride;                                                  \
-                        }                                                                  \
-                        double m2 = re * re + im * im;                                     \
-                        if (!(m2 < r02 || m2 > rinf2 || kl >= fmaxk)) {                    \
-                            live[l] = -1;                                                  \
-                            break;                                                         \
-                        }                                                                  \
+                        zr[v][l] = re;                                                     \
+                        zi[v][l] = im;                                                     \
+                        k[v][l] = kl;                                                      \
                     }                                                                      \
-                    zr[l] = re;                                                            \
-                    zi[l] = im;                                                            \
-                    k[l] = kl;                                                             \
                 }                                                                          \
                 if (nlive == 0)                                                            \
                     return;                                                                \
             }                                                                              \
-            /* z -> N(z) / D(z): horner, then cdiv */                                      \
-            vd nr = zero, ni = zero, br = zero, bi = zero;                                 \
-            for (int64_t j = nnum - 1; j >= 0; j--) {                                      \
-                vd t = nr * zr - ni * zi + num[2 * j];                                     \
-                ni = nr * zi + ni * zr + num[2 * j + 1];                                   \
-                nr = t;                                                                    \
+            /* z -> N(z) / D(z) in both vectors: horner, then cdiv */                      \
+            vd nr[2], ni[2], br[2], bi[2];                                                 \
+            EACH_VECTOR(v) {                                                               \
+                nr[v] = nr0;                                                               \
+                ni[v] = ni0;                                                               \
+                br[v] = br0;                                                               \
+                bi[v] = bi0;                                                               \
             }                                                                              \
-            for (int64_t j = nden - 1; j >= 0; j--) {                                      \
-                vd t = br * zr - bi * zi + den[2 * j];                                     \
-                bi = br * zi + bi * zr + den[2 * j + 1];                                   \
-                br = t;                                                                    \
+            for (int64_t j = jnum; j >= 0; j--) {                                          \
+                EACH_VECTOR(v) {                                                           \
+                    vd t = nr[v] * zr[v] - ni[v] * zi[v] + num[2 * j];                     \
+                    ni[v] = nr[v] * zi[v] + ni[v] * zr[v] + num[2 * j + 1];                \
+                    nr[v] = t;                                                             \
+                }                                                                          \
             }                                                                              \
-            vi big = VABS(vd, vi, br) >= VABS(vd, vi, bi);                                 \
-            vd p = VSEL(vd, vi, big, br, bi), q = VSEL(vd, vi, big, bi, br);               \
-            vd rat = q / p;                                                                \
-            vd scl = 1.0 / (p + q * rat);                                                  \
-            vd ar_rat = nr * rat, ai_rat = ni * rat;                                       \
-            zr = VSEL(vd, vi, big, nr + ai_rat, ar_rat + ni) * scl;                        \
-            zi = VSEL(vd, vi, big, ni - ar_rat, ai_rat - nr) * scl;                        \
-            vi fin = (VABS(vd, vi, zr) <= DBL_MAX) & (VABS(vd, vi, zi) <= DBL_MAX);        \
-            zr = VSEL(vd, vi, fin, zr, esc);                                               \
-            zi = VSEL(vd, vi, fin, zi, zero);                                              \
-            k += 1.0;                                                                      \
-            vd m2 = zr * zr + zi * zi;                                                     \
-            done = ((m2 < r02) | (m2 > rinf2) | (k >= fmaxk)) & live;                      \
+            for (int64_t j = jden; j >= 0; j--) {                                          \
+                EACH_VECTOR(v) {                                                           \
+                    vd t = br[v] * zr[v] - bi[v] * zi[v] + den[2 * j];                     \
+                    bi[v] = br[v] * zi[v] + bi[v] * zr[v] + den[2 * j + 1];                \
+                    br[v] = t;                                                             \
+                }                                                                          \
+            }                                                                              \
+            EACH_VECTOR(v) {                                                               \
+                vi big = VABS(vd, vi, br[v]) >= VABS(vd, vi, bi[v]);                       \
+                vd p = VSEL(vd, vi, big, br[v], bi[v]);                                    \
+                vd q = VSEL(vd, vi, big, bi[v], br[v]);                                    \
+                vd rat = q / p;                                                            \
+                vd scl = 1.0 / (p + q * rat);                                              \
+                vd ar_rat = nr[v] * rat, ai_rat = ni[v] * rat;                             \
+                vd re = VSEL(vd, vi, big, nr[v] + ai_rat, ar_rat + ni[v]) * scl;           \
+                vd im = VSEL(vd, vi, big, ni[v] - ar_rat, ai_rat - nr[v]) * scl;           \
+                vi fin = (VABS(vd, vi, re) <= DBL_MAX) & (VABS(vd, vi, im) <= DBL_MAX);    \
+                zr[v] = VSEL(vd, vi, fin, re, esc);                                        \
+                zi[v] = VSEL(vd, vi, fin, im, zero);                                       \
+                k[v] += 1.0;                                                               \
+                vd m2 = zr[v] * zr[v] + zi[v] * zi[v];                                     \
+                done[v] = ((m2 < r02) | (m2 > rinf2) | (k[v] >= fmaxk)) & live[v];         \
+            }                                                                              \
         }                                                                                  \
     }
 

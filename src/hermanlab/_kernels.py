@@ -29,10 +29,14 @@ squared distances and takes one correctly rounded square root of each.
 
 The C classifier iterates one pixel per lane of a vector of doubles,
 each lane taking the next pixel of its thread's rows when its own is
-labelled, and ``arc_ratios`` takes each arc's largest squared distance
-over one arc point per lane.  Each loop body is built at 2 lanes for any
-target and, on x86, at 4 lanes with AVX2 and 8 with AVX-512F through
-per-function target attributes; ``simd_lanes()`` asks the CPU at run
+labelled.  Each thread keeps 2 vectors of L lanes in flight, interleaved
+in one loop body: an iterate is one dependent chain of Horner steps and
+two divisions, and the other vector's independent chain fills its
+latency.  ``lanes`` and ``_WIDTHS`` count lanes per vector.
+``arc_ratios`` takes each arc's largest squared distance over one arc
+point per lane.  Each loop body is built at 2 lanes for any target and,
+on x86, at 4 lanes with AVX2 and 8 with AVX-512F through per-function
+target attributes; ``simd_lanes()`` asks the CPU at run
 time, and both kernels run the widest width it has (``_WIDTHS``).  The
 library is built without ``-march``, so one cached build serves every
 CPU of the machine type.  Lanes round each operation as scalar code
@@ -53,8 +57,9 @@ import and cached in ``$XDG_CACHE_HOME/hermanlab/`` (default
 machine type.  Without a compiler, or if the build fails, the
 ``hermanlab`` logger records one warning and every kernel runs its
 reference; a cached library that cannot be loaded is rebuilt once.
-Otherwise it records one debug line: the classifier's lane count and
-whether the library was built or found in the cache.  ``BACKEND`` names
+Otherwise it records one debug line: the classifier's vectors and lanes
+("2 vectors of L lanes") and whether the library was built or found in
+the cache.  ``BACKEND`` names
 the outcome: ``"c"`` or ``"numpy"``.
 """
 
@@ -143,7 +148,8 @@ def _load():
     lib.arc_ratios.restype = None
     lib.distance_transform.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
     lib.distance_transform.restype = None
-    _log.debug("kernel backend c (classifier %d lanes): %s %s", lib.simd_lanes(), how, path)
+    _log.debug("kernel backend c (classifier 2 vectors of %d lanes): %s %s", lib.simd_lanes(),
+               how, path)
     return lib
 
 

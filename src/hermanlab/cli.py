@@ -49,10 +49,15 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_finite(x):
+    """x is an int (not a bool) or a finite float."""
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+
+
 def _check_window(window):
     """A ConfigError unless window is four finite numbers x0, y0, x1, y1."""
     if not (isinstance(window, (list, tuple)) and len(window) == 4
-            and all((_is_int(t) or isinstance(t, float)) and math.isfinite(t) for t in window)):
+            and all(map(_is_finite, window))):
         raise ConfigError("window must be four finite numbers x0,y0,x1,y1, not %r" % (window,))
 
 
@@ -331,6 +336,9 @@ def cmd_render(args):
 
 def cmd_dims(args):
     _, _, pts = _read_curve_csv(args.points)
+    if len(pts) < julia.BOX_MIN_POINTS:
+        raise ConfigError("curve %s has %d vertices, fewer than the %d box counting needs"
+                          % (args.points, len(pts), julia.BOX_MIN_POINTS))
     rep = julia.box_dimension(pts, connect=args.connect)
     _emit_json({
         "slope": rep.slope,
@@ -392,6 +400,15 @@ def _load_config(path):
     for key in ("tune_depth", "trace_depth", "renorm_depth", "resolution", "maxiter"):
         if key in cfg and not (_is_int(cfg[key]) and cfg[key] > 0):
             raise ConfigError("%s must be a positive integer, not %r" % (key, cfg[key]))
+    if "tol" in cfg and not (_is_finite(cfg["tol"]) and cfg["tol"] > 0):
+        raise ConfigError("tol must be a finite positive number, not %r" % (cfg["tol"],))
+    # a seed name other than "preset" reaches the tuner, whose PresetError
+    # (exit 2) the tune stage records in report.json
+    seed = cfg.get("seed", "preset")
+    if not (isinstance(seed, str) or (isinstance(seed, list) and len(seed) == 2
+                                      and all(map(_is_finite, seed)))):
+        raise ConfigError('seed must be "preset" or a pair [re, im] of finite numbers, not %r'
+                          % (seed,))
     if cfg.get("window"):
         _check_window(cfg["window"])
     return cfg

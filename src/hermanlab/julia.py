@@ -20,6 +20,7 @@ BASIN0, BASIN_INF, UNDECIDED = 0, 1, 2
 
 GRID_MAGIC = b"HLGRID1"
 _R0, _RINF = 1e-6, 1e6  # classify's escape radii at 0 and infinity
+BOX_MIN_POINTS = 10 ** 4  # the fewest points box_dimension accepts
 
 
 @dataclass
@@ -181,8 +182,8 @@ def box_dimension(points, eps_range=None, connect=False):
     sample points only.
     """
     points = np.asarray(points, dtype=np.complex128)
-    if len(points) < 10 ** 4:
-        raise ValueError("need at least 1e4 points (have %d)" % len(points))
+    if len(points) < BOX_MIN_POINTS:
+        raise ValueError("need at least %d points (have %d)" % (BOX_MIN_POINTS, len(points)))
     x = points.real
     y = points.imag
     origin = (float(x.min()) - 1e-12, float(y.min()) - 1e-12)

@@ -155,11 +155,16 @@ def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
     (None, {"trace_depth": "x"}),
     (None, {"maxiter": -5}),
     (["geometry", "--theta", "5,1,1,1,1,1,1,1,1,1", "--curve"], None),
+    (None, {"tol": "a"}),
+    (None, {"tol": 0.0}),
+    (None, {"seed": [1, 2, 3]}),
+    (None, {"seed": [float("inf"), 0.0]}),
 ], ids=["window-text", "res-zero", "family-one-int", "window-two-numbers",
-        "depth-text", "maxiter-negative", "curve-shorter-than-q1"])
+        "depth-text", "maxiter-negative", "curve-shorter-than-q1", "tol-text", "tol-zero",
+        "seed-three-numbers", "seed-infinite"])
 def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
-    """A bad window, resolution, family, depth or curve is a configuration
-    error (exit 2), not a numeric failure."""
+    """A bad window, resolution, family, depth, tolerance, seed or curve is a
+    configuration error (exit 2), not a numeric failure."""
     if argv is None:
         argv = ["pipeline", "--config", str(small_config(tmp_path, "m", **config))]
     elif argv[0] == "geometry":
@@ -185,6 +190,18 @@ def test_dims_on_circle_csv(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["slope"] == pytest.approx(1.0, abs=0.02)
+
+
+def test_dims_on_short_curve_is_config_error(capsys, tmp_path):
+    """Criterion 11's depth-16 curve has 1597 vertices, fewer than box
+    counting needs: a configuration error that names the file and the
+    count."""
+    csv = tmp_path / "curve.csv"
+    assert main(["trace", "--d0", "3", "--dinf", "2", "--theta", "golden", "--depth", "16",
+                 "--out", str(csv)]) == 0
+    code, out, err = run(capsys, "dims", "--points", str(csv), "--connect")
+    assert (code, out) == (2, "")
+    assert "config error: curve %s has 1597 vertices" % csv in err
 
 
 def test_renorm_chi_json(capsys):

@@ -295,16 +295,31 @@ def test_c_classify_widths_cover_the_cpu():
 @pytest.mark.parametrize("lanes", [2, 4, 8])
 def test_c_classify_lanes_bit_equal(lanes):
     """Each lane count equals the reference on windows of fewer pixels than
-    lanes and of pixel counts no multiple of it, at maxiter 0, 1 and 150,
-    and at the (2,2) map's pole; an empty grid gives empty arrays."""
+    lanes, of pixel counts no multiple of it and of L+1, 2L-1, 2L and 2L+1
+    pixels (one row or one column) at the edges of the classifier's two
+    vectors of L lanes, at maxiter 0, 1 and 150; on a window that mixes
+    pixels labelled at iterate 1 with pixels undecided at maxiter, so that
+    lanes refill while others keep iterating; and at the (2,2) map's pole.
+    An empty grid gives empty arrays."""
     if lanes not in K._WIDTHS:
         pytest.skip("this CPU lacks the instructions of the %d-lane classifier" % lanes)
+    edges = [(n, 1) for n in (lanes + 1, 2 * lanes - 1, 2 * lanes, 2 * lanes + 1)]
     for d0, dinf in ((3, 2), (2, 2), (3, 3)):
         m = family(d0, dinf)
-        for w, h in ((1, 1), (3, 3), (5, 7), (9, 1)):
+        for w, h in ((1, 1), (3, 3), (5, 7), (9, 1), *edges, *((h, w) for w, h in edges)):
             for maxiter in (0, 1, 150):
                 classify_checked(m.num, m.den, -1.5, -1.2, 3.0 / w, 2.4 / h, w, h, maxiter,
                                  1e-6, 1e6, lanes=lanes)
+    # column 0 on the imaginary axis through the (3,2) map's triple zero at 0,
+    # whose pixels within 0.006 of it reach |z| < 1e-6 at iterate 1; column 1
+    # through the critical point 1 on the Herman curve, all undecided
+    m = family(3, 2)
+    mixed = (m.num, m.den, -0.5, -0.012, 1.0, 1e-3, 2, 24, 150, 1e-6, 1e6)
+    labels, iters = K._classify(*mixed)
+    assert (iters[:, 0] == 1).sum() == 12 and (labels[:, 1] == 2).all()
+    for workers in (1, 2):
+        out = K._classify_c(*K._c_arrays(m.num, m.den), *mixed[2:], workers, lanes)
+        assert np.array_equal(out[0], labels) and np.array_equal(out[1], iters)
     m = family(2, 2)
     labels, iters = classify_checked(m.num, m.den, *pole_window(m), 50, 1e-6, 1e6, lanes=lanes)
     assert (labels[4, 4], iters[4, 4]) == (1, 1)
@@ -312,6 +327,22 @@ def test_c_classify_lanes_bit_equal(lanes):
         labels, iters = classify_checked(m.num, m.den, -1.0, -1.0, 0.1, 0.1, w, h, 20,
                                          1e-6, 1e6, lanes=lanes)
         assert labels.shape == iters.shape == (h, w)
+
+
+@needs_c
+def test_c_classify_signed_zero_top_coefficient():
+    """A top coefficient with a -0.0 part makes the C loops and _horner_arrays
+    take Horner's first step in full instead of starting from it; both
+    starts give the reference's arrays at every lane count, also with
+    rinf = inf, where an escaped iterate becomes inf."""
+    m = family(3, 2)
+    for top in (complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.0, -0.0), 0j):
+        num = np.concatenate([m.num[:-1], [top]])
+        for rinf in (1e6, np.inf):
+            for lanes in K._WIDTHS:
+                with np.errstate(all="ignore"):
+                    classify_checked(num, m.den, -2.0, -2.0, 4.0 / 23, 4.0 / 19, 23, 19, 60,
+                                     1e-6, rinf, lanes=lanes)
 
 
 @st.composite
@@ -509,8 +540,9 @@ print(json.dumps({"backend": K.BACKEND, "records": records, "results": [
 
 
 def loaded(how, path):
-    """_load's debug line, which names the classifier's lane count."""
-    return "kernel backend c (classifier %d lanes): %s %s" % (K._WIDTHS[-1], how, path)
+    """_load's debug line, which names the classifier's vectors and lanes."""
+    return "kernel backend c (classifier 2 vectors of %d lanes): %s %s" % (K._WIDTHS[-1], how,
+                                                                           path)
 
 
 def select_backend(tmp_path, path=None):
