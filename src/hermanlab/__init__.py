@@ -7,8 +7,8 @@ ratios, self-similarity factors, critical angles, box dimension, and
 porosity profiles.
 """
 
-from .cfrac import (BRONZE_ALT, GOLDEN, SILVER, ContinuedFraction, cf_expand,
-                    comb_length, convergents, gauss, return_ordering)
+from .cfrac import (BRONZE_ALT, GOLDEN, SILVER, ContinuedFraction, comb_length,
+                    convergents, gauss, return_ordering)
 from .maps import (RationalMap, arnold_lift, blaschke, critical_points,
                    herman_family, preimages)
 from .rotation import (CircleLift, TuneResult, circle_lift, rotation_number,

@@ -8,14 +8,19 @@ dynamical tilings P_n refine each other along the expansion.
 Quadratic irrationals (eventually periodic expansions) are represented
 symbolically by (preperiod, period) so quotients at arbitrary depth are
 exact; float inputs are expanded only as far as round-off allows.
+
+All arithmetic is exact, on integers and fractions.Fraction: a finite
+quotient list or a double has its exact value, and a periodic tail is
+the root of a quadratic taken with math.isqrt to within 2^-256 (_BITS),
+so the lengths l_n are exact up to that bound.
 """
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-import mpmath
-
-# working precision for theta-dependent quantities (l_n, tilings, orderings)
-_DPS = 60
+# a periodic theta's value is within 2**-_BITS of the quadratic irrational
+_BITS = 256
 # fewer exactly known partial quotients than this and theta counts as rational
 MIN_IRRATIONAL_DEPTH = 8
 
@@ -49,7 +54,7 @@ class Convergents:
 class ContinuedFraction:
     """A rotation number in (0,1) with its partial quotients a_1, a_2, ...
 
-    Construct via :meth:`from_value` (float/mpf expansion),
+    Construct via :meth:`from_value` (float expansion),
     :meth:`from_quotients` (explicit finite list), or
     :meth:`from_periodic` (exact quadratic irrational).
     """
@@ -69,34 +74,29 @@ class ContinuedFraction:
     def from_value(cls, theta, n):
         """Expand theta in (0,1) to n partial quotients.
 
-        Stops (raising RationalInputError) when the remainder falls below
-        64*eps*q_n^2, past which further quotients are round-off noise.
+        Expands the exact value of the double and stops (raising
+        RationalInputError) when the remainder falls below 64*eps*q_n^2,
+        past which further quotients are round-off noise of the input.
         """
-        if not 0 < float(theta) < 1:
+        if not 0 < theta < 1:
             raise ValueError("theta must lie in (0,1)")
         if n < 1:
             raise ValueError("need n >= 1")
-        high_prec = isinstance(theta, mpmath.mpf)
-        with mpmath.workdps(_DPS if high_prec else 25):
-            x = mpmath.mpf(theta)
-            # round-off scale of the *input*: mp precision for mpf inputs,
-            # double precision for python floats
-            eps = mpmath.mpf(2) ** (-mpmath.mp.prec) if high_prec else mpmath.mpf(2) ** -52
-            quotients = []
-            qm1, qm2 = 1, 0
-            snapped = False
-            for _ in range(n):
-                if x == 0 or x < 64 * eps * qm1 * qm1:
-                    raise RationalInputError(quotients, snapped)
-                inv = 1 / x
-                a = int(mpmath.floor(inv))
-                x = inv - a
-                # snap to the integer above when the remainder is round-off
-                if 1 - x < 64 * eps * qm1 * qm1:
-                    a += 1
-                    x, snapped = mpmath.mpf(0), True
-                quotients.append(a)
-                qm1, qm2 = a * qm1 + qm2, qm1
+        x = Fraction(theta)
+        eps = Fraction(1, 2 ** 52)
+        quotients = []
+        qm1, qm2 = 1, 0
+        snapped = False
+        for _ in range(n):
+            if x < 64 * eps * qm1 * qm1:
+                raise RationalInputError(quotients, snapped)
+            a, x = divmod(1 / x, 1)
+            # snap to the integer above when the remainder is round-off
+            if 1 - x < 64 * eps * qm1 * qm1:
+                a += 1
+                x, snapped = Fraction(0), True
+            quotients.append(a)
+            qm1, qm2 = a * qm1 + qm2, qm1
         return cls(quotients, value=theta)
 
     @classmethod
@@ -137,34 +137,33 @@ class ContinuedFraction:
 
     # -- value --------------------------------------------------------------
 
-    def value_mp(self, dps=_DPS):
-        """theta as an mpmath mpf at the given precision."""
-        with mpmath.workdps(dps):
-            if self.period is not None:
-                # periodic tail y = [0; period, period, ...] is a fixed point of
-                # the Moebius map composed of x -> 1/(a+x) over one period:
-                # y = (A*y + B)/(C*y + D) with [[A,B],[C,D]] = prod [[0,1],[1,a]]
-                A, B, C, D = 1, 0, 0, 1
-                for a in self.period:
-                    A, B, C, D = B, A + a * B, D, C + a * D
-                # C y^2 + (D - A) y - B = 0, take the root in (0,1)
-                aa, bb, cc = C, D - A, -B
-                y = (-bb + mpmath.sqrt(bb * bb - 4 * aa * cc)) / (2 * aa)
-                x = y
-                for a in reversed(self.preperiod or []):
-                    x = 1 / (a + x)
-                val = x
-            elif self._value is not None:
-                val = mpmath.mpf(self._value)
-            else:
-                x = mpmath.mpf(0)
-                for a in reversed(self._quotients):
-                    x = 1 / (a + x)
-                val = x
-            return +val
+    def value(self):
+        """theta as a Fraction: exact for a finite quotient list or a double,
+        within 2**-_BITS of a periodic expansion's quadratic irrational."""
+        if self.period is not None:
+            # periodic tail y = [0; period, period, ...] is a fixed point of
+            # the Moebius map composed of x -> 1/(a+x) over one period:
+            # y = (A*y + B)/(C*y + D) with [[A,B],[C,D]] = prod [[0,1],[1,a]]
+            A, B, C, D = 1, 0, 0, 1
+            for a in self.period:
+                A, B, C, D = B, A + a * B, D, C + a * D
+            # C y^2 + (D - A) y - B = 0, take the root in (0,1); the floored
+            # square root is within 2**-_BITS and 2C >= 2 halves that
+            root = math.isqrt(((D - A) ** 2 + 4 * B * C) << (2 * _BITS))
+            x = Fraction(((A - D) << _BITS) + root, (2 * C) << _BITS)
+            # each x -> 1/(a+x) has slope below 1, so the bound holds
+            for a in reversed(self.preperiod or []):
+                x = 1 / (a + x)
+            return x
+        if self._value is not None:
+            return Fraction(self._value)
+        x = Fraction(0)
+        for a in reversed(self._quotients):
+            x = 1 / (a + x)
+        return x
 
     def value_float(self):
-        return float(self.value_mp(dps=25))
+        return float(self.value())
 
     def shift(self):
         """Gauss-map shift: drop a_1 (exact on the symbolic representation)."""
@@ -215,11 +214,6 @@ def resolve_theta(theta):
         return ContinuedFraction(e.certified, value=float(theta))
 
 
-def cf_expand(theta, n):
-    """First n partial quotients of theta in (0,1). See ContinuedFraction.from_value."""
-    return ContinuedFraction.from_value(theta, n)
-
-
 def convergents(cf, n):
     """Convergents (p_k, q_k) for k <= n plus combinatorial lengths l_k."""
     if cf.depth is not None and cf.depth < n:
@@ -232,9 +226,8 @@ def convergents(cf, n):
         p.append(a * p[-1] + pm1)
         q.append(a * q[-1] + qm1)
         pm1, qm1 = p[-2], q[-2]
-    with mpmath.workdps(_DPS):
-        th = cf.value_mp()
-        lengths = [abs(p[k] - q[k] * th) for k in range(n + 1)]
+    th = cf.value()
+    lengths = [abs(p[k] - q[k] * th) for k in range(n + 1)]
     return Convergents(p=p, q=q, lengths=lengths)
 
 
@@ -268,14 +261,12 @@ def return_ordering(cf, n):
     if n < 2:
         raise ValueError("need n >= 2")
     conv = convergents(cf, n)
-    with mpmath.workdps(_DPS):
-        th = cf.value_mp()
-        angles = [float(mpmath.frac(conv.q[k] * th)) for k in range(1, n + 1)]
-        # signed displacement of R^{q_k}(0) from 0 is q_k*theta - p_k = -(-1)^k l_k
-        for k in range(1, n + 1):
-            s = conv.q[k] * th - conv.p[k]
-            assert (s > 0) == (k % 2 == 0), "closest returns must alternate sides"
-            assert abs(abs(s) - conv.lengths[k]) < mpmath.mpf(10) ** (5 - _DPS)
+    th = cf.value()
+    angles = [float(conv.q[k] * th % 1) for k in range(1, n + 1)]
+    # signed displacement of R^{q_k}(0) from 0 is q_k*theta - p_k = -(-1)^k l_k
+    for k in range(1, n + 1):
+        s = conv.q[k] * th - conv.p[k]
+        assert (s > 0) == (k % 2 == 0), "closest returns must alternate sides"
     return angles
 
 
@@ -311,7 +302,7 @@ def tiling_is_partition(cf, n):
     ln, ln1 = float(conv.lengths[n]), float(conv.lengths[n + 1])
     # float64 positions are exact for this purpose as long as the
     # accumulated round-off m*eps stays far below the smallest gap
-    th = float(cf.value_mp())
+    th = cf.value_float()
     err = m * th * 2.0 ** -52
     if err > 2e-2 * ln1:
         raise ValueError("depth too large for float64 angle separation")

@@ -254,7 +254,8 @@ def translation_pair(theta):
     Already in normalized form (f_+(0) = -1); renormalizing it yields
     T_{G(theta)} after rescale.
     """
-    th = theta.value_float() if hasattr(theta, "value_float") else float(theta)
+    theta = resolve_theta(theta)
+    th = theta.value_float()
 
     def f_minus(z):
         return z + th
@@ -266,7 +267,7 @@ def translation_pair(theta):
                          endpoint_minus=complex(th),
                          endpoint_plus=complex(-1.0),
                          level=1, parity="odd", normalized=True,
-                         theta=theta if hasattr(theta, "value_float") else None)
+                         theta=theta)
 
 
 @dataclass

@@ -32,8 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .cfrac import (MIN_IRRATIONAL_DEPTH, ContinuedFraction, Convergents, NAMED_THETAS,
-                    convergents, resolve_theta)
+from .cfrac import (MIN_IRRATIONAL_DEPTH, Convergents, NAMED_THETAS, convergents,
+                    resolve_theta)
 from .maps import arnold_lift, blaschke, family_core, herman_family
 
 _QCAP_DEFAULT = 30000
@@ -424,10 +424,10 @@ def resolve_seed(d0, dinf, theta, name="preset"):
     path = os.path.join(os.path.dirname(__file__), "presets.json")
     with open(path) as fh:
         presets = json.load(fh)
+    theta = resolve_theta(theta)
     tname = None
     for key, cf in NAMED_THETAS.items():
-        if isinstance(theta, ContinuedFraction) and cf.period == theta.period \
-                and (cf.preperiod or []) == (theta.preperiod or []):
+        if cf.period == theta.period and (cf.preperiod or []) == (theta.preperiod or []):
             tname = key
             break
     if tname is None:

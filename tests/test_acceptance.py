@@ -129,7 +129,7 @@ def test_criterion_09_tiling_and_ordering_invariants():
             ok = ok and tiling_is_partition(cf, n) and tiling_refines(cf, n)
         # closest returns alternate sides: sign of q_n theta - p_n alternates
         conv = convergents(cf, 17)
-        th = cf.value_mp()
+        th = cf.value()
         signs = [mpmath.sign(conv.q[n] * th - conv.p[n]) for n in range(1, 17)]
         ok = ok and all(a * b < 0 for a, b in zip(signs, signs[1:]))
     _report(9, ok, "P_{n+1} refines P_n exactly and closest returns alternate "

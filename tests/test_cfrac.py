@@ -1,6 +1,9 @@
 """Continued-fraction oracles: recurrences, named values, Gauss shift, tilings."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -8,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hermanlab
 from hermanlab.cfrac import (BRONZE_ALT, GOLDEN, SILVER, ContinuedFraction,
-                             RationalInputError, cf_expand, comb_length,
-                             convergents, gauss, resolve_theta, return_ordering,
+                             RationalInputError, comb_length, convergents, gauss,
+                             resolve_theta, return_ordering,
                              tiling_indices, tiling_is_partition, tiling_refines)
 
 
@@ -46,27 +50,68 @@ def test_named_values():
 
 def test_lengths_match_direct_formula():
     conv = convergents(GOLDEN, 12)
-    th = GOLDEN.value_mp(50)
     with mpmath.workdps(50):
+        th = (mpmath.sqrt(5) - 1) / 2
         for n in range(13):
             ln = abs(conv.p[n] - conv.q[n] * th)
             assert abs(float(ln) - float(conv.lengths[n])) < 1e-14
 
 
+@pytest.mark.parametrize("cf,root", [(GOLDEN, lambda: (mpmath.sqrt(5) - 1) / 2),
+                                     (SILVER, lambda: mpmath.sqrt(2) - 1),
+                                     (BRONZE_ALT, lambda: mpmath.sqrt(3) - 1)],
+                         ids=["golden", "silver", "bronze-alt"])
+def test_periodic_value_within_bound(cf, root):
+    """value() of a periodic theta lies within 2^-250 of a 100-digit value
+    of its quadratic irrational.  (bronze-alt x = 1/(1 + 1/(2 + x)) solves
+    x^2 + 2x - 2 = 0.)"""
+    with mpmath.workdps(100):
+        th = root()
+        v = cf.value()
+        assert abs(mpmath.mpf(v.numerator) / v.denominator - th) < mpmath.mpf(2) ** -250
+
+
+def test_deep_lengths_match_mpmath_fold():
+    """Forty 9s: every l_n against a 200-digit fold of the same quotients.
+    60 digits cannot resolve p_n - q_n*theta once q_n passes about 1e20."""
+    quots = [9] * 40
+    conv = convergents(ContinuedFraction.from_quotients(quots), 40)
+    with mpmath.workdps(200):
+        th = mpmath.mpf(0)
+        for a in reversed(quots):
+            th = 1 / (a + th)
+        for n in range(40):
+            ln = abs(conv.p[n] - conv.q[n] * th)
+            assert float(conv.lengths[n]) == float(ln)
+    assert conv.lengths[40] == 0
+    assert 2e-39 < conv.lengths[39] < 8e-39
+
+
+def test_import_leaves_mpmath_out():
+    """mpmath is a test dependency only: the package never imports it."""
+    code = ("import sys, hermanlab\n"
+            "hermanlab.convergents(hermanlab.GOLDEN, 48)\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath imported'\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hermanlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_expand_near_rational():
     # 0.3 = [0; 3, 3] exactly; float round-off must not produce [3, 2, ...]
-    cf = cf_expand(0.3, 2)
+    cf = ContinuedFraction.from_value(0.3, 2)
     assert cf.quotients(2) == [3, 3]
     with pytest.raises(RationalInputError):
-        cf_expand(0.3, 8)
+        ContinuedFraction.from_value(0.3, 8)
 
 
 def test_expand_irrational_matches_known():
-    cf = cf_expand((math.sqrt(5) - 1) / 2, 12)
+    cf = ContinuedFraction.from_value((math.sqrt(5) - 1) / 2, 12)
     assert cf.quotients(12) == [1] * 12
-    cf = cf_expand(math.sqrt(2) - 1, 10)
+    cf = ContinuedFraction.from_value(math.sqrt(2) - 1, 10)
     assert cf.quotients(10) == [2] * 10
-    cf = cf_expand(math.pi - 3, 4)
+    cf = ContinuedFraction.from_value(math.pi - 3, 4)
     assert cf.quotients(4) == [7, 15, 1, 292]
 
 

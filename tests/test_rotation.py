@@ -82,6 +82,10 @@ def test_preset_seed_roundtrip():
         hl.rotation.resolve_seed(9, 9, GOLDEN, "preset")
 
 
+def test_preset_seed_resolves_theta_name():
+    assert hl.rotation.resolve_seed(3, 2, "golden") == hl.rotation.resolve_seed(3, 2, GOLDEN)
+
+
 def test_preset_seed_refuses_unnamed_theta():
     # [0; 2, 1, 1, ...] shares golden's period but is a different number
     theta = hl.ContinuedFraction.from_periodic([2], [1])
