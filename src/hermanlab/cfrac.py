@@ -28,7 +28,8 @@ MIN_IRRATIONAL_DEPTH = 8
 class RationalInputError(ValueError):
     """Raised when a continued-fraction expansion terminates (rational input).
     .quotients: the quotients found; .certified: those less a last one snapped
-    up from a round-off remainder, which is exact only for a rational value."""
+    up from a round-off remainder or ending the expansion exactly, either of
+    which is exact only for a rational value."""
 
     def __init__(self, quotients, snapped=False):
         super().__init__("rational input: expansion terminated after %d quotients %r"
@@ -91,8 +92,11 @@ class ContinuedFraction:
             if x < 64 * eps * qm1 * qm1:
                 raise RationalInputError(quotients, snapped)
             a, x = divmod(1 / x, 1)
+            # an exact end: theta is this convergent, so a is not certified
+            if x == 0:
+                snapped = True
             # snap to the integer above when the remainder is round-off
-            if 1 - x < 64 * eps * qm1 * qm1:
+            elif 1 - x < 64 * eps * qm1 * qm1:
                 a += 1
                 x, snapped = Fraction(0), True
             quotients.append(a)

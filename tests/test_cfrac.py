@@ -129,6 +129,27 @@ def test_resolve_decimal_keeps_certified_quotients():
     assert e.value.quotients == [4]
 
 
+def test_resolve_refuses_a_double_equal_to_its_last_convergent():
+    """A double whose exact expansion ends is rational: its last quotient is
+    not certified, so 49/128 = [0; 2, 1, 1, 1, 1, 2, 1, 2] keeps 7."""
+    with pytest.raises(RationalInputError) as e:
+        resolve_theta(0.3828125)
+    assert e.value.quotients == [2, 1, 1, 1, 1, 2, 1, 2]
+    assert e.value.certified == [2, 1, 1, 1, 1, 2, 1]
+
+
+@given(st.integers(min_value=4, max_value=40).flatmap(
+    lambda k: st.tuples(st.integers(min_value=1, max_value=2 ** k - 1), st.just(k))))
+@settings(max_examples=300, deadline=None)
+def test_resolved_dyadic_is_not_its_last_convergent(mk):
+    m, k = mk
+    try:
+        cf = resolve_theta(m / 2 ** k)
+    except RationalInputError:
+        return
+    assert convergents(cf, cf.depth).lengths[-1] > 0
+
+
 def exact_quotients(x, n):
     """Independent oracle: the first n quotients of the exact rational value of x."""
     out, x = [], Fraction(x)
