@@ -53,8 +53,10 @@ and the results do not depend on n.
 
 The library is compiled with the system C compiler ``cc`` on first
 import and cached in ``$XDG_CACHE_HOME/hermanlab/`` (default
-``~/.cache/hermanlab/``) under a hash of the source, the flags and the
-machine type.  Without a compiler, or if the build fails, the
+``~/.cache/hermanlab/``) under a hash of the source, the flags, the
+machine type and the compiler: the resolved path of ``cc`` with its size
+and modification time, so that switching ``cc`` (say, from gcc to clang)
+builds anew.  Without a compiler, or if the build fails, the
 ``hermanlab`` logger records one warning and every kernel runs its
 reference; a cached library that cannot be loaded is rebuilt once.
 Otherwise it records one debug line: the classifier's vectors and lanes
@@ -69,6 +71,7 @@ import logging
 import math
 import os
 import platform
+import shutil
 import threading
 
 import numpy as np
@@ -92,8 +95,7 @@ def _cache_dir():
 def _build(path):
     """Compile _kernels.c into path, via a temporary name in the same directory
     so that a concurrent build never exposes a half-written library."""
-    # imported here: a cache hit needs none of them
-    import shutil
+    # imported here: a cache hit needs neither
     import subprocess
     import tempfile
 
@@ -121,6 +123,12 @@ def _load():
         with open(_SOURCE, "rb") as fh:
             key = hashlib.sha256(fh.read())
         key.update(" ".join(_CFLAGS + [platform.machine()]).encode())
+        cc = shutil.which("cc")
+        if cc is not None:
+            # the compiler, named without running it
+            cc = os.path.realpath(cc)
+            st = os.stat(cc)
+            key.update(("%s %d %d" % (cc, st.st_size, st.st_mtime_ns)).encode())
         path = os.path.join(_cache_dir(), "_kernels-%s.so" % key.hexdigest()[:16])
         lib, how = None, "cache hit"
         if os.path.exists(path):

@@ -335,6 +335,13 @@ class ArnoldLift:
     def __call__(self, x):
         return x + self.alpha + math.sin(2 * math.pi * x) / (2 * math.pi)
 
+    def advance(self, x, n):
+        """F^n(x), each step rounded as ``__call__`` rounds it."""
+        alpha, sin, twopi = self.alpha, math.sin, 2 * math.pi
+        for _ in range(n):
+            x = x + alpha + sin(twopi * x) / twopi
+        return x
+
     def deriv(self, x):
         return 1.0 + math.cos(2 * math.pi * x)
 

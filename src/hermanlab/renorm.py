@@ -299,9 +299,8 @@ def closest_return_displacements(f, theta, N):
     x = xc
     k = 0
     for n in range(1, N + 1):
-        while k < conv.q[n]:
-            x = f(x)
-            k += 1
+        x = f.advance(x, conv.q[n] - k)
+        k = conv.q[n]
         out[n] = complex(x - xc - conv.p[n])
     return out
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import _kernels
 from .cfrac import (MIN_IRRATIONAL_DEPTH, Convergents, NAMED_THETAS, convergents,
                     resolve_theta)
-from .maps import arnold_lift, blaschke, family_core, herman_family
+from .maps import _POLE_TOL, arnold_lift, blaschke, family_core, herman_family
 
 _QCAP_DEFAULT = 30000
 # a ladder level is seeded by extrapolation only while the two latest
@@ -74,12 +74,22 @@ class TuningError(RuntimeError):
 
 @dataclass
 class CircleLift:
-    """Degree-one lift F of a circle homeomorphism, as a real evaluator."""
+    """Degree-one lift F of a circle homeomorphism, as a real evaluator.
+
+    Every lift (this class, the lift of ``circle_lift`` and
+    ``maps.ArnoldLift``) has ``advance(x, n)`` = F^n(x), which the
+    return-time loops call once per return time.
+    """
 
     evaluator: object
 
     def __call__(self, x):
         return self.evaluator(x)
+
+    def advance(self, x, n):
+        for _ in range(n):
+            x = self.evaluator(x)
+        return x
 
     def check(self, samples=1000, tol=1e-10):
         xs = np.linspace(0.0, 1.0, samples, endpoint=False)
@@ -104,6 +114,41 @@ class TuneResult:
     report: dict = field(default_factory=dict)
 
 
+class _MapLift(CircleLift):
+    """The lift of ``circle_lift``: F(x) = x + frac(arg f(e^{2 pi i x})/2pi - x)."""
+
+    def __init__(self, map_):
+        super().__init__(lambda x: self.advance(x, 1))
+        self.map_ = map_
+
+    def advance(self, x, n):
+        """F^n(x), each step computing f(z) as ``RationalMap.eval`` does: the
+        plane-chart Horner loops, its far-from-a-pole test and ``_cdiv``,
+        with ``eval`` itself taking any step that fails the test.  |z| = 1
+        up to rounding, so the infinity chart never applies."""
+        map_ = self.map_
+        num, den, den_bound, den_deg = map_._plane
+        num, den, bound = num[::-1], den[::-1], _POLE_TOL * den_bound
+        cdiv, exp, phase = _kernels._cdiv, cmath.exp, cmath.phase
+        i2pi, twopi = 2j * math.pi, 2 * math.pi
+        for _ in range(n):
+            z = exp(i2pi * x)
+            r = abs(z)
+            nv = 0j
+            for c in num:
+                nv = nv * z + c
+            dv = 0j
+            for c in den:
+                dv = dv * z + c
+            try:
+                far = abs(dv) > bound * (r ** den_deg if r > 1.0 else 1.0)
+            except OverflowError:
+                far = False
+            w = cdiv(nv, dv) if far else map_.eval(z)
+            x = x + (phase(w) / twopi - x) % 1.0
+        return x
+
+
 def circle_lift(map_):
     """Lift of a circle-preserving rational map via its displacement.
 
@@ -115,14 +160,7 @@ def circle_lift(map_):
         z = cmath.exp(2j * math.pi * t)
         if abs(abs(map_.eval(z)) - 1.0) > 1e-10:
             raise CircleNotInvariantError("map does not preserve the unit circle")
-
-    def F(x):
-        z = cmath.exp(2j * math.pi * x)
-        w = map_.eval(z)
-        d = (cmath.phase(w) / (2 * math.pi) - x) % 1.0
-        return x + d
-
-    return CircleLift(F)
+    return _MapLift(map_)
 
 
 def rotation_number(lift, depth=40):
@@ -170,9 +208,8 @@ def sign_rho_vs_theta(lift, theta_cf, qcap=_QCAP_DEFAULT):
     for n in range(1, len(conv.q)):
         if conv.q[n] > qcap:
             break
-        while k < conv.q[n]:
-            x = lift(x)
-            k += 1
+        x = lift.advance(x, conv.q[n] - k)
+        k = conv.q[n]
         s = x - conv.p[n]
         # for odd n, q_n*theta - p_n < 0; rho > theta iff the return overshoots
         if n % 2 == 1 and s > 0:

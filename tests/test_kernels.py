@@ -608,6 +608,30 @@ def test_truncated_cached_library_is_rebuilt(tmp_path):
     assert again["records"] == [["DEBUG", loaded("cache hit", lib)]]
 
 
+def test_cache_key_names_the_compiler(tmp_path, monkeypatch):
+    """Two `cc` shims linked to different compilers give different cached
+    libraries, so a library built by one compiler is never loaded for the
+    other; the stubbed build compiles nothing."""
+    built = []
+
+    def stub(path):
+        built.append(os.path.basename(path))
+        raise OSError("stub build")
+
+    monkeypatch.setattr(K, "_build", stub)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    for name in ("gcc", "clang"):
+        target = tmp_path / ("fake-" + name)
+        target.write_text("#!/bin/sh\necho %s\n" % name)
+        target.chmod(0o755)
+        shim = tmp_path / name
+        shim.mkdir()
+        (shim / "cc").symlink_to(target)
+        monkeypatch.setenv("PATH", str(shim))
+        assert K._load() is None
+    assert len(built) == 2 and built[0] != built[1]
+
+
 # -- process state -------------------------------------------------------------------
 
 def environment_reads(node, where):

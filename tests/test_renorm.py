@@ -158,6 +158,33 @@ def test_scaling_ratios_chart_invariance(blaschke22_golden, arnold_golden):
         assert abs(rp.s[n]) == pytest.approx(abs(complex(rl.s[n])), rel=0.2)
 
 
+def test_circle_lift_closest_returns_pinned():
+    """The lift path's displacements F^{q_n}(0) - p_n, n = 1..12, of the
+    (2,2) golden Blaschke lift, as the per-step loop computed them."""
+    lift = hl.circle_lift(hl.blaschke(2, 0.6136486389004858))
+    cq = closest_return_displacements(lift, "golden", 12)
+    assert cq == {n + 1: complex(v) for n, v in enumerate([
+        -0.3863513610995143, 0.2822515961869594, -0.19861832497292609, 0.14841464439620644,
+        -0.11048988729768894, 0.08419886299830637, -0.06427216484720866, 0.049493226172621974,
+        -0.038168121151159085, 0.02952879360693572, -0.02286231150844742,
+        0.017721185755135593])}
+
+
+def test_symmetric_constants_match_the_literature():
+    """The (2,2) golden map is a cubic critical circle map, whose universal
+    constants are delta = -2.8336106559 and alpha = -1.2885745539 (Shenker,
+    Physica D 5 (1982) 405; Feigenbaum, Kadanoff & Shenker, Physica D 5
+    (1982) 370).  A preset ladder to m = 25 reads |delta| at levels 19..25 as
+    2.8336089..2.8336116, within 5e-6, and |s_n| at n = 13..16 as 0.775808,
+    0.775842, 0.776032 and 0.775772, within 5e-4 of 1/|alpha| = 0.7760513."""
+    res = hl.tune_asymmetric(2, 2, "golden", "preset", m=25)
+    for k in range(19, 26):
+        assert abs(res.report["delta"][k] - 2.8336106559) < 5e-6, k
+    s = scaling_ratios(hl.herman_family(2, 2, res.parameter), "golden", 16).s
+    for n in range(13, 17):
+        assert abs(abs(s[n]) - 0.7760513) < 5e-4, n
+
+
 @given(st.integers(min_value=2, max_value=60))
 @settings(max_examples=30, deadline=None)
 def test_translation_heights_follow_cf(a):

@@ -1,10 +1,12 @@
 """Rotation numbers, circle lifts, and parameter tuning."""
 
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hermanlab as hl
 from hermanlab.cfrac import GOLDEN, SILVER
@@ -48,6 +50,71 @@ def test_tuned_blaschke_rotation_number(blaschke22_golden):
     th = GOLDEN.value_float()
     lo, hi = rotation_number(F, depth=25)
     assert abs(0.5 * (float(lo) + float(hi)) - th) < 1e-4
+
+
+def per_step_lift(map_):
+    """circle_lift's evaluator as it was before lifts advanced whole stretches
+    of steps: one RationalMap.eval per step.  The oracle of advance."""
+    def F(x):
+        z = cmath.exp(2j * math.pi * x)
+        w = map_.eval(z)
+        d = (cmath.phase(w) / (2 * math.pi) - x) % 1.0
+        return x + d
+
+    return F
+
+
+def iterate(step, x, n):
+    for _ in range(n):
+        x = step(x)
+    return x
+
+
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+@given(st.sampled_from([2, 3]), UNIT, UNIT, st.integers(min_value=0, max_value=300))
+@settings(max_examples=60, deadline=None)
+def test_blaschke_lift_advance_bit_equal(d, alpha, x, n):
+    m = hl.blaschke(d, alpha)
+    lift = hl.circle_lift(m)
+    assert lift.advance(x, n).hex() == iterate(per_step_lift(m), x, n).hex()
+    assert lift(x).hex() == lift.advance(x, 1).hex()
+
+
+@given(UNIT, UNIT, st.integers(min_value=0, max_value=300))
+@settings(max_examples=60, deadline=None)
+def test_arnold_lift_advance_bit_equal(alpha, x, n):
+    F = hl.arnold_lift(alpha)
+    assert F.advance(x, n).hex() == iterate(F, x, n).hex()
+
+
+def test_circle_lift_steps_near_a_pole_through_eval(monkeypatch):
+    """A step whose denominator fails eval's far-from-a-pole test is taken by
+    RationalMap.eval itself, so its value and its 0/0 are eval's; a step far
+    from the pole does not call eval."""
+    t = 0.123456
+    a = cmath.exp(2j * math.pi * t)
+    m = hl.RationalMap(np.array([0.0, -a, 1.0]), np.array([-a, 1.0]))  # z (z - a) / (z - a)
+    lift = hl.circle_lift(m)
+    calls = []
+    real = hl.RationalMap.eval
+
+    def counted(self, z):
+        calls.append(z)
+        return real(self, z)
+
+    monkeypatch.setattr(hl.RationalMap, "eval", counted)
+    with pytest.raises(ZeroDivisionError):
+        lift.advance(t, 1)
+    near = t + 5e-15  # |D(z)| = 3.1e-14, under the far test's 4e-14
+    calls.clear()
+    got = lift.advance(near, 1)
+    assert len(calls) == 1
+    assert got.hex() == per_step_lift(m)(near).hex()
+    calls.clear()
+    lift.advance(t + 0.25, 3)
+    assert calls == []
 
 
 def test_tune_arnold_bracket(arnold_golden):
