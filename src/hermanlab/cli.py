@@ -54,6 +54,12 @@ def _is_finite(x):
     return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
 
+def _check_tol(tol):
+    """A ConfigError unless tol is a finite positive number."""
+    if not (_is_finite(tol) and tol > 0):
+        raise ConfigError("tol must be a finite positive number, not %r" % (tol,))
+
+
 def _check_window(window):
     """A ConfigError unless window is four finite numbers x0, y0, x1, y1."""
     if not (isinstance(window, (list, tuple)) and len(window) == 4
@@ -194,6 +200,7 @@ def _tune(d0, dinf, theta, seed=None, m=None, tol=None):
 
 
 def cmd_tune(args):
+    _check_tol(args.tol)
     theta = _parse_theta(args.theta)
     seed = args.seed if args.seed in (None, "preset") else _parse_complex(args.seed)
     res = _tune(args.d0, args.dinf, theta, seed, m=args.depth, tol=args.tol)
@@ -400,8 +407,8 @@ def _load_config(path):
     for key in ("tune_depth", "trace_depth", "renorm_depth", "resolution", "maxiter"):
         if key in cfg and not (_is_int(cfg[key]) and cfg[key] > 0):
             raise ConfigError("%s must be a positive integer, not %r" % (key, cfg[key]))
-    if "tol" in cfg and not (_is_finite(cfg["tol"]) and cfg["tol"] > 0):
-        raise ConfigError("tol must be a finite positive number, not %r" % (cfg["tol"],))
+    if "tol" in cfg:
+        _check_tol(cfg["tol"])
     # a seed name other than "preset" reaches the tuner, whose PresetError
     # (exit 2) the tune stage records in report.json
     seed = cfg.get("seed", "preset")

@@ -122,6 +122,17 @@ def _aitken(seq):
     return out
 
 
+def _median(a):
+    """np.median of a non-empty 1-D float array by numpy's arithmetic: the
+    middle sorted value, or the mean of the middle two; nan if a value is
+    nan.  np.median itself imports numpy.ma for its nan check."""
+    s = np.sort(a)
+    if s[-1] != s[-1]:  # nan sorts last
+        return float(s[-1])
+    h = len(s) // 2
+    return float(s[h]) if len(s) % 2 else (float(s[h - 1]) + float(s[h])) / 2
+
+
 def _clean_prefix(phis, tol=0.12):
     """Truncate a one-sided phase sequence where round-off breaks its
 
@@ -136,7 +147,7 @@ def _clean_prefix(phis, tol=0.12):
     if np.any(d == 0):
         return phis
     r = d[1:] / d[:-1]
-    med = float(np.median(r[: max(3, len(r) // 2)]))
+    med = _median(r[: max(3, len(r) // 2)])
     keep = len(d)
     for i in range(1, len(r)):
         if abs(r[i] - med) > tol:

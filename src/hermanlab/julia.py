@@ -115,6 +115,25 @@ class InsufficientScalesError(ValueError):
     pass
 
 
+def _quantile(a, q):
+    """np.quantile(a, q) of a non-empty 1-D float array by numpy's "linear"
+    arithmetic: at v = (n - 1) q, the sorted values s[i], s[i + 1] with
+    i = floor(v) (both s[-1] at the top) are interpolated from the nearer
+    one; nan if a value is nan.  np.quantile itself imports numpy.ma."""
+    s = np.sort(a)
+    if s[-1] != s[-1]:  # nan sorts last
+        return float(s[-1])
+    v = (len(s) - 1) * q
+    i = j = -1
+    if v < len(s) - 1:
+        i = math.floor(v)
+        j = i + 1
+    t = v - i
+    lo, hi = float(s[i]), float(s[j])
+    diff = hi - lo
+    return hi - diff * (1 - t) if t >= 0.5 else lo + diff * t
+
+
 def _adjacent_spacing(points):
     """Resolution floor of an ordered sample: a high quantile of adjacent gaps.
 
@@ -125,7 +144,17 @@ def _adjacent_spacing(points):
     gaps = np.abs(np.diff(points))
     wrap = abs(points[0] - points[-1])
     gaps = np.append(gaps, wrap)
-    return float(np.quantile(gaps, 0.95))
+    return _quantile(gaps, 0.95)
+
+
+def _unique(k):
+    """np.unique(k) of a 1-D integer array: the first value of each run of
+    the sorted array.  np.unique itself imports numpy.ma."""
+    s = np.sort(k)
+    first = np.empty(len(s), dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return s[first]
 
 
 def _dyadic_counts(points, levels, origin, diam, connect):
@@ -161,12 +190,12 @@ def _dyadic_counts(points, levels, origin, diam, connect):
                 ys = y[reps] + u * (y2 - y)[reps]
                 k = (np.floor((xs - x0) / eps).astype(np.int64) * (2 ** lev + 7)
                      + np.floor((ys - y0) / eps).astype(np.int64))
-                keys.append(np.unique(k))
-            count = len(np.unique(np.concatenate(keys)))
+                keys.append(_unique(k))
+            count = len(_unique(np.concatenate(keys)))
         else:
             k = (np.floor((x - x0) / eps).astype(np.int64) * (2 ** lev + 7)
                  + np.floor((y - y0) / eps).astype(np.int64))
-            count = len(np.unique(k))
+            count = len(_unique(k))
         out.append((eps, count))
     return out
 

@@ -80,8 +80,9 @@ class RationalMap:
     def __eq__(self, other):
         if not isinstance(other, RationalMap):
             return NotImplemented
-        return (np.array_equal(self.num, other.num) and np.array_equal(self.den, other.den)
-                and (self.d0, self.dinf, self.parameter) == (other.d0, other.dinf, other.parameter))
+        # the plane chart's Horner tuples are num and den as python complex
+        return ((self._plane[:2], self.d0, self.dinf, self.parameter)
+                == (other._plane[:2], other.d0, other.dinf, other.parameter))
 
     def __setattr__(self, name, value):
         if name in ("num", "den") and "_plane" in self.__dict__:

@@ -149,17 +149,59 @@ class _MapLift(CircleLift):
         return x
 
 
+class _BlaschkeLift(CircleLift):
+    """The lift of ``circle_lift`` for a Blaschke member F_{d,d,c}, |c| = 1,
+    in closed form.
+
+    With m = 2d - 1 and D the (real) denominator, the numerator is
+    -c (-z)^m D(1/z), so on |z| = 1, B(z) = -c (-z)^m conj(D(z)) / D(z).
+    As m is odd, with {x} = x mod 1 and alpha = arg c / 2pi,
+
+        F(x) = x + frac(alpha + (m - 1) {x} - arg D(e^{2 pi i {x}}) / pi):
+
+    one Horner of degree d - 1 and one atan2 per step.  D has no zero on
+    the circle (its zeros are the poles of B), so no step makes a complex
+    division or meets a pole.
+    """
+
+    def __init__(self, map_):
+        super().__init__(lambda x: self.advance(x, 1))
+        den = [float(c.real) for c in map_.den[::-1]]
+        self._horner = (den[0], tuple(den[1:]))
+        self._alpha = cmath.phase(map_.parameter) / (2 * math.pi)
+        self._slope = float(2 * map_.d0 - 2)
+
+    def advance(self, x, n):
+        """F^n(x), one closed-form step at a time."""
+        top, rest = self._horner
+        alpha, slope = self._alpha, self._slope
+        exp, atan2, pi, i2pi = cmath.exp, math.atan2, math.pi, 2j * math.pi
+        for _ in range(n):
+            u = x % 1.0
+            z = exp(i2pi * u)
+            dv = top
+            for c in rest:
+                dv = dv * z + c
+            x = x + (alpha + slope * u - atan2(dv.imag, dv.real) / pi) % 1.0
+        return x
+
+
 def circle_lift(map_):
     """Lift of a circle-preserving rational map via its displacement.
 
     F(x) = x + frac(arg f(e^{2 pi i x})/2pi - x); continuous and
     degree-one as long as f has no fixed point on the circle, with
-    F(0) in [0, 1).
+    F(0) in [0, 1).  A (d, d) family member, a Blaschke product, gets
+    the closed-form lift (_BlaschkeLift); any other map is stepped
+    through its plane-chart evaluation (_MapLift).
     """
     for t in np.linspace(0.0, 1.0, 64, endpoint=False):
         z = cmath.exp(2j * math.pi * t)
         if abs(abs(map_.eval(z)) - 1.0) > 1e-10:
             raise CircleNotInvariantError("map does not preserve the unit circle")
+    d = map_.d0
+    if d is not None and d == map_.dinf and map_ == herman_family(d, d, map_.parameter):
+        return _BlaschkeLift(map_)
     return _MapLift(map_)
 
 
@@ -225,6 +267,9 @@ def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT):
     if theta.depth is not None and theta.depth < MIN_IRRATIONAL_DEPTH:
         raise ValueError("theta must be irrational (deep CF); rational input rejected")
     conv = _convergents(theta)
+    if not conv.q[1] <= qcap:
+        raise ValueError("qcap = %r is below q_1 = %d: no return time to test"
+                         % (qcap, conv.q[1]))
     lo, hi = 0.0, 1.0
     it = 0
     undecided = False

@@ -178,6 +178,18 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     assert code == 2 and "config error" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-3"])
+def test_tune_refuses_bad_tol(capsys, tmp_path, tol):
+    """--tol is checked as the pipeline's config tol is: a non-finite or
+    non-positive tolerance is a configuration error, and nothing is tuned
+    (--tol inf used to end the bisection after one step, at alpha = 0.75)."""
+    out = tmp_path / "t.json"
+    code, _, err = run(capsys, "tune", "--d0", "2", "--dinf", "2", "--tol=" + tol,
+                       "--out", str(out))
+    assert code == 2 and "tol must be a finite positive number" in err
+    assert not out.exists()
+
+
 def test_dims_on_circle_csv(capsys, tmp_path):
     csv = tmp_path / "circle.csv"
     t = np.linspace(0.0, 1.0, 20001)[:-1]

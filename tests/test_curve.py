@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import hermanlab as hl
 from hermanlab.cfrac import GOLDEN, convergents
 from hermanlab._kernels import _arc_diameter
-from hermanlab.curve import OrbitEscapeError, _aitken
+from hermanlab.curve import OrbitEscapeError, _aitken, _median
 
 
 def test_trace_vertex_dynamics_check(golden32):
@@ -127,3 +127,15 @@ def test_diameter_between_axis_range_and_pairwise_max(xy):
     sy = (pts.imag[:, None] - pts.imag[None, :]) * scale
     brute = float(np.sqrt(np.max(sx * sx + sy * sy))) / scale
     assert spread <= d <= brute
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_median_matches_numpy(xs):
+    """_median is np.median bit for bit (zeros of either sign compare
+    equal), at odd and even lengths and with nan and infinities."""
+    a = np.array(xs)
+    with np.errstate(all="ignore"):
+        want = float(np.median(a))
+    got = _median(a)
+    assert got == want or (math.isnan(got) and math.isnan(want))

@@ -2,14 +2,20 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hermanlab as hl
 from hermanlab import _kernels
 from hermanlab.julia import (BASIN0, BASIN_INF, UNDECIDED, GridClassification,
-                             InsufficientScalesError, _colours, box_dimension, classify,
+                             InsufficientScalesError, _colours, _quantile, _unique,
+                             box_dimension, classify,
                              load_grid, porosity_profile, preimage_layers,
                              render, save_grid)
 
@@ -244,3 +250,41 @@ def test_render_table_equals_per_pixel_shading(tmp_path):
         want = b"P6\n%d %d\n255\n" % (w, h) + _colours(labels, iters)[::-1].tobytes()
         assert path.read_bytes() == want
         assert (_colours(labels, iters)[labels > UNDECIDED] == 0).all()
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=30),
+       st.one_of(st.just(0.95), st.floats(min_value=0.0, max_value=1.0)))
+@settings(max_examples=300, deadline=None)
+def test_quantile_matches_numpy(xs, q):
+    """_quantile is np.quantile's "linear" method, bit for bit (zeros of
+    either sign compare equal), through both ends of its interpolation and
+    with nan and infinities."""
+    a = np.array(xs)
+    with np.errstate(all="ignore"):
+        want = float(np.quantile(a, q))
+    got = _quantile(a, q)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@given(st.lists(st.integers(min_value=-2**62, max_value=2**62), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_unique_matches_numpy(ks):
+    k = np.array(ks, dtype=np.int64)
+    got = _unique(k)
+    assert got.dtype == np.int64 and np.array_equal(got, np.unique(k))
+
+
+def test_geometry_leaves_numpy_ma_out():
+    """critical_angle and box_dimension sort and index instead of calling
+    np.median, np.quantile and np.unique, each of which imports numpy.ma."""
+    code = ("import sys, numpy as np, hermanlab as hl\n"
+            "c = hl.tune_asymmetric(3, 2, 'golden', 'preset', m=20).parameter\n"
+            "curve = hl.trace(hl.herman_family(3, 2, c), 'golden', 20)\n"
+            "hl.critical_angle(curve)\n"
+            "hl.box_dimension(np.exp(2j * np.pi * np.arange(20000) / 20000))\n"
+            "hl.box_dimension(curve.points, connect=True)\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

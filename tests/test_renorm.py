@@ -160,8 +160,11 @@ def test_scaling_ratios_chart_invariance(blaschke22_golden, arnold_golden):
 
 def test_circle_lift_closest_returns_pinned():
     """The lift path's displacements F^{q_n}(0) - p_n, n = 1..12, of the
-    (2,2) golden Blaschke lift, as the per-step loop computed them."""
-    lift = hl.circle_lift(hl.blaschke(2, 0.6136486389004858))
+    (2,2) golden Blaschke map's plane-chart lift (built without the family
+    fields, which would select the closed form), as the per-step loop
+    computed them."""
+    b = hl.blaschke(2, 0.6136486389004858)
+    lift = hl.circle_lift(hl.RationalMap(b.num, b.den))
     cq = closest_return_displacements(lift, "golden", 12)
     assert cq == {n + 1: complex(v) for n, v in enumerate([
         -0.3863513610995143, 0.2822515961869594, -0.19861832497292609, 0.14841464439620644,
@@ -183,6 +186,15 @@ def test_symmetric_constants_match_the_literature():
     s = scaling_ratios(hl.herman_family(2, 2, res.parameter), "golden", 16).s
     for n in range(13, 17):
         assert abs(abs(s[n]) - 0.7760513) < 5e-4, n
+
+
+def test_asymmetric_delta_published():
+    """The (3,2) golden parameter scaling |delta| that README publishes,
+    2.912583 +- 7e-6: the preset ladder to m = 26 reads 2.9125813..2.9125895
+    at levels 19..26 (no literature value exists for (3,2))."""
+    res = hl.tune_asymmetric(3, 2, "golden", "preset", m=26)
+    for k in range(19, 27):
+        assert abs(res.report["delta"][k] - 2.912583) < 7e-6, k
 
 
 @given(st.integers(min_value=2, max_value=60))

@@ -4,14 +4,16 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hermanlab as hl
 from hermanlab.cfrac import GOLDEN, SILVER
-from hermanlab.rotation import (CircleLift, rotation_number, sign_rho_vs_theta,
-                                tune_arnold, tune_blaschke, verify_herman)
+from hermanlab.renorm import closest_return_displacements
+from hermanlab.rotation import (CircleLift, _BlaschkeLift, _MapLift, rotation_number,
+                                sign_rho_vs_theta, tune_arnold, tune_blaschke, verify_herman)
 
 
 def rigid(theta):
@@ -76,10 +78,79 @@ UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 @given(st.sampled_from([2, 3]), UNIT, UNIT, st.integers(min_value=0, max_value=300))
 @settings(max_examples=60, deadline=None)
 def test_blaschke_lift_advance_bit_equal(d, alpha, x, n):
-    m = hl.blaschke(d, alpha)
+    """The plane-chart lift, on a Blaschke map built without its family
+    fields, steps as RationalMap.eval does."""
+    b = hl.blaschke(d, alpha)
+    m = hl.RationalMap(b.num, b.den)
     lift = hl.circle_lift(m)
+    assert isinstance(lift, _MapLift)
     assert lift.advance(x, n).hex() == iterate(per_step_lift(m), x, n).hex()
     assert lift(x).hex() == lift.advance(x, 1).hex()
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_blaschke_denominator_has_no_root_on_the_circle(d):
+    """The closed-form lift takes arg D(z) on the circle, which needs D to
+    have no root there: D's roots, the poles of B, lie well inside the
+    unit disk."""
+    den = hl.herman_family(d, d, 1.0).den
+    assert np.all(den.imag == 0)
+    assert np.max(np.abs(np.roots(den.real[::-1]))) < 0.4
+
+
+def test_circle_lift_is_closed_form_exactly_for_blaschke_members():
+    b = hl.blaschke(3, 0.3)
+    assert isinstance(hl.circle_lift(b), _BlaschkeLift)
+    # the same coefficients without the family fields, fields whose
+    # parameter does not build them, or coefficients the fields do not
+    # build (-B also preserves the circle): stepped through evaluation
+    for m in (hl.RationalMap(b.num, b.den),
+              hl.RationalMap(b.num, b.den, d0=3, dinf=3, parameter=cmath.exp(0.5j)),
+              hl.RationalMap(-b.num, b.den, d0=3, dinf=3, parameter=b.parameter)):
+        assert m != b
+        assert isinstance(hl.circle_lift(m), _MapLift)
+    assert hl.blaschke(3, 0.3) == b
+
+
+@given(st.integers(min_value=2, max_value=6), UNIT, UNIT)
+@settings(max_examples=200, deadline=None)
+def test_blaschke_closed_form_step_matches_eval(d, alpha, x):
+    """One closed-form step agrees with a step through RationalMap.eval to
+    1e-14.  Where f fixes x up to rounding, the two may round the
+    displacement to opposite ends of [0, 1], so they agree modulo 1."""
+    m = hl.blaschke(d, alpha)
+    got, want = hl.circle_lift(m)(x), per_step_lift(m)(x)
+    assert abs((got - want + 0.5) % 1.0 - 0.5) < 1e-14
+    if 1e-13 < want - x < 1.0 - 1e-13:
+        assert abs(got - want) < 1e-14
+
+
+@given(st.integers(min_value=2, max_value=6), UNIT, UNIT, st.integers(min_value=0, max_value=300))
+@settings(max_examples=60, deadline=None)
+def test_blaschke_closed_form_advance_bit_equal(d, alpha, x, n):
+    lift = hl.circle_lift(hl.blaschke(d, alpha))
+    assert lift.advance(x, n).hex() == iterate(lift, x, n).hex()
+
+
+def test_blaschke_closed_form_closest_returns_match_mpmath():
+    """F^{q_n}(0) - p_n, n = 1..12, of the (2,2) golden closed-form lift
+    against a 60-digit orbit of the same map (measured error 7.7e-13; the
+    plane-chart lift's is 8.8e-12)."""
+    m = hl.blaschke(2, 0.6136486389004858)
+    got = closest_return_displacements(hl.circle_lift(m), GOLDEN, 12)
+    conv = hl.convergents(GOLDEN, 12)
+    with mpmath.workdps(60):
+        num = [mpmath.mpc(complex(c)) for c in m.num[::-1]]
+        den = [mpmath.mpc(complex(c)) for c in m.den[::-1]]
+        x, k = mpmath.mpf(0), 0
+        for n in range(1, 13):
+            for _ in range(conv.q[n] - k):
+                z = mpmath.expjpi(2 * x)
+                w = mpmath.polyval(num, z) / mpmath.polyval(den, z)
+                x += mpmath.frac(mpmath.arg(w) / (2 * mpmath.pi) - x)
+            k = conv.q[n]
+            assert got[n].imag == 0
+            assert abs(got[n].real - (x - conv.p[n])) < 2e-12, n
 
 
 @given(UNIT, UNIT, st.integers(min_value=0, max_value=300))
@@ -201,6 +272,14 @@ def test_tune_blaschke_pinned():
     res = tune_blaschke(2, "golden", tol=1e-15, qcap=50000)
     assert res.parameter == -0.7556990644648718 - 0.6549190209231349j
     assert res.iterations == 32
+
+
+def test_bisection_refuses_qcap_below_q1():
+    """No return time of theta is at most qcap, so no sign test can run."""
+    with pytest.raises(ValueError, match="qcap = 1 is below q_1 = 2"):
+        tune_blaschke(2, SILVER, qcap=1)
+    with pytest.raises(ValueError, match="qcap = 0 is below q_1 = 1"):
+        tune_arnold(GOLDEN, qcap=0)
 
 
 @pytest.mark.parametrize("d0,dinf", [(3, 2), (2, 2), (2, 3)])
