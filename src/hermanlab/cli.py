@@ -201,6 +201,10 @@ def _tune(d0, dinf, theta, seed=None, m=None, tol=None):
 
 def cmd_tune(args):
     _check_tol(args.tol)
+    if args.d0 == args.dinf and args.seed is None and args.depth is not None:
+        raise ConfigError("--depth sets the Newton ladder's depth, but the (%d,%d) family "
+                          "without --seed is tuned by bisection; give --seed (re,im or "
+                          "'preset') to tune by the ladder" % (args.d0, args.dinf))
     theta = _parse_theta(args.theta)
     seed = args.seed if args.seed in (None, "preset") else _parse_complex(args.seed)
     res = _tune(args.d0, args.dinf, theta, seed, m=args.depth, tol=args.tol)
@@ -416,6 +420,10 @@ def _load_config(path):
                                       and all(map(_is_finite, seed)))):
         raise ConfigError('seed must be "preset" or a pair [re, im] of finite numbers, not %r'
                           % (seed,))
+    if family[0] == family[1] and "seed" not in cfg and "tune_depth" in cfg:
+        raise ConfigError("tune_depth sets the Newton ladder's depth, but the (%d,%d) family "
+                          "without a seed is tuned by bisection; give a seed (\"preset\" or "
+                          "[re, im]) to tune by the ladder" % tuple(family))
     if cfg.get("window"):
         _check_window(cfg["window"])
     return cfg

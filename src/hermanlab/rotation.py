@@ -162,28 +162,49 @@ class _BlaschkeLift(CircleLift):
     one Horner of degree d - 1 and one atan2 per step.  D has no zero on
     the circle (its zeros are the poles of B), so no step makes a complex
     division or meets a pole.
+
+    A step runs in floats the operations that complex arithmetic makes on
+    (cos y, sin y) = exp(2 pi i {x}) and on D's real coefficients, dropping
+    only products that are exactly zero, so it equals the complex Horner
+    bit for bit.  The ``+ 0.0`` on the imaginary part is the one a real
+    coefficient adds as (c, 0.0): it turns the -0.0 of top * sin(0) for
+    top < 0 into 0.0, without which atan2 would give -pi for pi at x = 0.
     """
 
     def __init__(self, map_):
         super().__init__(lambda x: self.advance(x, 1))
         den = [float(c.real) for c in map_.den[::-1]]
-        self._horner = (den[0], tuple(den[1:]))
+        self._horner = (den[0], den[1], tuple(den[2:]))
         self._alpha = cmath.phase(map_.parameter) / (2 * math.pi)
         self._slope = float(2 * map_.d0 - 2)
 
     def advance(self, x, n):
         """F^n(x), one closed-form step at a time."""
-        top, rest = self._horner
+        top, c0, more = self._horner
         alpha, slope = self._alpha, self._slope
-        exp, atan2, pi, i2pi = cmath.exp, math.atan2, math.pi, 2j * math.pi
+        cos, sin, atan2, pi, twopi = math.cos, math.sin, math.atan2, math.pi, 2 * math.pi
         for _ in range(n):
             u = x % 1.0
-            z = exp(i2pi * u)
-            dv = top
-            for c in rest:
-                dv = dv * z + c
-            x = x + (alpha + slope * u - atan2(dv.imag, dv.real) / pi) % 1.0
+            y = twopi * u
+            zr, zi = cos(y), sin(y)
+            re, im = top * zr + c0, top * zi + 0.0
+            for c in more:
+                re, im = re * zr - im * zi + c, re * zi + im * zr + 0.0
+            x = x + (alpha + slope * u - atan2(im, re) / pi) % 1.0
         return x
+
+
+def _is_blaschke_member(map_):
+    """map_ is herman_family(d, d, c) for its own fields d0 = dinf = d and
+    parameter c.  A map without those fields, or with fields that
+    herman_family refuses, is not."""
+    d, c = map_.d0, map_.parameter
+    if d is None or d != map_.dinf or c is None:
+        return False
+    try:
+        return map_ == herman_family(d, d, c)
+    except (ValueError, OverflowError):
+        return False
 
 
 def circle_lift(map_):
@@ -192,17 +213,15 @@ def circle_lift(map_):
     F(x) = x + frac(arg f(e^{2 pi i x})/2pi - x); continuous and
     degree-one as long as f has no fixed point on the circle, with
     F(0) in [0, 1).  A (d, d) family member, a Blaschke product, gets
-    the closed-form lift (_BlaschkeLift); any other map is stepped
-    through its plane-chart evaluation (_MapLift).
+    the closed-form lift stepped in float arithmetic (_BlaschkeLift);
+    any other map, including one with family degrees but no parameter,
+    is stepped through its plane-chart evaluation (_MapLift).
     """
     for t in np.linspace(0.0, 1.0, 64, endpoint=False):
         z = cmath.exp(2j * math.pi * t)
         if abs(abs(map_.eval(z)) - 1.0) > 1e-10:
             raise CircleNotInvariantError("map does not preserve the unit circle")
-    d = map_.d0
-    if d is not None and d == map_.dinf and map_ == herman_family(d, d, map_.parameter):
-        return _BlaschkeLift(map_)
-    return _MapLift(map_)
+    return _BlaschkeLift(map_) if _is_blaschke_member(map_) else _MapLift(map_)
 
 
 def rotation_number(lift, depth=40):

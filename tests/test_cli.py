@@ -190,6 +190,34 @@ def test_tune_refuses_bad_tol(capsys, tmp_path, tol):
     assert not out.exists()
 
 
+def test_tune_depth_on_the_bisection_is_config_error(capsys, tmp_path):
+    """The (d,d) bisection without --seed tunes to its own closest-return
+    depth, so an explicit --depth is refused (it used to be ignored, with
+    exit 0 and verified_depth 22) and the message names --seed; with a
+    seed the Newton ladder runs and reports its curve checks."""
+    out = tmp_path / "t.json"
+    code, _, err = run(capsys, "tune", "--d0", "2", "--dinf", "2", "--depth", "30",
+                       "--out", str(out))
+    assert code == 2 and "config error" in err and "--seed" in err
+    assert not out.exists()
+    code, _, _ = run(capsys, "tune", "--d0", "2", "--dinf", "2", "--seed", "preset",
+                     "--depth", "16", "--out", str(out))
+    res = json.loads(out.read_text())
+    assert code == 0 and res["alpha"] is None and res["verify"]["all"] is True
+
+
+def test_pipeline_tune_depth_on_the_bisection_is_config_error(capsys, tmp_path):
+    """A config's tune_depth for a (d,d) family without a seed is refused
+    before any stage runs, with a message that names the seed."""
+    cfg = json.loads(small_config(tmp_path, "b", family=[2, 2]).read_text())
+    del cfg["seed"]
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "pipeline", "--config", str(path))
+    assert code == 2 and "tune_depth" in err and "seed" in err
+    assert not (tmp_path / "b").exists()
+
+
 def test_dims_on_circle_csv(capsys, tmp_path):
     csv = tmp_path / "circle.csv"
     t = np.linspace(0.0, 1.0, 20001)[:-1]

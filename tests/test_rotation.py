@@ -101,10 +101,14 @@ def test_blaschke_denominator_has_no_root_on_the_circle(d):
 def test_circle_lift_is_closed_form_exactly_for_blaschke_members():
     b = hl.blaschke(3, 0.3)
     assert isinstance(hl.circle_lift(b), _BlaschkeLift)
-    # the same coefficients without the family fields, fields whose
+    # the same coefficients without the family fields, with degrees but no
+    # parameter, with degrees herman_family refuses, fields whose
     # parameter does not build them, or coefficients the fields do not
     # build (-B also preserves the circle): stepped through evaluation
     for m in (hl.RationalMap(b.num, b.den),
+              hl.RationalMap(b.num, b.den, d0=3, dinf=3),
+              hl.RationalMap(b.num, b.den, d0=1, dinf=1, parameter=b.parameter),
+              hl.RationalMap(b.num, b.den, d0=31, dinf=31, parameter=b.parameter),
               hl.RationalMap(b.num, b.den, d0=3, dinf=3, parameter=cmath.exp(0.5j)),
               hl.RationalMap(-b.num, b.den, d0=3, dinf=3, parameter=b.parameter)):
         assert m != b
@@ -130,6 +134,53 @@ def test_blaschke_closed_form_step_matches_eval(d, alpha, x):
 def test_blaschke_closed_form_advance_bit_equal(d, alpha, x, n):
     lift = hl.circle_lift(hl.blaschke(d, alpha))
     assert lift.advance(x, n).hex() == iterate(lift, x, n).hex()
+
+
+I2PI = complex(0.0, 2 * math.pi)
+
+
+def complex_closed_form_lift(map_):
+    """The closed-form step of a Blaschke member in complex arithmetic, as
+    the lift once computed it: z = exp(2 pi i {x}) by cmath.exp, D(z) by a
+    complex Horner whose real coefficients enter as (c, 0.0), and one atan2.
+    Every operand is complex, so the oracle does not depend on how an
+    interpreter mixes floats into complex arithmetic.  The oracle of the
+    float step of _BlaschkeLift."""
+    den = [complex(c.real, 0.0) for c in map_.den[::-1]]
+    alpha = cmath.phase(map_.parameter) / (2 * math.pi)
+    slope = float(2 * map_.d0 - 2)
+
+    def F(x):
+        u = x % 1.0
+        z = cmath.exp(I2PI * complex(u))
+        dv = den[0]
+        for c in den[1:]:
+            dv = dv * z + c
+        return x + (alpha + slope * u - math.atan2(dv.imag, dv.real) / math.pi) % 1.0
+
+    return F
+
+
+@given(st.integers(min_value=2, max_value=6), UNIT,
+       st.one_of(st.just(0.0), UNIT, st.floats(min_value=-50.0, max_value=50.0)),
+       st.integers(min_value=0, max_value=300))
+@settings(max_examples=150, deadline=None)
+def test_blaschke_float_step_bit_equals_complex_oracle(d, alpha, x, n):
+    m = hl.blaschke(d, alpha)
+    got, want = hl.circle_lift(m).advance(x, n), iterate(complex_closed_form_lift(m), x, n)
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_blaschke_float_step_from_zero_bit_equals_complex_oracle(d):
+    """Every sign test starts at x = 0, where top * sin(0) is -0.0 for a
+    negative top coefficient: the float step's + 0.0 makes it 0.0 as the
+    complex Horner does, or atan2 gives -pi for pi.  A sweep of 200 alpha."""
+    for k in range(200):
+        m = hl.blaschke(d, k / 200)
+        lift, oracle = hl.circle_lift(m), complex_closed_form_lift(m)
+        assert lift(0.0).hex() == oracle(0.0).hex(), k
+        assert lift.advance(0.0, 13).hex() == iterate(oracle, 0.0, 13).hex(), k
 
 
 def test_blaschke_closed_form_closest_returns_match_mpmath():
