@@ -1,4 +1,4 @@
-"""Continued fractions, convergents, Gauss map, and return-time combinatorics.
+"""Continued fractions, convergents, and the dynamical tilings.
 
 Rotation numbers of bounded type drive everything downstream: the
 convergent denominators q_n are the closest-return times, the
@@ -125,6 +125,7 @@ class ContinuedFraction:
         if i <= len(self._quotients):
             return self._quotients[i - 1]
         raise IndexError("quotient a_%d beyond available depth %d" % (i, len(self._quotients)))
+
     def quotients(self, n):
         return [self.quotient(i) for i in range(1, n + 1)]
 
@@ -132,12 +133,6 @@ class ContinuedFraction:
     def depth(self):
         """Number of exactly-known quotients (None = unbounded, periodic form)."""
         return None if self.period is not None else len(self._quotients)
-
-    def bound(self, n=40):
-        """Max partial quotient over the first n (the bounded-type constant)."""
-        if self.period is not None:
-            return max((self.preperiod or []) + self.period)
-        return max(self._quotients[:n] or [1])
 
     # -- value --------------------------------------------------------------
 
@@ -168,18 +163,6 @@ class ContinuedFraction:
 
     def value_float(self):
         return float(self.value())
-
-    def shift(self):
-        """Gauss-map shift: drop a_1 (exact on the symbolic representation)."""
-        if self.period is not None:
-            pre = list(self.preperiod or [])
-            if pre:
-                return ContinuedFraction.from_periodic(pre[1:], self.period)
-            per = self.period
-            return ContinuedFraction.from_periodic([], per[1:] + per[:1])
-        if len(self._quotients) < 2:
-            raise ValueError("cannot shift: fewer than 2 known quotients")
-        return ContinuedFraction(self._quotients[1:])
 
     def __repr__(self):
         if self.period is not None:
@@ -233,45 +216,6 @@ def convergents(cf, n):
     th = cf.value()
     lengths = [abs(p[k] - q[k] * th) for k in range(n + 1)]
     return Convergents(p=p, q=q, lengths=lengths)
-
-
-def gauss(theta):
-    """Gauss map G(x) = frac(1/x); on a ContinuedFraction, shifts quotients."""
-    if isinstance(theta, ContinuedFraction):
-        return theta.shift()
-    if theta == 0:
-        raise ZeroDivisionError("Gauss map undefined at 0")
-    return (1.0 / theta) % 1.0
-
-
-def comb_length(cf, n):
-    """l_n = |p_n - q_n*theta| with a bounded-type bracketing sanity check."""
-    conv = convergents(cf, n + 1)
-    ln, lnp1 = conv.lengths[n], conv.lengths[n + 1]
-    assert lnp1 < ln, "combinatorial lengths must strictly decrease"
-    # l_{n-1} = a_{n+1} l_n + l_{n+1} gives l_n/l_{n+1} <= bound + 2
-    bound = cf.bound(n + 2)
-    assert ln / lnp1 <= bound + 2, "bounded-type length bracketing violated"
-    return float(ln)
-
-
-def return_ordering(cf, n):
-    """Closest returns R^{q_k}(0) of the rigid rotation, with alternation check.
-
-    Returns the list of angles (q_k*theta mod 1) for k = 1..n and
-    asserts the alternating-side pattern R^{q_1} < R^{q_3} < ... < 0 <
-    ... < R^{q_4} < R^{q_2} via the exact signed distances (-1)^k l_k.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    conv = convergents(cf, n)
-    th = cf.value()
-    angles = [float(conv.q[k] * th % 1) for k in range(1, n + 1)]
-    # signed displacement of R^{q_k}(0) from 0 is q_k*theta - p_k = -(-1)^k l_k
-    for k in range(1, n + 1):
-        s = conv.q[k] * th - conv.p[k]
-        assert (s > 0) == (k % 2 == 0), "closest returns must alternate sides"
-    return angles
 
 
 def tiling_indices(cf, n):

@@ -1,4 +1,4 @@
-"""Command-line interface: tune, trace, renormalize, render, measure.
+"""Command-line interface: tune, trace, scaling diagnostics, render, measure.
 
 Exit codes: 0 success, 1 numeric stage failure, 2 configuration error.
 All outputs (CSV/JSON/PPM) are byte-deterministic for a fixed config.
@@ -61,10 +61,21 @@ def _check_tol(tol):
 
 
 def _check_window(window):
-    """A ConfigError unless window is four finite numbers x0, y0, x1, y1."""
+    """A ConfigError unless window is four finite numbers x0, y0, x1, y1 with
+    x0 < x1 and y0 < y1."""
     if not (isinstance(window, (list, tuple)) and len(window) == 4
             and all(map(_is_finite, window))):
         raise ConfigError("window must be four finite numbers x0,y0,x1,y1, not %r" % (window,))
+    x0, y0, x1, y1 = window
+    if not (x0 < x1 and y0 < y1):
+        raise ConfigError("window %r is empty or reversed: need x0 < x1 and y0 < y1"
+                          % (window,))
+
+
+def _check_least(option, value, least):
+    """A ConfigError naming the option unless value >= least."""
+    if value < least:
+        raise ConfigError("%s must be at least %d, not %d" % (option, least, value))
 
 
 def _fmt(x):
@@ -164,6 +175,7 @@ def _bad_curve_line(path, data, err):
 # ---------------------------------------------------------------------------
 
 def cmd_cfrac(args):
+    _check_least("--depth", args.depth, 1)
     theta = _parse_theta(args.theta)
     n = args.depth
     conv = cfrac.convergents(theta, n)
@@ -243,6 +255,8 @@ def _tuned_map(args, theta):
 
 
 def cmd_trace(args):
+    # q_1 = 1 for a theta with a_1 = 1, which leaves no orbit point to trace
+    _check_least("--depth", args.depth, 2)
     theta = _parse_theta(args.theta)
     m = _tuned_map(args, theta)
     c = curve_mod.trace(m, theta, args.depth)
@@ -282,7 +296,15 @@ def cmd_geometry(args):
     return 0
 
 
+# the shallowest --depth of each renorm subcommand: one scaling ratio, three
+# Cauchy differences of the self-similarity ratios, the level-2 pair
+_RENORM_LEAST_DEPTH = {"ratios": 1, "mu": 5, "chi": 2}
+
+
 def cmd_renorm(args):
+    _check_least("--depth", args.depth, _RENORM_LEAST_DEPTH[args.what])
+    if args.what == "mu" and (args.period < 2 or args.period % 2):
+        raise ConfigError("--period must be a positive even number, not %d" % args.period)
     theta = _parse_theta(args.theta)
     m = _tuned_map(args, theta)
     if args.what == "ratios":
@@ -310,19 +332,18 @@ def cmd_renorm(args):
             "cauchy_factors": rep.cauchy_factors,
         }, args.out)
         return 0
-    if args.what == "chi":
-        out = {}
-        lift = renorm.log_lift(m, theta)
-        for n in range(2, args.depth + 1):
-            pair = renorm.commuting_pair(m, theta, n, lift=lift)
-            out[str(n)] = {
-                "chi": pair.height(),
-                "commutation_residual": pair.commutation_residual(),
-                "f_minus_0": [pair.endpoint_minus.real, pair.endpoint_minus.imag],
-            }
-        _emit_json(out, args.out)
-        return 0
-    raise ConfigError("unknown renorm subcommand %r" % args.what)
+    # chi, the one subcommand left
+    out = {}
+    lift = renorm.log_lift(m, theta)
+    for n in range(2, args.depth + 1):
+        pair = renorm.commuting_pair(m, theta, n, lift=lift)
+        out[str(n)] = {
+            "chi": pair.height(),
+            "commutation_residual": pair.commutation_residual(),
+            "f_minus_0": [pair.endpoint_minus.real, pair.endpoint_minus.imag],
+        }
+    _emit_json(out, args.out)
+    return 0
 
 
 def cmd_render(args):
@@ -331,8 +352,7 @@ def cmd_render(args):
     except ValueError:
         raise ConfigError("bad --window %r (expected x0,y0,x1,y1)" % args.window)
     _check_window(window)
-    if args.res < 1:
-        raise ConfigError("--res must be positive, not %d" % args.res)
+    _check_least("--res", args.res, 1)
     theta = _parse_theta(args.theta)
     m = _tuned_map(args, theta)
     grid = julia.classify(m, window, args.res, maxiter=args.maxiter)
@@ -373,9 +393,10 @@ def cmd_porosity(args):
         raise ConfigError("bad --radii %r (expected numbers separated by commas)" % args.radii)
     center = complex(args.center_re, args.center_im)
     try:
+        grid.pixel_size()
         grid.pixel_of(center)
     except ValueError as e:
-        raise ConfigError("centre %r: %s" % (center, e))
+        raise ConfigError("grid %s, centre %r: %s" % (args.grid, center, e))
     prof = julia.porosity_profile(grid, center, radii)
     _emit_json({
         "center": [prof.center.real, prof.center.imag],

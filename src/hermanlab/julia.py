@@ -47,9 +47,16 @@ class GridClassification:
         return ix, iy
 
     def pixel_size(self):
+        """The side of a pixel; ValueError unless x0 < x1, y0 < y1 and the
+        pixels are square to rounding."""
         x0, y0, x1, y1 = self.window
         h, w = self.labels.shape
-        return (x1 - x0) / w
+        if not (x0 < x1 and y0 < y1):
+            raise ValueError("window %r is empty or reversed" % (self.window,))
+        dx, dy = (x1 - x0) / w, (y1 - y0) / h
+        if not math.isclose(dx, dy, rel_tol=1e-9):
+            raise ValueError("pixels are not square: dx = %r, dy = %r" % (dx, dy))
+        return dx
 
 
 def classify(map_, window, resolution, maxiter=1000):
@@ -70,30 +77,6 @@ def classify(map_, window, resolution, maxiter=1000):
         int(maxiter), _R0, _RINF)
     return GridClassification(window=(x0, y0, x1, y1), labels=labels,
                               escape_iters=iters, maxiter=maxiter, r0=_R0, rinf=_RINF)
-
-
-def preimage_layers(map_, curve_points, depth, max_points=200000):
-    """Iterated preimage point sets of the Herman curve (Fig. 1 green sets).
-
-    Layer k+1 is the full preimage of layer k under the map; each layer's
-    size grows by a factor of at most the total degree, so layers are
-    decimated deterministically to max_points.
-    """
-    from .maps import preimages
-
-    if depth < 1:
-        raise ValueError("depth >= 1 required")
-    layers = []
-    current = np.asarray(curve_points, dtype=np.complex128)
-    for _ in range(depth):
-        if len(current) > max_points // map_.total_degree:
-            current = current[:: len(current) // (max_points // map_.total_degree) + 1]
-        nxt = []
-        for w in current:
-            nxt.extend(preimages(map_, complex(w)))
-        current = np.asarray(nxt, dtype=np.complex128)
-        layers.append(current)
-    return layers
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +248,9 @@ def porosity_profile(grid, center, radii):
     For each radius r, finds the largest disk inside D(center, r)
     containing no UNDECIDED pixel, via an exact Euclidean distance
     transform; at a deep point the ratios decay as r -> 0.  Without an
-    UNDECIDED pixel the whole disk is a hole and the ratio is 1.
+    UNDECIDED pixel the whole disk is a hole and the ratio is 1.  Distances
+    are measured in pixels, so a grid whose window is empty or reversed, or
+    whose pixels are not square, raises ValueError (see pixel_size).
     """
     center = complex(center)
     px = grid.pixel_size()
@@ -348,14 +333,13 @@ def load_grid(path):
 
 
 # palette per the figure convention: basin of 0 shaded, basin of infinity
-# light, Julia approximation dark; overlays: curve red, preimages green
+# light, Julia approximation dark; the curve overlay red
 _PALETTE = {
     BASIN0: (64, 78, 130),
     BASIN_INF: (235, 235, 225),
     UNDECIDED: (20, 20, 20),
 }
 _CURVE_RGB = (220, 30, 30)
-_PREIMAGE_RGB = (40, 170, 60)
 
 
 def _colours(labels, counts):
@@ -372,11 +356,11 @@ def _colours(labels, counts):
     return img
 
 
-def render(grid, path, curve_overlay=None, preimage_overlays=()):
+def render(grid, path, curve_overlay=None):
     """Write a deterministic 8-bit P6 PPM image of the classification.
 
     Basins are shaded by escape iteration count; the traced curve is
-    overlaid in red and preimage layers in green.
+    overlaid in red.
     """
     h, w = grid.labels.shape
     n = int(grid.escape_iters.max(initial=0)) + 1
@@ -388,17 +372,13 @@ def render(grid, path, curve_overlay=None, preimage_overlays=()):
     else:
         img = _colours(grid.labels, grid.escape_iters)
 
-    def put_points(pts, rgb):
-        x0, y0, x1, y1 = grid.window
-        xs = ((np.real(pts) - x0) / (x1 - x0) * w).astype(np.int64)
-        ys = ((np.imag(pts) - y0) / (y1 - y0) * h).astype(np.int64)
-        ok = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
-        img[ys[ok], xs[ok]] = rgb
-
-    for layer in preimage_overlays:
-        put_points(np.asarray(layer), _PREIMAGE_RGB)
     if curve_overlay is not None:
-        put_points(np.asarray(curve_overlay), _CURVE_RGB)
+        pts = np.asarray(curve_overlay)
+        x0, y0, x1, y1 = grid.window
+        xs = ((pts.real - x0) / (x1 - x0) * w).astype(np.int64)
+        ys = ((pts.imag - y0) / (y1 - y0) * h).astype(np.int64)
+        ok = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
+        img[ys[ok], xs[ok]] = _CURVE_RGB
 
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (w, h))

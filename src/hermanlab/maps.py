@@ -23,6 +23,8 @@ from ._kernels import _cdiv, _horner
 # evaluation switches to the w = 1/z chart past this radius
 _INF_CHART = 1e8
 _POLE_TOL = 1e-14
+# _trim drops trailing coefficients this far below the largest
+_TRIM_REL = 1e-14
 
 
 class PoleResult(complex):
@@ -161,14 +163,15 @@ class RationalMap:
         return self.derivative_map(order).eval(z)
 
 
-def _trim(c, rel=1e-14):
+def _trim(c):
+    """c without its trailing coefficients below _TRIM_REL times its largest."""
     if len(c) == 0:
         return c
     scale = np.max(np.abs(c))
     if scale == 0:
         return c[:1]
     keep = len(c)
-    while keep > 1 and abs(c[keep - 1]) < rel * scale:
+    while keep > 1 and abs(c[keep - 1]) < _TRIM_REL * scale:
         keep -= 1
     return np.ascontiguousarray(c[:keep])
 
@@ -241,83 +244,6 @@ def blaschke(d, alpha):
     if d < 2:
         raise ValueError("need d >= 2")
     return herman_family(d, d, cmath.exp(2j * math.pi * (alpha % 1.0)))
-
-
-INF = complex(math.inf, 0.0)
-
-
-def critical_points(map_):
-    """Critical points with multiplicities, as a list of (point, mult).
-
-    Finite critical points are the roots of W = N'D - ND' (clustered within
-    relative distance 1e-3 to recover multiplicities); the multiplicity at
-    infinity is the remainder of the 2*deg - 2 budget.
-    """
-    n, d = map_.num, map_.den
-    w = _poly_sub(_poly_mul(_poly_deriv(n), d), _poly_mul(n, _poly_deriv(d)))
-    w = _trim(w, rel=1e-12)
-    out = []
-    degw = len(w) - 1
-    if degw >= 1:
-        roots = np.roots(w[::-1])
-        used = np.zeros(len(roots), dtype=bool)
-        for i in range(len(roots)):
-            if used[i]:
-                continue
-            close = ~used & (np.abs(roots - roots[i]) < 1e-3 * max(1.0, abs(roots[i])))
-            cluster = roots[close]
-            used |= close
-            center = complex(cluster.mean())
-            out.append((center, len(cluster)))
-    budget = 2 * map_.total_degree - 2
-    m_inf = budget - degw
-    if m_inf > 0:
-        out.append((INF, m_inf))
-    assert sum(m for _, m in out) == budget, "critical multiplicity budget violated"
-    return out
-
-
-def preimages(map_, w):
-    """All deg-many solutions of f(z) = w via companion-matrix root solving.
-
-    Degree drops (leading coefficient cancellation, preimages at infinity)
-    are reported through the 'missing' count on the returned list object.
-    """
-    if cmath.isinf(complex(w)):
-        raise ValueError("w must be finite; swap to 1/f for preimages of infinity")
-    poly = _poly_sub(map_.num, complex(w) * map_.den)
-    poly = _trim(poly, rel=1e-13)
-    deg = map_.total_degree
-    roots = list(np.roots(poly[::-1])) if len(poly) > 1 else []
-    # one polish step per root keeps residuals within contract near clusters
-    fp = map_.derivative_map()
-    polished = []
-    for r in roots:
-        try:
-            fr = map_.eval(r)
-            dfr = fp.eval(r)
-            if np.isfinite(fr.real) and abs(dfr) > 1e-12:
-                step = (fr - w) / dfr
-                if abs(step) < 1e-3 * max(1.0, abs(r)):
-                    r = r - step
-        except ZeroDivisionError:
-            pass
-        polished.append(complex(r))
-    good = []
-    for r in polished:
-        fr = map_.eval(r)
-        res = abs(fr - w) if np.isfinite(fr.real) else math.inf
-        if res < 1e-8 * (1.0 + abs(w)):
-            good.append(r)
-    result = PreimageList(good)
-    result.missing = deg - len(good)
-    return result
-
-
-class PreimageList(list):
-    """List of preimages with the count of missing ones attached."""
-
-    missing: int = 0
 
 
 class ArnoldLift:

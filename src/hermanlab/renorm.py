@@ -1,13 +1,11 @@
-"""Log lifts, commuting pairs, renormalization, and scaling diagnostics.
+"""Log lifts, pre-renormalizations, and scaling diagnostics.
 
 The n-th pre-renormalization of a quasicircle map f is the commuting
 pair (T_{-p_n} F^{q_n} on [c_{q_{n-1}}, 0], T_{-p_{n-1}} F^{q_{n-1}} on
 [0, c_{q_n}]) in log coordinates, where F is a lift of f with the
 critical point at 0 and c_j = T_{-p} F^j(0) are the lifted closest
-returns.  Renormalization rescales by the antilinear map
-z -> -c_{q_{n-1}} conj(z) (n odd) or the linear map z -> -c_{q_{n-1}} z
-(n even), normalizing f_+(0) = -1, and shifts the rotation number by
-the Gauss map.
+returns.  Its height chi and its closest returns carry the
+combinatorics; the pairs are never rescaled.
 
 Scaling ratios (Eq. s_n = (f^{q_{n+1}}(c)-c)/(f^{q_n}(c)-c)) and the
 self-similarity factor mu (limit of c_{q_{n+s}}/c_{q_n}) are computed in
@@ -21,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfrac import convergents, gauss, resolve_theta
+from .cfrac import convergents, resolve_theta
 from .curve import _aitken, _critical_orbit
 
 
@@ -122,10 +120,6 @@ class CommutingPair:
     endpoint_minus: complex     # f_-(0) = c_{q_n} (right end of I_+)
     endpoint_plus: complex      # f_+(0) = c_{q_{n-1}} (left end of I_-)
     level: int
-    parity: str                 # "even"/"odd" of the level n
-    theta: object = None        # rotation number of the pair (ContinuedFraction)
-    normalized: bool = False
-    meta: dict = field(default_factory=dict)
 
     def commutation_residual(self):
         a = self.f_minus(self.f_plus(0.0 + 0.0j))
@@ -174,100 +168,8 @@ def commuting_pair(map_, theta, n, lift=None):
 
     em = f_minus(0.0 + 0.0j)
     ep = f_plus(0.0 + 0.0j)
-    shifted = theta
-    for _ in range(n):
-        shifted = gauss(shifted)
     return CommutingPair(f_minus=f_minus, f_plus=f_plus,
-                         endpoint_minus=em, endpoint_plus=ep,
-                         level=n, parity="odd" if n % 2 else "even",
-                         theta=shifted,
-                         meta={"map": map_, "lift": lift, "theta0": theta})
-
-
-def normalize(pair):
-    """Rescale so f_+(0) = -1, via z -> -c conj(z) (odd level) or -c z (even)."""
-    c = pair.endpoint_plus
-    odd = pair.parity == "odd"
-
-    if odd:
-        def A(z):
-            return -c * np.conj(z)
-
-        def Ainv(z):
-            return np.conj(z / (-c))
-    else:
-        def A(z):
-            return -c * z
-
-        def Ainv(z):
-            return z / (-c)
-
-    def g_minus(z):
-        return Ainv(pair.f_minus(A(z)))
-
-    def g_plus(z):
-        return Ainv(pair.f_plus(A(z)))
-
-    return CommutingPair(
-        f_minus=g_minus, f_plus=g_plus,
-        endpoint_minus=complex(Ainv(pair.endpoint_minus)),
-        endpoint_plus=complex(Ainv(pair.endpoint_plus)),
-        level=pair.level, parity=pair.parity, theta=pair.theta,
-        normalized=True, meta=dict(pair.meta))
-
-
-def renormalize(pair):
-    """One renormalization step: the normalized level n+1 pre-renormalization.
-
-    Criticalities (d0, dinf) swap under one step and are restored after
-    two; the rotation number shifts by the Gauss map.
-    """
-    meta = pair.meta
-    if "map" in meta:
-        nxt = commuting_pair(meta["map"], meta["theta0"], pair.level + 1,
-                             lift=meta.get("lift"))
-        return normalize(nxt)
-    # generic pair (e.g. translation pair): build the successor directly
-    chi = pair.height()
-    f_m, f_p = pair.f_minus, pair.f_plus
-
-    def new_minus(z):
-        w = f_p(z)
-        for _ in range(chi):
-            w = f_m(w)
-        return w
-
-    new_pair = CommutingPair(
-        f_minus=new_minus, f_plus=f_m,
-        endpoint_minus=complex(new_minus(0.0 + 0.0j)),
-        endpoint_plus=complex(f_m(0.0 + 0.0j)),
-        level=pair.level + 1,
-        parity="odd" if (pair.level + 1) % 2 else "even",
-        theta=gauss(pair.theta) if pair.theta is not None else None,
-        meta=dict(pair.meta))
-    return normalize(new_pair)
-
-
-def translation_pair(theta):
-    """The combinatorial model T_theta = (T_theta on [-1,0], T_{-1} on [0,theta]).
-
-    Already in normalized form (f_+(0) = -1); renormalizing it yields
-    T_{G(theta)} after rescale.
-    """
-    theta = resolve_theta(theta)
-    th = theta.value_float()
-
-    def f_minus(z):
-        return z + th
-
-    def f_plus(z):
-        return z - 1.0
-
-    return CommutingPair(f_minus=f_minus, f_plus=f_plus,
-                         endpoint_minus=complex(th),
-                         endpoint_plus=complex(-1.0),
-                         level=1, parity="odd", normalized=True,
-                         theta=theta)
+                         endpoint_minus=em, endpoint_plus=ep, level=n)
 
 
 @dataclass

@@ -6,10 +6,12 @@ F^q(x) - x - p decides rho vs p/q exactly, and for irrational targets
 the alternating closest-return tests decide rho vs theta down to the
 combinatorial length of the deepest checked convergent.
 
-Two tuners are provided:
+Three tuners are provided:
 
 * tune_blaschke: monotone bisection in alpha for the circle-preserving
   Blaschke family (d, d).
+* tune_arnold: the same bisection for the Arnold family of circle-map
+  lifts x + alpha + sin(2 pi x)/(2 pi).
 * tune_asymmetric: damped Newton on the closest-return residual
   G_m(c) = f_c^{q_m}(1) - 1 with a continuation ladder over the depth m,
   i.e. continuation along the continued-fraction truncations p_m/q_m of
@@ -90,18 +92,6 @@ class CircleLift:
         for _ in range(n):
             x = self.evaluator(x)
         return x
-
-    def check(self, samples=1000, tol=1e-10):
-        xs = np.linspace(0.0, 1.0, samples, endpoint=False)
-        prev = None
-        for x in xs:
-            v = self.evaluator(x)
-            if abs(self.evaluator(x + 1.0) - v - 1.0) > tol:
-                return False
-            if prev is not None and v < prev - 1e-12:
-                return False
-            prev = v
-        return True
 
 
 @dataclass

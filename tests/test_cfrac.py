@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 import hermanlab
 from hermanlab.cfrac import (BRONZE_ALT, GOLDEN, SILVER, ContinuedFraction,
-                             RationalInputError, comb_length, convergents, gauss,
-                             resolve_theta, return_ordering,
+                             RationalInputError, convergents, resolve_theta,
                              tiling_indices, tiling_is_partition, tiling_refines)
 
 
@@ -187,38 +186,6 @@ def test_periodic_theta_decimal_keeps_a_prefix(preperiod, period):
     assert (a.p[:n + 1], a.q[:n + 1]) == (b.p[:n + 1], b.q[:n + 1])
 
 
-def test_gauss_shift_symbolic_and_float():
-    assert gauss(GOLDEN).quotients(5) == [1] * 5
-    g = gauss(BRONZE_ALT)
-    assert g.quotients(4) == [2, 1, 2, 1]
-    x = 0.37
-    assert gauss(x) == pytest.approx((1 / x) % 1.0, abs=1e-15)
-
-
-def test_gauss_commutes_with_expansion():
-    th = GOLDEN.value_float()
-    assert gauss(th) == pytest.approx(gauss(GOLDEN).value_float(), abs=1e-12)
-
-
-def test_comb_length_decreasing():
-    prev = None
-    for n in range(1, 12):
-        ln = comb_length(GOLDEN, n)
-        if prev is not None:
-            assert ln < prev
-        prev = ln
-
-
-def test_return_ordering_alternates():
-    angles = return_ordering(GOLDEN, 8)
-    th = GOLDEN.value_float()
-    conv = convergents(GOLDEN, 8)
-    for k in range(1, 9):
-        signed = conv.q[k] * th - conv.p[k]
-        assert (signed > 0) == (k % 2 == 0)
-        assert angles[k - 1] == pytest.approx((conv.q[k] * th) % 1.0, abs=1e-9)
-
-
 @pytest.mark.parametrize("cf", [GOLDEN, SILVER], ids=["golden", "silver"])
 def test_tiling_partition_and_refinement(cf):
     for n in range(2, 17):
@@ -244,9 +211,3 @@ def test_convergent_recurrence_vs_fractions(quots):
         det = conv.p[n] * conv.q[n - 1] - conv.p[n - 1] * conv.q[n]
         assert det == (-1) ** (n - 1)
 
-
-@given(st.lists(st.integers(min_value=1, max_value=9), min_size=3, max_size=10))
-@settings(max_examples=60, deadline=None)
-def test_shift_drops_leading_quotient(quots):
-    cf = ContinuedFraction.from_quotients(quots)
-    assert cf.shift().quotients(len(quots) - 1) == quots[1:]

@@ -159,23 +159,44 @@ def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
     (None, {"tol": 0.0}),
     (None, {"seed": [1, 2, 3]}),
     (None, {"seed": [float("inf"), 0.0]}),
+    (["render", "--window", "0,0,0,0", "--res", "8"], None),
+    (["render", "--window=2,2,-2,-2", "--res", "8"], None),
+    (None, {"window": [2, 2, -2, -2]}),
+    (["porosity"], {"window": (0.0, 0.0, 0.0, 0.0)}),
+    (["porosity"], {"window": (2.0, 2.0, -2.0, -2.0)}),
+    (["cfrac", "--theta", "golden", "--depth=-1"], None),
+    (["trace", "--depth", "1"], None),
+    (["renorm", "ratios", "--depth=-3"], None),
+    (["renorm", "chi", "--depth", "1"], None),
+    (["renorm", "mu", "--depth", "4"], None),
+    (["renorm", "mu", "--period", "3"], None),
 ], ids=["window-text", "res-zero", "family-one-int", "window-two-numbers",
         "depth-text", "maxiter-negative", "curve-shorter-than-q1", "tol-text", "tol-zero",
-        "seed-three-numbers", "seed-infinite"])
+        "seed-three-numbers", "seed-infinite", "window-empty", "window-reversed",
+        "config-window-reversed", "grid-window-empty", "grid-window-reversed",
+        "cfrac-depth-negative", "trace-depth-1", "ratios-depth-negative", "chi-depth-1",
+        "mu-depth-4", "mu-period-odd"])
 def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
-    """A bad window, resolution, family, depth, tolerance, seed or curve is a
-    configuration error (exit 2), not a numeric failure."""
+    """A bad window, resolution, family, depth, period, tolerance, seed, curve
+    or grid window is a configuration error (exit 2), not a numeric failure,
+    and a too-shallow --depth or an odd --period is named in the message."""
     if argv is None:
         argv = ["pipeline", "--config", str(small_config(tmp_path, "m", **config))]
     elif argv[0] == "geometry":
         csv = tmp_path / "one.csv"
         csv.write_text("k,angle,re,im\n0,0.0,1.0,0.0\n")
         argv = [*argv, str(csv)]
-    else:
+    elif argv[0] == "porosity":
+        argv = [*argv, "--grid", small_grid(tmp_path, config["window"]), "--center-re", "0",
+                "--center-im", "0", "--radii", "1"]
+    elif argv[0] != "cfrac":
         argv = [*argv, "--d0", "3", "--dinf", "2", "--param=" + B_FIG,
                 "--out", str(tmp_path / "r.ppm")]
     code, _, err = run(capsys, *argv)
     assert code == 2 and "config error" in err
+    for option in ("--depth", "--period"):
+        if any(a.split("=")[0] == option for a in argv):
+            assert option in err
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-3"])
@@ -392,14 +413,14 @@ def test_pipeline_report_names_backend_and_precision(capsys, tmp_path):
     assert "precision" not in report
 
 
-def small_grid(tmp_path):
-    """A saved 32 x 32 grid on [-2, 2]^2, UNDECIDED on its middle row."""
+def small_grid(tmp_path, window=(-2.0, -2.0, 2.0, 2.0)):
+    """A saved 32 x 32 grid on window ([-2, 2]^2), UNDECIDED on its middle row."""
     from hermanlab.julia import BASIN0, UNDECIDED, GridClassification, save_grid
 
     labels = np.full((32, 32), BASIN0, np.uint8)
     labels[16] = UNDECIDED
     path = tmp_path / "g.bin"
-    save_grid(GridClassification(window=(-2.0, -2.0, 2.0, 2.0), labels=labels,
+    save_grid(GridClassification(window=window, labels=labels,
                                  escape_iters=np.zeros((32, 32), np.uint32),
                                  maxiter=1, r0=1e-6, rinf=1e6), path)
     return str(path)
@@ -414,6 +435,27 @@ def test_porosity_centre_outside_window_is_config_error(capsys, tmp_path):
                          "--center-im", "0", "--radii", "1.5,1")
     assert code == 2 and out == ""
     assert err.startswith("config error:") and "outside window" in err
+
+
+def test_porosity_refuses_non_square_pixels(capsys, tmp_path):
+    """Porosity measures distances in pixels, so a grid whose pixels are not
+    square (here 4 x 2 on 16 x 16 pixels) is refused: porosity_profile raises
+    ValueError and the CLI exits 2.  Sides that differ only by rounding
+    (0.3 - 0.1 < 0.2 < 0.9 - 0.7) still pass."""
+    from hermanlab.julia import load_grid, porosity_profile
+
+    path = str(tmp_path / "g.bin")
+    assert main(["render", "--d0", "3", "--dinf", "2", "--param=" + B_FIG,
+                 "--window", "0,0,4,2", "--res", "16", "--maxiter", "5",
+                 "--out", str(tmp_path / "r.ppm"), "--grid-out", path]) == 0
+    with pytest.raises(ValueError, match="not square"):
+        porosity_profile(load_grid(path), 1.0 + 1.0j, [1.0])
+    code, out, err = run(capsys, "porosity", "--grid", path, "--center-re", "1",
+                         "--center-im", "1", "--radii", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "not square" in err
+    rounded = small_grid(tmp_path, (0.1, 0.7, 0.3, 0.9))
+    assert load_grid(rounded).pixel_size() == pytest.approx(0.2 / 32, rel=1e-12)
 
 
 def test_porosity_bad_radii_is_config_error(capsys, tmp_path):

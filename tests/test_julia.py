@@ -15,8 +15,7 @@ import hermanlab as hl
 from hermanlab import _kernels
 from hermanlab.julia import (BASIN0, BASIN_INF, UNDECIDED, GridClassification,
                              InsufficientScalesError, _colours, _quantile, _unique,
-                             box_dimension, classify,
-                             load_grid, porosity_profile, preimage_layers,
+                             box_dimension, classify, load_grid, porosity_profile,
                              render, save_grid)
 
 B_FIG = complex(-1.144208, -0.964454)
@@ -118,17 +117,6 @@ def test_curve_pixels_are_undecided(grid32, golden32):
 def test_pixel_of_outside_window_raises(grid32):
     with pytest.raises(ValueError):
         grid32.pixel_of(5.0 + 0.0j)
-
-
-def test_preimage_layers_sizes(golden32):
-    _, m = golden32
-    c = hl.trace(m, "golden", 9)
-    layers = preimage_layers(m, c.points, 2, max_points=5000)
-    assert len(layers) == 2
-    # each layer multiplies the point count by (almost) the degree
-    assert len(layers[0]) >= 0.9 * m.total_degree * len(c.points)
-    for z in layers[0][:50]:
-        assert min(abs(m.eval(z) - w) for w in c.points) < 1e-6
 
 
 # --- porosity on a synthetic grid ------------------------------------------

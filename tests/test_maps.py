@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermanlab.maps import (INF, PoleResult, RationalMap, arnold_lift, blaschke,
-                            critical_points, herman_family, preimages)
+from hermanlab.maps import PoleResult, RationalMap, arnold_lift, blaschke, herman_family
 
 B_FIG = complex(-1.144208, -0.964454)
 C_FIG = complex(-0.755700, -0.654917)
@@ -62,17 +61,6 @@ def test_critical_point_at_one_has_multiplicity_m_minus_1():
         assert abs(mp.deriv(1.0, order=mdeg)) > 1e-9
 
 
-def test_critical_points_budget_and_locations():
-    m = herman_family(3, 2, B_FIG)
-    cps = critical_points(m)
-    assert sum(mult for _, mult in cps) == 2 * m.total_degree - 2
-    pts = {round(p.real, 6) + 1j * round(p.imag, 6): mult
-           for p, mult in cps if p is not INF}
-    # z = 1 with multiplicity m-1 = 3; z = 0 with multiplicity d0-1 = 2
-    assert pts.get(1.0 + 0j) == 3
-    assert pts.get(0j) == 2
-
-
 def test_inversion_symmetry_23_is_conjugate_32():
     # F_{2,3,1/b}(1/z) = 1 / F_{3,2,b}(z)
     m32 = herman_family(3, 2, B_FIG)
@@ -102,32 +90,6 @@ def test_infinity_chart_agrees_with_plane_chart():
     # |z| overflows a double but z does not: infinity is a pole, as at z = inf
     assert isinstance(m.eval(1.5e308 + 1.5e308j), PoleResult)
     assert isinstance(m.eval(complex(math.inf, 0.0)), PoleResult)
-
-
-def test_preimages_full_fiber():
-    m = herman_family(3, 2, B_FIG)
-    w = 0.3 + 0.2j
-    pre = preimages(m, w)
-    assert len(pre) + pre.missing == m.total_degree
-    for r in pre:
-        assert abs(m.eval(r) - w) < 1e-8 * (1 + abs(w))
-
-
-@given(st.sampled_from([(3, 2), (2, 2), (3, 3)]),
-       st.floats(math.log(0.01), math.log(100.0)), st.floats(-math.pi, math.pi))
-@settings(max_examples=150, deadline=None)
-def test_preimages_full_fiber_on_an_annulus(degrees, log_rho, phi):
-    """For w with 0.01 <= |w| <= 100 every preimage is found, each within
-    1e-8 (1 + |w|) of the fibre by numpy.polyval, which shares no code
-    with RationalMap.eval."""
-    m = herman_family(*degrees, B_FIG)
-    w = cmath.rect(math.exp(log_rho), phi)
-    pre = preimages(m, w)
-    assert len(pre) + pre.missing == m.total_degree
-    assert pre.missing == 0
-    for r in pre:
-        fr = np.polyval(m.num[::-1], r) / np.polyval(m.den[::-1], r)
-        assert abs(fr - w) <= 1e-8 * (1 + abs(w))
 
 
 def test_arnold_lift_critical_point():

@@ -1,39 +1,15 @@
-"""Commuting pairs, renormalization, and scaling diagnostics."""
+"""Commuting pairs (pre-renormalizations) and scaling diagnostics."""
 
 import cmath
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import hermanlab as hl
-from hermanlab.cfrac import BRONZE_ALT, GOLDEN, SILVER, gauss
+from hermanlab.cfrac import GOLDEN
 from hermanlab.curve import OrbitEscapeError
 from hermanlab.renorm import (closest_return_displacements, commuting_pair,
-                              renormalize, scaling_ratios, self_similarity,
-                              translation_pair)
-
-
-@pytest.mark.parametrize("cf,a1", [(GOLDEN, 1), (SILVER, 2), (BRONZE_ALT, 1)],
-                         ids=["golden", "silver", "bronze-alt"])
-def test_translation_pair_height_is_first_quotient(cf, a1):
-    T = translation_pair(cf)
-    assert T.height() == a1
-
-
-@pytest.mark.parametrize("cf", [GOLDEN, SILVER], ids=["golden", "silver"])
-def test_translation_pair_renormalizes_to_gauss_shift(cf):
-    T = translation_pair(cf)
-    R = renormalize(T)
-    gth = gauss(cf).value_float()
-    assert complex(R.f_minus(0j)).real == pytest.approx(gth, abs=1e-12)
-    assert complex(R.f_plus(0j)).real == pytest.approx(-1.0, abs=1e-12)
-    # two steps stay on the model family
-    R2 = renormalize(R)
-    assert complex(R2.f_minus(0j)).real == pytest.approx(
-        gauss(gauss(cf)).value_float(), abs=1e-10)
+                              scaling_ratios, self_similarity)
 
 
 def test_commuting_pair_endpoints_are_closest_returns(golden32):
@@ -87,26 +63,6 @@ def test_commutation_residual_small(golden32):
     for n in range(2, 13):
         p = commuting_pair(m, "golden", n, lift=lift)
         assert p.commutation_residual() < 1e-9 * abs(p.endpoint_minus)
-
-
-def test_renormalize_map_backed_pair_matches_next_level(golden32):
-    _, m = golden32
-    lift = hl.log_lift(m, "golden")
-    p4 = commuting_pair(m, "golden", 4, lift=lift)
-    r = renormalize(p4)
-    assert r.level == 5
-    assert r.normalized
-    assert complex(r.f_plus(0j)) == pytest.approx(-1.0, abs=1e-9)
-    # rotation number shifts by the Gauss map: golden is a fixed point
-    assert r.theta.quotients(4) == [1, 1, 1, 1]
-
-
-def test_rescaling_normalizes_endpoint(blaschke3_silver):
-    _, m = blaschke3_silver
-    lift = hl.log_lift(m, "silver")
-    p = commuting_pair(m, "silver", 5, lift=lift)
-    r = renormalize(p)
-    assert complex(r.f_plus(0j)) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_product_identity_and_telescoping(golden32):
@@ -195,17 +151,6 @@ def test_asymmetric_delta_published():
     res = hl.tune_asymmetric(3, 2, "golden", "preset", m=26)
     for k in range(19, 27):
         assert abs(res.report["delta"][k] - 2.912583) < 7e-6, k
-
-
-@given(st.integers(min_value=2, max_value=60))
-@settings(max_examples=30, deadline=None)
-def test_translation_heights_follow_cf(a):
-    # T_theta with theta = [0; a, a, ...] has chi = a at every level
-    cf = hl.ContinuedFraction.from_periodic([], [a])
-    T = translation_pair(cf)
-    assert T.height(max_steps=a + 5) == a
-    R = renormalize(T)
-    assert complex(R.f_minus(0j)).real == pytest.approx(cf.value_float(), abs=1e-9)
 
 
 def test_closest_returns_check_precision():

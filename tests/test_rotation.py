@@ -43,7 +43,10 @@ def test_sign_rho_vs_theta():
 def test_circle_lift_is_degree_one_monotone(blaschke22_golden):
     _, m = blaschke22_golden
     F = hl.circle_lift(m)
-    assert F.check()
+    xs = np.linspace(0.0, 1.0, 1000, endpoint=False)
+    vs = np.array([F(x) for x in xs])
+    assert all(abs(F(x + 1.0) - v - 1.0) <= 1e-10 for x, v in zip(xs, vs))
+    assert np.all(np.diff(vs) >= -1e-12)
 
 
 def test_tuned_blaschke_rotation_number(blaschke22_golden):
