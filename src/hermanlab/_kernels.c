@@ -8,9 +8,13 @@
  * the results are bit-identical to the python references:
  *   product   (ar*br - ai*bi, ar*bi + ai*br)
  *   quotient  Smith's formula on the larger of |br|, |bi| (cdiv below)
- *   modulus   hypot (the orbit loops); the classifier compares
- *             re*re + im*im with r*r instead, as its float-array
- *             reference does
+ *   Horner    from the top coefficient, as the references start
+ *             (horner_start)
+ *   modulus   hypot in the orbit loops, but only for the iterates whose
+ *             re*re + im*im lies within a safe margin of r0^2 or rinf^2
+ *             (trapped), so every trap decision is hypot's; the
+ *             classifier compares re*re + im*im with r*r instead, as its
+ *             float-array reference does
  * Build without -ffast-math and with -ffp-contract=off, so that no
  * product is fused into an add.
  *
@@ -87,14 +91,83 @@ static inline cplx cdiv(cplx a, cplx b)
     return r;
 }
 
-static inline cplx horner(const double *c, int64_t n, cplx z)
+/* Where Horner's loop over the ascending coefficients c[0..n) starts: at
+ * j = n - 2 from the top coefficient, whose step (0 re - 0 im) + c[n-1]
+ * gives c[n-1] exactly on a finite z, unless a part of it is -0.0; then
+ * at j = n - 1 from 0.  The references start the same way on every z
+ * (_starts_at_top). */
+static int64_t horner_start(const double *c, int64_t n, double *re, double *im)
 {
-    cplx acc = {0.0, 0.0};
-    for (int64_t j = n - 1; j >= 0; j--) {
-        cplx cj = {c[2 * j], c[2 * j + 1]};
+    *re = *im = 0.0;
+    if (n == 0 || (c[2 * n - 2] == 0 && signbit(c[2 * n - 2])) ||
+        (c[2 * n - 1] == 0 && signbit(c[2 * n - 1])))
+        return n - 1;
+    *re = c[2 * n - 2];
+    *im = c[2 * n - 1];
+    return n - 2;
+}
+
+/* A polynomial prepared for horner(): its ascending coefficients c[0..n),
+ * the index at which Horner's loop starts and the value it starts from,
+ * both as horner_start says. */
+typedef struct {
+    const double *c;
+    int64_t j0;
+    cplx top;
+} poly;
+
+static poly poly_init(const double *c, int64_t n)
+{
+    poly p = {c, 0, {0.0, 0.0}};
+    p.j0 = horner_start(c, n, &p.top.re, &p.top.im);
+    return p;
+}
+
+/* Horner's rule from the top coefficient where horner_start says so, as
+ * _horner and the classifier start, which saves the first step of the
+ * dependent chain; each step is a product and a sum in numpy's order. */
+static inline cplx horner(const poly *p, cplx z)
+{
+    cplx acc = p->top;
+    for (int64_t j = p->j0; j >= 0; j--) {
+        cplx cj = {p->c[2 * j], p->c[2 * j + 1]};
         acc = cadd(cmul(acc, z), cj);
     }
     return acc;
+}
+
+/* The traps |z| < r0 and |z| > rinf of the orbit loops, decided as the
+ * references decide them, by hypot, but computed only where the cheap
+ * m2 = re*re + im*im cannot rule both out: m2 > lo and m2 < hi put |z|
+ * inside (r0, rinf) by a relative margin of about 2^-21, far above the
+ * rounding of m2 (a few ulps, or 2^-1074 absolute where a square
+ * underflows, which is 2^-52 of a normal r0^2 or rinf^2) and of hypot.
+ * Where r0^2 or rinf^2 is zero, subnormal, infinite or NaN, or rinf is
+ * not positive, lo = inf and every iterate takes hypot; a NaN m2 does
+ * too.  So every decision is the reference's. */
+typedef struct {
+    double r0, rinf, lo, hi;
+} traps;
+
+#define TRAP_MARGIN 0x1p-20
+
+static traps traps_init(double r0, double rinf)
+{
+    traps t = {r0, rinf, INFINITY, -INFINITY};
+    if (isnormal(r0 * r0) && isnormal(rinf * rinf) && rinf > 0) {
+        t.lo = r0 * r0 * (1.0 + TRAP_MARGIN);
+        t.hi = rinf * rinf * (1.0 - TRAP_MARGIN);
+    }
+    return t;
+}
+
+static inline int trapped(const traps *t, cplx z)
+{
+    double m2 = z.re * z.re + z.im * z.im;
+    if (m2 > t->lo && m2 < t->hi)
+        return 0;
+    double a = hypot(z.re, z.im);
+    return a < t->r0 || a > t->rinf;
 }
 
 /* Iterate z -> N(z)/D(z), storing the iterates numbered ks[0..nks) (sorted,
@@ -104,13 +177,14 @@ int64_t orbit_samples(const double *num, int64_t nnum, const double *den, int64_
                       double z0re, double z0im, const int64_t *ks, int64_t nks,
                       double r0, double rinf, double *out)
 {
+    poly pn = poly_init(num, nnum), pd = poly_init(den, nden);
+    traps t = traps_init(r0, rinf);
     cplx z = {z0re, z0im};
     int64_t j = 0;
     int64_t kmax = ks[nks - 1];
     for (int64_t k = 1; k <= kmax; k++) {
-        z = cdiv(horner(num, nnum, z), horner(den, nden, z));
-        double a = hypot(z.re, z.im);
-        if (a < r0 || a > rinf) {
+        z = cdiv(horner(&pn, z), horner(&pd, z));
+        if (trapped(&t, z)) {
             for (int64_t i = j; i < nks; i++) {
                 out[2 * i] = NAN;
                 out[2 * i + 1] = NAN;
@@ -126,30 +200,48 @@ int64_t orbit_samples(const double *num, int64_t nnum, const double *den, int64_
     return j;
 }
 
-/* G_m(c) = f_c^{qm}(1) - 1 and dG/dc for f_c = c*N0/D, into
- * out = (G.re, G.im, dG.re, dG.im).  Returns 1 if the orbit fell into a
- * trap (out then holds the derivative so far, and no residual), else 0.
- * dcoef holds the derivative coefficients j*num0[j] then j*den[j],
- * j >= 1, as numpy forms them. */
-int tune_residual(const double *num0, int64_t nnum, const double *den, int64_t nden,
-                  const double *dnum, const double *dden,
-                  double cre, double cim, int64_t qm, double r0, double rinf,
-                  double *out)
+/* The derivative coefficients j*c[j], j = 1..n-1, of the ascending c[0..n)
+ * into d[0..n-1), formed as numpy multiplies a python int by a complex128:
+ * (j + 0i) * c[j]. */
+static void derivative_coefficients(const double *c, int64_t n, double *d)
 {
+    for (int64_t j = 1; j < n; j++) {
+        double ar = c[2 * j], ai = c[2 * j + 1];
+        d[2 * j - 2] = (double)j * ar - 0.0 * ai;
+        d[2 * j - 1] = (double)j * ai + 0.0 * ar;
+    }
+}
+
+/* G_m(c) = f_c^{qm}(1) - 1 and dG/dc for f_c = c*N0/D, into
+ * out[0..4) = (G.re, G.im, dG.re, dG.im).  Returns 1 if the orbit fell into
+ * a trap (out then holds the derivative so far, and no residual), else 0.
+ * out[4..) is scratch of 2 (nnum + nden) doubles for the derivative
+ * coefficients j*num0[j] and j*den[j], formed once as the reference forms
+ * them.  Each of the four polynomials starts Horner's loop at its top
+ * coefficient (horner), and hypot decides only the iterates near a trap
+ * (trapped). */
+int tune_residual(const double *num0, int64_t nnum, const double *den, int64_t nden,
+                  double cre, double cim, int64_t qm, double r0, double rinf, double *out)
+{
+    double *dnum = out + 4, *dden = out + 4 + 2 * nnum;
+    derivative_coefficients(num0, nnum, dnum);
+    derivative_coefficients(den, nden, dden);
+    poly pn = poly_init(num0, nnum), pd = poly_init(den, nden);
+    poly pdn = poly_init(dnum, nnum > 0 ? nnum - 1 : 0);
+    poly pdd = poly_init(dden, nden > 0 ? nden - 1 : 0);
+    traps t = traps_init(r0, rinf);
     cplx c = {cre, cim};
     cplx z = {1.0, 0.0};
     cplx w = {0.0, 0.0};
     for (int64_t k = 0; k < qm; k++) {
-        cplx nv = horner(num0, nnum, z);
-        cplx dv = horner(den, nden, z);
-        /* derivatives: horner over coefficients 1..n-1 of j*c[j] */
-        cplx ndv = horner(dnum, nnum - 1, z);
-        cplx ddv = horner(dden, nden - 1, z);
+        cplx nv = horner(&pn, z);
+        cplx dv = horner(&pd, z);
+        cplx ndv = horner(&pdn, z);
+        cplx ddv = horner(&pdd, z);
         cplx dfdz = cdiv(cmul(c, csub(cmul(ndv, dv), cmul(nv, ddv))), cmul(dv, dv));
         w = cadd(cmul(dfdz, w), cdiv(nv, dv));
         z = cdiv(cmul(c, nv), dv);
-        double a = hypot(z.re, z.im);
-        if (a < r0 || a > rinf) {
+        if (trapped(&t, z)) {
             out[2] = w.re;
             out[3] = w.im;
             return 1;
@@ -168,21 +260,6 @@ int tune_residual(const double *num0, int64_t nnum, const double *den, int64_t n
  * lane where it holds. */
 #define VABS(VD, VI, x) ((VD)((VI)(x) & INT64_MAX))
 #define VSEL(VD, VI, m, a, b) ((VD)(((m) & (VI)(a)) | (~(m) & (VI)(b))))
-
-/* Where Horner's loop over the ascending coefficients c[0..n) starts: at
- * j = n - 2 from the top coefficient, whose step (0 re - 0 im) + c[n-1]
- * gives c[n-1] exactly on a finite z, unless a part of it is -0.0; then
- * at j = n - 1 from 0.  _horner_arrays starts the same way on every z. */
-static int64_t horner_start(const double *c, int64_t n, double *re, double *im)
-{
-    *re = *im = 0.0;
-    if (n == 0 || (c[2 * n - 2] == 0 && signbit(c[2 * n - 2])) ||
-        (c[2 * n - 1] == 0 && signbit(c[2 * n - 1])))
-        return n - 1;
-    *re = c[2 * n - 2];
-    *im = c[2 * n - 1];
-    return n - 2;
-}
 
 /* for v = 0, 1 over the classifier's two vectors, unrolled, so that each
  * vector's state is a register of its own */

@@ -12,10 +12,17 @@ iterate.
 translation of their reference (``_kernels.c``) when their coefficients
 are complex128.  The C code spells out numpy's complex128 scalar
 arithmetic in real operations, in the reference's order, so its results
-are bit-identical.  ``_classify`` works on float64 real and imaginary
-arrays, one ufunc per real operation, because numpy's complex *array*
-multiply and modulus may round differently from the scalar formulas
-(fused multiply-adds, SIMD ``abs``); its labels compare
+are bit-identical.  Every Horner loop, C and reference, starts from the
+top coefficient, which the first step from 0 gives back exactly on a
+finite z, unless a part of it is -0.0 (``_starts_at_top``).  The orbit
+loops trap an iterate whose modulus |z| (hypot, as the references'
+``abs``) leaves (r0, rinf); the C loops call hypot only for the iterates
+whose re*re + im*im lies within a relative 2^-20 of r0^2 or rinf^2, and
+for every iterate when r0^2 or rinf^2 is not a normal number, so they
+trap exactly where the references do.  ``_classify`` works on float64
+real and imaginary arrays, one ufunc per real operation, because numpy's
+complex *array* multiply and modulus may round differently from the
+scalar formulas (fused multiply-adds, SIMD ``abs``); its labels compare
 |z|^2 = re*re + im*im with r0^2 and rinf^2, so they are the same on every
 host.
 
@@ -145,7 +152,7 @@ def _load():
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.orbit_samples.argtypes = [ptr, i64, ptr, i64, f64, f64, ptr, i64, f64, f64, ptr]
     lib.orbit_samples.restype = i64
-    lib.tune_residual.argtypes = [ptr, i64, ptr, i64, ptr, ptr, f64, f64, i64, f64, f64, ptr]
+    lib.tune_residual.argtypes = [ptr, i64, ptr, i64, f64, f64, i64, f64, f64, ptr]
     lib.tune_residual.restype = ctypes.c_int
     lib.classify_rows.argtypes = [ptr, i64, ptr, i64, f64, f64, f64, f64, i64, i64, i64,
                                   f64, f64, i64, i64, i64, ptr, ptr]
@@ -209,28 +216,43 @@ def tune_residual(num0, den, c, qm, r0, rinf):
 
     The parameter multiplies the map, so df/dc = f/c and the derivative
     propagates along the orbit as w_{k+1} = f'(z_k) w_k + (N0/D)(z_k).
-    The residual is NaN if the orbit falls into a trap.
+    The residual is NaN if the orbit falls into a trap.  The C kernel
+    forms the derivative coefficients itself and takes the coefficients as
+    bytes and its output as a ctypes buffer, which pass as pointers for a
+    fraction of the cost of ``.ctypes``: the ladder makes many short calls.
     """
     arrays = _c_arrays(num0, den)
     if arrays is None:
         return _tune_residual(num0, den, c, qm, r0, rinf)
-    num0, den = arrays
-    # the derivative coefficients j*a_j, j >= 1, formed as the reference forms them
-    dnum, dden = (np.array([j * a[j] for j in range(1, len(a))], dtype=np.complex128)
-                  for a in (num0, den))
-    out = np.empty(2, dtype=np.complex128)
+    num0, den = (a.tobytes() for a in arrays)
+    buf = (ctypes.c_double * (4 + (len(num0) + len(den)) // 8))()
     c = complex(c)
-    trapped = _lib.tune_residual(num0.ctypes.data, len(num0), den.ctypes.data, len(den),
-                                 dnum.ctypes.data, dden.ctypes.data, c.real, c.imag,
-                                 int(qm), r0, rinf, out.ctypes.data)
+    trapped = _lib.tune_residual(num0, len(num0) // 16, den, len(den) // 16, c.real, c.imag,
+                                 int(qm), r0, rinf, buf)
+    out = np.frombuffer(buf, np.complex128, 2)
     if trapped:
         return complex(np.nan, np.nan), out[1]
     return out[0], out[1]
 
 
+def _starts_at_top(coeffs):
+    """Whether Horner's loop over the ascending coeffs starts from the top
+    coefficient, as ``horner_start`` in _kernels.c says: on a finite z the
+    first step from 0, (0*re - 0*im) + top.real and (0*im + 0*re) +
+    top.imag, gives exactly the top unless a part of it is -0.0."""
+    if not len(coeffs):
+        return False
+    re, im = coeffs[-1].real, coeffs[-1].imag
+    # x or copysign(1, x) > 0: x is not -0.0 (NaN is true)
+    return bool((re or math.copysign(1.0, re) > 0) and (im or math.copysign(1.0, im) > 0))
+
+
 def _horner(coeffs, z):
     acc = 0.0 + 0.0j
-    for c in reversed(coeffs):
+    rest = reversed(coeffs)
+    if _starts_at_top(coeffs):
+        acc = next(rest)
+    for c in rest:
         acc = acc * z + c
     return acc
 
@@ -270,17 +292,14 @@ def _orbit_samples(num, den, z0, ks, r0, rinf):
 
 def _tune_residual(num0, den, c, qm, r0, rinf):
     """Reference of tune_residual."""
+    dnum, dden = ([j * a[j] for j in range(1, len(a))] for a in (num0, den))
     z = 1.0 + 0.0j
     w = 0.0 + 0.0j
     for _ in range(qm):
         nv = _horner(num0, z)
         dv = _horner(den, z)
-        ndv = 0.0 + 0.0j
-        for j in range(len(num0) - 1, 0, -1):
-            ndv = ndv * z + j * num0[j]
-        ddv = 0.0 + 0.0j
-        for j in range(len(den) - 1, 0, -1):
-            ddv = ddv * z + j * den[j]
+        ndv = _horner(dnum, z)
+        ddv = _horner(dden, z)
         dfdz = c * (ndv * dv - nv * ddv) / (dv * dv)
         w = dfdz * w + nv / dv
         z = c * nv / dv
@@ -355,13 +374,10 @@ def _classify_c(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf, workers, lane
 def _horner_arrays(coeffs, re, im, ar, ai, t1, t2):
     """Horner on float64 real and imaginary arrays into ar, ai (t1, t2 are
     scratch of the same length), one ufunc per real operation in the order
-    of ``horner`` in _kernels.c."""
-    top = coeffs[-1]
-    if not any(x == 0 and math.copysign(1.0, x) < 0 for x in (top.real, top.imag)):
-        # on finite re, im the first step, (0*re - 0*im) + top.real and
-        # (0*im + 0*re) + top.imag, gives exactly top unless a part of it is -0.0
-        ar.fill(top.real)
-        ai.fill(top.imag)
+    of ``horner`` in _kernels.c, from the top where _starts_at_top says."""
+    if _starts_at_top(coeffs):
+        ar.fill(coeffs[-1].real)
+        ai.fill(coeffs[-1].imag)
         coeffs = coeffs[:-1]
     else:
         ar.fill(0.0)

@@ -217,6 +217,9 @@ def cmd_tune(args):
         raise ConfigError("--depth sets the Newton ladder's depth, but the (%d,%d) family "
                           "without --seed is tuned by bisection; give --seed (re,im or "
                           "'preset') to tune by the ladder" % (args.d0, args.dinf))
+    if args.depth is not None:
+        # the ladder's result is verified at depth m - 1
+        _check_least("--depth", args.depth, rotation.VERIFY_LEAST_DEPTH + 1)
     theta = _parse_theta(args.theta)
     seed = args.seed if args.seed in (None, "preset") else _parse_complex(args.seed)
     res = _tune(args.d0, args.dinf, theta, seed, m=args.depth, tol=args.tol)
@@ -432,6 +435,11 @@ def _load_config(path):
     for key in ("tune_depth", "trace_depth", "renorm_depth", "resolution", "maxiter"):
         if key in cfg and not (_is_int(cfg[key]) and cfg[key] > 0):
             raise ConfigError("%s must be a positive integer, not %r" % (key, cfg[key]))
+    # the pipeline verifies at depth min(12, trace_depth), the ladder at tune_depth - 1
+    if "trace_depth" in cfg:
+        _check_least("trace_depth", cfg["trace_depth"], rotation.VERIFY_LEAST_DEPTH)
+    if "tune_depth" in cfg:
+        _check_least("tune_depth", cfg["tune_depth"], rotation.VERIFY_LEAST_DEPTH + 1)
     if "tol" in cfg:
         _check_tol(cfg["tol"])
     # a seed name other than "preset" reaches the tuner, whose PresetError

@@ -46,6 +46,10 @@ _EXTRAPOLATION_GUARD = 0.01
 # below it, so that the extrapolation guard holds before the default top
 _LOWER_START = 4
 
+# the least depth n at which verify_herman can pass: its alternation check
+# compares the phases of the closest returns q_2..q_n, three at least
+VERIFY_LEAST_DEPTH = 4
+
 _log = logging.getLogger("hermanlab")
 # residual evaluations made by this thread, for the ladder's ledger
 _evals = threading.local()
@@ -422,7 +426,8 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
     the result at depth m realizes the closest-return combinatorics of
     theta through time q_m, verified at depth min(m - 1, 14): the return
     at time q_m is the one the ladder has just driven onto the critical
-    point, so its phase is round-off.
+    point, so its phase is round-off.  An m below VERIFY_LEAST_DEPTH + 1
+    raises ValueError before any residual is evaluated.
 
     m0 is the default depth for a preset seed, or _LOWER_START levels
     below it when m is deeper, and the first q_n >= 10 for an explicit
@@ -456,6 +461,10 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
         m = m0
     if m >= len(conv.q):
         raise ValueError("ladder depth %d > the %d known quotients of theta" % (m, len(conv.q) - 1))
+    if m - 1 < VERIFY_LEAST_DEPTH:
+        raise ValueError("ladder depth %d < %d: the result is verified at depth m - 1, and "
+                         "verify_herman needs depth %d or more"
+                         % (m, VERIFY_LEAST_DEPTH + 1, VERIFY_LEAST_DEPTH))
     if from_preset and m > m0:
         m0 = max(1, m0 - _LOWER_START)
     num0, den = family_core(d0, dinf)
@@ -540,9 +549,13 @@ def verify_herman(map_, theta, n):
     cyclic order of {k theta}; (iii) closest returns f^{q_k}(1) alternate
     sides of the critical point: each plane-chart phase lies nearer the
     phase two levels on than the next one, whatever the critical angle.
+    (iii) compares the phases at q_2..q_n, so n below VERIFY_LEAST_DEPTH
+    raises ValueError.
     """
+    if n < VERIFY_LEAST_DEPTH:
+        raise ValueError("verify_herman needs depth %d or more, not %d" % (VERIFY_LEAST_DEPTH, n))
     theta = resolve_theta(theta)
-    conv = convergents(theta, max(n + 1, 3))
+    conv = convergents(theta, n + 1)
     qn = conv.q[n]
     orb, nok = _kernels.orbit(map_.num, map_.den, 1.0 + 0.0j, qn, 1e-3, 1e3)
     checks = {}
@@ -569,6 +582,6 @@ def verify_herman(map_, theta, n):
         opp = abs((phases[i] - phases[i + 1] + math.pi) % (2 * math.pi) - math.pi)
         if not same < opp:
             ok = False
-    checks["alternation"] = bool(ok and len(phases) >= 3)
+    checks["alternation"] = ok
     checks["all"] = checks["annulus"] and checks["cyclic_order"] and checks["alternation"]
     return checks

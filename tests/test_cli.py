@@ -170,18 +170,30 @@ def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
     (["renorm", "chi", "--depth", "1"], None),
     (["renorm", "mu", "--depth", "4"], None),
     (["renorm", "mu", "--period", "3"], None),
+    (["tune", "--seed", "preset", "--depth", "1"], None),
+    (["tune", "--seed", "preset", "--depth", "4"], None),
+    (None, {"trace_depth": 1}),
+    (None, {"trace_depth": 3}),
+    (None, {"tune_depth": 4}),
 ], ids=["window-text", "res-zero", "family-one-int", "window-two-numbers",
         "depth-text", "maxiter-negative", "curve-shorter-than-q1", "tol-text", "tol-zero",
         "seed-three-numbers", "seed-infinite", "window-empty", "window-reversed",
         "config-window-reversed", "grid-window-empty", "grid-window-reversed",
         "cfrac-depth-negative", "trace-depth-1", "ratios-depth-negative", "chi-depth-1",
-        "mu-depth-4", "mu-period-odd"])
+        "mu-depth-4", "mu-period-odd", "tune-depth-1", "tune-depth-4", "config-trace-depth-1",
+        "config-trace-depth-3", "config-tune-depth-4"])
 def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     """A bad window, resolution, family, depth, period, tolerance, seed, curve
     or grid window is a configuration error (exit 2), not a numeric failure,
-    and a too-shallow --depth or an odd --period is named in the message."""
+    and a too-shallow --depth or config depth or an odd --period is named in
+    the message.  A Newton ladder to depth m is verified at m - 1, so tune
+    refuses --depth below VERIFY_LEAST_DEPTH + 1 (depth 1 used to return
+    c = 1 and exit 1), and a config's trace_depth below VERIFY_LEAST_DEPTH
+    (its verify depth) or tune_depth below VERIFY_LEAST_DEPTH + 1."""
     if argv is None:
         argv = ["pipeline", "--config", str(small_config(tmp_path, "m", **config))]
+    elif argv[0] == "tune":
+        argv = [*argv, "--d0", "3", "--dinf", "2", "--out", str(tmp_path / "t.json")]
     elif argv[0] == "geometry":
         csv = tmp_path / "one.csv"
         csv.write_text("k,angle,re,im\n0,0.0,1.0,0.0\n")
@@ -197,6 +209,9 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     for option in ("--depth", "--period"):
         if any(a.split("=")[0] == option for a in argv):
             assert option in err
+    for key in config or ():
+        if key.endswith("_depth"):
+            assert key in err
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-3"])
@@ -237,6 +252,29 @@ def test_pipeline_tune_depth_on_the_bisection_is_config_error(capsys, tmp_path):
     code, _, err = run(capsys, "pipeline", "--config", str(path))
     assert code == 2 and "tune_depth" in err and "seed" in err
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("key, shallow, least", [
+    ("trace_depth", (1, 2, 3), rotation.VERIFY_LEAST_DEPTH),
+    ("tune_depth", (1, 4), rotation.VERIFY_LEAST_DEPTH + 1),
+])
+def test_pipeline_refuses_depths_verify_cannot_pass(capsys, tmp_path, key, shallow, least):
+    """verify_herman cannot pass below depth VERIFY_LEAST_DEPTH = 4, at which
+    the pipeline verifies a trace_depth of 4 and a ladder to tune_depth 5:
+    the shallower depths are configuration errors that name their key,
+    refused before any stage runs (trace_depth 1 used to tune, then exit 1
+    at verify); the least depths pass, with trace_depth 4."""
+    assert rotation.VERIFY_LEAST_DEPTH == 4
+    for depth in shallow:
+        code, _, err = run(capsys, "pipeline", "--config",
+                           str(small_config(tmp_path, "s", **{key: depth})))
+        assert code == 2 and "config error" in err and key in err
+        assert not (tmp_path / "s").exists()
+    code, _, _ = run(capsys, "pipeline", "--config",
+                     str(small_config(tmp_path, "t", resolution=16,
+                                      **{"trace_depth": 4, key: least})))
+    report = json.loads((tmp_path / "t" / "report.json").read_text())
+    assert code == 0 and report["verify"]["all"] is True
 
 
 def test_dims_on_circle_csv(capsys, tmp_path):

@@ -156,15 +156,24 @@ coeff = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=Fa
 coeffs = st.lists(coeff, min_size=1, max_size=5)
 
 
+# trap radii around the edges where r0^2 or rinf^2 leaves the normal range
+# (2^-511 and 2^511 square to normal numbers, the next radii out do not),
+# where the C loops decide every iterate by hypot
+EXTREME_R0 = [1e-8, 1e-160, 5e-324, 2.0 ** -511, float(np.nextafter(2.0 ** -511, 0.0))]
+EXTREME_RINF = [1e8, 1e160, np.inf, 2.0 ** 511, 2.0 ** 512]
+
+
 @st.composite
 def orbit_case(draw, z0=None):
     """(num, den, z0, n, r0, rinf): random coefficients and start; for kind
     "pole" D(z0) is within 1e-12 of 0, for kind "trap" r0 or rinf equals the
-    modulus of one iterate or is one ulp either side of it."""
+    modulus of one iterate or is one ulp either side of it, the other radius
+    0, inf or normal; for kind "extreme" r0 and rinf come from EXTREME_R0
+    and EXTREME_RINF."""
     num, den = draw(coeffs), draw(coeffs)
     z0 = draw(coeff) if z0 is None else z0
     n = draw(st.integers(1, 60))
-    kind = draw(st.sampled_from(["free", "pole", "trap"]))
+    kind = draw(st.sampled_from(["free", "pole", "trap", "extreme"]))
     if kind == "pole":
         den[0] -= complex(K._horner(den, z0)) - draw(st.floats(-1e-12, 1e-12))
     num, den = np.array(num, dtype=np.complex128), np.array(den, dtype=np.complex128)
@@ -174,7 +183,9 @@ def orbit_case(draw, z0=None):
             ref, _ = K._orbit_samples(num, den, z0, np.arange(1, n + 1), 0.0, np.inf)
         a = abs(ref[draw(st.integers(0, n - 1))])
         a = draw(st.sampled_from([a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)]))
-        r0, rinf = draw(st.sampled_from([(a, np.inf), (0.0, a)]))
+        r0, rinf = draw(st.sampled_from([(a, np.inf), (0.0, a), (a, 1e8), (1e-8, a)]))
+    if kind == "extreme":
+        r0, rinf = draw(st.sampled_from(EXTREME_R0)), draw(st.sampled_from(EXTREME_RINF))
     return num, den, z0, n, r0, rinf
 
 
@@ -214,6 +225,67 @@ def test_c_tune_residual_bit_equal(case, c):
         ref = K._tune_residual(num0, den, c, qm, r0, rinf)
     out = K.tune_residual(num0, den, c, qm, r0, rinf)
     assert bits(out) == bits(ref)
+
+
+# real and imaginary parts of coefficients and starts that carry signed zeros
+# through the orbit loops
+SIGNED = [0.0, -0.0, 0.5, -0.5, 1.0, -2.0]
+signed_coeff = st.builds(complex, st.sampled_from(SIGNED), st.sampled_from(SIGNED))
+signed_coeffs = st.lists(signed_coeff, min_size=1, max_size=4)
+
+
+@needs_c
+@settings(max_examples=400, deadline=None)
+@given(signed_coeffs, signed_coeffs, signed_coeff, signed_coeff, st.integers(0, 1),
+       st.sampled_from([complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.5, -0.0),
+                        complex(-0.0, -0.0), None]),
+       st.sampled_from([(1e-8, 1e8), (0.0, np.inf), (5e-324, 2.0 ** 512)]))
+def test_c_orbit_kernels_signed_zero_top_coefficient(num, den, z0, c, which, top, radii):
+    """A top coefficient with a -0.0 part makes horner in _kernels.c and
+    _horner take Horner's first step in full instead of starting from it:
+    in the numerator or the denominator (which), and in tune_residual's
+    derivative coefficients j*a_j, whose top has a -0.0 part where a_j has
+    a real part -0.0, or an imaginary part -0.0 and a negative real part
+    (top 0.5 - 0.0i steps in full in the numerator only); top None keeps
+    the drawn one.  Coefficients and starts with signed-zero parts carry
+    the sign of a zero to the results.  Orbits and residuals equal the
+    references' bit for bit at both starts, also where every iterate's
+    trap is decided by hypot."""
+    polys = [np.array(num, dtype=np.complex128), np.array(den, dtype=np.complex128)]
+    if top is not None:
+        polys[which][-1] = top
+    r0, rinf = radii
+    with np.errstate(all="ignore"):
+        ref, nref = K._orbit_samples(*polys, z0, np.arange(1, 31), r0, rinf)
+        out, nout = K.orbit(*polys, z0, 30, r0, rinf)
+        assert nout == nref and bits(out) == bits(ref)
+        ref = K._tune_residual(*polys, c, 30, r0, rinf)
+        assert bits(K.tune_residual(*polys, c, 30, r0, rinf)) == bits(ref)
+
+
+@needs_c
+def test_c_traps_decided_as_hypot_decides():
+    """Under N0(z) = z, D(z) = 1 the first iterate of orbit is z0 and that of
+    tune_residual is c, both exactly.  With r0 or rinf at |z| (hypot) or one
+    ulp either side of it, the C loops trap that iterate exactly when the
+    references do, at moduli where the squares are normal, where they
+    underflow (to subnormals near 1e-160, to 0 near 1e-170 and below) and
+    where they overflow (near 1e154 and above); the other radius is
+    normal, 0, inf or negative."""
+    num, den = np.array([0, 1], dtype=np.complex128), np.array([1], dtype=np.complex128)
+    rng = np.random.default_rng(5)
+    for scale in (1e-8, 1.0, 1e8, 1e-155, 1e-160, 1e-170, 1e-310, 1e153, 1e155, 1e300):
+        for z in (rng.uniform(0.3, 3.0, (12, 2)) * rng.choice([-1, 1], (12, 2)) * scale):
+            z = complex(*z)
+            a = abs(z)
+            for edge in (np.nextafter(a, 0.0), a, np.nextafter(a, np.inf)):
+                for r0, rinf in ((edge, 1e150), (edge, np.inf), (1e-150, edge), (0.0, edge),
+                                 (-1.0, edge), (1e-150, -1e150)):
+                    ref, nref = K._orbit_samples(num, den, z, np.array([1]), r0, rinf)
+                    out, nout = K.orbit(num, den, z, 1, r0, rinf)
+                    assert nout == nref and bits(out) == bits(ref)
+                    ref = K._tune_residual(num, den, z, 1, r0, rinf)
+                    assert bits(K.tune_residual(num, den, z, 1, r0, rinf)) == bits(ref)
 
 
 def pole_window(m, n=9, step=2.0 ** -10):

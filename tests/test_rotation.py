@@ -267,6 +267,40 @@ def test_verify_herman_rejects_untuned_map():
     assert not rep["all"]
 
 
+@pytest.mark.parametrize("d0,dinf", [(3, 2), (2, 2)])
+def test_verify_herman_refuses_depths_it_cannot_pass(d0, dinf, monkeypatch):
+    """The alternation check compares the closest returns q_2..q_n, three at
+    least, so verify_herman raises below VERIFY_LEAST_DEPTH = 4 (it used to
+    fail there on every map) and passes from 4 on on a preset-tuned map;
+    the ladder, verified at m - 1, refuses m below 5 before any residual is
+    evaluated (m = 1 used to return c = 1)."""
+    least = hl.rotation.VERIFY_LEAST_DEPTH
+    assert least == 4
+    res = hl.tune_asymmetric(d0, dinf, "golden", "preset")
+    m = hl.herman_family(d0, dinf, res.parameter)
+    for n in range(least):
+        with pytest.raises(ValueError, match="depth %d or more" % least):
+            verify_herman(m, "golden", n)
+    assert all(verify_herman(m, "golden", n)["all"] for n in range(least, least + 4))
+    seen = _count_residual_iterates(monkeypatch)
+    for top in (1, least):
+        with pytest.raises(ValueError, match="ladder depth %d" % top):
+            hl.tune_asymmetric(d0, dinf, "golden", "preset", m=top)
+    assert seen == []
+    assert hl.tune_asymmetric(d0, dinf, "golden", "preset", m=least + 1).report["verify"]["all"]
+
+
+def test_tune_deep_ladder_pinned_at_m22():
+    """The tune-deep benchmark's ladder: its parameter bit for bit, its Newton
+    steps and its residual evaluations per level."""
+    res = hl.tune_asymmetric(3, 2, "golden", "preset", m=22)
+    assert (res.parameter.real.hex(), res.parameter.imag.hex()) == (
+        "-0x1.24ead7725cc2ep+0", "-0x1.edccef1f05165p-1")
+    assert res.parameter == complex(-1.144208398266311, -0.964454147850614)
+    assert res.iterations == 32
+    assert [e["evals"] for e in res.report["ladder"]] == [5, 8, 8, 8, 8, 3, 3, 2, 2, 2, 2]
+
+
 def test_preset_seed_roundtrip():
     seed = hl.rotation.resolve_seed(3, 2, GOLDEN, "preset")
     assert abs(seed - complex(-1.144208, -0.964454)) < 1e-3
