@@ -9,8 +9,8 @@ dimension, and porosity profiles.
 
 from .cfrac import BRONZE_ALT, GOLDEN, SILVER, ContinuedFraction, convergents
 from .maps import RationalMap, arnold_lift, blaschke, herman_family
-from .rotation import (CircleLift, TuneResult, circle_lift, rotation_number,
-                       tune_arnold, tune_asymmetric, tune_blaschke, verify_herman)
+from .rotation import (TuneResult, circle_lift, rotation_number, tune_arnold,
+                       tune_asymmetric, tune_blaschke, verify_herman)
 from .curve import HermanCurve, beta_number, bounded_turning, critical_angle, trace
 from .renorm import (CommutingPair, commuting_pair, convergence_report, log_lift,
                      scaling_ratios, self_similarity)

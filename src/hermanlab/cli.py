@@ -19,6 +19,9 @@ from . import __version__, _kernels, cfrac, curve as curve_mod, julia, maps, ren
 
 CONFIG_SCHEMA_VERSION = 1
 
+# a config's default trace_depth; the pipeline verifies at min(_VERIFY_CAP, trace_depth)
+_TRACE_DEPTH, _VERIFY_CAP = 16, 12
+
 _CONFIG_FIELDS = {
     "schema", "family", "theta", "seed", "tol", "tune_depth", "trace_depth",
     "renorm_depth", "window", "resolution", "maxiter", "outdir",
@@ -435,11 +438,12 @@ def _load_config(path):
     for key in ("tune_depth", "trace_depth", "renorm_depth", "resolution", "maxiter"):
         if key in cfg and not (_is_int(cfg[key]) and cfg[key] > 0):
             raise ConfigError("%s must be a positive integer, not %r" % (key, cfg[key]))
-    # the pipeline verifies at depth min(12, trace_depth), the ladder at tune_depth - 1
-    if "trace_depth" in cfg:
-        _check_least("trace_depth", cfg["trace_depth"], rotation.VERIFY_LEAST_DEPTH)
+    # the verify depth min(_VERIFY_CAP, trace_depth) needs a ladder one level deeper
+    depth = cfg.get("trace_depth", _TRACE_DEPTH)
+    _check_least("trace_depth", depth, rotation.VERIFY_LEAST_DEPTH)
     if "tune_depth" in cfg:
-        _check_least("tune_depth", cfg["tune_depth"], rotation.VERIFY_LEAST_DEPTH + 1)
+        _check_least("tune_depth for trace_depth %d" % depth, cfg["tune_depth"],
+                     min(_VERIFY_CAP, depth) + 1)
     if "tol" in cfg:
         _check_tol(cfg["tol"])
     # a seed name other than "preset" reaches the tuner, whose PresetError
@@ -485,7 +489,7 @@ def cmd_pipeline(args):
             print("pipeline failed at stage %r: %s" % (name, e), file=sys.stderr)
             raise _StageFailure()
 
-    depth = cfg.get("trace_depth", 16)
+    depth = cfg.get("trace_depth", _TRACE_DEPTH)
     N = cfg.get("renorm_depth", min(depth - 2, 14))
 
     try:
@@ -500,7 +504,7 @@ def cmd_pipeline(args):
         m = maps.herman_family(d0, dinf, tuned.parameter)
 
         def do_verify():
-            ver = report["verify"] = rotation.verify_herman(m, theta, min(12, depth))
+            ver = report["verify"] = rotation.verify_herman(m, theta, min(_VERIFY_CAP, depth))
             if not ver["all"]:
                 raise RuntimeError("Herman curve checks failed: %s" % ver)
         stage("verify", do_verify)

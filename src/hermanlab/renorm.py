@@ -186,8 +186,8 @@ class ScalingReport:
 def closest_return_displacements(f, theta, N):
     """c_{q_n} = f^{q_n}(c) - c for n <= N, in the plane chart.
 
-    f may be a RationalMap (critical point z=1) or a circle-map lift with a
-    .critical_point attribute (real displacements F^{q_n}(x_c)-x_c-p_n).
+    f may be a RationalMap (critical point z=1) or a circle-map lift, whose
+    advance and .critical_point give real displacements F^{q_n}(x_c)-x_c-p_n.
     """
     theta = resolve_theta(theta)
     conv = convergents(theta, N + 1)
@@ -196,7 +196,7 @@ def closest_return_displacements(f, theta, N):
         vals = _critical_orbit(f, ks, 1.0)
         return {n: complex(vals[n - 1]) - 1.0 for n in range(1, N + 1)}
     # circle-map lift path
-    xc = getattr(f, "critical_point", 0.0)
+    xc = f.critical_point
     out = {}
     x = xc
     k = 0

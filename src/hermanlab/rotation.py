@@ -36,7 +36,7 @@ import numpy as np
 from . import _kernels
 from .cfrac import (MIN_IRRATIONAL_DEPTH, Convergents, NAMED_THETAS, convergents,
                     resolve_theta)
-from .maps import _POLE_TOL, arnold_lift, blaschke, family_core, herman_family
+from .maps import arnold_lift, blaschke, family_core, herman_family
 
 _QCAP_DEFAULT = 30000
 # a ladder level is seeded by extrapolation only while the two latest
@@ -79,26 +79,6 @@ class TuningError(RuntimeError):
 
 
 @dataclass
-class CircleLift:
-    """Degree-one lift F of a circle homeomorphism, as a real evaluator.
-
-    Every lift (this class, the lift of ``circle_lift`` and
-    ``maps.ArnoldLift``) has ``advance(x, n)`` = F^n(x), which the
-    return-time loops call once per return time.
-    """
-
-    evaluator: object
-
-    def __call__(self, x):
-        return self.evaluator(x)
-
-    def advance(self, x, n):
-        for _ in range(n):
-            x = self.evaluator(x)
-        return x
-
-
-@dataclass
 class TuneResult:
     parameter: complex
     alpha: float | None
@@ -108,42 +88,7 @@ class TuneResult:
     report: dict = field(default_factory=dict)
 
 
-class _MapLift(CircleLift):
-    """The lift of ``circle_lift``: F(x) = x + frac(arg f(e^{2 pi i x})/2pi - x)."""
-
-    def __init__(self, map_):
-        super().__init__(lambda x: self.advance(x, 1))
-        self.map_ = map_
-
-    def advance(self, x, n):
-        """F^n(x), each step computing f(z) as ``RationalMap.eval`` does: the
-        plane-chart Horner loops, its far-from-a-pole test and ``_cdiv``,
-        with ``eval`` itself taking any step that fails the test.  |z| = 1
-        up to rounding, so the infinity chart never applies."""
-        map_ = self.map_
-        num, den, den_bound, den_deg = map_._plane
-        num, den, bound = num[::-1], den[::-1], _POLE_TOL * den_bound
-        cdiv, exp, phase = _kernels._cdiv, cmath.exp, cmath.phase
-        i2pi, twopi = 2j * math.pi, 2 * math.pi
-        for _ in range(n):
-            z = exp(i2pi * x)
-            r = abs(z)
-            nv = 0j
-            for c in num:
-                nv = nv * z + c
-            dv = 0j
-            for c in den:
-                dv = dv * z + c
-            try:
-                far = abs(dv) > bound * (r ** den_deg if r > 1.0 else 1.0)
-            except OverflowError:
-                far = False
-            w = cdiv(nv, dv) if far else map_.eval(z)
-            x = x + (phase(w) / twopi - x) % 1.0
-        return x
-
-
-class _BlaschkeLift(CircleLift):
+class _BlaschkeLift:
     """The lift of ``circle_lift`` for a Blaschke member F_{d,d,c}, |c| = 1,
     in closed form.
 
@@ -165,8 +110,9 @@ class _BlaschkeLift(CircleLift):
     top < 0 into 0.0, without which atan2 would give -pi for pi at x = 0.
     """
 
+    critical_point = 0.0
+
     def __init__(self, map_):
-        super().__init__(lambda x: self.advance(x, 1))
         den = [float(c.real) for c in map_.den[::-1]]
         self._horner = (den[0], den[1], tuple(den[2:]))
         self._alpha = cmath.phase(map_.parameter) / (2 * math.pi)
@@ -202,33 +148,34 @@ def _is_blaschke_member(map_):
 
 
 def circle_lift(map_):
-    """Lift of a circle-preserving rational map via its displacement.
+    """The closed-form lift F(x) = x + frac(arg f(e^{2 pi i x})/2pi - x) of
+    a (d, d) family member f (_BlaschkeLift), with F(0) in [0, 1).
 
-    F(x) = x + frac(arg f(e^{2 pi i x})/2pi - x); continuous and
-    degree-one as long as f has no fixed point on the circle, with
-    F(0) in [0, 1).  A (d, d) family member, a Blaschke product, gets
-    the closed-form lift stepped in float arithmetic (_BlaschkeLift);
-    any other map, including one with family degrees but no parameter,
-    is stepped through its plane-chart evaluation (_MapLift).
+    A map that moves the unit circle at one of 64 points raises
+    CircleNotInvariantError, any other non-member ValueError.  A lift (this
+    one, ``maps.ArnoldLift``) is ``advance(x, n)`` = F^n(x) and ``critical_point``.
     """
     for t in np.linspace(0.0, 1.0, 64, endpoint=False):
         z = cmath.exp(2j * math.pi * t)
         if abs(abs(map_.eval(z)) - 1.0) > 1e-10:
             raise CircleNotInvariantError("map does not preserve the unit circle")
-    return _BlaschkeLift(map_) if _is_blaschke_member(map_) else _MapLift(map_)
+    if not _is_blaschke_member(map_):
+        raise ValueError("circle_lift needs a (d, d) family member herman_family(d, d, c)")
+    return _BlaschkeLift(map_)
 
 
 def rotation_number(lift, depth=40):
     """Bracket rho by Stern-Brocot bisection with exact sign tests from x = 0.
 
     Returns (lo, hi) as Fractions with rho in [lo, hi]; if a periodic
-    orbit is detected the two coincide.  depth counts mediant steps.
+    orbit is detected the two coincide.  depth counts mediant steps.  The
+    tests step by ``lift.advance(x, 1)``, refusing a lift that decreases.
     """
     def signed(p, q):
         # sign of F^q(0) - p
         x = 0.0
         for _ in range(q):
-            xn = lift(x)
+            xn = lift.advance(x, 1)
             if xn < x - 1e-12:
                 raise NonMonotoneLiftError("lift decreased along orbit")
             x = xn
@@ -420,14 +367,16 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
 
     seed: a complex starting parameter, or the string "preset" to use the
     shipped preset for (d0, dinf, theta-name); any other string raises
-    PresetError.  m is the final ladder depth (default: smallest n with
-    q_n >= 1000, the preset's level).  The ladder polishes G_k(c) = 0 for
-    k = m0..m, which is continuation along the CF truncations of theta;
-    the result at depth m realizes the closest-return combinatorics of
-    theta through time q_m, verified at depth min(m - 1, 14): the return
-    at time q_m is the one the ladder has just driven onto the critical
-    point, so its phase is round-off.  An m below VERIFY_LEAST_DEPTH + 1
-    raises ValueError before any residual is evaluated.
+    PresetError.  m is the final ladder depth; by default the smallest n
+    with q_n >= 1000 (the preset's level) for a preset seed, and the deeper
+    of m0 and VERIFY_LEAST_DEPTH + 1 for an explicit seed.  The ladder
+    polishes G_k(c) = 0 for k = m0..m, which is continuation along the CF
+    truncations of theta; the result at depth m realizes the closest-return
+    combinatorics of theta through time q_m, verified at depth
+    min(m - 1, 14): the return at time q_m is the one the ladder has just
+    driven onto the critical point, so its phase is round-off.  An m below
+    VERIFY_LEAST_DEPTH + 1 raises ValueError before any residual is
+    evaluated.
 
     m0 is the default depth for a preset seed, or _LOWER_START levels
     below it when m is deeper, and the first q_n >= 10 for an explicit
@@ -458,7 +407,7 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
         # arbitrary seeds may be far from the root: climb from a shallow level
         m0 = next(n for n in range(1, len(conv.q)) if conv.q[n] >= 10)
     if m is None:
-        m = m0
+        m = m0 if from_preset else max(m0, VERIFY_LEAST_DEPTH + 1)
     if m >= len(conv.q):
         raise ValueError("ladder depth %d > the %d known quotients of theta" % (m, len(conv.q) - 1))
     if m - 1 < VERIFY_LEAST_DEPTH:

@@ -42,14 +42,14 @@ def arnold_golden():
 def trace32_deep(golden32):
     """Depth-29 trace (832040 vertices) of the (3,2) golden curve."""
     _, m = golden32
-    return hl.trace(m, "golden", 29, check=False)
+    return hl.trace(m, "golden", 29)
 
 
 @pytest.fixture(scope="session")
 def trace22_deep(blaschke22_golden):
     """Depth-29 trace of the (2,2) golden curve, ordered by circle argument (d0 == dinf)."""
     _, m = blaschke22_golden
-    return hl.trace(m, "golden", 29, check=False)
+    return hl.trace(m, "golden", 29)
 
 
 @pytest.fixture(scope="session")

@@ -175,13 +175,14 @@ def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
     (None, {"trace_depth": 1}),
     (None, {"trace_depth": 3}),
     (None, {"tune_depth": 4}),
+    (None, {"tune_depth": 5, "trace_depth": 12}),
 ], ids=["window-text", "res-zero", "family-one-int", "window-two-numbers",
         "depth-text", "maxiter-negative", "curve-shorter-than-q1", "tol-text", "tol-zero",
         "seed-three-numbers", "seed-infinite", "window-empty", "window-reversed",
         "config-window-reversed", "grid-window-empty", "grid-window-reversed",
         "cfrac-depth-negative", "trace-depth-1", "ratios-depth-negative", "chi-depth-1",
         "mu-depth-4", "mu-period-odd", "tune-depth-1", "tune-depth-4", "config-trace-depth-1",
-        "config-trace-depth-3", "config-tune-depth-4"])
+        "config-trace-depth-3", "config-tune-depth-4", "config-tune-depth-5-trace-depth-12"])
 def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     """A bad window, resolution, family, depth, period, tolerance, seed, curve
     or grid window is a configuration error (exit 2), not a numeric failure,
@@ -189,7 +190,9 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     the message.  A Newton ladder to depth m is verified at m - 1, so tune
     refuses --depth below VERIFY_LEAST_DEPTH + 1 (depth 1 used to return
     c = 1 and exit 1), and a config's trace_depth below VERIFY_LEAST_DEPTH
-    (its verify depth) or tune_depth below VERIFY_LEAST_DEPTH + 1."""
+    or tune_depth below its verify depth min(12, trace_depth) plus 1
+    (tune_depth 5 with trace_depth 12 used to tune, then exit 1 at verify),
+    before any stage runs."""
     if argv is None:
         argv = ["pipeline", "--config", str(small_config(tmp_path, "m", **config))]
     elif argv[0] == "tune":
@@ -206,6 +209,7 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
                 "--out", str(tmp_path / "r.ppm")]
     code, _, err = run(capsys, *argv)
     assert code == 2 and "config error" in err
+    assert not (tmp_path / "m").exists()
     for option in ("--depth", "--period"):
         if any(a.split("=")[0] == option for a in argv):
             assert option in err
@@ -224,6 +228,20 @@ def test_tune_refuses_bad_tol(capsys, tmp_path, tol):
                        "--out", str(out))
     assert code == 2 and "tol must be a finite positive number" in err
     assert not out.exists()
+
+
+def test_tune_explicit_seed_default_depth_verifies(capsys):
+    """Without --depth, an explicit seed's ladder climbs to depth
+    VERIFY_LEAST_DEPTH + 1 = 5 at least: from the (3,3) silver bisection
+    root it tunes as with --depth 5 and passes the curve checks (its top
+    used to be depth 3, the first q_n >= 10, refused with exit 1)."""
+    argv = ["tune", "--d0", "3", "--dinf", "3", "--theta", "silver",
+            "--seed=-0.8659735166849171,0.5000898603254796"]
+    code, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["verify"]["all"] is True and doc["verified_depth"] == 4
+    code, deep, _ = run(capsys, *argv, "--depth", "5")
+    assert code == 0 and deep == out
 
 
 def test_tune_depth_on_the_bisection_is_config_error(capsys, tmp_path):

@@ -15,7 +15,7 @@ from hermanlab.curve import OrbitEscapeError, _aitken, _median
 
 def test_trace_vertex_dynamics_check(golden32):
     _, m = golden32
-    c = hl.trace(m, "golden", 14)   # check=True exercises f(v_k) = v_{k+1}
+    c = hl.trace(m, "golden", 14)   # the spot check exercises f(v_k) = v_{k+1}
     conv = convergents(GOLDEN, 14)
     assert len(c) == conv.q[14]
     assert c.winding_number(0.0) == 1
@@ -82,7 +82,7 @@ def test_critical_angle_23_golden():
     """(2,3) is (3,2) seen from infinity: its angle is pi(2*2-1)/(2+3-1) = 3pi/4,
     within criterion 4's tolerance for (3,2)."""
     res = hl.tune_asymmetric(2, 3, "golden", "preset", m=31)
-    c = hl.trace(hl.herman_family(2, 3, res.parameter), "golden", 24, check=False)
+    c = hl.trace(hl.herman_family(2, 3, res.parameter), "golden", 24)
     angle, _ = hl.critical_angle(c)
     assert abs(angle - 3 * math.pi / 4) < 0.0524
 

@@ -114,21 +114,6 @@ def test_scaling_ratios_chart_invariance(blaschke22_golden, arnold_golden):
         assert abs(rp.s[n]) == pytest.approx(abs(complex(rl.s[n])), rel=0.2)
 
 
-def test_circle_lift_closest_returns_pinned():
-    """The lift path's displacements F^{q_n}(0) - p_n, n = 1..12, of the
-    (2,2) golden Blaschke map's plane-chart lift (built without the family
-    fields, which would select the closed form), as the per-step loop
-    computed them."""
-    b = hl.blaschke(2, 0.6136486389004858)
-    lift = hl.circle_lift(hl.RationalMap(b.num, b.den))
-    cq = closest_return_displacements(lift, "golden", 12)
-    assert cq == {n + 1: complex(v) for n, v in enumerate([
-        -0.3863513610995143, 0.2822515961869594, -0.19861832497292609, 0.14841464439620644,
-        -0.11048988729768894, 0.08419886299830637, -0.06427216484720866, 0.049493226172621974,
-        -0.038168121151159085, 0.02952879360693572, -0.02286231150844742,
-        0.017721185755135593])}
-
-
 def test_symmetric_constants_match_the_literature():
     """The (2,2) golden map is a cubic critical circle map, whose universal
     constants are delta = -2.8336106559 and alpha = -1.2885745539 (Shenker,

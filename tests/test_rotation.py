@@ -12,40 +12,50 @@ from hypothesis import given, settings, strategies as st
 import hermanlab as hl
 from hermanlab.cfrac import GOLDEN, SILVER
 from hermanlab.renorm import closest_return_displacements
-from hermanlab.rotation import (CircleLift, _BlaschkeLift, _MapLift, rotation_number,
+from hermanlab.rotation import (CircleNotInvariantError, _BlaschkeLift, rotation_number,
                                 sign_rho_vs_theta, tune_arnold, tune_blaschke, verify_herman)
 
 
-def rigid(theta):
-    return CircleLift(lambda x: x + theta)
+class Rigid:
+    """The rigid rotation x -> x + theta as a lift."""
+
+    critical_point = 0.0
+
+    def __init__(self, theta):
+        self.theta = theta
+
+    def advance(self, x, n):
+        for _ in range(n):
+            x = x + self.theta
+        return x
 
 
 def test_rotation_number_of_rigid_rotation():
     th = GOLDEN.value_float()
-    lo, hi = rotation_number(rigid(th), depth=30)
+    lo, hi = rotation_number(Rigid(th), depth=30)
     assert float(lo) <= th <= float(hi)
     assert float(hi) - float(lo) < 1e-6
 
 
 def test_rotation_number_detects_rational():
-    lo, hi = rotation_number(rigid(0.25), depth=30)
+    lo, hi = rotation_number(Rigid(0.25), depth=30)
     assert lo == hi == Fraction(1, 4)
 
 
 def test_sign_rho_vs_theta():
     th = GOLDEN.value_float()
-    assert sign_rho_vs_theta(rigid(th + 1e-6), GOLDEN) == 1
-    assert sign_rho_vs_theta(rigid(th - 1e-6), GOLDEN) == -1
+    assert sign_rho_vs_theta(Rigid(th + 1e-6), GOLDEN) == 1
+    assert sign_rho_vs_theta(Rigid(th - 1e-6), GOLDEN) == -1
     # undecidable at depth for the exact value
-    assert sign_rho_vs_theta(rigid(th), GOLDEN) == 0
+    assert sign_rho_vs_theta(Rigid(th), GOLDEN) == 0
 
 
 def test_circle_lift_is_degree_one_monotone(blaschke22_golden):
     _, m = blaschke22_golden
     F = hl.circle_lift(m)
     xs = np.linspace(0.0, 1.0, 1000, endpoint=False)
-    vs = np.array([F(x) for x in xs])
-    assert all(abs(F(x + 1.0) - v - 1.0) <= 1e-10 for x, v in zip(xs, vs))
+    vs = np.array([F.advance(x, 1) for x in xs])
+    assert all(abs(F.advance(x + 1.0, 1) - v - 1.0) <= 1e-10 for x, v in zip(xs, vs))
     assert np.all(np.diff(vs) >= -1e-12)
 
 
@@ -58,8 +68,8 @@ def test_tuned_blaschke_rotation_number(blaschke22_golden):
 
 
 def per_step_lift(map_):
-    """circle_lift's evaluator as it was before lifts advanced whole stretches
-    of steps: one RationalMap.eval per step.  The oracle of advance."""
+    """A lift step through RationalMap.eval: the oracle of the closed-form
+    step."""
     def F(x):
         z = cmath.exp(2j * math.pi * x)
         w = map_.eval(z)
@@ -78,19 +88,6 @@ def iterate(step, x, n):
 UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
 
-@given(st.sampled_from([2, 3]), UNIT, UNIT, st.integers(min_value=0, max_value=300))
-@settings(max_examples=60, deadline=None)
-def test_blaschke_lift_advance_bit_equal(d, alpha, x, n):
-    """The plane-chart lift, on a Blaschke map built without its family
-    fields, steps as RationalMap.eval does."""
-    b = hl.blaschke(d, alpha)
-    m = hl.RationalMap(b.num, b.den)
-    lift = hl.circle_lift(m)
-    assert isinstance(lift, _MapLift)
-    assert lift.advance(x, n).hex() == iterate(per_step_lift(m), x, n).hex()
-    assert lift(x).hex() == lift.advance(x, 1).hex()
-
-
 @pytest.mark.parametrize("d", range(2, 7))
 def test_blaschke_denominator_has_no_root_on_the_circle(d):
     """The closed-form lift takes arg D(z) on the circle, which needs D to
@@ -107,7 +104,7 @@ def test_circle_lift_is_closed_form_exactly_for_blaschke_members():
     # the same coefficients without the family fields, with degrees but no
     # parameter, with degrees herman_family refuses, fields whose
     # parameter does not build them, or coefficients the fields do not
-    # build (-B also preserves the circle): stepped through evaluation
+    # build (-B also preserves the circle): refused
     for m in (hl.RationalMap(b.num, b.den),
               hl.RationalMap(b.num, b.den, d0=3, dinf=3),
               hl.RationalMap(b.num, b.den, d0=1, dinf=1, parameter=b.parameter),
@@ -115,7 +112,9 @@ def test_circle_lift_is_closed_form_exactly_for_blaschke_members():
               hl.RationalMap(b.num, b.den, d0=3, dinf=3, parameter=cmath.exp(0.5j)),
               hl.RationalMap(-b.num, b.den, d0=3, dinf=3, parameter=b.parameter)):
         assert m != b
-        assert isinstance(hl.circle_lift(m), _MapLift)
+        with pytest.raises(ValueError, match="family member") as err:
+            hl.circle_lift(m)
+        assert not isinstance(err.value, CircleNotInvariantError)
     assert hl.blaschke(3, 0.3) == b
 
 
@@ -126,7 +125,7 @@ def test_blaschke_closed_form_step_matches_eval(d, alpha, x):
     1e-14.  Where f fixes x up to rounding, the two may round the
     displacement to opposite ends of [0, 1], so they agree modulo 1."""
     m = hl.blaschke(d, alpha)
-    got, want = hl.circle_lift(m)(x), per_step_lift(m)(x)
+    got, want = hl.circle_lift(m).advance(x, 1), per_step_lift(m)(x)
     assert abs((got - want + 0.5) % 1.0 - 0.5) < 1e-14
     if 1e-13 < want - x < 1.0 - 1e-13:
         assert abs(got - want) < 1e-14
@@ -136,7 +135,7 @@ def test_blaschke_closed_form_step_matches_eval(d, alpha, x):
 @settings(max_examples=60, deadline=None)
 def test_blaschke_closed_form_advance_bit_equal(d, alpha, x, n):
     lift = hl.circle_lift(hl.blaschke(d, alpha))
-    assert lift.advance(x, n).hex() == iterate(lift, x, n).hex()
+    assert lift.advance(x, n).hex() == iterate(lambda y: lift.advance(y, 1), x, n).hex()
 
 
 I2PI = complex(0.0, 2 * math.pi)
@@ -182,7 +181,7 @@ def test_blaschke_float_step_from_zero_bit_equals_complex_oracle(d):
     for k in range(200):
         m = hl.blaschke(d, k / 200)
         lift, oracle = hl.circle_lift(m), complex_closed_form_lift(m)
-        assert lift(0.0).hex() == oracle(0.0).hex(), k
+        assert lift.advance(0.0, 1).hex() == oracle(0.0).hex(), k
         assert lift.advance(0.0, 13).hex() == iterate(oracle, 0.0, 13).hex(), k
 
 
@@ -214,32 +213,13 @@ def test_arnold_lift_advance_bit_equal(alpha, x, n):
     assert F.advance(x, n).hex() == iterate(F, x, n).hex()
 
 
-def test_circle_lift_steps_near_a_pole_through_eval(monkeypatch):
-    """A step whose denominator fails eval's far-from-a-pole test is taken by
-    RationalMap.eval itself, so its value and its 0/0 are eval's; a step far
-    from the pole does not call eval."""
-    t = 0.123456
-    a = cmath.exp(2j * math.pi * t)
-    m = hl.RationalMap(np.array([0.0, -a, 1.0]), np.array([-a, 1.0]))  # z (z - a) / (z - a)
-    lift = hl.circle_lift(m)
-    calls = []
-    real = hl.RationalMap.eval
-
-    def counted(self, z):
-        calls.append(z)
-        return real(self, z)
-
-    monkeypatch.setattr(hl.RationalMap, "eval", counted)
-    with pytest.raises(ZeroDivisionError):
-        lift.advance(t, 1)
-    near = t + 5e-15  # |D(z)| = 3.1e-14, under the far test's 4e-14
-    calls.clear()
-    got = lift.advance(near, 1)
-    assert len(calls) == 1
-    assert got.hex() == per_step_lift(m)(near).hex()
-    calls.clear()
-    lift.advance(t + 0.25, 3)
-    assert calls == []
+@pytest.mark.parametrize("d0,dinf,c", [(3, 2, -1.144208 - 0.964454j), (2, 2, 0.5)],
+                         ids=["asymmetric", "blaschke-off-circle"])
+def test_circle_lift_refuses_maps_off_the_circle(d0, dinf, c):
+    """The unit circle is invariant under no (3,2) member and under no
+    (2,2) member with |c| != 1, so neither has a circle lift."""
+    with pytest.raises(CircleNotInvariantError):
+        hl.circle_lift(hl.herman_family(d0, dinf, c))
 
 
 def test_tune_arnold_bracket(arnold_golden):
@@ -339,7 +319,7 @@ def test_sign_rho_vs_theta_accepts_convergents():
     th = GOLDEN.value_float()
     conv = hl.rotation._convergents(GOLDEN)
     for x in (th + 1e-6, th - 1e-6, th):
-        assert sign_rho_vs_theta(rigid(x), conv) == sign_rho_vs_theta(rigid(x), GOLDEN)
+        assert sign_rho_vs_theta(Rigid(x), conv) == sign_rho_vs_theta(Rigid(x), GOLDEN)
 
 
 def test_bisection_builds_convergents_once(monkeypatch):
