@@ -40,12 +40,17 @@ def _parse_theta(spec):
         raise ConfigError("bad theta spec %r: %s" % (spec, e))
 
 
-def _parse_complex(spec):
+def _parse_param(option, spec):
+    """The map parameter re,im given as option: the family has a member only
+    at a finite nonzero c."""
     try:
         re, im = (float(t) for t in spec.split(","))
-        return complex(re, im)
     except ValueError:
-        raise ConfigError("bad complex value %r (expected re,im)" % spec)
+        raise ConfigError("bad %s value %r (expected re,im)" % (option, spec))
+    if not (math.isfinite(re) and math.isfinite(im)) or re == im == 0:
+        raise ConfigError("%s must be finite and nonzero, not %r: the family has no member "
+                          "there" % (option, spec))
+    return complex(re, im)
 
 
 def _is_int(x):
@@ -79,6 +84,16 @@ def _check_least(option, value, least):
     """A ConfigError naming the option unless value >= least."""
     if value < least:
         raise ConfigError("%s must be at least %d, not %d" % (option, least, value))
+
+
+def _check_family(d0, dinf, names=("--d0", "--dinf")):
+    """A ConfigError naming the option unless maps.herman_family takes the
+    degrees: each at least 2, and d0 + dinf at most 61, past which its
+    binomial coefficients overflow."""
+    _check_least(names[0], d0, 2)
+    _check_least(names[1], dinf, 2)
+    if d0 + dinf > 61:
+        raise ConfigError("%s + %s must be at most 61, not %d" % (*names, d0 + dinf))
 
 
 def _fmt(x):
@@ -193,7 +208,9 @@ def cmd_cfrac(args):
 
 
 def cmd_maps(args):
-    m = maps.herman_family(args.d0, args.dinf, _parse_complex(args.param))
+    if args.param is None:
+        raise ConfigError("maps needs --param re,im")
+    m = maps.herman_family(args.d0, args.dinf, _parse_param("--param", args.param))
     _emit_json({
         "family": [args.d0, args.dinf],
         "parameter": [m.parameter.real, m.parameter.imag],
@@ -224,7 +241,7 @@ def cmd_tune(args):
         # the ladder's result is verified at depth m - 1
         _check_least("--depth", args.depth, rotation.VERIFY_LEAST_DEPTH + 1)
     theta = _parse_theta(args.theta)
-    seed = args.seed if args.seed in (None, "preset") else _parse_complex(args.seed)
+    seed = args.seed if args.seed in (None, "preset") else _parse_param("--seed", args.seed)
     res = _tune(args.d0, args.dinf, theta, seed, m=args.depth, tol=args.tol)
     out = {
         "family": [args.d0, args.dinf],
@@ -252,7 +269,7 @@ def _tune_depth(depth):
 
 def _tuned_map(args, theta):
     if args.param is not None:
-        return maps.herman_family(args.d0, args.dinf, _parse_complex(args.param))
+        return maps.herman_family(args.d0, args.dinf, _parse_param("--param", args.param))
     m = None
     if getattr(args, "depth", None):
         m = _tune_depth(args.depth)
@@ -435,6 +452,7 @@ def _load_config(path):
     family = cfg["family"]
     if not (isinstance(family, list) and len(family) == 2 and all(map(_is_int, family))):
         raise ConfigError("family must be two integers [d0, dinf], not %r" % (family,))
+    _check_family(*family, names=("family d0", "family dinf"))
     for key in ("tune_depth", "trace_depth", "renorm_depth", "resolution", "maxiter"):
         if key in cfg and not (_is_int(cfg[key]) and cfg[key] > 0):
             raise ConfigError("%s must be a positive integer, not %r" % (key, cfg[key]))
@@ -453,6 +471,8 @@ def _load_config(path):
                                       and all(map(_is_finite, seed)))):
         raise ConfigError('seed must be "preset" or a pair [re, im] of finite numbers, not %r'
                           % (seed,))
+    if seed == [0, 0]:
+        raise ConfigError("seed must be nonzero: the family has no member at c = 0")
     if family[0] == family[1] and "seed" not in cfg and "tune_depth" in cfg:
         raise ConfigError("tune_depth sets the Newton ladder's depth, but the (%d,%d) family "
                           "without a seed is tuned by bisection; give a seed (\"preset\" or "
@@ -653,6 +673,8 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        if "d0" in args:
+            _check_family(args.d0, args.dinf)
         return args.fn(args)
     except (ConfigError, cfrac.RationalInputError, rotation.PresetError) as e:
         print("config error: %s" % e, file=sys.stderr)

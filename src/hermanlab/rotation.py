@@ -100,7 +100,8 @@ class _BlaschkeLift:
 
     one Horner of degree d - 1 and one atan2 per step.  D has no zero on
     the circle (its zeros are the poles of B), so no step makes a complex
-    division or meets a pole.
+    division or meets a pole.  D depends on d alone, so the members of one
+    family share it and differ only in alpha (``at``).
 
     A step runs in floats the operations that complex arithmetic makes on
     (cos y, sin y) = exp(2 pi i {x}) and on D's real coefficients, dropping
@@ -108,6 +109,7 @@ class _BlaschkeLift:
     bit for bit.  The ``+ 0.0`` on the imaginary part is the one a real
     coefficient adds as (c, 0.0): it turns the -0.0 of top * sin(0) for
     top < 0 into 0.0, without which atan2 would give -pi for pi at x = 0.
+    For d = 2, D is linear and a step is one expression.
     """
 
     critical_point = 0.0
@@ -118,11 +120,25 @@ class _BlaschkeLift:
         self._alpha = cmath.phase(map_.parameter) / (2 * math.pi)
         self._slope = float(2 * map_.d0 - 2)
 
+    def at(self, c):
+        """The lift of the same family's member with parameter c, |c| = 1:
+        this lift with alpha = arg c / 2pi, as the constructor sets it."""
+        lift = object.__new__(_BlaschkeLift)
+        lift._horner, lift._slope = self._horner, self._slope
+        lift._alpha = cmath.phase(c) / (2 * math.pi)
+        return lift
+
     def advance(self, x, n):
         """F^n(x), one closed-form step at a time."""
         top, c0, more = self._horner
         alpha, slope = self._alpha, self._slope
         cos, sin, atan2, pi, twopi = math.cos, math.sin, math.atan2, math.pi, 2 * math.pi
+        if not more:
+            for _ in range(n):
+                u = x % 1.0
+                y = twopi * u
+                x = x + (alpha + slope * u - atan2(top * sin(y) + 0.0, top * cos(y) + c0) / pi) % 1.0
+            return x
         for _ in range(n):
             u = x % 1.0
             y = twopi * u
@@ -259,8 +275,12 @@ def _tune_circle(make_lift, parameter, family, theta, tol, qcap):
 
 
 def tune_blaschke(d, theta, tol=1e-10, qcap=_QCAP_DEFAULT):
-    """Tune alpha so that B_{d,alpha} has rotation number theta on the circle."""
-    return _tune_circle(lambda a: circle_lift(blaschke(d, a)),
+    """Tune alpha so that B_{d,alpha} has rotation number theta on the circle.
+
+    The family is checked once, by circle_lift on its first midpoint; each
+    midpoint's lift is that lift ``at`` the parameter blaschke(d, a) takes."""
+    lift = circle_lift(blaschke(d, 0.5))
+    return _tune_circle(lambda a: lift.at(cmath.exp(2j * math.pi * (a % 1.0))),
                         lambda a: cmath.exp(2j * math.pi * a), (d, d), theta, tol, qcap)
 
 

@@ -218,6 +218,47 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
             assert key in err
 
 
+@pytest.mark.parametrize("argv, config, named", [
+    (["tune", "--d0", "1", "--dinf", "1"], None, "--d0"),
+    (["maps", "--d0", "1", "--dinf", "3", "--param", "1,0"], None, "--d0"),
+    (["maps", "--d0", "3", "--dinf", "1", "--param", "1,0"], None, "--dinf"),
+    (["maps", "--d0", "31", "--dinf", "31", "--param", "1,0"], None, "--d0 + --dinf"),
+    (["render", "--d0", "2", "--dinf", "0", "--window=-1,-1,1,1"], None, "--dinf"),
+    (None, {"family": [1, 1]}, "family d0"),
+    (None, {"family": [3, 0]}, "family dinf"),
+    (None, {"family": [40, 22]}, "family d0 + family dinf"),
+    (["maps", "--d0", "3", "--dinf", "2", "--param", "0,0"], None, "--param"),
+    (["maps", "--d0", "3", "--dinf", "2"], None, "--param"),
+    (["trace", "--d0", "3", "--dinf", "2", "--param", "0,0"], None, "--param"),
+    (["renorm", "ratios", "--d0", "3", "--dinf", "2", "--param=-0,0"], None, "--param"),
+    (["tune", "--d0", "3", "--dinf", "2", "--seed", "0,0"], None, "--seed"),
+    (["tune", "--d0", "2", "--dinf", "2", "--seed", "0,0"], None, "--seed"),
+    (["maps", "--d0", "3", "--dinf", "2", "--param", "nan,0"], None, "--param"),
+    (["trace", "--d0", "3", "--dinf", "2", "--param", "inf,0"], None, "--param"),
+    (["tune", "--d0", "3", "--dinf", "2", "--seed", "1,nan"], None, "--seed"),
+    (None, {"seed": [0, 0]}, "seed"),
+    (None, {"seed": [0.0, -0.0]}, "seed"),
+], ids=["tune-degree-1", "maps-d0-1", "maps-dinf-1", "maps-degrees-overflow", "render-dinf-0",
+        "config-family-1-1", "config-dinf-0", "config-degrees-overflow", "maps-param-zero",
+        "maps-param-missing", "trace-param-zero", "renorm-param-zero", "tune-seed-zero",
+        "tune-bisection-seed-zero", "maps-param-nan", "trace-param-inf", "tune-seed-nan",
+        "config-seed-zero", "config-seed-signed-zero"])
+def test_family_without_member_is_config_error(capsys, tmp_path, argv, config, named):
+    """herman_family(d0, dinf, c) exists only for d0, dinf >= 2, d0 + dinf <= 61
+    and a finite c != 0.  Any other family degrees, map parameter or seed
+    is a configuration error that names its option or config field, found
+    before any stage runs (each used to exit 1 as a numeric failure, or 0
+    with NaN output for a non-finite --param)."""
+    if argv is None:
+        argv = ["pipeline", "--config", str(small_config(tmp_path, "m", **config))]
+    else:
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: %s must be" % named) or "needs " + named in err
+    assert not (tmp_path / "m").exists() and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-3"])
 def test_tune_refuses_bad_tol(capsys, tmp_path, tol):
     """--tol is checked as the pipeline's config tol is: a non-finite or

@@ -163,14 +163,23 @@ def complex_closed_form_lift(map_):
     return F
 
 
+def derived_lift(map_):
+    """The lift of map_ as tune_blaschke derives it: the checked lift of
+    another member of its family, at map_'s parameter."""
+    return hl.circle_lift(hl.blaschke(map_.d0, 0.5)).at(map_.parameter)
+
+
 @given(st.integers(min_value=2, max_value=6), UNIT,
        st.one_of(st.just(0.0), UNIT, st.floats(min_value=-50.0, max_value=50.0)),
        st.integers(min_value=0, max_value=300))
 @settings(max_examples=150, deadline=None)
 def test_blaschke_float_step_bit_equals_complex_oracle(d, alpha, x, n):
+    """The member's own lift, and the lift the bisection derives for it from
+    another member of its family, both step as the complex oracle does."""
     m = hl.blaschke(d, alpha)
-    got, want = hl.circle_lift(m).advance(x, n), iterate(complex_closed_form_lift(m), x, n)
-    assert got.hex() == want.hex()
+    want = iterate(complex_closed_form_lift(m), x, n)
+    for lift in (hl.circle_lift(m), derived_lift(m)):
+        assert lift.advance(x, n).hex() == want.hex()
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -180,9 +189,10 @@ def test_blaschke_float_step_from_zero_bit_equals_complex_oracle(d):
     complex Horner does, or atan2 gives -pi for pi.  A sweep of 200 alpha."""
     for k in range(200):
         m = hl.blaschke(d, k / 200)
-        lift, oracle = hl.circle_lift(m), complex_closed_form_lift(m)
-        assert lift.advance(0.0, 1).hex() == oracle(0.0).hex(), k
-        assert lift.advance(0.0, 13).hex() == iterate(oracle, 0.0, 13).hex(), k
+        oracle = complex_closed_form_lift(m)
+        for lift in (hl.circle_lift(m), derived_lift(m)):
+            assert lift.advance(0.0, 1).hex() == oracle(0.0).hex(), k
+            assert lift.advance(0.0, 13).hex() == iterate(oracle, 0.0, 13).hex(), k
 
 
 def test_blaschke_closed_form_closest_returns_match_mpmath():
@@ -340,6 +350,35 @@ def test_tune_blaschke_pinned():
     res = tune_blaschke(2, "golden", tol=1e-15, qcap=50000)
     assert res.parameter == -0.7556990644648718 - 0.6549190209231349j
     assert res.iterations == 32
+
+
+def test_tune_blaschke_work_pinned(monkeypatch):
+    """The same bisection's work: its 32 sign tests advance the lift 203,696
+    steps in all, and the family is circle-checked once (64 evaluations),
+    not once per midpoint (2,048)."""
+    steps, evals, signs = [], [], []
+    advance, evaluate = _BlaschkeLift.advance, hl.RationalMap.eval
+    sign = hl.rotation.sign_rho_vs_theta
+
+    def counted_advance(self, x, n):
+        steps.append(n)
+        return advance(self, x, n)
+
+    def counted_eval(self, z):
+        evals.append(z)
+        return evaluate(self, z)
+
+    def counted_sign(*args, **kwargs):
+        signs.append(args)
+        return sign(*args, **kwargs)
+
+    monkeypatch.setattr(_BlaschkeLift, "advance", counted_advance)
+    monkeypatch.setattr(hl.RationalMap, "eval", counted_eval)
+    monkeypatch.setattr(hl.rotation, "sign_rho_vs_theta", counted_sign)
+    res = tune_blaschke(2, "golden", tol=1e-15, qcap=50000)
+    assert res.iterations == len(signs) == 32
+    assert sum(steps) == 203_696
+    assert len(evals) <= 64
 
 
 def test_bisection_refuses_qcap_below_q1():
