@@ -257,20 +257,6 @@ def _horner(coeffs, z):
     return acc
 
 
-def _cdiv(a, b):
-    """a / b for python complex a and b != 0, rounded as numpy's complex128
-    scalar division rounds it (Smith's formula, ``cdiv`` in _kernels.c).
-    CPython's own complex division rounds differently."""
-    br, bi = b.real, b.imag
-    if abs(br) >= abs(bi):
-        rat = bi / br
-        scl = 1.0 / (br + bi * rat)
-        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
-    rat = br / bi
-    scl = 1.0 / (bi + br * rat)
-    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
-
-
 def _orbit_samples(num, den, z0, ks, r0, rinf):
     """Reference of orbit_samples."""
     out = np.empty(len(ks), dtype=np.complex128)

@@ -376,6 +376,7 @@ def cmd_render(args):
         raise ConfigError("bad --window %r (expected x0,y0,x1,y1)" % args.window)
     _check_window(window)
     _check_least("--res", args.res, 1)
+    _check_least("--maxiter", args.maxiter, 1)
     theta = _parse_theta(args.theta)
     m = _tuned_map(args, theta)
     grid = julia.classify(m, window, args.res, maxiter=args.maxiter)
@@ -413,7 +414,10 @@ def cmd_porosity(args):
     try:
         radii = [float(t) for t in args.radii.split(",")]
     except ValueError:
-        raise ConfigError("bad --radii %r (expected numbers separated by commas)" % args.radii)
+        radii = None
+    if radii is None or not all(0.0 < r < math.inf for r in radii):  # NaN fails too
+        raise ConfigError("bad --radii %r (expected finite numbers above 0 separated by commas)"
+                          % args.radii)
     center = complex(args.center_re, args.center_im)
     try:
         grid.pixel_size()

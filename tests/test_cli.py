@@ -176,13 +176,17 @@ def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
     (None, {"trace_depth": 3}),
     (None, {"tune_depth": 4}),
     (None, {"tune_depth": 5, "trace_depth": 12}),
+    (["render", "--window=-2,-2,2,2", "--res", "8", "--maxiter", "0"], None),
+    (["render", "--window=-2,-2,2,2", "--res", "8", "--maxiter=-3",
+      "--grid-out", "{tmp}/g.bin"], None),
 ], ids=["window-text", "res-zero", "family-one-int", "window-two-numbers",
         "depth-text", "maxiter-negative", "curve-shorter-than-q1", "tol-text", "tol-zero",
         "seed-three-numbers", "seed-infinite", "window-empty", "window-reversed",
         "config-window-reversed", "grid-window-empty", "grid-window-reversed",
         "cfrac-depth-negative", "trace-depth-1", "ratios-depth-negative", "chi-depth-1",
         "mu-depth-4", "mu-period-odd", "tune-depth-1", "tune-depth-4", "config-trace-depth-1",
-        "config-trace-depth-3", "config-tune-depth-4", "config-tune-depth-5-trace-depth-12"])
+        "config-trace-depth-3", "config-tune-depth-4", "config-tune-depth-5-trace-depth-12",
+        "maxiter-zero", "maxiter-negative-grid-out"])
 def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     """A bad window, resolution, family, depth, period, tolerance, seed, curve
     or grid window is a configuration error (exit 2), not a numeric failure,
@@ -192,7 +196,9 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     c = 1 and exit 1), and a config's trace_depth below VERIFY_LEAST_DEPTH
     or tune_depth below its verify depth min(12, trace_depth) plus 1
     (tune_depth 5 with trace_depth 12 used to tune, then exit 1 at verify),
-    before any stage runs."""
+    before any stage runs.  render refuses a --maxiter below 1 before it
+    classifies (0 used to give an all-UNDECIDED image, and -3 with
+    --grid-out a struct error after classifying)."""
     if argv is None:
         argv = ["pipeline", "--config", str(small_config(tmp_path, "m", **config))]
     elif argv[0] == "tune":
@@ -207,10 +213,13 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     elif argv[0] != "cfrac":
         argv = [*argv, "--d0", "3", "--dinf", "2", "--param=" + B_FIG,
                 "--out", str(tmp_path / "r.ppm")]
+    argv = [a.format(tmp=tmp_path) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2 and "config error" in err
     assert not (tmp_path / "m").exists()
-    for option in ("--depth", "--period"):
+    if argv[0] == "render":
+        assert not any(tmp_path.iterdir())  # no image, no grid
+    for option in ("--depth", "--period", "--maxiter"):
         if any(a.split("=")[0] == option for a in argv):
             assert option in err
     for key in config or ():
@@ -556,10 +565,14 @@ def test_porosity_refuses_non_square_pixels(capsys, tmp_path):
 
 
 def test_porosity_bad_radii_is_config_error(capsys, tmp_path):
-    code, _, err = run(capsys, "porosity", "--grid", small_grid(tmp_path), "--center-re", "0",
-                       "--center-im", "0", "--radii", "0.8,abc")
-    assert code == 2
-    assert err.startswith("config error:") and "0.8,abc" in err
+    """Radii must be finite numbers above 0: inf used to print a null radius
+    with ratio 0, and nan a null in "skipped"."""
+    grid = small_grid(tmp_path)
+    for radii in ("0.8,abc", "inf,0.5", "nan", "0.5,-inf", "0", "-0.25"):
+        code, out, err = run(capsys, "porosity", "--grid", grid, "--center-re", "0",
+                             "--center-im", "0", "--radii=" + radii)
+        assert (code, out) == (2, ""), radii
+        assert err.startswith("config error:") and "--radii" in err and radii in err
 
 
 @pytest.mark.parametrize("argv", [["geometry", "--curve"], ["dims", "--points"],

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import hermanlab as hl
 from hermanlab.cfrac import GOLDEN, SILVER
+from hermanlab.maps import PoleResult
 from hermanlab.renorm import closest_return_displacements
 from hermanlab.rotation import (CircleNotInvariantError, _BlaschkeLift, rotation_number,
                                 sign_rho_vs_theta, tune_arnold, tune_blaschke, verify_herman)
@@ -116,6 +117,14 @@ def test_circle_lift_is_closed_form_exactly_for_blaschke_members():
             hl.circle_lift(m)
         assert not isinstance(err.value, CircleNotInvariantError)
     assert hl.blaschke(3, 0.3) == b
+
+
+def test_circle_lift_refuses_a_pole_on_the_circle():
+    # 1/(1 - z) has its pole at z = 1, the circle scan's first point
+    m = hl.RationalMap([1], [1, -1])
+    assert isinstance(m.eval(1.0), PoleResult)
+    with pytest.raises(CircleNotInvariantError):
+        hl.circle_lift(m)
 
 
 @given(st.integers(min_value=2, max_value=6), UNIT, UNIT)
