@@ -1,7 +1,8 @@
 /* C translations of the orbit loops in _kernels.py (orbit_samples,
- * tune_residual), of the escape-time classifier (classify_rows), of the
- * arc diameters behind the bounded-turning constant (arc_ratios) and of
- * the exact Euclidean distance transform (distance_transform).
+ * tune_residual), of the closed-form Blaschke lift steps
+ * (blaschke_advance), of the escape-time classifier (classify_rows), of
+ * the arc diameters behind the bounded-turning constant (arc_ratios) and
+ * of the exact Euclidean distance transform (distance_transform).
  *
  * Every complex operation is spelled out in real arithmetic exactly as
  * numpy evaluates it on complex128 scalars, in the reference's order, so
@@ -252,6 +253,44 @@ int tune_residual(const double *num0, int64_t nnum, const double *den, int64_t n
     out[2] = w.re;
     out[3] = w.im;
     return 0;
+}
+
+/* x % 1.0 as python's float modulo computes it: the remainder fmod(x, 1.0),
+ * plus 1 where it is negative, and +0.0 where it is zero.  The remainder
+ * is taken as x - trunc(x), which is exact (Sterbenz's lemma for
+ * |x| >= 1, x itself below), so it is fmod's, without fmod's libm call,
+ * which took about a third of a Blaschke step's time. */
+static inline double py_mod1(double x)
+{
+    double r = x - trunc(x);
+    if (r == 0)
+        return 0.0;
+    return r < 0 ? r + 1.0 : r;
+}
+
+/* F^n(x) for the closed-form lift of a Blaschke member, as
+ * _blaschke_advance steps it: with u = x % 1.0 and y = 2 pi u, Horner on
+ * the real coefficients den[0..nden) of D, highest degree first
+ * (nden >= 2), at (cos y, sin y), each imaginary part taking the + 0.0 of
+ * a real coefficient, then x + (alpha + slope u - atan2(im, re) / pi) % 1.0.
+ * pi is python's math.pi. */
+double blaschke_advance(const double *den, int64_t nden, double alpha, double slope, double x,
+                        int64_t n)
+{
+    const double pi = 3.141592653589793, twopi = 2 * pi;
+    for (int64_t k = 0; k < n; k++) {
+        double u = py_mod1(x);
+        double y = twopi * u;
+        double zr = cos(y), zi = sin(y);
+        double re = den[0] * zr + den[1], im = den[0] * zi + 0.0;
+        for (int64_t j = 2; j < nden; j++) {
+            double t = re * zr - im * zi + den[j];
+            im = re * zi + im * zr + 0.0;
+            re = t;
+        }
+        x = x + py_mod1(alpha + slope * u - atan2(im, re) / pi);
+    }
+    return x;
 }
 
 /* Vector helpers for the classifier, written as macros because static

@@ -4,8 +4,8 @@ rendering, and the geometry loops behind the curve and porosity measures.
 The orbit kernels operate on rational maps given as ascending complex
 coefficient vectors (numerator, denominator).  Each kernel has one pure
 python/numpy reference: the private ``_orbit_samples``,
-``_tune_residual``, ``_classify``, ``_arc_ratios`` and
-``_distance_transform``.  ``orbit`` is ``orbit_samples`` at every
+``_tune_residual``, ``_blaschke_advance``, ``_classify``, ``_arc_ratios``
+and ``_distance_transform``.  ``orbit`` is ``orbit_samples`` at every
 iterate.
 
 ``orbit_samples``, ``tune_residual`` and ``classify_kernel`` run a C
@@ -25,6 +25,13 @@ complex *array* multiply and modulus may round differently from the
 scalar formulas (fused multiply-adds, SIMD ``abs``); its labels compare
 |z|^2 = re*re + im*im with r0^2 and rinf^2, so they are the same on every
 host.
+
+``blaschke_advance`` (the closed-form steps of a Blaschke member's circle
+lift) runs its C translation whenever the library is loaded: the same
+IEEE operations in the same order, cos, sin and atan2 from the libm that
+python's math module calls, and python's float modulo spelled out (its
+fmod remainder taken exactly as x - trunc(x)), so it returns the
+reference's float bit for bit.
 
 ``arc_ratios`` (the bounded-turning constant's arc diameters over
 chords) and ``distance_transform`` (the exact Euclidean distance
@@ -154,6 +161,8 @@ def _load():
     lib.orbit_samples.restype = i64
     lib.tune_residual.argtypes = [ptr, i64, ptr, i64, f64, f64, i64, f64, f64, ptr]
     lib.tune_residual.restype = ctypes.c_int
+    lib.blaschke_advance.argtypes = [ptr, i64, f64, f64, f64, i64]
+    lib.blaschke_advance.restype = f64
     lib.classify_rows.argtypes = [ptr, i64, ptr, i64, f64, f64, f64, f64, i64, i64, i64,
                                   f64, f64, i64, i64, i64, ptr, ptr]
     lib.classify_rows.restype = None
@@ -233,6 +242,44 @@ def tune_residual(num0, den, c, qm, r0, rinf):
     if trapped:
         return complex(np.nan, np.nan), out[1]
     return out[0], out[1]
+
+
+def blaschke_advance(den, alpha, slope, x, n):
+    """F^n(x) for the closed-form lift of a Blaschke member
+    (``rotation._BlaschkeLift``): n steps
+
+        x -> x + (alpha + slope u - atan2(im, re) / pi) % 1.0,
+
+    with u = x % 1.0 and re + i im = D(e^{2 pi i u}) by Horner on D's real
+    coefficients, where den holds them as the bytes of float64 values,
+    highest degree first, at least two.  The C kernel makes the
+    reference's IEEE operations in its order, python's float modulo
+    included, so it returns the same float bit for bit.
+    """
+    if len(den) < 16 or len(den) % 8:
+        raise ValueError("den must hold two or more float64 coefficients, not %d bytes"
+                         % len(den))
+    if _lib is None:
+        return _blaschke_advance(den, alpha, slope, x, n)
+    return _lib.blaschke_advance(den, len(den) // 8, alpha, slope, x, n)
+
+
+def _blaschke_advance(den, alpha, slope, x, n):
+    """Reference of blaschke_advance.  The ``+ 0.0`` on each imaginary part
+    is the one a real coefficient adds as (c, 0.0) in complex arithmetic:
+    it turns the -0.0 of top * sin(0) for top < 0 into 0.0, without which
+    atan2 would give -pi for pi at u = 0."""
+    top, c0, *more = memoryview(den).cast("d")
+    cos, sin, atan2, pi, twopi = math.cos, math.sin, math.atan2, math.pi, 2 * math.pi
+    for _ in range(n):
+        u = x % 1.0
+        y = twopi * u
+        zr, zi = cos(y), sin(y)
+        re, im = top * zr + c0, top * zi + 0.0
+        for c in more:
+            re, im = re * zr - im * zi + c, re * zi + im * zr + 0.0
+        x = x + (alpha + slope * u - atan2(im, re) / pi) % 1.0
+    return x
 
 
 def _starts_at_top(coeffs):

@@ -212,9 +212,6 @@ class ArnoldLift:
             x = x + alpha + sin(twopi * x) / twopi
         return x
 
-    def deriv(self, x):
-        return 1.0 + math.cos(2 * math.pi * x)
-
 
 def arnold_lift(alpha):
     return ArnoldLift(alpha)

@@ -106,17 +106,16 @@ class _BlaschkeLift:
     A step runs in floats the operations that complex arithmetic makes on
     (cos y, sin y) = exp(2 pi i {x}) and on D's real coefficients, dropping
     only products that are exactly zero, so it equals the complex Horner
-    bit for bit.  The ``+ 0.0`` on the imaginary part is the one a real
-    coefficient adds as (c, 0.0): it turns the -0.0 of top * sin(0) for
-    top < 0 into 0.0, without which atan2 would give -pi for pi at x = 0.
-    For d = 2, D is linear and a step is one expression.
+    bit for bit (``_kernels._blaschke_advance`` says how).  ``advance``
+    makes one ``_kernels.blaschke_advance`` call for all its steps, in C,
+    or in that python reference without a compiler; the coefficients are
+    packed for it once per family.
     """
 
     critical_point = 0.0
 
     def __init__(self, map_):
-        den = [float(c.real) for c in map_.den[::-1]]
-        self._horner = (den[0], den[1], tuple(den[2:]))
+        self._den = map_.den.real[::-1].tobytes()
         self._alpha = cmath.phase(map_.parameter) / (2 * math.pi)
         self._slope = float(2 * map_.d0 - 2)
 
@@ -124,30 +123,13 @@ class _BlaschkeLift:
         """The lift of the same family's member with parameter c, |c| = 1:
         this lift with alpha = arg c / 2pi, as the constructor sets it."""
         lift = object.__new__(_BlaschkeLift)
-        lift._horner, lift._slope = self._horner, self._slope
+        lift._den, lift._slope = self._den, self._slope
         lift._alpha = cmath.phase(c) / (2 * math.pi)
         return lift
 
     def advance(self, x, n):
-        """F^n(x), one closed-form step at a time."""
-        top, c0, more = self._horner
-        alpha, slope = self._alpha, self._slope
-        cos, sin, atan2, pi, twopi = math.cos, math.sin, math.atan2, math.pi, 2 * math.pi
-        if not more:
-            for _ in range(n):
-                u = x % 1.0
-                y = twopi * u
-                x = x + (alpha + slope * u - atan2(top * sin(y) + 0.0, top * cos(y) + c0) / pi) % 1.0
-            return x
-        for _ in range(n):
-            u = x % 1.0
-            y = twopi * u
-            zr, zi = cos(y), sin(y)
-            re, im = top * zr + c0, top * zi + 0.0
-            for c in more:
-                re, im = re * zr - im * zi + c, re * zi + im * zr + 0.0
-            x = x + (alpha + slope * u - atan2(im, re) / pi) % 1.0
-        return x
+        """F^n(x), n closed-form steps."""
+        return _kernels.blaschke_advance(self._den, self._alpha, self._slope, x, n)
 
 
 def _is_blaschke_member(map_):
@@ -186,9 +168,13 @@ def rotation_number(lift, depth=40):
     Returns (lo, hi) as Fractions with rho in [lo, hi]; if a periodic
     orbit is detected the two coincide.  depth counts mediant steps.  The
     tests step by ``lift.advance(x, 1)``, refusing a lift that decreases.
+    A ``_BlaschkeLift`` step adds a float in [0, 1], so its orbit cannot
+    decrease and a test is one ``advance(0.0, q)`` call, the same float.
     """
     def signed(p, q):
         # sign of F^q(0) - p
+        if isinstance(lift, _BlaschkeLift):
+            return lift.advance(0.0, q) - p
         x = 0.0
         for _ in range(q):
             xn = lift.advance(x, 1)

@@ -457,6 +457,65 @@ def test_c_kernels_bit_equal_on_deep_orbits(map32):
     assert n == nref == 20000 and bits(out) == bits(ref)
 
 
+def blaschke_den(d):
+    """What blaschke_advance takes for the (d, d) Blaschke family: the bytes
+    of its denominator's real coefficients, highest degree first."""
+    return hl.blaschke(d, 0.5).den.real[::-1].tobytes()
+
+
+@needs_c
+@pytest.mark.parametrize("d", range(2, 7))
+def test_c_blaschke_advance_bit_equal(d):
+    """blaschke_advance in C against the reference _blaschke_advance, by hex:
+    random alpha, also within 1e-9 of 0 and of 1, from x = 0 and -0.0, x in
+    [0, 1), negative x and x of order 5e4, n from 0 to 3000, and integer x
+    past 2^52, which a step leaves unchanged; and a sweep of alpha from
+    x = 0, where the + 0.0 on the imaginary part turns the -0.0 of
+    top * sin(0) into 0.0 for a negative top coefficient."""
+    den, slope = blaschke_den(d), float(2 * d - 2)
+    rng = np.random.default_rng(d)
+    alphas = [*rng.random(24), *(rng.random(8) * 1e-9), *(1.0 - rng.random(8) * 1e-9), 0.0]
+    for alpha in alphas:
+        for x in (0.0, -0.0, rng.random(), -5.0 * rng.random(), rng.uniform(-5e4, 5e4)):
+            n = int(rng.integers(0, 3001))
+            want = K._blaschke_advance(den, alpha, slope, x, n)
+            assert K.blaschke_advance(den, alpha, slope, x, n).hex() == want.hex(), (alpha, x, n)
+        for x in (2.0 ** 52 + 1.0, -3e17, 1e300):
+            want = K._blaschke_advance(den, alpha, slope, x, 3)
+            assert K.blaschke_advance(den, alpha, slope, x, 3).hex() == want.hex(), (alpha, x)
+    for k in range(200):
+        for n in (0, 1, 13):
+            want = K._blaschke_advance(den, k / 200, slope, 0.0, n)
+            assert K.blaschke_advance(den, k / 200, slope, 0.0, n).hex() == want.hex(), (k, n)
+
+
+def test_blaschke_advance_without_the_library_runs_the_reference(monkeypatch):
+    """With no C library, blaschke_advance calls _blaschke_advance, and the
+    (2,2) golden bisection on it returns the pinned parameter.  Both
+    backends refuse a den of fewer than two whole coefficients."""
+    for short in (b"", bytes(8), bytes(20)):
+        with pytest.raises(ValueError, match="two or more"):
+            K.blaschke_advance(short, 0.3, 2.0, 0.0, 1)
+    calls = []
+    reference = K._blaschke_advance
+
+    def counted(*args):
+        calls.append(args)
+        return reference(*args)
+
+    monkeypatch.setattr(K, "_lib", None)
+    monkeypatch.setattr(K, "_blaschke_advance", counted)
+    den = blaschke_den(3)
+    assert K.blaschke_advance(den, 0.3, 4.0, 0.25, 50).hex() == reference(
+        den, 0.3, 4.0, 0.25, 50).hex()
+    assert calls == [(den, 0.3, 4.0, 0.25, 50)]
+    with pytest.raises(ValueError, match="two or more"):
+        K.blaschke_advance(bytes(8), 0.3, 2.0, 0.0, 1)
+    res = hl.tune_blaschke(2, "golden", tol=1e-15, qcap=50000)
+    assert res.parameter == -0.7556990644648718 - 0.6549190209231349j
+    assert len(calls) > 32
+
+
 @st.composite
 def arc_case(draw):
     """(pts, ii, jj): a closed polygon of m vertices and vertex pairs.

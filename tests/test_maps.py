@@ -105,11 +105,13 @@ def test_infinity_chart_agrees_with_plane_chart():
 
 def test_arnold_lift_critical_point():
     F = arnold_lift(0.61)
-    assert F.deriv(0.5) == pytest.approx(0.0, abs=1e-15)
     # degree-one lift periodicity
     assert F(1.3) - F(0.3) == pytest.approx(1.0, abs=1e-12)
-    # second-order (cubic-type) criticality: F' has a double zero at 1/2
-    assert F.deriv(0.5 + 1e-4) == pytest.approx(0.0, abs=1e-6)
+    # cubic-type criticality: F' = 1 + cos(2 pi x) has a double zero at 1/2,
+    # so a difference across 1/2 is (4/3) pi^2 h^3, where F' = 1 it is 2h
+    h = 1e-3
+    assert F(0.5 + h) - F(0.5 - h) == pytest.approx(4 / 3 * math.pi ** 2 * h ** 3, rel=1e-4)
+    assert F(0.25 + h) - F(0.25 - h) == pytest.approx(2 * h, rel=1e-9)
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=5),

@@ -68,6 +68,19 @@ def test_tuned_blaschke_rotation_number(blaschke22_golden):
     assert abs(0.5 * (float(lo) + float(hi)) - th) < 1e-4
 
 
+def test_blaschke_rotation_number_matches_stepwise_tests(blaschke22_golden):
+    """rotation_number tests a _BlaschkeLift by one advance(0.0, q) call;
+    the same steps through another lift type, one checked step at a time,
+    give the same bracket."""
+    F = hl.circle_lift(blaschke22_golden[1])
+
+    class Stepwise:
+        critical_point = F.critical_point
+        advance = staticmethod(F.advance)
+
+    assert rotation_number(F, depth=20) == rotation_number(Stepwise(), depth=20)
+
+
 def per_step_lift(map_):
     """A lift step through RationalMap.eval: the oracle of the closed-form
     step."""
