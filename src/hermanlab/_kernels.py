@@ -8,12 +8,13 @@ python/numpy reference: the private ``_orbit_samples``,
 and ``_distance_transform``.  ``orbit`` is ``orbit_samples`` at every
 iterate.
 
-``orbit_samples``, ``tune_residual`` and ``classify_kernel`` run a C
-translation of their reference (``_kernels.c``) when their coefficients
-are complex128.  The C code spells out numpy's complex128 scalar
-arithmetic in real operations, in the reference's order, so its results
-are bit-identical.  Every Horner loop, C and reference, starts from the
-top coefficient, which the first step from 0 gives back exactly on a
+``orbit_samples``, ``tune_residual`` and ``classify_kernel`` take any
+coefficient array or list as contiguous complex128 (``_complex``) and run
+a C translation of their reference (``_kernels.c``) whenever the library
+is loaded.  The C code spells out numpy's complex128 scalar arithmetic in
+real operations, in the reference's order, so its results are
+bit-identical.  Every Horner loop, C and reference, starts from the top
+coefficient, which the first step from 0 gives back exactly on a
 finite z, unless a part of it is -0.0 (``_starts_at_top``).  The orbit
 loops trap an iterate whose modulus |z| (hypot, as the references'
 ``abs``) leaves (r0, rinf); the C loops call hypot only for the iterates
@@ -183,12 +184,9 @@ BACKEND = "numpy" if _lib is None else "c"
 _WIDTHS = () if _lib is None else tuple(n for n in (2, 4, 8) if n <= _lib.simd_lanes())
 
 
-def _c_arrays(*arrays):
-    """Contiguous copies-if-needed of complex128 arrays for the C kernels, or
-    None when the library is missing or any array is not complex128."""
-    if _lib is None or any(getattr(a, "dtype", None) != np.complex128 for a in arrays):
-        return None
-    return [np.ascontiguousarray(a) for a in arrays]
+def _complex(*coeffs):
+    """Each coefficient array or list as a contiguous complex128 array."""
+    return [np.ascontiguousarray(a, dtype=np.complex128) for a in coeffs]
 
 
 def orbit(num, den, z0, n, r0, rinf):
@@ -205,10 +203,9 @@ def orbit_samples(num, den, z0, ks, r0, rinf):
     Samples after a trap are NaN.  Returns (samples, number of samples
     taken).
     """
-    arrays = _c_arrays(num, den)
-    if arrays is None:
+    num, den = _complex(num, den)
+    if _lib is None:
         return _orbit_samples(num, den, z0, ks, r0, rinf)
-    num, den = arrays
     ks = np.ascontiguousarray(ks, dtype=np.int64)
     if not len(ks):
         raise IndexError("no sample indices")
@@ -230,10 +227,10 @@ def tune_residual(num0, den, c, qm, r0, rinf):
     bytes and its output as a ctypes buffer, which pass as pointers for a
     fraction of the cost of ``.ctypes``: the ladder makes many short calls.
     """
-    arrays = _c_arrays(num0, den)
-    if arrays is None:
+    num0, den = _complex(num0, den)
+    if _lib is None:
         return _tune_residual(num0, den, c, qm, r0, rinf)
-    num0, den = (a.tobytes() for a in arrays)
+    num0, den = num0.tobytes(), den.tobytes()
     buf = (ctypes.c_double * (4 + (len(num0) + len(den)) // 8))()
     c = complex(c)
     trapped = _lib.tune_residual(num0, len(num0) // 16, den, len(den) // 16, c.real, c.imag,
@@ -353,10 +350,10 @@ def classify_kernel(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
     this process may run on, at the widest lane count the CPU has; the
     arrays depend on neither.
     """
-    arrays = _c_arrays(num, den)
-    if arrays is None:
+    num, den = _complex(num, den)
+    if _lib is None:
         return _classify(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf)
-    return _classify_c(*arrays, x0, y0, dx, dy, w, h, maxiter, r0, rinf, _cpus())
+    return _classify_c(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf, _cpus())
 
 
 def _cpus():
@@ -471,8 +468,6 @@ def _classify(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
     arrays.  Separate multiply and add ufuncs cannot fuse, unlike numpy's
     complex array arithmetic, so this rounds as _kernels.c does on every
     host."""
-    num = [complex(c) for c in num]
-    den = [complex(c) for c in den]
     re = np.tile(x0 + (np.arange(w) + 0.5) * dx, h)
     im = np.repeat(y0 + (np.arange(h) + 0.5) * dy, w)
     labels = np.full(w * h, 2, dtype=np.uint8)

@@ -232,7 +232,8 @@ def _tune(d0, dinf, theta, seed=None, m=None, tol=None):
 
 
 def cmd_tune(args):
-    _check_tol(args.tol)
+    if args.tol is not None:
+        _check_tol(args.tol)
     if args.d0 == args.dinf and args.seed is None and args.depth is not None:
         raise ConfigError("--depth sets the Newton ladder's depth, but the (%d,%d) family "
                           "without --seed is tuned by bisection; give --seed (re,im or "
@@ -298,6 +299,9 @@ def cmd_geometry(args):
     if not depth:
         raise ConfigError("curve %s has %d vertices, fewer than q_1 - 1 = %d"
                           % (args.curve, len(ks), conv.q[1] - 1))
+    if depth < curve_mod.ANGLE_LEAST_DEPTH:
+        raise ConfigError("curve %s has depth %d: the critical angle needs trace depth %d or "
+                          "more" % (args.curve, depth, curve_mod.ANGLE_LEAST_DEPTH))
     c = curve_mod.HermanCurve(ks=ks, angles=angles, points=pts, theta=theta,
                               critical_point=complex(args.critical_point), depth=depth)
     angle, disp = curve_mod.critical_angle(c)
@@ -555,7 +559,7 @@ def cmd_pipeline(args):
             report["critical_angle_rad"] = angle
             report["critical_angle_dispersion"] = disp
             return angle
-        if depth >= 9:
+        if depth >= curve_mod.ANGLE_LEAST_DEPTH:
             stage("geometry", do_geometry)
 
         def do_render():
@@ -611,7 +615,7 @@ def build_parser():
 
     p = sub.add_parser("tune", help="tune parameter to a rotation number")
     add_family(p, param=False)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=None, help="default: the tuner's own")
     p.add_argument("--seed", default=None, help="re,im or 'preset'")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--out", default=None)

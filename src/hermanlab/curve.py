@@ -16,6 +16,10 @@ import numpy as np
 from . import _kernels
 from .cfrac import ContinuedFraction, convergents, resolve_theta
 
+# the least trace depth of critical_angle: a depth-n trace holds c_{q_1}..c_{q_{n-1}},
+# and each one-sided phase fit takes three of one parity from c_{q_6} on
+ANGLE_LEAST_DEPTH = 12
+
 
 @dataclass
 class HermanCurve:
@@ -175,8 +179,9 @@ def critical_angle(curve):
     value: pi*(2*d0 - 1)/(d0 + dinf - 1).
     """
     n = curve.depth
-    if n < 9:
-        raise ValueError("need trace depth >= 9 (q_8 vertices) for the angle estimate")
+    if n < ANGLE_LEAST_DEPTH:
+        raise ValueError("need trace depth >= %d for the angle estimate, not %d"
+                         % (ANGLE_LEAST_DEPTH, n))
     cq = curve.closest_returns()
     ks = sorted(cq)
     lo = min(10, max(6, n - 12))

@@ -40,8 +40,8 @@ class GridClassification:
     def pixel_of(self, z):
         x0, y0, x1, y1 = self.window
         h, w = self.labels.shape
-        ix = int((z.real - x0) / (x1 - x0) * w)
-        iy = int((z.imag - y0) / (y1 - y0) * h)
+        ix = math.floor((z.real - x0) / (x1 - x0) * w)
+        iy = math.floor((z.imag - y0) / (y1 - y0) * h)
         if not (0 <= ix < w and 0 <= iy < h):
             raise ValueError("point outside window")
         return ix, iy
@@ -375,8 +375,8 @@ def render(grid, path, curve_overlay=None):
     if curve_overlay is not None:
         pts = np.asarray(curve_overlay)
         x0, y0, x1, y1 = grid.window
-        xs = ((pts.real - x0) / (x1 - x0) * w).astype(np.int64)
-        ys = ((pts.imag - y0) / (y1 - y0) * h).astype(np.int64)
+        xs = np.floor((pts.real - x0) / (x1 - x0) * w).astype(np.int64)
+        ys = np.floor((pts.imag - y0) / (y1 - y0) * h).astype(np.int64)
         ok = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
         img[ys[ok], xs[ok]] = _CURVE_RGB
 

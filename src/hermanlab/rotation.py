@@ -27,15 +27,13 @@ import cmath
 import logging
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import _kernels
-from .cfrac import (MIN_IRRATIONAL_DEPTH, Convergents, NAMED_THETAS, convergents,
-                    resolve_theta)
+from .cfrac import MIN_IRRATIONAL_DEPTH, NAMED_THETAS, convergents, resolve_theta
 from .maps import arnold_lift, blaschke, family_core, herman_family
 
 _QCAP_DEFAULT = 30000
@@ -51,8 +49,6 @@ _LOWER_START = 4
 VERIFY_LEAST_DEPTH = 4
 
 _log = logging.getLogger("hermanlab")
-# residual evaluations made by this thread, for the ladder's ledger
-_evals = threading.local()
 
 
 def _convergents(theta):
@@ -108,24 +104,18 @@ class _BlaschkeLift:
     only products that are exactly zero, so it equals the complex Horner
     bit for bit (``_kernels._blaschke_advance`` says how).  ``advance``
     makes one ``_kernels.blaschke_advance`` call for all its steps, in C,
-    or in that python reference without a compiler; the coefficients are
-    packed for it once per family.
+    or in that python reference without a compiler.  The constructor takes
+    D's coefficients packed for it (once per family), m - 1 and c.
     """
 
     critical_point = 0.0
 
-    def __init__(self, map_):
-        self._den = map_.den.real[::-1].tobytes()
-        self._alpha = cmath.phase(map_.parameter) / (2 * math.pi)
-        self._slope = float(2 * map_.d0 - 2)
+    def __init__(self, den_bytes, slope, c):
+        self._den, self._slope, self._alpha = den_bytes, slope, cmath.phase(c) / (2 * math.pi)
 
     def at(self, c):
-        """The lift of the same family's member with parameter c, |c| = 1:
-        this lift with alpha = arg c / 2pi, as the constructor sets it."""
-        lift = object.__new__(_BlaschkeLift)
-        lift._den, lift._slope = self._den, self._slope
-        lift._alpha = cmath.phase(c) / (2 * math.pi)
-        return lift
+        """The lift of the same family's member with parameter c, |c| = 1."""
+        return _BlaschkeLift(self._den, self._slope, c)
 
     def advance(self, x, n):
         """F^n(x), n closed-form steps."""
@@ -159,7 +149,7 @@ def circle_lift(map_):
             raise CircleNotInvariantError("map does not preserve the unit circle")
     if not _is_blaschke_member(map_):
         raise ValueError("circle_lift needs a (d, d) family member herman_family(d, d, c)")
-    return _BlaschkeLift(map_)
+    return _BlaschkeLift(map_.den.real[::-1].tobytes(), float(2 * map_.d0 - 2), map_.parameter)
 
 
 def rotation_number(lift, depth=40):
@@ -198,15 +188,13 @@ def rotation_number(lift, depth=40):
     return lo, hi
 
 
-def sign_rho_vs_theta(lift, theta_cf, qcap=_QCAP_DEFAULT):
+def sign_rho_vs_theta(lift, conv, qcap=_QCAP_DEFAULT):
     """Sign of rho(lift) - theta via alternating closest-return tests from x = 0.
 
-    theta_cf is theta as a ContinuedFraction, or the Convergents that
-    ``_convergents`` built from it, so that a bisection tests every lift
-    against convergents built once.  Returns +1, -1, or 0 when undecided
-    at depth (rho within the deepest checked combinatorial length of theta).
+    conv is the Convergents of theta that ``_convergents`` builds, once for
+    a whole bisection.  Returns +1, -1, or 0 when undecided at depth (rho
+    within the deepest checked combinatorial length of theta).
     """
-    conv = theta_cf if isinstance(theta_cf, Convergents) else _convergents(theta_cf)
     x = 0.0
     k = 0
     for n in range(1, len(conv.q)):
@@ -287,21 +275,17 @@ def _default_depth(conv):
     return len(conv.q) - 1
 
 
-def _residual(num0, den, c, qm):
-    """(G_m(c), dG_m/dc) from the compiled kernel, counted per thread."""
-    _evals.n = getattr(_evals, "n", 0) + 1
-    return _kernels.tune_residual(num0, den, c, qm, *_kernels.TRAPS)
-
-
-def _newton_polish(num0, den, c, qm, tol=1e-14):
+def _newton_polish(num0, den, c, qm, tol):
     """Damped Newton on G_m(c) = f_c^{q_m}(1) - 1 (40 steps of 20 halvings at most).
 
-    Returns (c, |G|, steps, last_step): converged when either |G| < tol
-    or the Newton step falls below parameter round-off (the residual has
-    a depth-dependent noise floor from orbit round-off, so deep levels
-    converge in parameter long before the raw residual is small).
+    Returns (c, |G|, steps, last_step, evals), evals counting the residual
+    evaluations: converged when either |G| < tol or the Newton step falls
+    below parameter round-off (the residual has a depth-dependent noise
+    floor from orbit round-off, so deep levels converge in parameter long
+    before the raw residual is small).  An escape at c raises TuningError.
     """
-    r, dr = _residual(num0, den, c, qm)
+    r, dr = _kernels.tune_residual(num0, den, c, qm, *_kernels.TRAPS)
+    evals = 1
     if r != r:
         raise TuningError("orbit escaped during residual evaluation", last=c)
     steps = 0
@@ -317,7 +301,8 @@ def _newton_polish(num0, den, c, qm, tol=1e-14):
         moved = False
         for _ in range(20):
             cn = c + lam * step
-            rn, drn = _residual(num0, den, cn, qm)
+            rn, drn = _kernels.tune_residual(num0, den, cn, qm, *_kernels.TRAPS)
+            evals += 1
             if rn == rn and abs(rn) < abs(r):
                 c, r, dr = cn, rn, drn
                 last_step = lam * abs(step)
@@ -327,7 +312,7 @@ def _newton_polish(num0, den, c, qm, tol=1e-14):
             lam *= 0.5
         if not moved:
             break
-    return c, abs(r), steps, last_step
+    return c, abs(r), steps, last_step, evals
 
 
 def _steps(roots):
@@ -403,41 +388,37 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
     """
     theta = resolve_theta(theta)
     conv = _convergents(theta)
-    from_preset = isinstance(seed, str)
-    if from_preset:
-        seed = resolve_seed(d0, dinf, theta, seed)
-    c = complex(seed)
-    if from_preset:
-        m0 = _default_depth(conv)
+    if isinstance(seed, str):
+        c = resolve_seed(d0, dinf, theta, seed)
+        top = _default_depth(conv)
+        m = top if m is None else m
+        m0 = max(1, top - _LOWER_START) if m > top else top
     else:
+        c = complex(seed)
         # arbitrary seeds may be far from the root: climb from a shallow level
         m0 = next(n for n in range(1, len(conv.q)) if conv.q[n] >= 10)
-    if m is None:
-        m = m0 if from_preset else max(m0, VERIFY_LEAST_DEPTH + 1)
+        m = max(m0, VERIFY_LEAST_DEPTH + 1) if m is None else m
     if m >= len(conv.q):
         raise ValueError("ladder depth %d > the %d known quotients of theta" % (m, len(conv.q) - 1))
     if m - 1 < VERIFY_LEAST_DEPTH:
         raise ValueError("ladder depth %d < %d: the result is verified at depth m - 1, and "
                          "verify_herman needs depth %d or more"
                          % (m, VERIFY_LEAST_DEPTH + 1, VERIFY_LEAST_DEPTH))
-    if from_preset and m > m0:
-        m0 = max(1, m0 - _LOWER_START)
     num0, den = family_core(d0, dinf)
-    total_steps = 0
-    residual = math.inf
     roots, ladder = [], []
     start = min(m0, m)
     for k in range(start, m + 1):
-        before = getattr(_evals, "n", 0)
+        escaped = 0
         guess = _extrapolated_seed(roots)
         if guess is not None:
             try:
-                c_k, residual, steps, last_step = _newton_polish(num0, den, guess, conv.q[k], tol=tol)
+                c_k, residual, steps, last_step, evals = _newton_polish(num0, den, guess,
+                                                                        conv.q[k], tol)
             except TuningError:
-                guess = None  # the orbit escaped: start from the last root
+                guess, escaped = None, 1  # the orbit escaped: start from the last root
         if guess is None:
-            c_k, residual, steps, last_step = _newton_polish(num0, den, c, conv.q[k], tol=tol)
-        total_steps += steps
+            c_k, residual, steps, last_step, evals = _newton_polish(num0, den, c, conv.q[k], tol)
+            evals += escaped
         if residual > max(tol, 1e-10) and last_step > 1e-12 * max(1.0, abs(c_k)):
             raise TuningError(
                 "Newton did not converge at ladder depth %d (|G|=%.3e)" % (k, residual),
@@ -446,7 +427,6 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
             raise TuningError("ladder jumped between roots at depth %d" % k, last=c_k)
         c = c_k
         roots.append(c)
-        evals = _evals.n - before
         ladder.append({"level": k, "q": conv.q[k], "residual": float(residual), "steps": steps,
                        "evals": evals, "iterates": evals * conv.q[k],
                        "extrapolated": guess is not None})
@@ -461,7 +441,7 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
         parameter=c,
         alpha=None,
         residual=residual,
-        iterations=total_steps,
+        iterations=sum(e["steps"] for e in ladder),
         verified_depth=verify_depth,
         report={"family": (d0, dinf), "ladder_top": m, "verify": vrep, "ladder": ladder,
                 "delta": delta, "c_limit": _limit(roots)},

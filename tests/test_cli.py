@@ -155,6 +155,7 @@ def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
     (None, {"trace_depth": "x"}),
     (None, {"maxiter": -5}),
     (["geometry", "--theta", "5,1,1,1,1,1,1,1,1,1", "--curve"], None),
+    (["geometry", "--curve"], {"trace": 8}),
     (None, {"tol": "a"}),
     (None, {"tol": 0.0}),
     (None, {"seed": [1, 2, 3]}),
@@ -180,7 +181,8 @@ def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
     (["render", "--window=-2,-2,2,2", "--res", "8", "--maxiter=-3",
       "--grid-out", "{tmp}/g.bin"], None),
 ], ids=["window-text", "res-zero", "family-one-int", "window-two-numbers",
-        "depth-text", "maxiter-negative", "curve-shorter-than-q1", "tol-text", "tol-zero",
+        "depth-text", "maxiter-negative", "curve-shorter-than-q1", "curve-too-short-for-angle",
+        "tol-text", "tol-zero",
         "seed-three-numbers", "seed-infinite", "window-empty", "window-reversed",
         "config-window-reversed", "grid-window-empty", "grid-window-reversed",
         "cfrac-depth-negative", "trace-depth-1", "ratios-depth-negative", "chi-depth-1",
@@ -189,7 +191,9 @@ def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
         "maxiter-zero", "maxiter-negative-grid-out"])
 def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     """A bad window, resolution, family, depth, period, tolerance, seed, curve
-    or grid window is a configuration error (exit 2), not a numeric failure,
+    (one shorter than q_1, or a depth-8 trace, too short for the critical
+    angle: it used to exit 1) or grid window is a configuration error
+    (exit 2), not a numeric failure,
     and a too-shallow --depth or config depth or an odd --period is named in
     the message.  A Newton ladder to depth m is verified at m - 1, so tune
     refuses --depth below VERIFY_LEAST_DEPTH + 1 (depth 1 used to return
@@ -205,7 +209,11 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
         argv = [*argv, "--d0", "3", "--dinf", "2", "--out", str(tmp_path / "t.json")]
     elif argv[0] == "geometry":
         csv = tmp_path / "one.csv"
-        csv.write_text("k,angle,re,im\n0,0.0,1.0,0.0\n")
+        if config:
+            assert main(["trace", "--d0", "3", "--dinf", "2", "--param=" + B_FIG,
+                         "--depth", str(config["trace"]), "--out", str(csv)]) == 0
+        else:
+            csv.write_text("k,angle,re,im\n0,0.0,1.0,0.0\n")
         argv = [*argv, str(csv)]
     elif argv[0] == "porosity":
         argv = [*argv, "--grid", small_grid(tmp_path, config["window"]), "--center-re", "0",
@@ -280,6 +288,26 @@ def test_tune_refuses_bad_tol(capsys, tmp_path, tol):
     assert not out.exists()
 
 
+def test_tune_tol_defaults_to_the_tuners_own(capsys, monkeypatch):
+    """Without --tol, tune passes no tolerance, so each tuner keeps its own
+    default (the ladder's 1e-12, which --tol's former default 1e-10
+    overrode); a given --tol reaches the tuner."""
+    seen = []
+
+    def tuner(real):
+        def call(*args, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("tune_blaschke", "tune_asymmetric"):
+        monkeypatch.setattr(rotation, name, tuner(getattr(rotation, name)))
+    for argv in (["--d0", "2", "--dinf", "2"], ["--d0", "3", "--dinf", "2"]):
+        assert run(capsys, "tune", *argv)[0] == 0
+        assert run(capsys, "tune", *argv, "--tol", "1e-9")[0] == 0
+    assert seen == [None, 1e-9, None, 1e-9]
+
+
 def test_tune_explicit_seed_default_depth_verifies(capsys):
     """Without --depth, an explicit seed's ladder climbs to depth
     VERIFY_LEAST_DEPTH + 1 = 5 at least: from the (3,3) silver bisection
@@ -343,6 +371,21 @@ def test_pipeline_refuses_depths_verify_cannot_pass(capsys, tmp_path, key, shall
                                       **{"trace_depth": 4, key: least})))
     report = json.loads((tmp_path / "t" / "report.json").read_text())
     assert code == 0 and report["verify"]["all"] is True
+
+
+def test_pipeline_measures_the_angle_from_its_least_depth(capsys, tmp_path):
+    """The pipeline's geometry stage runs from trace depth
+    curve.ANGLE_LEAST_DEPTH = 12 on and is skipped below it (trace depths 9
+    to 11 used to run it and exit 1: too few closest returns for the
+    angle fit)."""
+    assert curve.ANGLE_LEAST_DEPTH == 12
+    for depth in (11, 12):
+        code, _, err = run(capsys, "pipeline", "--config",
+                           str(small_config(tmp_path, "a%d" % depth, resolution=16,
+                                            trace_depth=depth)))
+        report = json.loads((tmp_path / ("a%d" % depth) / "report.json").read_text())
+        assert (code, err) == (0, "")
+        assert ("critical_angle_rad" in report) == (depth == 12)
 
 
 def test_dims_on_circle_csv(capsys, tmp_path):
@@ -533,14 +576,17 @@ def small_grid(tmp_path, window=(-2.0, -2.0, 2.0, 2.0)):
 
 
 def test_porosity_centre_outside_window_is_config_error(capsys, tmp_path):
+    """A centre outside the window is refused, half a pixel past its left
+    or lower edge too (which used to land in pixel 0 and exit 0)."""
     grid = small_grid(tmp_path)
     code, _, _ = run(capsys, "porosity", "--grid", grid, "--center-re", "0",
                      "--center-im", "0", "--radii", "1.5,1")
     assert code == 0
-    code, out, err = run(capsys, "porosity", "--grid", grid, "--center-re", "3",
-                         "--center-im", "0", "--radii", "1.5,1")
-    assert code == 2 and out == ""
-    assert err.startswith("config error:") and "outside window" in err
+    for re, im in (("3", "0"), ("-2.0625", "0"), ("0", "-2.0625")):
+        code, out, err = run(capsys, "porosity", "--grid", grid, "--center-re=" + re,
+                             "--center-im=" + im, "--radii", "1.5,1")
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and "outside window" in err
 
 
 def test_porosity_refuses_non_square_pixels(capsys, tmp_path):

@@ -119,6 +119,45 @@ def test_pixel_of_outside_window_raises(grid32):
         grid32.pixel_of(5.0 + 0.0j)
 
 
+def edge_grid(n=40):
+    """An n x n all-BASIN0 grid on [-2, 2]^2."""
+    return GridClassification((-2.0, -2.0, 2.0, 2.0), np.full((n, n), BASIN0, np.uint8),
+                              np.zeros((n, n), np.uint32), 1, 1e-6, 1e6)
+
+
+def test_pixel_of_refuses_points_past_every_edge():
+    """A point half a pixel past any edge of the window is outside it, the
+    left and lower edges too (truncation toward zero used to put a point up
+    to one pixel left of or below the window in pixel 0); the window's own
+    corner points are in its corner pixels."""
+    grid = edge_grid()
+    assert grid.pixel_of(-2.0 - 2.0j) == (0, 0)
+    assert grid.pixel_of(-1.95 + 1.95j) == (0, 39)
+    assert grid.pixel_of(1.95 - 1.95j) == (39, 0)
+    for z in (-2.05 + 0.0j, 2.05 + 0.0j, 0.0 - 2.05j, 0.0 + 2.05j, complex(-2.0, 2.0)):
+        with pytest.raises(ValueError, match="outside window"):
+            grid.pixel_of(z)
+
+
+def test_render_overlay_skips_points_past_every_edge(tmp_path):
+    """Overlay points half a pixel past an edge colour no pixel; points
+    half a pixel inside colour the edge pixels."""
+    grid = edge_grid(8)
+    blank = tmp_path / "blank.ppm"
+    render(grid, blank)
+    outside = tmp_path / "out.ppm"
+    render(grid, outside, curve_overlay=np.array([-2.25 + 0.0j, 2.25 + 0.0j, 0.0 - 2.25j,
+                                                  0.0 + 2.25j]))
+    assert outside.read_bytes() == blank.read_bytes()
+    inside = tmp_path / "in.ppm"
+    render(grid, inside, curve_overlay=np.array([-1.75 - 1.75j, 1.75 + 1.75j]))
+    head = len(b"P6\n8 8\n255\n")
+    img = np.frombuffer(inside.read_bytes()[head:], np.uint8).reshape(8, 8, 3)[::-1]
+    base = np.frombuffer(blank.read_bytes()[head:], np.uint8).reshape(8, 8, 3)[::-1]
+    changed = (img != base).any(axis=2)
+    assert changed[0, 0] and changed[7, 7] and changed.sum() == 2
+
+
 # --- porosity on a synthetic grid ------------------------------------------
 
 def synthetic_grid():

@@ -309,7 +309,7 @@ def classify_checked(*args, lanes=None):
     if lanes is None:
         out = K.classify_kernel(*args)
     else:
-        out = K._classify_c(*K._c_arrays(*args[:2]), *args[2:], K._cpus(), lanes)
+        out = K._classify_c(*K._complex(*args[:2]), *args[2:], K._cpus(), lanes)
     ref = K._classify(*args)
     assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
     return out
@@ -338,7 +338,7 @@ def test_c_classify_bit_equal():
 def test_c_classify_rows_split_independent(map32):
     """One worker and three (h not a multiple of 3) give identical arrays,
     at every lane count."""
-    win = (*K._c_arrays(map32.num, map32.den), -2.0, -2.0, 4.0 / 50, 4.0 / 47, 50, 47, 200,
+    win = (*K._complex(map32.num, map32.den), -2.0, -2.0, 4.0 / 50, 4.0 / 47, 50, 47, 200,
            1e-6, 1e6)
     for lanes in K._WIDTHS:
         one, three = K._classify_c(*win, 1, lanes), K._classify_c(*win, 3, lanes)
@@ -357,7 +357,7 @@ def test_c_classify_widths_cover_the_cpu():
     ii, jj = np.array([0, 3], dtype=np.int64), np.array([7, 15], dtype=np.int64)
     for lanes in (0, 3, 16, *(n for n in (4, 8) if n not in K._WIDTHS)):
         with pytest.raises(ValueError, match="lanes"):
-            K._classify_c(*K._c_arrays(m.num, m.den), -2.0, -2.0, 0.5, 0.5, 8, 8, 10,
+            K._classify_c(*K._complex(m.num, m.den), -2.0, -2.0, 0.5, 0.5, 8, 8, 10,
                           1e-6, 1e6, 1, lanes)
         with pytest.raises(ValueError, match="lanes"):
             K._arc_ratios_c(pts, ii, jj, 1, lanes)
@@ -390,7 +390,7 @@ def test_c_classify_lanes_bit_equal(lanes):
     labels, iters = K._classify(*mixed)
     assert (iters[:, 0] == 1).sum() == 12 and (labels[:, 1] == 2).all()
     for workers in (1, 2):
-        out = K._classify_c(*K._c_arrays(m.num, m.den), *mixed[2:], workers, lanes)
+        out = K._classify_c(*K._complex(m.num, m.den), *mixed[2:], workers, lanes)
         assert np.array_equal(out[0], labels) and np.array_equal(out[1], iters)
     m = family(2, 2)
     labels, iters = classify_checked(m.num, m.den, *pole_window(m), 50, 1e-6, 1e6, lanes=lanes)
@@ -455,6 +455,70 @@ def test_c_kernels_bit_equal_on_deep_orbits(map32):
     out, n = K.orbit(m.num, m.den, 1.0 + 0.0j, 20000, 1e-8, 1e8)
     ref, nref = K._orbit_samples(m.num, m.den, 1.0 + 0.0j, np.arange(1, 20001), 1e-8, 1e8)
     assert n == nref == 20000 and bits(out) == bits(ref)
+
+
+def real_coefficient_calls(num, den):
+    """orbit_samples, tune_residual and classify_kernel of the (3,2) family's
+    real core N0/D, given as num and den, at the tuned (3,2) golden
+    parameter: their results, NaN-safe bits and arrays."""
+    c = complex(-1.144208397941167, -0.9644541484142908)
+    ks = np.array([1, 5, 89, 1597], dtype=np.int64)
+    out, n = K.orbit_samples(num, den, 0.6 + 0.7j, ks, 1e-8, 1e8)
+    labels, iters = K.classify_kernel(num, den, -2.0, -2.0, 4.0 / 48, 4.0 / 40, 48, 40, 150,
+                                      1e-6, 1e6)
+    return (bits(out), n, bits(K.tune_residual(num, den, c, 1597, 1e-8, 1e8)),
+            labels.tolist(), iters.tolist())
+
+
+def real_coefficients():
+    """The (3,2) core as complex128 arrays, and as float64 arrays (strided
+    .real views) and lists of floats of the same values."""
+    num0, den = hl.maps.family_core(3, 2)
+    assert not (num0.imag.any() or den.imag.any())
+    return (num0, den), [(num0.real, den.real), (num0.real.tolist(), den.real.tolist())]
+
+
+@needs_c
+def test_c_kernels_take_real_and_list_coefficients(monkeypatch):
+    """float64 and list coefficients give the complex128 coefficients'
+    results bit for bit, in C: the python references, made to raise, are
+    never called."""
+    exact, others = real_coefficients()
+    want = real_coefficient_calls(*exact)
+
+    def refused(*args):
+        raise AssertionError("the python reference ran")
+
+    for name in ("_orbit_samples", "_tune_residual", "_classify"):
+        monkeypatch.setattr(K, name, refused)
+    for num, den in others:
+        assert real_coefficient_calls(num, den) == want
+
+
+def test_kernels_without_the_library_pass_complex128(monkeypatch):
+    """With no C library, the orbit, residual and classifier references
+    receive contiguous complex128 coefficients whatever they are given,
+    and return for float64 and list coefficients what they return for
+    complex128."""
+    exact, others = real_coefficients()
+    monkeypatch.setattr(K, "_lib", None)
+    seen = []
+
+    def checked(reference):
+        def call(num, den, *rest):
+            for a in (num, den):
+                assert a.dtype == np.complex128 and a.flags.c_contiguous
+            seen.append(reference.__name__)
+            return reference(num, den, *rest)
+        return call
+
+    for name in ("_orbit_samples", "_tune_residual", "_classify"):
+        monkeypatch.setattr(K, name, checked(getattr(K, name)))
+    want = real_coefficient_calls(*exact)
+    for num, den in others:
+        assert real_coefficient_calls(num, den) == want
+    assert sorted(set(seen)) == ["_classify", "_orbit_samples", "_tune_residual"]
+    assert len(seen) == 9
 
 
 def blaschke_den(d):

@@ -45,10 +45,11 @@ def test_rotation_number_detects_rational():
 
 def test_sign_rho_vs_theta():
     th = GOLDEN.value_float()
-    assert sign_rho_vs_theta(Rigid(th + 1e-6), GOLDEN) == 1
-    assert sign_rho_vs_theta(Rigid(th - 1e-6), GOLDEN) == -1
+    conv = hl.rotation._convergents(GOLDEN)
+    assert sign_rho_vs_theta(Rigid(th + 1e-6), conv) == 1
+    assert sign_rho_vs_theta(Rigid(th - 1e-6), conv) == -1
     # undecidable at depth for the exact value
-    assert sign_rho_vs_theta(Rigid(th), GOLDEN) == 0
+    assert sign_rho_vs_theta(Rigid(th), conv) == 0
 
 
 def test_circle_lift_is_degree_one_monotone(blaschke22_golden):
@@ -345,13 +346,6 @@ def test_shallow_ladder_verifies_below_its_top(m):
     res = hl.tune_asymmetric(3, 2, "golden", complex(-1.144208, -0.964454), m=m)
     assert res.verified_depth == min(m - 1, 14)
     assert res.report["verify"]["all"] is True
-
-
-def test_sign_rho_vs_theta_accepts_convergents():
-    th = GOLDEN.value_float()
-    conv = hl.rotation._convergents(GOLDEN)
-    for x in (th + 1e-6, th - 1e-6, th):
-        assert sign_rho_vs_theta(Rigid(x), conv) == sign_rho_vs_theta(Rigid(x), GOLDEN)
 
 
 def test_bisection_builds_convergents_once(monkeypatch):
