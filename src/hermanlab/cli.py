@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+import types
 
 import numpy as np
 
@@ -32,68 +33,97 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_theta(spec):
-    """cfrac.resolve_theta, with a bad spec reported as a ConfigError."""
+# ---------------------------------------------------------------------------
+# outside values: one parser per kind, each naming its option or config field
+# ---------------------------------------------------------------------------
+
+def _number(x, kind=(int, float)):
+    """x is of kind and not a bool (a JSON true or false)."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _theta(name, spec):
+    """The ContinuedFraction of a theta spec (cfrac.resolve_theta)."""
     try:
         return cfrac.resolve_theta(spec)
-    except ValueError as e:
-        raise ConfigError("bad theta spec %r: %s" % (spec, e))
+    except (TypeError, ValueError) as e:
+        raise ConfigError("bad %s %r: %s" % (name, spec, e))
 
 
-def _parse_param(option, spec):
-    """The map parameter re,im given as option: the family has a member only
-    at a finite nonzero c."""
+def _int(name, value, least, theta=None, spare=0):
+    """value, an integer of at least least; given theta, at most the quotients
+    theta has less spare, those the caller reads past depth value."""
+    if not _number(value, int):
+        raise ConfigError("%s must be an integer, not %r" % (name, value))
+    if value < least:
+        raise ConfigError("%s must be at least %d, not %d" % (name, least, value))
+    if theta is not None and theta.depth is not None and value + spare > theta.depth:
+        raise ConfigError("%s must be at most %d, not %d: theta has %d quotients"
+                          % (name, theta.depth - spare, value, theta.depth))
+    return value
+
+
+def _family(pair, names=("--d0", "--dinf")):
+    """The degrees (d0, dinf) maps.herman_family takes: each at least 2, and
+    d0 + dinf at most 61, past which its binomial coefficients overflow."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ConfigError("family must be two integers [d0, dinf], not %r" % (pair,))
+    d0, dinf = _int(names[0], pair[0], 2), _int(names[1], pair[1], 2)
+    if d0 + dinf > 61:
+        raise ConfigError("%s + %s must be at most 61, not %d" % (*names, d0 + dinf))
+    return d0, dinf
+
+
+def _floats(name, value, n, form):
+    """The finite numbers of an option's text "a,b,..." or of a JSON list:
+    n of them, or one or more for n None; form names them in the error."""
+    listed = isinstance(value, list) and all(map(_number, value))
+    items = value.split(",") if isinstance(value, str) else value if listed else ()
     try:
-        re, im = (float(t) for t in spec.split(","))
-    except ValueError:
-        raise ConfigError("bad %s value %r (expected re,im)" % (option, spec))
-    if not (math.isfinite(re) and math.isfinite(im)) or re == im == 0:
-        raise ConfigError("%s must be finite and nonzero, not %r: the family has no member "
-                          "there" % (option, spec))
+        out = tuple(float(t) for t in items)
+    except (ValueError, OverflowError):
+        out = ()
+    if not out or (n and len(out) != n) or not all(map(math.isfinite, out)):
+        raise ConfigError("%s must be %s, not %r" % (name, form, value))
+    return out
+
+
+def _param(name, value):
+    """A map parameter or seed re,im: the family has a member only at a
+    finite nonzero c."""
+    re, im = _floats(name, value, 2, "two finite numbers re,im")
+    if re == im == 0:
+        raise ConfigError("%s must be nonzero, not %r: the family has no member at c = 0"
+                          % (name, value))
     return complex(re, im)
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_finite(x):
-    """x is an int (not a bool) or a finite float."""
-    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
-
-
-def _check_tol(tol):
-    """A ConfigError unless tol is a finite positive number."""
-    if not (_is_finite(tol) and tol > 0):
-        raise ConfigError("tol must be a finite positive number, not %r" % (tol,))
-
-
-def _check_window(window):
-    """A ConfigError unless window is four finite numbers x0, y0, x1, y1 with
-    x0 < x1 and y0 < y1."""
-    if not (isinstance(window, (list, tuple)) and len(window) == 4
-            and all(map(_is_finite, window))):
-        raise ConfigError("window must be four finite numbers x0,y0,x1,y1, not %r" % (window,))
-    x0, y0, x1, y1 = window
+def _window(name, value):
+    """A window x0, y0, x1, y1 with x0 < x1 and y0 < y1."""
+    x0, y0, x1, y1 = window = _floats(name, value, 4, "four finite numbers x0,y0,x1,y1")
     if not (x0 < x1 and y0 < y1):
-        raise ConfigError("window %r is empty or reversed: need x0 < x1 and y0 < y1"
-                          % (window,))
+        raise ConfigError("%s %r is empty or reversed: need x0 < x1 and y0 < y1" % (name, value))
+    return window
 
 
-def _check_least(option, value, least):
-    """A ConfigError naming the option unless value >= least."""
-    if value < least:
-        raise ConfigError("%s must be at least %d, not %d" % (option, least, value))
+def _tol(name, value):
+    """A tuning tolerance: None keeps the tuner's own, else a finite positive number."""
+    if value is not None and not (_number(value) and 0 < value < math.inf):
+        raise ConfigError("%s must be a finite positive number, not %r" % (name, value))
+    return value
 
 
-def _check_family(d0, dinf, names=("--d0", "--dinf")):
-    """A ConfigError naming the option unless maps.herman_family takes the
-    degrees: each at least 2, and d0 + dinf at most 61, past which its
-    binomial coefficients overflow."""
-    _check_least(names[0], d0, 2)
-    _check_least(names[1], dinf, 2)
-    if d0 + dinf > 61:
-        raise ConfigError("%s + %s must be at most 61, not %d" % (*names, d0 + dinf))
+def _ladder_depth(name, value, family, seed, theta, least=rotation.VERIFY_LEAST_DEPTH + 1,
+                  why=""):
+    """The Newton ladder's depth m, None for the tuner's default.  The (d,d)
+    family without a seed is tuned by bisection, which takes no depth; a
+    ladder to depth m is verified at m - 1."""
+    if value is not None and family[0] == family[1] and seed is None:
+        seed_name = "--seed" if name.startswith("--") else "seed"
+        raise ConfigError("%s sets the Newton ladder's depth, but the (%d,%d) family without "
+                          "%s is tuned by bisection; give %s ('preset' or re,im) to tune by "
+                          "the ladder" % (name, *family, seed_name, seed_name))
+    return None if value is None else _int(name + why, value, least, theta)
 
 
 def _fmt(x):
@@ -193,9 +223,8 @@ def _bad_curve_line(path, data, err):
 # ---------------------------------------------------------------------------
 
 def cmd_cfrac(args):
-    _check_least("--depth", args.depth, 1)
-    theta = _parse_theta(args.theta)
-    n = args.depth
+    theta = _theta("--theta", args.theta)
+    n = _int("--depth", args.depth, 1, theta)
     conv = cfrac.convergents(theta, n)
     _emit_json({
         "theta": args.theta,
@@ -210,7 +239,7 @@ def cmd_cfrac(args):
 def cmd_maps(args):
     if args.param is None:
         raise ConfigError("maps needs --param re,im")
-    m = maps.herman_family(args.d0, args.dinf, _parse_param("--param", args.param))
+    m = maps.herman_family(args.d0, args.dinf, _param("--param", args.param))
     _emit_json({
         "family": [args.d0, args.dinf],
         "parameter": [m.parameter.real, m.parameter.imag],
@@ -232,18 +261,10 @@ def _tune(d0, dinf, theta, seed=None, m=None, tol=None):
 
 
 def cmd_tune(args):
-    if args.tol is not None:
-        _check_tol(args.tol)
-    if args.d0 == args.dinf and args.seed is None and args.depth is not None:
-        raise ConfigError("--depth sets the Newton ladder's depth, but the (%d,%d) family "
-                          "without --seed is tuned by bisection; give --seed (re,im or "
-                          "'preset') to tune by the ladder" % (args.d0, args.dinf))
-    if args.depth is not None:
-        # the ladder's result is verified at depth m - 1
-        _check_least("--depth", args.depth, rotation.VERIFY_LEAST_DEPTH + 1)
-    theta = _parse_theta(args.theta)
-    seed = args.seed if args.seed in (None, "preset") else _parse_param("--seed", args.seed)
-    res = _tune(args.d0, args.dinf, theta, seed, m=args.depth, tol=args.tol)
+    theta = _theta("--theta", args.theta)
+    seed = args.seed if args.seed in (None, "preset") else _param("--seed", args.seed)
+    m = _ladder_depth("--depth", args.depth, (args.d0, args.dinf), seed, theta)
+    res = _tune(args.d0, args.dinf, theta, seed, m=m, tol=_tol("--tol", args.tol))
     out = {
         "family": [args.d0, args.dinf],
         "parameter": [res.parameter.real, res.parameter.imag],
@@ -262,35 +283,32 @@ def cmd_tune(args):
     return 0
 
 
-def _tune_depth(depth):
-    """Newton ladder depth for a working depth: at least the default 16, at most 31;
-    tuning shallower than the use depth leaves the deep combinatorics unresolved."""
-    return min(max(depth + 2, 16), 31)
+def _tune_depth(depth, theta):
+    """Newton ladder depth for a working depth: at least 16, at most 31 and theta's
+    quotients; tuning shallower than the use depth leaves the deep combinatorics unresolved."""
+    return min(max(depth + 2, 16), 31, theta.depth or 31)
 
 
-def _tuned_map(args, theta):
+def _tuned_map(args, theta, depth=None):
+    """The family member at --param, else a tuned one (for use to depth, if given)."""
     if args.param is not None:
-        return maps.herman_family(args.d0, args.dinf, _parse_param("--param", args.param))
-    m = None
-    if getattr(args, "depth", None):
-        m = _tune_depth(args.depth)
-    res = _tune(args.d0, args.dinf, theta, m=m)
+        return maps.herman_family(args.d0, args.dinf, _param("--param", args.param))
+    res = _tune(args.d0, args.dinf, theta, m=None if depth is None else _tune_depth(depth, theta))
     return maps.herman_family(args.d0, args.dinf, res.parameter)
 
 
 def cmd_trace(args):
+    theta = _theta("--theta", args.theta)
     # q_1 = 1 for a theta with a_1 = 1, which leaves no orbit point to trace
-    _check_least("--depth", args.depth, 2)
-    theta = _parse_theta(args.theta)
-    m = _tuned_map(args, theta)
-    c = curve_mod.trace(m, theta, args.depth)
+    depth = _int("--depth", args.depth, 2, theta)
+    c = curve_mod.trace(_tuned_map(args, theta, depth), theta, depth)
     _write_curve_csv(c, args.out)
     return 0
 
 
 def cmd_geometry(args):
     ks, angles, pts = _read_curve_csv(args.curve)
-    theta = _parse_theta(args.theta)
+    theta = _theta("--theta", args.theta)
     # rebuild the curve container; depth recovered from vertex count, within
     # the quotients theta has
     top = 40 if theta.depth is None else min(40, theta.depth)
@@ -303,7 +321,7 @@ def cmd_geometry(args):
         raise ConfigError("curve %s has depth %d: the critical angle needs trace depth %d or "
                           "more" % (args.curve, depth, curve_mod.ANGLE_LEAST_DEPTH))
     c = curve_mod.HermanCurve(ks=ks, angles=angles, points=pts, theta=theta,
-                              critical_point=complex(args.critical_point), depth=depth)
+                              critical_point=1.0 + 0.0j, depth=depth)
     angle, disp = curve_mod.critical_angle(c)
     bt, pair = curve_mod.bounded_turning(c)
     report = {
@@ -315,25 +333,26 @@ def cmd_geometry(args):
     }
     try:
         scale = float(np.max(np.abs(pts - pts.mean())))
-        report["beta_at_critical"] = curve_mod.beta_number(
-            c, complex(args.critical_point), 0.05 * scale)
+        report["beta_at_critical"] = curve_mod.beta_number(c, c.critical_point, 0.05 * scale)
     except ValueError:
         report["beta_at_critical"] = None
     _emit_json(report, args.out)
     return 0
 
 
-# the shallowest --depth of each renorm subcommand: one scaling ratio, three
-# Cauchy differences of the self-similarity ratios, the level-2 pair
-_RENORM_LEAST_DEPTH = {"ratios": 1, "mu": 5, "chi": 2}
+# each renorm subcommand's least --depth (one scaling ratio, three Cauchy differences,
+# the level-2 pair) and the quotients of theta it reads past it (mu's theta is periodic)
+_RENORM_DEPTH = {"ratios": (1, 3), "mu": (5, 0), "chi": (2, 2)}
 
 
 def cmd_renorm(args):
-    _check_least("--depth", args.depth, _RENORM_LEAST_DEPTH[args.what])
     if args.what == "mu" and (args.period < 2 or args.period % 2):
         raise ConfigError("--period must be a positive even number, not %d" % args.period)
-    theta = _parse_theta(args.theta)
-    m = _tuned_map(args, theta)
+    theta = _theta("--theta", args.theta)
+    if args.what == "mu" and theta.period is None:
+        raise ConfigError("renorm mu needs an eventually periodic --theta, not %r" % args.theta)
+    least, spare = _RENORM_DEPTH[args.what]
+    m = _tuned_map(args, theta, _int("--depth", args.depth, least, theta, spare))
     if args.what == "ratios":
         rep = renorm.scaling_ratios(m, theta, args.depth)
         lines = ["n,re_s,im_s,abs_s,ratio_product_re,ratio_product_im"]
@@ -373,23 +392,22 @@ def cmd_renorm(args):
     return 0
 
 
+def _render(m, window, res, maxiter, out, overlay=None, grid_out=None):
+    """Classify res x res pixels; write their image, overlay drawn, and grid_out."""
+    grid = julia.classify(m, window, res, maxiter=maxiter)
+    julia.render(grid, out, curve_overlay=overlay)
+    if grid_out:
+        julia.save_grid(grid, grid_out)
+
+
 def cmd_render(args):
-    try:
-        window = tuple(float(t) for t in args.window.split(","))
-    except ValueError:
-        raise ConfigError("bad --window %r (expected x0,y0,x1,y1)" % args.window)
-    _check_window(window)
-    _check_least("--res", args.res, 1)
-    _check_least("--maxiter", args.maxiter, 1)
-    theta = _parse_theta(args.theta)
-    m = _tuned_map(args, theta)
-    grid = julia.classify(m, window, args.res, maxiter=args.maxiter)
-    overlay = None
-    if args.overlay:
-        _, _, overlay = _read_curve_csv(args.overlay)
-    julia.render(grid, args.out, curve_overlay=overlay)
-    if args.grid_out:
-        julia.save_grid(grid, args.grid_out)
+    window = _window("--window", args.window)
+    _int("--res", args.res, 1)
+    _int("--maxiter", args.maxiter, 1)
+    theta = _theta("--theta", args.theta)
+    overlay = _read_curve_csv(args.overlay)[2] if args.overlay else None
+    _render(_tuned_map(args, theta), window, args.res, args.maxiter, args.out, overlay,
+            args.grid_out)
     return 0
 
 
@@ -415,13 +433,9 @@ def cmd_porosity(args):
         grid = julia.load_grid(args.grid)
     except (OSError, ValueError) as e:
         raise ConfigError("cannot read grid file %s: %s" % (args.grid, e))
-    try:
-        radii = [float(t) for t in args.radii.split(",")]
-    except ValueError:
-        radii = None
-    if radii is None or not all(0.0 < r < math.inf for r in radii):  # NaN fails too
-        raise ConfigError("bad --radii %r (expected finite numbers above 0 separated by commas)"
-                          % args.radii)
+    radii = _floats("--radii", args.radii, None, "finite numbers r1,r2,... above 0")
+    if not all(r > 0 for r in radii):
+        raise ConfigError("--radii must be above 0, not %r" % args.radii)
     center = complex(args.center_re, args.center_im)
     try:
         grid.pixel_size()
@@ -444,61 +458,57 @@ def cmd_porosity(args):
 # ---------------------------------------------------------------------------
 
 def _load_config(path):
+    """The pipeline's stage arguments from the JSON config at path, and the
+    config's hash."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError("cannot read config: %s" % e)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object, not %s" % type(cfg).__name__)
     unknown = set(cfg) - _CONFIG_FIELDS
     if unknown:
         raise ConfigError("unknown config fields: %s" % sorted(unknown))
-    if cfg.get("schema") != CONFIG_SCHEMA_VERSION:
+    config_hash = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+    cfg = {k: v for k, v in cfg.items() if v is not None}  # a null field is an absent one
+    if not (_number(cfg.get("schema"), int) and cfg["schema"] == CONFIG_SCHEMA_VERSION):
         raise ConfigError("config schema must be %d" % CONFIG_SCHEMA_VERSION)
     for req in ("family", "theta", "outdir"):
         if req not in cfg:
             raise ConfigError("config missing required field %r" % req)
-    family = cfg["family"]
-    if not (isinstance(family, list) and len(family) == 2 and all(map(_is_int, family))):
-        raise ConfigError("family must be two integers [d0, dinf], not %r" % (family,))
-    _check_family(*family, names=("family d0", "family dinf"))
-    for key in ("tune_depth", "trace_depth", "renorm_depth", "resolution", "maxiter"):
-        if key in cfg and not (_is_int(cfg[key]) and cfg[key] > 0):
-            raise ConfigError("%s must be a positive integer, not %r" % (key, cfg[key]))
-    # the verify depth min(_VERIFY_CAP, trace_depth) needs a ladder one level deeper
-    depth = cfg.get("trace_depth", _TRACE_DEPTH)
-    _check_least("trace_depth", depth, rotation.VERIFY_LEAST_DEPTH)
-    if "tune_depth" in cfg:
-        _check_least("tune_depth for trace_depth %d" % depth, cfg["tune_depth"],
-                     min(_VERIFY_CAP, depth) + 1)
-    if "tol" in cfg:
-        _check_tol(cfg["tol"])
+    if not (isinstance(cfg["outdir"], str) and cfg["outdir"]):
+        raise ConfigError("outdir must be a directory path, not %r" % (cfg["outdir"],))
+    theta = _theta("theta", cfg["theta"])
+    family = _family(cfg["family"], ("family d0", "family dinf"))
     # a seed name other than "preset" reaches the tuner, whose PresetError
     # (exit 2) the tune stage records in report.json
-    seed = cfg.get("seed", "preset")
-    if not (isinstance(seed, str) or (isinstance(seed, list) and len(seed) == 2
-                                      and all(map(_is_finite, seed)))):
-        raise ConfigError('seed must be "preset" or a pair [re, im] of finite numbers, not %r'
-                          % (seed,))
-    if seed == [0, 0]:
-        raise ConfigError("seed must be nonzero: the family has no member at c = 0")
-    if family[0] == family[1] and "seed" not in cfg and "tune_depth" in cfg:
-        raise ConfigError("tune_depth sets the Newton ladder's depth, but the (%d,%d) family "
-                          "without a seed is tuned by bisection; give a seed (\"preset\" or "
-                          "[re, im]) to tune by the ladder" % tuple(family))
-    if cfg.get("window"):
-        _check_window(cfg["window"])
-    return cfg
+    seed = cfg.get("seed")
+    if not (seed is None or isinstance(seed, str)):
+        seed = _param("seed", seed)
+    # verify_herman at depth min(_VERIFY_CAP, trace_depth) reads one quotient past it
+    depth = _int("trace_depth", cfg.get("trace_depth", _TRACE_DEPTH), rotation.VERIFY_LEAST_DEPTH,
+                 theta, int((theta.depth or math.inf) <= _VERIFY_CAP))
+    N = _int("renorm_depth", cfg.get("renorm_depth", min(depth - 2, 14)), 1, theta, 3)
+    # the verify depth min(_VERIFY_CAP, trace_depth) needs a ladder one level deeper
+    tune_depth = _ladder_depth("tune_depth", cfg.get("tune_depth"), family, seed, theta,
+                               min(_VERIFY_CAP, depth) + 1, " for trace_depth %d" % depth)
+    window = cfg.get("window")
+    run = types.SimpleNamespace(
+        family=family, theta=theta, seed=seed, tol=_tol("tol", cfg.get("tol")),
+        tune_depth=tune_depth or _tune_depth(max(depth, N), theta), trace_depth=depth,
+        renorm_depth=N, window=None if window is None else _window("window", window),
+        resolution=_int("resolution", cfg.get("resolution", 512), 1),
+        maxiter=_int("maxiter", cfg.get("maxiter", 400), 1), outdir=cfg["outdir"])
+    return run, config_hash
 
 
 def cmd_pipeline(args):
-    cfg = _load_config(args.config)
-    d0, dinf = cfg["family"]
-    theta = _parse_theta(cfg["theta"])
-    outdir = cfg["outdir"]
+    run, config_hash = _load_config(args.config)
+    theta, depth, N, outdir = run.theta, run.trace_depth, run.renorm_depth, run.outdir
     os.makedirs(outdir, exist_ok=True)
-    canonical = json.dumps(cfg, sort_keys=True).encode()
     report = {
-        "config_hash": hashlib.sha256(canonical).hexdigest(),
+        "config_hash": config_hash,
         "version": __version__,
         "backend": _kernels.BACKEND,
         "stages": {},
@@ -517,19 +527,11 @@ def cmd_pipeline(args):
             print("pipeline failed at stage %r: %s" % (name, e), file=sys.stderr)
             raise _StageFailure()
 
-    depth = cfg.get("trace_depth", _TRACE_DEPTH)
-    N = cfg.get("renorm_depth", min(depth - 2, 14))
-
     try:
-        def do_tune():
-            seed = cfg.get("seed")
-            if isinstance(seed, list):
-                seed = complex(*seed)
-            return _tune(d0, dinf, theta, seed, tol=cfg.get("tol"),
-                         m=cfg.get("tune_depth", _tune_depth(max(depth, N))))
-        tuned = stage("tune", do_tune)
+        tuned = stage("tune", lambda: _tune(*run.family, theta, run.seed, m=run.tune_depth,
+                                            tol=run.tol))
         report["parameter"] = [tuned.parameter.real, tuned.parameter.imag]
-        m = maps.herman_family(d0, dinf, tuned.parameter)
+        m = maps.herman_family(*run.family, tuned.parameter)
 
         def do_verify():
             ver = report["verify"] = rotation.verify_herman(m, theta, min(_VERIFY_CAP, depth))
@@ -565,12 +567,10 @@ def cmd_pipeline(args):
         def do_render():
             pts = c.points
             pad = 0.2 * (pts.real.max() - pts.real.min())
-            window = cfg.get("window") or [float(pts.real.min() - pad), float(pts.imag.min() - pad),
-                                           float(pts.real.max() + pad), float(pts.imag.max() + pad)]
-            grid = julia.classify(m, tuple(window), cfg.get("resolution", 512),
-                                  maxiter=cfg.get("maxiter", 400))
-            julia.save_grid(grid, os.path.join(outdir, "grid.bin"))
-            julia.render(grid, os.path.join(outdir, "render.ppm"), curve_overlay=pts)
+            window = run.window or (float(pts.real.min() - pad), float(pts.imag.min() - pad),
+                                    float(pts.real.max() + pad), float(pts.imag.max() + pad))
+            _render(m, window, run.resolution, run.maxiter, os.path.join(outdir, "render.ppm"),
+                    pts, os.path.join(outdir, "grid.bin"))
         stage("render", do_render)
     except _StageFailure:
         return 1
@@ -630,7 +630,6 @@ def build_parser():
     p = sub.add_parser("geometry", help="curve geometry report")
     p.add_argument("--curve", required=True)
     p.add_argument("--theta", default="golden")
-    p.add_argument("--critical-point", type=complex, default=1.0 + 0j)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_geometry)
 
@@ -682,7 +681,7 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         if "d0" in args:
-            _check_family(args.d0, args.dinf)
+            _family([args.d0, args.dinf])
         return args.fn(args)
     except (ConfigError, cfrac.RationalInputError, rotation.PresetError) as e:
         print("config error: %s" % e, file=sys.stderr)

@@ -40,11 +40,12 @@ class GridClassification:
     def pixel_of(self, z):
         x0, y0, x1, y1 = self.window
         h, w = self.labels.shape
-        ix = math.floor((z.real - x0) / (x1 - x0) * w)
-        iy = math.floor((z.imag - y0) / (y1 - y0) * h)
-        if not (0 <= ix < w and 0 <= iy < h):
+        fx = (z.real - x0) / (x1 - x0) * w
+        fy = (z.imag - y0) / (y1 - y0) * h
+        # tested before flooring, so a non-finite point is outside too
+        if not (0 <= fx < w and 0 <= fy < h):
             raise ValueError("point outside window")
-        return ix, iy
+        return math.floor(fx), math.floor(fy)
 
     def pixel_size(self):
         """The side of a pixel; ValueError unless x0 < x1, y0 < y1 and the

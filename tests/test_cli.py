@@ -16,6 +16,7 @@ from hermanlab.cfrac import GOLDEN, convergents
 from hermanlab.cli import main
 
 B_FIG = "-1.144208,-0.964454"
+GOLDEN_DECIMAL = "0.6180339887498949"  # certifies 33 quotients
 
 
 def run(capsys, *argv):
@@ -180,6 +181,16 @@ def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
     (["render", "--window=-2,-2,2,2", "--res", "8", "--maxiter", "0"], None),
     (["render", "--window=-2,-2,2,2", "--res", "8", "--maxiter=-3",
       "--grid-out", "{tmp}/g.bin"], None),
+    (None, {"window": []}),
+    (None, {"theta": None}),
+    (None, {"outdir": 5}),
+    (None, {"schema": True}),
+    (None, {"theta": GOLDEN_DECIMAL, "seed": [-1.144208, -0.964454], "trace_depth": 40}),
+    (None, {"theta": "1,1,1,1,1,1,1,1,1,1", "seed": [-1.144208, -0.964454], "trace_depth": 10}),
+    (["cfrac", "--theta", GOLDEN_DECIMAL, "--depth", "50"], None),
+    (["trace", "--theta", GOLDEN_DECIMAL, "--depth", "50"], None),
+    (["renorm", "ratios", "--theta", GOLDEN_DECIMAL, "--depth", "31"], None),
+    (["renorm", "mu", "--theta", GOLDEN_DECIMAL], None),
 ], ids=["window-text", "res-zero", "family-one-int", "window-two-numbers",
         "depth-text", "maxiter-negative", "curve-shorter-than-q1", "curve-too-short-for-angle",
         "tol-text", "tol-zero",
@@ -188,7 +199,12 @@ def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
         "cfrac-depth-negative", "trace-depth-1", "ratios-depth-negative", "chi-depth-1",
         "mu-depth-4", "mu-period-odd", "tune-depth-1", "tune-depth-4", "config-trace-depth-1",
         "config-trace-depth-3", "config-tune-depth-4", "config-tune-depth-5-trace-depth-12",
-        "maxiter-zero", "maxiter-negative-grid-out"])
+        "maxiter-zero", "maxiter-negative-grid-out", "config-window-empty-list",
+        "config-theta-null", "config-outdir-number", "config-schema-true",
+        "config-trace-depth-past-decimal-theta", "config-trace-depth-verify-past-theta",
+        "cfrac-depth-past-decimal-theta",
+        "trace-depth-past-decimal-theta", "ratios-depth-past-decimal-theta",
+        "mu-decimal-theta"])
 def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     """A bad window, resolution, family, depth, period, tolerance, seed, curve
     (one shorter than q_1, or a depth-8 trace, too short for the critical
@@ -202,7 +218,11 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     (tune_depth 5 with trace_depth 12 used to tune, then exit 1 at verify),
     before any stage runs.  render refuses a --maxiter below 1 before it
     classifies (0 used to give an all-UNDECIDED image, and -3 with
-    --grid-out a struct error after classifying)."""
+    --grid-out a struct error after classifying).  A null theta, a non-path
+    outdir, a bool schema, an empty window list, a depth past the 33
+    quotients a golden decimal certifies, a trace_depth whose verify reads
+    past a 10-quotient theta, and renorm mu on a non-periodic theta are
+    refused too: each used to exit 1 or 0."""
     if argv is None:
         argv = ["pipeline", "--config", str(small_config(tmp_path, "m", **config))]
     elif argv[0] == "tune":
@@ -446,6 +466,12 @@ def test_pipeline_config_validation(capsys, tmp_path):
     assert code == 2
     assert "unknown config fields: ['precision']" in err
 
+    # a config that is not a JSON object
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    code, _, err = run(capsys, "pipeline", "--config", str(listed))
+    assert code == 2 and "config must be a JSON object" in err
+
 
 def test_pipeline_numeric_failure_exit_code(capsys, tmp_path):
     # a hopeless explicit seed: the tune stage fails, exit code 1,
@@ -517,6 +543,18 @@ def test_pipeline_tunes_to_its_deepest_use(capsys, tmp_path):
     assert 0.65 < abs(complex(*report["mu"])) < 0.68 and report["mu_err"] < 0.01
 
 
+def test_pipeline_default_ladder_stays_within_theta(capsys, tmp_path):
+    """A theta of 17 quotients and no tune_depth (a null field is an absent
+    one): for trace_depth 16 the default ladder stops at depth 17, not 18,
+    which the tuner refuses (it used to fail the tune stage, exit 1)."""
+    cfg = small_config(tmp_path, "q", theta=",".join(["1"] * 17), trace_depth=16,
+                       seed=[-1.1442085964061983, -0.9644538043068728], resolution=16,
+                       tune_depth=None)
+    code, _, err = run(capsys, "pipeline", "--config", str(cfg))
+    report = json.loads((tmp_path / "q" / "report.json").read_text())
+    assert (code, err) == (0, "") and report["verify"]["all"] is True
+
+
 def test_tune_without_preset_is_config_error(capsys):
     code, _, err = run(capsys, "tune", "--d0", "4", "--dinf", "3")
     assert code == 2
@@ -582,7 +620,8 @@ def test_porosity_centre_outside_window_is_config_error(capsys, tmp_path):
     code, _, _ = run(capsys, "porosity", "--grid", grid, "--center-re", "0",
                      "--center-im", "0", "--radii", "1.5,1")
     assert code == 0
-    for re, im in (("3", "0"), ("-2.0625", "0"), ("0", "-2.0625")):
+    for re, im in (("3", "0"), ("-2.0625", "0"), ("0", "-2.0625"), ("inf", "0"), ("1e400", "0"),
+                   ("nan", "0")):
         code, out, err = run(capsys, "porosity", "--grid", grid, "--center-re=" + re,
                              "--center-im=" + im, "--radii", "1.5,1")
         assert code == 2 and out == ""

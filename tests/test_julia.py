@@ -134,7 +134,8 @@ def test_pixel_of_refuses_points_past_every_edge():
     assert grid.pixel_of(-2.0 - 2.0j) == (0, 0)
     assert grid.pixel_of(-1.95 + 1.95j) == (0, 39)
     assert grid.pixel_of(1.95 - 1.95j) == (39, 0)
-    for z in (-2.05 + 0.0j, 2.05 + 0.0j, 0.0 - 2.05j, 0.0 + 2.05j, complex(-2.0, 2.0)):
+    for z in (-2.05 + 0.0j, 2.05 + 0.0j, 0.0 - 2.05j, 0.0 + 2.05j, complex(-2.0, 2.0),
+              complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0)):
         with pytest.raises(ValueError, match="outside window"):
             grid.pixel_of(z)
 
