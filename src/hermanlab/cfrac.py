@@ -23,6 +23,8 @@ from fractions import Fraction
 _BITS = 256
 # fewer exactly known partial quotients than this and theta counts as rational
 MIN_IRRATIONAL_DEPTH = 8
+# any theta's deepest usable level: q_48 >= golden's 7.8e9, past any orbit run here
+MAX_DEPTH = 48
 
 
 class RationalInputError(ValueError):
@@ -131,8 +133,9 @@ class ContinuedFraction:
 
     @property
     def depth(self):
-        """Number of exactly-known quotients (None = unbounded, periodic form)."""
-        return None if self.period is not None else len(self._quotients)
+        """The deepest usable level: the number of exactly known quotients, at
+        most MAX_DEPTH; a periodic expansion's quotients go on past MAX_DEPTH."""
+        return MAX_DEPTH if self.period is not None else min(MAX_DEPTH, len(self._quotients))
 
     # -- value --------------------------------------------------------------
 
@@ -203,8 +206,8 @@ def resolve_theta(theta):
 
 def convergents(cf, n):
     """Convergents (p_k, q_k) for k <= n plus combinatorial lengths l_k."""
-    if cf.depth is not None and cf.depth < n:
-        raise ValueError("cf has only %d quotients, need %d" % (cf.depth, n))
+    if cf.depth < n:
+        raise ValueError("depth %d is past theta's deepest usable level %d" % (n, cf.depth))
     p = [0]
     q = [1]
     pm1, qm1 = 1, 0  # p_{-1}, q_{-1}

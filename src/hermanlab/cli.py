@@ -5,6 +5,7 @@ All outputs (CSV/JSON/PPM) are byte-deterministic for a fixed config.
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import io
@@ -51,14 +52,14 @@ def _theta(name, spec):
 
 
 def _int(name, value, least, theta=None, spare=0):
-    """value, an integer of at least least; given theta, at most the quotients
-    theta has less spare, those the caller reads past depth value."""
+    """value, an integer of at least least; given theta, at most theta's
+    deepest usable level less spare, the levels the caller reads past depth value."""
     if not _number(value, int):
         raise ConfigError("%s must be an integer, not %r" % (name, value))
     if value < least:
         raise ConfigError("%s must be at least %d, not %d" % (name, least, value))
-    if theta is not None and theta.depth is not None and value + spare > theta.depth:
-        raise ConfigError("%s must be at most %d, not %d: theta has %d quotients"
+    if theta is not None and value + spare > theta.depth:
+        raise ConfigError("%s must be at most %d, not %d: theta's deepest usable level is %d"
                           % (name, theta.depth - spare, value, theta.depth))
     return value
 
@@ -113,6 +114,13 @@ def _tol(name, value):
     return value
 
 
+def _out(name, path):
+    """An output file in a directory that exists; None (stdout) passes."""
+    if path is not None and (os.path.isdir(path)
+                             or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ConfigError("%s %r must be a file in a directory that exists" % (name, path))
+
+
 def _ladder_depth(name, value, family, seed, theta, least=rotation.VERIFY_LEAST_DEPTH + 1,
                   why=""):
     """The Newton ladder's depth m, None for the tuner's default.  The (d,d)
@@ -142,13 +150,17 @@ def _scrub_nan(obj):
     return obj
 
 
-def _emit_json(obj, path=None):
-    text = json.dumps(_scrub_nan(obj), indent=2, sort_keys=True, allow_nan=False)
+def _write(text, path=None):
+    """text to the file at path, or to stdout without one."""
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+
+
+def _emit_json(obj, path=None):
+    _write(json.dumps(_scrub_nan(obj), indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
 def _write_curve_csv(c, path):
@@ -285,24 +297,38 @@ def cmd_tune(args):
 
 def _tune_depth(depth, theta):
     """Newton ladder depth for a working depth: at least 16, at most 31 and theta's
-    quotients; tuning shallower than the use depth leaves the deep combinatorics unresolved."""
-    return min(max(depth + 2, 16), 31, theta.depth or 31)
+    depth; tuning shallower than the use depth leaves the deep combinatorics unresolved."""
+    return min(max(depth + 2, 16), 31, theta.depth)
 
 
-def _tuned_map(args, theta, depth=None):
-    """The family member at --param, else a tuned one (for use to depth, if given)."""
+def _tuned_map(args, theta, m=None):
+    """The family member at --param, else a tuned one (by a ladder to depth m, if given)."""
     if args.param is not None:
         return maps.herman_family(args.d0, args.dinf, _param("--param", args.param))
-    res = _tune(args.d0, args.dinf, theta, m=None if depth is None else _tune_depth(depth, theta))
+    res = _tune(args.d0, args.dinf, theta, m=m)
     return maps.herman_family(args.d0, args.dinf, res.parameter)
+
+
+def _trace(m, theta, depth, path):
+    """m's Herman curve to depth, written to path as a curve CSV."""
+    c = curve_mod.trace(m, theta, depth)
+    _write_curve_csv(c, path)
+    return c
+
+
+def _ratios(m, theta, N, path=None):
+    """m's scaling ratios s_n to depth N, written to path (or stdout) as rows
+    n,re_s,im_s,abs_s."""
+    rows = ("%d,%s,%s,%s\n" % (n, _fmt(s.real), _fmt(s.imag), _fmt(abs(s)))
+            for n, s in sorted(renorm.scaling_ratios(m, theta, N).s.items()))
+    _write("n,re_s,im_s,abs_s\n" + "".join(rows), path)
 
 
 def cmd_trace(args):
     theta = _theta("--theta", args.theta)
     # q_1 = 1 for a theta with a_1 = 1, which leaves no orbit point to trace
     depth = _int("--depth", args.depth, 2, theta)
-    c = curve_mod.trace(_tuned_map(args, theta, depth), theta, depth)
-    _write_curve_csv(c, args.out)
+    _trace(_tuned_map(args, theta, _tune_depth(depth, theta)), theta, depth, args.out)
     return 0
 
 
@@ -310,10 +336,9 @@ def cmd_geometry(args):
     ks, angles, pts = _read_curve_csv(args.curve)
     theta = _theta("--theta", args.theta)
     # rebuild the curve container; depth recovered from vertex count, within
-    # the quotients theta has
-    top = 40 if theta.depth is None else min(40, theta.depth)
-    conv = cfrac.convergents(theta, top)
-    depth = max((n for n in range(1, top) if conv.q[n] <= len(ks) + 1), default=0)
+    # theta's usable levels
+    conv = cfrac.convergents(theta, theta.depth)
+    depth = max((n for n in range(1, theta.depth) if conv.q[n] <= len(ks) + 1), default=0)
     if not depth:
         raise ConfigError("curve %s has %d vertices, fewer than q_1 - 1 = %d"
                           % (args.curve, len(ks), conv.q[1] - 1))
@@ -341,36 +366,22 @@ def cmd_geometry(args):
 
 
 # each renorm subcommand's least --depth (one scaling ratio, three Cauchy differences,
-# the level-2 pair) and the quotients of theta it reads past it (mu's theta is periodic)
-_RENORM_DEPTH = {"ratios": (1, 3), "mu": (5, 0), "chi": (2, 2)}
+# the level-2 pair) and the levels of theta it reads past it
+_RENORM_DEPTH = {"ratios": (1, 3), "mu": (5, 3), "chi": (2, 2)}
 
 
 def cmd_renorm(args):
-    if args.what == "mu" and (args.period < 2 or args.period % 2):
-        raise ConfigError("--period must be a positive even number, not %d" % args.period)
     theta = _theta("--theta", args.theta)
     if args.what == "mu" and theta.period is None:
         raise ConfigError("renorm mu needs an eventually periodic --theta, not %r" % args.theta)
     least, spare = _RENORM_DEPTH[args.what]
-    m = _tuned_map(args, theta, _int("--depth", args.depth, least, theta, spare))
+    depth = _int("--depth", args.depth, least, theta, spare)
+    m = _tuned_map(args, theta, _tune_depth(depth, theta))
     if args.what == "ratios":
-        rep = renorm.scaling_ratios(m, theta, args.depth)
-        lines = ["n,re_s,im_s,abs_s,ratio_product_re,ratio_product_im"]
-        for n in sorted(rep.s):
-            s = rep.s[n]
-            r = rep.ratios.get(n, complex("nan"))
-            lines.append("%d,%s,%s,%s,%s,%s" % (
-                n, _fmt(s.real), _fmt(s.imag), _fmt(abs(s)),
-                _fmt(r.real), _fmt(r.imag)))
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _ratios(m, theta, depth, args.out)
         return 0
     if args.what == "mu":
-        rep = renorm.self_similarity(m, theta, period=args.period, N=args.depth)
+        rep = renorm.self_similarity(m, theta, N=depth)
         _emit_json({
             "mu": [rep.mu.real, rep.mu.imag],
             "mu_abs": abs(rep.mu),
@@ -381,7 +392,7 @@ def cmd_renorm(args):
     # chi, the one subcommand left
     out = {}
     lift = renorm.log_lift(m, theta)
-    for n in range(2, args.depth + 1):
+    for n in range(2, depth + 1):
         pair = renorm.commuting_pair(m, theta, n, lift=lift)
         out[str(n)] = {
             "chi": pair.height(),
@@ -488,7 +499,7 @@ def _load_config(path):
         seed = _param("seed", seed)
     # verify_herman at depth min(_VERIFY_CAP, trace_depth) reads one quotient past it
     depth = _int("trace_depth", cfg.get("trace_depth", _TRACE_DEPTH), rotation.VERIFY_LEAST_DEPTH,
-                 theta, int((theta.depth or math.inf) <= _VERIFY_CAP))
+                 theta, int(theta.depth <= _VERIFY_CAP))
     N = _int("renorm_depth", cfg.get("renorm_depth", min(depth - 2, 14)), 1, theta, 3)
     # the verify depth min(_VERIFY_CAP, trace_depth) needs a ladder one level deeper
     tune_depth = _ladder_depth("tune_depth", cfg.get("tune_depth"), family, seed, theta,
@@ -506,76 +517,58 @@ def _load_config(path):
 def cmd_pipeline(args):
     run, config_hash = _load_config(args.config)
     theta, depth, N, outdir = run.theta, run.trace_depth, run.renorm_depth, run.outdir
-    os.makedirs(outdir, exist_ok=True)
-    report = {
-        "config_hash": config_hash,
-        "version": __version__,
-        "backend": _kernels.BACKEND,
-        "stages": {},
-    }
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError("cannot create outdir %r: %s" % (outdir, e))
+    path = functools.partial(os.path.join, outdir)
+    report = {"config_hash": config_hash, "version": __version__, "backend": _kernels.BACKEND,
+              "stages": {}}
 
-    def stage(name, fn):
+    @contextlib.contextmanager
+    def stage(name):
         try:
-            out = fn()
-            report["stages"][name] = {"ok": True}
-            return out
+            yield
         except Exception as e:
             report["stages"][name] = {"ok": False, "error": "%s: %s" % (type(e).__name__, e)}
-            _emit_json(report, os.path.join(outdir, "report.json"))
+            _emit_json(report, path("report.json"))
             if isinstance(e, rotation.PresetError):
                 raise  # a configuration error: exit 2
             print("pipeline failed at stage %r: %s" % (name, e), file=sys.stderr)
             raise _StageFailure()
+        report["stages"][name] = {"ok": True}
 
     try:
-        tuned = stage("tune", lambda: _tune(*run.family, theta, run.seed, m=run.tune_depth,
-                                            tol=run.tol))
+        with stage("tune"):
+            tuned = _tune(*run.family, theta, run.seed, m=run.tune_depth, tol=run.tol)
         report["parameter"] = [tuned.parameter.real, tuned.parameter.imag]
         m = maps.herman_family(*run.family, tuned.parameter)
-
-        def do_verify():
+        with stage("verify"):
             ver = report["verify"] = rotation.verify_herman(m, theta, min(_VERIFY_CAP, depth))
             if not ver["all"]:
                 raise RuntimeError("Herman curve checks failed: %s" % ver)
-        stage("verify", do_verify)
-
-        c = stage("trace", lambda: curve_mod.trace(m, theta, depth))
-        _write_curve_csv(c, os.path.join(outdir, "curve.csv"))
-
-        def do_scaling():
-            rep = renorm.scaling_ratios(m, theta, N)
-            with open(os.path.join(outdir, "ratios.csv"), "w") as fh:
-                fh.write("n,re_s,im_s,abs_s\n")
-                for n in sorted(rep.s):
-                    s = rep.s[n]
-                    fh.write("%d,%s,%s,%s\n" % (n, _fmt(s.real), _fmt(s.imag), _fmt(abs(s))))
+        with stage("trace"):
+            c = _trace(m, theta, depth, path("curve.csv"))
+        with stage("scaling"):
+            _ratios(m, theta, N, path("ratios.csv"))
             if theta.period is not None and N >= 7:
                 mu_rep = renorm.self_similarity(m, theta, N=N)
-                report["mu"] = [mu_rep.mu.real, mu_rep.mu.imag]
-                report["mu_err"] = mu_rep.mu_err
-            return rep
-        stage("scaling", do_scaling)
-
-        def do_geometry():
-            angle, disp = curve_mod.critical_angle(c)
-            report["critical_angle_rad"] = angle
-            report["critical_angle_dispersion"] = disp
-            return angle
+                report.update(mu=[mu_rep.mu.real, mu_rep.mu.imag], mu_err=mu_rep.mu_err)
         if depth >= curve_mod.ANGLE_LEAST_DEPTH:
-            stage("geometry", do_geometry)
-
-        def do_render():
+            with stage("geometry"):
+                angle, disp = curve_mod.critical_angle(c)
+                report.update(critical_angle_rad=angle, critical_angle_dispersion=disp)
+        with stage("render"):
             pts = c.points
             pad = 0.2 * (pts.real.max() - pts.real.min())
             window = run.window or (float(pts.real.min() - pad), float(pts.imag.min() - pad),
                                     float(pts.real.max() + pad), float(pts.imag.max() + pad))
-            _render(m, window, run.resolution, run.maxiter, os.path.join(outdir, "render.ppm"),
-                    pts, os.path.join(outdir, "grid.bin"))
-        stage("render", do_render)
+            _render(m, window, run.resolution, run.maxiter, path("render.ppm"), pts,
+                    path("grid.bin"))
     except _StageFailure:
         return 1
 
-    _emit_json(report, os.path.join(outdir, "report.json"))
+    _emit_json(report, path("report.json"))
     return 0
 
 
@@ -637,7 +630,6 @@ def build_parser():
     p.add_argument("what", choices=["ratios", "mu", "chi"])
     add_family(p)
     p.add_argument("--depth", type=int, default=14)
-    p.add_argument("--period", type=int, default=2)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_renorm)
 
@@ -682,6 +674,8 @@ def main(argv=None):
     try:
         if "d0" in args:
             _family([args.d0, args.dinf])
+        for key in ("out", "grid_out"):
+            _out("--" + key.replace("_", "-"), getattr(args, key, None))
         return args.fn(args)
     except (ConfigError, cfrac.RationalInputError, rotation.PresetError) as e:
         print("config error: %s" % e, file=sys.stderr)

@@ -52,8 +52,8 @@ _log = logging.getLogger("hermanlab")
 
 
 def _convergents(theta):
-    """Convergents of theta to depth 48, or to the depth of its known quotients."""
-    return convergents(theta, 48 if theta.depth is None else min(48, theta.depth))
+    """Convergents of theta to its deepest usable level."""
+    return convergents(theta, theta.depth)
 
 
 class CircleNotInvariantError(ValueError):
@@ -214,7 +214,7 @@ def sign_rho_vs_theta(lift, conv, qcap=_QCAP_DEFAULT):
 def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT):
     """Bisection in alpha over [0, 1] for any monotone one-parameter lift family."""
     theta = resolve_theta(theta)
-    if theta.depth is not None and theta.depth < MIN_IRRATIONAL_DEPTH:
+    if theta.depth < MIN_IRRATIONAL_DEPTH:
         raise ValueError("theta must be irrational (deep CF); rational input rejected")
     conv = _convergents(theta)
     if not conv.q[1] <= qcap:
@@ -399,7 +399,7 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
         m0 = next(n for n in range(1, len(conv.q)) if conv.q[n] >= 10)
         m = max(m0, VERIFY_LEAST_DEPTH + 1) if m is None else m
     if m >= len(conv.q):
-        raise ValueError("ladder depth %d > the %d known quotients of theta" % (m, len(conv.q) - 1))
+        raise ValueError("ladder depth %d > theta's deepest usable level %d" % (m, len(conv.q) - 1))
     if m - 1 < VERIFY_LEAST_DEPTH:
         raise ValueError("ladder depth %d < %d: the result is verified at depth m - 1, and "
                          "verify_herman needs depth %d or more"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermanlab import _kernels, cli, curve, rotation
+from hermanlab import _kernels, cfrac, cli, curve, julia, renorm, rotation
 from hermanlab.cfrac import GOLDEN, convergents
 from hermanlab.cli import main
 
@@ -171,7 +171,6 @@ def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
     (["renorm", "ratios", "--depth=-3"], None),
     (["renorm", "chi", "--depth", "1"], None),
     (["renorm", "mu", "--depth", "4"], None),
-    (["renorm", "mu", "--period", "3"], None),
     (["tune", "--seed", "preset", "--depth", "1"], None),
     (["tune", "--seed", "preset", "--depth", "4"], None),
     (None, {"trace_depth": 1}),
@@ -197,7 +196,7 @@ def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
         "seed-three-numbers", "seed-infinite", "window-empty", "window-reversed",
         "config-window-reversed", "grid-window-empty", "grid-window-reversed",
         "cfrac-depth-negative", "trace-depth-1", "ratios-depth-negative", "chi-depth-1",
-        "mu-depth-4", "mu-period-odd", "tune-depth-1", "tune-depth-4", "config-trace-depth-1",
+        "mu-depth-4", "tune-depth-1", "tune-depth-4", "config-trace-depth-1",
         "config-trace-depth-3", "config-tune-depth-4", "config-tune-depth-5-trace-depth-12",
         "maxiter-zero", "maxiter-negative-grid-out", "config-window-empty-list",
         "config-theta-null", "config-outdir-number", "config-schema-true",
@@ -206,11 +205,11 @@ def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
         "trace-depth-past-decimal-theta", "ratios-depth-past-decimal-theta",
         "mu-decimal-theta"])
 def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
-    """A bad window, resolution, family, depth, period, tolerance, seed, curve
+    """A bad window, resolution, family, depth, tolerance, seed, curve
     (one shorter than q_1, or a depth-8 trace, too short for the critical
     angle: it used to exit 1) or grid window is a configuration error
     (exit 2), not a numeric failure,
-    and a too-shallow --depth or config depth or an odd --period is named in
+    and a too-shallow --depth or config depth is named in
     the message.  A Newton ladder to depth m is verified at m - 1, so tune
     refuses --depth below VERIFY_LEAST_DEPTH + 1 (depth 1 used to return
     c = 1 and exit 1), and a config's trace_depth below VERIFY_LEAST_DEPTH
@@ -247,7 +246,7 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     assert not (tmp_path / "m").exists()
     if argv[0] == "render":
         assert not any(tmp_path.iterdir())  # no image, no grid
-    for option in ("--depth", "--period", "--maxiter"):
+    for option in ("--depth", "--maxiter"):
         if any(a.split("=")[0] == option for a in argv):
             assert option in err
     for key in config or ():
@@ -668,6 +667,87 @@ def test_missing_input_file_is_config_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, missing)
     assert code == 2 and out == ""
     assert err.startswith("config error:") and missing in err
+
+
+@pytest.mark.parametrize("argv, config, named, least", [
+    (["cfrac", "--theta", "golden", "--depth", "100000000"], None, "--depth", 48),
+    (["tune", "--d0", "3", "--dinf", "2", "--seed", "preset", "--depth", "60"], None, "--depth",
+     48),
+    (["trace", "--d0", "3", "--dinf", "2", "--depth", "49", "--out", "{tmp}/c.csv"], None,
+     "--depth", 48),
+    (["renorm", "ratios", "--d0", "3", "--dinf", "2", "--depth", "46"], None, "--depth", 45),
+    (["renorm", "mu", "--d0", "3", "--dinf", "2", "--theta", "silver", "--depth", "46"], None,
+     "--depth", 45),
+    (None, {"trace_depth": 49}, "trace_depth", 48),
+], ids=["cfrac-depth-1e8", "tune-depth-60", "trace-depth-49", "ratios-depth-46", "mu-depth-46",
+        "config-trace-depth-49"])
+def test_depth_past_the_cap_is_config_error(capsys, tmp_path, argv, config, named, least):
+    """A periodic theta's deepest usable level is cfrac.MAX_DEPTH = 48, so
+    each depth stops there, less the levels its command reads past it
+    (three for the scaling ratios and mu): refused with exit 2 and no
+    output, naming the option or config field.  cfrac --depth 100000000
+    used to run until killed, and tune --depth 60 to exit 1 from the
+    ladder."""
+    assert cfrac.MAX_DEPTH == cfrac.GOLDEN.depth == 48
+    if argv is None:
+        argv = ["pipeline", "--config", str(small_config(tmp_path, "m", **config))]
+    code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: %s must be at most %d," % (named, least))
+    assert "deepest usable level is 48" in err and "quotients" not in err
+    assert {p.name for p in tmp_path.iterdir()} <= {"m.json"}  # no output, no outdir
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["cfrac", "--theta", "golden", "--out"], "--out"),
+    (["tune", "--d0", "2", "--dinf", "2", "--out"], "--out"),
+    (["trace", "--d0", "3", "--dinf", "2", "--param=" + B_FIG, "--out"], "--out"),
+    (["renorm", "ratios", "--d0", "3", "--dinf", "2", "--param=" + B_FIG, "--out"], "--out"),
+    (["render", "--d0", "3", "--dinf", "2", "--param=" + B_FIG, "--window=-2,-2,2,2", "--res",
+      "8", "--out"], "--out"),
+    (["render", "--d0", "3", "--dinf", "2", "--param=" + B_FIG, "--window=-2,-2,2,2", "--res",
+      "8", "--out", "{tmp}/r.ppm", "--grid-out"], "--grid-out"),
+], ids=["cfrac", "tune", "trace", "ratios", "render-out", "render-grid-out"])
+def test_missing_output_directory_is_config_error(capsys, tmp_path, monkeypatch, argv, named):
+    """An --out or --grid-out in a directory that does not exist, or that is
+    a directory, is refused before any work, with exit 2 naming the option
+    (trace and cfrac used to do their work, then exit 1 with
+    FileNotFoundError or IsADirectoryError)."""
+    def work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for mod, name in ((cfrac, "convergents"), (rotation, "tune_blaschke"), (curve, "trace"),
+                      (renorm, "scaling_ratios"), (julia, "classify")):
+        monkeypatch.setattr(mod, name, work)
+    for path in (str(tmp_path / "missing" / "out"), str(tmp_path)):
+        code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv], path)
+        assert (code, out) == (2, "")
+        assert err == "config error: %s %r must be a file in a directory that exists\n" % (
+            named, path)
+        assert not any(tmp_path.iterdir())
+
+
+def test_pipeline_outdir_that_cannot_be_made_is_config_error(capsys, tmp_path):
+    """An outdir below a file is refused with exit 2 naming outdir."""
+    (tmp_path / "file").write_text("")
+    outdir = str(tmp_path / "file" / "run")
+    code, out, err = run(capsys, "pipeline", "--config",
+                         str(small_config(tmp_path, "p", outdir=outdir)))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: cannot create outdir %r" % outdir)
+
+
+def test_renorm_ratios_matches_the_pipeline_bytes(capsys, tmp_path):
+    """renorm ratios --out at the pipeline's tuned parameter and renorm_depth
+    writes the pipeline's ratios.csv byte for byte: one writer serves both."""
+    assert main(["pipeline", "--config", str(small_config(tmp_path, "p", resolution=16))]) == 0
+    param = json.loads((tmp_path / "p" / "report.json").read_text())["parameter"]
+    path = tmp_path / "r.csv"
+    assert main(["renorm", "ratios", "--d0", "3", "--dinf", "2", "--param=%r,%r" % tuple(param),
+                 "--depth", "8", "--out", str(path)]) == 0
+    text = path.read_text()
+    assert text == (tmp_path / "p" / "ratios.csv").read_text()
+    assert text.startswith("n,re_s,im_s,abs_s\n") and len(text.splitlines()) == 10
 
 
 def test_unreadable_input_file_is_config_error(capsys, tmp_path):
