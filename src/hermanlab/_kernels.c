@@ -1,8 +1,10 @@
 /* C translations of the orbit loops in _kernels.py (orbit_samples,
  * tune_residual), of the closed-form Blaschke lift steps
  * (blaschke_advance), of the escape-time classifier (classify_rows), of
- * the arc diameters behind the bounded-turning constant (arc_ratios) and
- * of the exact Euclidean distance transform (distance_transform).
+ * the arc diameters behind the bounded-turning constant (arc_ratios), of
+ * the exact Euclidean distance transform (distance_transform) and of the
+ * curve CSV row codec (curve_csv_rows, curve_csv_parse), whose references
+ * are cli's python writer and numpy loadtxt reader.
  *
  * Every complex operation is spelled out in real arithmetic exactly as
  * numpy evaluates it on complex128 scalars, in the reference's order, so
@@ -42,9 +44,11 @@
  * passed and returned as separate doubles.
  */
 
+#include <errno.h>
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef struct {
@@ -650,6 +654,43 @@ static double arc_diameter(const double *pts, int64_t m, int64_t start, int64_t 
             nc++;
         }
     }
+    /* An arc of more than nc = 32 points drops the points that cannot
+     * raise the maximum.  With best0 the candidates' own largest squared
+     * distance, o the centre of the axis ranges and R the candidates'
+     * largest distance from o, a point p with |p - o| < lim = sqrt(best0)
+     * - R (less margins of 1e-9, relative, far above the few ulps by which
+     * these roundings and max_sq's squares can err) lies nearer than
+     * sqrt(best0) to every candidate, by the triangle inequality, so its
+     * rounded squares stay below best0.  The candidates are arc points,
+     * and the two that give best0 lie at least lim from o by the same
+     * inequality, so they stay and the maximum is unchanged.  An inf in
+     * best0 or R leaves lim not finite or not positive, and then every
+     * point stays; an overflowed |p - o| keeps its point. */
+    if (len > nc) {
+        double best0 = max_sq(cx, cy, nc, cx, cy, nc, scale);
+        double ox = 0.5 * ex[0].key[ex[0].head] + 0.5 * ex[1].key[ex[1].head];
+        double oy = 0.5 * ex[2].key[ex[2].head] + 0.5 * ex[3].key[ex[3].head];
+        double r2 = 0.0;
+        for (int64_t c = 0; c < nc; c++) {
+            double dx = (cx[c] - ox) * scale, dy = (cy[c] - oy) * scale;
+            r2 = fmax(r2, dx * dx + dy * dy);
+        }
+        double lim = sqrt(best0) * (1 - 1e-9) - sqrt(r2) * (1 + 1e-9);
+        if (lim > 0 && lim < INFINITY) {
+            double lim2 = lim * lim;
+            int64_t kept = 0;
+            for (int64_t t = 0; t < len; t++) {
+                double dx = (xs[t] - ox) * scale, dy = (ys[t] - oy) * scale;
+                xs[kept] = xs[t];
+                ys[kept] = ys[t];
+                kept += !(dx * dx + dy * dy < lim2);
+            }
+            for (padded = kept; padded % 8; padded++) {
+                xs[padded] = xs[0];
+                ys[padded] = ys[0];
+            }
+        }
+    }
     return sqrt(max_sq(xs, ys, padded, cx, cy, nc, scale)) / scale;
 }
 
@@ -753,4 +794,271 @@ void distance_transform(const uint8_t *mask, int64_t w, int64_t h, int64_t *g, i
                 q--;
         }
     }
+}
+
+/* The curve CSV row codec: rows "k,angle,re,im\n" with each k as %d
+ * prints it and each float as python's repr prints it (curve_csv_rows),
+ * and a strict reader of that grammar (curve_csv_parse).  The python
+ * writer and numpy's loadtxt reader in cli are the references: they take
+ * every row the writer refuses and every file the reader refuses. */
+
+static const uint64_t POW10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL, 1000000000000ULL,
+    10000000000000ULL, 100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL, 10000000000000000000ULL};
+
+/* The digits python's repr prints for the double x of positive bits, as
+ * integers with x ~ *digits 10^*exp10; 0 if x lies outside [2^-16, 2^61),
+ * or without 128-bit integers.
+ *
+ * As in Ryu (Adams, PLDI 2018), x = m4 2^-q with m4 = 4m, and the doubles
+ * next to x round to it from the interval (m4 - 2, m4 + 2) 2^-q, whose
+ * lower end is m4 - 1 where x is a power of two (m = 2^52), ends included
+ * when m is even.  Times 10^p, with p the least such that 10^p >= 2^(q-1),
+ * the interval is at least 1.5 wide in units of 10^-p, so it holds a
+ * multiple of 10^-p; m4 < 2^55 and 10^p < 2^(q+2.33) with q <= 70 keep
+ * the products below 2^128, and the integers [a, b] of the interval below
+ * 2^62.  The shortest decimals in the interval are its multiples of the
+ * largest 10^k that has one; of those, repr prints the one nearest to x,
+ * ties going to the even one. */
+static int shortest(uint64_t bits, uint64_t *digits, int *exp10)
+{
+#if defined(__SIZEOF_INT128__)
+    typedef unsigned __int128 u128;
+    int be = (int)(bits >> 52);
+    if (be < 1023 - 16 || be >= 1023 + 61)
+        return 0;
+    uint64_t frac = bits & ((1ULL << 52) - 1), m4 = ((1ULL << 52) | frac) << 2;
+    int q = 1077 - be, p = 0, incl = !(m4 & 4);
+    if (q > 1)
+        p = (((q - 1) * 78913) >> 18) + 1; /* floor((q - 1) log10 2) + 1 */
+    u128 t = p <= 19 ? (u128)POW10[p] : (u128)POW10[19] * POW10[p - 19];
+    u128 v = (u128)m4 * t, lo = v - (frac ? 2 : 1) * t, hi = v + 2 * t;
+    /* x 10^p = vi + vr 2^-q, and half = 2^(q-1) */
+    uint64_t a, b, vi;
+    u128 vr = 0, half = 0;
+    if (q > 0) {
+        u128 mask = ((u128)1 << q) - 1;
+        a = (uint64_t)(lo >> q) + ((lo & mask) != 0 || !incl);
+        b = (uint64_t)(hi >> q) - ((hi & mask) == 0 && !incl);
+        vi = (uint64_t)(v >> q);
+        vr = v & mask;
+        half = (u128)1 << (q - 1);
+    } else {
+        a = ((uint64_t)lo << -q) + !incl;
+        b = ((uint64_t)hi << -q) - !incl;
+        vi = (uint64_t)v << -q;
+    }
+    int k = 0;
+    for (;;) {
+        uint64_t a1 = a / 10 + (a % 10 != 0), b1 = b / 10;
+        if (a1 > b1)
+            break;
+        a = a1;
+        b = b1;
+        k++;
+    }
+    /* x 10^p = (j + r 10^-k) 10^k + vr 2^-q: round j to the nearer of j and
+     * j + 1 within [a, b], which holds one of them at least */
+    uint64_t pk = POW10[k], j = vi / pk, r = vi % pk;
+    if (r == 0 && vr == 0)
+        ; /* x is j 10^(k-p) */
+    else if (j < a)
+        j++;
+    else if (j < b) {
+        if (k == 0)
+            j += vr > half || (vr == half && (j & 1));
+        else
+            j += r > pk / 2 || (r == pk / 2 && (vr != 0 || (j & 1)));
+    }
+    *digits = j;
+    *exp10 = k - p;
+    return 1;
+#else
+    (void)bits;
+    (void)digits;
+    (void)exp10;
+    return 0;
+#endif
+}
+
+/* The decimal digits of u at the end of s[20]; returns their number. */
+static int put_digits(char *s, uint64_t u)
+{
+    int i = 20;
+    do {
+        s[--i] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    return 20 - i;
+}
+
+/* x as python's repr prints it, from out on; the end, or NULL if
+ * shortest() does not take x (a non-finite x included).  With the n
+ * digits d1..dn and x = 0.d1..dn 10^e: positional for -4 < e <= 16, with
+ * ".0" after an integral value, else d1.d2..dne+XX with two exponent
+ * digits (|XX| < 19 here); +-0 as 0.0 and -0.0. */
+static char *put_repr(char *out, double x)
+{
+    uint64_t bits, d;
+    int e;
+    char s[20];
+    memcpy(&bits, &x, sizeof bits);
+    if (bits >> 63)
+        *out++ = '-';
+    bits &= ~(1ULL << 63);
+    if (bits == 0) {
+        memcpy(out, "0.0", 3);
+        return out + 3;
+    }
+    if (!shortest(bits, &d, &e))
+        return NULL;
+    int n = put_digits(s, d);
+    const char *ds = s + 20 - n;
+    e += n;
+    if (-4 < e && e <= 16) {
+        if (e <= 0) {
+            memcpy(out, "0.000", 2 - e);
+            out += 2 - e;
+            memcpy(out, ds, n);
+            out += n;
+        } else if (e < n) {
+            memcpy(out, ds, e);
+            out += e;
+            *out++ = '.';
+            memcpy(out, ds + e, n - e);
+            out += n - e;
+        } else {
+            memcpy(out, ds, n);
+            out += n;
+            memset(out, '0', e - n);
+            out += e - n;
+            memcpy(out, ".0", 2);
+            out += 2;
+        }
+        return out;
+    }
+    *out++ = ds[0];
+    if (n > 1) {
+        *out++ = '.';
+        memcpy(out, ds + 1, n - 1);
+        out += n - 1;
+    }
+    int x10 = e - 1;
+    *out++ = 'e';
+    *out++ = x10 < 0 ? '-' : '+';
+    x10 = x10 < 0 ? -x10 : x10;
+    *out++ = (char)('0' + x10 / 10);
+    *out++ = (char)('0' + x10 % 10);
+    return out;
+}
+
+/* k as %d prints it, from out on; the end. */
+static char *put_int(char *out, int64_t k)
+{
+    char s[20];
+    if (k < 0)
+        *out++ = '-';
+    int n = put_digits(s, k < 0 ? 0 - (uint64_t)k : (uint64_t)k);
+    memcpy(out, s + 20 - n, n);
+    return out + n;
+}
+
+/* The rows "k,angle,re,im\n" of ks[i], angle[i], re[i], im[i], i < n, into
+ * out, which holds 100 bytes per row (a taken row has at most 20 + 3 x 23
+ * + 4 = 93); *used is set to the bytes written.  A row with a float
+ * that put_repr refuses is left out, and each run of such rows is recorded
+ * as runs[3r..3r+3) = (first row, row after the last, byte offset where
+ * the run belongs).  Returns the number of runs. */
+int64_t curve_csv_rows(const int64_t *ks, const double *angle, const double *re,
+                       const double *im, int64_t n, char *out, int64_t *runs, int64_t *used)
+{
+    char *o = out;
+    int64_t nruns = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const double v[3] = {angle[i], re[i], im[i]};
+        char *p = put_int(o, ks[i]);
+        for (int c = 0; c < 3 && p; c++) {
+            *p++ = ',';
+            p = put_repr(p, v[c]);
+        }
+        if (p) {
+            *p++ = '\n';
+            o = p;
+        } else if (nruns && runs[3 * nruns - 2] == i) {
+            runs[3 * nruns - 2] = i + 1;
+        } else {
+            runs[3 * nruns] = i;
+            runs[3 * nruns + 1] = i + 1;
+            runs[3 * nruns + 2] = o - out;
+            nruns++;
+        }
+    }
+    *used = o - out;
+    return nruns;
+}
+
+/* The end of the run of decimal digits at s, before end. */
+static const char *digits_end(const char *s, const char *end)
+{
+    while (s < end && (unsigned)(*s - '0') < 10)
+        s++;
+    return s;
+}
+
+/* The end of -?[0-9]+ at s (floats: -?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?),
+ * if sep follows it; else NULL. */
+static const char *token_end(const char *s, const char *end, int is_float, char sep)
+{
+    const char *t;
+    s += s < end && *s == '-';
+    if ((t = digits_end(s, end)) == s)
+        return NULL;
+    if (is_float && t < end && *t == '.') {
+        s = t + 1;
+        if ((t = digits_end(s, end)) == s)
+            return NULL;
+    }
+    if (is_float && t < end && *t == 'e') {
+        s = t + 1;
+        if (!(s < end && (*s == '+' || *s == '-')))
+            return NULL;
+        s++;
+        if ((t = digits_end(s, end)) == s)
+            return NULL;
+    }
+    return t < end && *t == sep ? t : NULL;
+}
+
+/* The n rows of text[start..len), each "k,angle,re,im\n" with k a
+ * -?[0-9]+ that strtoll reads within int64 and each float of token_end's
+ * grammar, which strtod reads to its end as a finite double, into ks and
+ * the columns cols[0..n), cols[n..2n), cols[2n..3n).  Returns n, or -1 at
+ * the first line outside that grammar, or if text holds more than n
+ * lines.  text is NUL-terminated after len (a python bytes object). */
+int64_t curve_csv_parse(const char *text, int64_t start, int64_t len, int64_t n, int64_t *ks,
+                        double *cols)
+{
+    const char *s = text + start, *end = text + len, *t;
+    char *e;
+    for (int64_t i = 0; i < n; i++) {
+        if (!(t = token_end(s, end, 0, ',')))
+            return -1;
+        errno = 0;
+        ks[i] = strtoll(s, &e, 10);
+        if (errno == ERANGE || e != t)
+            return -1;
+        s = t + 1;
+        for (int c = 0; c < 3; c++) {
+            if (!(t = token_end(s, end, 1, c < 2 ? ',' : '\n')))
+                return -1;
+            double x = strtod(s, &e);
+            if (e != t || !isfinite(x))
+                return -1;
+            cols[c * n + i] = x;
+            s = t + 1;
+        }
+    }
+    return s == end ? n : -1;
 }

@@ -41,6 +41,23 @@ the square root of the largest squared distance, the squares summed in a
 frame scaled by a power of two, which no narrow arc underflows and no
 SIMD code rounds differently.  The distance transform works in integer
 squared distances and takes one correctly rounded square root of each.
+An arc of more than 32 points first drops each point that lies, by the
+triangle inequality and a margin far above rounding, nearer than the
+candidates' own largest distance to every candidate; the maximum keeps
+its value.
+
+``curve_csv_rows`` and ``curve_csv_parse`` are the curve CSV row codec.
+Their references are cli's python writer ("%d,%r,%r,%r" per row) and its
+numpy ``loadtxt`` reader, which also take what the codec does not.  The
+writer prints each float as ``repr`` does: Ryu's rounding interval,
+scaled to a power of ten in exact 128-bit integers, its shortest
+decimals and of those the nearest, ties to even.  It takes +-0 and |x| in
+[2^-16, 2^61), where that arithmetic fits; a row with any other float,
+and every row without ``__int128``, goes to the python writer, in runs.
+The reader parses the writer's grammar with strtoll and strtod, which
+round correctly as loadtxt does; the first line outside it, or a
+non-finite value, hands the whole file to loadtxt, which names the bad
+line.  Without the library both references run alone.
 
 The C classifier iterates one pixel per lane of a vector of doubles,
 each lane taking the next pixel of its thread's rows when its own is
@@ -173,6 +190,10 @@ def _load():
     lib.arc_ratios.restype = None
     lib.distance_transform.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
     lib.distance_transform.restype = None
+    lib.curve_csv_rows.argtypes = [ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr]
+    lib.curve_csv_rows.restype = i64
+    lib.curve_csv_parse.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr]
+    lib.curve_csv_parse.restype = i64
     _log.debug("kernel backend c (classifier 2 vectors of %d lanes): %s %s", lib.simd_lanes(),
                how, path)
     return lib
@@ -517,14 +538,16 @@ def arc_ratios(pts, ii, jj):
     (len // 512)-th one.  Its diameter is estimated by _arc_diameter.
     The C loop splits the pairs over one thread per CPU this process may
     run on, at the widest lane count the CPU has; the ratios depend on
-    neither.  The vertices must be finite: the C loop skips a NaN squared
-    distance where the reference propagates it.
+    neither.  A non-finite vertex is refused with ValueError, as no
+    diameter of it is defined.
     """
     pts = np.ascontiguousarray(pts, dtype=np.complex128)
     ii = np.ascontiguousarray(ii, dtype=np.int64)
     jj = np.ascontiguousarray(jj, dtype=np.int64)
     if ii.shape != jj.shape or ii.ndim != 1:
         raise ValueError("ii and jj must be index vectors of one length")
+    if not np.isfinite(pts).all():
+        raise ValueError("arc_ratios needs finite vertices")
     if ii.size and not (min(ii.min(), jj.min()) >= 0 and max(ii.max(), jj.max()) < len(pts)):
         raise IndexError("vertex index out of range")
     if _lib is None:
@@ -628,3 +651,56 @@ def _parabola_min(f, axis):
         np.minimum(out[:-d], f[d:] + d * d, out=out[:-d])
         d += 1
     return np.moveaxis(out, 0, axis)
+
+
+# bytes per row of curve_csv_rows' buffer, as curve_csv_rows in _kernels.c needs
+_CSV_ROW_MAX = 100
+
+
+def curve_csv_rows(ks, angles, re, im, ref):
+    """The curve CSV rows "k,angle,re,im\\n" of ks (int64) and three float64
+    columns as bytes, each k as %d prints it and each float as repr does.
+
+    ref(lo, hi) gives the bytes of rows lo..hi-1 by python's formatting.
+    It writes each run of rows that hold a float the C formatter does not
+    take (a non-finite one, or |x| outside [2^-16, 2^61) but +-0), and
+    every row without the library.
+    """
+    n = len(ks)
+    if not len(angles) == len(re) == len(im) == n:
+        raise ValueError("ks, angles, re and im must be columns of one length")
+    # TypeError for ks that int64 cannot hold, such as uint64
+    ks = np.ascontiguousarray(np.asarray(ks).astype(np.int64, casting="safe"))
+    if _lib is None:
+        return ref(0, n)
+    cols = [np.ascontiguousarray(a, dtype=np.float64) for a in (angles, re, im)]
+    buf = np.empty(n * _CSV_ROW_MAX, dtype=np.uint8)
+    runs = np.empty((n, 3), dtype=np.int64)
+    used = ctypes.c_int64()
+    nruns = _lib.curve_csv_rows(ks.ctypes.data, *(a.ctypes.data for a in cols), n,
+                                buf.ctypes.data, runs.ctypes.data, ctypes.byref(used))
+    text = memoryview(buf)[:used.value]
+    parts, pos = [], 0
+    for lo, hi, at in runs[:nruns].tolist():
+        parts += [text[pos:at], ref(lo, hi)]
+        pos = at
+    parts.append(text[pos:])
+    return b"".join(parts)
+
+
+def curve_csv_parse(data, start):
+    """(ks, angles, re, im) of the curve CSV rows in data[start:] (bytes),
+    or None if a line lies outside the writer's grammar, and without the
+    library: each line "k,angle,re,im\\n" with k -?[0-9]+ within int64 and
+    each float -?[0-9]+(\\.[0-9]+)?(e[+-][0-9]+)?, finite as strtod reads
+    it.  strtod and numpy's loadtxt both round correctly, so an accepted
+    line gives loadtxt's values bit for bit."""
+    if not 0 <= start <= len(data):
+        raise ValueError("start %d lies outside the %d bytes of data" % (start, len(data)))
+    if _lib is None:
+        return None
+    n = data.count(b"\n", start)
+    ks, cols = np.empty(n, dtype=np.int64), np.empty((3, n))
+    if _lib.curve_csv_parse(data, start, len(data), n, ks.ctypes.data, cols.ctypes.data) != n:
+        return None
+    return ks, cols[0], cols[1], cols[2]

@@ -164,14 +164,19 @@ def _emit_json(obj, path=None):
 
 
 def _write_curve_csv(c, path):
-    """The curve's vertices as rows k,angle,re,im, each float in _fmt's
-    shortest round-trip form."""
-    cols = (np.asarray(c.ks).tolist(),
-            *(np.asarray(a, dtype=np.float64).tolist()
-              for a in (c.angles, c.points.real, c.points.imag)))
-    with open(path, "w") as fh:
-        fh.write("k,angle,re,im\n")
-        fh.writelines("%d,%r,%r,%r\n" % row for row in zip(*cols))
+    """The curve's vertices as rows k,angle,re,im, each k as %d prints it and
+    each float in _fmt's shortest round-trip form: written by
+    _kernels.curve_csv_rows, with the python formatting below as its
+    reference and as the writer of every row it does not take."""
+    cols = (np.asarray(c.ks), *(np.asarray(a, dtype=np.float64)
+                                for a in (c.angles, c.points.real, c.points.imag)))
+
+    def ref(lo, hi):
+        rows = zip(*(a[lo:hi].tolist() for a in cols))
+        return "".join("%d,%r,%r,%r\n" % row for row in rows).encode()
+
+    with open(path, "wb") as fh:
+        fh.write(b"k,angle,re,im\n" + _kernels.curve_csv_rows(*cols, ref))
 
 
 # one row of a curve CSV
@@ -184,10 +189,23 @@ def _read_curve_csv(path):
     line, counting the header as line 1.  A blank line is a bad line, and so
     is a line with a non-finite angle, re or im (an integer k is finite)."""
     try:
-        fh = open(path)
+        fh = open(path, "rb")
     except OSError as e:
         raise ConfigError("cannot read curve file: %s" % e)
     with fh:
+        raw = fh.read()
+    # the writer's grammar in C (_kernels.curve_csv_parse), else loadtxt
+    # on the text, which names the first bad line
+    end = raw.find(b"\n")
+    head = raw[:end]
+    if end >= 0 and head.startswith(b"k,angle") and head.isascii() and b"\r" not in head:
+        cols = _kernels.curve_csv_parse(raw, end + 1)
+        if cols is not None:
+            ks, angles, re, im = cols
+            pts = np.empty(len(ks), dtype=np.complex128)
+            pts.real, pts.imag = re, im
+            return ks, angles, pts
+    with io.TextIOWrapper(io.BytesIO(raw)) as fh:
         header = fh.readline()
         if not header.startswith("k,angle"):
             raise ConfigError("not a curve CSV: %s" % path)

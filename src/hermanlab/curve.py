@@ -208,11 +208,22 @@ def bounded_turning(curve):
     The bounded-turning (Ahlfors) constant of the traced curve; finite
     for quasicircles.  Returns (constant, (i, j)) with the maximizing
     sorted-order index pair.
+
+    The pairs are fixed: ii takes the first 4000 and jj the next 4000
+    outputs z of splitmix64 from state 7 (Steele, Lea and Flood, OOPSLA
+    2014), in wrapping uint64 arithmetic, each mapped to
+    (z >> 32) * m >> 32 in [0, m) for 1 <= m <= 2^32 vertices.  numpy
+    does not promise to keep its random streams across releases.
     """
     m = len(curve.points)
-    rng = np.random.default_rng(7)
-    ii = rng.integers(0, m, size=4000)
-    jj = rng.integers(0, m, size=4000)
+    if not 1 <= m <= 2 ** 32:
+        raise ValueError("bounded_turning needs 1 to 2^32 vertices, not %d" % m)
+    u = np.uint64
+    z = np.arange(1, 8001, dtype=u) * u(0x9E3779B97F4A7C15) + u(7)
+    z = (z ^ (z >> u(30))) * u(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u(27))) * u(0x94D049BB133111EB)
+    z ^= z >> u(31)
+    ii, jj = ((z >> u(32)) * u(m) >> u(32)).astype(np.int64).reshape(2, 4000)
     ratios = _kernels.arc_ratios(curve.points, ii, jj)
     k = int(np.argmax(ratios))   # the first maximum
     if not ratios[k] > 0:        # no pair with a nonzero chord

@@ -830,6 +830,69 @@ def test_curve_csv_round_trip(rows):
         assert got_angles.tobytes() == angles.tobytes() and got_pts.tobytes() == pts.tobytes()
 
 
+
+def read_both(monkeypatch, path):
+    """_read_curve_csv(path) with the library, then on the loadtxt reference
+    alone (no library): each its arrays, or its ConfigError's message."""
+    got = []
+    for lib in (_kernels._lib, None):
+        monkeypatch.setattr(_kernels, "_lib", lib)
+        try:
+            ks, angles, pts = cli._read_curve_csv(str(path))
+            got.append((ks.dtype, ks.tolist(), angles.dtype, angles.tobytes(), pts.tobytes()))
+        except cli.ConfigError as e:
+            got.append(str(e))
+    return got
+
+
+def test_curve_csv_reader_equals_loadtxt_on_written_text(monkeypatch, tmp_path):
+    """A file of the writer, with values C formats and values it leaves to
+    repr, reads back through the C parser as loadtxt reads it, bit for bit."""
+    rng = np.random.default_rng(29)
+    vals = np.concatenate([rng.standard_normal(900) * 10.0 ** rng.integers(-9, 22, 900),
+                           [0.0, -0.0, 5e-324, -1e-300, 1e300, 2.0 ** -16, 2.0 ** 61]])
+    rng.shuffle(vals)
+    n = len(vals) // 3
+    pts = np.empty(n, dtype=np.complex128)
+    pts.real, pts.imag = vals[n:2 * n], vals[2 * n:3 * n]
+    c = types.SimpleNamespace(ks=rng.integers(-2 ** 63, 2 ** 63 - 1, n), angles=vals[:n],
+                              points=pts)
+    path = tmp_path / "c.csv"
+    cli._write_curve_csv(c, str(path))
+    raw = path.read_bytes()
+    if _kernels.BACKEND == "c":
+        assert _kernels.curve_csv_parse(raw, raw.index(b"\n") + 1) is not None
+    with_c, ref = read_both(monkeypatch, path)
+    assert with_c == ref
+    assert ref[1] == c.ks.tolist() and ref[3] == vals[:n].tobytes() and ref[4] == pts.tobytes()
+
+
+@pytest.mark.parametrize("text, grammar", [
+    ("1E5", False), ("+1.0", False), (" 1.0", False), ("1.0 ", False), ("1.", False),
+    (".5", False), ("1e5", False), ("0x10", False), ("1.50", True), ("007", True),
+    ("-0", True), ("-0.0e+00", True), ("1e-400", True), ("1e400", False),
+    ("1e+400", False), ("-2.5e+999", False), ("99999999999999999999", True),
+])
+@pytest.mark.parametrize("field", [0, 1, 2, 3])
+def test_curve_csv_reader_equals_loadtxt(monkeypatch, tmp_path, text, grammar, field):
+    """Valid text off the writer's canonical form reads as loadtxt reads it:
+    through the C parser where the writer's grammar takes it (1.50, 007,
+    -0, 1e-400), and on loadtxt where it does not (1E5, +1.0, a blank),
+    or where strtod reads inf (1e+400, which loadtxt reads as inf too and
+    the reader refuses as non-finite, as it does 1e400).  A k must be an integer that
+    fits int64, so a float there or 99999999999999999999 is a bad line
+    either way."""
+    rows = [[str(k), repr(k / 16), repr(math.cos(k)), repr(math.sin(k))] for k in range(6)]
+    rows[3][field] = text
+    path = tmp_path / "c.csv"
+    path.write_text(HEADER + "".join(",".join(r) + "\n" for r in rows))
+    if _kernels.BACKEND == "c":
+        raw = path.read_bytes()
+        takes = grammar and (field > 0 or text in ("007", "-0"))
+        assert (_kernels.curve_csv_parse(raw, len(HEADER)) is not None) == takes
+    with_c, ref = read_both(monkeypatch, path)
+    assert with_c == ref
+
 @pytest.mark.parametrize("field", [1, 2, 3])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("argv", [["geometry", "--curve"], ["dims", "--points"]])

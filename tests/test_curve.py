@@ -1,6 +1,10 @@
 """Curve tracing and sample-based geometry estimators."""
 
 import math
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -103,6 +107,62 @@ def test_bounded_turning_on_circle(blaschke22_golden):
     # stays near 1 for short arcs and below 1.6 overall
     assert 0.9 <= const < 1.7
 
+
+def splitmix64(state, n):
+    """n outputs of splitmix64 from state, in python integers."""
+    mask, out = 2 ** 64 - 1, []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_bounded_turning_pairs_are_pinned(monkeypatch):
+    """bounded_turning's 4000 pairs are splitmix64 from state 7 mapped to
+    [0, m), ii then jj, whatever numpy's random streams do; the first
+    indices are pinned for the chain's m = 10946.  The map needs
+    1 <= m <= 2^32."""
+    seen = []
+
+    def record(pts, ii, jj):
+        seen.append((ii, jj))
+        return np.where(np.arange(len(ii)) == 5, 2.0, 1.0)
+
+    monkeypatch.setattr(hl.curve._kernels, "arc_ratios", record)
+    m = 10946
+    const, pair = hl.bounded_turning(types.SimpleNamespace(points=np.zeros(m, complex)))
+    (ii, jj), = seen
+    assert ii.dtype == jj.dtype == np.int64 and ii.shape == jj.shape == (4000,)
+    assert ii[:8].tolist() == [4267, 183, 9859, 6380, 4952, 2730, 5122, 3591]
+    assert jj[:4].tolist() == [4118, 744, 9461, 3208]
+    assert ii.tolist() + jj.tolist() == [(z >> 32) * m >> 32 for z in splitmix64(7, 8000)]
+    assert (const, pair) == (2.0, (2730, int(jj[5])))
+    for points in (np.zeros(0, complex), range(2 ** 32 + 1)):
+        with pytest.raises(ValueError, match="2.32 vertices"):
+            hl.bounded_turning(types.SimpleNamespace(points=points))
+
+
+def test_geometry_leaves_numpy_random_unimported(tmp_path):
+    """A trace and a geometry run import no numpy.random: the pairs need
+    none, and its import cost about 10 ms of the chain."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    csv, out = str(tmp_path / "c.csv"), str(tmp_path / "g.json")
+    script = (
+        "import sys\n"
+        "from hermanlab.cli import main\n"
+        "assert main(['trace', '--d0', '3', '--dinf', '2', '--param=-1.144208,-0.964454', "
+        "'--depth', '12', '--out', %r]) == 0\n"
+        "assert main(['geometry', '--curve', %r, '--out', %r]) == 0\n"
+        "print('numpy.random' in sys.modules)\n" % (csv, csv, out))
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False"]
 
 def test_beta_number_flat_for_smooth_arc(blaschke22_golden):
     _, m = blaschke22_golden

@@ -4,9 +4,11 @@ kernels against the python references, bit for bit."""
 
 import ast
 import json
+import math
 import os
 import pathlib
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -653,6 +655,166 @@ def test_c_arc_ratios_lanes_bit_equal(lanes):
             assert bits(K._arc_ratios_c(pts, ii, jj, workers, lanes)) == bits(ref)
 
 
+
+def polyline_case(shape, m, rng):
+    """(pts, ii, jj): m points of a segment ("collinear") or a circle
+    ("circle"), with pairs whose arcs run from 2 to m // 2 + 1 points."""
+    t = np.sort(rng.random(m))
+    if shape == "collinear":
+        pts = (0.3 - 0.1j) + (1.0 + 2.0j) * t
+    else:
+        pts = (0.5 + 0.25j) + 1.7 * np.exp(2j * np.pi * t)
+    ii = rng.integers(0, m, 300)
+    jj = (ii + np.concatenate([rng.integers(1, m, 200), rng.integers(30, 40, 50),
+                               np.arange(m // 2 - 25, m // 2 + 25)])) % m
+    return pts, ii, jj
+
+
+@needs_c
+@pytest.mark.parametrize("shape", ["collinear", "circle"])
+def test_c_pruned_arcs_bit_equal(shape):
+    """An arc of more than 32 points skips the points that cannot raise its
+    largest squared distance.  On collinear arcs, where every point but
+    those next to the ends lies inside the bound, and on circle arcs, the
+    ratios still equal the reference's bit for bit at each lane count
+    and with 1 and 3 workers."""
+    rng = np.random.default_rng(17)
+    for m in (70, 1500, 2600):
+        pts, ii, jj = polyline_case(shape, m, rng)
+        ref = K._arc_ratios(pts, ii, jj)
+        assert (ref > 0.5).all()
+        for lanes in K._WIDTHS:
+            for workers in (1, 3):
+                assert bits(K._arc_ratios_c(pts, ii, jj, workers, lanes)) == bits(ref)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf),
+                                 complex(math.nan, 1.0)])
+def test_arc_ratios_refuse_non_finite_vertices(monkeypatch, bad):
+    """Both backends raise ValueError for a non-finite vertex, which the C
+    loop used to skip (ratio 1.0 for a NaN) and the reference to propagate
+    (NaN)."""
+    pts = np.exp(2j * np.pi * np.arange(12) / 12)
+    pts[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        K.arc_ratios(pts, [0], [6])
+    monkeypatch.setattr(K, "_lib", None)
+    with pytest.raises(ValueError, match="finite"):
+        K.arc_ratios(pts, [0], [6])
+
+
+# -- the curve CSV codec ----------------------------------------------------------
+
+def csv_ref(cols, calls):
+    """cli._write_curve_csv's reference rows lo..hi-1 of cols as bytes, each
+    (lo, hi) asked for recorded in calls."""
+    def ref(lo, hi):
+        calls.append((lo, hi))
+        rows = zip(*(a[lo:hi].tolist() for a in cols))
+        return "".join("%d,%r,%r,%r\n" % row for row in rows).encode()
+    return ref
+
+
+def refused_runs(rows):
+    """The runs (lo, hi) of rows holding a float that curve_csv_rows leaves
+    to the reference: one not +-0 and of modulus outside [2^-16, 2^61)."""
+    runs = []
+    for i, row in enumerate(rows):
+        if all(x == 0 or 2.0 ** -16 <= abs(x) < 2.0 ** 61 for x in row[1:]):
+            continue
+        if runs and runs[-1][1] == i:
+            runs[-1] = (runs[-1][0], i + 1)
+        else:
+            runs.append((i, i + 1))
+    return runs
+
+
+def check_csv_rows(rows):
+    """curve_csv_rows prints rows [k, x, y, z] as "%d,%r,%r,%r\\n" does, in C
+    for every row whose floats it takes, if the library is loaded."""
+    assert sys.float_repr_style == "short"
+    cols = (np.array([r[0] for r in rows], dtype=np.int64),
+            *(np.array([r[i] for r in rows], dtype=np.float64) for i in (1, 2, 3)))
+    calls = []
+    out = K.curve_csv_rows(*cols, csv_ref(cols, calls))
+    assert out == "".join("%d,%r,%r,%r\n" % tuple(r) for r in rows).encode()
+    if K.BACKEND == "c":
+        assert calls == refused_runs(rows)
+
+
+def from_bits(b):
+    return struct.unpack("<d", struct.pack("<Q", b))[0]
+
+
+# any float, any 64-bit pattern, and patterns with an exponent of the C
+# formatter's range, a mantissa of 0 (a power of two) among them
+c_floats = st.one_of(
+    st.floats(),
+    st.integers(0, 2 ** 64 - 1).map(from_bits),
+    st.tuples(st.integers(0, 1), st.integers(1023 - 17, 1023 + 61),
+              st.one_of(st.just(0), st.integers(0, 2 ** 52 - 1)))
+    .map(lambda t: from_bits(t[0] << 63 | t[1] << 52 | t[2])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2 ** 63, 2 ** 63 - 1), c_floats, c_floats, c_floats),
+                min_size=1, max_size=30))
+def test_curve_csv_rows_equal_repr(rows):
+    """Over st.floats() and raw 64-bit patterns, the writer prints what repr
+    prints, and the reference writes exactly the runs of rows with a float
+    outside the C formatter's range."""
+    check_csv_rows(rows)
+
+
+def test_curve_csv_rows_equal_repr_near_powers_of_two_and_decimals():
+    """Neighbours within 2 ulps of every power of two from 2^-17 to 2^62
+    and of decimals of 1 to 17 digits, and uniform draws: where the
+    shortest digits are decided by one ulp, or the lower neighbour is half
+    as far."""
+    rng = np.random.default_rng(23)
+    base = [2.0 ** e for e in range(-17, 63)]
+    base += [float("%.*g" % (int(p), x)) for p, x in
+             zip(rng.integers(1, 18, 3000), rng.random(3000) * 10.0 ** rng.integers(-6, 19, 3000))]
+    vals = []
+    for b in base:
+        for steps in (-2, -1, 0, 1, 2):
+            vals.append(b)
+            b = math.nextafter(b, math.inf if steps >= 0 else -math.inf)
+    vals += rng.random(3000).tolist()
+    vals = [v * s for v, s in zip(vals, rng.choice([-1.0, 1.0], len(vals)).tolist())]
+    vals += [0.0] * (-len(vals) % 3)
+    check_csv_rows([[k - 9, *vals[3 * k:3 * k + 3]] for k in range(len(vals) // 3)])
+
+
+def test_curve_csv_rows_mix_c_and_reference():
+    """Rows with 5e-324, 1e-300, 1e300, inf or NaN go to the reference whole,
+    the others, -0.0 and the ends of the C range among them, to C."""
+    odd = [5e-324, 1e-300, 1e300, math.inf, -math.inf, math.nan, 2.0 ** -16 / 2, 2.0 ** 61]
+    fine = [-0.0, 0.0, 0.5, -2.0 ** -16, math.nextafter(2.0 ** 61, 0), 1e16, 0.1, 123.456]
+    rows = [[k, fine[k % 8], fine[(k + 3) % 8], fine[(k + 5) % 8]] for k in range(12)]
+    for k, x in zip((1, 2, 3, 7, 8, 11), odd):
+        rows[k][1 + k % 3] = x
+    rows[8][1] = math.nan
+    check_csv_rows(rows)
+    assert refused_runs(rows) == [(1, 4), (7, 9), (11, 12)]
+    check_csv_rows([[0, math.inf, 0.5, 0.5]])
+    check_csv_rows([[-2 ** 63, -0.0, 0.0, -0.0], [2 ** 63 - 1, 0.75, -0.75, 1.0]])
+
+
+def test_curve_csv_codec_refuses_what_it_cannot_bound(monkeypatch):
+    """Columns of different lengths and a start outside the data raise
+    ValueError, and ks that int64 cannot hold TypeError, on both backends,
+    before any pointer is passed."""
+    for lib in (K._lib, None):
+        monkeypatch.setattr(K, "_lib", lib)
+        with pytest.raises(ValueError, match="one length"):
+            K.curve_csv_rows(np.arange(3), np.zeros(3), np.zeros(2), np.zeros(3), None)
+        with pytest.raises(TypeError):
+            K.curve_csv_rows(np.array([2 ** 63], dtype=np.uint64), *np.zeros((3, 1)), None)
+        for start in (-1, 5):
+            with pytest.raises(ValueError, match="outside"):
+                K.curve_csv_parse(b"0,1\n", start)
+
 def brute_distance(mask):
     """Distance from each pixel to the nearest False pixel by comparing every
     pair of pixels; inf without a False pixel."""
@@ -725,12 +887,27 @@ rng = np.random.default_rng(3)
 ii, jj = rng.integers(0, 2000, 300), rng.integers(0, 2000, 300)
 arcs = K.arc_ratios(rng.standard_normal(2000) + 1j * rng.standard_normal(2000), ii, jj)
 dist = K.distance_transform(lab != 2)
+# a curve CSV written and read back, with values C formats and values it leaves to repr
+import os, tempfile, types
+from hermanlab import cli
+vals = np.concatenate([rng.standard_normal(600) * 10.0 ** rng.integers(-8, 20, 600),
+                       [0.0, -0.0, 5e-324, 1e300, 2.0 ** -16, 2.0 ** 61]])
+pts = np.empty(202, dtype=np.complex128)
+pts.real, pts.imag = vals[202:404], vals[404:]
+with tempfile.TemporaryDirectory() as d:
+    path = os.path.join(d, "c.csv")
+    cli._write_curve_csv(types.SimpleNamespace(ks=np.arange(202) - 7, angles=vals[:202],
+                                               points=pts), path)
+    with open(path, "rb") as fh:
+        csv = fh.read()
+    back = b"".join(a.tobytes() for a in cli._read_curve_csv(path))
 print(json.dumps({"backend": K.BACKEND, "records": records, "results": [
     [x.hex() for x in (r.real, r.imag, dr.real, dr.imag)],
     n, hashlib.sha256(orb[:n].tobytes()).hexdigest(),
     ns, hashlib.sha256(smp.tobytes()).hexdigest(),
     hashlib.sha256(lab.tobytes() + its.tobytes()).hexdigest(),
-    hashlib.sha256(arcs.tobytes()).hexdigest(), hashlib.sha256(dist.tobytes()).hexdigest()]}))
+    hashlib.sha256(arcs.tobytes()).hexdigest(), hashlib.sha256(dist.tobytes()).hexdigest(),
+    hashlib.sha256(csv).hexdigest(), hashlib.sha256(back).hexdigest()]}))
 """
 
 
