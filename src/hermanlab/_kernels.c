@@ -4,7 +4,13 @@
  * the arc diameters behind the bounded-turning constant (arc_ratios), of
  * the exact Euclidean distance transform (distance_transform) and of the
  * curve CSV row codec (curve_csv_rows, curve_csv_parse), whose references
- * are cli's python writer and numpy loadtxt reader.
+ * are cli's python writer and numpy loadtxt reader.  The reader converts
+ * each float by the Eisel-Lemire algorithm, from a table of 128-bit
+ * truncated powers of five for decimal exponents in [-64, 64], and hands
+ * strtod the tokens it cannot settle exactly: more than 19 significant
+ * digits, an exponent outside the table, a product whose low word is all
+ * ones outside exponents [-27, 55], a result below the normal range or
+ * past DBL_MAX, and every token without 128-bit integers.
  *
  * Every complex operation is spelled out in real arithmetic exactly as
  * numpy evaluates it on complex128 scalars, in the reference's order, so
@@ -44,7 +50,6 @@
  * passed and returned as separate doubles.
  */
 
-#include <errno.h>
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
@@ -798,9 +803,9 @@ void distance_transform(const uint8_t *mask, int64_t w, int64_t h, int64_t *g, i
 
 /* The curve CSV row codec: rows "k,angle,re,im\n" with each k as %d
  * prints it and each float as python's repr prints it (curve_csv_rows),
- * and a strict reader of that grammar (curve_csv_parse).  The python
- * writer and numpy's loadtxt reader in cli are the references: they take
- * every row the writer refuses and every file the reader refuses. */
+ * and a strict one-pass reader of that grammar (curve_csv_parse).  The
+ * python writer and numpy's loadtxt reader in cli are the references: they
+ * take every row the writer refuses and every file the reader refuses. */
 
 static const uint64_t POW10[20] = {
     1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
@@ -999,66 +1004,243 @@ int64_t curve_csv_rows(const int64_t *ks, const double *angle, const double *re,
     return nruns;
 }
 
-/* The end of the run of decimal digits at s, before end. */
-static const char *digits_end(const char *s, const char *end)
+/* The reader converts each float token w 10^q, its significand w holding at
+ * most 19 significant digits, by the Eisel-Lemire algorithm (Lemire,
+ * "Number parsing at a gigabyte per second", Softw. Pract. Exp. 51, 2021):
+ * w, shifted to set its top bit, times a 128-bit truncation of 5^q gives
+ * the double's 54 leading bits, or says that it cannot settle them, in
+ * which case strtod parses that token alone.  Both round correctly, as
+ * loadtxt does, so every accepted value has loadtxt's bits. */
+
+#if defined(__SIZEOF_INT128__)
+/* 5^q for q in [-64, 64] as the words (hi, lo) of a 128-bit integer with
+ * its top bit set, by Lemire's rules:
+ *
+ *   for q in range(-64, 65):
+ *       if q >= 0:
+ *           c = 5 ** q
+ *           while c < 1 << 127: c *= 2
+ *           while c >= 1 << 128: c //= 2
+ *       else:
+ *           z = (5 ** -q - 1).bit_length()  # the least z with 2^z >= 5^-q
+ *           b = z + 127 if q >= -27 else 2 * z + 128
+ *           c = 2 ** b // 5 ** -q + 1
+ *           while c >= 1 << 128: c //= 2
+ *       print("{%#018x, %#018x}," % (c >> 64, c % 2 ** 64))
+ */
+static const uint64_t POW5[129][2] = {
+    {0xa87fea27a539e9a5, 0x3f2398d747b36224}, {0xd29fe4b18e88640e, 0x8eec7f0d19a03aad},
+    {0x83a3eeeef9153e89, 0x1953cf68300424ac}, {0xa48ceaaab75a8e2b, 0x5fa8c3423c052dd7},
+    {0xcdb02555653131b6, 0x3792f412cb06794d}, {0x808e17555f3ebf11, 0xe2bbd88bbee40bd0},
+    {0xa0b19d2ab70e6ed6, 0x5b6aceaeae9d0ec4}, {0xc8de047564d20a8b, 0xf245825a5a445275},
+    {0xfb158592be068d2e, 0xeed6e2f0f0d56712}, {0x9ced737bb6c4183d, 0x55464dd69685606b},
+    {0xc428d05aa4751e4c, 0xaa97e14c3c26b886}, {0xf53304714d9265df, 0xd53dd99f4b3066a8},
+    {0x993fe2c6d07b7fab, 0xe546a8038efe4029}, {0xbf8fdb78849a5f96, 0xde98520472bdd033},
+    {0xef73d256a5c0f77c, 0x963e66858f6d4440}, {0x95a8637627989aad, 0xdde7001379a44aa8},
+    {0xbb127c53b17ec159, 0x5560c018580d5d52}, {0xe9d71b689dde71af, 0xaab8f01e6e10b4a6},
+    {0x9226712162ab070d, 0xcab3961304ca70e8}, {0xb6b00d69bb55c8d1, 0x3d607b97c5fd0d22},
+    {0xe45c10c42a2b3b05, 0x8cb89a7db77c506a}, {0x8eb98a7a9a5b04e3, 0x77f3608e92adb242},
+    {0xb267ed1940f1c61c, 0x55f038b237591ed3}, {0xdf01e85f912e37a3, 0x6b6c46dec52f6688},
+    {0x8b61313bbabce2c6, 0x2323ac4b3b3da015}, {0xae397d8aa96c1b77, 0xabec975e0a0d081a},
+    {0xd9c7dced53c72255, 0x96e7bd358c904a21}, {0x881cea14545c7575, 0x7e50d64177da2e54},
+    {0xaa242499697392d2, 0xdde50bd1d5d0b9e9}, {0xd4ad2dbfc3d07787, 0x955e4ec64b44e864},
+    {0x84ec3c97da624ab4, 0xbd5af13bef0b113e}, {0xa6274bbdd0fadd61, 0xecb1ad8aeacdd58e},
+    {0xcfb11ead453994ba, 0x67de18eda5814af2}, {0x81ceb32c4b43fcf4, 0x80eacf948770ced7},
+    {0xa2425ff75e14fc31, 0xa1258379a94d028d}, {0xcad2f7f5359a3b3e, 0x096ee45813a04330},
+    {0xfd87b5f28300ca0d, 0x8bca9d6e188853fc}, {0x9e74d1b791e07e48, 0x775ea264cf55347e},
+    {0xc612062576589dda, 0x95364afe032a819e}, {0xf79687aed3eec551, 0x3a83ddbd83f52205},
+    {0x9abe14cd44753b52, 0xc4926a9672793543}, {0xc16d9a0095928a27, 0x75b7053c0f178294},
+    {0xf1c90080baf72cb1, 0x5324c68b12dd6339}, {0x971da05074da7bee, 0xd3f6fc16ebca5e04},
+    {0xbce5086492111aea, 0x88f4bb1ca6bcf585}, {0xec1e4a7db69561a5, 0x2b31e9e3d06c32e6},
+    {0x9392ee8e921d5d07, 0x3aff322e62439fd0}, {0xb877aa3236a4b449, 0x09befeb9fad487c3},
+    {0xe69594bec44de15b, 0x4c2ebe687989a9b4}, {0x901d7cf73ab0acd9, 0x0f9d37014bf60a11},
+    {0xb424dc35095cd80f, 0x538484c19ef38c95}, {0xe12e13424bb40e13, 0x2865a5f206b06fba},
+    {0x8cbccc096f5088cb, 0xf93f87b7442e45d4}, {0xafebff0bcb24aafe, 0xf78f69a51539d749},
+    {0xdbe6fecebdedd5be, 0xb573440e5a884d1c}, {0x89705f4136b4a597, 0x31680a88f8953031},
+    {0xabcc77118461cefc, 0xfdc20d2b36ba7c3e}, {0xd6bf94d5e57a42bc, 0x3d32907604691b4d},
+    {0x8637bd05af6c69b5, 0xa63f9a49c2c1b110}, {0xa7c5ac471b478423, 0x0fcf80dc33721d54},
+    {0xd1b71758e219652b, 0xd3c36113404ea4a9}, {0x83126e978d4fdf3b, 0x645a1cac083126ea},
+    {0xa3d70a3d70a3d70a, 0x3d70a3d70a3d70a4}, {0xcccccccccccccccc, 0xcccccccccccccccd},
+    {0x8000000000000000, 0x0000000000000000}, {0xa000000000000000, 0x0000000000000000},
+    {0xc800000000000000, 0x0000000000000000}, {0xfa00000000000000, 0x0000000000000000},
+    {0x9c40000000000000, 0x0000000000000000}, {0xc350000000000000, 0x0000000000000000},
+    {0xf424000000000000, 0x0000000000000000}, {0x9896800000000000, 0x0000000000000000},
+    {0xbebc200000000000, 0x0000000000000000}, {0xee6b280000000000, 0x0000000000000000},
+    {0x9502f90000000000, 0x0000000000000000}, {0xba43b74000000000, 0x0000000000000000},
+    {0xe8d4a51000000000, 0x0000000000000000}, {0x9184e72a00000000, 0x0000000000000000},
+    {0xb5e620f480000000, 0x0000000000000000}, {0xe35fa931a0000000, 0x0000000000000000},
+    {0x8e1bc9bf04000000, 0x0000000000000000}, {0xb1a2bc2ec5000000, 0x0000000000000000},
+    {0xde0b6b3a76400000, 0x0000000000000000}, {0x8ac7230489e80000, 0x0000000000000000},
+    {0xad78ebc5ac620000, 0x0000000000000000}, {0xd8d726b7177a8000, 0x0000000000000000},
+    {0x878678326eac9000, 0x0000000000000000}, {0xa968163f0a57b400, 0x0000000000000000},
+    {0xd3c21bcecceda100, 0x0000000000000000}, {0x84595161401484a0, 0x0000000000000000},
+    {0xa56fa5b99019a5c8, 0x0000000000000000}, {0xcecb8f27f4200f3a, 0x0000000000000000},
+    {0x813f3978f8940984, 0x4000000000000000}, {0xa18f07d736b90be5, 0x5000000000000000},
+    {0xc9f2c9cd04674ede, 0xa400000000000000}, {0xfc6f7c4045812296, 0x4d00000000000000},
+    {0x9dc5ada82b70b59d, 0xf020000000000000}, {0xc5371912364ce305, 0x6c28000000000000},
+    {0xf684df56c3e01bc6, 0xc732000000000000}, {0x9a130b963a6c115c, 0x3c7f400000000000},
+    {0xc097ce7bc90715b3, 0x4b9f100000000000}, {0xf0bdc21abb48db20, 0x1e86d40000000000},
+    {0x96769950b50d88f4, 0x1314448000000000}, {0xbc143fa4e250eb31, 0x17d955a000000000},
+    {0xeb194f8e1ae525fd, 0x5dcfab0800000000}, {0x92efd1b8d0cf37be, 0x5aa1cae500000000},
+    {0xb7abc627050305ad, 0xf14a3d9e40000000}, {0xe596b7b0c643c719, 0x6d9ccd05d0000000},
+    {0x8f7e32ce7bea5c6f, 0xe4820023a2000000}, {0xb35dbf821ae4f38b, 0xdda2802c8a800000},
+    {0xe0352f62a19e306e, 0xd50b2037ad200000}, {0x8c213d9da502de45, 0x4526f422cc340000},
+    {0xaf298d050e4395d6, 0x9670b12b7f410000}, {0xdaf3f04651d47b4c, 0x3c0cdd765f114000},
+    {0x88d8762bf324cd0f, 0xa5880a69fb6ac800}, {0xab0e93b6efee0053, 0x8eea0d047a457a00},
+    {0xd5d238a4abe98068, 0x72a4904598d6d880}, {0x85a36366eb71f041, 0x47a6da2b7f864750},
+    {0xa70c3c40a64e6c51, 0x999090b65f67d924}, {0xd0cf4b50cfe20765, 0xfff4b4e3f741cf6d},
+    {0x82818f1281ed449f, 0xbff8f10e7a8921a4}, {0xa321f2d7226895c7, 0xaff72d52192b6a0d},
+    {0xcbea6f8ceb02bb39, 0x9bf4f8a69f764490}, {0xfee50b7025c36a08, 0x02f236d04753d5b4},
+    {0x9f4f2726179a2245, 0x01d762422c946590}, {0xc722f0ef9d80aad6, 0x424d3ad2b7b97ef5},
+    {0xf8ebad2b84e0d58b, 0xd2e0898765a7deb2}, {0x9b934c3b330c8577, 0x63cc55f49f88eb2f},
+    {0xc2781f49ffcfa6d5, 0x3cbf6b71c76b25fb}
+};
+#endif
+
+/* +-w 10^q, w > 0, as the nearest double into *x, ties to even; 0 where
+ * the algorithm cannot settle it: q outside the table, a product whose low
+ * word is all ones outside q in [-27, 55] (where the truncated power may
+ * have moved it across a rounding boundary), a result below the normal
+ * range or past DBL_MAX, and every w without 128-bit integers. */
+static int eisel_lemire(uint64_t w, int64_t q, int neg, double *x)
 {
-    while (s < end && (unsigned)(*s - '0') < 10)
-        s++;
-    return s;
+#if defined(__SIZEOF_INT128__)
+    typedef unsigned __int128 u128;
+    if (q < -64 || q > 64)
+        return 0;
+    int lz = __builtin_clzll(w);
+    w <<= lz;
+    const uint64_t *t = POW5[q + 64];
+    u128 p = (u128)w * t[0];
+    uint64_t hi = (uint64_t)(p >> 64), lo = (uint64_t)p;
+    /* the 9 bits below the 55 that rounding reads are all ones: the low
+     * word's product may carry into them */
+    if ((hi & 0x1FF) == 0x1FF) {
+        uint64_t c = (uint64_t)(((u128)w * t[1]) >> 64);
+        lo += c;
+        hi += lo < c;
+    }
+    if (lo == UINT64_MAX && (q < -27 || q > 55))
+        return 0;
+    int top = (int)(hi >> 63), shift = top + 9;
+    uint64_t m = hi >> shift;
+    /* the biased exponent: floor(q log2 10) + 63 from the table's
+     * normalisation, less w's shift */
+    int64_t e2 = ((217706 * q) >> 16) + 63 + top - lz + 1023;
+    if (e2 <= 0)
+        return 0;
+    /* exactly halfway, which only q in [-4, 23] can be: round to even */
+    if (lo <= 1 && q >= -4 && q <= 23 && (m & 3) == 1 && (m << shift) == hi)
+        m &= ~(uint64_t)1;
+    m = (m + (m & 1)) >> 1;
+    if (m >> 53) {
+        m >>= 1;
+        e2++;
+    }
+    if (e2 >= 2047)
+        return 0;
+    uint64_t bits = (uint64_t)neg << 63 | (uint64_t)e2 << 52 | (m & ((1ULL << 52) - 1));
+    memcpy(x, &bits, sizeof bits);
+    return 1;
+#else
+    (void)w;
+    (void)q;
+    (void)neg;
+    (void)x;
+    return 0;
+#endif
 }
 
-/* The end of -?[0-9]+ at s (floats: -?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?),
- * if sep follows it; else NULL. */
-static const char *token_end(const char *s, const char *end, int is_float, char sep)
+#define IS_DIGIT(c) ((unsigned)((c) - '0') < 10)
+
+/* The k of a token -?[0-9]+ at s within int64 into *k, if ',' follows it;
+ * the ',', else NULL. */
+static const char *read_k(const char *s, const char *end, int64_t *k)
 {
-    const char *t;
-    s += s < end && *s == '-';
-    if ((t = digits_end(s, end)) == s)
+    int neg = s < end && *s == '-';
+    const char *p = s + neg, *d = p;
+    uint64_t v = 0, most = (uint64_t)INT64_MAX + neg;
+    for (; p < end && IS_DIGIT(*p); p++) {
+        unsigned dig = (unsigned)(*p - '0');
+        if (v > (most - dig) / 10)
+            return NULL;
+        v = 10 * v + dig;
+    }
+    if (p == d || !(p < end && *p == ','))
         return NULL;
-    if (is_float && t < end && *t == '.') {
-        s = t + 1;
-        if ((t = digits_end(s, end)) == s)
+    *k = neg ? (int64_t)(0 - v) : (int64_t)v;
+    return p;
+}
+
+/* The finite double of a token -?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)? at s into
+ * *x, if sep follows it; sep, else NULL.  One pass checks the grammar and
+ * reads w 10^q: w of the significant digits, with nd their count, and q
+ * less one per fraction digit plus the exponent.  w = 0 gives +-0.0;
+ * nd > 19, or w 10^q that eisel_lemire does not settle, goes to strtod. */
+static const char *read_float(const char *s, const char *end, char sep, double *x)
+{
+    int neg = s < end && *s == '-';
+    const char *p = s + neg, *d = p;
+    uint64_t w = 0;
+    int64_t q = 0;
+    int nd = 0;
+    for (; p < end && IS_DIGIT(*p); p++)
+        if (nd || *p != '0')
+            w = nd++ < 19 ? 10 * w + (uint64_t)(*p - '0') : w;
+    if (p == d)
+        return NULL;
+    if (p < end && *p == '.') {
+        for (d = ++p; p < end && IS_DIGIT(*p); p++, q--)
+            if (nd || *p != '0')
+                w = nd++ < 19 ? 10 * w + (uint64_t)(*p - '0') : w;
+        if (p == d)
             return NULL;
     }
-    if (is_float && t < end && *t == 'e') {
-        s = t + 1;
-        if (!(s < end && (*s == '+' || *s == '-')))
+    if (p < end && *p == 'e') {
+        p++;
+        if (!(p < end && (*p == '+' || *p == '-')))
             return NULL;
-        s++;
-        if ((t = digits_end(s, end)) == s)
+        int eneg = *p++ == '-';
+        int64_t e = 0;
+        for (d = p; p < end && IS_DIGIT(*p); p++)
+            e = e < 100000 ? 10 * e + (*p - '0') : e;
+        if (p == d)
+            return NULL;
+        /* an exponent of 100000 or more counts as 2^62, which keeps q
+         * outside the table whatever the fraction's length */
+        e = e < 100000 ? e : INT64_C(1) << 62;
+        q += eneg ? -e : e;
+    }
+    if (!(p < end && *p == sep))
+        return NULL;
+    if (nd == 0) {
+        *x = neg ? -0.0 : 0.0;
+    } else if (nd > 19 || !eisel_lemire(w, q, neg, x)) {
+        char *e;
+        *x = strtod(s, &e);
+        if (e != p || !isfinite(*x))
             return NULL;
     }
-    return t < end && *t == sep ? t : NULL;
+    return p;
 }
 
 /* The n rows of text[start..len), each "k,angle,re,im\n" with k a
- * -?[0-9]+ that strtoll reads within int64 and each float of token_end's
- * grammar, which strtod reads to its end as a finite double, into ks and
- * the columns cols[0..n), cols[n..2n), cols[2n..3n).  Returns n, or -1 at
- * the first line outside that grammar, or if text holds more than n
- * lines.  text is NUL-terminated after len (a python bytes object). */
+ * -?[0-9]+ within int64 (read_k) and three finite floats of read_float's
+ * grammar, into ks and the columns cols[0..n), cols[n..2n), cols[2n..3n).
+ * Returns n, or -1 at the first line outside that grammar, or if text
+ * holds more than n lines.  text is NUL-terminated after len (a python
+ * bytes object), which strtod needs. */
 int64_t curve_csv_parse(const char *text, int64_t start, int64_t len, int64_t n, int64_t *ks,
                         double *cols)
 {
-    const char *s = text + start, *end = text + len, *t;
-    char *e;
+    const char *s = text + start, *end = text + len;
     for (int64_t i = 0; i < n; i++) {
-        if (!(t = token_end(s, end, 0, ',')))
+        if (!(s = read_k(s, end, ks + i)))
             return -1;
-        errno = 0;
-        ks[i] = strtoll(s, &e, 10);
-        if (errno == ERANGE || e != t)
-            return -1;
-        s = t + 1;
-        for (int c = 0; c < 3; c++) {
-            if (!(t = token_end(s, end, 1, c < 2 ? ',' : '\n')))
+        for (int c = 0; c < 3; c++)
+            if (!(s = read_float(s + 1, end, c < 2 ? ',' : '\n', cols + c * n + i)))
                 return -1;
-            double x = strtod(s, &e);
-            if (e != t || !isfinite(x))
-                return -1;
-            cols[c * n + i] = x;
-            s = t + 1;
-        }
+        s++;
     }
     return s == end ? n : -1;
 }

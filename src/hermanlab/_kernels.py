@@ -54,10 +54,18 @@ scaled to a power of ten in exact 128-bit integers, its shortest
 decimals and of those the nearest, ties to even.  It takes +-0 and |x| in
 [2^-16, 2^61), where that arithmetic fits; a row with any other float,
 and every row without ``__int128``, goes to the python writer, in runs.
-The reader parses the writer's grammar with strtoll and strtod, which
-round correctly as loadtxt does; the first line outside it, or a
-non-finite value, hands the whole file to loadtxt, which names the bad
-line.  Without the library both references run alone.
+The reader checks the writer's grammar and reads each value in one pass
+per line: a k within int64, and each float as its significand w of up to
+19 significant digits times 10^q, converted by the Eisel-Lemire algorithm
+(w times a 128-bit truncated power of five from a table for q in
+[-64, 64]).  w = 0 gives +-0.0.  strtod parses a token alone where the
+algorithm cannot settle it exactly: more than 19 significant digits, q
+outside the table, a product whose low word is all ones outside q in
+[-27, 55], a result below the normal range or past DBL_MAX, and every
+token without ``__int128``.  Both round correctly, as loadtxt does.  The
+first line outside the grammar, or a non-finite value, hands the whole
+file to loadtxt, which names the bad line.  Without the library both
+references run alone.
 
 The C classifier iterates one pixel per lane of a vector of doubles,
 each lane taking the next pixel of its thread's rows when its own is
@@ -692,9 +700,11 @@ def curve_csv_parse(data, start):
     """(ks, angles, re, im) of the curve CSV rows in data[start:] (bytes),
     or None if a line lies outside the writer's grammar, and without the
     library: each line "k,angle,re,im\\n" with k -?[0-9]+ within int64 and
-    each float -?[0-9]+(\\.[0-9]+)?(e[+-][0-9]+)?, finite as strtod reads
-    it.  strtod and numpy's loadtxt both round correctly, so an accepted
-    line gives loadtxt's values bit for bit."""
+    each float -?[0-9]+(\\.[0-9]+)?(e[+-][0-9]+)?, finite.  Each float is
+    converted by Eisel-Lemire from its significand and decimal exponent, or
+    by strtod where that cannot settle it (see the module docstring); both
+    round correctly, as numpy's loadtxt does, so an accepted line gives
+    loadtxt's values bit for bit."""
     if not 0 <= start <= len(data):
         raise ValueError("start %d lies outside the %d bytes of data" % (start, len(data)))
     if _lib is None:

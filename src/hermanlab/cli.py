@@ -64,6 +64,17 @@ def _int(name, value, least, theta=None, spare=0):
     return value
 
 
+def _trace_depth(name, value, least, theta, spare=0):
+    """A trace depth as _int takes it, whose q_value vertices a trace holds
+    (curve.trace_size), refused before any tuning or allocation."""
+    depth = _int(name, value, least, theta, spare)
+    try:
+        curve_mod.trace_size(theta, depth)
+    except ValueError as e:
+        raise ConfigError("%s: %s" % (name, e))
+    return depth
+
+
 def _family(pair, names=("--d0", "--dinf")):
     """The degrees (d0, dinf) maps.herman_family takes: each at least 2, and
     d0 + dinf at most 61, past which its binomial coefficients overflow."""
@@ -345,7 +356,7 @@ def _ratios(m, theta, N, path=None):
 def cmd_trace(args):
     theta = _theta("--theta", args.theta)
     # q_1 = 1 for a theta with a_1 = 1, which leaves no orbit point to trace
-    depth = _int("--depth", args.depth, 2, theta)
+    depth = _trace_depth("--depth", args.depth, 2, theta)
     _trace(_tuned_map(args, theta, _tune_depth(depth, theta)), theta, depth, args.out)
     return 0
 
@@ -516,8 +527,8 @@ def _load_config(path):
     if not (seed is None or isinstance(seed, str)):
         seed = _param("seed", seed)
     # verify_herman at depth min(_VERIFY_CAP, trace_depth) reads one quotient past it
-    depth = _int("trace_depth", cfg.get("trace_depth", _TRACE_DEPTH), rotation.VERIFY_LEAST_DEPTH,
-                 theta, int(theta.depth <= _VERIFY_CAP))
+    depth = _trace_depth("trace_depth", cfg.get("trace_depth", _TRACE_DEPTH),
+                         rotation.VERIFY_LEAST_DEPTH, theta, int(theta.depth <= _VERIFY_CAP))
     N = _int("renorm_depth", cfg.get("renorm_depth", min(depth - 2, 14)), 1, theta, 3)
     # the verify depth min(_VERIFY_CAP, trace_depth) needs a ladder one level deeper
     tune_depth = _ladder_depth("tune_depth", cfg.get("tune_depth"), family, seed, theta,

@@ -44,8 +44,8 @@ class RationalMap:
     rely on that.
 
     ``eval`` cross-checks the compiled orbit: the circle scan of
-    ``circle_lift`` makes 64 calls per Blaschke tune, and ``trace`` about
-    261 at depth 20, at about 13 microseconds each on a 2-vCPU VM.
+    ``circle_lift`` makes 64 calls per Blaschke tune, at about 13
+    microseconds each on a 2-vCPU VM.
     """
 
     num: np.ndarray

@@ -698,6 +698,37 @@ def test_depth_past_the_cap_is_config_error(capsys, tmp_path, argv, config, name
     assert {p.name for p in tmp_path.iterdir()} <= {"m.json"}  # no output, no outdir
 
 
+@pytest.mark.parametrize("depth", [33, 40])
+def test_trace_depth_past_the_vertex_cap_is_config_error(capsys, tmp_path, monkeypatch, depth):
+    """A trace depth whose q_n exceeds curve.MAX_VERTICES = 2^22 exits 2
+    before any tuning or tracing, from trace --depth and from a config
+    trace_depth (q_40 = 165,580,141 points used to be allocated); golden
+    depth 32 (q_32 = 3,524,578) stays accepted."""
+    def never(*args):
+        raise AssertionError("tuned or traced")
+
+    traced = []
+    monkeypatch.setattr(cli, "_tuned_map", lambda args, theta, m: "map")
+    monkeypatch.setattr(cli, "_trace", lambda m, theta, n, path: traced.append(n))
+    monkeypatch.setattr(curve, "trace", never)
+    monkeypatch.setattr(rotation, "tune_asymmetric", never)
+    assert curve.MAX_VERTICES == 2 ** 22
+    assert convergents(GOLDEN, 33).q[32:] == [3524578, 5702887]
+    trace = ["trace", "--d0", "3", "--dinf", "2", "--out", str(tmp_path / "c.csv"), "--depth"]
+    assert run(capsys, *trace, "32")[0] == 0
+    assert traced == [32]
+    monkeypatch.setattr(cli, "_tuned_map", never)
+    q = convergents(GOLDEN, depth).q[depth]
+    config = small_config(tmp_path, "m", trace_depth=depth)
+    for argv, named in (([*trace, str(depth)], "--depth"),
+                        (["pipeline", "--config", str(config)], "trace_depth")):
+        code, text, err = run(capsys, *argv)
+        assert (code, text) == (2, "")
+        assert err.startswith("config error: %s: depth %d asks for q_%d = %d vertices, more "
+                              "than the 4194304 a trace holds" % (named, depth, depth, q))
+    assert traced == [32] and {p.name for p in tmp_path.iterdir()} == {"m.json"}
+
+
 @pytest.mark.parametrize("argv, named", [
     (["cfrac", "--theta", "golden", "--out"], "--out"),
     (["tune", "--d0", "2", "--dinf", "2", "--out"], "--out"),

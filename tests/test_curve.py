@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import hermanlab as hl
 from hermanlab.cfrac import GOLDEN, convergents
+from hermanlab import curve as curve_mod
 from hermanlab._kernels import _arc_diameter
 from hermanlab.curve import OrbitEscapeError, _aitken, _median
 
@@ -28,6 +29,47 @@ def test_trace_vertex_dynamics_check(golden32):
 def test_trace_rejects_untuned_map():
     m = hl.herman_family(3, 2, -0.5 + 0.5j)
     with pytest.raises(OrbitEscapeError):
+        hl.trace(m, "golden", 14)
+
+
+def test_trace_refuses_depths_past_the_vertex_cap(monkeypatch):
+    """trace refuses a depth whose q_n exceeds MAX_VERTICES before it
+    iterates or allocates the orbit."""
+    def never(*args):
+        raise AssertionError("iterated")
+
+    monkeypatch.setattr(curve_mod, "_critical_orbit", never)
+    m = hl.herman_family(3, 2, -0.5 + 0.5j)
+    with pytest.raises(ValueError, match="q_33 = 5702887 vertices, more than the 4194304"):
+        hl.trace(m, "golden", 33)
+
+
+def test_trace_vertex_check_evaluates_as_eval(golden32):
+    """The spot check's array quotient agrees with RationalMap.eval, the
+    scalar reference it replaced, to 1e-13 relative on every vertex of a
+    trace (a few ulps per Horner step of the degree-5 quotient)."""
+    _, m = golden32
+    z = hl.trace(m, "golden", 14).points
+    want = np.array([m.eval(v) for v in z])
+    assert np.all(np.abs(curve_mod._images(m, z) - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("moved", [100, 101])
+def test_trace_vertex_check_names_the_first_failing_vertex(golden32, monkeypatch, moved):
+    """An orbit whose vertex 100 or 101 is moved by 1e-6 fails the spot check
+    at k = 100, the sampled vertex (every second one of q_14 = 610) whose
+    image or successor moved; without the move the same trace passes."""
+    _, m = golden32
+    orbit = curve_mod._critical_orbit
+
+    def moved_orbit(map_, ks, z0):
+        pts = orbit(map_, ks, z0)
+        pts[moved - 1] += 1e-6          # pts[i] is f^(i+1)(z0)
+        return pts
+
+    hl.trace(m, "golden", 14)
+    monkeypatch.setattr(curve_mod, "_critical_orbit", moved_orbit)
+    with pytest.raises(OrbitEscapeError, match=r"check failed at k=100$"):
         hl.trace(m, "golden", 14)
 
 

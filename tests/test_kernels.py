@@ -3,10 +3,12 @@ numpy.polyval, finite differences and 50-digit mpmath orbits; the C
 kernels against the python references, bit for bit."""
 
 import ast
+import decimal
 import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import struct
 import subprocess
@@ -814,6 +816,174 @@ def test_curve_csv_codec_refuses_what_it_cannot_bound(monkeypatch):
         for start in (-1, 5):
             with pytest.raises(ValueError, match="outside"):
                 K.curve_csv_parse(b"0,1\n", start)
+
+
+def parsed(tokens):
+    """curve_csv_parse of one row per token, each "k,t,t,t": the first
+    column as a list, or None if the reader refuses the text."""
+    data = b"".join(b"%d,%s,%s,%s\n" % (k, t, t, t)
+                    for k, t in enumerate(t.encode() for t in tokens))
+    cols = K.curve_csv_parse(data, 0)
+    if cols is None:
+        return None
+    assert cols[1].tobytes() == cols[2].tobytes() == cols[3].tobytes()
+    assert cols[0].tolist() == list(range(len(tokens)))
+    return cols[1].tolist()
+
+
+def check_parse_equals_float(tokens):
+    """With the library, the reader takes every token and gives float(token)
+    bit for bit, +-0.0 included; without it, the text is left to loadtxt."""
+    got = parsed(tokens)
+    if K.BACKEND != "c":
+        assert got is None
+        return
+    assert got is not None
+    assert [t for t, x in zip(tokens, got)
+            if struct.pack("<d", x) != struct.pack("<d", float(t))] == []
+
+
+def grammar_forms(x):
+    """x as repr, %.17g, %.25f and %.30e print it, with the exponent of %g
+    and %e in the writer's form e[+-]XX; x finite."""
+    return [repr(x), "%.17g" % x, "%.25f" % x, "%.30e" % x]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(0, 2 ** 64 - 1).map(from_bits)
+                          .filter(math.isfinite)), min_size=1, max_size=20))
+def test_curve_csv_parse_equals_float(xs):
+    """Over st.floats() and raw 64-bit patterns, written as repr, %.17g,
+    %.25f and %.30e print them, the reader gives float(token) bit for bit."""
+    check_parse_equals_float([t for x in xs for t in grammar_forms(x)])
+
+
+def exact(n, e):
+    """The exact decimal of n 2^e as a Decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        return decimal.Decimal(n) * decimal.Decimal(2) ** e
+
+
+def decimal_forms(d, digits):
+    """d rounded to digits significant digits, then that decimal less and
+    plus one in its last digit, each in %f and %e form."""
+    sign, ds, ex = d.as_tuple()
+    w = int("".join(map(str, ds)))
+    drop = max(len(ds) - digits, 0)
+    w, ex = w // 10 ** drop, ex + drop
+    out = []
+    for v in (w - 1, w, w + 1):
+        r = decimal.Decimal((sign, tuple(map(int, str(v))), ex))
+        out += ["{:f}".format(r), "{:e}".format(r)]
+    return out
+
+
+def test_curve_csv_parse_binary_midpoints():
+    """Exact midpoints between neighbouring doubles, which round to the even
+    one, and the decimals one unit in the last digit below and above them:
+    in full, and rounded to 15 to 19 significant digits, where the 128-bit
+    product's lower bits are all ones or all zeros and the second product
+    and the ties-to-even branch decide the result."""
+    rng = np.random.default_rng(31)
+    tokens = []
+    # midpoints (2^53 + 2j + 1) 2^e of normal doubles, the short ones with
+    # e >= 0 written w e+q with q in [0, 23]
+    ms, es = rng.integers(2 ** 52, 2 ** 53, 400).tolist(), rng.integers(-120, 80, 400).tolist()
+    for m, e in zip(ms, es):
+        d = exact(2 * m + 1, e)
+        tokens += decimal_forms(d, 200)
+        for digits in (15, 16, 17, 18, 19):
+            tokens += decimal_forms(d, digits)
+    for q in range(24):
+        lo, hi = -(-2 ** 53 // 5 ** q), 2 ** 54 // 5 ** q
+        for j in (lo | 1, (lo + hi) // 2 | 1, (hi - 1) | 1):
+            assert 2 ** 53 < j * 5 ** q < 2 ** 54
+            w = j
+            while w < 10 ** 19:
+                tokens += ["%de+%02d" % (w + dw, q) for dw in (-1, 0, 1)]
+                w *= 2
+    # short midpoints below 1 in each binade: n/2, n/4, n/8 with n odd
+    for n in (2 ** 53 + 1, 2 ** 53 + 3, 2 ** 54 - 1):
+        for f in (2, 4, 8):
+            tokens += decimal_forms(exact(n, -f.bit_length() + 1), 19)
+    check_parse_equals_float(tokens)
+
+
+@pytest.mark.parametrize("token", [
+    "12345678901234567890", "1.2345678901234567890123", "0.10000000000000000555",
+    "9007199254740993.0000000000001", "000000000000000000000000000001.5",
+    "0.0000000000000000000000000000000000000000000000000000000000000000000001",
+    "-0", "-0.0", "0.000e-00", "-000.000e+99999", "00012.50",
+    "1e-65", "1e+65", "9.999999999999999e-65", "1.7976931348623157e+308",
+    "1.7976931348623158e+308", "2.2250738585072014e-308", "2.2250738585072011e-308",
+    "4.9406564584124654e-324", "5e-324", "2e-324", "1e-400", "-1e-400",
+    "1e+00000000000000000000000000000000", "123456789012345678e-00000000000000000000064",
+    "1e+23", "8.98846567431158e+307", "9007199254740993", "4503599627370496.5",
+])
+def test_curve_csv_parse_edge_tokens(token):
+    """More than 19 digits, leading zeros, -0, exponents outside [-64, 64],
+    subnormal and the largest results, and short midpoints read as float."""
+    check_parse_equals_float([token])
+
+
+@pytest.mark.parametrize("token", ["1e400", "1e+400", "-1.8e+308", "1.7976931348623159e+308"])
+def test_curve_csv_parse_refuses_infinite_values(token):
+    """A token that rounds past DBL_MAX is refused, leaving the file to
+    loadtxt, which names the line."""
+    assert parsed(["0.5", token]) is None
+
+
+def test_curve_csv_parse_long_fractions_and_exponents():
+    """A fraction of 99,990 digits shifts q as far as an exponent of 100,000
+    or more: 10^-99991 times 10^100000 reads as 1e9, and times 10^1000000 as
+    inf, which is refused, whatever digits the exponent has past 100000;
+    long runs of leading and trailing zeros read as float reads them."""
+    tiny = "0." + "0" * 99990 + "1"
+    check_parse_equals_float([tiny + "e+100000", tiny + "e+099999", tiny + "e-5",
+                              "0" * 99990 + "1.5", "1" + "0" * 300])
+    for e in ("e+1000000", "e+100400", "e+0000000000000000000000001000000"):
+        assert parsed(["0.5", tiny + e]) is None
+
+
+@pytest.mark.parametrize("k, takes", [
+    ("9223372036854775807", True), ("-9223372036854775808", True), ("-0", True),
+    ("0009223372036854775807", True), ("9223372036854775808", False),
+    ("-9223372036854775809", False), ("18446744073709551616", False),
+])
+def test_curve_csv_parse_reads_k_within_int64(k, takes):
+    """A k reads as int(k) while int64 holds it; past either end the reader
+    refuses the text, which loadtxt then refuses too."""
+    got = K.curve_csv_parse(b"%s,0.5,0.5,0.5\n" % k.encode(), 0)
+    if K.BACKEND != "c" or not takes:
+        assert got is None
+    else:
+        assert got[0].tolist() == [int(k)]
+
+
+def test_pow5_table_equals_lemire_rules():
+    """The C reader's 128-bit powers of five, regenerated from Lemire's
+    rules with python integers: for q >= 0, 5^q shifted to 128 bits and
+    truncated; for q < 0, floor(2^b / 5^-q) + 1 with b = z + 127 (q >= -27)
+    or 2z + 128, z the least with 2^z >= 5^-q, truncated to 128 bits."""
+    src = pathlib.Path(K._SOURCE).read_text()
+    body = src[src.index("POW5[129][2] = {"):]
+    body = body[:body.index("};")]
+    words = [int(h, 16) for h in re.findall(r"0x([0-9a-f]{16})\b", body)]
+    table = [hi << 64 | lo for hi, lo in zip(words[::2], words[1::2])]
+    want = []
+    for q in range(-64, 65):
+        if q >= 0:
+            c = 5 ** q << max(128 - (5 ** q).bit_length(), 0)
+            c >>= max(c.bit_length() - 128, 0)
+        else:
+            z = (5 ** -q - 1).bit_length()
+            c = 2 ** (z + 127 if q >= -27 else 2 * z + 128) // 5 ** -q + 1
+            c >>= max(c.bit_length() - 128, 0)
+        assert c >> 127 == 1
+        want.append(c)
+    assert len(words) == 258 and table == want
 
 def brute_distance(mask):
     """Distance from each pixel to the nearest False pixel by comparing every
