@@ -32,19 +32,19 @@
  * thread, interleaved in one loop body, so that one vector's divisions run
  * while the other's wait (classify_rows_L); the arc diameters take their
  * largest squared distance over several arc points at once
- * (arc_max_sq_L).  Each body is written once and built at 2 lanes for the
- * default target and, on x86, at 4 lanes for AVX2 and 8 for AVX-512F
- * through target attributes; simd_lanes() asks the CPU at run time which
- * of them it runs, and the caller passes the width in.  No -march flag is
- * used: it would tie the cached library to the build machine's CPU, and
- * the target attributes already give each width its instructions.  Vector
- * lanes round each IEEE operation exactly as a scalar does, and
- * -ffp-contract=off holds in every target.  Each classifier lane performs
- * cdiv's operations in cdiv's order, so every width gives the labels and
- * counts of the reference on every host; each squared distance is rounded
- * as the scalar one, and a maximum of exactly rounded values does not
- * depend on the order it is taken in, so every width gives the same arc
- * ratios.
+ * (arc_max_sq_L).  Each body is written once and built at every width of
+ * WIDTHS: 2 lanes for any target and, on x86, 4 lanes for AVX2 and 8 for
+ * AVX-512F through target attributes; simd_lanes() asks the CPU at run
+ * time which of them it runs, and the caller passes the width in.  No
+ * -march flag is used: it would tie the cached library to the build
+ * machine's CPU, and the target attributes already give each width its
+ * instructions.  Vector lanes round each IEEE operation exactly as a
+ * scalar does, and -ffp-contract=off holds in every target.  Each
+ * classifier lane performs cdiv's operations in cdiv's order, so every
+ * width gives the labels and counts of the reference on every host; each
+ * squared distance is rounded as the scalar one, and a maximum of exactly
+ * rounded values does not depend on the order it is taken in, so every
+ * width gives the same arc ratios.
  *
  * Complex arrays are interleaved (re, im) doubles; complex scalars are
  * passed and returned as separate doubles.
@@ -313,6 +313,17 @@ double blaschke_advance(const double *den, int64_t nden, double alpha, double sl
  * vector's state is a register of its own */
 #define EACH_VECTOR(v) _Pragma("GCC unroll 2") for (int v = 0; v < 2; v++)
 
+/* The vector widths, as M(lanes, target attribute) for each, and
+ * BY_LANES(lanes, f), f's instance for that many lanes. */
+#if defined(__x86_64__) || defined(__i386__)
+#define WIDTHS(M)                                                                          \
+    M(2, ) M(4, __attribute__((target("avx2")))) M(8, __attribute__((target("avx512f"))))
+#define BY_LANES(lanes, f) ((lanes) == 8 ? f##_8 : (lanes) == 4 ? f##_4 : f##_2)
+#else
+#define WIDTHS(M) M(2, )
+#define BY_LANES(lanes, f) ((void)(lanes), f##_2)
+#endif
+
 /* Escape-time labels (0 inner, 1 outer, 2 undecided) and iteration counts
  * of the pixel rows row0, row0 + stride, ... of the w x h grid whose pixel
  * (ix, iy) is centred at (x0 + (ix + 0.5) dx, y0 + (iy + 0.5) dy), into the
@@ -453,11 +464,7 @@ double blaschke_advance(const double *den, int64_t nden, double alpha, double sl
         }                                                                                  \
     }
 
-CLASSIFY_ROWS(2, )
-#if defined(__x86_64__) || defined(__i386__)
-CLASSIFY_ROWS(4, __attribute__((target("avx2"))))
-CLASSIFY_ROWS(8, __attribute__((target("avx512f"))))
-#endif
+WIDTHS(CLASSIFY_ROWS)
 
 /* The widest lane count classify_rows and arc_ratios can run on this CPU:
  * 8 with AVX-512F (whose target also enables AVX2), 4 with AVX2, else 2.
@@ -480,21 +487,8 @@ void classify_rows(const double *num, int64_t nnum, const double *den, int64_t n
                    int64_t maxiter, double r0, double rinf, int64_t lanes, int64_t row0,
                    int64_t stride, uint8_t *labels, uint32_t *iters)
 {
-#if defined(__x86_64__) || defined(__i386__)
-    if (lanes == 8) {
-        classify_rows_8(num, nnum, den, nden, x0, y0, dx, dy, w, h, maxiter, r0, rinf, row0,
-                        stride, labels, iters);
-        return;
-    }
-    if (lanes == 4) {
-        classify_rows_4(num, nnum, den, nden, x0, y0, dx, dy, w, h, maxiter, r0, rinf, row0,
-                        stride, labels, iters);
-        return;
-    }
-#endif
-    (void)lanes;
-    classify_rows_2(num, nnum, den, nden, x0, y0, dx, dy, w, h, maxiter, r0, rinf, row0,
-                    stride, labels, iters);
+    BY_LANES(lanes, classify_rows)(num, nnum, den, nden, x0, y0, dx, dy, w, h, maxiter, r0,
+                                   rinf, row0, stride, labels, iters);
 }
 
 /* The lowest (keep_lowest) or highest (keep_highest) n <= 8 arc points
@@ -600,11 +594,7 @@ static inline void keep_highest(extremes *e, double x, int64_t t)
         return top;                                                                        \
     }
 
-ARC_MAX_SQ(2, )
-#if defined(__x86_64__) || defined(__i386__)
-ARC_MAX_SQ(4, __attribute__((target("avx2"))))
-ARC_MAX_SQ(8, __attribute__((target("avx512f"))))
-#endif
+WIDTHS(ARC_MAX_SQ)
 
 typedef double (*arc_max_sq_fn)(const double *, const double *, int64_t, const double *,
                                 const double *, int64_t, double);
@@ -710,14 +700,7 @@ static double arc_diameter(const double *pts, int64_t m, int64_t start, int64_t 
 void arc_ratios(const double *pts, int64_t m, const int64_t *ii, const int64_t *jj,
                 int64_t npairs, int64_t lanes, int64_t p0, int64_t stride, double *out)
 {
-    arc_max_sq_fn max_sq = arc_max_sq_2;
-#if defined(__x86_64__) || defined(__i386__)
-    if (lanes == 8)
-        max_sq = arc_max_sq_8;
-    else if (lanes == 4)
-        max_sq = arc_max_sq_4;
-#endif
-    (void)lanes;
+    arc_max_sq_fn max_sq = BY_LANES(lanes, arc_max_sq);
     for (int64_t p = p0; p < npairs; p += stride) {
         int64_t i = ii[p], j = jj[p];
         double chord = hypot(pts[2 * i] - pts[2 * j], pts[2 * i + 1] - pts[2 * j + 1]);

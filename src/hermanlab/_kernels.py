@@ -74,12 +74,12 @@ in one loop body: an iterate is one dependent chain of Horner steps and
 two divisions, and the other vector's independent chain fills its
 latency.  ``lanes`` and ``_WIDTHS`` count lanes per vector.
 ``arc_ratios`` takes each arc's largest squared distance over one arc
-point per lane.  Each loop body is built at 2 lanes for any target and,
-on x86, at 4 lanes with AVX2 and 8 with AVX-512F through per-function
-target attributes; ``simd_lanes()`` asks the CPU at run
-time, and both kernels run the widest width it has (``_WIDTHS``).  The
-library is built without ``-march``, so one cached build serves every
-CPU of the machine type.  Lanes round each operation as scalar code
+point per lane.  Each loop body is built at every width of the C
+source's ``WIDTHS`` list: 2 lanes for any target and, on x86, 4 lanes with
+AVX2 and 8 with AVX-512F through per-function target attributes;
+``simd_lanes()`` asks the CPU at run time, and both kernels run the widest
+width it has (``_WIDTHS``).  The library is built without ``-march``, so
+one cached build serves every CPU of the machine type.  Lanes round each operation as scalar code
 does, with no fused multiply-add in any target.  Classifier lanes perform
 Smith's quotient in the reference's order (a per-lane select on
 |br| >= |bi| picks the branch), and a maximum of exactly rounded squares

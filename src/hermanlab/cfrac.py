@@ -227,14 +227,37 @@ def tiling_indices(cf, n):
     Interval k of the tiling has endpoints {i*theta} and {(q_n + i)*theta}
     for i < q_{n+1}, plus {(q_{n+1}+j)*theta} to {j*theta} for j < q_n.
     Returns (vertex_ks, intervals) where vertex_ks = range(q_n + q_{n+1})
-    and intervals is a list of (k_left_index, k_right_index) pairs into the
-    orbit index set -- all exact integers, no rounding.
+    and intervals is an integer array of (k_left_index, k_right_index)
+    rows into the orbit index set -- all exact integers, no rounding.
     """
+    import numpy as np
+
     conv = convergents(cf, n + 1)
     qn, qn1 = conv.q[n], conv.q[n + 1]
-    intervals = [(i, qn + i) for i in range(qn1)]
-    intervals += [(qn1 + j, j) for j in range(qn)]
-    return list(range(qn + qn1)), intervals
+    i, j = np.arange(qn1), np.arange(qn)
+    intervals = np.concatenate([np.column_stack([i, qn + i]), np.column_stack([qn1 + j, j])])
+    return range(qn + qn1), intervals
+
+
+def _vertices(cf, n):
+    """The float positions {k*theta} of P_n's vertices, their order around
+    the circle, and the tolerance the positions are compared under."""
+    import numpy as np
+
+    conv = convergents(cf, n + 1)
+    m, ln1 = conv.q[n] + conv.q[n + 1], float(conv.lengths[n + 1])
+    # the positions, and the sort keys that hold them to 2^(b - 64) above
+    # their index's b bits, are exact for this purpose as long as the
+    # round-off m*eps and the key step stay far below the smallest gap
+    th, b = cf.value_float(), m.bit_length()
+    err = m * th * 2.0 ** -52
+    if max(err, 2.0 ** (b - 64)) > 2e-2 * ln1:
+        raise ValueError("depth too large for float64 angle separation")
+    pos = (np.arange(m, dtype=np.float64) * th) % 1.0
+    # one np.sort of the keys is several times faster than np.argsort(pos)
+    keys = np.sort((pos * 2.0 ** (64 - b)).astype(np.uint64) << np.uint64(b)
+                   | np.arange(m, dtype=np.uint64))
+    return pos, (keys & np.uint64((1 << b) - 1)).astype(np.int64), max(1e-9 * ln1, 8 * err)
 
 
 def tiling_is_partition(cf, n):
@@ -248,22 +271,13 @@ def tiling_is_partition(cf, n):
     import numpy as np
 
     conv = convergents(cf, n + 1)
-    vertex_ks, intervals = tiling_indices(cf, n)
-    m = len(vertex_ks)
+    posv, order, tol = _vertices(cf, n)
+    _, intervals = tiling_indices(cf, n)
+    m = len(posv)
     ln, ln1 = float(conv.lengths[n]), float(conv.lengths[n + 1])
-    # float64 positions are exact for this purpose as long as the
-    # accumulated round-off m*eps stays far below the smallest gap
-    th = cf.value_float()
-    err = m * th * 2.0 ** -52
-    if err > 2e-2 * ln1:
-        raise ValueError("depth too large for float64 angle separation")
-    ks = np.arange(m, dtype=np.float64)
-    posv = (ks * th) % 1.0
-    order = np.argsort(posv, kind="stable")
     rank = np.empty(m, dtype=np.int64)
     rank[order] = np.arange(m)
-    left = rank[np.array([kl for kl, _ in intervals])]
-    right = rank[np.array([kr for _, kr in intervals])]
+    left, right = rank[intervals[:, 0]], rank[intervals[:, 1]]
     fwd = (left + 1) % m == right
     bwd = (right + 1) % m == left
     if not np.all(fwd | bwd):
@@ -274,19 +288,32 @@ def tiling_is_partition(cf, n):
         return False
     sortedp = posv[order]
     gaps = np.diff(np.concatenate([sortedp, [sortedp[0] + 1.0]]))
-    tol = max(1e-9 * ln1, 8 * err)
     return bool(np.all((np.abs(gaps - ln) < tol) | (np.abs(gaps - ln1) < tol)))
 
 
 def tiling_refines(cf, n):
-    """P_{n+1} refines P_n: the vertices of P_n are vertices of P_{n+1}.
+    """P_{n+1} refines P_n: each tile of P_{n+1} lies within one tile of P_n.
 
-    The vertex sets are the orbit index ranges range(q_n + q_{n+1}) and
-    range(q_{n+1} + q_{n+2}) (see tiling_indices), so their nesting is the
-    exact integer comparison below.  Both tilings are partitions of the
-    circle into arcs between consecutive vertices (tiling_is_partition,
-    checked at n and n+1), so vertex inclusion puts every tile of P_{n+1}
-    inside a tile of P_n, which is refinement.
+    Tested on the tiles of tiling_indices, without assuming that either
+    level is a partition, at the float positions {k*theta} of P_{n+1}'s
+    vertices and within tiling_is_partition's tolerance there.  A tile
+    (k, k') of P_n runs from {k*theta} to {k'*theta} counterclockwise for
+    even n, where q_n*theta > p_n, and clockwise for odd n.
     """
-    q = convergents(cf, n + 2).q
-    return q[n] + q[n + 1] <= q[n + 1] + q[n + 2]
+    import numpy as np
+
+    pos, order, tol = _vertices(cf, n + 1)
+
+    def furthest_end(level):
+        # per vertex, the furthest end of P_level's tiles starting there, or -inf
+        _, intervals = tiling_indices(cf, level)
+        k = intervals[:, level % 2]
+        out = np.full(len(pos), -np.inf)
+        np.maximum.at(out, k, pos[k] + (pos[intervals[:, 1 - level % 2]] - pos[k]) % 1.0)
+        return out
+
+    coarse = furthest_end(n)
+    # the furthest end, at each vertex in circle order, of the tiles of P_n
+    # that start there or before, or of any moved back a turn
+    reach = np.maximum.accumulate(np.maximum(coarse[order], coarse.max() - 1.0))
+    return bool(np.all(reach >= furthest_end(n + 1)[order] - tol))

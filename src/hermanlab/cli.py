@@ -64,13 +64,15 @@ def _int(name, value, least, theta=None, spare=0):
     return value
 
 
-def _trace_depth(name, value, least, theta, spare=0):
-    """A trace depth as _int takes it, whose q_value vertices a trace holds
+def _trace_depth(name, value, least, theta, spare=0, past=0):
+    """A depth as _int takes it whose orbit to level value + past a trace holds
     (curve.trace_size), refused before any tuning or allocation."""
     depth = _int(name, value, least, theta, spare)
     try:
-        curve_mod.trace_size(theta, depth)
+        curve_mod.trace_size(theta, depth + past)
     except ValueError as e:
+        if past:
+            name = "%s %d follows the critical orbit to depth %d" % (name, depth, depth + past)
         raise ConfigError("%s: %s" % (name, e))
     return depth
 
@@ -395,8 +397,10 @@ def cmd_geometry(args):
 
 
 # each renorm subcommand's least --depth (one scaling ratio, three Cauchy differences,
-# the level-2 pair) and the levels of theta it reads past it
+# the level-2 pair) and the levels of theta it reads past it; each follows the critical
+# orbit _RENORM_PAST levels past --depth N (q_{N+2}; chi tabulates q_{N+1} + q_N + 2 points)
 _RENORM_DEPTH = {"ratios": (1, 3), "mu": (5, 3), "chi": (2, 2)}
+_RENORM_PAST = 2
 
 
 def cmd_renorm(args):
@@ -404,7 +408,7 @@ def cmd_renorm(args):
     if args.what == "mu" and theta.period is None:
         raise ConfigError("renorm mu needs an eventually periodic --theta, not %r" % args.theta)
     least, spare = _RENORM_DEPTH[args.what]
-    depth = _int("--depth", args.depth, least, theta, spare)
+    depth = _trace_depth("--depth", args.depth, least, theta, spare, _RENORM_PAST)
     m = _tuned_map(args, theta, _tune_depth(depth, theta))
     if args.what == "ratios":
         _ratios(m, theta, depth, args.out)
@@ -529,7 +533,8 @@ def _load_config(path):
     # verify_herman at depth min(_VERIFY_CAP, trace_depth) reads one quotient past it
     depth = _trace_depth("trace_depth", cfg.get("trace_depth", _TRACE_DEPTH),
                          rotation.VERIFY_LEAST_DEPTH, theta, int(theta.depth <= _VERIFY_CAP))
-    N = _int("renorm_depth", cfg.get("renorm_depth", min(depth - 2, 14)), 1, theta, 3)
+    N = _trace_depth("renorm_depth", cfg.get("renorm_depth", min(depth - 2, 14)), 1, theta, 3,
+                     _RENORM_PAST)
     # the verify depth min(_VERIFY_CAP, trace_depth) needs a ladder one level deeper
     tune_depth = _ladder_depth("tune_depth", cfg.get("tune_depth"), family, seed, theta,
                                min(_VERIFY_CAP, depth) + 1, " for trace_depth %d" % depth)

@@ -92,7 +92,6 @@ class DimensionReport:
     slope_err: float
     point_spacing: float
     diameter: float
-    meta: dict = field(default_factory=dict)
 
 
 class InsufficientScalesError(ValueError):
@@ -226,8 +225,7 @@ def box_dimension(points, eps_range=None, connect=False):
     return DimensionReport(
         scales=[c[0] for c in counts], counts=[c[1] for c in counts],
         slope=float(sol[0]), slope_err=float(math.sqrt(abs(cov[0, 0]))),
-        point_spacing=spacing, diameter=diam,
-        meta={"connect": connect, "levels": levels, "origin": origin})
+        point_spacing=spacing, diameter=diam)
 
 
 # ---------------------------------------------------------------------------

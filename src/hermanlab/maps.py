@@ -34,14 +34,13 @@ class PoleResult(complex):
         return super().__new__(cls, math.inf, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RationalMap:
     """Rational function N(z)/D(z) with ascending complex coefficient vectors.
 
-    The map keeps read-only copies of the coefficients: ``num`` and ``den``
-    can be neither written into nor reassigned, because the family fields
-    describe the coefficients, and ``circle_lift``, ``trace`` and ``__eq__``
-    rely on that.
+    The map keeps read-only copies of the coefficients, and no field can be
+    reassigned, because the family fields describe the coefficients, and
+    ``circle_lift``, ``trace`` and ``__eq__`` rely on that.
 
     ``eval`` cross-checks the compiled orbit: the circle scan of
     ``circle_lift`` makes 64 calls per Blaschke tune, at about 13
@@ -61,7 +60,6 @@ class RationalMap:
             raise ValueError("zero denominator")
         if len(num) == 0:
             num = np.zeros(1, dtype=np.complex128)
-        # __init__ set num and den once; __setattr__ refuses a second time
         object.__setattr__(self, "num", _frozen_copy(num))
         object.__setattr__(self, "den", _frozen_copy(den))
 
@@ -71,11 +69,6 @@ class RationalMap:
         return ((self.num.tolist(), self.den.tolist(), self.d0, self.dinf, self.parameter)
                 == (other.num.tolist(), other.den.tolist(), other.d0, other.dinf,
                     other.parameter))
-
-    def __setattr__(self, name, value):
-        if name in ("num", "den") and name in self.__dict__:
-            raise AttributeError("the coefficients of a RationalMap are fixed")
-        super().__setattr__(name, value)
 
     @property
     def total_degree(self):

@@ -119,7 +119,6 @@ class CommutingPair:
     f_plus: object
     endpoint_minus: complex     # f_-(0) = c_{q_n} (right end of I_+)
     endpoint_plus: complex      # f_+(0) = c_{q_{n-1}} (left end of I_-)
-    level: int
 
     def commutation_residual(self):
         a = self.f_minus(self.f_plus(0.0 + 0.0j))
@@ -169,7 +168,7 @@ def commuting_pair(map_, theta, n, lift=None):
     em = f_minus(0.0 + 0.0j)
     ep = f_plus(0.0 + 0.0j)
     return CommutingPair(f_minus=f_minus, f_plus=f_plus,
-                         endpoint_minus=em, endpoint_plus=ep, level=n)
+                         endpoint_minus=em, endpoint_plus=ep)
 
 
 @dataclass

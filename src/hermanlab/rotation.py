@@ -26,7 +26,6 @@ Three tuners are provided:
 import cmath
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,6 +48,13 @@ _LOWER_START = 4
 VERIFY_LEAST_DEPTH = 4
 
 _log = logging.getLogger("hermanlab")
+
+# tuning seeds by "d0,dinf,theta name"
+_PRESETS = {
+    "2,2,golden": complex(-0.755700, -0.654917),
+    "3,2,golden": complex(-1.144208, -0.964454),
+    "2,3,golden": complex(-0.510948, -0.430678),
+}
 
 
 def _convergents(theta):
@@ -449,16 +455,10 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
 
 
 def resolve_seed(d0, dinf, theta, name="preset"):
-    """Look up a tuning seed from the shipped presets file; "preset" is the
-    only seed name."""
-    import json
-
+    """Look up a tuning seed in the preset table; "preset" is the only seed
+    name."""
     if name != "preset":
         raise PresetError("unknown seed name %r: the only named seed is 'preset'" % (name,))
-
-    path = os.path.join(os.path.dirname(__file__), "presets.json")
-    with open(path) as fh:
-        presets = json.load(fh)
     theta = resolve_theta(theta)
     tname = None
     for key, cf in NAMED_THETAS.items():
@@ -470,10 +470,9 @@ def resolve_seed(d0, dinf, theta, name="preset"):
                           % (theta, sorted(NAMED_THETAS)))
     key = "%d,%d,%s" % (d0, dinf, tname)
     try:
-        re, im = presets["seeds"][key]
+        return _PRESETS[key]
     except KeyError:
         raise PresetError("no preset seed for (d0,dinf,theta)=%s" % key)
-    return complex(re, im)
 
 
 def verify_herman(map_, theta, n):

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,6 +192,39 @@ def test_tiling_partition_and_refinement(cf):
     for n in range(2, 17):
         assert tiling_is_partition(cf, n)
         assert tiling_refines(cf, n)
+
+
+@pytest.mark.parametrize("cf", [GOLDEN, SILVER], ids=["golden", "silver"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_tiling_refines_refuses_a_tile_across_a_coarser_vertex(cf, n, monkeypatch):
+    """The two tiles of P_{n+1} that meet at vertex 0, merged into one, cross
+    vertex 0 of P_n, so no tile of P_n holds the merged tile."""
+    q = convergents(cf, n + 2).q
+    real = hermanlab.cfrac.tiling_indices
+
+    def merged(cf, level):
+        ks, intervals = real(cf, level)
+        if level == n + 1:
+            intervals[0] = (q[n + 2], q[n + 1])  # (q_{n+2}, 0) then (0, q_{n+1})
+        return ks, intervals
+
+    assert tiling_refines(cf, n)
+    monkeypatch.setattr(hermanlab.cfrac, "tiling_indices", merged)
+    assert not tiling_refines(cf, n)
+
+
+@pytest.mark.parametrize("cf", [GOLDEN, SILVER], ids=["golden", "silver"])
+def test_tiling_indices_and_vertex_order_match_their_definitions(cf):
+    """tiling_indices' arrays hold the pairs of its docstring, and the order
+    from the packed sort keys is the stable argsort of the positions."""
+    n = 9
+    q = convergents(cf, n + 1).q
+    ks, intervals = tiling_indices(cf, n)
+    assert ks == range(q[n] + q[n + 1])
+    assert intervals.tolist() == ([[i, q[n] + i] for i in range(q[n + 1])]
+                                  + [[q[n + 1] + j, j] for j in range(q[n])])
+    pos, order, _ = hermanlab.cfrac._vertices(cf, n)
+    assert order.tolist() == np.argsort(pos, kind="stable").tolist()
 
 
 def test_tiling_interval_count():

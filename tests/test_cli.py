@@ -729,6 +729,33 @@ def test_trace_depth_past_the_vertex_cap_is_config_error(capsys, tmp_path, monke
     assert traced == [32] and {p.name for p in tmp_path.iterdir()} == {"m.json"}
 
 
+def test_renorm_depth_past_the_vertex_cap_is_config_error(capsys, tmp_path, monkeypatch):
+    """renorm --depth N and a config renorm_depth N follow the critical
+    orbit to q_{N+2}, held to curve.MAX_VERTICES as a trace is: golden
+    N = 31 (q_33 = 5,702,887) exits 2 before any tuning or orbit and makes
+    no outdir, and N = 30 (q_32 = 3,524,578) runs.  N = 45 used to iterate
+    to q_47 = 4,807,526,976 until killed."""
+    ratios = ["renorm", "ratios", "--d0", "3", "--dinf", "2", "--depth"]
+    code, text, _ = run(capsys, *ratios, "30", "--param=-1.1442084006991486,-0.9644541436327397")
+    assert code == 0 and text.splitlines()[-1].startswith("31,")
+
+    def never(*args, **kwargs):
+        raise AssertionError("tuned or iterated")
+
+    monkeypatch.setattr(cli, "_tuned_map", never)
+    monkeypatch.setattr(renorm, "scaling_ratios", never)
+    monkeypatch.setattr(rotation, "tune_asymmetric", never)
+    config = small_config(tmp_path, "m", renorm_depth=31)
+    for argv, named in (([*ratios, "31"], "--depth"),
+                        (["pipeline", "--config", str(config)], "renorm_depth")):
+        code, text, err = run(capsys, *argv)
+        assert (code, text) == (2, "")
+        assert err.startswith("config error: %s 31 follows the critical orbit to depth 33: "
+                              "depth 33 asks for q_33 = 5702887 vertices, more than the "
+                              "4194304 a trace holds" % named)
+    assert {p.name for p in tmp_path.iterdir()} == {"m.json"}
+
+
 @pytest.mark.parametrize("argv, named", [
     (["cfrac", "--theta", "golden", "--out"], "--out"),
     (["tune", "--d0", "2", "--dinf", "2", "--out"], "--out"),

@@ -321,6 +321,14 @@ def test_preset_seed_roundtrip():
         hl.rotation.resolve_seed(9, 9, GOLDEN, "preset")
 
 
+@pytest.mark.parametrize("d0, dinf, seed", [(2, 2, complex(-0.755700, -0.654917)),
+                                             (3, 2, complex(-1.144208, -0.964454)),
+                                             (2, 3, complex(-0.510948, -0.430678))])
+def test_preset_seeds(d0, dinf, seed):
+    """The three golden presets, to the six decimals they always had."""
+    assert hl.rotation.resolve_seed(d0, dinf, GOLDEN) == seed
+
+
 def test_preset_seed_resolves_theta_name():
     assert hl.rotation.resolve_seed(3, 2, "golden") == hl.rotation.resolve_seed(3, 2, GOLDEN)
 
@@ -423,6 +431,13 @@ def test_rational_map_coefficients_are_frozen():
         m.den[-1] = 1.0
     with pytest.raises(AttributeError):
         m.num = np.ones(2, dtype=np.complex128)
+    # the family fields describe the coefficients, so they are fixed too
+    for name, value in (("d0", 3), ("dinf", 3), ("parameter", 1j)):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+    assert (m.d0, m.dinf) == (2, 2)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(m)
 
 
 def test_rational_map_copies_its_input():
