@@ -7,7 +7,7 @@ measure scaling ratios, self-similarity factors, critical angles, box
 dimension, and porosity profiles.
 """
 
-from .cfrac import BRONZE_ALT, GOLDEN, SILVER, ContinuedFraction, convergents
+from .cfrac import BRONZE_ALT, GOLDEN, SILVER, ContinuedFraction
 from .maps import RationalMap, arnold_lift, blaschke, herman_family
 from .rotation import (TuneResult, circle_lift, rotation_number, tune_arnold,
                        tune_asymmetric, tune_blaschke, verify_herman)

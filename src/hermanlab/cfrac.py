@@ -8,6 +8,8 @@ dynamical tilings P_n refine each other along the expansion.
 Quadratic irrationals (eventually periodic expansions) are represented
 symbolically by (preperiod, period) so quotients at arbitrary depth are
 exact; float inputs are expanded only as far as round-off allows.
+Each ContinuedFraction builds its convergents p_n, q_n to its depth once,
+and computes the exact lengths l_n only when asked (lengths).
 
 All arithmetic is exact, on integers and fractions.Fraction: a finite
 quotient list or a double has its exact value, and a periodic tail is
@@ -16,7 +18,6 @@ so the lengths l_n are exact up to that bound.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 # a periodic theta's value is within 2**-_BITS of the quadratic irrational
@@ -40,36 +41,32 @@ class RationalInputError(ValueError):
         self.certified = quotients[:-1] if snapped else quotients
 
 
-@dataclass
-class Convergents:
-    """Convergent pairs (p_n, q_n) and combinatorial lengths l_n.
-
-    Index convention follows the recurrence p_n = a_n p_{n-1} + p_{n-2}
-    with p_0 = q_{-1} = 0, q_0 = p_{-1} = 1, so entry n of p/q is the
-    n-th convergent and lengths[n] = |p_n - q_n*theta|.
-    """
-
-    p: list = field(default_factory=list)
-    q: list = field(default_factory=list)
-    lengths: list = field(default_factory=list)
-
-
 class ContinuedFraction:
     """A rotation number in (0,1) with its partial quotients a_1, a_2, ...
 
-    Construct via :meth:`from_value` (float expansion),
-    :meth:`from_quotients` (explicit finite list), or
-    :meth:`from_periodic` (exact quadratic irrational).
+    Construct from a finite quotient list, via :meth:`from_value` (float
+    expansion) or via :meth:`from_periodic` (exact quadratic irrational).
+    The constructor builds the convergents p_n/q_n for n <= depth once, as
+    the read-only tuples p and q, by p_n = a_n p_{n-1} + p_{n-2} with
+    p_0 = q_{-1} = 0 and q_0 = p_{-1} = 1.  :meth:`lengths` gives the exact
+    combinatorial lengths l_n = |p_n - q_n*theta|.
     """
 
     def __init__(self, quotients, preperiod=None, period=None, value=None):
         quotients = [int(a) for a in quotients]
-        if any(a < 1 for a in quotients):
-            raise ValueError("partial quotients must be >= 1")
         self._quotients = quotients
         self.preperiod = list(preperiod) if preperiod is not None else None
         self.period = list(period) if period is not None else None
+        if self.period == []:
+            raise ValueError("period must be nonempty")
+        if any(a < 1 for a in quotients + (self.preperiod or []) + (self.period or [])):
+            raise ValueError("partial quotients must be >= 1")
         self._value = value
+        p, q = [1, 0], [0, 1]  # p_{-1}, p_0 and q_{-1}, q_0
+        for a in self.quotients(self.depth):
+            p.append(a * p[-1] + p[-2])
+            q.append(a * q[-1] + q[-2])
+        self.p, self.q = tuple(p[1:]), tuple(q[1:])
 
     # -- constructors -------------------------------------------------------
 
@@ -106,13 +103,7 @@ class ContinuedFraction:
         return cls(quotients, value=theta)
 
     @classmethod
-    def from_quotients(cls, quotients):
-        return cls(quotients)
-
-    @classmethod
     def from_periodic(cls, preperiod, period):
-        if not period:
-            raise ValueError("period must be nonempty")
         return cls([], preperiod=preperiod, period=period)
 
     # -- quotient access ----------------------------------------------------
@@ -167,6 +158,14 @@ class ContinuedFraction:
     def value_float(self):
         return float(self.value())
 
+    def lengths(self, n):
+        """The exact combinatorial lengths l_k = |p_k - q_k*theta| for k <= n,
+        as Fractions; ValueError for a level n outside 0..depth."""
+        if not 0 <= n <= self.depth:
+            raise ValueError("depth %d is outside theta's usable levels 0..%d" % (n, self.depth))
+        th = self.value()
+        return [abs(p - q * th) for p, q in zip(self.p[:n + 1], self.q[:n + 1])]
+
     def __repr__(self):
         if self.period is not None:
             return "ContinuedFraction(preperiod=%r, period=%r)" % (
@@ -195,30 +194,13 @@ def resolve_theta(theta):
         if theta in NAMED_THETAS:
             return NAMED_THETAS[theta]
         if "," in theta:
-            return ContinuedFraction.from_quotients([int(a) for a in theta.split(",")])
+            return ContinuedFraction([int(a) for a in theta.split(",")])
     try:
         return ContinuedFraction.from_value(float(theta), 64)
     except RationalInputError as e:
         if len(e.certified) < MIN_IRRATIONAL_DEPTH:
             raise
         return ContinuedFraction(e.certified, value=float(theta))
-
-
-def convergents(cf, n):
-    """Convergents (p_k, q_k) for k <= n plus combinatorial lengths l_k."""
-    if cf.depth < n:
-        raise ValueError("depth %d is past theta's deepest usable level %d" % (n, cf.depth))
-    p = [0]
-    q = [1]
-    pm1, qm1 = 1, 0  # p_{-1}, q_{-1}
-    for k in range(1, n + 1):
-        a = cf.quotient(k)
-        p.append(a * p[-1] + pm1)
-        q.append(a * q[-1] + qm1)
-        pm1, qm1 = p[-2], q[-2]
-    th = cf.value()
-    lengths = [abs(p[k] - q[k] * th) for k in range(n + 1)]
-    return Convergents(p=p, q=q, lengths=lengths)
 
 
 def tiling_indices(cf, n):
@@ -232,8 +214,7 @@ def tiling_indices(cf, n):
     """
     import numpy as np
 
-    conv = convergents(cf, n + 1)
-    qn, qn1 = conv.q[n], conv.q[n + 1]
+    qn, qn1 = cf.q[n], cf.q[n + 1]
     i, j = np.arange(qn1), np.arange(qn)
     intervals = np.concatenate([np.column_stack([i, qn + i]), np.column_stack([qn1 + j, j])])
     return range(qn + qn1), intervals
@@ -244,8 +225,7 @@ def _vertices(cf, n):
     the circle, and the tolerance the positions are compared under."""
     import numpy as np
 
-    conv = convergents(cf, n + 1)
-    m, ln1 = conv.q[n] + conv.q[n + 1], float(conv.lengths[n + 1])
+    m, ln1 = cf.q[n] + cf.q[n + 1], float(cf.lengths(n + 1)[n + 1])
     # the positions, and the sort keys that hold them to 2^(b - 64) above
     # their index's b bits, are exact for this purpose as long as the
     # round-off m*eps and the key step stay far below the smallest gap
@@ -270,11 +250,10 @@ def tiling_is_partition(cf, n):
     """
     import numpy as np
 
-    conv = convergents(cf, n + 1)
     posv, order, tol = _vertices(cf, n)
     _, intervals = tiling_indices(cf, n)
     m = len(posv)
-    ln, ln1 = float(conv.lengths[n]), float(conv.lengths[n + 1])
+    ln, ln1 = map(float, cf.lengths(n + 1)[n:])
     rank = np.empty(m, dtype=np.int64)
     rank[order] = np.arange(m)
     left, right = rank[intervals[:, 0]], rank[intervals[:, 1]]

@@ -5,6 +5,7 @@ All outputs (CSV/JSON/PPM) are byte-deterministic for a fixed config.
 """
 
 import argparse
+import bisect
 import contextlib
 import functools
 import hashlib
@@ -138,13 +139,14 @@ def _ladder_depth(name, value, family, seed, theta, least=rotation.VERIFY_LEAST_
                   why=""):
     """The Newton ladder's depth m, None for the tuner's default.  The (d,d)
     family without a seed is tuned by bisection, which takes no depth; a
-    ladder to depth m is verified at m - 1."""
+    ladder to depth m is verified at m - 1, and its top residual follows the
+    critical orbit to q_m, held to what a trace holds (_trace_depth)."""
     if value is not None and family[0] == family[1] and seed is None:
         seed_name = "--seed" if name.startswith("--") else "seed"
         raise ConfigError("%s sets the Newton ladder's depth, but the (%d,%d) family without "
                           "%s is tuned by bisection; give %s ('preset' or re,im) to tune by "
                           "the ladder" % (name, *family, seed_name, seed_name))
-    return None if value is None else _int(name + why, value, least, theta)
+    return None if value is None else _trace_depth(name + why, value, least, theta)
 
 
 def _fmt(x):
@@ -268,13 +270,12 @@ def _bad_curve_line(path, data, err):
 def cmd_cfrac(args):
     theta = _theta("--theta", args.theta)
     n = _int("--depth", args.depth, 1, theta)
-    conv = cfrac.convergents(theta, n)
     _emit_json({
         "theta": args.theta,
         "quotients": theta.quotients(n),
-        "p": conv.p,
-        "q": conv.q,
-        "lengths": [float(l) for l in conv.lengths],
+        "p": theta.p[:n + 1],
+        "q": theta.q[:n + 1],
+        "lengths": [float(l) for l in theta.lengths(n)],
     }, args.out)
     return 0
 
@@ -327,9 +328,10 @@ def cmd_tune(args):
 
 
 def _tune_depth(depth, theta):
-    """Newton ladder depth for a working depth: at least 16, at most 31 and theta's
-    depth; tuning shallower than the use depth leaves the deep combinatorics unresolved."""
-    return min(max(depth + 2, 16), 31, theta.depth)
+    """Newton ladder depth for a working depth: at least 16, at most 31 and the
+    deepest level of theta whose q_n a trace holds (curve.MAX_VERTICES); tuning
+    shallower than the use depth leaves the deep combinatorics unresolved."""
+    return min(max(depth + 2, 16), 31, bisect.bisect_right(theta.q, curve_mod.MAX_VERTICES) - 1)
 
 
 def _tuned_map(args, theta, m=None):
@@ -368,11 +370,10 @@ def cmd_geometry(args):
     theta = _theta("--theta", args.theta)
     # rebuild the curve container; depth recovered from vertex count, within
     # theta's usable levels
-    conv = cfrac.convergents(theta, theta.depth)
-    depth = max((n for n in range(1, theta.depth) if conv.q[n] <= len(ks) + 1), default=0)
+    depth = max((n for n in range(1, theta.depth) if theta.q[n] <= len(ks) + 1), default=0)
     if not depth:
         raise ConfigError("curve %s has %d vertices, fewer than q_1 - 1 = %d"
-                          % (args.curve, len(ks), conv.q[1] - 1))
+                          % (args.curve, len(ks), theta.q[1] - 1))
     if depth < curve_mod.ANGLE_LEAST_DEPTH:
         raise ConfigError("curve %s has depth %d: the critical angle needs trace depth %d or "
                           "more" % (args.curve, depth, curve_mod.ANGLE_LEAST_DEPTH))

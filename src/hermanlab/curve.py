@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .cfrac import ContinuedFraction, convergents, resolve_theta
+from .cfrac import ContinuedFraction, resolve_theta
 
 # the least trace depth of critical_angle: a depth-n trace holds c_{q_1}..c_{q_{n-1}},
 # and each one-sided phase fit takes three of one parity from c_{q_6} on
@@ -55,11 +55,10 @@ class HermanCurve:
 
     def closest_returns(self, upto=None):
         """c_{q_k} = f^{q_k}(c) - c for all convergent indices in the trace."""
-        conv = convergents(self.theta, self.depth)
         levels = range(1, self.depth)
         if upto is not None:
             levels = levels[:max(upto, 1)]
-        qs = {k: conv.q[k] for k in levels if conv.q[k] < len(self.ks) + 1}
+        qs = {k: self.theta.q[k] for k in levels if self.theta.q[k] < len(self.ks) + 1}
         pts = self._orbit_points(qs.values())
         return {k: pts[q] - self.critical_point for k, q in qs.items() if q in pts}
 
@@ -83,8 +82,10 @@ def _critical_orbit(map_, ks, z0):
 
 def trace_size(theta, n):
     """q_n, the vertices of a depth-n trace of theta (a ContinuedFraction);
-    ValueError past MAX_VERTICES."""
-    qn = convergents(theta, n).q[n]
+    ValueError for n outside 0..theta.depth or q_n past MAX_VERTICES."""
+    if not 0 <= n <= theta.depth:
+        raise ValueError("depth %d is outside theta's usable levels 0..%d" % (n, theta.depth))
+    qn = theta.q[n]
     if qn > MAX_VERTICES:
         raise ValueError("depth %d asks for q_%d = %d vertices, more than the %d a trace holds"
                          % (n, n, qn, MAX_VERTICES))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfrac import convergents, resolve_theta
+from .cfrac import resolve_theta
 from .curve import _aitken, _critical_orbit
 
 
@@ -152,12 +152,12 @@ def commuting_pair(map_, theta, n, lift=None):
     theta = resolve_theta(theta)
     if n < 2:
         raise ValueError("need n >= 2")
-    conv = convergents(theta, n + 2)
     if lift is None:
         lift = log_lift(map_, theta)
-    lift.ensure_table(conv.q[n + 1] + conv.q[n] + 2)
-    pn, qn = conv.p[n], conv.q[n]
-    pn1, qn1 = conv.p[n - 1], conv.q[n - 1]
+    p, q = theta.p, theta.q
+    lift.ensure_table(q[n + 1] + q[n] + 2)
+    pn, qn = p[n], q[n]
+    pn1, qn1 = p[n - 1], q[n - 1]
 
     def f_minus(z):
         return lift.power(z, qn, pn)
@@ -189,9 +189,8 @@ def closest_return_displacements(f, theta, N):
     advance and .critical_point give real displacements F^{q_n}(x_c)-x_c-p_n.
     """
     theta = resolve_theta(theta)
-    conv = convergents(theta, N + 1)
     if hasattr(f, "num"):
-        ks = np.array([conv.q[n] for n in range(1, N + 1)], dtype=np.int64)
+        ks = np.array(theta.q[1:N + 1], dtype=np.int64)
         vals = _critical_orbit(f, ks, 1.0)
         return {n: complex(vals[n - 1]) - 1.0 for n in range(1, N + 1)}
     # circle-map lift path
@@ -200,9 +199,9 @@ def closest_return_displacements(f, theta, N):
     x = xc
     k = 0
     for n in range(1, N + 1):
-        x = f.advance(x, conv.q[n] - k)
-        k = conv.q[n]
-        out[n] = complex(x - xc - conv.p[n])
+        x = f.advance(x, theta.q[n] - k)
+        k = theta.q[n]
+        out[n] = complex(x - xc - theta.p[n])
     return out
 
 

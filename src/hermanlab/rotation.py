@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .cfrac import MIN_IRRATIONAL_DEPTH, NAMED_THETAS, convergents, resolve_theta
+from .cfrac import MIN_IRRATIONAL_DEPTH, NAMED_THETAS, resolve_theta
 from .maps import arnold_lift, blaschke, family_core, herman_family
 
 _QCAP_DEFAULT = 30000
@@ -55,11 +55,6 @@ _PRESETS = {
     "3,2,golden": complex(-1.144208, -0.964454),
     "2,3,golden": complex(-0.510948, -0.430678),
 }
-
-
-def _convergents(theta):
-    """Convergents of theta to its deepest usable level."""
-    return convergents(theta, theta.depth)
 
 
 class CircleNotInvariantError(ValueError):
@@ -194,21 +189,21 @@ def rotation_number(lift, depth=40):
     return lo, hi
 
 
-def sign_rho_vs_theta(lift, conv, qcap=_QCAP_DEFAULT):
+def sign_rho_vs_theta(lift, theta, qcap=_QCAP_DEFAULT):
     """Sign of rho(lift) - theta via alternating closest-return tests from x = 0.
 
-    conv is the Convergents of theta that ``_convergents`` builds, once for
-    a whole bisection.  Returns +1, -1, or 0 when undecided at depth (rho
-    within the deepest checked combinatorial length of theta).
+    theta is a ContinuedFraction, tested to its depth.  Returns +1, -1, or 0
+    when undecided at depth (rho within the deepest checked combinatorial
+    length of theta).
     """
     x = 0.0
     k = 0
-    for n in range(1, len(conv.q)):
-        if conv.q[n] > qcap:
+    for n in range(1, len(theta.q)):
+        if theta.q[n] > qcap:
             break
-        x = lift.advance(x, conv.q[n] - k)
-        k = conv.q[n]
-        s = x - conv.p[n]
+        x = lift.advance(x, theta.q[n] - k)
+        k = theta.q[n]
+        s = x - theta.p[n]
         # for odd n, q_n*theta - p_n < 0; rho > theta iff the return overshoots
         if n % 2 == 1 and s > 0:
             return 1
@@ -222,16 +217,15 @@ def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT):
     theta = resolve_theta(theta)
     if theta.depth < MIN_IRRATIONAL_DEPTH:
         raise ValueError("theta must be irrational (deep CF); rational input rejected")
-    conv = _convergents(theta)
-    if not conv.q[1] <= qcap:
+    if not theta.q[1] <= qcap:
         raise ValueError("qcap = %r is below q_1 = %d: no return time to test"
-                         % (qcap, conv.q[1]))
+                         % (qcap, theta.q[1]))
     lo, hi = 0.0, 1.0
     it = 0
     undecided = False
     for it in range(1, 81):
         mid = 0.5 * (lo + hi)
-        s = sign_rho_vs_theta(make_lift(mid), conv, qcap=qcap)
+        s = sign_rho_vs_theta(make_lift(mid), theta, qcap=qcap)
         if s > 0:
             hi = mid
         elif s < 0:
@@ -242,7 +236,7 @@ def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT):
         if hi - lo < tol:
             break
     alpha = 0.5 * (lo + hi)
-    depth_checked = max(n for n in range(1, len(conv.q)) if conv.q[n] <= qcap)
+    depth_checked = max(n for n in range(1, len(theta.q)) if theta.q[n] <= qcap)
     return alpha, hi - lo, it, depth_checked, undecided
 
 
@@ -273,12 +267,9 @@ def tune_arnold(theta, tol=1e-12, qcap=_QCAP_DEFAULT):
 # asymmetric Newton tuner
 # ---------------------------------------------------------------------------
 
-def _default_depth(conv):
+def _default_depth(theta):
     """Smallest n with q_n >= 1000 (conditioning vs round-off balance)."""
-    for n in range(1, len(conv.q)):
-        if conv.q[n] >= 1000:
-            return n
-    return len(conv.q) - 1
+    return next((n for n in range(1, theta.depth) if theta.q[n] >= 1000), theta.depth)
 
 
 def _newton_polish(num0, den, c, qm, tol):
@@ -393,19 +384,18 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
     roots, None for fewer than four levels).
     """
     theta = resolve_theta(theta)
-    conv = _convergents(theta)
     if isinstance(seed, str):
         c = resolve_seed(d0, dinf, theta, seed)
-        top = _default_depth(conv)
+        top = _default_depth(theta)
         m = top if m is None else m
         m0 = max(1, top - _LOWER_START) if m > top else top
     else:
         c = complex(seed)
         # arbitrary seeds may be far from the root: climb from a shallow level
-        m0 = next(n for n in range(1, len(conv.q)) if conv.q[n] >= 10)
+        m0 = next(n for n in range(1, theta.depth + 1) if theta.q[n] >= 10)
         m = max(m0, VERIFY_LEAST_DEPTH + 1) if m is None else m
-    if m >= len(conv.q):
-        raise ValueError("ladder depth %d > theta's deepest usable level %d" % (m, len(conv.q) - 1))
+    if m > theta.depth:
+        raise ValueError("ladder depth %d > theta's deepest usable level %d" % (m, theta.depth))
     if m - 1 < VERIFY_LEAST_DEPTH:
         raise ValueError("ladder depth %d < %d: the result is verified at depth m - 1, and "
                          "verify_herman needs depth %d or more"
@@ -419,11 +409,11 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
         if guess is not None:
             try:
                 c_k, residual, steps, last_step, evals = _newton_polish(num0, den, guess,
-                                                                        conv.q[k], tol)
+                                                                        theta.q[k], tol)
             except TuningError:
                 guess, escaped = None, 1  # the orbit escaped: start from the last root
         if guess is None:
-            c_k, residual, steps, last_step, evals = _newton_polish(num0, den, c, conv.q[k], tol)
+            c_k, residual, steps, last_step, evals = _newton_polish(num0, den, c, theta.q[k], tol)
             evals += escaped
         if residual > max(tol, 1e-10) and last_step > 1e-12 * max(1.0, abs(c_k)):
             raise TuningError(
@@ -433,11 +423,11 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
             raise TuningError("ladder jumped between roots at depth %d" % k, last=c_k)
         c = c_k
         roots.append(c)
-        ladder.append({"level": k, "q": conv.q[k], "residual": float(residual), "steps": steps,
-                       "evals": evals, "iterates": evals * conv.q[k],
+        ladder.append({"level": k, "q": theta.q[k], "residual": float(residual), "steps": steps,
+                       "evals": evals, "iterates": evals * theta.q[k],
                        "extrapolated": guess is not None})
         _log.debug("ladder level %d (q = %d): |G| = %.3e, %d steps, %d evaluations, %s seed",
-                   k, conv.q[k], residual, steps, evals,
+                   k, theta.q[k], residual, steps, evals,
                    "extrapolated" if guess is not None else "last-root")
     d = _steps(roots)
     delta = {k: float(abs(a / b)) for k, a, b in zip(range(start + 2, m + 1), d, d[1:]) if b}
@@ -489,8 +479,10 @@ def verify_herman(map_, theta, n):
     if n < VERIFY_LEAST_DEPTH:
         raise ValueError("verify_herman needs depth %d or more, not %d" % (VERIFY_LEAST_DEPTH, n))
     theta = resolve_theta(theta)
-    conv = convergents(theta, n + 1)
-    qn = conv.q[n]
+    if n >= theta.depth:
+        raise ValueError("verify depth %d must be below theta's deepest usable level %d"
+                         % (n, theta.depth))
+    qn = theta.q[n]
     orb, nok = _kernels.orbit(map_.num, map_.den, 1.0 + 0.0j, qn, 1e-3, 1e3)
     checks = {}
     checks["annulus"] = bool(nok == qn)
@@ -509,7 +501,7 @@ def verify_herman(map_, theta, n):
     winding = inc.sum() / (2 * math.pi)
     checks["cyclic_order"] = bool(abs(winding - 1.0) < 1e-9 and inc.max() < math.pi)
 
-    phases = [cmath.phase(complex(orb[conv.q[k] - 1]) - 1.0) for k in range(2, n + 1)]
+    phases = [cmath.phase(complex(orb[theta.q[k] - 1]) - 1.0) for k in range(2, n + 1)]
     ok = True
     for i in range(len(phases) - 2):
         same = abs((phases[i] - phases[i + 2] + math.pi) % (2 * math.pi) - math.pi)

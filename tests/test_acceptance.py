@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hermanlab as hl
-from hermanlab.cfrac import GOLDEN, SILVER, convergents, tiling_is_partition, tiling_refines
+from hermanlab.cfrac import GOLDEN, SILVER, tiling_is_partition, tiling_refines
 from hermanlab.cli import main as cli_main
 from hermanlab.julia import box_dimension, porosity_profile
 from hermanlab.renorm import commuting_pair, log_lift, self_similarity
@@ -128,9 +128,8 @@ def test_criterion_09_tiling_and_ordering_invariants():
         for n in range(2, 17):
             ok = ok and tiling_is_partition(cf, n) and tiling_refines(cf, n)
         # closest returns alternate sides: sign of q_n theta - p_n alternates
-        conv = convergents(cf, 17)
         th = cf.value()
-        signs = [mpmath.sign(conv.q[n] * th - conv.p[n]) for n in range(1, 17)]
+        signs = [mpmath.sign(cf.q[n] * th - cf.p[n]) for n in range(1, 17)]
         ok = ok and all(a * b < 0 for a, b in zip(signs, signs[1:]))
     _report(9, ok, "P_{n+1} refines P_n exactly and closest returns alternate "
             "sides, n=2..16, golden and silver")

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import hermanlab
 from hermanlab.cfrac import (BRONZE_ALT, GOLDEN, SILVER, ContinuedFraction,
-                             RationalInputError, convergents, resolve_theta,
-                             tiling_indices, tiling_is_partition, tiling_refines)
+                             RationalInputError, resolve_theta, tiling_indices,
+                             tiling_is_partition, tiling_refines)
 
 
 def exact_convergents(quots):
@@ -30,14 +30,45 @@ def exact_convergents(quots):
 
 
 def test_golden_fibonacci_denominators():
-    conv = convergents(GOLDEN, 10)
-    assert conv.q == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
-    assert conv.p == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+    assert GOLDEN.q[:11] == (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
+    assert GOLDEN.p[:11] == (0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55)
 
 
 def test_silver_denominators():
-    conv = convergents(SILVER, 4)
-    assert conv.q == [1, 2, 5, 12, 29]
+    assert SILVER.q[:5] == (1, 2, 5, 12, 29)
+
+
+@pytest.mark.parametrize("theta", [GOLDEN, SILVER, BRONZE_ALT,
+                                   resolve_theta("0.41421356237309515"),
+                                   ContinuedFraction([3, 1, 4, 1, 5])],
+                         ids=["golden", "silver", "bronze-alt", "decimal", "finite"])
+def test_convergent_table_reaches_depth_and_is_read_only(theta):
+    """Each theta holds p_n and q_n for n = 0..depth, in tuples that refuse
+    item assignment; lengths and curve.trace_size refuse a level outside
+    0..depth."""
+    assert len(theta.p) == len(theta.q) == theta.depth + 1
+    with pytest.raises(TypeError):
+        theta.q[1] = 2
+    assert len(theta.lengths(theta.depth)) == theta.depth + 1
+    for n in (-1, theta.depth + 1):
+        for read in (theta.lengths, lambda n: hermanlab.curve.trace_size(theta, n)):
+            with pytest.raises(ValueError, match="outside theta's usable levels"):
+                read(n)
+
+
+@pytest.mark.parametrize("make, msg", [
+    (lambda: ContinuedFraction.from_periodic([], [0]), "partial quotients must be >= 1"),
+    (lambda: ContinuedFraction.from_periodic([], [-1]), "partial quotients must be >= 1"),
+    (lambda: ContinuedFraction.from_periodic([0], [1]), "partial quotients must be >= 1"),
+    (lambda: ContinuedFraction([], period=[]), "period must be nonempty"),
+], ids=["period-0", "period-negative", "preperiod-0", "empty-period"])
+def test_every_stored_quotient_is_checked(make, msg):
+    """A preperiod or period entry below 1 is refused as a finite list's is
+    ([0] used to be accepted as theta = 1.0 with q = 1, 0, 1, 0, ..., and
+    [-1] or a preperiod [0] with a value of 1.618, outside (0,1)), and so
+    is an empty period."""
+    with pytest.raises(ValueError, match=msg):
+        make()
 
 
 def test_named_values():
@@ -49,12 +80,12 @@ def test_named_values():
 
 
 def test_lengths_match_direct_formula():
-    conv = convergents(GOLDEN, 12)
+    lengths = GOLDEN.lengths(12)
     with mpmath.workdps(50):
         th = (mpmath.sqrt(5) - 1) / 2
         for n in range(13):
-            ln = abs(conv.p[n] - conv.q[n] * th)
-            assert abs(float(ln) - float(conv.lengths[n])) < 1e-14
+            ln = abs(GOLDEN.p[n] - GOLDEN.q[n] * th)
+            assert abs(float(ln) - float(lengths[n])) < 1e-14
 
 
 @pytest.mark.parametrize("cf,root", [(GOLDEN, lambda: (mpmath.sqrt(5) - 1) / 2),
@@ -75,22 +106,23 @@ def test_deep_lengths_match_mpmath_fold():
     """Forty 9s: every l_n against a 200-digit fold of the same quotients.
     60 digits cannot resolve p_n - q_n*theta once q_n passes about 1e20."""
     quots = [9] * 40
-    conv = convergents(ContinuedFraction.from_quotients(quots), 40)
+    cf = ContinuedFraction(quots)
+    lengths = cf.lengths(40)
     with mpmath.workdps(200):
         th = mpmath.mpf(0)
         for a in reversed(quots):
             th = 1 / (a + th)
         for n in range(40):
-            ln = abs(conv.p[n] - conv.q[n] * th)
-            assert float(conv.lengths[n]) == float(ln)
-    assert conv.lengths[40] == 0
-    assert 2e-39 < conv.lengths[39] < 8e-39
+            ln = abs(cf.p[n] - cf.q[n] * th)
+            assert float(lengths[n]) == float(ln)
+    assert lengths[40] == 0
+    assert 2e-39 < lengths[39] < 8e-39
 
 
 def test_import_leaves_mpmath_out():
     """mpmath is a test dependency only: the package never imports it."""
     code = ("import sys, hermanlab\n"
-            "hermanlab.convergents(hermanlab.GOLDEN, 48)\n"
+            "hermanlab.GOLDEN.lengths(48)\n"
             "assert 'mpmath' not in sys.modules, 'mpmath imported'\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(hermanlab.__file__)))
     env = dict(os.environ)
@@ -147,7 +179,7 @@ def test_resolved_dyadic_is_not_its_last_convergent(mk):
         cf = resolve_theta(m / 2 ** k)
     except RationalInputError:
         return
-    assert convergents(cf, cf.depth).lengths[-1] > 0
+    assert cf.lengths(cf.depth)[-1] > 0
 
 
 def exact_quotients(x, n):
@@ -166,7 +198,7 @@ def test_resolve_decimal_keeps_only_exact_quotients(x):
     try:
         kept = resolve_theta(repr(x))
     except RationalInputError as e:
-        kept = ContinuedFraction.from_quotients(e.certified)
+        kept = ContinuedFraction(e.certified)
     assert kept.quotients(kept.depth) == exact_quotients(x, kept.depth)
 
 
@@ -183,8 +215,7 @@ def test_periodic_theta_decimal_keeps_a_prefix(preperiod, period):
     kept = resolve_theta(repr(theta.value_float()))
     n = kept.depth
     assert kept.quotients(n) == theta.quotients(n)
-    a, b = convergents(kept, n), convergents(theta, n)
-    assert (a.p[:n + 1], a.q[:n + 1]) == (b.p[:n + 1], b.q[:n + 1])
+    assert (kept.p, kept.q) == (theta.p[:n + 1], theta.q[:n + 1])
 
 
 @pytest.mark.parametrize("cf", [GOLDEN, SILVER], ids=["golden", "silver"])
@@ -199,7 +230,7 @@ def test_tiling_partition_and_refinement(cf):
 def test_tiling_refines_refuses_a_tile_across_a_coarser_vertex(cf, n, monkeypatch):
     """The two tiles of P_{n+1} that meet at vertex 0, merged into one, cross
     vertex 0 of P_n, so no tile of P_n holds the merged tile."""
-    q = convergents(cf, n + 2).q
+    q = cf.q
     real = hermanlab.cfrac.tiling_indices
 
     def merged(cf, level):
@@ -218,7 +249,7 @@ def test_tiling_indices_and_vertex_order_match_their_definitions(cf):
     """tiling_indices' arrays hold the pairs of its docstring, and the order
     from the packed sort keys is the stable argsort of the positions."""
     n = 9
-    q = convergents(cf, n + 1).q
+    q = cf.q
     ks, intervals = tiling_indices(cf, n)
     assert ks == range(q[n] + q[n + 1])
     assert intervals.tolist() == ([[i, q[n] + i] for i in range(q[n + 1])]
@@ -229,19 +260,25 @@ def test_tiling_indices_and_vertex_order_match_their_definitions(cf):
 
 def test_tiling_interval_count():
     _, intervals = tiling_indices(GOLDEN, 5)
-    conv = convergents(GOLDEN, 6)
-    assert len(intervals) == conv.q[5] + conv.q[6]
+    assert len(intervals) == GOLDEN.q[5] + GOLDEN.q[6]
 
 
-@given(st.lists(st.integers(min_value=1, max_value=12), min_size=2, max_size=12))
+quotient = st.integers(min_value=1, max_value=12)
+
+
+@given(st.one_of(
+    st.lists(quotient, min_size=2, max_size=12).map(ContinuedFraction),
+    st.builds(ContinuedFraction.from_periodic, st.lists(quotient, max_size=3),
+              st.lists(quotient, min_size=1, max_size=4))))
 @settings(max_examples=100, deadline=None)
-def test_convergent_recurrence_vs_fractions(quots):
-    cf = ContinuedFraction.from_quotients(quots)
-    conv = convergents(cf, len(quots))
-    oracle = exact_convergents(quots)
-    for n in range(1, len(quots) + 1):
-        assert Fraction(conv.p[n], conv.q[n]) == oracle[n - 1]
+def test_convergent_recurrence_vs_fractions(cf):
+    """The table p, q to depth, of a finite or eventually periodic theta,
+    against a Fraction fold of its quotients."""
+    oracle = exact_convergents(cf.quotients(cf.depth))
+    assert (cf.p[0], cf.q[0]) == (0, 1)
+    for n in range(1, cf.depth + 1):
+        assert Fraction(cf.p[n], cf.q[n]) == oracle[n - 1]
         # determinant identity p_n q_{n-1} - p_{n-1} q_n = (-1)^{n-1}
-        det = conv.p[n] * conv.q[n - 1] - conv.p[n - 1] * conv.q[n]
+        det = cf.p[n] * cf.q[n - 1] - cf.p[n - 1] * cf.q[n]
         assert det == (-1) ** (n - 1)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermanlab import _kernels, cfrac, cli, curve, julia, renorm, rotation
-from hermanlab.cfrac import GOLDEN, convergents
+from hermanlab.cfrac import GOLDEN
 from hermanlab.cli import main
 
 B_FIG = "-1.144208,-0.964454"
@@ -31,8 +31,7 @@ def test_cfrac_json(capsys):
     doc = json.loads(out)
     assert doc["quotients"] == [1] * 8
     assert doc["q"][:9] == [1, 1, 2, 3, 5, 8, 13, 21, 34]
-    conv = convergents(GOLDEN, 8)
-    assert doc["lengths"][3] == pytest.approx(float(conv.lengths[3]))
+    assert doc["lengths"][3] == pytest.approx(float(GOLDEN.lengths(8)[3]))
 
 
 def test_cfrac_rejects_rational_theta(capsys):
@@ -122,13 +121,13 @@ def test_trace_geometry_roundtrip(capsys, tmp_path):
     assert code == 0
     rows = csv.read_text().strip().splitlines()
     assert rows[0].startswith("k,")
-    assert len(rows) - 1 == convergents(GOLDEN, 12).q[12]
+    assert len(rows) - 1 == GOLDEN.q[12]
 
     code, out, _ = run(capsys, "geometry", "--curve", str(csv),
                        "--theta", "golden")
     assert code == 0
     doc = json.loads(out)
-    assert doc["vertices"] == convergents(GOLDEN, 12).q[12]
+    assert doc["vertices"] == GOLDEN.q[12]
     assert doc["depth"] == 12
     assert 0 < doc["critical_angle_rad"] < 2 * math.pi
     assert doc["bounded_turning"] > 0
@@ -713,12 +712,12 @@ def test_trace_depth_past_the_vertex_cap_is_config_error(capsys, tmp_path, monke
     monkeypatch.setattr(curve, "trace", never)
     monkeypatch.setattr(rotation, "tune_asymmetric", never)
     assert curve.MAX_VERTICES == 2 ** 22
-    assert convergents(GOLDEN, 33).q[32:] == [3524578, 5702887]
+    assert GOLDEN.q[32:34] == (3524578, 5702887)
     trace = ["trace", "--d0", "3", "--dinf", "2", "--out", str(tmp_path / "c.csv"), "--depth"]
     assert run(capsys, *trace, "32")[0] == 0
     assert traced == [32]
     monkeypatch.setattr(cli, "_tuned_map", never)
-    q = convergents(GOLDEN, depth).q[depth]
+    q = GOLDEN.q[depth]
     config = small_config(tmp_path, "m", trace_depth=depth)
     for argv, named in (([*trace, str(depth)], "--depth"),
                         (["pipeline", "--config", str(config)], "trace_depth")):
@@ -756,6 +755,40 @@ def test_renorm_depth_past_the_vertex_cap_is_config_error(capsys, tmp_path, monk
     assert {p.name for p in tmp_path.iterdir()} == {"m.json"}
 
 
+def test_ladder_depth_past_the_vertex_cap_is_config_error(capsys, tmp_path, monkeypatch):
+    """A Newton ladder to depth m evaluates residuals along the critical orbit
+    to q_m, held to curve.MAX_VERTICES as a trace is: golden tune --depth 32
+    runs, and --depth 33 and a config tune_depth 33 exit 2 before any
+    residual and make no outdir (--depth 45 used to run until killed).  The
+    derived default ladder depth keeps to the same cap: golden's 31 stays,
+    silver's falls to 17 (q_17 = 2,744,210; q_18 = 6,625,109)."""
+    tops = []
+    tune = rotation.tune_asymmetric
+
+    def recorded(*args, **kwargs):
+        tops.append(kwargs["m"])
+        return tune(*args, **kwargs)
+
+    monkeypatch.setattr(rotation, "tune_asymmetric", recorded)
+    argv = ["tune", "--d0", "3", "--dinf", "2", "--seed", "preset", "--depth"]
+    code, text, _ = run(capsys, *argv, "32")
+    assert code == 0 and json.loads(text)["verify"]["all"] is True and tops == [32]
+
+    def never(*args, **kwargs):
+        raise AssertionError("tuned")
+
+    monkeypatch.setattr(rotation, "tune_asymmetric", never)
+    config = small_config(tmp_path, "m", tune_depth=33)
+    for argv, named in (([*argv, "33"], "--depth"),
+                        (["pipeline", "--config", str(config)], "tune_depth for trace_depth 12")):
+        code, text, err = run(capsys, *argv)
+        assert (code, text) == (2, "")
+        assert err.startswith("config error: %s: depth 33 asks for q_33 = 5702887 vertices, "
+                              "more than the 4194304 a trace holds" % named)
+    assert {p.name for p in tmp_path.iterdir()} == {"m.json"}
+    assert (cli._tune_depth(40, GOLDEN), cli._tune_depth(40, cfrac.SILVER)) == (31, 17)
+
+
 @pytest.mark.parametrize("argv, named", [
     (["cfrac", "--theta", "golden", "--out"], "--out"),
     (["tune", "--d0", "2", "--dinf", "2", "--out"], "--out"),
@@ -774,8 +807,8 @@ def test_missing_output_directory_is_config_error(capsys, tmp_path, monkeypatch,
     def work(*args, **kwargs):
         raise AssertionError("work ran")
 
-    for mod, name in ((cfrac, "convergents"), (rotation, "tune_blaschke"), (curve, "trace"),
-                      (renorm, "scaling_ratios"), (julia, "classify")):
+    for mod, name in ((cfrac.ContinuedFraction, "lengths"), (rotation, "tune_blaschke"),
+                      (curve, "trace"), (renorm, "scaling_ratios"), (julia, "classify")):
         monkeypatch.setattr(mod, name, work)
     for path in (str(tmp_path / "missing" / "out"), str(tmp_path)):
         code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv], path)

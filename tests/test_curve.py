@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermanlab as hl
-from hermanlab.cfrac import GOLDEN, convergents
+from hermanlab.cfrac import GOLDEN
 from hermanlab import curve as curve_mod
 from hermanlab._kernels import _arc_diameter
 from hermanlab.curve import OrbitEscapeError, _aitken, _median
@@ -21,8 +21,7 @@ from hermanlab.curve import OrbitEscapeError, _aitken, _median
 def test_trace_vertex_dynamics_check(golden32):
     _, m = golden32
     c = hl.trace(m, "golden", 14)   # the spot check exercises f(v_k) = v_{k+1}
-    conv = convergents(GOLDEN, 14)
-    assert len(c) == conv.q[14]
+    assert len(c) == GOLDEN.q[14]
     assert c.winding_number(0.0) == 1
 
 
@@ -78,7 +77,7 @@ def test_orbit_index_lookup():
     index, wherever the angle order puts it: the last of a repeated index,
     a KeyError for a missing one, and no return for a convergent q_k
     missing from the trace."""
-    q = convergents(GOLDEN, 6).q          # 1, 1, 2, 3, 5, 8, 13
+    q = GOLDEN.q  # 1, 1, 2, 3, 5, 8, 13
     ks = np.array([5, 0, 3, 1, 8, 2, 3, 11], dtype=np.int64)
     pts = np.arange(len(ks)) * (1 + 1j) + 0.5
     c = hl.HermanCurve(ks=ks, angles=np.linspace(0, 1, len(ks), endpoint=False),

@@ -116,7 +116,7 @@ def test_classify_agrees(map32):
 def test_double_orbit_matches_mpmath(map32):
     """The complex128 critical orbit against a 50-digit mpmath orbit of the
     same coefficients, up to q_14 = 610: the round-off drifts to 3.8e-13."""
-    q = hl.convergents(hl.GOLDEN, 14).q[14]
+    q = hl.GOLDEN.q[14]
     ks = np.arange(1, q + 1, dtype=np.int64)
     orb = _critical_orbit(map32, ks, 1.0)
     with mpmath.workdps(50):

@@ -144,7 +144,7 @@ def test_closest_returns_check_precision():
     circle-map lift they are real."""
     m = hl.herman_family(3, 2, -1.144208 - 0.964454j)
     cq = closest_return_displacements(m, "golden", 5)
-    q = hl.convergents(GOLDEN, 5).q
+    q = GOLDEN.q
     orbit = [m.eval(1.0)]
     while len(orbit) < q[5]:
         orbit.append(m.eval(orbit[-1]))

@@ -45,11 +45,10 @@ def test_rotation_number_detects_rational():
 
 def test_sign_rho_vs_theta():
     th = GOLDEN.value_float()
-    conv = hl.rotation._convergents(GOLDEN)
-    assert sign_rho_vs_theta(Rigid(th + 1e-6), conv) == 1
-    assert sign_rho_vs_theta(Rigid(th - 1e-6), conv) == -1
+    assert sign_rho_vs_theta(Rigid(th + 1e-6), GOLDEN) == 1
+    assert sign_rho_vs_theta(Rigid(th - 1e-6), GOLDEN) == -1
     # undecidable at depth for the exact value
-    assert sign_rho_vs_theta(Rigid(th), conv) == 0
+    assert sign_rho_vs_theta(Rigid(th), GOLDEN) == 0
 
 
 def test_circle_lift_is_degree_one_monotone(blaschke22_golden):
@@ -224,19 +223,19 @@ def test_blaschke_closed_form_closest_returns_match_mpmath():
     plane-chart lift's is 8.8e-12)."""
     m = hl.blaschke(2, 0.6136486389004858)
     got = closest_return_displacements(hl.circle_lift(m), GOLDEN, 12)
-    conv = hl.convergents(GOLDEN, 12)
+    p, q = GOLDEN.p, GOLDEN.q
     with mpmath.workdps(60):
         num = [mpmath.mpc(complex(c)) for c in m.num[::-1]]
         den = [mpmath.mpc(complex(c)) for c in m.den[::-1]]
         x, k = mpmath.mpf(0), 0
         for n in range(1, 13):
-            for _ in range(conv.q[n] - k):
+            for _ in range(q[n] - k):
                 z = mpmath.expjpi(2 * x)
                 w = mpmath.polyval(num, z) / mpmath.polyval(den, z)
                 x += mpmath.frac(mpmath.arg(w) / (2 * mpmath.pi) - x)
-            k = conv.q[n]
+            k = q[n]
             assert got[n].imag == 0
-            assert abs(got[n].real - (x - conv.p[n])) < 2e-12, n
+            assert abs(got[n].real - (x - p[n])) < 2e-12, n
 
 
 @given(UNIT, UNIT, st.integers(min_value=0, max_value=300))
@@ -354,18 +353,6 @@ def test_shallow_ladder_verifies_below_its_top(m):
     res = hl.tune_asymmetric(3, 2, "golden", complex(-1.144208, -0.964454), m=m)
     assert res.verified_depth == min(m - 1, 14)
     assert res.report["verify"]["all"] is True
-
-
-def test_bisection_builds_convergents_once(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return hl.cfrac.convergents(*args, **kwargs)
-
-    monkeypatch.setattr(hl.rotation, "convergents", counted)
-    res = tune_arnold("golden", qcap=2000)
-    assert res.iterations > 1 and len(calls) == 1
 
 
 def test_tune_blaschke_pinned():
