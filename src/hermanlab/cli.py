@@ -22,7 +22,7 @@ from . import __version__, _kernels, cfrac, curve as curve_mod, julia, maps, ren
 
 CONFIG_SCHEMA_VERSION = 1
 
-# a config's default trace_depth; the pipeline verifies at min(_VERIFY_CAP, trace_depth)
+# the default trace --depth and trace_depth; the pipeline verifies at min(_VERIFY_CAP, trace_depth)
 _TRACE_DEPTH, _VERIFY_CAP = 16, 12
 
 _CONFIG_FIELDS = {
@@ -52,23 +52,23 @@ def _theta(name, spec):
         raise ConfigError("bad %s %r: %s" % (name, spec, e))
 
 
-def _int(name, value, least, theta=None, spare=0):
+def _int(name, value, least, theta=None, past=0):
     """value, an integer of at least least; given theta, at most theta's
-    deepest usable level less spare, the levels the caller reads past depth value."""
+    deepest usable level less past, the levels the caller reads past depth value."""
     if not _number(value, int):
         raise ConfigError("%s must be an integer, not %r" % (name, value))
     if value < least:
         raise ConfigError("%s must be at least %d, not %d" % (name, least, value))
-    if theta is not None and value + spare > theta.depth:
+    if theta is not None and value + past > theta.depth:
         raise ConfigError("%s must be at most %d, not %d: theta's deepest usable level is %d"
-                          % (name, theta.depth - spare, value, theta.depth))
+                          % (name, theta.depth - past, value, theta.depth))
     return value
 
 
-def _trace_depth(name, value, least, theta, spare=0, past=0):
+def _trace_depth(name, value, least, theta, past=0):
     """A depth as _int takes it whose orbit to level value + past a trace holds
     (curve.trace_size), refused before any tuning or allocation."""
-    depth = _int(name, value, least, theta, spare)
+    depth = _int(name, value, least, theta, past)
     try:
         curve_mod.trace_size(theta, depth + past)
     except ValueError as e:
@@ -370,7 +370,7 @@ def cmd_geometry(args):
     theta = _theta("--theta", args.theta)
     # rebuild the curve container; depth recovered from vertex count, within
     # theta's usable levels
-    depth = max((n for n in range(1, theta.depth) if theta.q[n] <= len(ks) + 1), default=0)
+    depth = bisect.bisect_right(theta.q, len(ks) + 1) - 1
     if not depth:
         raise ConfigError("curve %s has %d vertices, fewer than q_1 - 1 = %d"
                           % (args.curve, len(ks), theta.q[1] - 1))
@@ -397,10 +397,10 @@ def cmd_geometry(args):
     return 0
 
 
-# each renorm subcommand's least --depth (one scaling ratio, three Cauchy differences,
-# the level-2 pair) and the levels of theta it reads past it; each follows the critical
-# orbit _RENORM_PAST levels past --depth N (q_{N+2}; chi tabulates q_{N+1} + q_N + 2 points)
-_RENORM_DEPTH = {"ratios": (1, 3), "mu": (5, 3), "chi": (2, 2)}
+# each renorm subcommand's least --depth N (one scaling ratio, three Cauchy differences,
+# the level-2 pair), and the levels of theta each reads past N: the ratios and mu read
+# q_{N+2}, chi reads q_{N+1} and tabulates q_{N+1} + q_N + 2 <= q_{N+2} + 2 points
+_RENORM_DEPTH = {"ratios": 1, "mu": 5, "chi": 2}
 _RENORM_PAST = 2
 
 
@@ -408,8 +408,7 @@ def cmd_renorm(args):
     theta = _theta("--theta", args.theta)
     if args.what == "mu" and theta.period is None:
         raise ConfigError("renorm mu needs an eventually periodic --theta, not %r" % args.theta)
-    least, spare = _RENORM_DEPTH[args.what]
-    depth = _trace_depth("--depth", args.depth, least, theta, spare, _RENORM_PAST)
+    depth = _trace_depth("--depth", args.depth, _RENORM_DEPTH[args.what], theta, _RENORM_PAST)
     m = _tuned_map(args, theta, _tune_depth(depth, theta))
     if args.what == "ratios":
         _ratios(m, theta, depth, args.out)
@@ -531,12 +530,12 @@ def _load_config(path):
     seed = cfg.get("seed")
     if not (seed is None or isinstance(seed, str)):
         seed = _param("seed", seed)
-    # verify_herman at depth min(_VERIFY_CAP, trace_depth) reads one quotient past it
+    # the map verified at v = min(_VERIFY_CAP, trace_depth) is tuned by a ladder that
+    # has to reach v + 1, a level past trace_depth when theta's depth is _VERIFY_CAP or less
     depth = _trace_depth("trace_depth", cfg.get("trace_depth", _TRACE_DEPTH),
                          rotation.VERIFY_LEAST_DEPTH, theta, int(theta.depth <= _VERIFY_CAP))
-    N = _trace_depth("renorm_depth", cfg.get("renorm_depth", min(depth - 2, 14)), 1, theta, 3,
+    N = _trace_depth("renorm_depth", cfg.get("renorm_depth", min(depth - 2, 14)), 1, theta,
                      _RENORM_PAST)
-    # the verify depth min(_VERIFY_CAP, trace_depth) needs a ladder one level deeper
     tune_depth = _ladder_depth("tune_depth", cfg.get("tune_depth"), family, seed, theta,
                                min(_VERIFY_CAP, depth) + 1, " for trace_depth %d" % depth)
     window = cfg.get("window")
@@ -651,7 +650,7 @@ def build_parser():
 
     p = sub.add_parser("trace", help="trace the Herman curve")
     add_family(p)
-    p.add_argument("--depth", type=int, default=16)
+    p.add_argument("--depth", type=int, default=_TRACE_DEPTH)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_trace)
 

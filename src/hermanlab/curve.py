@@ -197,8 +197,12 @@ def critical_angle(curve):
     limiting directions (even k on one side, odd k on the other); each
     one-sided phase sequence is accelerated with Aitken's delta-squared,
     and the angle is the width of the sector between the two limits that
-    contains the inward direction (towards 0, the d0 side).  Expected
-    value: pi*(2*d0 - 1)/(d0 + dinf - 1).
+    contains the inward direction (towards 0, the d0 side).  For d0 == dinf
+    the curve is the unit circle and the angle is pi.  The law
+    pi*(2*d0 - 1)/(d0 + dinf - 1) holds only there: for d0 != dinf the
+    curve has a corner at the critical value, and (3,2) reads 3.8786 at
+    depth 29, 0.048 below its 5*pi/4, and (2,3) 2.4039 at depth 24, 0.048
+    above its 3*pi/4.
     """
     n = curve.depth
     if n < ANGLE_LEAST_DEPTH:

@@ -9,6 +9,7 @@ distance transform.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -325,6 +326,9 @@ def load_grid(path):
         window = struct.unpack("<4d", read(32))
         w, h = struct.unpack("<2I", read(8))
         maxiter, r0, rinf = struct.unpack("<Idd", read(20))
+        # 5 bytes a pixel (a u8 label, a u32 count), checked before a read allocates them
+        if 5 * w * h > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ValueError("truncated grid file")
         labels = np.frombuffer(read(w * h), dtype="<u1").reshape(h, w).copy()
         iters = np.frombuffer(read(4 * w * h), dtype="<u4").reshape(h, w).copy()
     return GridClassification(window=window, labels=labels, escape_iters=iters,

@@ -479,8 +479,8 @@ def verify_herman(map_, theta, n):
     if n < VERIFY_LEAST_DEPTH:
         raise ValueError("verify_herman needs depth %d or more, not %d" % (VERIFY_LEAST_DEPTH, n))
     theta = resolve_theta(theta)
-    if n >= theta.depth:
-        raise ValueError("verify depth %d must be below theta's deepest usable level %d"
+    if n > theta.depth:
+        raise ValueError("verify depth %d is past theta's deepest usable level %d"
                          % (n, theta.depth))
     qn = theta.q[n]
     orb, nok = _kernels.orbit(map_.num, map_.den, 1.0 + 0.0j, qn, 1e-3, 1e3)

@@ -3,7 +3,9 @@
 import json
 import math
 import os
+import struct
 import tempfile
+import tracemalloc
 import types
 import warnings
 
@@ -16,6 +18,9 @@ from hermanlab.cfrac import GOLDEN
 from hermanlab.cli import main
 
 B_FIG = "-1.144208,-0.964454"
+# the (3,2) golden parameter a Newton ladder tunes to depth 20, whose critical
+# orbit stays on its curve past q_20 (B_FIG's escapes first)
+DEEP = "-1.1442084006991486,-0.9644541436327397"
 GOLDEN_DECIMAL = "0.6180339887498949"  # certifies 33 quotients
 
 
@@ -147,6 +152,21 @@ def test_geometry_golden_decimal_matches_named(capsys, tmp_path):
     assert json.loads(decimal)["depth"] == 12
 
 
+@pytest.mark.parametrize("depth", [12, 16, 20])
+def test_geometry_reads_a_trace_to_thetas_last_level(capsys, tmp_path, depth):
+    """A trace to the last level of a theta of depth quotients 1 reads back
+    at that depth, and geometry writes the bytes it writes for the same
+    file under golden: it used to stop one level short of theta's depth
+    (depth 20 read as 19, its angle 3.866087 for golden's 3.864866, and
+    depth 12 as 11, too short for the critical angle)."""
+    ones, csv = ",".join(["1"] * depth), str(tmp_path / "c.csv")
+    assert main(["trace", "--d0", "3", "--dinf", "2", "--param=" + DEEP, "--theta", ones,
+                 "--depth", str(depth), "--out", csv]) == 0
+    code, text, err = run(capsys, "geometry", "--curve", csv, "--theta", ones)
+    assert (code, err) == (0, "") and json.loads(text)["depth"] == depth
+    assert run(capsys, "geometry", "--curve", csv, "--theta", "golden") == (0, text, "")
+
+
 @pytest.mark.parametrize("argv, config", [
     (["render", "--window", "a,b,c,d", "--res", "8"], None),
     (["render", "--window=-2,-2,2,2", "--res", "0"], None),
@@ -218,7 +238,7 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
     classifies (0 used to give an all-UNDECIDED image, and -3 with
     --grid-out a struct error after classifying).  A null theta, a non-path
     outdir, a bool schema, an empty window list, a depth past the 33
-    quotients a golden decimal certifies, a trace_depth whose verify reads
+    quotients a golden decimal certifies, a trace_depth whose ladder reads
     past a 10-quotient theta, and renorm mu on a non-periodic theta are
     refused too: each used to exit 1 or 0."""
     if argv is None:
@@ -611,6 +631,28 @@ def small_grid(tmp_path, window=(-2.0, -2.0, 2.0, 2.0)):
     return str(path)
 
 
+@pytest.mark.parametrize("side", [2 ** 32 - 1, 4096])
+def test_grid_header_past_its_file_is_config_error(capsys, tmp_path, side):
+    """A grid header is checked against the file's size before its pixels are
+    read: a file that holds only the 67-byte header of a side x side grid
+    exits 2 as truncated, with no buffer of the header's size allocated
+    (side 2^32 - 1 used to exit 1 with an OverflowError, and side 4096
+    read into a 16 MB buffer first)."""
+    path = tmp_path / "g.bin"
+    path.write_bytes(julia.GRID_MAGIC + struct.pack("<4d2IIdd", -2, -2, 2, 2, side, side,
+                                                    1, 1e-6, 1e6))
+    assert path.stat().st_size == 67
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "porosity", "--grid", str(path), "--center-re", "0",
+                             "--center-im", "0", "--radii", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "") and "truncated grid file" in err
+    assert peak < 1 << 20
+
+
 def test_porosity_centre_outside_window_is_config_error(capsys, tmp_path):
     """A centre outside the window is refused, half a pixel past its left
     or lower edge too (which used to land in pixel 0 and exit 0)."""
@@ -674,16 +716,16 @@ def test_missing_input_file_is_config_error(capsys, tmp_path, argv):
      48),
     (["trace", "--d0", "3", "--dinf", "2", "--depth", "49", "--out", "{tmp}/c.csv"], None,
      "--depth", 48),
-    (["renorm", "ratios", "--d0", "3", "--dinf", "2", "--depth", "46"], None, "--depth", 45),
-    (["renorm", "mu", "--d0", "3", "--dinf", "2", "--theta", "silver", "--depth", "46"], None,
-     "--depth", 45),
+    (["renorm", "ratios", "--d0", "3", "--dinf", "2", "--depth", "47"], None, "--depth", 46),
+    (["renorm", "mu", "--d0", "3", "--dinf", "2", "--theta", "silver", "--depth", "47"], None,
+     "--depth", 46),
     (None, {"trace_depth": 49}, "trace_depth", 48),
-], ids=["cfrac-depth-1e8", "tune-depth-60", "trace-depth-49", "ratios-depth-46", "mu-depth-46",
+], ids=["cfrac-depth-1e8", "tune-depth-60", "trace-depth-49", "ratios-depth-47", "mu-depth-47",
         "config-trace-depth-49"])
 def test_depth_past_the_cap_is_config_error(capsys, tmp_path, argv, config, named, least):
     """A periodic theta's deepest usable level is cfrac.MAX_DEPTH = 48, so
     each depth stops there, less the levels its command reads past it
-    (three for the scaling ratios and mu): refused with exit 2 and no
+    (two for the scaling ratios and mu, which read q_{N+2}): refused with exit 2 and no
     output, naming the option or config field.  cfrac --depth 100000000
     used to run until killed, and tune --depth 60 to exit 1 from the
     ladder."""
@@ -735,7 +777,7 @@ def test_renorm_depth_past_the_vertex_cap_is_config_error(capsys, tmp_path, monk
     no outdir, and N = 30 (q_32 = 3,524,578) runs.  N = 45 used to iterate
     to q_47 = 4,807,526,976 until killed."""
     ratios = ["renorm", "ratios", "--d0", "3", "--dinf", "2", "--depth"]
-    code, text, _ = run(capsys, *ratios, "30", "--param=-1.1442084006991486,-0.9644541436327397")
+    code, text, _ = run(capsys, *ratios, "30", "--param=" + DEEP)
     assert code == 0 and text.splitlines()[-1].startswith("31,")
 
     def never(*args, **kwargs):
@@ -753,6 +795,27 @@ def test_renorm_depth_past_the_vertex_cap_is_config_error(capsys, tmp_path, monk
                               "depth 33 asks for q_33 = 5702887 vertices, more than the "
                               "4194304 a trace holds" % named)
     assert {p.name for p in tmp_path.iterdir()} == {"m.json"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 2), min_size=8, max_size=14))
+def test_renorm_depth_reads_theta_to_its_last_level(quotients):
+    """renorm ratios and mu at depth N read theta to q_{N+2}, so N stops at
+    theta's depth - 2 (it used to stop at depth - 3): the deepest N that
+    cli._trace_depth takes, renorm ratios computes (s_1..s_{N+1}), and
+    N + 1 is refused."""
+    theta = cfrac.ContinuedFraction(quotients)
+    N = theta.depth - 2
+    assert cli._trace_depth("--depth", N, 1, theta, cli._RENORM_PAST) == N
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "r.csv")
+        assert main(["renorm", "ratios", "--d0", "3", "--dinf", "2", "--param=" + DEEP,
+                     "--theta", ",".join(map(str, quotients)), "--depth", str(N),
+                     "--out", out]) == 0
+        with open(out) as fh:
+            assert [int(row.split(",")[0]) for row in fh.readlines()[1:]] == list(range(1, N + 2))
+    with pytest.raises(cli.ConfigError, match="must be at most %d, not %d" % (N, N + 1)):
+        cli._trace_depth("--depth", N + 1, 1, theta, cli._RENORM_PAST)
 
 
 def test_ladder_depth_past_the_vertex_cap_is_config_error(capsys, tmp_path, monkeypatch):

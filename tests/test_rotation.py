@@ -459,6 +459,19 @@ def test_extrapolated_ladder_pinned_at_m20(d0, dinf):
     assert any(e["extrapolated"] for e in res.report["ladder"])
 
 
+def test_verify_herman_reads_theta_to_its_last_level():
+    """verify_herman at depth n reads q_2..q_n, so it runs at theta's own
+    depth: on golden's 14-quotient prefix at 14 it gives golden's checks
+    (it used to raise ValueError there), and it refuses 15."""
+    m = hl.herman_family(3, 2, LADDER_M20[(3, 2)])
+    prefix = hl.cfrac.ContinuedFraction([1] * 14)
+    rep = verify_herman(m, prefix, 14)
+    assert rep == verify_herman(m, GOLDEN, 14) and rep["all"] is True
+    with pytest.raises(ValueError, match="verify depth 15 is past theta's deepest usable "
+                                         "level 14"):
+        verify_herman(m, prefix, 15)
+
+
 def _count_residual_iterates(monkeypatch):
     """Make every tune_residual call add its qm to the returned list."""
     seen = []
