@@ -2,11 +2,11 @@
 rendering, and the geometry loops behind the curve and porosity measures.
 
 The orbit kernels operate on rational maps given as ascending complex
-coefficient vectors (numerator, denominator).  Each kernel has one pure
-python/numpy reference: the private ``_orbit_samples``,
-``_tune_residual``, ``_blaschke_advance``, ``_classify``, ``_arc_ratios``
-and ``_distance_transform``.  ``orbit`` is ``orbit_samples`` at every
-iterate.
+coefficient vectors (numerator, denominator).  ``orbit`` is
+``orbit_samples`` at every iterate.  Each kernel has one pure
+python/numpy reference, its name with a leading underscore, in
+``_reference``, which is imported only when a kernel runs without the
+library.
 
 ``orbit_samples``, ``tune_residual`` and ``classify_kernel`` take any
 coefficient array or list as contiguous complex128 (``_complex``) and run
@@ -234,7 +234,8 @@ def orbit_samples(num, den, z0, ks, r0, rinf):
     """
     num, den = _complex(num, den)
     if _lib is None:
-        return _orbit_samples(num, den, z0, ks, r0, rinf)
+        from . import _reference
+        return _reference._orbit_samples(num, den, z0, ks, r0, rinf)
     ks = np.ascontiguousarray(ks, dtype=np.int64)
     if not len(ks):
         raise IndexError("no sample indices")
@@ -258,7 +259,8 @@ def tune_residual(num0, den, c, qm, r0, rinf):
     """
     num0, den = _complex(num0, den)
     if _lib is None:
-        return _tune_residual(num0, den, c, qm, r0, rinf)
+        from . import _reference
+        return _reference._tune_residual(num0, den, c, qm, r0, rinf)
     num0, den = num0.tobytes(), den.tobytes()
     buf = (ctypes.c_double * (4 + (len(num0) + len(den)) // 8))()
     c = complex(c)
@@ -286,26 +288,9 @@ def blaschke_advance(den, alpha, slope, x, n):
         raise ValueError("den must hold two or more float64 coefficients, not %d bytes"
                          % len(den))
     if _lib is None:
-        return _blaschke_advance(den, alpha, slope, x, n)
+        from . import _reference
+        return _reference._blaschke_advance(den, alpha, slope, x, n)
     return _lib.blaschke_advance(den, len(den) // 8, alpha, slope, x, n)
-
-
-def _blaschke_advance(den, alpha, slope, x, n):
-    """Reference of blaschke_advance.  The ``+ 0.0`` on each imaginary part
-    is the one a real coefficient adds as (c, 0.0) in complex arithmetic:
-    it turns the -0.0 of top * sin(0) for top < 0 into 0.0, without which
-    atan2 would give -pi for pi at u = 0."""
-    top, c0, *more = memoryview(den).cast("d")
-    cos, sin, atan2, pi, twopi = math.cos, math.sin, math.atan2, math.pi, 2 * math.pi
-    for _ in range(n):
-        u = x % 1.0
-        y = twopi * u
-        zr, zi = cos(y), sin(y)
-        re, im = top * zr + c0, top * zi + 0.0
-        for c in more:
-            re, im = re * zr - im * zi + c, re * zi + im * zr + 0.0
-        x = x + (alpha + slope * u - atan2(im, re) / pi) % 1.0
-    return x
 
 
 def _starts_at_top(coeffs):
@@ -330,44 +315,6 @@ def _horner(coeffs, z):
     return acc
 
 
-def _orbit_samples(num, den, z0, ks, r0, rinf):
-    """Reference of orbit_samples."""
-    out = np.empty(len(ks), dtype=np.complex128)
-    z = z0
-    j = 0
-    kmax = ks[-1]
-    for k in range(1, kmax + 1):
-        z = _horner(num, z) / _horner(den, z)
-        a = abs(z)
-        if a < r0 or a > rinf:
-            for i in range(j, len(ks)):
-                out[i] = complex(np.nan, np.nan)
-            return out, j
-        while j < len(ks) and k == ks[j]:
-            out[j] = z
-            j += 1
-    return out, j
-
-
-def _tune_residual(num0, den, c, qm, r0, rinf):
-    """Reference of tune_residual."""
-    dnum, dden = ([j * a[j] for j in range(1, len(a))] for a in (num0, den))
-    z = 1.0 + 0.0j
-    w = 0.0 + 0.0j
-    for _ in range(qm):
-        nv = _horner(num0, z)
-        dv = _horner(den, z)
-        ndv = _horner(dnum, z)
-        ddv = _horner(dden, z)
-        dfdz = c * (ndv * dv - nv * ddv) / (dv * dv)
-        w = dfdz * w + nv / dv
-        z = c * nv / dv
-        a = abs(z)
-        if a < r0 or a > rinf:
-            return complex(np.nan, np.nan), w
-    return z - 1.0, w
-
-
 def classify_kernel(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
     """Escape-time labels (0 inner, 1 outer, 2 undecided) and iteration counts.
 
@@ -381,7 +328,8 @@ def classify_kernel(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
     """
     num, den = _complex(num, den)
     if _lib is None:
-        return _classify(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf)
+        from . import _reference
+        return _reference._classify(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf)
     return _classify_c(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf, _cpus())
 
 
@@ -430,120 +378,13 @@ def _classify_c(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf, workers, lane
     return labels, iters
 
 
-def _horner_arrays(coeffs, re, im, ar, ai, t1, t2):
-    """Horner on float64 real and imaginary arrays into ar, ai (t1, t2 are
-    scratch of the same length), one ufunc per real operation in the order
-    of ``horner`` in _kernels.c, from the top where _starts_at_top says."""
-    if _starts_at_top(coeffs):
-        ar.fill(coeffs[-1].real)
-        ai.fill(coeffs[-1].imag)
-        coeffs = coeffs[:-1]
-    else:
-        ar.fill(0.0)
-        ai.fill(0.0)
-    for c in reversed(coeffs):
-        # (ar*re - ai*im) + c.real, (ar*im + ai*re) + c.imag
-        np.multiply(ar, re, out=t1)
-        np.multiply(ai, im, out=t2)
-        np.subtract(t1, t2, out=t1)
-        np.multiply(ar, im, out=t2)
-        np.add(t1, c.real, out=ar)
-        np.multiply(ai, re, out=t1)
-        np.add(t2, t1, out=t2)
-        np.add(t2, c.imag, out=ai)
-
-
-def _cdiv_arrays(ar, ai, br, bi, re, im, small, rat, scl, t):
-    """(ar + i ai) / (br + i bi) elementwise by Smith's formula into re, im
-    (small, rat, scl and t are scratch), as ``cdiv`` in _kernels.c.  A zero
-    divisor gives NaN where cdiv gives inf or NaN."""
-    np.greater_equal(np.abs(br, out=rat), np.abs(bi, out=scl), out=small)
-    np.logical_not(small, out=small)   # |br| < |bi| or NaN, as cdiv branches
-    # rat = bi / br or br / bi
-    np.divide(bi, br, out=rat)
-    np.divide(br, bi, out=t)
-    np.copyto(rat, t, where=small)
-    # scl = 1 / (br + bi*rat) or 1 / (bi + br*rat)
-    np.multiply(bi, rat, out=scl)
-    np.add(br, scl, out=scl)
-    np.multiply(br, rat, out=t)
-    np.add(bi, t, out=t)
-    np.copyto(scl, t, where=small)
-    np.divide(1.0, scl, out=scl)
-    # re = (ar + ai*rat) * scl or (ar*rat + ai) * scl
-    np.multiply(ai, rat, out=re)
-    np.add(ar, re, out=re)
-    np.multiply(ar, rat, out=t)
-    np.add(t, ai, out=t)
-    np.copyto(re, t, where=small)
-    np.multiply(re, scl, out=re)
-    # im = (ai - ar*rat) * scl or (ai*rat - ar) * scl
-    np.multiply(ar, rat, out=im)
-    np.subtract(ai, im, out=im)
-    np.multiply(ai, rat, out=t)
-    np.subtract(t, ar, out=t)
-    np.copyto(im, t, where=small)
-    np.multiply(im, scl, out=im)
-
-
-# pixels per block of _classify's arithmetic: its seven 64 KB work arrays
-# stay in a core's L2 cache
-_BLOCK = 8192
-
-
-def _classify(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
-    """Reference of classify_kernel: every undecided pixel at once, on float64
-    real and imaginary arrays, in blocks of _BLOCK pixels into preallocated
-    arrays.  Separate multiply and add ufuncs cannot fuse, unlike numpy's
-    complex array arithmetic, so this rounds as _kernels.c does on every
-    host."""
-    re = np.tile(x0 + (np.arange(w) + 0.5) * dx, h)
-    im = np.repeat(y0 + (np.arange(h) + 0.5) * dy, w)
-    labels = np.full(w * h, 2, dtype=np.uint8)
-    iters = np.full(w * h, maxiter, dtype=np.uint32)
-    active = np.arange(w * h)
-    r02, rinf2 = r0 * r0, rinf * rinf
-    z = np.empty((2, w * h))
-    work = np.empty((7, min(_BLOCK, w * h)))
-    small = np.empty(work.shape[1], dtype=bool)
-    # overflow and 0/0 are expected: a non-finite iterate becomes 2 rinf
-    with np.errstate(all="ignore"):
-        for k in range(maxiter):
-            m2 = re * re + im * im
-            inner = m2 < r02
-            outer = m2 > rinf2
-            done = inner | outer
-            if done.any():
-                labels[active[inner]] = 0
-                labels[active[outer]] = 1
-                iters[active[done]] = k
-                keep = ~done
-                active, re, im = active[keep], re[keep], im[keep]
-                if active.size == 0:
-                    break
-            n = active.size
-            zr, zi = z[0, :n], z[1, :n]
-            # block a's quotient overwrites only its own pixels of re, im
-            for a in range(0, n, _BLOCK):
-                b = min(a + _BLOCK, n)
-                nr, ni, dr, di, t1, t2, t3 = work[:, :b - a]
-                _horner_arrays(num, re[a:b], im[a:b], nr, ni, t1, t2)
-                _horner_arrays(den, re[a:b], im[a:b], dr, di, t1, t2)
-                _cdiv_arrays(nr, ni, dr, di, zr[a:b], zi[a:b], small[:b - a], t1, t2, t3)
-            re, im = zr, zi
-            bad = ~(np.isfinite(re) & np.isfinite(im))
-            re[bad] = 2.0 * rinf
-            im[bad] = 0.0
-    return labels.reshape(h, w), iters.reshape(h, w)
-
-
 def arc_ratios(pts, ii, jj):
     """diam(arc) / chord for each vertex pair (ii[p], jj[p]) of the closed
     polygon pts, or 0 where the chord |pts[i] - pts[j]| (hypot) is 0.
 
     The arc is the shorter of the two between the vertices, the inner
     pts[lo..hi] on a tie, and an arc of more than 512 points keeps every
-    (len // 512)-th one.  Its diameter is estimated by _arc_diameter.
+    (len // 512)-th one.  Its diameter is estimated by _reference._arc_diameter.
     The C loop splits the pairs over one thread per CPU this process may
     run on, at the widest lane count the CPU has; the ratios depend on
     neither.  A non-finite vertex is refused with ValueError, as no
@@ -559,7 +400,8 @@ def arc_ratios(pts, ii, jj):
     if ii.size and not (min(ii.min(), jj.min()) >= 0 and max(ii.max(), jj.max()) < len(pts)):
         raise IndexError("vertex index out of range")
     if _lib is None:
-        return _arc_ratios(pts, ii, jj)
+        from . import _reference
+        return _reference._arc_ratios(pts, ii, jj)
     return _arc_ratios_c(pts, ii, jj, _cpus())
 
 
@@ -574,46 +416,6 @@ def _arc_ratios_c(pts, ii, jj, workers, lanes=None):
     return out
 
 
-def _arc_ratios(pts, ii, jj):
-    """Reference of arc_ratios."""
-    m = len(pts)
-    out = np.zeros(len(ii))
-    for p, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
-        chord = np.hypot(pts[i].real - pts[j].real, pts[i].imag - pts[j].imag)
-        if chord == 0:
-            continue
-        lo, hi = min(i, j), max(i, j)
-        if hi - lo <= m - (hi - lo):
-            arc = pts[lo:hi + 1]
-        else:
-            arc = np.concatenate([pts[hi:], pts[:lo + 1]])
-        if len(arc) > 512:
-            arc = arc[:: len(arc) // 512]
-        out[p] = _arc_diameter(arc) / chord
-    return out
-
-
-def _arc_diameter(arc):
-    """Largest distance from a point of arc to its 8 lowest and 8 highest
-    points on each axis (ties by position, as a stable sort orders them):
-    between max(x-range, y-range) and the true diameter.
-
-    Squared distances are summed in a frame scaled by the power of two
-    2^k that brings the larger axis range into [0.5, 1), k clamped to
-    [-1022, 1023], so that no squared distance of a narrow or wide arc
-    underflows or overflows; one square root of the largest is scaled
-    back, as ``arc_diameter`` in _kernels.c does.
-    """
-    x, y = arc.real, arc.imag
-    ox, oy = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
-    cand = arc[np.concatenate([ox[:8], ox[-8:], oy[:8], oy[-8:]])]
-    _, e = math.frexp(max(x[ox[-1]] - x[ox[0]], y[oy[-1]] - y[oy[0]]))
-    scale = math.ldexp(1.0, min(max(-e, -1022), 1023))
-    sx = (x[:, None] - cand.real[None, :]) * scale
-    sy = (y[:, None] - cand.imag[None, :]) * scale
-    return float(np.sqrt(np.max(sx * sx + sy * sy))) / scale
-
-
 def distance_transform(mask):
     """Exact Euclidean distance from each pixel of the 2-D mask to the
     nearest pixel where the mask is false (0 there), or inf if it is true
@@ -625,40 +427,14 @@ def distance_transform(mask):
     """
     mask = np.ascontiguousarray(mask, dtype=bool)
     if _lib is None:
-        return _distance_transform(mask)
+        from . import _reference
+        return _reference._distance_transform(mask)
     h, w = mask.shape
     out = np.empty((h, w))
     scratch = np.empty((h, w), dtype=np.int64), np.empty(2 * w, dtype=np.int64)
     _lib.distance_transform(mask.ctypes.data, w, h, *(a.ctypes.data for a in scratch),
                             out.ctypes.data)
     return out
-
-
-# "no false pixel" in _distance_transform's integer squared distances
-_FAR = 1 << 62
-
-
-def _distance_transform(mask):
-    """Reference of distance_transform: the squared distance to the nearest
-    false pixel of each column, then of each row (_parabola_min)."""
-    d2 = _parabola_min(_parabola_min(np.where(mask, _FAR, 0), 0), 1)
-    out = np.sqrt(d2.astype(np.float64))
-    out[d2 >= _FAR] = np.inf
-    return out
-
-
-def _parabola_min(f, axis):
-    """min over integer offsets d of d*d + f[i + d] along axis, for int64 f
-    >= 0; offsets stop once d*d reaches the largest minimum so far, which
-    no larger offset can lower."""
-    f = np.moveaxis(np.asarray(f, dtype=np.int64), axis, 0)
-    out = f.copy()
-    d = 1
-    while d < len(f) and d * d < out.max(initial=0):
-        np.minimum(out[d:], f[:-d] + d * d, out=out[d:])
-        np.minimum(out[:-d], f[d:] + d * d, out=out[:-d])
-        d += 1
-    return np.moveaxis(out, 0, axis)
 
 
 # bytes per row of curve_csv_rows' buffer, as curve_csv_rows in _kernels.c needs

@@ -136,16 +136,20 @@ def _out(name, path):
 
 
 def _ladder_depth(name, value, family, seed, theta, least=rotation.VERIFY_LEAST_DEPTH + 1,
-                  why=""):
-    """The Newton ladder's depth m, None for the tuner's default.  The (d,d)
-    family without a seed is tuned by bisection, which takes no depth; a
-    ladder to depth m is verified at m - 1, and its top residual follows the
-    critical orbit to q_m, held to what a trace holds (_trace_depth)."""
-    if value is not None and family[0] == family[1] and seed is None:
+                  why="", default=None):
+    """The Newton ladder's depth m: value, else default, else None for the
+    tuner's default.  The (d,d) family without a seed is tuned by bisection,
+    which takes no depth; a ladder to depth m, given or default, is verified
+    at m - 1, and its top residual follows the critical orbit to q_m, held
+    to what a trace holds (_trace_depth)."""
+    bisection = family[0] == family[1] and seed is None
+    if value is not None and bisection:
         seed_name = "--seed" if name.startswith("--") else "seed"
         raise ConfigError("%s sets the Newton ladder's depth, but the (%d,%d) family without "
                           "%s is tuned by bisection; give %s ('preset' or re,im) to tune by "
                           "the ladder" % (name, *family, seed_name, seed_name))
+    if value is None and not bisection:
+        value, name = default, "the derived default " + name
     return None if value is None else _trace_depth(name + why, value, least, theta)
 
 
@@ -537,11 +541,12 @@ def _load_config(path):
     N = _trace_depth("renorm_depth", cfg.get("renorm_depth", min(depth - 2, 14)), 1, theta,
                      _RENORM_PAST)
     tune_depth = _ladder_depth("tune_depth", cfg.get("tune_depth"), family, seed, theta,
-                               min(_VERIFY_CAP, depth) + 1, " for trace_depth %d" % depth)
+                               min(_VERIFY_CAP, depth) + 1, " for trace_depth %d" % depth,
+                               _tune_depth(max(depth, N), theta))
     window = cfg.get("window")
     run = types.SimpleNamespace(
         family=family, theta=theta, seed=seed, tol=_tol("tol", cfg.get("tol")),
-        tune_depth=tune_depth or _tune_depth(max(depth, N), theta), trace_depth=depth,
+        tune_depth=tune_depth, trace_depth=depth,
         renorm_depth=N, window=None if window is None else _window("window", window),
         resolution=_int("resolution", cfg.get("resolution", 512), 1),
         maxiter=_int("maxiter", cfg.get("maxiter", 400), 1), outdir=cfg["outdir"])

@@ -103,7 +103,7 @@ class _BlaschkeLift:
     A step runs in floats the operations that complex arithmetic makes on
     (cos y, sin y) = exp(2 pi i {x}) and on D's real coefficients, dropping
     only products that are exactly zero, so it equals the complex Horner
-    bit for bit (``_kernels._blaschke_advance`` says how).  ``advance``
+    bit for bit (``_reference._blaschke_advance`` says how).  ``advance``
     makes one ``_kernels.blaschke_advance`` call for all its steps, in C,
     or in that python reference without a compiler.  The constructor takes
     D's coefficients packed for it (once per family), m - 1 and c.

@@ -852,6 +852,53 @@ def test_ladder_depth_past_the_vertex_cap_is_config_error(capsys, tmp_path, monk
     assert (cli._tune_depth(40, GOLDEN), cli._tune_depth(40, cfrac.SILVER)) == (31, 17)
 
 
+def test_derived_ladder_default_keeps_the_verify_rule(capsys, tmp_path, monkeypatch):
+    """A config without tune_depth has its ladder depth derived, and the
+    derived depth obeys the rule a given one does: at least
+    min(12, trace_depth) + 1 and within the vertex cap.  With a_13 =
+    5,000,000 the default stops at 12 (q_13 = 1,165,000,144 vertices), one
+    below what trace_depth 12 verifies; it used to tune to 12 and exit 0,
+    and the least explicit depth, 13, is refused by the cap.  Both exit 2
+    before any stage or outdir."""
+    monkeypatch.setattr(rotation, "tune_asymmetric", None)
+    theta = ",".join(["1"] * 12 + ["5000000"] + ["1"] * 7)
+    seed = [-1.1442084006991486, -0.9644541436327397]
+    for name, extra, said in (
+            ("d", {}, "the derived default tune_depth for trace_depth 12 must be at least 13, "
+                      "not 12"),
+            ("e", {"tune_depth": 13}, "tune_depth for trace_depth 12: depth 13 asks for "
+                                      "q_13 = 1165000144 vertices")):
+        cfg = small_config(tmp_path, name, theta=theta, seed=seed,
+                           **{"tune_depth": None, **extra})
+        code, text, err = run(capsys, "pipeline", "--config", str(cfg))
+        assert (code, text) == (2, "") and err.startswith("config error: " + said)
+        assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("family, seed", [([2, 2], None), ([2, 2], "preset"),
+                                          ([3, 2], "preset"), ([2, 3], "preset")])
+def test_preset_defaults_keep_their_ladder_depth(tmp_path, family, seed):
+    """Every preset family at its default depths loads with the ladder depth
+    it was tuned to before the derived default was checked, and the (2,2)
+    bisection without a seed with none."""
+    cfg = small_config(tmp_path, "p", family=family, seed=seed, tune_depth=None,
+                       trace_depth=None, renorm_depth=None)
+    loaded, _ = cli._load_config(str(cfg))
+    assert loaded.tune_depth == (None if seed is None else 18)
+    assert (loaded.trace_depth, loaded.renorm_depth) == (16, 14)
+
+
+def test_chain_config_runs(capsys, tmp_path):
+    """The golden chain config's pipeline, with its own tune_depth, and a
+    (2,3) preset pipeline at its derived default ladder depth run."""
+    for name, extra in (("c", {"tune_depth": 18, "trace_depth": 20, "renorm_depth": 14}),
+                        ("p", {"family": [2, 3], "tune_depth": None})):
+        cfg = small_config(tmp_path, name, resolution=32, maxiter=50, **extra)
+        code, _, err = run(capsys, "pipeline", "--config", str(cfg))
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert (code, err) == (0, "") and report["verify"]["all"] is True
+
+
 @pytest.mark.parametrize("argv, named", [
     (["cfrac", "--theta", "golden", "--out"], "--out"),
     (["tune", "--d0", "2", "--dinf", "2", "--out"], "--out"),

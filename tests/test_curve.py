@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import hermanlab as hl
 from hermanlab.cfrac import GOLDEN
 from hermanlab import curve as curve_mod
-from hermanlab._kernels import _arc_diameter
+from hermanlab._reference import _arc_diameter
 from hermanlab.curve import OrbitEscapeError, _aitken, _median
 
 

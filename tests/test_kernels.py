@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hermanlab as hl
-from hermanlab import _kernels as K
+from hermanlab import _kernels as K, _reference
 from hermanlab.curve import _critical_orbit
 
 B_FIG = complex(-1.144208, -0.964454)
@@ -184,7 +184,7 @@ def orbit_case(draw, z0=None):
     r0, rinf = 1e-8, 1e8
     if kind == "trap":
         with np.errstate(all="ignore"):
-            ref, _ = K._orbit_samples(num, den, z0, np.arange(1, n + 1), 0.0, np.inf)
+            ref, _ = _reference._orbit_samples(num, den, z0, np.arange(1, n + 1), 0.0, np.inf)
         a = abs(ref[draw(st.integers(0, n - 1))])
         a = draw(st.sampled_from([a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)]))
         r0, rinf = draw(st.sampled_from([(a, np.inf), (0.0, a), (a, 1e8), (1e-8, a)]))
@@ -200,7 +200,7 @@ def test_c_orbit_bit_equal(case):
     """orbit is bit-equal to the reference _orbit_samples at ks = 1..n, NaNs included."""
     num, den, z0, n, r0, rinf = case
     with np.errstate(all="ignore"):
-        ref, nref = K._orbit_samples(num, den, z0, np.arange(1, n + 1), r0, rinf)
+        ref, nref = _reference._orbit_samples(num, den, z0, np.arange(1, n + 1), r0, rinf)
     out, nout = K.orbit(num, den, z0, n, r0, rinf)
     assert nout == nref
     assert bits(out) == bits(ref)
@@ -213,7 +213,7 @@ def test_c_orbit_samples_bit_equal(case, ks):
     num, den, z0, n, r0, rinf = case
     ks = np.array(sorted(ks), dtype=np.int64)
     with np.errstate(all="ignore"):
-        ref, nref = K._orbit_samples(num, den, z0, ks, r0, rinf)
+        ref, nref = _reference._orbit_samples(num, den, z0, ks, r0, rinf)
     out, nout = K.orbit_samples(num, den, z0, ks, r0, rinf)
     assert nout == nref
     assert bits(out) == bits(ref)
@@ -226,7 +226,7 @@ def test_c_tune_residual_bit_equal(case, c):
     """The residual orbit starts at 1, so kind "pole" puts 1 near a pole."""
     num0, den, _, qm, r0, rinf = case
     with np.errstate(all="ignore"):
-        ref = K._tune_residual(num0, den, c, qm, r0, rinf)
+        ref = _reference._tune_residual(num0, den, c, qm, r0, rinf)
     out = K.tune_residual(num0, den, c, qm, r0, rinf)
     assert bits(out) == bits(ref)
 
@@ -260,10 +260,10 @@ def test_c_orbit_kernels_signed_zero_top_coefficient(num, den, z0, c, which, top
         polys[which][-1] = top
     r0, rinf = radii
     with np.errstate(all="ignore"):
-        ref, nref = K._orbit_samples(*polys, z0, np.arange(1, 31), r0, rinf)
+        ref, nref = _reference._orbit_samples(*polys, z0, np.arange(1, 31), r0, rinf)
         out, nout = K.orbit(*polys, z0, 30, r0, rinf)
         assert nout == nref and bits(out) == bits(ref)
-        ref = K._tune_residual(*polys, c, 30, r0, rinf)
+        ref = _reference._tune_residual(*polys, c, 30, r0, rinf)
         assert bits(K.tune_residual(*polys, c, 30, r0, rinf)) == bits(ref)
 
 
@@ -285,10 +285,10 @@ def test_c_traps_decided_as_hypot_decides():
             for edge in (np.nextafter(a, 0.0), a, np.nextafter(a, np.inf)):
                 for r0, rinf in ((edge, 1e150), (edge, np.inf), (1e-150, edge), (0.0, edge),
                                  (-1.0, edge), (1e-150, -1e150)):
-                    ref, nref = K._orbit_samples(num, den, z, np.array([1]), r0, rinf)
+                    ref, nref = _reference._orbit_samples(num, den, z, np.array([1]), r0, rinf)
                     out, nout = K.orbit(num, den, z, 1, r0, rinf)
                     assert nout == nref and bits(out) == bits(ref)
-                    ref = K._tune_residual(num, den, z, 1, r0, rinf)
+                    ref = _reference._tune_residual(num, den, z, 1, r0, rinf)
                     assert bits(K.tune_residual(num, den, z, 1, r0, rinf)) == bits(ref)
 
 
@@ -314,7 +314,7 @@ def classify_checked(*args, lanes=None):
         out = K.classify_kernel(*args)
     else:
         out = K._classify_c(*K._complex(*args[:2]), *args[2:], K._cpus(), lanes)
-    ref = K._classify(*args)
+    ref = _reference._classify(*args)
     assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
     return out
 
@@ -326,7 +326,7 @@ def test_c_classify_bit_equal():
     span two of the reference's blocks) and on a zoom around the (3,2)
     pole (1 - i/sqrt(2))/3; on the (2,2) map's pole at 1/3 the quotient is
     not finite, becomes 2 rinf and escapes at the next iterate."""
-    assert 128 * 72 > K._BLOCK > 96 * 80
+    assert 128 * 72 > _reference._BLOCK > 96 * 80
     for d0, dinf in ((3, 2), (2, 2), (3, 3)):
         m = family(d0, dinf)
         for win in ((-2.0, -2.0, 4.0 / 96, 4.0 / 80, 96, 80, 150),
@@ -391,7 +391,7 @@ def test_c_classify_lanes_bit_equal(lanes):
     # through the critical point 1 on the Herman curve, all undecided
     m = family(3, 2)
     mixed = (m.num, m.den, -0.5, -0.012, 1.0, 1e-3, 2, 24, 150, 1e-6, 1e6)
-    labels, iters = K._classify(*mixed)
+    labels, iters = _reference._classify(*mixed)
     assert (iters[:, 0] == 1).sum() == 12 and (labels[:, 1] == 2).all()
     for workers in (1, 2):
         out = K._classify_c(*K._complex(m.num, m.den), *mixed[2:], workers, lanes)
@@ -454,10 +454,10 @@ def test_c_kernels_bit_equal_on_deep_orbits(map32):
     c = complex(-1.144208397941167, -0.9644541484142908)
     for qm in (89, 1597, 17711):
         assert bits(K.tune_residual(num0, den, c, qm, 1e-8, 1e8)) == bits(
-            K._tune_residual(num0, den, c, qm, 1e-8, 1e8))
+            _reference._tune_residual(num0, den, c, qm, 1e-8, 1e8))
     m = hl.herman_family(3, 2, c)
     out, n = K.orbit(m.num, m.den, 1.0 + 0.0j, 20000, 1e-8, 1e8)
-    ref, nref = K._orbit_samples(m.num, m.den, 1.0 + 0.0j, np.arange(1, 20001), 1e-8, 1e8)
+    ref, nref = _reference._orbit_samples(m.num, m.den, 1.0 + 0.0j, np.arange(1, 20001), 1e-8, 1e8)
     assert n == nref == 20000 and bits(out) == bits(ref)
 
 
@@ -494,7 +494,7 @@ def test_c_kernels_take_real_and_list_coefficients(monkeypatch):
         raise AssertionError("the python reference ran")
 
     for name in ("_orbit_samples", "_tune_residual", "_classify"):
-        monkeypatch.setattr(K, name, refused)
+        monkeypatch.setattr(_reference, name, refused)
     for num, den in others:
         assert real_coefficient_calls(num, den) == want
 
@@ -517,7 +517,7 @@ def test_kernels_without_the_library_pass_complex128(monkeypatch):
         return call
 
     for name in ("_orbit_samples", "_tune_residual", "_classify"):
-        monkeypatch.setattr(K, name, checked(getattr(K, name)))
+        monkeypatch.setattr(_reference, name, checked(getattr(_reference, name)))
     want = real_coefficient_calls(*exact)
     for num, den in others:
         assert real_coefficient_calls(num, den) == want
@@ -546,14 +546,14 @@ def test_c_blaschke_advance_bit_equal(d):
     for alpha in alphas:
         for x in (0.0, -0.0, rng.random(), -5.0 * rng.random(), rng.uniform(-5e4, 5e4)):
             n = int(rng.integers(0, 3001))
-            want = K._blaschke_advance(den, alpha, slope, x, n)
+            want = _reference._blaschke_advance(den, alpha, slope, x, n)
             assert K.blaschke_advance(den, alpha, slope, x, n).hex() == want.hex(), (alpha, x, n)
         for x in (2.0 ** 52 + 1.0, -3e17, 1e300):
-            want = K._blaschke_advance(den, alpha, slope, x, 3)
+            want = _reference._blaschke_advance(den, alpha, slope, x, 3)
             assert K.blaschke_advance(den, alpha, slope, x, 3).hex() == want.hex(), (alpha, x)
     for k in range(200):
         for n in (0, 1, 13):
-            want = K._blaschke_advance(den, k / 200, slope, 0.0, n)
+            want = _reference._blaschke_advance(den, k / 200, slope, 0.0, n)
             assert K.blaschke_advance(den, k / 200, slope, 0.0, n).hex() == want.hex(), (k, n)
 
 
@@ -565,14 +565,14 @@ def test_blaschke_advance_without_the_library_runs_the_reference(monkeypatch):
         with pytest.raises(ValueError, match="two or more"):
             K.blaschke_advance(short, 0.3, 2.0, 0.0, 1)
     calls = []
-    reference = K._blaschke_advance
+    reference = _reference._blaschke_advance
 
     def counted(*args):
         calls.append(args)
         return reference(*args)
 
     monkeypatch.setattr(K, "_lib", None)
-    monkeypatch.setattr(K, "_blaschke_advance", counted)
+    monkeypatch.setattr(_reference, "_blaschke_advance", counted)
     den = blaschke_den(3)
     assert K.blaschke_advance(den, 0.3, 4.0, 0.25, 50).hex() == reference(
         den, 0.3, 4.0, 0.25, 50).hex()
@@ -628,7 +628,7 @@ def test_c_arc_ratios_bit_equal(case, lanes):
     """The C arc ratios equal the reference's bit for bit, at each lane count
     and with 1 and 3 workers."""
     pts, ii, jj = case
-    ref = K._arc_ratios(pts, ii, jj)
+    ref = _reference._arc_ratios(pts, ii, jj)
     assert bits(K._arc_ratios_c(pts, ii, jj, 1, lanes)) == bits(ref)
     assert bits(K._arc_ratios_c(pts, ii, jj, 3, lanes)) == bits(ref)
     assert bits(K.arc_ratios(pts, ii, jj)) == bits(ref)
@@ -651,7 +651,7 @@ def test_c_arc_ratios_lanes_bit_equal(lanes):
         else:
             jj = np.arange(505, 1031)
             ii = np.zeros_like(jj)
-        ref = K._arc_ratios(pts, ii, jj)
+        ref = _reference._arc_ratios(pts, ii, jj)
         assert (ref[ii == jj] == 0).all() and (ref[ii != jj] > 0).all()
         for workers in (1, 3):
             assert bits(K._arc_ratios_c(pts, ii, jj, workers, lanes)) == bits(ref)
@@ -683,7 +683,7 @@ def test_c_pruned_arcs_bit_equal(shape):
     rng = np.random.default_rng(17)
     for m in (70, 1500, 2600):
         pts, ii, jj = polyline_case(shape, m, rng)
-        ref = K._arc_ratios(pts, ii, jj)
+        ref = _reference._arc_ratios(pts, ii, jj)
         assert (ref > 0.5).all()
         for lanes in K._WIDTHS:
             for workers in (1, 3):
@@ -1010,14 +1010,14 @@ def mask_case(draw):
 def test_distance_transform_against_brute_force(mask):
     """The C kernel (if built) and the reference against the brute force."""
     ref = brute_distance(mask)
-    assert np.array_equal(K._distance_transform(mask), ref)
+    assert np.array_equal(_reference._distance_transform(mask), ref)
     assert np.array_equal(K.distance_transform(mask), ref)
 
 
 def test_distance_transform_all_fatou():
     mask = np.ones((7, 300), dtype=bool)
     assert np.array_equal(K.distance_transform(mask), np.full((7, 300), np.inf))
-    assert np.array_equal(K._distance_transform(mask), np.full((7, 300), np.inf))
+    assert np.array_equal(_reference._distance_transform(mask), np.full((7, 300), np.inf))
 
 
 def test_distance_transform_equals_scipy():
@@ -1029,7 +1029,7 @@ def test_distance_transform_equals_scipy():
         mask[rng.integers(shape[0]), rng.integers(shape[1])] = False
         edt = ndimage.distance_transform_edt(mask)
         assert np.array_equal(K.distance_transform(mask), edt)
-        assert np.array_equal(K._distance_transform(mask), edt)
+        assert np.array_equal(_reference._distance_transform(mask), edt)
 
 
 # -- backend selection in a fresh interpreter --------------------------------------
