@@ -7,6 +7,7 @@ All outputs (CSV/JSON/PPM) are byte-deterministic for a fixed config.
 import argparse
 import bisect
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -138,11 +139,11 @@ def _out(name, path):
 def _ladder_depth(name, value, family, seed, theta, least=rotation.VERIFY_LEAST_DEPTH + 1,
                   why="", default=None):
     """The Newton ladder's depth m: value, else default, else None for the
-    tuner's default.  The (d,d) family without a seed is tuned by bisection,
-    which takes no depth; a ladder to depth m, given or default, is verified
-    at m - 1, and its top residual follows the critical orbit to q_m, held
-    to what a trace holds (_trace_depth)."""
-    bisection = family[0] == family[1] and seed is None
+    tuner's default.  Bisection (_by_bisection) takes no depth; a ladder to
+    depth m, given or default, is verified at m - 1, and its top residual
+    follows the critical orbit to q_m, held to what a trace holds
+    (_trace_depth)."""
+    bisection = _by_bisection(*family, seed)
     if value is not None and bisection:
         seed_name = "--seed" if name.startswith("--") else "seed"
         raise ConfigError("%s sets the Newton ladder's depth, but the (%d,%d) family without "
@@ -158,12 +159,17 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _scrub_nan(obj):
-    """Replace NaN/inf floats with None so the output stays strict JSON."""
+def _strict_json(obj):
+    """obj in strict JSON's values: a complex number as [re, im], an array as
+    a list, a dataclass record as its fields, and NaN or inf as None."""
+    if dataclasses.is_dataclass(obj):
+        obj = dataclasses.asdict(obj)
     if isinstance(obj, dict):
-        return {k: _scrub_nan(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_scrub_nan(v) for v in obj]
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_strict_json(v) for v in obj]
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [_strict_json(float(obj.real)), _strict_json(float(obj.imag))]
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
@@ -179,7 +185,7 @@ def _write(text, path=None):
 
 
 def _emit_json(obj, path=None):
-    _write(json.dumps(_scrub_nan(obj), indent=2, sort_keys=True, allow_nan=False) + "\n", path)
+    _write(json.dumps(_strict_json(obj), indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
 def _write_curve_csv(c, path):
@@ -290,19 +296,25 @@ def cmd_maps(args):
     m = maps.herman_family(args.d0, args.dinf, _param("--param", args.param))
     _emit_json({
         "family": [args.d0, args.dinf],
-        "parameter": [m.parameter.real, m.parameter.imag],
+        "parameter": m.parameter,
         "total_degree": m.total_degree,
-        "num": [[c.real, c.imag] for c in m.num],
-        "den": [[c.real, c.imag] for c in m.den],
+        "num": m.num,
+        "den": m.den,
     }, args.out)
     return 0
 
 
+def _by_bisection(d0, dinf, seed):
+    """Whether _tune tunes by Blaschke bisection: the (d,d) family without a
+    seed is, every other by the Newton ladder."""
+    return d0 == dinf and seed is None
+
+
 def _tune(d0, dinf, theta, seed=None, m=None, tol=None):
-    """Blaschke bisection if d0 == dinf and no seed is given, else the Newton
-    ladder (seed None: the shipped preset); tol None keeps the tuner's default."""
+    """Blaschke bisection (_by_bisection), else the Newton ladder (seed None:
+    the shipped preset); tol None keeps the tuner's default."""
     kw = {} if tol is None else {"tol": tol}
-    if d0 == dinf and seed is None:
+    if _by_bisection(d0, dinf, seed):
         return rotation.tune_blaschke(d0, theta, **kw)
     return rotation.tune_asymmetric(d0, dinf, theta, "preset" if seed is None else seed,
                                     m=m, **kw)
@@ -315,7 +327,7 @@ def cmd_tune(args):
     res = _tune(args.d0, args.dinf, theta, seed, m=m, tol=_tol("--tol", args.tol))
     out = {
         "family": [args.d0, args.dinf],
-        "parameter": [res.parameter.real, res.parameter.imag],
+        "parameter": res.parameter,
         "alpha": res.alpha,
         "residual": res.residual,
         "iterations": res.iterations,
@@ -403,7 +415,9 @@ def cmd_geometry(args):
 
 # each renorm subcommand's least --depth N (one scaling ratio, three Cauchy differences,
 # the level-2 pair), and the levels of theta each reads past N: the ratios and mu read
-# q_{N+2}, chi reads q_{N+1} and tabulates q_{N+1} + q_N + 2 <= q_{N+2} + 2 points
+# q_{N+s}, with renorm.scaling_ratios' step s = 2 for every theta a command takes (the
+# named ones have periods of length 1 or 2, and quotient lists and decimals none), and
+# chi reads q_{N+1} and tabulates q_{N+1} + q_N + 2 <= q_{N+2} + 2 points
 _RENORM_DEPTH = {"ratios": 1, "mu": 5, "chi": 2}
 _RENORM_PAST = 2
 
@@ -420,7 +434,7 @@ def cmd_renorm(args):
     if args.what == "mu":
         rep = renorm.self_similarity(m, theta, N=depth)
         _emit_json({
-            "mu": [rep.mu.real, rep.mu.imag],
+            "mu": rep.mu,
             "mu_abs": abs(rep.mu),
             "mu_err": rep.mu_err,
             "cauchy_factors": rep.cauchy_factors,
@@ -434,7 +448,7 @@ def cmd_renorm(args):
         out[str(n)] = {
             "chi": pair.height(),
             "commutation_residual": pair.commutation_residual(),
-            "f_minus_0": [pair.endpoint_minus.real, pair.endpoint_minus.imag],
+            "f_minus_0": pair.endpoint_minus,
         }
     _emit_json(out, args.out)
     return 0
@@ -464,15 +478,7 @@ def cmd_dims(args):
     if len(pts) < julia.BOX_MIN_POINTS:
         raise ConfigError("curve %s has %d vertices, fewer than the %d box counting needs"
                           % (args.points, len(pts), julia.BOX_MIN_POINTS))
-    rep = julia.box_dimension(pts, connect=args.connect)
-    _emit_json({
-        "slope": rep.slope,
-        "slope_err": rep.slope_err,
-        "scales": rep.scales,
-        "counts": rep.counts,
-        "point_spacing": rep.point_spacing,
-        "diameter": rep.diameter,
-    }, args.out)
+    _emit_json(julia.box_dimension(pts, connect=args.connect), args.out)
     return 0
 
 
@@ -490,14 +496,7 @@ def cmd_porosity(args):
         grid.pixel_of(center)
     except ValueError as e:
         raise ConfigError("grid %s, centre %r: %s" % (args.grid, center, e))
-    prof = julia.porosity_profile(grid, center, radii)
-    _emit_json({
-        "center": [prof.center.real, prof.center.imag],
-        "radii": prof.radii,
-        "ratios": prof.ratios,
-        "delta": prof.delta,
-        "skipped": prof.skipped,
-    }, args.out)
+    _emit_json(julia.porosity_profile(grid, center, radii), args.out)
     return 0
 
 
@@ -580,7 +579,7 @@ def cmd_pipeline(args):
     try:
         with stage("tune"):
             tuned = _tune(*run.family, theta, run.seed, m=run.tune_depth, tol=run.tol)
-        report["parameter"] = [tuned.parameter.real, tuned.parameter.imag]
+        report["parameter"] = tuned.parameter
         m = maps.herman_family(*run.family, tuned.parameter)
         with stage("verify"):
             ver = report["verify"] = rotation.verify_herman(m, theta, min(_VERIFY_CAP, depth))
@@ -592,7 +591,7 @@ def cmd_pipeline(args):
             _ratios(m, theta, N, path("ratios.csv"))
             if theta.period is not None and N >= 7:
                 mu_rep = renorm.self_similarity(m, theta, N=N)
-                report.update(mu=[mu_rep.mu.real, mu_rep.mu.imag], mu_err=mu_rep.mu_err)
+                report.update(mu=mu_rep.mu, mu_err=mu_rep.mu_err)
         if depth >= curve_mod.ANGLE_LEAST_DEPTH:
             with stage("geometry"):
                 angle, disp = curve_mod.critical_angle(c)
@@ -626,13 +625,14 @@ def build_parser():
                                  description="critical quasicircle map numerics")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_family(p, param=True):
+    def add_family(p, param=True, theta=True):
         p.add_argument("--d0", type=int, required=True)
         p.add_argument("--dinf", type=int, required=True)
         if param:
             p.add_argument("--param", default=None,
                            help="re,im map parameter; omit to tune from presets")
-        p.add_argument("--theta", default="golden")
+        if theta:
+            p.add_argument("--theta", default="golden")
 
     p = sub.add_parser("cfrac", help="continued fraction expansion")
     p.add_argument("--theta", required=True)
@@ -641,7 +641,7 @@ def build_parser():
     p.set_defaults(fn=cmd_cfrac)
 
     p = sub.add_parser("maps", help="show family coefficients")
-    add_family(p)
+    add_family(p, theta=False)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_maps)
 

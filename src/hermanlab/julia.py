@@ -62,20 +62,16 @@ class GridClassification:
 
 
 def classify(map_, window, resolution, maxiter=1000):
-    """Classify each pixel center by escape to the traps at 0 / infinity.
+    """Classify the centers of resolution x resolution pixels by escape to
+    the traps at 0 / infinity.
 
     Labels: BASIN0 (|orbit| < 1e-6), BASIN_INF (|orbit| > 1e6), UNDECIDED
     (still wandering at maxiter) -- an outer approximation of J(f).
     """
     x0, y0, x1, y1 = window
-    if isinstance(resolution, int):
-        w = h = resolution
-    else:
-        w, h = resolution
-    dx = (x1 - x0) / w
-    dy = (y1 - y0) / h
+    dx, dy = (x1 - x0) / resolution, (y1 - y0) / resolution
     labels, iters = _kernels.classify_kernel(
-        map_.num, map_.den, float(x0), float(y0), dx, dy, w, h,
+        map_.num, map_.den, float(x0), float(y0), dx, dy, resolution, resolution,
         int(maxiter), _R0, _RINF)
     return GridClassification(window=(x0, y0, x1, y1), labels=labels,
                               escape_iters=iters, maxiter=maxiter, r0=_R0, rinf=_RINF)

@@ -21,6 +21,10 @@ import numpy as np
 
 from .cfrac import resolve_theta
 from .curve import _aitken, _critical_orbit
+from .rotation import _closest_returns
+
+# the most steps CommutingPair.height takes to find chi
+_HEIGHT_STEPS = 200
 
 
 class BranchAmbiguityError(RuntimeError):
@@ -125,14 +129,14 @@ class CommutingPair:
         b = self.f_plus(self.f_minus(0.0 + 0.0j))
         return abs(a - b)
 
-    def height(self, max_steps=200):
+    def height(self):
         """chi: first time f_-^{chi+1}(f_+(0)) enters int I_+ = (0, f_-(0))."""
         z = self.f_plus(0.0 + 0.0j)
-        for j in range(max_steps):
+        for j in range(_HEIGHT_STEPS):
             z = self.f_minus(z)
             if _in_open_segment(z, 0.0 + 0.0j, self.endpoint_minus):
                 return j
-        raise RuntimeError("height not found within %d steps" % max_steps)
+        raise RuntimeError("height not found within %d steps" % _HEIGHT_STEPS)
 
 
 def _in_open_segment(z, a, b):
@@ -176,7 +180,7 @@ class ScalingReport:
     s: dict                      # n -> s_n
     cq: dict                     # n -> c_{q_n} (plane chart)
     ratios: dict                 # n -> c_{q_{n+s}}/c_{q_n}
-    period: int
+    period: int                  # the ratio step s
     mu: complex | None = None
     mu_err: float | None = None
     cauchy_factors: list = field(default_factory=list)
@@ -195,55 +199,47 @@ def closest_return_displacements(f, theta, N):
         return {n: complex(vals[n - 1]) - 1.0 for n in range(1, N + 1)}
     # circle-map lift path
     xc = f.critical_point
-    out = {}
-    x = xc
-    k = 0
-    for n in range(1, N + 1):
-        x = f.advance(x, theta.q[n] - k)
-        k = theta.q[n]
-        out[n] = complex(x - xc - theta.p[n])
-    return out
+    return {n: complex(x - xc - theta.p[n]) for n, x in _closest_returns(f, theta, xc, N)}
 
 
-def scaling_ratios(f, theta, N, period=2):
-    """Scaling ratios s_n and self-similarity ratios c_{q_{n+s}}/c_{q_n}."""
-    cq = closest_return_displacements(f, theta, N + period)
+def scaling_ratios(f, theta, N):
+    """Scaling ratios s_n, n = 1..N + 1, and self-similarity ratios
+    c_{q_{n+s}}/c_{q_n}, n = 1..N, with s the length of theta's period
+    rounded up to even (2 for a theta that is not eventually periodic):
+    theta's combinatorics repeat every s levels, and the orientation of
+    c_{q_n} every 2."""
+    theta = resolve_theta(theta)
+    step = 2 if theta.period is None else math.lcm(len(theta.period), 2)
+    cq = closest_return_displacements(f, theta, N + step)
     eps = 1e3 * np.finfo(float).eps
-    s = {}
-    for n in range(1, N + period):
-        if n in cq and n + 1 in cq and abs(cq[n]) > eps:
-            s[n] = cq[n + 1] / cq[n]
-    ratios = {}
-    for n in range(1, N + 1):
-        if n in cq and n + period in cq and abs(cq[n]) > eps:
-            ratios[n] = cq[n + period] / cq[n]
-    rep = ScalingReport(s=s, cq=cq, ratios=ratios, period=period)
+    s = {n: cq[n + 1] / cq[n] for n in range(1, N + 2) if abs(cq[n]) > eps}
+    ratios = {n: cq[n + step] / cq[n] for n in range(1, N + 1) if abs(cq[n]) > eps}
+    rep = ScalingReport(s=s, cq=cq, ratios=ratios, period=step)
     # Cauchy contraction along the natural subsequences: ratios with n of
-    # the same residue mod `period` converge monotonically to mu, so the
-    # successive differences to compare are `period` levels apart.
-    diffs = {n: abs(ratios[n] - ratios[n - period])
-             for n in ratios if n - period in ratios}
-    rep.cauchy_factors = [diffs[n - period] / diffs[n]
+    # the same residue mod `step` converge monotonically to mu, so the
+    # successive differences to compare are `step` levels apart.
+    diffs = {n: abs(ratios[n] - ratios[n - step])
+             for n in ratios if n - step in ratios}
+    rep.cauchy_factors = [diffs[n - step] / diffs[n]
                           for n in sorted(diffs)
-                          if n - period in diffs and diffs[n] > 0]
+                          if n - step in diffs and diffs[n] > 0]
     return rep
 
 
-def self_similarity(f, theta, period=2, N=None):
-    """Self-similarity factor mu = lim c_{q_{n+s}}/c_{q_n}, Aitken-accelerated.
+def self_similarity(f, theta, N=None):
+    """Self-similarity factor mu = lim c_{q_{n+s}}/c_{q_n}, Aitken-accelerated,
+    with scaling_ratios' step s.
 
-    theta must be of eventually-periodic type with even period s; the
-    error bar is the magnitude of the last two accelerated differences.
-    Raises RuntimeError unless 0 < |mu| < 1 and the error bar is below |mu|.
+    theta must be eventually periodic; the error bar is the magnitude of
+    the last two accelerated differences.  Raises RuntimeError unless
+    0 < |mu| < 1 and the error bar is below |mu|.
     """
     theta = resolve_theta(theta)
     if theta.period is None:
         raise ValueError("theta must be eventually periodic (quadratic irrational)")
-    if period % 2:
-        raise ValueError("period must be even")
     if N is None:
         N = 20
-    rep = scaling_ratios(f, theta, N, period=period)
+    rep = scaling_ratios(f, theta, N)
     ns = sorted(rep.ratios)
     seq = [rep.ratios[n] for n in ns]
     if len(seq) < 5:

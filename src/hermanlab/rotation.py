@@ -23,6 +23,7 @@ Three tuners are provided:
   step).
 """
 
+import bisect
 import cmath
 import logging
 import math
@@ -196,13 +197,7 @@ def sign_rho_vs_theta(lift, theta, qcap=_QCAP_DEFAULT):
     when undecided at depth (rho within the deepest checked combinatorial
     length of theta).
     """
-    x = 0.0
-    k = 0
-    for n in range(1, len(theta.q)):
-        if theta.q[n] > qcap:
-            break
-        x = lift.advance(x, theta.q[n] - k)
-        k = theta.q[n]
+    for n, x in _closest_returns(lift, theta, 0.0, bisect.bisect_right(theta.q, qcap) - 1):
         s = x - theta.p[n]
         # for odd n, q_n*theta - p_n < 0; rho > theta iff the return overshoots
         if n % 2 == 1 and s > 0:
@@ -210,6 +205,15 @@ def sign_rho_vs_theta(lift, theta, qcap=_QCAP_DEFAULT):
         if n % 2 == 0 and s < 0:
             return -1
     return 0
+
+
+def _closest_returns(lift, theta, x, last):
+    """(n, F^{q_n}(x)) for n = 1..last, each from the one before."""
+    k = 0
+    for n in range(1, last + 1):
+        x = lift.advance(x, theta.q[n] - k)
+        k = theta.q[n]
+        yield n, x
 
 
 def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT):
@@ -236,8 +240,7 @@ def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT):
         if hi - lo < tol:
             break
     alpha = 0.5 * (lo + hi)
-    depth_checked = max(n for n in range(1, len(theta.q)) if theta.q[n] <= qcap)
-    return alpha, hi - lo, it, depth_checked, undecided
+    return alpha, hi - lo, it, bisect.bisect_right(theta.q, qcap) - 1, undecided
 
 
 def _tune_circle(make_lift, parameter, family, theta, tol, qcap):

@@ -77,7 +77,7 @@ def test_criterion_05_scaling_ratio_universality(blaschke22_golden, arnold_golde
 
 def test_criterion_06_self_similarity_cauchy(golden32):
     _, m = golden32
-    rep = self_similarity(m, "golden", period=2, N=18)
+    rep = self_similarity(m, "golden", N=18)
     last4 = rep.cauchy_factors[-4:]
     worst_rel = 0.0
     for n in sorted(rep.ratios):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermanlab import _kernels, cfrac, cli, curve, julia, renorm, rotation
+from hermanlab import _kernels, cfrac, cli, curve, julia, maps, renorm, rotation
 from hermanlab.cfrac import GOLDEN
 from hermanlab.cli import main
 
@@ -60,7 +60,10 @@ def test_maps_coefficients(capsys):
 
 
 def test_unknown_flag_is_usage_error(capsys):
+    """An option a subcommand does not take exits 2: maps takes no --theta."""
     assert main(["cfrac", "--theta", "golden", "--bogus"]) == 2
+    assert main(["maps", "--d0", "3", "--dinf", "2", "--param=" + B_FIG,
+                 "--theta", "golden"]) == 2
 
 
 def test_tune_blaschke_json(capsys, tmp_path):
@@ -450,6 +453,20 @@ def test_dims_on_short_curve_is_config_error(capsys, tmp_path):
     code, out, err = run(capsys, "dims", "--points", str(csv), "--connect")
     assert (code, out) == (2, "")
     assert "config error: curve %s has 1597 vertices" % csv in err
+
+
+def test_renorm_mu_json(capsys):
+    """renorm mu writes self_similarity's mu as [re, im], |mu|, mu_err and
+    Cauchy factors, the same floats."""
+    code, out, _ = run(capsys, "renorm", "mu", "--d0", "3", "--dinf", "2",
+                       "--param=" + DEEP, "--depth", "14")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mu_abs"] == pytest.approx(0.662, abs=0.01)
+    rep = renorm.self_similarity(maps.herman_family(3, 2, complex(*map(float, DEEP.split(",")))),
+                                 "golden", N=14)
+    assert doc == {"mu": [rep.mu.real, rep.mu.imag], "mu_abs": abs(rep.mu),
+                   "mu_err": rep.mu_err, "cauchy_factors": rep.cauchy_factors}
 
 
 def test_renorm_chi_json(capsys):

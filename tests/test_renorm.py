@@ -50,6 +50,18 @@ def test_log_lift_power_escape(golden32):
             lift.power(z, 1, 0)
 
 
+def test_commuting_pair_builds_its_own_lift(golden32):
+    """Without a lift, commuting_pair builds one (README's example), the
+    pair a given lift builds."""
+    _, m = golden32
+    pair = commuting_pair(m, "golden", 8)
+    assert pair.height() == 1
+    assert pair.commutation_residual() < 1e-9 * abs(pair.endpoint_minus)
+    given = commuting_pair(m, "golden", 8, lift=hl.log_lift(m, "golden"))
+    assert (pair.endpoint_minus, pair.endpoint_plus) == (given.endpoint_minus,
+                                                         given.endpoint_plus)
+
+
 def test_chi_golden_all_one(golden32):
     _, m = golden32
     lift = hl.log_lift(m, "golden")
@@ -67,7 +79,7 @@ def test_commutation_residual_small(golden32):
 
 def test_product_identity_and_telescoping(golden32):
     _, m = golden32
-    rep = scaling_ratios(m, "golden", 18, period=2)
+    rep = scaling_ratios(m, "golden", 18)
     for n in sorted(rep.ratios):
         if n in rep.s and n + 1 in rep.s:
             lhs = rep.ratios[n]
@@ -85,15 +97,30 @@ def test_closest_returns_match_trace(golden32, trace32_deep):
 
 def test_self_similarity_factor(golden32):
     _, m = golden32
-    rep = self_similarity(m, "golden", period=2, N=18)
+    rep = self_similarity(m, "golden", N=18)
     assert abs(rep.mu) == pytest.approx(0.662, abs=0.01)
     assert abs(rep.mu.imag) < 0.01
 
 
-def test_self_similarity_rejects_odd_period(golden32):
-    _, m = golden32
-    with pytest.raises(ValueError):
-        self_similarity(m, "golden", period=3)
+def test_self_similarity_steps_by_thetas_period():
+    """theta = [1, 1, 2]^inf repeats every 3 levels, so its ratios step by
+    s = 6 levels.  Stepped by 2 they cycle through three values and their
+    acceleration reads |mu| 0.570 and 0.461 at N = 12 and 14, mu_err 0.143
+    and 0.113; stepped by 6 they converge."""
+    theta = hl.ContinuedFraction.from_periodic([], [1, 1, 2])
+    m = hl.herman_family(2, 2, hl.tune_blaschke(2, theta, tol=1e-15, qcap=200000).parameter)
+    assert scaling_ratios(m, theta, 12).period == 6
+    a, b = (self_similarity(m, theta, N=N) for N in (12, 14))
+    assert a.mu_err < 0.02 and b.mu_err < 0.02
+    assert abs(abs(a.mu) - abs(b.mu)) < a.mu_err + b.mu_err
+
+
+@pytest.mark.parametrize("theta", ["golden", "silver", "bronze-alt", "1,2,3,4,5,6,7,8",
+                                   "0.41421356237309515"])
+def test_scaling_ratio_step_is_two(theta):
+    """A period of length 1 or 2 steps by 2, and so does a theta without one
+    (a quotient list, a decimal)."""
+    assert scaling_ratios(hl.arnold_lift(0.6), theta, 3).period == 2
 
 
 def test_convergence_report_degenerate_on_identical_maps(golden32):
