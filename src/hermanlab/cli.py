@@ -154,6 +154,18 @@ def _ladder_depth(name, value, family, seed, theta, least=rotation.VERIFY_LEAST_
     return None if value is None else _trace_depth(name + why, value, least, theta)
 
 
+def _bisection_level(name, value, reads, family, seed, theta):
+    """Refuse value if the map the bisection tunes (_by_bisection; a --param as seed tunes
+    none) is read at level reads(value), past rotation.checked_level's."""
+    level = rotation.checked_level(theta)
+    if _by_bisection(*family, seed) and reads(value) > level:
+        fits = [v for v in range(value) if reads(v) <= level]
+        raise ConfigError("the (%d,%d) bisection checks theta to level %d (q_%d = %d), and %s %d "
+                          "reads its map at level %d: %s" % (
+                              *family, level, level, theta.q[level], name, value, reads(value),
+                              "%s %d at most" % (name, fits[-1]) if fits else "none fits"))
+
+
 def _fmt(x):
     """Deterministic shortest-roundtrip float formatting."""
     return repr(float(x))
@@ -427,6 +439,8 @@ def cmd_renorm(args):
     if args.what == "mu" and theta.period is None:
         raise ConfigError("renorm mu needs an eventually periodic --theta, not %r" % args.theta)
     depth = _trace_depth("--depth", args.depth, _RENORM_DEPTH[args.what], theta, _RENORM_PAST)
+    _bisection_level("--depth", depth, lambda n: n + _RENORM_PAST, (args.d0, args.dinf),
+                     args.param, theta)
     m = _tuned_map(args, theta, _tune_depth(depth, theta))
     if args.what == "ratios":
         _ratios(m, theta, depth, args.out)
@@ -542,6 +556,8 @@ def _load_config(path):
     tune_depth = _ladder_depth("tune_depth", cfg.get("tune_depth"), family, seed, theta,
                                min(_VERIFY_CAP, depth) + 1, " for trace_depth %d" % depth,
                                _tune_depth(max(depth, N), theta))
+    _bisection_level("trace_depth", depth, lambda d: min(_VERIFY_CAP, d), family, seed, theta)
+    _bisection_level("renorm_depth", N, lambda n: n + _RENORM_PAST, family, seed, theta)
     window = cfg.get("window")
     run = types.SimpleNamespace(
         family=family, theta=theta, seed=seed, tol=_tol("tol", cfg.get("tol")),

@@ -39,27 +39,15 @@ class HermanCurve:
     def __len__(self):
         return len(self.ks)
 
-    def point_at_orbit_index(self, k):
-        """f^k(c) for an orbit index present in the trace."""
-        found = self._orbit_points([k])
-        if not found:
-            raise KeyError("orbit index %d not in trace" % k)
-        return found[int(k)]
-
-    def _orbit_points(self, ks):
-        """{k: f^k(c)} for the orbit indices of ks present in the trace, found
-        in one pass over the vertices; a repeated index gives its last
-        vertex."""
-        hits = np.flatnonzero(np.isin(self.ks, [int(k) for k in ks]))
-        return {int(self.ks[i]): complex(self.points[i]) for i in hits}
-
     def closest_returns(self, upto=None):
-        """c_{q_k} = f^{q_k}(c) - c for all convergent indices in the trace."""
+        """c_{q_k} = f^{q_k}(c) - c for all convergent indices in the trace, found
+        in one pass over the vertices; a repeated index gives its last vertex."""
         levels = range(1, self.depth)
         if upto is not None:
             levels = levels[:max(upto, 1)]
         qs = {k: self.theta.q[k] for k in levels if self.theta.q[k] < len(self.ks) + 1}
-        pts = self._orbit_points(qs.values())
+        hits = np.flatnonzero(np.isin(self.ks, list(qs.values())))
+        pts = {int(self.ks[i]): complex(self.points[i]) for i in hits}
         return {k: pts[q] - self.critical_point for k, q in qs.items() if q in pts}
 
     def winding_number(self, z0=0.0):

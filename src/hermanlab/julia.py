@@ -33,11 +33,6 @@ class GridClassification:
     r0: float
     rinf: float
 
-    @property
-    def resolution(self):
-        h, w = self.labels.shape
-        return (w, h)
-
     def pixel_of(self, z):
         x0, y0, x1, y1 = self.window
         h, w = self.labels.shape

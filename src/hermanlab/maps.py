@@ -20,18 +20,8 @@ import numpy as np
 
 from ._kernels import _horner
 
-# evaluation switches to the w = 1/z chart past this radius
-_INF_CHART = 1e8
-_POLE_TOL = 1e-14
 # _trim drops trailing coefficients this far below the largest
 _TRIM_REL = 1e-14
-
-
-class PoleResult(complex):
-    """Complex infinity returned when evaluating at (or within 1e-14 of) a pole."""
-
-    def __new__(cls):
-        return super().__new__(cls, math.inf, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +33,7 @@ class RationalMap:
     ``circle_lift``, ``trace`` and ``__eq__`` rely on that.
 
     ``eval`` cross-checks the compiled orbit: the circle scan of
-    ``circle_lift`` makes 64 calls per Blaschke tune, at about 13
+    ``circle_lift`` makes 64 calls per Blaschke tune, at about 2
     microseconds each on a 2-vCPU VM.
     """
 
@@ -81,40 +71,10 @@ class RationalMap:
 
     def eval(self, z):
         """N(z)/D(z) as numpy complex128, bit-identical to numpy scalar
-        arithmetic; PoleResult at a pole, ZeroDivisionError at a 0/0."""
+        arithmetic: Horner's rule on each coefficient array, then numpy's
+        division, which gives inf+nanj at a pole and nan+nanj at a 0/0."""
         z = complex(z)
-        try:
-            r = abs(z)  # inf if z is
-        except OverflowError:  # a finite |z| beyond the float range
-            return self._eval_inf_chart(z)
-        if r > _INF_CHART:
-            return self._eval_inf_chart(z)
-        nv = _horner(self.num, z)
-        dv = _horner(self.den, z)
-        if abs(dv) <= _POLE_TOL * max(1.0, _poly_scale(self.den, r)):
-            if abs(nv) <= _POLE_TOL * max(1.0, _poly_scale(self.num, r)):
-                raise ZeroDivisionError("0/0 at z=%r (common root?)" % z)
-            return PoleResult()
-        return nv / dv
-
-    def _eval_inf_chart(self, z):
-        # pad to equal length L; N(z)/D(z) = revN(w)/revD(w) with w = 1/z
-        L = max(len(self.num), len(self.den))
-        rn = np.zeros(L, dtype=np.complex128)
-        rd = np.zeros(L, dtype=np.complex128)
-        rn[: len(self.num)] = self.num
-        rd[: len(self.den)] = self.den
-        rn = rn[::-1]
-        rd = rd[::-1]
-        w = 0.0 if cmath.isinf(z) else 1.0 / z
-        nv = _horner(rn, w)
-        dv = _horner(rd, w)
-        # the denominator legitimately shrinks like w^(L-1-deg D); a pole
-        # is only declared relative to the coefficient scale at |w|
-        scale = float(np.sum(np.abs(rd) * (abs(w) ** np.arange(L))))
-        if abs(dv) <= _POLE_TOL * scale:
-            return PoleResult()
-        return nv / dv
+        return _horner(self.num, z) / _horner(self.den, z)
 
 
 def _trim(c):
@@ -134,10 +94,6 @@ def _frozen_copy(c):
     c = np.array(c)
     c.flags.writeable = False
     return c
-
-
-def _poly_scale(coeffs, r):
-    return float(np.sum(np.abs(coeffs) * (max(r, 1.0) ** np.arange(len(coeffs)))))
 
 
 # ---------------------------------------------------------------------------

@@ -226,9 +226,9 @@ def scaling_ratios(f, theta, N):
     return rep
 
 
-def self_similarity(f, theta, N=None):
+def self_similarity(f, theta, N):
     """Self-similarity factor mu = lim c_{q_{n+s}}/c_{q_n}, Aitken-accelerated,
-    with scaling_ratios' step s.
+    from scaling_ratios to depth N, with its step s.
 
     theta must be eventually periodic; the error bar is the magnitude of
     the last two accelerated differences.  Raises RuntimeError unless
@@ -237,8 +237,6 @@ def self_similarity(f, theta, N=None):
     theta = resolve_theta(theta)
     if theta.period is None:
         raise ValueError("theta must be eventually periodic (quadratic irrational)")
-    if N is None:
-        N = 20
     rep = scaling_ratios(f, theta, N)
     ns = sorted(rep.ratios)
     seq = [rep.ratios[n] for n in ns]

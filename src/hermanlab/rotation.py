@@ -62,18 +62,12 @@ class CircleNotInvariantError(ValueError):
     pass
 
 
-class NonMonotoneLiftError(ValueError):
-    pass
-
-
 class PresetError(KeyError):
     """No shipped preset seed for the requested family and theta."""
 
 
 class TuningError(RuntimeError):
-    def __init__(self, msg, last=None):
-        super().__init__(msg)
-        self.last = last
+    pass
 
 
 @dataclass
@@ -141,14 +135,15 @@ def circle_lift(map_):
     """The closed-form lift F(x) = x + frac(arg f(e^{2 pi i x})/2pi - x) of
     a (d, d) family member f (_BlaschkeLift), with F(0) in [0, 1).
 
-    A map that moves the unit circle at one of 64 points raises
+    A map that moves the unit circle at one of 64 points, or has a pole
+    there (where eval gives inf or nan parts), raises
     CircleNotInvariantError, any other non-member ValueError.  A lift (this
     one, ``maps.ArnoldLift``) is ``advance(x, n)`` = F^n(x) and ``critical_point``.
     """
-    for t in np.linspace(0.0, 1.0, 64, endpoint=False):
-        z = cmath.exp(2j * math.pi * t)
-        if abs(abs(map_.eval(z)) - 1.0) > 1e-10:
-            raise CircleNotInvariantError("map does not preserve the unit circle")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in np.linspace(0.0, 1.0, 64, endpoint=False):
+            if not abs(abs(map_.eval(cmath.exp(2j * math.pi * t))) - 1.0) <= 1e-10:
+                raise CircleNotInvariantError("map does not preserve the unit circle")
     if not _is_blaschke_member(map_):
         raise ValueError("circle_lift needs a (d, d) family member herman_family(d, d, c)")
     return _BlaschkeLift(map_.den.real[::-1].tobytes(), float(2 * map_.d0 - 2), map_.parameter)
@@ -158,29 +153,18 @@ def rotation_number(lift, depth=40):
     """Bracket rho by Stern-Brocot bisection with exact sign tests from x = 0.
 
     Returns (lo, hi) as Fractions with rho in [lo, hi]; if a periodic
-    orbit is detected the two coincide.  depth counts mediant steps.  The
-    tests step by ``lift.advance(x, 1)``, refusing a lift that decreases.
-    A ``_BlaschkeLift`` step adds a float in [0, 1], so its orbit cannot
-    decrease and a test is one ``advance(0.0, q)`` call, the same float.
+    orbit is detected the two coincide.  depth counts mediant steps.  A
+    test is one ``lift.advance(0.0, q)`` call, which reads the sign of
+    F^q(0) - p for a nondecreasing lift, as every lift the package builds
+    is: a ``_BlaschkeLift`` step adds a float in [0, 1), and an
+    ``ArnoldLift`` has F' = 1 + cos 2 pi x >= 0.
     """
-    def signed(p, q):
-        # sign of F^q(0) - p
-        if isinstance(lift, _BlaschkeLift):
-            return lift.advance(0.0, q) - p
-        x = 0.0
-        for _ in range(q):
-            xn = lift.advance(x, 1)
-            if xn < x - 1e-12:
-                raise NonMonotoneLiftError("lift decreased along orbit")
-            x = xn
-        return x - p
-
     lo, hi = Fraction(0, 1), Fraction(1, 1)
     for _ in range(depth):
         med = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
         if med.denominator > 200000:
             break
-        s = signed(med.numerator, med.denominator)
+        s = lift.advance(0.0, med.denominator) - med.numerator
         if abs(s) < 1e-13:
             return med, med
         if s > 0:
@@ -190,6 +174,12 @@ def rotation_number(lift, depth=40):
     return lo, hi
 
 
+def checked_level(theta, qcap=_QCAP_DEFAULT):
+    """The deepest level n of theta (a ContinuedFraction) with q_n <= qcap:
+    the last closest return that the bisection's sign tests check."""
+    return bisect.bisect_right(theta.q, qcap) - 1
+
+
 def sign_rho_vs_theta(lift, theta, qcap=_QCAP_DEFAULT):
     """Sign of rho(lift) - theta via alternating closest-return tests from x = 0.
 
@@ -197,7 +187,7 @@ def sign_rho_vs_theta(lift, theta, qcap=_QCAP_DEFAULT):
     when undecided at depth (rho within the deepest checked combinatorial
     length of theta).
     """
-    for n, x in _closest_returns(lift, theta, 0.0, bisect.bisect_right(theta.q, qcap) - 1):
+    for n, x in _closest_returns(lift, theta, 0.0, checked_level(theta, qcap)):
         s = x - theta.p[n]
         # for odd n, q_n*theta - p_n < 0; rho > theta iff the return overshoots
         if n % 2 == 1 and s > 0:
@@ -240,7 +230,7 @@ def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT):
         if hi - lo < tol:
             break
     alpha = 0.5 * (lo + hi)
-    return alpha, hi - lo, it, bisect.bisect_right(theta.q, qcap) - 1, undecided
+    return alpha, hi - lo, it, checked_level(theta, qcap), undecided
 
 
 def _tune_circle(make_lift, parameter, family, theta, tol, qcap):
@@ -287,7 +277,7 @@ def _newton_polish(num0, den, c, qm, tol):
     r, dr = _kernels.tune_residual(num0, den, c, qm, *_kernels.TRAPS)
     evals = 1
     if r != r:
-        raise TuningError("orbit escaped during residual evaluation", last=c)
+        raise TuningError("orbit escaped during residual evaluation")
     steps = 0
     last_step = math.inf
     for _ in range(40):
@@ -420,10 +410,9 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
             evals += escaped
         if residual > max(tol, 1e-10) and last_step > 1e-12 * max(1.0, abs(c_k)):
             raise TuningError(
-                "Newton did not converge at ladder depth %d (|G|=%.3e)" % (k, residual),
-                last=c_k)
+                "Newton did not converge at ladder depth %d (|G|=%.3e)" % (k, residual))
         if roots and abs(c_k - roots[-1]) > 0.05:
-            raise TuningError("ladder jumped between roots at depth %d" % k, last=c_k)
+            raise TuningError("ladder jumped between roots at depth %d" % k)
         c = c_k
         roots.append(c)
         ladder.append({"level": k, "q": theta.q[k], "residual": float(residual), "steps": steps,

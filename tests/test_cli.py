@@ -391,6 +391,71 @@ def test_pipeline_tune_depth_on_the_bisection_is_config_error(capsys, tmp_path):
     assert not (tmp_path / "b").exists()
 
 
+def _silver_config(tmp_path, family, **extra):
+    """A (d,d) silver config without a seed, at the default depths unless extra sets them."""
+    return small_config(tmp_path, "s", **{"family": family, "theta": "silver", "seed": None,
+                                          "tune_depth": None, "trace_depth": None,
+                                          "renorm_depth": None, "resolution": 16, **extra})
+
+
+@pytest.mark.parametrize("argv, config, said", [
+    (["renorm", "mu", "--d0", "2", "--dinf", "2", "--theta", "silver"], None,
+     "(2,2) bisection checks theta to level 11 (q_11 = 13860), and --depth 14 reads its map "
+     "at level 16: --depth 9 at most"),
+    (["renorm", "chi", "--d0", "3", "--dinf", "3", "--theta", "silver"], None,
+     "--depth 14 reads its map at level 16: --depth 9 at most"),
+    (["renorm", "ratios", "--d0", "2", "--dinf", "2", "--theta", "silver", "--depth", "10"],
+     None, "--depth 10 reads its map at level 12: --depth 9 at most"),
+    (["renorm", "ratios", "--d0", "2", "--dinf", "2", "--depth", "21"], None,
+     "(2,2) bisection checks theta to level 22 (q_22 = 28657), and --depth 21 reads its map "
+     "at level 23: --depth 20 at most"),
+    (["renorm", "mu", "--d0", "2", "--dinf", "2", "--theta", "bronze-alt", "--depth", "15"],
+     None, "level 16 (q_16 = 29681), and --depth 15 reads its map at level 17: --depth 14"),
+    (None, {"family": [2, 2]},
+     "(2,2) bisection checks theta to level 11 (q_11 = 13860), and trace_depth 16 reads its "
+     "map at level 12: trace_depth 11 at most"),
+    (None, {"family": [3, 3]}, "trace_depth 16 reads its map at level 12"),
+    (None, {"family": [4, 4]}, "trace_depth 16 reads its map at level 12"),
+    (None, {"family": [2, 2], "trace_depth": 11, "renorm_depth": 10},
+     "renorm_depth 10 reads its map at level 12: renorm_depth 9 at most"),
+], ids=["mu-22-silver", "chi-33-silver", "ratios-22-silver-10", "ratios-22-golden-21",
+        "mu-22-bronze-15", "config-22-silver", "config-33-silver", "config-44-silver",
+        "config-22-silver-renorm-10"])
+def test_bisection_depth_past_its_checked_level_is_config_error(capsys, tmp_path, monkeypatch,
+                                                                argv, config, said):
+    """The (d,d) bisection checks the closest returns q_n <= 30000 alone
+    (rotation.checked_level: golden 22, silver 11, bronze-alt 16), so a
+    renorm depth N whose orbit reads level N + 2 past that, and a pipeline
+    whose verify depth min(12, trace_depth) or renorm_depth + 2 does, is
+    refused before any tuning, naming the level and the deepest depth that
+    fits.  Silver's defaults used to tune, then exit 1 (|mu| = 2.5085, no
+    height chi, cyclic_order False) or print |s_14| = 1.88."""
+    def tune_blaschke(*args, **kwargs):
+        raise AssertionError("tuned before the depth was checked")
+
+    monkeypatch.setattr(rotation, "tune_blaschke", tune_blaschke)
+    if argv is None:
+        argv = ["pipeline", "--config", str(_silver_config(tmp_path, **config))]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("config error: ") and said in err
+    assert not (tmp_path / "s").exists()
+
+
+def test_bisection_depths_within_its_checked_level_run(capsys, tmp_path):
+    """The largest depths the refusals name run: silver renorm mu at --depth 9
+    and a (2,2) silver pipeline at trace_depth 11 read |mu| = 0.3851; golden
+    renorm mu keeps its default depth 14."""
+    code, out, _ = run(capsys, "renorm", "mu", "--d0", "2", "--dinf", "2", "--theta", "silver",
+                       "--depth", "9")
+    assert code == 0 and json.loads(out)["mu_abs"] == pytest.approx(0.3851, abs=1e-4)
+    code, _, err = run(capsys, "pipeline", "--config",
+                       str(_silver_config(tmp_path, [2, 2], trace_depth=11)))
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert (code, err) == (0, "") and report["verify"]["all"] is True
+    assert abs(complex(*report["mu"])) == pytest.approx(0.3851, abs=1e-4)
+    assert run(capsys, "renorm", "mu", "--d0", "2", "--dinf", "2")[0] == 0
+
+
 @pytest.mark.parametrize("key, shallow, least", [
     ("trace_depth", (1, 2, 3), rotation.VERIFY_LEAST_DEPTH),
     ("tune_depth", (1, 4), rotation.VERIFY_LEAST_DEPTH + 1),

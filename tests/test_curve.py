@@ -73,19 +73,14 @@ def test_trace_vertex_check_names_the_first_failing_vertex(golden32, monkeypatch
 
 
 def test_orbit_index_lookup():
-    """point_at_orbit_index and closest_returns read the vertex of each orbit
-    index, wherever the angle order puts it: the last of a repeated index,
-    a KeyError for a missing one, and no return for a convergent q_k
-    missing from the trace."""
+    """closest_returns reads the vertex of each orbit index, wherever the
+    angle order puts it: the last of a repeated index, and no return for a
+    convergent q_k missing from the trace."""
     q = GOLDEN.q  # 1, 1, 2, 3, 5, 8, 13
     ks = np.array([5, 0, 3, 1, 8, 2, 3, 11], dtype=np.int64)
     pts = np.arange(len(ks)) * (1 + 1j) + 0.5
     c = hl.HermanCurve(ks=ks, angles=np.linspace(0, 1, len(ks), endpoint=False),
                        points=pts, theta=GOLDEN, critical_point=0.5 + 0j, depth=6)
-    assert c.point_at_orbit_index(8) == pts[4]
-    assert c.point_at_orbit_index(np.int64(3)) == pts[6]
-    with pytest.raises(KeyError, match="orbit index 4 not in trace"):
-        c.point_at_orbit_index(4)
     last = {int(k): i for i, k in enumerate(ks)}
     want = {k: complex(pts[last[q[k]]]) - 0.5 for k in range(1, 6)}
     assert c.closest_returns() == want and sorted(want) == [1, 2, 3, 4, 5]

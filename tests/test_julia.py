@@ -257,7 +257,7 @@ def test_render_is_deterministic(tmp_path, grid32, golden32):
     render(grid32, p2, curve_overlay=c.points)
     b1 = p1.read_bytes()
     assert b1 == p2.read_bytes()
-    w, hgt = grid32.resolution
+    hgt, w = grid32.labels.shape
     assert b1.startswith(b"P6\n%d %d\n255\n" % (w, hgt))
     assert len(b1) == len(b"P6\n%d %d\n255\n" % (w, hgt)) + 3 * w * hgt
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import hermanlab as hl
 from hermanlab.cfrac import GOLDEN, SILVER
-from hermanlab.maps import PoleResult
 from hermanlab.renorm import closest_return_displacements
 from hermanlab.rotation import (CircleNotInvariantError, _BlaschkeLift, rotation_number,
                                 sign_rho_vs_theta, tune_arnold, tune_blaschke, verify_herman)
@@ -69,14 +69,15 @@ def test_tuned_blaschke_rotation_number(blaschke22_golden):
 
 
 def test_blaschke_rotation_number_matches_stepwise_tests(blaschke22_golden):
-    """rotation_number tests a _BlaschkeLift by one advance(0.0, q) call;
-    the same steps through another lift type, one checked step at a time,
-    give the same bracket."""
+    """rotation_number tests a lift by one advance(0.0, q) call; the same
+    steps taken one advance(x, 1) at a time give the same bracket."""
     F = hl.circle_lift(blaschke22_golden[1])
 
     class Stepwise:
         critical_point = F.critical_point
-        advance = staticmethod(F.advance)
+
+        def advance(self, x, n):
+            return iterate(lambda y: F.advance(y, 1), x, n)
 
     assert rotation_number(F, depth=20) == rotation_number(Stepwise(), depth=20)
 
@@ -133,11 +134,19 @@ def test_circle_lift_is_closed_form_exactly_for_blaschke_members():
 
 
 def test_circle_lift_refuses_a_pole_on_the_circle():
-    # 1/(1 - z) has its pole at z = 1, the circle scan's first point
-    m = hl.RationalMap([1], [1, -1])
-    assert isinstance(m.eval(1.0), PoleResult)
-    with pytest.raises(CircleNotInvariantError):
-        hl.circle_lift(m)
+    """1/(1 - z) has its pole at z = 1, the circle scan's first point, where
+    eval gives inf+nanj; z (1 - z)/(1 - z) preserves the circle but for the
+    0/0 there, nan+nanj.  The scan refuses both, and no RuntimeWarning of
+    numpy's division escapes it."""
+    pole, hole = hl.RationalMap([1], [1, -1]), hl.RationalMap([0, 1, -1], [1, -1])
+    with np.errstate(all="ignore"):
+        assert np.isinf(pole.eval(1.0).real) and np.isnan(hole.eval(1.0))
+        assert abs(hole.eval(-1.0)) == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (pole, hole):
+            with pytest.raises(CircleNotInvariantError):
+                hl.circle_lift(m)
 
 
 @given(st.integers(min_value=2, max_value=6), UNIT, UNIT)
@@ -255,10 +264,16 @@ def test_circle_lift_refuses_maps_off_the_circle(d0, dinf, c):
 
 
 def test_tune_arnold_bracket(arnold_golden):
+    """rotation_number steps an ArnoldLift, whose advance is a python loop,
+    as it steps every lift: the deep-tuned golden lift's bracket is two
+    convergents of theta with theta between them."""
     res, F = arnold_golden
     assert res.residual < 1e-8
     lo, hi = rotation_number(F, depth=25)
-    assert abs(0.5 * (float(lo) + float(hi)) - GOLDEN.value_float()) < 1e-4
+    convergents = {Fraction(p, q) for p, q in zip(GOLDEN.p, GOLDEN.q)}
+    assert lo in convergents and hi in convergents
+    assert lo < Fraction(GOLDEN.value_float()) < hi
+    assert float(hi - lo) < 1e-10
 
 
 def test_tune_asymmetric_rejects_bad_ladder():
