@@ -491,14 +491,16 @@ void classify_rows(const double *num, int64_t nnum, const double *den, int64_t n
                                    rinf, row0, stride, labels, iters);
 }
 
-/* The lowest (keep_lowest) or highest (keep_highest) n <= 8 arc points
- * seen so far, the most extreme first, in a ring: the point of rank r is
- * slot (head + r) & 7.  Points arrive in increasing t and the keys are
- * (x, t), so ties go by position as a stable sort orders them: among equal
- * x the lowest 8 keep the earliest points and the highest 8 the latest.
- * A point beyond the most extreme takes the slot before the head, which is
- * free or holds the point it evicts, so a monotone run of an arc costs one
- * comparison per point instead of a shift of the whole list. */
+/* The lowest (highest = 0) or highest (highest = 1) n <= 8 arc points seen
+ * so far, the most extreme first, in a ring: the point of rank r is slot
+ * (head + r) & 7.  Points arrive in increasing t and the keys are (x, t), so
+ * ties go by position as a stable sort orders them: x ranks before a kept y
+ * when x < y at the lowest end and when !(x < y) at the highest, so among
+ * equal x the lowest 8 keep the earliest points and the highest 8 the
+ * latest.  A point beyond the most extreme takes the slot before the head,
+ * which is free or holds the point it evicts, so a monotone run of an arc
+ * costs one comparison per point instead of a shift of the whole list.
+ * highest is a constant at each call, which inlining folds away. */
 typedef struct {
     double key[8];
     int64_t idx[8];
@@ -506,46 +508,23 @@ typedef struct {
 } extremes;
 
 #define RANK(e, r) (((e)->head + (r)) & 7)
+#define BEFORE(x, y, highest) ((highest) ? !((x) < (y)) : (x) < (y))
 
-static inline void keep_lowest(extremes *e, double x, int64_t t)
+static inline void keep_extreme(extremes *e, double x, int64_t t, int highest)
 {
     int k = e->n;
     if (k == 8) {
-        if (!(x < e->key[RANK(e, 7)]))
+        if (!BEFORE(x, e->key[RANK(e, 7)], highest))
             return;
         k = 7;
     } else {
         e->n++;
     }
-    if (k == 0 || x < e->key[e->head]) {
+    if (k == 0 || BEFORE(x, e->key[e->head], highest)) {
         e->head = (e->head + 7) & 7;
         k = 0;
     } else {
-        while (k > 0 && x < e->key[RANK(e, k - 1)]) {
-            e->key[RANK(e, k)] = e->key[RANK(e, k - 1)];
-            e->idx[RANK(e, k)] = e->idx[RANK(e, k - 1)];
-            k--;
-        }
-    }
-    e->key[RANK(e, k)] = x;
-    e->idx[RANK(e, k)] = t;
-}
-
-static inline void keep_highest(extremes *e, double x, int64_t t)
-{
-    int k = e->n;
-    if (k == 8) {
-        if (x < e->key[RANK(e, 7)])
-            return;
-        k = 7;
-    } else {
-        e->n++;
-    }
-    if (k == 0 || !(x < e->key[e->head])) {
-        e->head = (e->head + 7) & 7;
-        k = 0;
-    } else {
-        while (k > 0 && !(x < e->key[RANK(e, k - 1)])) {
+        while (k > 0 && BEFORE(x, e->key[RANK(e, k - 1)], highest)) {
             e->key[RANK(e, k)] = e->key[RANK(e, k - 1)];
             e->idx[RANK(e, k)] = e->idx[RANK(e, k - 1)];
             k--;
@@ -602,12 +581,12 @@ typedef double (*arc_max_sq_fn)(const double *, const double *, int64_t, const d
 /* Diameter estimate of the arc whose point t is pts[(start + t*step) % m],
  * t = 0..len-1 (len < ARC_MAX): the largest distance from any arc point to
  * the 8 lowest and 8 highest points of each axis.  The arc is gathered
- * once into xs, ys and padded to a multiple of 8, which every lane count
- * divides, with copies of its first point, which leave the maximum as it
- * is.  Squared distances are summed in a frame scaled by the power of two
- * 2^k that brings the larger axis range into [0.5, 1) (k clamped to
- * [-1022, 1023]), so that neither narrow nor wide arcs underflow or
- * overflow; the root of the largest one is scaled back. */
+ * once into xs, ys and, after the prune below, padded to a multiple of 8,
+ * which every lane count divides, with copies of its first kept point,
+ * which leave the maximum as it is.  Squared distances are summed in a
+ * frame scaled by the power of two 2^k that brings the larger axis range
+ * into [0.5, 1) (k clamped to [-1022, 1023]), so that neither narrow nor
+ * wide arcs underflow or overflow; the root of the largest is scaled back. */
 static double arc_diameter(const double *pts, int64_t m, int64_t start, int64_t step,
                            int64_t len, arc_max_sq_fn max_sq)
 {
@@ -617,20 +596,15 @@ static double arc_diameter(const double *pts, int64_t m, int64_t start, int64_t 
     for (int64_t t = 0, q = start; t < len; t++) {
         xs[t] = pts[2 * q];
         ys[t] = pts[2 * q + 1];
-        keep_lowest(&ex[0], xs[t], t);
-        keep_highest(&ex[1], xs[t], t);
-        keep_lowest(&ex[2], ys[t], t);
-        keep_highest(&ex[3], ys[t], t);
+        keep_extreme(&ex[0], xs[t], t, 0);
+        keep_extreme(&ex[1], xs[t], t, 1);
+        keep_extreme(&ex[2], ys[t], t, 0);
+        keep_extreme(&ex[3], ys[t], t, 1);
         /* step < m (the uncoarsened arc has at most m / 2 + 1 points), so
          * one subtraction wraps q */
         q += step;
         if (q >= m)
             q -= m;
-    }
-    int64_t padded = len;
-    for (; padded % 8; padded++) {
-        xs[padded] = xs[0];
-        ys[padded] = ys[0];
     }
     double spread = fmax(ex[1].key[ex[1].head] - ex[0].key[ex[0].head],
                          ex[3].key[ex[3].head] - ex[2].key[ex[2].head]);
@@ -661,6 +635,7 @@ static double arc_diameter(const double *pts, int64_t m, int64_t start, int64_t 
      * inequality, so they stay and the maximum is unchanged.  An inf in
      * best0 or R leaves lim not finite or not positive, and then every
      * point stays; an overflowed |p - o| keeps its point. */
+    int64_t n = len;
     if (len > nc) {
         double best0 = max_sq(cx, cy, nc, cx, cy, nc, scale);
         double ox = 0.5 * ex[0].key[ex[0].head] + 0.5 * ex[1].key[ex[1].head];
@@ -673,20 +648,20 @@ static double arc_diameter(const double *pts, int64_t m, int64_t start, int64_t 
         double lim = sqrt(best0) * (1 - 1e-9) - sqrt(r2) * (1 + 1e-9);
         if (lim > 0 && lim < INFINITY) {
             double lim2 = lim * lim;
-            int64_t kept = 0;
+            n = 0;
             for (int64_t t = 0; t < len; t++) {
                 double dx = (xs[t] - ox) * scale, dy = (ys[t] - oy) * scale;
-                xs[kept] = xs[t];
-                ys[kept] = ys[t];
-                kept += !(dx * dx + dy * dy < lim2);
-            }
-            for (padded = kept; padded % 8; padded++) {
-                xs[padded] = xs[0];
-                ys[padded] = ys[0];
+                xs[n] = xs[t];
+                ys[n] = ys[t];
+                n += !(dx * dx + dy * dy < lim2);
             }
         }
     }
-    return sqrt(max_sq(xs, ys, padded, cx, cy, nc, scale)) / scale;
+    for (; n % 8; n++) {
+        xs[n] = xs[0];
+        ys[n] = ys[0];
+    }
+    return sqrt(max_sq(xs, ys, n, cx, cy, nc, scale)) / scale;
 }
 
 /* For the vertex pairs p = p0, p0 + stride, ... below npairs, the ratio of

@@ -17,6 +17,7 @@ the root of a quadratic taken with math.isqrt to within 2^-256 (_BITS),
 so the lengths l_n are exact up to that bound.
 """
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -128,6 +129,10 @@ class ContinuedFraction:
         most MAX_DEPTH; a periodic expansion's quotients go on past MAX_DEPTH."""
         return MAX_DEPTH if self.period is not None else min(MAX_DEPTH, len(self._quotients))
 
+    def level(self, q):
+        """The deepest level n in 0..depth with q_n <= q, or -1 for q below q_0 = 1."""
+        return bisect.bisect_right(self.q, q) - 1
+
     # -- value --------------------------------------------------------------
 
     def value(self):
@@ -186,15 +191,18 @@ def resolve_theta(theta):
 
     Accepts a ContinuedFraction, a name in NAMED_THETAS, the partial quotients
     as a string "a,b,c", or a float or decimal string in (0,1), which keeps the
-    quotients from_value certifies (a double has fewer than 64; fewer than
-    MIN_IRRATIONAL_DEPTH raise RationalInputError)."""
+    quotients from_value certifies (a double has fewer than 64).  Fewer than
+    MIN_IRRATIONAL_DEPTH quotients, listed or certified, raise RationalInputError."""
     if isinstance(theta, ContinuedFraction):
         return theta
     if isinstance(theta, str):
         if theta in NAMED_THETAS:
             return NAMED_THETAS[theta]
         if "," in theta:
-            return ContinuedFraction([int(a) for a in theta.split(",")])
+            quotients = [int(a) for a in theta.split(",")]
+            if len(quotients) < MIN_IRRATIONAL_DEPTH:
+                raise RationalInputError(quotients)
+            return ContinuedFraction(quotients)
     try:
         return ContinuedFraction.from_value(float(theta), 64)
     except RationalInputError as e:

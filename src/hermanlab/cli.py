@@ -5,7 +5,6 @@ All outputs (CSV/JSON/PPM) are byte-deterministic for a fixed config.
 """
 
 import argparse
-import bisect
 import contextlib
 import dataclasses
 import functools
@@ -359,7 +358,7 @@ def _tune_depth(depth, theta):
     """Newton ladder depth for a working depth: at least 16, at most 31 and the
     deepest level of theta whose q_n a trace holds (curve.MAX_VERTICES); tuning
     shallower than the use depth leaves the deep combinatorics unresolved."""
-    return min(max(depth + 2, 16), 31, bisect.bisect_right(theta.q, curve_mod.MAX_VERTICES) - 1)
+    return min(max(depth + 2, 16), 31, theta.level(curve_mod.MAX_VERTICES))
 
 
 def _tuned_map(args, theta, m=None):
@@ -398,7 +397,7 @@ def cmd_geometry(args):
     theta = _theta("--theta", args.theta)
     # rebuild the curve container; depth recovered from vertex count, within
     # theta's usable levels
-    depth = bisect.bisect_right(theta.q, len(ks) + 1) - 1
+    depth = theta.level(len(ks) + 1)
     if not depth:
         raise ConfigError("curve %s has %d vertices, fewer than q_1 - 1 = %d"
                           % (args.curve, len(ks), theta.q[1] - 1))

@@ -42,10 +42,10 @@ class HermanCurve:
     def closest_returns(self, upto=None):
         """c_{q_k} = f^{q_k}(c) - c for all convergent indices in the trace, found
         in one pass over the vertices; a repeated index gives its last vertex."""
-        levels = range(1, self.depth)
+        levels = range(1, min(self.depth, self.theta.level(len(self.ks)) + 1))
         if upto is not None:
             levels = levels[:max(upto, 1)]
-        qs = {k: self.theta.q[k] for k in levels if self.theta.q[k] < len(self.ks) + 1}
+        qs = {k: self.theta.q[k] for k in levels}
         hits = np.flatnonzero(np.isin(self.ks, list(qs.values())))
         pts = {int(self.ks[i]): complex(self.points[i]) for i in hits}
         return {k: pts[q] - self.critical_point for k, q in qs.items() if q in pts}

@@ -23,7 +23,6 @@ Three tuners are provided:
   step).
 """
 
-import bisect
 import cmath
 import logging
 import math
@@ -177,7 +176,7 @@ def rotation_number(lift, depth=40):
 def checked_level(theta, qcap=_QCAP_DEFAULT):
     """The deepest level n of theta (a ContinuedFraction) with q_n <= qcap:
     the last closest return that the bisection's sign tests check."""
-    return bisect.bisect_right(theta.q, qcap) - 1
+    return theta.level(qcap)
 
 
 def sign_rho_vs_theta(lift, theta, qcap=_QCAP_DEFAULT):
@@ -259,11 +258,6 @@ def tune_arnold(theta, tol=1e-12, qcap=_QCAP_DEFAULT):
 # ---------------------------------------------------------------------------
 # asymmetric Newton tuner
 # ---------------------------------------------------------------------------
-
-def _default_depth(theta):
-    """Smallest n with q_n >= 1000 (conditioning vs round-off balance)."""
-    return next((n for n in range(1, theta.depth) if theta.q[n] >= 1000), theta.depth)
-
 
 def _newton_polish(num0, den, c, qm, tol):
     """Damped Newton on G_m(c) = f_c^{q_m}(1) - 1 (40 steps of 20 halvings at most).
@@ -349,7 +343,8 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
     seed: a complex starting parameter, or the string "preset" to use the
     shipped preset for (d0, dinf, theta-name); any other string raises
     PresetError.  m is the final ladder depth; by default the smallest n
-    with q_n >= 1000 (the preset's level) for a preset seed, and the deeper
+    with q_n >= 1000 (the preset's level, which balances conditioning
+    against round-off) or theta's depth for a preset seed, and the deeper
     of m0 and VERIFY_LEAST_DEPTH + 1 for an explicit seed.  The ladder
     polishes G_k(c) = 0 for k = m0..m, which is continuation along the CF
     truncations of theta; the result at depth m realizes the closest-return
@@ -360,8 +355,9 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
     evaluated.
 
     m0 is the default depth for a preset seed, or _LOWER_START levels
-    below it when m is deeper, and the first q_n >= 10 for an explicit
-    seed.  The level roots converge geometrically, with a step ratio
+    below it when m is deeper, and the first level with q_n >= 10 for an
+    explicit seed (theta's depth + 1 if none: a given m starts there, and
+    the default m is refused as past theta).  The level roots converge geometrically, with a step ratio
     d_{k-1} / d_k that alternates between two values.  Once five roots
     are known and the ratios of one parity agree, each level is seeded by
     two-level extrapolation (_extrapolated_seed), which lands inside
@@ -379,13 +375,13 @@ def tune_asymmetric(d0, dinf, theta, seed, m=None, tol=1e-12):
     theta = resolve_theta(theta)
     if isinstance(seed, str):
         c = resolve_seed(d0, dinf, theta, seed)
-        top = _default_depth(theta)
+        top = min(theta.level(999) + 1, theta.depth)
         m = top if m is None else m
         m0 = max(1, top - _LOWER_START) if m > top else top
     else:
         c = complex(seed)
         # arbitrary seeds may be far from the root: climb from a shallow level
-        m0 = next(n for n in range(1, theta.depth + 1) if theta.q[n] >= 10)
+        m0 = theta.level(9) + 1
         m = max(m0, VERIFY_LEAST_DEPTH + 1) if m is None else m
     if m > theta.depth:
         raise ValueError("ladder depth %d > theta's deepest usable level %d" % (m, theta.depth))

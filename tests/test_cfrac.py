@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermanlab
-from hermanlab.cfrac import (BRONZE_ALT, GOLDEN, SILVER, ContinuedFraction,
-                             RationalInputError, resolve_theta, tiling_indices,
+from hermanlab.cfrac import (BRONZE_ALT, GOLDEN, MIN_IRRATIONAL_DEPTH, SILVER,
+                             ContinuedFraction, RationalInputError, resolve_theta, tiling_indices,
                              tiling_is_partition, tiling_refines)
 
 
@@ -161,6 +161,17 @@ def test_resolve_decimal_keeps_certified_quotients():
     assert e.value.quotients == [4]
 
 
+def test_resolve_refuses_a_short_quotient_list():
+    """A quotient list of fewer than MIN_IRRATIONAL_DEPTH quotients is refused
+    as a decimal that certifies fewer is ("1,2,3" used to resolve to a theta
+    of depth 3); eight quotients resolve."""
+    for spec in ("1,2,3", "1,1,1,1,1,1,1"):
+        with pytest.raises(RationalInputError) as e:
+            resolve_theta(spec)
+        assert e.value.certified == [int(a) for a in spec.split(",")]
+    assert resolve_theta("1,1,1,1,1,1,1,1").depth == MIN_IRRATIONAL_DEPTH
+
+
 def test_resolve_refuses_a_double_equal_to_its_last_convergent():
     """A double whose exact expansion ends is rational: its last quotient is
     not certified, so 49/128 = [0; 2, 1, 1, 1, 1, 2, 1, 2] keeps 7."""
@@ -282,3 +293,14 @@ def test_convergent_recurrence_vs_fractions(cf):
         det = cf.p[n] * cf.q[n - 1] - cf.p[n - 1] * cf.q[n]
         assert det == (-1) ** (n - 1)
 
+
+@given(st.one_of(st.lists(quotient, min_size=1, max_size=60).map(ContinuedFraction),
+                 st.sampled_from([GOLDEN, SILVER, BRONZE_ALT])), st.data())
+@settings(max_examples=200, deadline=None)
+def test_level_is_the_deepest_q_n_at_most_q(cf, data):
+    """level(q) agrees with a scan of the whole table, for q from -1 to past
+    q_depth: at each q_n and either side of it, and at drawn q."""
+    qs = {-1, 0, 10 * cf.q[-1]} | {qn + d for qn in cf.q for d in (-1, 0, 1)}
+    qs.update(data.draw(st.lists(st.integers(-1, cf.q[-1] + 2), max_size=20)))
+    for q in qs:
+        assert cf.level(q) == max((n for n, qn in enumerate(cf.q) if qn <= q), default=-1)

@@ -45,6 +45,31 @@ def test_cfrac_rejects_rational_theta(capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["tune", "--d0", "2", "--dinf", "2", "--theta", "1,1,1"], None),
+    (["tune", "--d0", "3", "--dinf", "2", "--theta", "1,1,1", "--seed=" + B_FIG], None),
+    (None, {"theta": "1,1,1,1,1", "seed": [-1.144208, -0.964454], "trace_depth": 4}),
+    (["cfrac", "--theta", "1,2,3"], None),
+], ids=["bisection", "ladder", "config", "cfrac"])
+def test_short_quotient_list_is_rational_input(capsys, tmp_path, monkeypatch, argv, config):
+    """A quotient list of fewer than 8 quotients is refused as a decimal that
+    certifies fewer is: exit 2 before any tuning or outdir.  The bisection
+    used to exit 1 (theta must be irrational), the ladder and the config 1
+    on a bare StopIteration (the config after writing its outdir), and
+    cfrac 0."""
+    def never(*args, **kwargs):
+        raise AssertionError("tuned")
+
+    for name in ("tune_blaschke", "tune_asymmetric"):
+        monkeypatch.setattr(rotation, name, never)
+    if argv is None:
+        argv = ["pipeline", "--config", str(small_config(tmp_path, "m", **config))]
+    code, text, err = run(capsys, *argv)
+    assert (code, text) == (2, "")
+    assert err.startswith("config error: bad ") and "rational input" in err
+    assert not (tmp_path / "m").exists()
+
+
 def test_maps_coefficients(capsys):
     # note --param=...: argparse would read a bare leading-minus value as a flag
     code, out, _ = run(capsys, "maps", "--d0", "3", "--dinf", "2",

@@ -658,6 +658,28 @@ def test_c_arc_ratios_lanes_bit_equal(lanes):
 
 
 
+@needs_c
+@pytest.mark.parametrize("side", [1, -1], ids=["highest", "lowest"])
+def test_c_arc_ratios_keep_axis_ties_as_a_stable_sort(side):
+    """Nine arc points share the extreme x: Q = (side, 0.2) first, then eight
+    at (side, 0.5).  Each axis end keeps eight points, the other ends eight
+    ties each, and F = (0.1 side, 0.9) is extreme on no axis.  The highest
+    end keeps the latest eight and drops Q, so no candidate gives |Q - F| =
+    sqrt(1.3) and the diameter is |Q - (0, 0.5)| = sqrt(1.09); the lowest
+    end keeps the earliest, Q among them, and the diameter is sqrt(1.3).
+    Each end's tie rule, flipped, swaps the two."""
+    arc = ([(1.0, 0.2)] + [(1.0, 0.5)] * 8 + [(0.0, 0.5)] * 8 + [(0.5, 1.0)] * 8
+           + [(0.1, 0.9)] + [(0.5, 0.0)] * 8)
+    pts = np.array([side * x + 1j * y for x, y in arc + [(0.5, 0.5)] * len(arc)])
+    ii, jj = np.array([0]), np.array([len(arc) - 1])
+    ref = _reference._arc_ratios(pts, ii, jj)
+    diameter = math.sqrt(1.09 if side == 1 else 1.3)
+    assert ref[0] == pytest.approx(diameter / abs(pts[0] - pts[len(arc) - 1]), rel=1e-15)
+    for lanes in K._WIDTHS:
+        for workers in (1, 3):
+            assert bits(K._arc_ratios_c(pts, ii, jj, workers, lanes)) == bits(ref)
+
+
 def polyline_case(shape, m, rng):
     """(pts, ii, jj): m points of a segment ("collinear") or a circle
     ("circle"), with pairs whose arcs run from 2 to m // 2 + 1 points."""

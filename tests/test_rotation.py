@@ -361,6 +361,18 @@ def test_preset_seed_refuses_unknown_name():
         hl.tune_asymmetric(3, 2, "golden", "bogus", m=12)
 
 
+def test_explicit_seed_on_a_theta_without_q_n_of_10():
+    """No q_n of [1] * 5 reaches 10, so an explicit seed's start level is one
+    past theta's depth: a given m = 5 starts the ladder at 5, and the default
+    m is refused by the ladder's depth check (both used to raise a bare
+    StopIteration from the start-level search)."""
+    theta, seed = hl.ContinuedFraction([1] * 5), complex(-1.144208, -0.964454)
+    res = hl.tune_asymmetric(3, 2, theta, seed, m=5)
+    assert [e["level"] for e in res.report["ladder"]] == [5]
+    with pytest.raises(ValueError, match="ladder depth 6 > theta's deepest usable level 5"):
+        hl.tune_asymmetric(3, 2, theta, seed)
+
+
 @pytest.mark.parametrize("m", [6, 8, 11, 14, 15, 16])
 def test_shallow_ladder_verifies_below_its_top(m):
     """The ladder top's return sits on the critical point, so verify stops one
