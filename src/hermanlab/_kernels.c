@@ -4,7 +4,7 @@
  * the arc diameters behind the bounded-turning constant (arc_ratios), of
  * the exact Euclidean distance transform (distance_transform) and of the
  * curve CSV row codec (curve_csv_rows, curve_csv_parse), whose references
- * are cli's python writer and numpy loadtxt reader.  The reader converts
+ * are the python writer and reader in _reference.  The reader converts
  * each float by the Eisel-Lemire algorithm, from a table of 128-bit
  * truncated powers of five for decimal exponents in [-64, 64], and hands
  * strtod the tokens it cannot settle exactly: more than 19 significant
@@ -762,8 +762,8 @@ void distance_transform(const uint8_t *mask, int64_t w, int64_t h, int64_t *g, i
 /* The curve CSV row codec: rows "k,angle,re,im\n" with each k as %d
  * prints it and each float as python's repr prints it (curve_csv_rows),
  * and a strict one-pass reader of that grammar (curve_csv_parse).  The
- * python writer and numpy's loadtxt reader in cli are the references: they
- * take every row the writer refuses and every file the reader refuses. */
+ * python writer and reader in _reference are the references: they take
+ * every row the writer refuses and every text the reader refuses. */
 
 static const uint64_t POW10[20] = {
     1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
@@ -968,7 +968,7 @@ int64_t curve_csv_rows(const int64_t *ks, const double *angle, const double *re,
  * w, shifted to set its top bit, times a 128-bit truncation of 5^q gives
  * the double's 54 leading bits, or says that it cannot settle them, in
  * which case strtod parses that token alone.  Both round correctly, as
- * loadtxt does, so every accepted value has loadtxt's bits. */
+ * python's float does, so every accepted value has float's bits. */
 
 #if defined(__SIZEOF_INT128__)
 /* 5^q for q in [-64, 64] as the words (hi, lo) of a 128-bit integer with

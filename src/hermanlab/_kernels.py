@@ -6,7 +6,7 @@ coefficient vectors (numerator, denominator).  ``orbit`` is
 ``orbit_samples`` at every iterate.  Each kernel has one pure
 python/numpy reference, its name with a leading underscore, in
 ``_reference``, which is imported only when a kernel runs without the
-library.
+library, or the curve CSV codec meets what its C code refuses.
 
 ``orbit_samples``, ``tune_residual`` and ``classify_kernel`` take any
 coefficient array or list as contiguous complex128 (``_complex``) and run
@@ -47,24 +47,24 @@ candidates' own largest distance to every candidate; the maximum keeps
 its value.
 
 ``curve_csv_rows`` and ``curve_csv_parse`` are the curve CSV row codec.
-Their references are cli's python writer ("%d,%r,%r,%r" per row) and its
-numpy ``loadtxt`` reader, which also take what the codec does not.  The
-writer prints each float as ``repr`` does: Ryu's rounding interval,
-scaled to a power of ten in exact 128-bit integers, its shortest
-decimals and of those the nearest, ties to even.  It takes +-0 and |x| in
-[2^-16, 2^61), where that arithmetic fits; a row with any other float,
-and every row without ``__int128``, goes to the python writer, in runs.
-The reader checks the writer's grammar and reads each value in one pass
-per line: a k within int64, and each float as its significand w of up to
-19 significant digits times 10^q, converted by the Eisel-Lemire algorithm
-(w times a 128-bit truncated power of five from a table for q in
-[-64, 64]).  w = 0 gives +-0.0.  strtod parses a token alone where the
+Their references in ``_reference`` are the python writer ("%d,%r,%r,%r"
+per row) and a strict python reader of the writer's grammar, by ``int``
+and ``float``.  The C writer prints each float as ``repr`` does: Ryu's
+rounding interval, scaled to a power of ten in exact 128-bit integers,
+its shortest decimals and of those the nearest, ties to even.  It takes
++-0 and |x| in [2^-16, 2^61), where that arithmetic fits; a row with any
+other float, and every row without ``__int128``, goes to the python
+writer, in runs.  The C reader checks the grammar and reads each value in
+one pass per line: a k within int64, and each float as its significand w
+of up to 19 significant digits times 10^q, converted by the Eisel-Lemire
+algorithm (w times a 128-bit truncated power of five from a table for q
+in [-64, 64]).  w = 0 gives +-0.0.  strtod parses a token alone where the
 algorithm cannot settle it exactly: more than 19 significant digits, q
 outside the table, a product whose low word is all ones outside q in
 [-27, 55], a result below the normal range or past DBL_MAX, and every
-token without ``__int128``.  Both round correctly, as loadtxt does.  The
-first line outside the grammar, or a non-finite value, hands the whole
-file to loadtxt, which names the bad line.  Without the library both
+token without ``__int128``.  Both round correctly, as ``float`` does.  A
+text outside the grammar, or with a non-finite value, goes to the python
+reader, which names the first bad line.  Without the library both
 references run alone.
 
 The C classifier iterates one pixel per lane of a vector of doubles,
@@ -441,32 +441,31 @@ def distance_transform(mask):
 _CSV_ROW_MAX = 100
 
 
-def curve_csv_rows(ks, angles, re, im, ref):
+def curve_csv_rows(ks, angles, re, im):
     """The curve CSV rows "k,angle,re,im\\n" of ks (int64) and three float64
-    columns as bytes, each k as %d prints it and each float as repr does.
-
-    ref(lo, hi) gives the bytes of rows lo..hi-1 by python's formatting.
-    It writes each run of rows that hold a float the C formatter does not
-    take (a non-finite one, or |x| outside [2^-16, 2^61) but +-0), and
-    every row without the library.
-    """
+    columns as bytes, each k as %d prints it and each float as repr does;
+    the reference writes each run of rows with a float that C does not take
+    (non-finite, or |x| outside [2^-16, 2^61) but +-0), and every row
+    without the library."""
     n = len(ks)
     if not len(angles) == len(re) == len(im) == n:
         raise ValueError("ks, angles, re and im must be columns of one length")
     # TypeError for ks that int64 cannot hold, such as uint64
     ks = np.ascontiguousarray(np.asarray(ks).astype(np.int64, casting="safe"))
+    cols = (ks, *(np.ascontiguousarray(a, dtype=np.float64) for a in (angles, re, im)))
     if _lib is None:
-        return ref(0, n)
-    cols = [np.ascontiguousarray(a, dtype=np.float64) for a in (angles, re, im)]
+        from . import _reference
+        return _reference._curve_csv_rows(cols, 0, n)
     buf = np.empty(n * _CSV_ROW_MAX, dtype=np.uint8)
     runs = np.empty((n, 3), dtype=np.int64)
     used = ctypes.c_int64()
-    nruns = _lib.curve_csv_rows(ks.ctypes.data, *(a.ctypes.data for a in cols), n,
-                                buf.ctypes.data, runs.ctypes.data, ctypes.byref(used))
+    nruns = _lib.curve_csv_rows(*(a.ctypes.data for a in cols), n, buf.ctypes.data,
+                                runs.ctypes.data, ctypes.byref(used))
     text = memoryview(buf)[:used.value]
     parts, pos = [], 0
     for lo, hi, at in runs[:nruns].tolist():
-        parts += [text[pos:at], ref(lo, hi)]
+        from . import _reference
+        parts += [text[pos:at], _reference._curve_csv_rows(cols, lo, hi)]
         pos = at
     parts.append(text[pos:])
     return b"".join(parts)
@@ -474,19 +473,19 @@ def curve_csv_rows(ks, angles, re, im, ref):
 
 def curve_csv_parse(data, start):
     """(ks, angles, re, im) of the curve CSV rows in data[start:] (bytes),
-    or None if a line lies outside the writer's grammar, and without the
-    library: each line "k,angle,re,im\\n" with k -?[0-9]+ within int64 and
-    each float -?[0-9]+(\\.[0-9]+)?(e[+-][0-9]+)?, finite.  Each float is
-    converted by Eisel-Lemire from its significand and decimal exponent, or
-    by strtod where that cannot settle it (see the module docstring); both
-    round correctly, as numpy's loadtxt does, so an accepted line gives
-    loadtxt's values bit for bit."""
+    each "k,angle,re,im\\n" with k -?[0-9]+ within int64 and each float
+    -?[0-9]+(\\.[0-9]+)?(e[+-][0-9]+)?, finite, as python's float reads it.
+    Where C refuses the text, and without the library, the reference reads
+    it and raises ValueError(n, line, non_finite) at the first bad line:
+    its number (data's first line is 1), its text, and whether its fields
+    have the grammar's form, or repr's inf and nan, but a non-finite value."""
     if not 0 <= start <= len(data):
         raise ValueError("start %d lies outside the %d bytes of data" % (start, len(data)))
-    if _lib is None:
-        return None
-    n = data.count(b"\n", start)
-    ks, cols = np.empty(n, dtype=np.int64), np.empty((3, n))
-    if _lib.curve_csv_parse(data, start, len(data), n, ks.ctypes.data, cols.ctypes.data) != n:
-        return None
-    return ks, cols[0], cols[1], cols[2]
+    if _lib is not None:
+        n = data.count(b"\n", start)
+        ks, cols = np.empty(n, dtype=np.int64), np.empty((3, n))
+        if _lib.curve_csv_parse(data, start, len(data), n, ks.ctypes.data,
+                                cols.ctypes.data) == n:
+            return ks, cols[0], cols[1], cols[2]
+    from . import _reference
+    return _reference._curve_csv_parse(data, start)

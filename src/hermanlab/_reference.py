@@ -1,10 +1,12 @@
 """The pure python/numpy references of the kernels in ``_kernels``: each
 public kernel there runs its reference here when the C library is absent,
-and the tests hold the C translations to them bit for bit.  ``_kernels``
-imports this module only then, so a run on the library never loads it.
+and the curve CSV codec also on what its C code refuses.  The tests hold
+the C translations to them bit for bit.  ``_kernels`` imports this module
+only then, so a chain run on the library never loads it.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -239,3 +241,33 @@ def _parabola_min(f, axis):
         np.minimum(out[:-d], f[d:] + d * d, out=out[:-d])
         d += 1
     return np.moveaxis(out, 0, axis)
+
+
+def _curve_csv_rows(cols, lo, hi):
+    """Reference of curve_csv_rows: rows lo..hi-1 of the columns (ks,
+    angles, re, im) as bytes, each as "%d,%r,%r,%r\\n" prints it."""
+    rows = zip(*(a[lo:hi].tolist() for a in cols))
+    return "".join("%d,%r,%r,%r\n" % row for row in rows).encode()
+
+
+# a curve CSV row: k's sign and significant digits, three floats or repr's inf and nan
+_FLOAT = rb"(-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|-?inf|nan)"
+_CSV_ROW = re.compile(rb"(-?)0*([0-9]{1,19})," + b",".join([_FLOAT] * 3) + rb"\n")
+
+
+def _curve_csv_parse(data, start):
+    """Reference of curve_csv_parse: each row by python's int and float,
+    which round correctly, as the C reader does."""
+    ks, xs, pos = [], [], start
+    while pos < len(data):
+        m = _CSV_ROW.match(data, pos)
+        k, *x = (int(m[1] + m[2]), *map(float, m.group(3, 4, 5))) if m else (None,)
+        formed = m is not None and -2 ** 63 <= k < 2 ** 63
+        if not (formed and all(map(math.isfinite, x))):
+            line = data[pos:].split(b"\n", 1)[0].decode(errors="backslashreplace")
+            raise ValueError(data.count(b"\n", 0, pos) + 1, line, formed)
+        ks.append(k)
+        xs.append(x)
+        pos = m.end()
+    cols = np.array(xs, dtype=np.float64).reshape(-1, 3).T.copy()
+    return np.array(ks, dtype=np.int64), *cols

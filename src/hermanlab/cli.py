@@ -9,7 +9,6 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -199,89 +198,38 @@ def _emit_json(obj, path=None):
     _write(json.dumps(_strict_json(obj), indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
+_CURVE_HEADER = b"k,angle,re,im\n"
+
+
 def _write_curve_csv(c, path):
-    """The curve's vertices as rows k,angle,re,im, each k as %d prints it and
-    each float in _fmt's shortest round-trip form: written by
-    _kernels.curve_csv_rows, with the python formatting below as its
-    reference and as the writer of every row it does not take."""
-    cols = (np.asarray(c.ks), *(np.asarray(a, dtype=np.float64)
-                                for a in (c.angles, c.points.real, c.points.imag)))
-
-    def ref(lo, hi):
-        rows = zip(*(a[lo:hi].tolist() for a in cols))
-        return "".join("%d,%r,%r,%r\n" % row for row in rows).encode()
-
+    """The curve's vertices as rows k,angle,re,im under _CURVE_HEADER, each
+    k as %d prints it and each float in _fmt's shortest round-trip form
+    (_kernels.curve_csv_rows)."""
+    rows = _kernels.curve_csv_rows(c.ks, c.angles, c.points.real, c.points.imag)
     with open(path, "wb") as fh:
-        fh.write(b"k,angle,re,im\n" + _kernels.curve_csv_rows(*cols, ref))
-
-
-# one row of a curve CSV
-_CURVE_ROW = np.dtype([("k", np.int64), ("angle", np.float64), ("re", np.float64),
-                       ("im", np.float64)])
+        fh.write(_CURVE_HEADER + rows)
 
 
 def _read_curve_csv(path):
-    """(ks, angles, points) of a curve CSV; a ConfigError names the first bad
-    line, counting the header as line 1.  A blank line is a bad line, and so
-    is a line with a non-finite angle, re or im (an integer k is finite)."""
+    """(ks, angles, points) of a curve CSV of the writer's grammar (see
+    _kernels.curve_csv_parse); a ConfigError names the first bad line,
+    counting the header as line 1."""
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as e:
         raise ConfigError("cannot read curve file: %s" % e)
-    with fh:
-        raw = fh.read()
-    # the writer's grammar in C (_kernels.curve_csv_parse), else loadtxt
-    # on the text, which names the first bad line
-    end = raw.find(b"\n")
-    head = raw[:end]
-    if end >= 0 and head.startswith(b"k,angle") and head.isascii() and b"\r" not in head:
-        cols = _kernels.curve_csv_parse(raw, end + 1)
-        if cols is not None:
-            ks, angles, re, im = cols
-            pts = np.empty(len(ks), dtype=np.complex128)
-            pts.real, pts.imag = re, im
-            return ks, angles, pts
-    with io.TextIOWrapper(io.BytesIO(raw)) as fh:
-        header = fh.readline()
-        if not header.startswith("k,angle"):
-            raise ConfigError("not a curve CSV: %s" % path)
-        data = fh.read()
-    # loadtxt skips blank lines, and warns on input without rows
-    rows = np.empty(0, dtype=_CURVE_ROW)
-    if data.startswith("\n") or "\n\n" in data:
-        _bad_curve_line(path, data, None)
-    elif data:
-        try:
-            rows = np.loadtxt(io.StringIO(data), dtype=_CURVE_ROW, delimiter=",",
-                              comments=None, ndmin=1)
-        except ValueError as e:
-            _bad_curve_line(path, data, e)
-    finite = np.isfinite(rows["angle"]) & np.isfinite(rows["re"]) & np.isfinite(rows["im"])
-    if not finite.all():
-        n = int(np.argmin(finite))
-        raise ConfigError("bad line %d of curve CSV %s (non-finite value): %r"
-                          % (n + 2, path, data.split("\n")[n]))
-    pts = np.empty(len(rows), dtype=np.complex128)
-    pts.real, pts.imag = rows["re"], rows["im"]
-    return np.ascontiguousarray(rows["k"]), np.ascontiguousarray(rows["angle"]), pts
-
-
-def _bad_curve_line(path, data, err):
-    """Raise a ConfigError for the first line of the curve CSV body data that
-    is blank or that loadtxt rejects on its own (err: loadtxt's error on
-    the whole body, if any)."""
-    lines = data.split("\n")
-    if data.endswith("\n"):
-        lines.pop()
-    for n, line in enumerate(lines, 2):
-        if line:
-            try:
-                np.loadtxt([line], dtype=_CURVE_ROW, delimiter=",", comments=None)
-                continue
-            except ValueError:
-                pass
-        raise ConfigError("bad line %d of curve CSV %s: %r" % (n, path, line))
-    raise ConfigError("bad curve CSV %s: %s" % (path, err))
+    if not raw.startswith(_CURVE_HEADER):
+        raise ConfigError("not a curve CSV: %s" % path)
+    try:
+        ks, angles, re, im = _kernels.curve_csv_parse(raw, len(_CURVE_HEADER))
+    except ValueError as e:
+        n, line, non_finite = e.args
+        raise ConfigError("bad line %d of curve CSV %s%s: %r"
+                          % (n, path, " (non-finite value)" if non_finite else "", line))
+    pts = np.empty(len(ks), dtype=np.complex128)
+    pts.real, pts.imag = re, im
+    return ks, angles, pts
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,12 @@ class GridClassification:
         return math.floor(fx), math.floor(fy)
 
     def pixel_size(self):
-        """The side of a pixel; ValueError unless x0 < x1, y0 < y1 and the
-        pixels are square to rounding."""
+        """The side of a pixel; ValueError unless the grid has pixels,
+        x0 < x1, y0 < y1 and the pixels are square to rounding."""
         x0, y0, x1, y1 = self.window
         h, w = self.labels.shape
+        if not (w and h):
+            raise ValueError("grid of %d x %d pixels has none" % (w, h))
         if not (x0 < x1 and y0 < y1):
             raise ValueError("window %r is empty or reversed" % (self.window,))
         dx, dy = (x1 - x0) / w, (y1 - y0) / h

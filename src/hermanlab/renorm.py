@@ -244,7 +244,7 @@ def self_similarity(f, theta, N):
         raise ValueError("insufficient depth for 3 Cauchy differences")
     acc = _aitken(seq)
     mu = acc[-1]
-    err = abs(acc[-1] - acc[-2]) + abs(acc[-2] - acc[-3]) if len(acc) >= 3 else math.nan
+    err = abs(acc[-1] - acc[-2]) + abs(acc[-2] - acc[-3])
     rep.mu = mu
     rep.mu_err = err
     if not (0 < abs(mu) < 1):

@@ -214,7 +214,6 @@ def tune_lift_family(make_lift, theta, tol=1e-10, qcap=_QCAP_DEFAULT):
         raise ValueError("qcap = %r is below q_1 = %d: no return time to test"
                          % (qcap, theta.q[1]))
     lo, hi = 0.0, 1.0
-    it = 0
     undecided = False
     for it in range(1, 81):
         mid = 0.5 * (lo + hi)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermanlab import _kernels, cfrac, cli, curve, julia, maps, renorm, rotation
+from hermanlab import _kernels, _reference, cfrac, cli, curve, julia, maps, renorm, rotation
 from hermanlab.cfrac import GOLDEN
 from hermanlab.cli import main
 
@@ -760,6 +760,18 @@ def test_grid_header_past_its_file_is_config_error(capsys, tmp_path, side):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("w, h", [(0, 0), (4, 0), (0, 4)])
+def test_empty_grid_is_config_error(capsys, tmp_path, w, h):
+    """porosity on a grid of w x h = 0 pixels exits 2 and says so; it used
+    to exit 1 on a ZeroDivisionError."""
+    path = tmp_path / "g.bin"
+    path.write_bytes(julia.GRID_MAGIC + struct.pack("<4d2IIdd", -2, -2, 2, 2, w, h,
+                                                    1, 1e-6, 1e6))
+    code, out, err = run(capsys, "porosity", "--grid", str(path), "--center-re", "0",
+                         "--center-im", "0", "--radii", "1")
+    assert (code, out) == (2, "") and "has none" in err, err
+
+
 def test_porosity_centre_outside_window_is_config_error(capsys, tmp_path):
     """A centre outside the window is refused, half a pixel past its left
     or lower edge too (which used to land in pixel 0 and exit 0)."""
@@ -1140,8 +1152,13 @@ def test_curve_csv_round_trip(rows):
 
 
 def read_both(monkeypatch, path):
-    """_read_curve_csv(path) with the library, then on the loadtxt reference
-    alone (no library): each its arrays, or its ConfigError's message."""
+    """_read_curve_csv(path) with the library, then on the python reference
+    alone (no library): each its arrays, or its ConfigError's message; and
+    whether the library's run called the reference reader."""
+    calls = []
+    parse = _reference._curve_csv_parse
+    monkeypatch.setattr(_reference, "_curve_csv_parse",
+                        lambda *args: calls.append(args) or parse(*args))
     got = []
     for lib in (_kernels._lib, None):
         monkeypatch.setattr(_kernels, "_lib", lib)
@@ -1150,12 +1167,15 @@ def read_both(monkeypatch, path):
             got.append((ks.dtype, ks.tolist(), angles.dtype, angles.tobytes(), pts.tobytes()))
         except cli.ConfigError as e:
             got.append(str(e))
-    return got
+        got.append(bool(calls))
+        calls.clear()
+    return got[0], got[2], got[1]
 
 
 def test_curve_csv_reader_equals_loadtxt_on_written_text(monkeypatch, tmp_path):
     """A file of the writer, with values C formats and values it leaves to
-    repr, reads back through the C parser as loadtxt reads it, bit for bit."""
+    repr, reads back bit for bit, through the C reader alone when the
+    library is loaded and through the python reference without it."""
     rng = np.random.default_rng(29)
     vals = np.concatenate([rng.standard_normal(900) * 10.0 ** rng.integers(-9, 22, 900),
                            [0.0, -0.0, 5e-324, -1e-300, 1e300, 2.0 ** -16, 2.0 ** 61]])
@@ -1167,11 +1187,8 @@ def test_curve_csv_reader_equals_loadtxt_on_written_text(monkeypatch, tmp_path):
                               points=pts)
     path = tmp_path / "c.csv"
     cli._write_curve_csv(c, str(path))
-    raw = path.read_bytes()
-    if _kernels.BACKEND == "c":
-        assert _kernels.curve_csv_parse(raw, raw.index(b"\n") + 1) is not None
-    with_c, ref = read_both(monkeypatch, path)
-    assert with_c == ref
+    with_c, ref, ran = read_both(monkeypatch, path)
+    assert with_c == ref and ran == (_kernels.BACKEND != "c")
     assert ref[1] == c.ks.tolist() and ref[3] == vals[:n].tobytes() and ref[4] == pts.tobytes()
 
 
@@ -1183,23 +1200,95 @@ def test_curve_csv_reader_equals_loadtxt_on_written_text(monkeypatch, tmp_path):
 ])
 @pytest.mark.parametrize("field", [0, 1, 2, 3])
 def test_curve_csv_reader_equals_loadtxt(monkeypatch, tmp_path, text, grammar, field):
-    """Valid text off the writer's canonical form reads as loadtxt reads it:
-    through the C parser where the writer's grammar takes it (1.50, 007,
-    -0, 1e-400), and on loadtxt where it does not (1E5, +1.0, a blank),
-    or where strtod reads inf (1e+400, which loadtxt reads as inf too and
-    the reader refuses as non-finite, as it does 1e400).  A k must be an integer that
-    fits int64, so a float there or 99999999999999999999 is a bad line
-    either way."""
+    """A text of the writer's grammar reads as python's int and float read
+    it (1.50, 007, -0, 1e-400), through the C reader alone when the library
+    is loaded.  Any other text is a bad line with the same message on both
+    backends: off the grammar (1E5, +1.0, a blank, 1.), past DBL_MAX (1e+400,
+    a non-finite value), or a k that is not an integer within int64 (a
+    float there, or 99999999999999999999)."""
     rows = [[str(k), repr(k / 16), repr(math.cos(k)), repr(math.sin(k))] for k in range(6)]
     rows[3][field] = text
     path = tmp_path / "c.csv"
     path.write_text(HEADER + "".join(",".join(r) + "\n" for r in rows))
-    if _kernels.BACKEND == "c":
-        raw = path.read_bytes()
-        takes = grammar and (field > 0 or text in ("007", "-0"))
-        assert (_kernels.curve_csv_parse(raw, len(HEADER)) is not None) == takes
-    with_c, ref = read_both(monkeypatch, path)
+    with_c, ref, ran = read_both(monkeypatch, path)
     assert with_c == ref
+    takes = grammar and (field > 0 or text in ("007", "-0"))
+    if not takes:
+        assert ref.startswith("bad line 5 of") and ran
+        assert ("non-finite" in ref) == (field > 0 and text in ("1e+400", "-2.5e+999"))
+        return
+    assert ran == (_kernels.BACKEND != "c")
+    want = [[int(r[0]), *map(float, r[1:])] for r in rows]
+    assert ref[1] == [r[0] for r in want]
+    assert ref[3] == np.array([r[1] for r in want]).tobytes()
+    assert ref[4] == np.array([complex(r[2], r[3]) for r in want]).tobytes()
+
+
+@pytest.mark.parametrize("text, line", [
+    (HEADER + "0,0.5,0.5,0.5\r\n", 2),                 # CRLF line end
+    (HEADER + "0,0.5,0.5,0.5\n1,0.5,0.5,0.5", 3),        # no final newline
+    (HEADER.replace("\n", "\r\n") + "0,0.5,0.5,0.5\n", 1),
+    ("k,angle,x\n0,0.5,0.5\n", 1),
+    ("k,angle,re,im,x\n0,0.5,0.5,0.5\n", 1),
+    (HEADER[:-1], 1),                                  # a header with no newline
+])
+def test_curve_csv_off_the_grammar_is_config_error(capsys, monkeypatch, tmp_path, text, line):
+    """CRLF line ends, a last row with no newline and a header other than
+    k,angle,re,im exit 2 on both backends, naming the bad line, or the file
+    when the header is bad; loadtxt used to read them."""
+    path = tmp_path / "c.csv"
+    path.write_bytes(text.encode())
+    for lib in (_kernels._lib, None):
+        monkeypatch.setattr(_kernels, "_lib", lib)
+        code, out, err = run(capsys, "dims", "--points", str(path))
+        assert code == 2 and out == ""
+        want = "not a curve CSV" if line == 1 else "bad line %d of" % line
+        assert err.startswith("config error: " + want), err
+
+
+# a canonical curve CSV row: an int64 k and three floats, non-finite ones too
+canonical_rows = st.lists(
+    st.tuples(st.integers(-2 ** 63, 2 ** 63 - 1),
+              *[st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-300, 2.0 ** 61, 0.1]))] * 3),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_rows, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 10 ** 6),
+                                          st.sampled_from(b"0123456789.-+eE,#x\t\r\n ")),
+                                max_size=4))
+def test_curve_csv_grammar_is_one_on_both_backends(rows, edits):
+    """The writer's rows with random one-byte edits (a byte of the
+    alphabet replaced or inserted, or a byte deleted): the library's run and the
+    python reference's give the same arrays bit for bit, or the same
+    ConfigError; with the library the reference runs exactly for the texts
+    that C refuses, all of which it refuses too, and an accepted text
+    reads as python's int and float read its tokens."""
+    body = bytearray(b"".join(b"%d,%r,%r,%r\n" % r for r in rows))
+    for kind, at, byte in edits:
+        at %= len(body) + (kind == 1)
+        if kind == 0:
+            body[at] = byte
+        elif kind == 1:
+            body.insert(at, byte)
+        else:
+            del body[at]
+    text = HEADER.encode() + body
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        path = os.path.join(d, "c.csv")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        with_c, ref, ran = read_both(mp, path)
+    assert with_c == ref
+    refused = isinstance(ref, str)
+    header_ok = not (refused and ref.startswith("not a curve"))
+    assert ran == (header_ok and (refused or _kernels.BACKEND != "c"))
+    if not refused:
+        want = [line.split(b",") for line in text.split(b"\n")[1:-1]]
+        assert ref[1] == [int(r[0]) for r in want]
+        assert ref[3] == np.array([float(r[1]) for r in want]).tobytes()
+        assert ref[4] == np.array([complex(float(r[2]), float(r[3])) for r in want]).tobytes()
+
 
 @pytest.mark.parametrize("field", [1, 2, 3])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

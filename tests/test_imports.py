@@ -103,6 +103,8 @@ calls = {
                                                  1e-6, 1e6),
     "arc_ratios": lambda: K.arc_ratios(pts, [0, 3], [20, 30]),
     "distance_transform": lambda: K.distance_transform(np.eye(4, dtype=bool)),
+    "curve_csv_rows": lambda: K.curve_csv_rows([0], [0.5], [0.5], [0.5]),
+    "curve_csv_parse": lambda: K.curve_csv_parse(b"0,0.5,0.5,0.5\n", 0),
 }
 out = {"before": "hermanlab._reference" in sys.modules}
 for name, call in calls.items():
@@ -120,4 +122,28 @@ def test_each_kernel_without_the_library_loads_the_reference():
     before it loaded."""
     doc = child(FALLBACK)
     assert doc.pop("before") is False
-    assert doc == dict.fromkeys(doc, True) and len(doc) == 7
+    assert doc == dict.fromkeys(doc, True) and len(doc) == 9
+
+
+CURVE_FILE = r"""
+import json, os, sys, tempfile
+from hermanlab import _kernels
+from hermanlab.cli import main
+with tempfile.TemporaryDirectory() as d:
+    path = os.path.join(d, "t20.csv")
+    codes = [main(["trace", "--d0", "3", "--dinf", "2",
+                   "--param=-1.1442084006991486,-0.9644541436327397", "--depth", "20",
+                   "--out", path]),
+             main(["geometry", "--curve", path, "--out", os.path.join(d, "geometry.json")]),
+             main(["dims", "--points", path, "--connect", "--out", os.path.join(d, "dims.json")])]
+print(json.dumps({"backend": _kernels.BACKEND, "codes": codes,
+                  "loaded": "hermanlab._reference" in sys.modules}))
+"""
+
+
+@pytest.mark.skipif(K.BACKEND != "c", reason="C kernels not built (no cc)")
+def test_curve_file_on_the_library_loads_no_reference():
+    """A depth-20 trace of the (3,2) golden map, and geometry and dims
+    --connect on its curve CSV, write and read the file in C alone: the
+    python writer and reader in _reference stay unloaded."""
+    assert child(CURVE_FILE) == {"backend": "c", "codes": [0, 0, 0], "loaded": False}

@@ -3,6 +3,7 @@ numpy.polyval, finite differences and 50-digit mpmath orbits; the C
 kernels against the python references, bit for bit."""
 
 import ast
+import contextlib
 import decimal
 import json
 import math
@@ -13,6 +14,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -729,14 +731,13 @@ def test_arc_ratios_refuse_non_finite_vertices(monkeypatch, bad):
 
 # -- the curve CSV codec ----------------------------------------------------------
 
-def csv_ref(cols, calls):
-    """cli._write_curve_csv's reference rows lo..hi-1 of cols as bytes, each
-    (lo, hi) asked for recorded in calls."""
-    def ref(lo, hi):
-        calls.append((lo, hi))
-        rows = zip(*(a[lo:hi].tolist() for a in cols))
-        return "".join("%d,%r,%r,%r\n" % row for row in rows).encode()
-    return ref
+@contextlib.contextmanager
+def spy(name):
+    """The argument tuples of each call of _reference's function name
+    while the block runs."""
+    calls, real = [], getattr(_reference, name)
+    with mock.patch.object(_reference, name, lambda *args: calls.append(args) or real(*args)):
+        yield calls
 
 
 def refused_runs(rows):
@@ -759,11 +760,11 @@ def check_csv_rows(rows):
     assert sys.float_repr_style == "short"
     cols = (np.array([r[0] for r in rows], dtype=np.int64),
             *(np.array([r[i] for r in rows], dtype=np.float64) for i in (1, 2, 3)))
-    calls = []
-    out = K.curve_csv_rows(*cols, csv_ref(cols, calls))
+    with spy("_curve_csv_rows") as calls:
+        out = K.curve_csv_rows(*cols)
     assert out == "".join("%d,%r,%r,%r\n" % tuple(r) for r in rows).encode()
-    if K.BACKEND == "c":
-        assert calls == refused_runs(rows)
+    runs = [(lo, hi) for _, lo, hi in calls]
+    assert runs == (refused_runs(rows) if K.BACKEND == "c" else [(0, len(rows))])
 
 
 def from_bits(b):
@@ -832,9 +833,9 @@ def test_curve_csv_codec_refuses_what_it_cannot_bound(monkeypatch):
     for lib in (K._lib, None):
         monkeypatch.setattr(K, "_lib", lib)
         with pytest.raises(ValueError, match="one length"):
-            K.curve_csv_rows(np.arange(3), np.zeros(3), np.zeros(2), np.zeros(3), None)
+            K.curve_csv_rows(np.arange(3), np.zeros(3), np.zeros(2), np.zeros(3))
         with pytest.raises(TypeError):
-            K.curve_csv_rows(np.array([2 ** 63], dtype=np.uint64), *np.zeros((3, 1)), None)
+            K.curve_csv_rows(np.array([2 ** 63], dtype=np.uint64), *np.zeros((3, 1)))
         for start in (-1, 5):
             with pytest.raises(ValueError, match="outside"):
                 K.curve_csv_parse(b"0,1\n", start)
@@ -842,10 +843,16 @@ def test_curve_csv_codec_refuses_what_it_cannot_bound(monkeypatch):
 
 def parsed(tokens):
     """curve_csv_parse of one row per token, each "k,t,t,t": the first
-    column as a list, or None if the reader refuses the text."""
+    column as a list, or None if the reader refuses the text.  With the
+    library, the python reference runs only for a text that C refuses."""
     data = b"".join(b"%d,%s,%s,%s\n" % (k, t, t, t)
                     for k, t in enumerate(t.encode() for t in tokens))
-    cols = K.curve_csv_parse(data, 0)
+    with spy("_curve_csv_parse") as calls:
+        try:
+            cols = K.curve_csv_parse(data, 0)
+        except ValueError:
+            cols = None
+    assert bool(calls) == (cols is None or K.BACKEND != "c")
     if cols is None:
         return None
     assert cols[1].tobytes() == cols[2].tobytes() == cols[3].tobytes()
@@ -854,12 +861,9 @@ def parsed(tokens):
 
 
 def check_parse_equals_float(tokens):
-    """With the library, the reader takes every token and gives float(token)
-    bit for bit, +-0.0 included; without it, the text is left to loadtxt."""
+    """The reader takes every token and gives float(token) bit for bit,
+    +-0.0 included: C alone with the library, the reference without it."""
     got = parsed(tokens)
-    if K.BACKEND != "c":
-        assert got is None
-        return
     assert got is not None
     assert [t for t, x in zip(tokens, got)
             if struct.pack("<d", x) != struct.pack("<d", float(t))] == []
@@ -952,8 +956,8 @@ def test_curve_csv_parse_edge_tokens(token):
 
 @pytest.mark.parametrize("token", ["1e400", "1e+400", "-1.8e+308", "1.7976931348623159e+308"])
 def test_curve_csv_parse_refuses_infinite_values(token):
-    """A token that rounds past DBL_MAX is refused, leaving the file to
-    loadtxt, which names the line."""
+    """A token that rounds past DBL_MAX is refused by C and by the python
+    reference, which names the line."""
     assert parsed(["0.5", token]) is None
 
 
@@ -974,14 +978,30 @@ def test_curve_csv_parse_long_fractions_and_exponents():
     ("0009223372036854775807", True), ("9223372036854775808", False),
     ("-9223372036854775809", False), ("18446744073709551616", False),
 ])
-def test_curve_csv_parse_reads_k_within_int64(k, takes):
+def test_curve_csv_parse_reads_k_within_int64(monkeypatch, k, takes):
     """A k reads as int(k) while int64 holds it; past either end the reader
-    refuses the text, which loadtxt then refuses too."""
-    got = K.curve_csv_parse(b"%s,0.5,0.5,0.5\n" % k.encode(), 0)
-    if K.BACKEND != "c" or not takes:
-        assert got is None
-    else:
-        assert got[0].tolist() == [int(k)]
+    refuses the text: C and the python reference alike."""
+    data = b"%s,0.5,0.5,0.5\n" % k.encode()
+    for lib in (K._lib, None):
+        monkeypatch.setattr(K, "_lib", lib)
+        if takes:
+            assert K.curve_csv_parse(data, 0)[0].tolist() == [int(k)]
+        else:
+            with pytest.raises(ValueError):
+                K.curve_csv_parse(data, 0)
+
+
+def test_curve_csv_parse_reads_a_zero_padded_k_as_c_does(monkeypatch):
+    """A k padded with more zeros than int() takes digits reads as its
+    value on both backends, as C reads it; a k of that many significant
+    digits is refused on both."""
+    for lib in (K._lib, None):
+        monkeypatch.setattr(K, "_lib", lib)
+        for sign in (b"", b"-"):
+            k = sign + b"0" * (sys.get_int_max_str_digits() + 10) + b"7"
+            assert K.curve_csv_parse(k + b",0.5,0.5,0.5\n", 0)[0].tolist() == [int(sign + b"7")]
+        with pytest.raises(ValueError):
+            K.curve_csv_parse(b"1" * (sys.get_int_max_str_digits() + 10) + b",0,0,0\n", 0)
 
 
 def test_pow5_table_equals_lemire_rules():
