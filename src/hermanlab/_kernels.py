@@ -233,12 +233,12 @@ def orbit_samples(num, den, z0, ks, r0, rinf):
     taken).
     """
     num, den = _complex(num, den)
-    if _lib is None:
-        from . import _reference
-        return _reference._orbit_samples(num, den, z0, ks, r0, rinf)
     ks = np.ascontiguousarray(ks, dtype=np.int64)
     if not len(ks):
         raise IndexError("no sample indices")
+    if _lib is None:
+        from . import _reference
+        return _reference._orbit_samples(num, den, z0, ks, r0, rinf)
     out = np.empty(len(ks), dtype=np.complex128)
     z0 = complex(z0)
     n_ok = _lib.orbit_samples(num.ctypes.data, len(num), den.ctypes.data, len(den),

@@ -69,82 +69,50 @@ def _blaschke_advance(den, alpha, slope, x, n):
     return x
 
 
-def _horner_arrays(coeffs, re, im, ar, ai, t1, t2):
-    """Horner on float64 real and imaginary arrays into ar, ai (t1, t2 are
-    scratch of the same length), one ufunc per real operation in the order
-    of ``horner`` in _kernels.c, from the top where _starts_at_top says."""
+def _horner_arrays(coeffs, re, im):
+    """Horner on float64 real and imaginary arrays, one ufunc per real
+    operation in the order of ``horner`` in _kernels.c, from the top where
+    _starts_at_top says."""
     if _starts_at_top(coeffs):
-        ar.fill(coeffs[-1].real)
-        ai.fill(coeffs[-1].imag)
+        ar, ai = np.full_like(re, coeffs[-1].real), np.full_like(re, coeffs[-1].imag)
         coeffs = coeffs[:-1]
     else:
-        ar.fill(0.0)
-        ai.fill(0.0)
+        ar, ai = np.zeros_like(re), np.zeros_like(re)
     for c in reversed(coeffs):
-        # (ar*re - ai*im) + c.real, (ar*im + ai*re) + c.imag
-        np.multiply(ar, re, out=t1)
-        np.multiply(ai, im, out=t2)
-        np.subtract(t1, t2, out=t1)
-        np.multiply(ar, im, out=t2)
-        np.add(t1, c.real, out=ar)
-        np.multiply(ai, re, out=t1)
-        np.add(t2, t1, out=t2)
-        np.add(t2, c.imag, out=ai)
+        ar, ai = ar * re - ai * im + c.real, ar * im + ai * re + c.imag
+    return ar, ai
 
 
-def _cdiv_arrays(ar, ai, br, bi, re, im, small, rat, scl, t):
-    """(ar + i ai) / (br + i bi) elementwise by Smith's formula into re, im
-    (small, rat, scl and t are scratch), as ``cdiv`` in _kernels.c.  A zero
-    divisor gives NaN where cdiv gives inf or NaN."""
-    np.greater_equal(np.abs(br, out=rat), np.abs(bi, out=scl), out=small)
-    np.logical_not(small, out=small)   # |br| < |bi| or NaN, as cdiv branches
-    # rat = bi / br or br / bi
-    np.divide(bi, br, out=rat)
-    np.divide(br, bi, out=t)
-    np.copyto(rat, t, where=small)
-    # scl = 1 / (br + bi*rat) or 1 / (bi + br*rat)
-    np.multiply(bi, rat, out=scl)
-    np.add(br, scl, out=scl)
-    np.multiply(br, rat, out=t)
-    np.add(bi, t, out=t)
-    np.copyto(scl, t, where=small)
-    np.divide(1.0, scl, out=scl)
-    # re = (ar + ai*rat) * scl or (ar*rat + ai) * scl
-    np.multiply(ai, rat, out=re)
-    np.add(ar, re, out=re)
-    np.multiply(ar, rat, out=t)
-    np.add(t, ai, out=t)
-    np.copyto(re, t, where=small)
-    np.multiply(re, scl, out=re)
-    # im = (ai - ar*rat) * scl or (ai*rat - ar) * scl
-    np.multiply(ar, rat, out=im)
-    np.subtract(ai, im, out=im)
-    np.multiply(ai, rat, out=t)
-    np.subtract(t, ar, out=t)
-    np.copyto(im, t, where=small)
-    np.multiply(im, scl, out=im)
+def _cdiv_arrays(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) elementwise in the operations of ``cdiv``
+    in _kernels.c (Smith's formula), its branch taken by a select, as the C
+    classifier's vector loop takes it.  A zero divisor gives NaN where cdiv
+    gives inf or NaN."""
+    small = ~(np.abs(br) >= np.abs(bi))   # |br| < |bi| or NaN, as cdiv branches
+    p, q = np.where(small, bi, br), np.where(small, br, bi)
+    rat = q / p
+    scl = 1.0 / (p + q * rat)
+    ar_rat, ai_rat = ar * rat, ai * rat
+    return (np.where(small, ar_rat + ai, ar + ai_rat) * scl,
+            np.where(small, ai_rat - ar, ai - ar_rat) * scl)
 
 
-# pixels per block of _classify's arithmetic: its seven 64 KB work arrays
-# stay in a core's L2 cache
+# pixels per block of _classify's arithmetic, which bounds each of the
+# temporary arrays of a block's Horner loops and quotient to _BLOCK values
 _BLOCK = 8192
 
 
 def _classify(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
     """Reference of classify_kernel: every undecided pixel at once, on float64
-    real and imaginary arrays, in blocks of _BLOCK pixels into preallocated
-    arrays.  Separate multiply and add ufuncs cannot fuse, unlike numpy's
-    complex array arithmetic, so this rounds as _kernels.c does on every
-    host."""
+    real and imaginary arrays, in blocks of _BLOCK pixels.  Separate
+    multiply and add ufuncs cannot fuse, unlike numpy's complex array
+    arithmetic, so this rounds as _kernels.c does on every host."""
     re = np.tile(x0 + (np.arange(w) + 0.5) * dx, h)
     im = np.repeat(y0 + (np.arange(h) + 0.5) * dy, w)
     labels = np.full(w * h, 2, dtype=np.uint8)
     iters = np.full(w * h, maxiter, dtype=np.uint32)
     active = np.arange(w * h)
     r02, rinf2 = r0 * r0, rinf * rinf
-    z = np.empty((2, w * h))
-    work = np.empty((7, min(_BLOCK, w * h)))
-    small = np.empty(work.shape[1], dtype=bool)
     # overflow and 0/0 are expected: a non-finite iterate becomes 2 rinf
     with np.errstate(all="ignore"):
         for k in range(maxiter):
@@ -158,18 +126,15 @@ def _classify(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
                 iters[active[done]] = k
                 keep = ~done
                 active, re, im = active[keep], re[keep], im[keep]
-                if active.size == 0:
-                    break
-            n = active.size
-            zr, zi = z[0, :n], z[1, :n]
-            # block a's quotient overwrites only its own pixels of re, im
-            for a in range(0, n, _BLOCK):
-                b = min(a + _BLOCK, n)
-                nr, ni, dr, di, t1, t2, t3 = work[:, :b - a]
-                _horner_arrays(num, re[a:b], im[a:b], nr, ni, t1, t2)
-                _horner_arrays(den, re[a:b], im[a:b], dr, di, t1, t2)
-                _cdiv_arrays(nr, ni, dr, di, zr[a:b], zi[a:b], small[:b - a], t1, t2, t3)
-            re, im = zr, zi
+            if active.size == 0:
+                break
+            del m2, inner, outer, done   # freed before the blocks' temporaries
+            # each block's quotient reads and then overwrites only its own pixels
+            for a in range(0, active.size, _BLOCK):
+                b = slice(a, a + _BLOCK)
+                nr, ni = _horner_arrays(num, re[b], im[b])
+                dr, di = _horner_arrays(den, re[b], im[b])
+                re[b], im[b] = _cdiv_arrays(nr, ni, dr, di)
             bad = ~(np.isfinite(re) & np.isfinite(im))
             re[bad] = 2.0 * rinf
             im[bad] = 0.0

@@ -51,13 +51,15 @@ def _theta(name, spec):
         raise ConfigError("bad %s %r: %s" % (name, spec, e))
 
 
-def _int(name, value, least, theta=None, past=0):
-    """value, an integer of at least least; given theta, at most theta's
+def _int(name, value, least, theta=None, past=0, most=math.inf):
+    """value, an integer from least to most; given theta, at most theta's
     deepest usable level less past, the levels the caller reads past depth value."""
     if not _number(value, int):
         raise ConfigError("%s must be an integer, not %r" % (name, value))
     if value < least:
         raise ConfigError("%s must be at least %d, not %d" % (name, least, value))
+    if value > most:
+        raise ConfigError("%s must be at most %d, not %d" % (name, most, value))
     if theta is not None and value + past > theta.depth:
         raise ConfigError("%s must be at most %d, not %d: theta's deepest usable level is %d"
                           % (name, theta.depth - past, value, theta.depth))
@@ -113,10 +115,12 @@ def _param(name, value):
 
 
 def _window(name, value):
-    """A window x0, y0, x1, y1 with x0 < x1 and y0 < y1."""
+    """A window x0, y0, x1, y1 with x0 < x1 and y0 < y1, of finite width and height."""
     x0, y0, x1, y1 = window = _floats(name, value, 4, "four finite numbers x0,y0,x1,y1")
     if not (x0 < x1 and y0 < y1):
         raise ConfigError("%s %r is empty or reversed: need x0 < x1 and y0 < y1" % (name, value))
+    if not math.isfinite(x1 - x0) or not math.isfinite(y1 - y0):
+        raise ConfigError("%s %r is too wide: x1 - x0 and y1 - y0 must be finite" % (name, value))
     return window
 
 
@@ -426,7 +430,7 @@ def _render(m, window, res, maxiter, out, overlay=None, grid_out=None):
 def cmd_render(args):
     window = _window("--window", args.window)
     _int("--res", args.res, 1)
-    _int("--maxiter", args.maxiter, 1)
+    _int("--maxiter", args.maxiter, 1, most=julia.MAXITER_MAX)
     theta = _theta("--theta", args.theta)
     overlay = _read_curve_csv(args.overlay)[2] if args.overlay else None
     _render(_tuned_map(args, theta), window, args.res, args.maxiter, args.out, overlay,
@@ -511,7 +515,8 @@ def _load_config(path):
         tune_depth=tune_depth, trace_depth=depth,
         renorm_depth=N, window=None if window is None else _window("window", window),
         resolution=_int("resolution", cfg.get("resolution", 512), 1),
-        maxiter=_int("maxiter", cfg.get("maxiter", 400), 1), outdir=cfg["outdir"])
+        maxiter=_int("maxiter", cfg.get("maxiter", 400), 1, most=julia.MAXITER_MAX),
+        outdir=cfg["outdir"])
     return run, config_hash
 
 

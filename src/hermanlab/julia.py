@@ -22,6 +22,7 @@ BASIN0, BASIN_INF, UNDECIDED = 0, 1, 2
 GRID_MAGIC = b"HLGRID1"
 _R0, _RINF = 1e-6, 1e6  # classify's escape radii at 0 and infinity
 BOX_MIN_POINTS = 10 ** 4  # the fewest points box_dimension accepts
+MAXITER_MAX = 2 ** 32 - 1  # the largest maxiter: escape counts are uint32
 
 
 @dataclass
@@ -63,8 +64,11 @@ def classify(map_, window, resolution, maxiter=1000):
     the traps at 0 / infinity.
 
     Labels: BASIN0 (|orbit| < 1e-6), BASIN_INF (|orbit| > 1e6), UNDECIDED
-    (still wandering at maxiter) -- an outer approximation of J(f).
+    (still wandering at maxiter) -- an outer approximation of J(f).  A
+    maxiter outside 0..MAXITER_MAX is refused with ValueError.
     """
+    if not 0 <= maxiter <= MAXITER_MAX:
+        raise ValueError("maxiter must be in 0..%d, not %r" % (MAXITER_MAX, maxiter))
     x0, y0, x1, y1 = window
     dx, dy = (x1 - x0) / resolution, (y1 - y0) / resolution
     labels, iters = _kernels.classify_kernel(

@@ -301,6 +301,42 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv, config):
             assert key in err
 
 
+@pytest.mark.parametrize("lib", ["c", "numpy"])
+def test_render_grid_inputs_are_bounded(monkeypatch, capsys, tmp_path, lib):
+    """A --maxiter or config maxiter past the uint32 escape counts (2^32 - 1)
+    and a window whose width or height overflows to inf exit 2 on either
+    backend, before any tuning: the maxiter used to exit 1 on struct's or
+    numpy's uint32 range, the window 0 with infinite pixel centres.
+    julia.classify refuses such a maxiter, and --maxiter 2^32 - 1 runs."""
+    if lib == "numpy":
+        monkeypatch.setattr(_kernels, "_lib", None)
+    elif _kernels._lib is None:
+        pytest.skip("C kernels not built (no cc)")
+    monkeypatch.setattr(cli, "_tune", lambda *a, **k: pytest.fail("tuned a refused run"))
+    render = ["render", "--d0", "3", "--dinf", "2", "--res", "4",
+              "--out", str(tmp_path / "r.ppm")]
+    wide = [-1e308, -1e308, 1e308, 1e308]
+    for argv in ([*render, "--window=-2,-2,2,2", "--maxiter", str(2 ** 32),
+                  "--grid-out", str(tmp_path / "g.bin")],
+                 [*render, "--window=%r,%r,%r,%r" % tuple(wide)],
+                 [*render, "--window=-1,-1e308,1,1e308"],
+                 ["pipeline", "--config", str(small_config(tmp_path, "m", maxiter=2 ** 32))],
+                 ["pipeline", "--config", str(small_config(tmp_path, "m", window=wide))]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "config error" in err and ("maxiter" in err or "wide" in err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+    m = maps.herman_family(3, 2, complex(*map(float, B_FIG.split(","))))
+    for maxiter in (-1, 2 ** 32):
+        with pytest.raises(ValueError, match="maxiter"):
+            julia.classify(m, (-2.0, -2.0, 2.0, 2.0), 4, maxiter)
+    # every pixel of a window beyond rinf = 1e6 escapes at iterate 0
+    grid = tmp_path / "g.bin"
+    assert main([*render, "--param=" + B_FIG, "--window=2e6,2e6,3e6,3e6",
+                 "--maxiter", str(2 ** 32 - 1), "--grid-out", str(grid)]) == 0
+    loaded = julia.load_grid(str(grid))
+    assert loaded.maxiter == 2 ** 32 - 1 and (loaded.escape_iters == 0).all()
+
+
 @pytest.mark.parametrize("argv, config, named", [
     (["tune", "--d0", "1", "--dinf", "1"], None, "--d0"),
     (["maps", "--d0", "1", "--dinf", "3", "--param", "1,0"], None, "--d0"),

@@ -729,6 +729,70 @@ def test_arc_ratios_refuse_non_finite_vertices(monkeypatch, bad):
         K.arc_ratios(pts, [0], [6])
 
 
+@pytest.mark.parametrize("lib", ["c", "numpy"])
+def test_kernels_refuse_bad_indices_on_both_backends(monkeypatch, map32, lib):
+    """orbit_samples without sample indices and arc_ratios on index vectors
+    of two lengths or an index past the polygon raise the same errors on
+    both backends; the reference used to meet the empty ks as numpy's
+    index -1 out of bounds."""
+    if lib == "numpy":
+        monkeypatch.setattr(K, "_lib", None)
+    elif K._lib is None:
+        pytest.skip("C kernels not built (no cc)")
+    with pytest.raises(IndexError, match="no sample indices"):
+        K.orbit_samples(map32.num, map32.den, 1.0 + 0.0j, np.array([], dtype=np.int64),
+                        1e-6, 1e6)
+    pts = np.exp(2j * np.pi * np.arange(12) / 12)
+    with pytest.raises(ValueError, match="index vectors of one length"):
+        K.arc_ratios(pts, [0, 1], [6])
+    for ii, jj in (([0], [12]), ([-1], [6])):
+        with pytest.raises(IndexError, match="vertex index out of range"):
+            K.arc_ratios(pts, ii, jj)
+
+
+def same_bits(x, y):
+    """float64 arrays x and y hold the same bits, any NaN equal to any NaN."""
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and np.array_equal(
+        x[~nan].view(np.uint64), y[~nan].view(np.uint64))
+
+
+def spread_floats(rng, n):
+    """n floats of random sign and magnitude 10^-300..10^300, one in ten of
+    them +-0, +-inf, NaN or +-5e-324."""
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    odd = rng.random(n) < 0.1
+    x[odd] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324], odd.sum())
+    return x
+
+
+def test_array_helpers_equal_numpy_complex_scalars():
+    """_cdiv_arrays equals numpy's complex128 scalar division bit for bit,
+    also on ties |br| = |bi| (zero divisors left out: there cdiv gives inf
+    or NaN and _cdiv_arrays NaN), and _horner_arrays equals _horner on the
+    three maps' coefficients, with and without a -0.0 top part."""
+    rng = np.random.default_rng(39)
+    ar, ai, br, bi = (spread_floats(rng, 20000) for _ in range(4))
+    tie = rng.random(20000) < 0.1
+    bi[tie] = rng.choice([-1.0, 1.0], tie.sum()) * br[tie]
+    keep = ~((br == 0) & (bi == 0))
+    ar, ai, br, bi = ar[keep], ai[keep], br[keep], bi[keep]
+    with np.errstate(all="ignore"):
+        re, im = _reference._cdiv_arrays(ar, ai, br, bi)
+        want = np.array([np.complex128(complex(a, b)) / np.complex128(complex(c, d))
+                         for a, b, c, d in zip(ar, ai, br, bi)])
+    assert same_bits(re, want.real) and same_bits(im, want.imag)
+    zr, zi = spread_floats(rng, 1000), spread_floats(rng, 1000)
+    for d0, dinf in ((3, 2), (2, 2), (3, 3)):
+        m = family(d0, dinf)
+        for coeffs in (m.num, m.den, np.concatenate([m.den[:-1], [-0.0j]])):
+            with np.errstate(all="ignore"):
+                ar, ai = _reference._horner_arrays(coeffs, zr, zi)
+                want = np.array([K._horner(coeffs, np.complex128(complex(x, y)))
+                                 for x, y in zip(zr, zi)])
+            assert same_bits(ar, want.real) and same_bits(ai, want.imag)
+
+
 # -- the curve CSV codec ----------------------------------------------------------
 
 @contextlib.contextmanager
