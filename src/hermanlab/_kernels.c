@@ -28,9 +28,9 @@
  * product is fused into an add.
  *
  * The classifier iterates several pixels at once, one per lane of a
- * GCC/clang vector of doubles, and keeps two such vectors in flight per
- * thread, interleaved in one loop body, so that one vector's divisions run
- * while the other's wait (classify_rows_L); the arc diameters take their
+ * GCC/clang vector of doubles, and keeps four such vectors in flight per
+ * thread, interleaved in one loop body, so that some vectors' divisions run
+ * while the others' wait (classify_rows_L); the arc diameters take their
  * largest squared distance over several arc points at once
  * (arc_max_sq_L).  Each body is written once and built at every width of
  * WIDTHS: 2 lanes for any target and, on x86, 4 lanes for AVX2 and 8 for
@@ -44,7 +44,8 @@
  * width gives the labels and counts of the reference on every host; each
  * squared distance is rounded as the scalar one, and a maximum of exactly
  * rounded values does not depend on the order it is taken in, so every
- * width gives the same arc ratios.
+ * width gives the same arc ratios.  Threads claim rows and pairs from one
+ * counter per call, so a faster CPU takes more.
  *
  * Complex arrays are interleaved (re, im) doubles; complex scalars are
  * passed and returned as separate doubles.
@@ -309,9 +310,9 @@ double blaschke_advance(const double *den, int64_t nden, double alpha, double sl
 #define VABS(VD, VI, x) ((VD)((VI)(x) & INT64_MAX))
 #define VSEL(VD, VI, m, a, b) ((VD)(((m) & (VI)(a)) | (~(m) & (VI)(b))))
 
-/* for v = 0, 1 over the classifier's two vectors, unrolled, so that each
+/* for v = 0..3 over the classifier's four vectors, unrolled, so that each
  * vector's state is a register of its own */
-#define EACH_VECTOR(v) _Pragma("GCC unroll 2") for (int v = 0; v < 2; v++)
+#define EACH_VECTOR(v) _Pragma("GCC unroll 4") for (int v = 0; v < 4; v++)
 
 /* The vector widths, as M(lanes, target attribute) for each, and
  * BY_LANES(lanes, f), f's instance for that many lanes. */
@@ -325,23 +326,23 @@ double blaschke_advance(const double *den, int64_t nden, double alpha, double sl
 #endif
 
 /* Escape-time labels (0 inner, 1 outer, 2 undecided) and iteration counts
- * of the pixel rows row0, row0 + stride, ... of the w x h grid whose pixel
- * (ix, iy) is centred at (x0 + (ix + 0.5) dx, y0 + (iy + 0.5) dy), into the
- * row-major labels and iters.  A pixel is labelled at the first iterate k
- * with |z|^2 < r0^2 or |z|^2 > rinf^2, and a non-finite iterate is
- * replaced by 2 rinf.  Rows are independent, so any split of the rows
- * gives the same arrays.
+ * of the rows that the thread claims one by one from *next_row, below h,
+ * of the w x h grid whose pixel (ix, iy) is centred at (x0 + (ix + 0.5) dx,
+ * y0 + (iy + 0.5) dy), into the row-major labels and iters.  A pixel is
+ * labelled at the first iterate k with |z|^2 < r0^2 or |z|^2 > rinf^2, and
+ * a non-finite iterate is replaced by 2 rinf.  Rows are independent, so
+ * any split of the rows gives the same arrays.
  *
- * classify_rows_L keeps 2 vectors of L lanes in flight, one pixel per
- * lane, and advances both in one loop body.  Each iterate of a vector is
- * one dependent chain (Horner, two divisions, the trap test); the two
+ * classify_rows_L keeps 4 vectors of L lanes in flight, one pixel per
+ * lane, and advances all four in one loop body.  Each iterate of a vector
+ * is one dependent chain (Horner, two divisions, the trap test); the four
  * chains are independent, so the core overlaps one vector's divisions with
- * the other's work instead of waiting on their latency.  When a lane's
+ * the others' work instead of waiting on their latency.  When a lane's
  * pixel is labelled or reaches maxiter, the lane writes it out and takes
- * the next pixel of the rows; one horizontal test of the two vectors' done
- * masks, ORed, finds such lanes.  Lanes left without a pixel at the end
- * idle until the others finish.  Each lane performs cdiv's IEEE operations
- * in cdiv's order: Smith's two branches differ only in which of (br, bi)
+ * the next pixel of the rows; one horizontal test of the four vectors'
+ * done masks, ORed, finds such lanes.  Lanes left without a pixel at the
+ * end idle until the others finish.  Each lane performs cdiv's IEEE
+ * operations in cdiv's order: Smith's two branches differ only in which of (br, bi)
  * and (ar, ai) play which part, so a per-lane select on |br| >= |bi|
  * (false for NaN, as in cdiv) swaps them and both branches share the two
  * divisions.  A zero divisor gives NaN here and inf or NaN in cdiv; either
@@ -352,7 +353,7 @@ double blaschke_advance(const double *den, int64_t nden, double alpha, double sl
     ATTR static void classify_rows_##L(const double *num, int64_t nnum, const double *den, \
                                        int64_t nden, double x0, double y0, double dx,      \
                                        double dy, int64_t w, int64_t h, int64_t maxiter,    \
-                                       double r0, double rinf, int64_t row0, int64_t stride, \
+                                       double r0, double rinf, int64_t *next_row,           \
                                        uint8_t *labels, uint32_t *iters)                   \
     {                                                                                      \
         typedef double vd __attribute__((vector_size(8 * L)));                            \
@@ -365,12 +366,13 @@ double blaschke_advance(const double *den, int64_t nden, double alpha, double sl
         int64_t jden = horner_start(den, nden, &top[2], &top[3]);                          \
         const vd nr0 = zero + top[0], ni0 = zero + top[1];                                 \
         const vd br0 = zero + top[2], bi0 = zero + top[3];                                 \
-        vd zr[2], zi[2], k[2];                                                             \
-        vi live[2], done[2];                                                               \
-        int64_t pix[2][L];                                                                 \
-        int64_t ix = 0, iy = row0, nlive = 2 * L;                                          \
+        vd zr[4], zi[4], k[4];                                                             \
+        vi live[4], done[4];                                                               \
+        int64_t pix[4][L];                                                                 \
+        int64_t ix = 0, iy, nlive = 4 * L;                                                 \
         if (w <= 0)                                                                        \
             return;                                                                        \
+        iy = __atomic_fetch_add(next_row, 1, __ATOMIC_RELAXED);                            \
         /* every lane starts as a finished pixel that needs no writing */                  \
         EACH_VECTOR(v) {                                                                   \
             zr[v] = zi[v] = k[v] = zero;                                                   \
@@ -380,7 +382,8 @@ double blaschke_advance(const double *den, int64_t nden, double alpha, double sl
                 pix[v][l] = -1;                                                            \
         }                                                                                  \
         for (;;) {                                                                         \
-            vi either = done[0] | done[1];                                                 \
+            vi either = none;                                                              \
+            EACH_VECTOR(v) either |= done[v];                                              \
             int64_t any = 0;                                                               \
             for (int l = 0; l < L; l++)                                                    \
                 any |= either[l];                                                          \
@@ -407,7 +410,7 @@ double blaschke_advance(const double *den, int64_t nden, double alpha, double sl
                             kl = 0.0;                                                      \
                             if (++ix == w) {                                               \
                                 ix = 0;                                                    \
-                                iy += stride;                                              \
+                                iy = __atomic_fetch_add(next_row, 1, __ATOMIC_RELAXED);    \
                             }                                                              \
                             double m2 = re * re + im * im;                                 \
                             if (!(m2 < r02 || m2 > rinf2 || kl >= fmaxk)) {                \
@@ -423,8 +426,8 @@ double blaschke_advance(const double *den, int64_t nden, double alpha, double sl
                 if (nlive == 0)                                                            \
                     return;                                                                \
             }                                                                              \
-            /* z -> N(z) / D(z) in both vectors: horner, then cdiv */                      \
-            vd nr[2], ni[2], br[2], bi[2];                                                 \
+            /* z -> N(z) / D(z) in all four vectors: horner, then cdiv */                  \
+            vd nr[4], ni[4], br[4], bi[4];                                                 \
             EACH_VECTOR(v) {                                                               \
                 nr[v] = nr0;                                                               \
                 ni[v] = ni0;                                                               \
@@ -484,11 +487,11 @@ int64_t simd_lanes(void)
  * simd_lanes(). */
 void classify_rows(const double *num, int64_t nnum, const double *den, int64_t nden,
                    double x0, double y0, double dx, double dy, int64_t w, int64_t h,
-                   int64_t maxiter, double r0, double rinf, int64_t lanes, int64_t row0,
-                   int64_t stride, uint8_t *labels, uint32_t *iters)
+                   int64_t maxiter, double r0, double rinf, int64_t lanes, int64_t *next_row,
+                   uint8_t *labels, uint32_t *iters)
 {
     BY_LANES(lanes, classify_rows)(num, nnum, den, nden, x0, y0, dx, dy, w, h, maxiter, r0,
-                                   rinf, row0, stride, labels, iters);
+                                   rinf, next_row, labels, iters);
 }
 
 /* The lowest (highest = 0) or highest (highest = 1) n <= 8 arc points seen
@@ -664,19 +667,20 @@ static double arc_diameter(const double *pts, int64_t m, int64_t start, int64_t 
     return sqrt(max_sq(xs, ys, n, cx, cy, nc, scale)) / scale;
 }
 
-/* For the vertex pairs p = p0, p0 + stride, ... below npairs, the ratio of
- * the diameter of the shorter arc of the closed polygon pts[0..m) between
- * ii[p] and jj[p] to their chord |pts[ii[p]] - pts[jj[p]]| (hypot), or 0
- * for a zero chord.  The inner arc lo..hi is taken when hi - lo <= m -
- * (hi - lo), else the outer one hi..m-1, 0..lo; an arc of more than 512
- * points keeps every (len / 512)-th.  The diameters are taken at lanes =
- * 2 or a wider count up to simd_lanes(), all with the same result.  Pairs
- * are independent, so any split gives the same ratios. */
+/* For each vertex pair p < npairs that the thread claims from *next, one at
+ * a time, the ratio of the diameter of the shorter arc of the closed
+ * polygon pts[0..m) between ii[p] and jj[p] to their chord
+ * |pts[ii[p]] - pts[jj[p]]| (hypot), or 0 for a zero chord.  The inner
+ * arc lo..hi is taken when hi - lo <= m - (hi - lo), else the outer one
+ * hi..m-1, 0..lo; an arc of more than 512 points keeps every
+ * (len / 512)-th.  The diameters are taken at lanes = 2 or a wider count
+ * up to simd_lanes(), all with the same result.  Pairs are independent,
+ * so any split gives the same ratios. */
 void arc_ratios(const double *pts, int64_t m, const int64_t *ii, const int64_t *jj,
-                int64_t npairs, int64_t lanes, int64_t p0, int64_t stride, double *out)
+                int64_t npairs, int64_t lanes, int64_t *next, double *out)
 {
     arc_max_sq_fn max_sq = BY_LANES(lanes, arc_max_sq);
-    for (int64_t p = p0; p < npairs; p += stride) {
+    for (int64_t p; (p = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED)) < npairs;) {
         int64_t i = ii[p], j = jj[p];
         double chord = hypot(pts[2 * i] - pts[2 * j], pts[2 * i + 1] - pts[2 * j + 1]);
         if (chord == 0) {

@@ -69,9 +69,9 @@ references run alone.
 
 The C classifier iterates one pixel per lane of a vector of doubles,
 each lane taking the next pixel of its thread's rows when its own is
-labelled.  Each thread keeps 2 vectors of L lanes in flight, interleaved
+labelled.  Each thread keeps 4 vectors of L lanes in flight, interleaved
 in one loop body: an iterate is one dependent chain of Horner steps and
-two divisions, and the other vector's independent chain fills its
+two divisions, and the other vectors' independent chains fill its
 latency.  ``lanes`` and ``_WIDTHS`` count lanes per vector.
 ``arc_ratios`` takes each arc's largest squared distance over one arc
 point per lane.  Each loop body is built at every width of the C
@@ -87,9 +87,10 @@ does not depend on the order it is taken in, so every width gives the
 reference's arrays bit for bit.
 
 The C classifier splits the pixel rows, and ``arc_ratios`` the vertex
-pairs, over one thread per CPU in the process's affinity mask (item i to
-thread i mod n, ``_split``); ctypes releases the GIL during each call,
-and the results do not depend on n.
+pairs, over one thread per CPU in the calling thread's affinity mask, each
+pinned to its CPU and claiming items from one counter per call (``_split``),
+so a faster CPU takes more; ctypes releases the GIL during each call, and
+the results do not depend on the split.
 
 The library is compiled with the system C compiler ``cc`` on first
 import and cached in ``$XDG_CACHE_HOME/hermanlab/`` (default
@@ -100,7 +101,7 @@ builds anew.  Without a compiler, or if the build fails, the
 ``hermanlab`` logger records one warning and every kernel runs its
 reference; a cached library that cannot be loaded is rebuilt once.
 Otherwise it records one debug line: the classifier's vectors and lanes
-("2 vectors of L lanes") and whether the library was built or found in
+("4 vectors of L lanes") and whether the library was built or found in
 the cache.  ``BACKEND`` names
 the outcome: ``"c"`` or ``"numpy"``.
 """
@@ -190,11 +191,11 @@ def _load():
     lib.blaschke_advance.argtypes = [ptr, i64, f64, f64, f64, i64]
     lib.blaschke_advance.restype = f64
     lib.classify_rows.argtypes = [ptr, i64, ptr, i64, f64, f64, f64, f64, i64, i64, i64,
-                                  f64, f64, i64, i64, i64, ptr, ptr]
+                                  f64, f64, i64, ptr, ptr, ptr]
     lib.classify_rows.restype = None
     lib.simd_lanes.argtypes = []
     lib.simd_lanes.restype = i64
-    lib.arc_ratios.argtypes = [ptr, i64, ptr, ptr, i64, i64, i64, i64, ptr]
+    lib.arc_ratios.argtypes = [ptr, i64, ptr, ptr, i64, i64, ptr, ptr]
     lib.arc_ratios.restype = None
     lib.distance_transform.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
     lib.distance_transform.restype = None
@@ -202,7 +203,7 @@ def _load():
     lib.curve_csv_rows.restype = i64
     lib.curve_csv_parse.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr]
     lib.curve_csv_parse.restype = i64
-    _log.debug("kernel backend c (classifier 2 vectors of %d lanes): %s %s", lib.simd_lanes(),
+    _log.debug("kernel backend c (classifier 4 vectors of %d lanes): %s %s", lib.simd_lanes(),
                how, path)
     return lib
 
@@ -322,9 +323,9 @@ def classify_kernel(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
     (x0 + (ix + 0.5) dx, y0 + (iy + 0.5) dy).  It is labelled at the first
     iterate k with |z|^2 < r0^2 or |z|^2 > rinf^2, which it counts, else it
     stays undecided with count maxiter; a non-finite iterate (at a pole)
-    becomes 2 rinf.  The C loop splits the rows over one thread per CPU
-    this process may run on, at the widest lane count the CPU has; the
-    arrays depend on neither.
+    becomes 2 rinf.  The C loop splits the rows over one pinned thread
+    per CPU the calling thread may run on (``_split``), at the widest lane
+    count the CPU has; the arrays depend on neither.
     """
     num, den = _complex(num, den)
     if _lib is None:
@@ -334,7 +335,7 @@ def classify_kernel(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf):
 
 
 def _cpus():
-    """The number of CPUs this process may run on."""
+    """The number of CPUs in the calling thread's own affinity mask."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -342,18 +343,33 @@ def _cpus():
 
 
 def _split(fn, head, tail, n, workers):
-    """Run fn(*head, i, stride, *tail) for i < stride = min(workers, n), at
-    least 1, so that item k of n goes to call k mod stride: call 0 on the
-    calling thread, the others on threads of their own (ctypes releases
-    the GIL)."""
-    stride = max(1, min(workers, n))
-    threads = [threading.Thread(target=fn, args=(*head, i, stride, *tail))
-               for i in range(1, stride)]
+    """Run k = min(workers, n), at least 1, shards fn(*head, next, *tail)
+    that claim the n items from one counter next: one shard on the calling
+    thread, else each on a thread of its own (ctypes releases the GIL), shard
+    i pinned where the platform can to CPU i mod len(cpus) of the caller's
+    sorted mask cpus, which stays as it is; a shard's exception is raised."""
+    args = (*head, ctypes.byref(ctypes.c_int64(0)), *tail)
+    k = max(1, min(workers, n))
+    if k == 1:
+        return fn(*args)
+    pin, errors = getattr(os, "sched_setaffinity", None), []
+    cpus = sorted(os.sched_getaffinity(0)) if pin else []
+
+    def shard(i):
+        try:
+            if pin:
+                pin(0, {cpus[i % len(cpus)]})
+            fn(*args)
+        except Exception as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=shard, args=(i,)) for i in range(k)]
     for t in threads:
         t.start()
-    fn(*head, 0, stride, *tail)
     for t in threads:
         t.join()
+    if errors:
+        raise errors[0]
 
 
 def _lanes(lanes):
@@ -367,8 +383,8 @@ def _lanes(lanes):
 
 
 def _classify_c(num, den, x0, y0, dx, dy, w, h, maxiter, r0, rinf, workers, lanes=None):
-    """classify_kernel in C, row i computed by worker i mod workers, with
-    lanes pixels per vector (one of _WIDTHS, default the widest)."""
+    """classify_kernel in C, its rows split over workers shards (_split),
+    with lanes pixels per vector (one of _WIDTHS, default the widest)."""
     lanes = _lanes(lanes)
     labels = np.empty((h, w), dtype=np.uint8)
     iters = np.empty((h, w), dtype=np.uint32)
@@ -385,10 +401,10 @@ def arc_ratios(pts, ii, jj):
     The arc is the shorter of the two between the vertices, the inner
     pts[lo..hi] on a tie, and an arc of more than 512 points keeps every
     (len // 512)-th one.  Its diameter is estimated by _reference._arc_diameter.
-    The C loop splits the pairs over one thread per CPU this process may
-    run on, at the widest lane count the CPU has; the ratios depend on
-    neither.  A non-finite vertex is refused with ValueError, as no
-    diameter of it is defined.
+    The C loop splits the pairs over one pinned thread per CPU the calling
+    thread may run on (``_split``), at the widest lane count the CPU has;
+    the ratios depend on neither.  A non-finite vertex is refused with
+    ValueError, as no diameter of it is defined.
     """
     pts = np.ascontiguousarray(pts, dtype=np.complex128)
     ii = np.ascontiguousarray(ii, dtype=np.int64)
@@ -406,8 +422,8 @@ def arc_ratios(pts, ii, jj):
 
 
 def _arc_ratios_c(pts, ii, jj, workers, lanes=None):
-    """arc_ratios in C, pair p computed by worker p mod workers, with lanes
-    arc points per vector (one of _WIDTHS, default the widest)."""
+    """arc_ratios in C, its pairs split over workers shards (_split), with
+    lanes arc points per vector (one of _WIDTHS, default the widest)."""
     lanes = _lanes(lanes)
     out = np.empty(len(ii))
     _split(_lib.arc_ratios,

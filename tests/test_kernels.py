@@ -14,6 +14,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 from unittest import mock
 
 import mpmath
@@ -342,14 +343,146 @@ def test_c_classify_bit_equal():
 
 @needs_c
 def test_c_classify_rows_split_independent(map32):
-    """One worker and three (h not a multiple of 3) give identical arrays,
-    at every lane count."""
-    win = (*K._complex(map32.num, map32.den), -2.0, -2.0, 4.0 / 50, 4.0 / 47, 50, 47, 200,
-           1e-6, 1e6)
-    for lanes in K._WIDTHS:
-        one, three = K._classify_c(*win, 1, lanes), K._classify_c(*win, 3, lanes)
-        assert one[0].dtype == np.uint8 and one[1].dtype == np.uint32
-        assert np.array_equal(one[0], three[0]) and np.array_equal(one[1], three[1])
+    """1, 2, 3 and 8 workers give the reference's arrays at every lane
+    count, on 47 rows (no multiple of 2, 3 or 8) and on grids of 1 and 2
+    rows, fewer than most of the workers."""
+    for w, h in ((50, 47), (50, 1), (9, 2)):
+        win = (-2.0, -2.0, 4.0 / w, 4.0 / h, w, h, 200, 1e-6, 1e6)
+        ref = _reference._classify(*K._complex(map32.num, map32.den), *win)
+        for lanes in K._WIDTHS:
+            for workers in (1, 2, 3, 8):
+                out = K._classify_c(*K._complex(map32.num, map32.den), *win, workers, lanes)
+                assert out[0].dtype == np.uint8 and out[1].dtype == np.uint32
+                assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
+
+
+needs_pinning = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="pinning shards needs sched_setaffinity and 2 or more CPUs")
+
+
+def recorded(monkeypatch, name):
+    """The (thread, affinity mask) of each call of the library's function
+    name, which still runs, in a list that the calls fill."""
+    calls, real = [], getattr(K._lib, name)
+
+    def call(*args):
+        calls.append((threading.get_ident(), os.sched_getaffinity(0)))
+        return real(*args)
+
+    monkeypatch.setattr(K._lib, name, call)
+    return calls
+
+
+@needs_c
+@needs_pinning
+def test_c_shards_are_pinned_to_distinct_cpus(monkeypatch, map32):
+    """With 2 or more CPUs in the caller's mask, classify_kernel and
+    arc_ratios run one shard per CPU, each on a thread of its own whose
+    mask is that one CPU, and leave the caller's mask as it was; a python
+    fn split into twice as many shards as CPUs runs two on each CPU."""
+    mask = os.sched_getaffinity(0)
+    pts = np.exp(2j * np.pi * np.arange(40) / 40)
+    ii, jj = np.arange(20), np.arange(20) + 7
+    calls = {"classify_rows": lambda: K.classify_kernel(map32.num, map32.den, -2.0, -2.0, 0.1,
+                                                       0.1, 40, 40, 50, 1e-6, 1e6),
+             "arc_ratios": lambda: K.arc_ratios(pts, ii, jj)}
+    for name, call in calls.items():
+        shards = recorded(monkeypatch, name)
+        call()
+        assert os.sched_getaffinity(0) == mask
+        assert len({t for t, _ in shards}) == len(shards) == len(mask)
+        assert threading.get_ident() not in {t for t, _ in shards}
+        assert sorted(cpu for _, m in shards for cpu in m) == sorted(mask)
+    seen = []
+    K._split(lambda counter: seen.append(os.sched_getaffinity(0)), (), (), 2 * len(mask),
+             2 * len(mask))
+    assert sorted(min(m) for m in seen) == sorted(sorted(mask) * 2)
+    assert all(len(m) == 1 for m in seen) and os.sched_getaffinity(0) == mask
+
+
+def test_split_runs_one_shard_on_the_calling_thread():
+    """One worker, or at most one item, runs fn once on the calling thread,
+    between head and tail, and starts no thread."""
+    for workers, n in ((1, 5), (4, 1), (4, 0)):
+        seen = []
+        K._split(lambda *args: seen.append((args[0], args[2], threading.get_ident(),
+                                             threading.active_count())),
+                 ("head",), ("tail",), n, workers)
+        assert seen == [("head", "tail", threading.get_ident(), threading.active_count())]
+
+
+@needs_c
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+def test_c_one_cpu_mask_runs_on_the_calling_thread(monkeypatch, map32):
+    """A thread whose mask is one CPU runs classify_kernel's and
+    arc_ratios' single shard itself, with that mask."""
+    classify = recorded(monkeypatch, "classify_rows")
+    arcs = recorded(monkeypatch, "arc_ratios")
+    cpu, out = min(os.sched_getaffinity(0)), []
+
+    def run():
+        os.sched_setaffinity(0, {cpu})
+        out.append(K.classify_kernel(map32.num, map32.den, -2.0, -2.0, 0.2, 0.2, 20, 20, 50,
+                                     1e-6, 1e6))
+        out.append(K.arc_ratios(np.exp(2j * np.pi * np.arange(9) / 9), [0, 1, 2], [4, 5, 8]))
+        out.append(threading.get_ident())
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive() and len(out) == 3 and classify == arcs == [(out[2], {cpu})]
+
+
+def test_split_raises_a_shards_exception(monkeypatch):
+    """A shard that raises on a thread of its own makes the call raise once
+    every shard has ended, and so does a shard that cannot be pinned
+    (sched_setaffinity's EINVAL), rather than leaving rows unfilled."""
+    caller, ended = threading.get_ident(), []
+
+    def fn(*args):
+        if threading.get_ident() != caller:
+            ended.append(1)
+            raise RuntimeError("shard failed")
+
+    with pytest.raises(RuntimeError, match="shard failed"):
+        K._split(fn, (), (), 4, 2)
+    assert len(ended) == 2
+
+    def refused(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with pytest.raises(OSError, match="Invalid argument"):
+        K._split(lambda *args: None, (), (), 4, 2)
+
+
+@needs_c
+def test_c_concurrent_classify_calls(map32):
+    """Two python threads that call classify_kernel at once, each on a window
+    of its own, each get the reference's arrays: every call claims rows
+    from a counter of its own."""
+    wins = [(-2.0, -2.0, 4.0 / 40, 4.0 / 36, 40, 36, 120, 1e-6, 1e6),
+            (-1.0, -0.5, 1.0 / 31, 1.0 / 29, 31, 29, 200, 1e-6, 1e6)]
+    barrier, got = threading.Barrier(2), ([], [])
+
+    def run(i):
+        barrier.wait()
+        for _ in range(4):
+            got[i].append(K.classify_kernel(map32.num, map32.den, *wins[i]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    for win, outs in zip(wins, got):
+        ref = _reference._classify(*K._complex(map32.num, map32.den), *win)
+        assert len(outs) == 4
+        for labels, iters in outs:
+            assert np.array_equal(labels, ref[0]) and np.array_equal(iters, ref[1])
 
 
 @needs_c
@@ -373,15 +506,17 @@ def test_c_classify_widths_cover_the_cpu():
 @pytest.mark.parametrize("lanes", [2, 4, 8])
 def test_c_classify_lanes_bit_equal(lanes):
     """Each lane count equals the reference on windows of fewer pixels than
-    lanes, of pixel counts no multiple of it and of L+1, 2L-1, 2L and 2L+1
-    pixels (one row or one column) at the edges of the classifier's two
-    vectors of L lanes, at maxiter 0, 1 and 150; on a window that mixes
-    pixels labelled at iterate 1 with pixels undecided at maxiter, so that
-    lanes refill while others keep iterating; and at the (2,2) map's pole.
+    lanes, of pixel counts no multiple of it and of L+1, 2L-1, 2L, 2L+1,
+    4L-1, 4L and 4L+1 pixels (one row or one column) at the edges of the
+    classifier's four vectors of L lanes, at maxiter 0, 1 and 150; on a
+    window that mixes pixels labelled at iterate 1 with pixels undecided at
+    maxiter, so that lanes refill while others keep iterating, with 1, 2
+    and 4 workers; and at the (2,2) map's pole.
     An empty grid gives empty arrays."""
     if lanes not in K._WIDTHS:
         pytest.skip("this CPU lacks the instructions of the %d-lane classifier" % lanes)
-    edges = [(n, 1) for n in (lanes + 1, 2 * lanes - 1, 2 * lanes, 2 * lanes + 1)]
+    edges = [(n, 1) for n in (lanes + 1, 2 * lanes - 1, 2 * lanes, 2 * lanes + 1,
+                              4 * lanes - 1, 4 * lanes, 4 * lanes + 1)]
     for d0, dinf in ((3, 2), (2, 2), (3, 3)):
         m = family(d0, dinf)
         for w, h in ((1, 1), (3, 3), (5, 7), (9, 1), *edges, *((h, w) for w, h in edges)):
@@ -395,7 +530,7 @@ def test_c_classify_lanes_bit_equal(lanes):
     mixed = (m.num, m.den, -0.5, -0.012, 1.0, 1e-3, 2, 24, 150, 1e-6, 1e6)
     labels, iters = _reference._classify(*mixed)
     assert (iters[:, 0] == 1).sum() == 12 and (labels[:, 1] == 2).all()
-    for workers in (1, 2):
+    for workers in (1, 2, 4):
         out = K._classify_c(*K._complex(m.num, m.den), *mixed[2:], workers, lanes)
         assert np.array_equal(out[0], labels) and np.array_equal(out[1], iters)
     m = family(2, 2)
@@ -628,11 +763,11 @@ def arc_case(draw):
 @given(arc_case(), st.sampled_from(K._WIDTHS))
 def test_c_arc_ratios_bit_equal(case, lanes):
     """The C arc ratios equal the reference's bit for bit, at each lane count
-    and with 1 and 3 workers."""
+    and with 1, 2, 3 and 8 workers."""
     pts, ii, jj = case
     ref = _reference._arc_ratios(pts, ii, jj)
-    assert bits(K._arc_ratios_c(pts, ii, jj, 1, lanes)) == bits(ref)
-    assert bits(K._arc_ratios_c(pts, ii, jj, 3, lanes)) == bits(ref)
+    for workers in (1, 2, 3, 8):
+        assert bits(K._arc_ratios_c(pts, ii, jj, workers, lanes)) == bits(ref)
     assert bits(K.arc_ratios(pts, ii, jj)) == bits(ref)
 
 
@@ -641,8 +776,10 @@ def test_c_arc_ratios_bit_equal(case, lanes):
 def test_c_arc_ratios_lanes_bit_equal(lanes):
     """Each lane count equals the reference on every vertex pair of polygons
     of 1, 2 and 13 points (arcs of 1 to 7 points, fewer than the lanes or
-    no multiple of them; a 1-point arc has a zero chord and ratio 0) and
-    on arcs of 506 to 1031 points, 513 to 1023 of them kept uncoarsened."""
+    no multiple of them; a 1-point arc has a zero chord and ratio 0), on
+    arcs of 506 to 1031 points, 513 to 1023 of them kept uncoarsened, and
+    on the first 0, 1 and 2 of the 13-point polygon's pairs, fewer pairs
+    than most of the 1, 2, 3 and 8 workers."""
     if lanes not in K._WIDTHS:
         pytest.skip("this CPU lacks the instructions of the %d-lane arc kernel" % lanes)
     rng = np.random.default_rng(4)
@@ -655,8 +792,11 @@ def test_c_arc_ratios_lanes_bit_equal(lanes):
             ii = np.zeros_like(jj)
         ref = _reference._arc_ratios(pts, ii, jj)
         assert (ref[ii == jj] == 0).all() and (ref[ii != jj] > 0).all()
-        for workers in (1, 3):
+        for workers in (1, 2, 3, 8):
             assert bits(K._arc_ratios_c(pts, ii, jj, workers, lanes)) == bits(ref)
+            for n in (0, 1, 2) if m == 13 else ():
+                assert bits(K._arc_ratios_c(pts, ii[1:1 + n], jj[1:1 + n], workers,
+                                            lanes)) == bits(ref[1:1 + n])
 
 
 
@@ -678,7 +818,7 @@ def test_c_arc_ratios_keep_axis_ties_as_a_stable_sort(side):
     diameter = math.sqrt(1.09 if side == 1 else 1.3)
     assert ref[0] == pytest.approx(diameter / abs(pts[0] - pts[len(arc) - 1]), rel=1e-15)
     for lanes in K._WIDTHS:
-        for workers in (1, 3):
+        for workers in (1, 2, 3, 8):
             assert bits(K._arc_ratios_c(pts, ii, jj, workers, lanes)) == bits(ref)
 
 
@@ -703,14 +843,14 @@ def test_c_pruned_arcs_bit_equal(shape):
     largest squared distance.  On collinear arcs, where every point but
     those next to the ends lies inside the bound, and on circle arcs, the
     ratios still equal the reference's bit for bit at each lane count
-    and with 1 and 3 workers."""
+    and with 1, 2, 3 and 8 workers."""
     rng = np.random.default_rng(17)
     for m in (70, 1500, 2600):
         pts, ii, jj = polyline_case(shape, m, rng)
         ref = _reference._arc_ratios(pts, ii, jj)
         assert (ref > 0.5).all()
         for lanes in K._WIDTHS:
-            for workers in (1, 3):
+            for workers in (1, 2, 3, 8):
                 assert bits(K._arc_ratios_c(pts, ii, jj, workers, lanes)) == bits(ref)
 
 
@@ -1189,7 +1329,7 @@ print(json.dumps({"backend": K.BACKEND, "records": records, "results": [
 
 def loaded(how, path):
     """_load's debug line, which names the classifier's vectors and lanes."""
-    return "kernel backend c (classifier 2 vectors of %d lanes): %s %s" % (K._WIDTHS[-1], how,
+    return "kernel backend c (classifier 4 vectors of %d lanes): %s %s" % (K._WIDTHS[-1], how,
                                                                            path)
 
 
